@@ -18,8 +18,8 @@ cyclic rule sets.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from dataclasses import dataclass, field
+from typing import Iterator
 
 from .model import (
     Conclusion,
@@ -39,7 +39,35 @@ ArgumentId = str
 
 
 class Argument:
-    """Base class; concrete forms are the four dataclasses below."""
+    """Base class; concrete forms are the four dataclasses below.
+
+    Arguments are immutable trees, so every value derived from a tree (its
+    height, hash, rule labels and structural key) is computed once, from the
+    children's stored values, when the argument is constructed.
+    """
+
+    _height: int
+    _hash: int
+    _labels: frozenset[str]
+    _key: tuple
+
+    def __post_init__(self) -> None:
+        children = self.children
+        if isinstance(self, RuleApplication):
+            labels = frozenset((self.rule.label,)).union(*(child._labels for child in children))
+        else:  # leaves apply no rule; a permission argument shares its base's labels
+            labels = children[0]._labels if children else frozenset()
+        height = 1 + max(child._height for child in children) if children else 0
+        head = (height, _kind_rank(self), self.top_rule or "", conclusion_sort_key(self.conclusion))
+        object.__setattr__(self, "_height", height)
+        object.__setattr__(self, "_labels", labels)
+        object.__setattr__(self, "_key", (*head, tuple(child._key for child in children)))
+        object.__setattr__(self, "_hash", hash((head, tuple(child._hash for child in children))))
+
+    # each form sets ``__hash__ = Argument.__hash__`` so that the dataclass
+    # decorator keeps this one instead of generating a recursive field hash
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def conclusion(self) -> Conclusion:
@@ -56,8 +84,7 @@ class Argument:
 
     @property
     def height(self) -> int:
-        children = self.children
-        return 1 + max(c.height for c in children) if children else 0
+        return self._height
 
     @property
     def top_rule(self) -> str | None:
@@ -75,11 +102,8 @@ class Argument:
         return self.subarguments() - {self}
 
     def tree_labels(self) -> frozenset[str]:
-        labels: set[str] = set()
-        for sub in self.subarguments():
-            if isinstance(sub, RuleApplication):
-                labels.add(sub.rule.label)
-        return frozenset(labels)
+        """Labels of every rule applied anywhere in the tree."""
+        return self._labels
 
 
 @dataclass(frozen=True)
@@ -87,6 +111,7 @@ class ImaginaryArgument(Argument):
     """Concludes the weak permission of its literal; has no premises."""
 
     literal: Literal
+    __hash__ = Argument.__hash__
 
     @property
     def conclusion(self) -> Conclusion:
@@ -96,6 +121,7 @@ class ImaginaryArgument(Argument):
 @dataclass(frozen=True)
 class FactArgument(Argument):
     literal: Literal
+    __hash__ = Argument.__hash__
 
     @property
     def conclusion(self) -> Conclusion:
@@ -108,6 +134,7 @@ class RuleApplication(Argument):
 
     rule: Rule
     subs: tuple[Argument, ...]
+    __hash__ = Argument.__hash__
 
     @property
     def conclusion(self) -> Conclusion:
@@ -127,6 +154,7 @@ class DAxiomArgument(Argument):
     """Obligation implies permission: built over an ``obl(l)`` argument."""
 
     base: Argument
+    __hash__ = Argument.__hash__
 
     @property
     def conclusion(self) -> Conclusion:
@@ -152,15 +180,12 @@ def _kind_rank(argument: Argument) -> int:
 
 
 def structural_key(argument: Argument) -> tuple:
-    """Total deterministic order on natural arguments (used for id assignment)."""
-    label = argument.top_rule or ""
-    return (
-        argument.height,
-        _kind_rank(argument),
-        label,
-        conclusion_sort_key(argument.conclusion),
-        tuple(structural_key(child) for child in argument.children),
-    )
+    """Total deterministic order on natural arguments (used for id assignment).
+
+    ``(height, kind rank, top rule, conclusion key, children's keys)``,
+    stored on the argument when it is constructed.
+    """
+    return argument._key
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +195,46 @@ def structural_key(argument: Argument) -> tuple:
 
 @dataclass(frozen=True)
 class ArgumentSet:
-    """All arguments of a theory with stable ids (``A0..`` natural, ``I1..`` imaginary)."""
+    """All arguments of a theory with stable ids (``A0..`` natural, ``I1..`` imaginary).
+
+    Every lookup index is built once, when the set is constructed.
+    """
 
     theory: Theory
     ordered: tuple[tuple[ArgumentId, Argument], ...]
+    _by_id: dict[ArgumentId, Argument] = field(init=False, repr=False, compare=False)
+    _id_of: dict[Argument, ArgumentId] = field(init=False, repr=False, compare=False)
+    _positions: dict[ArgumentId, int] = field(init=False, repr=False, compare=False)
+    _by_conclusion: dict[Conclusion, tuple[ArgumentId, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+    _sub_ids: dict[ArgumentId, tuple[ArgumentId, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        ids = [identifier for identifier, _ in self.ordered]
+        positions = {identifier: n for n, identifier in enumerate(ids)}
+        id_of = {argument: identifier for identifier, argument in self.ordered}
+        by_conclusion: dict[Conclusion, list[ArgumentId]] = {}
+        for identifier, argument in self.ordered:
+            by_conclusion.setdefault(argument.conclusion, []).append(identifier)
+        # subargument closures as positions, children (lower height) first
+        closures: dict[ArgumentId, set[int]] = {}
+        for identifier, argument in sorted(self.ordered, key=lambda pair: pair[1].height):
+            closure = {positions[identifier]}
+            for child in argument.children:
+                closure |= closures[id_of[child]]
+            closures[identifier] = closure
+        object.__setattr__(self, "_by_id", dict(self.ordered))
+        object.__setattr__(self, "_id_of", id_of)
+        object.__setattr__(self, "_positions", positions)
+        object.__setattr__(self, "_by_conclusion", {k: tuple(v) for k, v in by_conclusion.items()})
+        object.__setattr__(
+            self,
+            "_sub_ids",
+            {i: tuple(ids[n] for n in sorted(closure)) for i, closure in closures.items()},
+        )
 
     def __iter__(self) -> Iterator[tuple[ArgumentId, Argument]]:
         return iter(self.ordered)
@@ -211,99 +272,49 @@ class ArgumentSet:
     def proper_sub_ids(self, identifier: ArgumentId) -> tuple[ArgumentId, ...]:
         return tuple(i for i in self._sub_ids[identifier] if i != identifier)
 
-    # internal indexes, built once in build_arguments
-    @property
-    def _by_id(self) -> dict[ArgumentId, Argument]:
-        return self.__dict__.setdefault("_by_id_cache", dict(self.ordered))
-
-    @property
-    def _id_of(self) -> dict[Argument, ArgumentId]:
-        return self.__dict__.setdefault(
-            "_id_of_cache", {argument: identifier for identifier, argument in self.ordered}
-        )
-
-    @property
-    def _positions(self) -> dict[ArgumentId, int]:
-        return self.__dict__.setdefault(
-            "_positions_cache", {identifier: n for n, (identifier, _) in enumerate(self.ordered)}
-        )
-
-    @property
-    def _by_conclusion(self) -> dict[Conclusion, tuple[ArgumentId, ...]]:
-        cached = self.__dict__.get("_by_conclusion_cache")
-        if cached is None:
-            index: dict[Conclusion, list[ArgumentId]] = {}
-            for identifier, argument in self.ordered:
-                index.setdefault(argument.conclusion, []).append(identifier)
-            cached = {k: tuple(v) for k, v in index.items()}
-            self.__dict__["_by_conclusion_cache"] = cached
-        return cached
-
-    @property
-    def _sub_ids(self) -> dict[ArgumentId, tuple[ArgumentId, ...]]:
-        cached = self.__dict__.get("_sub_ids_cache")
-        if cached is None:
-            id_of = self._id_of
-            positions = self._positions
-            cached = {
-                identifier: tuple(
-                    sorted(
-                        {id_of[sub] for sub in argument.subarguments()},
-                        key=positions.__getitem__,
-                    )
-                )
-                for identifier, argument in self.ordered
-            }
-            self.__dict__["_sub_ids_cache"] = cached
-        return cached
-
 
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
 
 
-def _candidates(known: Iterable[Argument], element: Conclusion) -> list[Argument]:
-    matching = [argument for argument in known if argument.conclusion == element]
-    matching.sort(key=structural_key)
-    return matching
-
-
 def build_arguments(theory: Theory) -> ArgumentSet:
     """Build every argument of the theory and assign deterministic ids."""
     imaginary = [ImaginaryArgument(literal) for literal in theory.literal_universe]
-    naturals: list[Argument] = [
-        FactArgument(literal) for literal in sorted(theory.facts, key=lambda l: l.sort_key())
-    ]
-    known: set[Argument] = set(imaginary) | set(naturals)
+    naturals: list[Argument] = []
+    known: set[Argument] = set(imaginary)
+    # conclusion -> arguments, grown as arguments are found: the candidate pools
+    by_conclusion: dict[Conclusion, list[Argument]] = {}
+    for argument in imaginary:
+        by_conclusion.setdefault(argument.conclusion, []).append(argument)
+
+    def add(argument: Argument) -> None:
+        found = [argument]
+        conclusion = argument.conclusion
+        if (
+            isinstance(conclusion, DeonticLiteral)
+            and conclusion.operator is DeonticOperator.OBLIGATION
+        ):
+            found.append(DAxiomArgument(argument))  # every obligation spawns its permission
+        for new in found:
+            known.add(new)
+            naturals.append(new)
+            by_conclusion.setdefault(new.conclusion, []).append(new)
+
+    for literal in sorted(theory.facts, key=lambda l: l.sort_key()):
+        add(FactArgument(literal))
 
     changed = True
     while changed:
         changed = False
-        snapshot = sorted(known, key=lambda a: (a.is_imaginary, structural_key(a) if not a.is_imaginary else a.literal.sort_key()))
         for rule in theory.rules:
-            pools = [_candidates(snapshot, element) for element in rule.body]
-            if any(not pool for pool in pools):
-                continue
+            pools = [by_conclusion.get(element, ()) for element in rule.body]
             for combo in itertools.product(*pools):
                 if any(rule.label in sub.tree_labels() for sub in combo):
                     continue  # label already used on a path below: blocks cyclic growth
-                candidate = RuleApplication(rule, tuple(combo))
+                candidate = RuleApplication(rule, combo)
                 if candidate not in known:
-                    known.add(candidate)
-                    naturals.append(candidate)
-                    changed = True
-        # permission closure over every obligation conclusion found so far
-        for argument in list(known):
-            conclusion = argument.conclusion
-            if (
-                isinstance(conclusion, DeonticLiteral)
-                and conclusion.operator is DeonticOperator.OBLIGATION
-            ):
-                derived = DAxiomArgument(argument)
-                if derived not in known:
-                    known.add(derived)
-                    naturals.append(derived)
+                    add(candidate)
                     changed = True
 
     naturals.sort(key=structural_key)

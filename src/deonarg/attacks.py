@@ -24,10 +24,10 @@ witness records survives; condition-1 records are never suppressed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .arguments import ArgumentId, ArgumentSet
-from .model import DeonticLiteral, DeonticOperator, Literal, Theory
+from .model import DeonticOperator, Literal, Theory, obl, perm
 
 # ---------------------------------------------------------------------------
 # edge records
@@ -46,20 +46,52 @@ class Attack:
 
 @dataclass(frozen=True)
 class AttackGraph:
-    """All attack records over an argument set, split by suppression."""
+    """All attack records over an argument set, split by suppression.
+
+    Every lookup index over the surviving records is built once, when the
+    graph is constructed.
+    """
 
     arguments: ArgumentSet
     edges: tuple[Attack, ...]  # surviving records
     suppressed: tuple[Attack, ...]  # removed by superiority
     generalized: bool = False
+    _records: dict[tuple[ArgumentId, ArgumentId], tuple[Attack, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+    _pairs: frozenset[tuple[ArgumentId, ArgumentId]] = field(init=False, repr=False, compare=False)
+    _attacker_index: dict[ArgumentId, tuple[ArgumentId, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+    _target_index: dict[ArgumentId, tuple[ArgumentId, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+    _witness_index: dict[ArgumentId, tuple[ArgumentId, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        records: dict[tuple[ArgumentId, ArgumentId], list[Attack]] = {}
+        by_witness: dict[ArgumentId, dict[ArgumentId, None]] = {}
+        for edge in self.edges:
+            records.setdefault((edge.attacker, edge.target), []).append(edge)
+            by_witness.setdefault(edge.witness, {})[edge.attacker] = None
+        # grouping the pairs in id order leaves every group in id order
+        position = self.arguments._positions
+        attackers: dict[ArgumentId, list[ArgumentId]] = {}
+        targets: dict[ArgumentId, list[ArgumentId]] = {}
+        for attacker, target in sorted(records, key=lambda p: (position[p[0]], position[p[1]])):
+            attackers.setdefault(target, []).append(attacker)
+            targets.setdefault(attacker, []).append(target)
+        object.__setattr__(self, "_records", {k: tuple(v) for k, v in records.items()})
+        object.__setattr__(self, "_pairs", frozenset(records))
+        object.__setattr__(self, "_attacker_index", {k: tuple(v) for k, v in attackers.items()})
+        object.__setattr__(self, "_target_index", {k: tuple(v) for k, v in targets.items()})
+        object.__setattr__(self, "_witness_index", {k: tuple(v) for k, v in by_witness.items()})
 
     @property
     def pairs(self) -> frozenset[tuple[ArgumentId, ArgumentId]]:
-        cached = self.__dict__.get("_pairs_cache")
-        if cached is None:
-            cached = frozenset((e.attacker, e.target) for e in self.edges)
-            self.__dict__["_pairs_cache"] = cached
-        return cached
+        return self._pairs
 
     def attackers_of(self, target: ArgumentId) -> tuple[ArgumentId, ...]:
         """Distinct attackers of the target, in id order (post-suppression)."""
@@ -69,50 +101,16 @@ class AttackGraph:
         return self._target_index.get(attacker, ())
 
     def records_between(self, attacker: ArgumentId, target: ArgumentId) -> tuple[Attack, ...]:
-        return tuple(e for e in self.edges if e.attacker == attacker and e.target == target)
+        return self._records.get((attacker, target), ())
 
-    @property
-    def _attacker_index(self) -> dict[ArgumentId, tuple[ArgumentId, ...]]:
-        cached = self.__dict__.get("_attacker_index_cache")
-        if cached is None:
-            cached = _group(self.arguments, self.edges, by_target=True)
-            self.__dict__["_attacker_index_cache"] = cached
-        return cached
-
-    @property
-    def _target_index(self) -> dict[ArgumentId, tuple[ArgumentId, ...]]:
-        cached = self.__dict__.get("_target_index_cache")
-        if cached is None:
-            cached = _group(self.arguments, self.edges, by_target=False)
-            self.__dict__["_target_index_cache"] = cached
-        return cached
-
-
-def _group(
-    arguments: ArgumentSet, edges: tuple[Attack, ...], *, by_target: bool
-) -> dict[ArgumentId, tuple[ArgumentId, ...]]:
-    seen: dict[ArgumentId, list[ArgumentId]] = {}
-    for edge in edges:
-        key, value = (edge.target, edge.attacker) if by_target else (edge.attacker, edge.target)
-        bucket = seen.setdefault(key, [])
-        if value not in bucket:
-            bucket.append(value)
-    return {
-        key: tuple(sorted(bucket, key=arguments.index)) for key, bucket in seen.items()
-    }
+    def attackers_at(self, witness: ArgumentId) -> tuple[ArgumentId, ...]:
+        """Distinct attackers of the records witnessed at the given argument."""
+        return self._witness_index.get(witness, ())
 
 
 # ---------------------------------------------------------------------------
 # computation
 # ---------------------------------------------------------------------------
-
-
-def _obligation(literal: Literal) -> DeonticLiteral:
-    return DeonticLiteral(DeonticOperator.OBLIGATION, literal)
-
-
-def _permission(literal: Literal) -> DeonticLiteral:
-    return DeonticLiteral(DeonticOperator.PERMISSION, literal)
 
 
 def compute_attacks(
@@ -127,7 +125,7 @@ def compute_attacks(
 
     records: list[Attack] = []
     for target_id, target in arguments:
-        for witness_id in sorted(arguments.sub_ids(target_id), key=arguments.index):
+        for witness_id in arguments.sub_ids(target_id):
             witness = arguments.argument(witness_id)
             conclusion = witness.conclusion
             if isinstance(conclusion, Literal):
@@ -135,34 +133,39 @@ def compute_attacks(
                     records.append(Attack(attacker_id, target_id, 2, witness_id))
             elif conclusion.operator is DeonticOperator.OBLIGATION:
                 flipped = conclusion.literal.negated
-                for attacker_id in arguments.concluders(_obligation(flipped)):
+                for attacker_id in arguments.concluders(obl(flipped)):
                     records.append(Attack(attacker_id, target_id, 3, witness_id))
-                for attacker_id in arguments.concluders(_permission(flipped)):
+                for attacker_id in arguments.concluders(perm(flipped)):
                     records.append(Attack(attacker_id, target_id, 4, witness_id))
             elif conclusion.operator is DeonticOperator.PERMISSION:
                 flipped = conclusion.literal.negated
-                for attacker_id in arguments.concluders(_obligation(flipped)):
+                for attacker_id in arguments.concluders(obl(flipped)):
                     records.append(Attack(attacker_id, target_id, 3, witness_id))
             else:  # weak permission: condition 1
                 if witness.is_imaginary and (witness_id == target_id or imaginary_subargument_attacks):
                     flipped = conclusion.literal.negated
-                    for attacker_id in arguments.concluders(_obligation(flipped)):
+                    for attacker_id in arguments.concluders(obl(flipped)):
                         records.append(Attack(attacker_id, target_id, 1, witness_id))
 
+    top_rule = {identifier: argument.top_rule for identifier, argument in arguments}
     surviving: list[Attack] = []
     suppressed: list[Attack] = []
     for record in records:
-        if record.condition != 1 and _suppressed(arguments, theory, record):
+        if record.condition != 1 and theory.is_superior(
+            top_rule[record.witness], top_rule[record.attacker]
+        ):
             suppressed.append(record)
         else:
             surviving.append(record)
 
+    position = arguments._positions
+
     def order(edge: Attack) -> tuple[int, int, int, int]:
         return (
-            arguments.index(edge.attacker),
-            arguments.index(edge.target),
+            position[edge.attacker],
+            position[edge.target],
             edge.condition,
-            arguments.index(edge.witness),
+            position[edge.witness],
         )
 
     return AttackGraph(
@@ -171,9 +174,3 @@ def compute_attacks(
         tuple(sorted(suppressed, key=order)),
         generalized=imaginary_subargument_attacks,
     )
-
-
-def _suppressed(arguments: ArgumentSet, theory: Theory, record: Attack) -> bool:
-    witness_rule = arguments.argument(record.witness).top_rule
-    attacker_rule = arguments.argument(record.attacker).top_rule
-    return theory.is_superior(witness_rule, attacker_rule)

@@ -135,12 +135,8 @@ def push_negation(target: DeonticLiteral) -> DeonticLiteral:
 def conclusion_sort_key(conclusion: Conclusion) -> tuple:
     """Total deterministic order: plain literals first, then deontic ones."""
     if isinstance(conclusion, Literal):
-        return (0, "", *conclusion.sort_key())
-    return (1, "", *conclusion.sort_key())
-
-
-def format_conclusion(conclusion: Conclusion) -> str:
-    return str(conclusion)
+        return (0, *conclusion.sort_key())
+    return (1, *conclusion.sort_key())
 
 
 # ---------------------------------------------------------------------------

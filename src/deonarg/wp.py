@@ -19,7 +19,7 @@ some theories; the breach is then reported as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .arguments import ArgumentSet
 from .attacks import AttackGraph
@@ -66,16 +66,6 @@ def supported_by(arguments: ArgumentSet, members: Iterable[str]) -> frozenset[st
     )
 
 
-def _attackers_by_witness(graph: AttackGraph) -> Mapping[str, tuple[str, ...]]:
-    """Attackers of each witness position, from the active attack records."""
-    collected: dict[str, list[str]] = {}
-    for edge in graph.edges:
-        bucket = collected.setdefault(edge.witness, [])
-        if edge.attacker not in bucket:
-            bucket.append(edge.attacker)
-    return {witness: tuple(bucket) for witness, bucket in collected.items()}
-
-
 def undercuts(graph: AttackGraph, members: Iterable[str], identifier: str) -> bool:
     """True when the set supports an attack on a proper natural subargument.
 
@@ -85,11 +75,10 @@ def undercuts(graph: AttackGraph, members: Iterable[str], identifier: str) -> bo
     """
     chosen = frozenset(members)
     arguments = graph.arguments
-    by_witness = _attackers_by_witness(graph)
     for witness in arguments.proper_sub_ids(identifier):
         if arguments.argument(witness).is_imaginary:
             continue
-        for attacker in by_witness.get(witness, ()):
+        for attacker in graph.attackers_at(witness):
             if supports(arguments, chosen, attacker):
                 return True
     return False
@@ -218,7 +207,6 @@ def wp_extension(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
     ids = arguments.ids
     imaginary = frozenset(arguments.imaginary_ids())
     proper_subs = {i: tuple(arguments.proper_sub_ids(i)) for i in ids}
-    by_witness = _attackers_by_witness(graph)
 
     def is_supported(members: frozenset[str], identifier: str) -> bool:
         return all(sub in members for sub in proper_subs[identifier])
@@ -227,7 +215,7 @@ def wp_extension(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
         for witness in proper_subs[identifier]:
             if witness in imaginary:
                 continue
-            for attacker in by_witness.get(witness, ()):
+            for attacker in graph.attackers_at(witness):
                 if is_supported(members, attacker):
                     return True
         return False

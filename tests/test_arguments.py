@@ -12,6 +12,9 @@ from deonarg import (
     perm,
     perm_w,
 )
+from deonarg.arguments import structural_key
+from deonarg.model import conclusion_sort_key
+from deonarg.testkit import GeneratorParams, generate_theory
 
 
 def kinds(prepared):
@@ -141,3 +144,72 @@ def test_construction_is_deterministic_across_repeated_builds(chained):
     assert [str(rebuilt.argument(i).conclusion) for i in rebuilt.ids] == [
         str(chained.arguments.argument(i).conclusion) for i in chained.arguments.ids
     ]
+
+
+# values every argument stores at construction, recomputed here by plain
+# recursion over the tree from their definitions
+
+
+def _height(argument):
+    return 1 + max(_height(c) for c in argument.children) if argument.children else 0
+
+
+def _labels(argument):
+    own = {argument.rule.label} if isinstance(argument, RuleApplication) else set()
+    return frozenset(own.union(*(_labels(c) for c in argument.children)))
+
+
+def _kind(argument):
+    if isinstance(argument, FactArgument):
+        return 0
+    return 1 if isinstance(argument, RuleApplication) else 2
+
+
+def _key(argument):
+    return (
+        _height(argument),
+        _kind(argument),
+        argument.top_rule or "",
+        conclusion_sort_key(argument.conclusion),
+        tuple(_key(c) for c in argument.children),
+    )
+
+
+def _rebuild(argument):
+    if isinstance(argument, ImaginaryArgument):
+        return ImaginaryArgument(argument.literal)
+    if isinstance(argument, FactArgument):
+        return FactArgument(argument.literal)
+    if isinstance(argument, RuleApplication):
+        return RuleApplication(argument.rule, tuple(_rebuild(c) for c in argument.subs))
+    return DAxiomArgument(_rebuild(argument.base))
+
+
+def test_stored_argument_values_match_their_definitions():
+    corpus = [
+        (seed, atoms, rules, acyclic)
+        for atoms, rules in ((4, 5), (8, 14), (12, 24), (16, 40))
+        for acyclic in (True, False)
+        for seed in range(4)
+    ]
+    for seed, atoms, rules, acyclic in corpus:
+        params = GeneratorParams(
+            seed=seed,
+            atom_count=atoms,
+            rule_count=rules,
+            fact_count=atoms // 2,
+            acyclic=acyclic,
+            inject_conflict=True,
+        )
+        arguments = build_arguments(generate_theory(params))
+        for position, (identifier, argument) in enumerate(arguments):
+            assert argument.height == _height(argument)
+            assert argument.tree_labels() == _labels(argument)
+            assert structural_key(argument) == _key(argument)
+            subs = {arguments.id_of(sub) for sub in argument.subarguments()}
+            assert arguments.sub_ids(identifier) == tuple(sorted(subs, key=arguments.index))
+            rebuilt = _rebuild(argument)
+            assert rebuilt == argument and hash(rebuilt) == hash(argument)
+            assert arguments.index(identifier) == position
+            assert arguments.argument(identifier) is argument
+            assert arguments.id_of(rebuilt) == identifier

@@ -118,9 +118,23 @@ def test_attack_free_theory_has_empty_graph():
     assert graph.pairs == frozenset()
 
 
-def test_indexes_agree_with_the_edge_list(chained):
+def test_indexes_agree_with_the_edge_list(chained, goldens):
     graph = chained.graph
     for attacker, target in graph.pairs:
         assert target in graph.targets_of(attacker)
         assert attacker in graph.attackers_of(target)
         assert graph.records_between(attacker, target)
+    # every index equals a scan of the surviving records
+    for prepared in goldens.values():
+        graph, index = prepared.graph, prepared.arguments.index
+        for identifier in prepared.arguments.ids:
+            attackers = {e.attacker for e in graph.edges if e.target == identifier}
+            targets = {e.target for e in graph.edges if e.attacker == identifier}
+            at_witness = [e.attacker for e in graph.edges if e.witness == identifier]
+            assert graph.attackers_of(identifier) == tuple(sorted(attackers, key=index))
+            assert graph.targets_of(identifier) == tuple(sorted(targets, key=index))
+            assert graph.attackers_at(identifier) == tuple(dict.fromkeys(at_witness))
+            for other in prepared.arguments.ids:
+                assert graph.records_between(identifier, other) == tuple(
+                    e for e in graph.edges if (e.attacker, e.target) == (identifier, other)
+                )
