@@ -28,8 +28,8 @@ from .model import (
 from .semantics import (
     DEFAULT_ARGUMENT_LIMIT,
     ArgumentLimitExceeded,
+    conflicting_members,
     grounded_extension,
-    is_conflict_free,
     justified_conclusions,
     stable_extensions,
 )
@@ -320,20 +320,12 @@ def verify_theorems(
     # Justified and rejected sets are disjoint; justified set conflict-free.
     name = "wp-sets-disjoint-and-conflict-free"
     overlap = sorted(extension.justified & extension.rejected, key=arguments.index)
+    clashes = conflicting_members(graph, extension.justified)
     if overlap:
         results.append(
             CheckResult(name, "fail", "overlapping arguments: " + ", ".join(overlap))
         )
-    elif not is_conflict_free(graph, extension.justified):
-        clashes = sorted(
-            {
-                identifier
-                for attacker, target in graph.pairs
-                if attacker in extension.justified and target in extension.justified
-                for identifier in (attacker, target)
-            },
-            key=arguments.index,
-        )
+    elif clashes:
         results.append(
             CheckResult(
                 name, "fail", "justified arguments attack each other: " + ", ".join(clashes)

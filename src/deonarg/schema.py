@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Any
 
-import jsonschema
-
 from .arguments import (
     ArgumentSet,
     DAxiomArgument,
@@ -193,6 +191,10 @@ SCHEMA: dict[str, Any] = {
 
 def validate_document(document: dict[str, Any]) -> None:
     """Raise ``jsonschema.ValidationError`` when the document is malformed."""
+    # imported here: only validation needs it, and importing it takes
+    # longer than importing the rest of deonarg
+    import jsonschema
+
     jsonschema.validate(document, SCHEMA)
 
 

@@ -7,15 +7,24 @@ semantics).
 
 The grounded extension is computed as the least fixpoint of the
 characteristic function.  Complete and stable extensions are enumerated
-by a backtracking search over argument statuses with constraint
-propagation; the search refuses to start above ``argument_limit``
-arguments because the worst case is exponential.
+SCC-recursively (Baroni, Giacomin & Guida, AIJ 2005): the strongly
+connected components of the attack graph are labelled IN, OUT or UNDEC
+in topological order, each conditioned on the labels of its upstream
+attackers, by a backtracking search with constraint propagation inside
+the component.  A singleton component has one consistent label and
+needs no search; components of parts joined by no attack are labelled
+independently and combined as a product.  Stable extensions are searched
+directly, with UNDEC forbidden in every component, rather than filtered
+from the complete ones.  The enumeration refuses to start when the whole
+graph has more than ``argument_limit`` arguments, because the worst case
+is exponential.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import AbstractSet, Iterable
 
 from .arguments import ArgumentSet
 from .attacks import AttackGraph
@@ -77,14 +86,29 @@ def _to_ids(mask: int, ids: tuple[str, ...]) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 
 
+def conflicting_members(
+    graph: AttackGraph, members: AbstractSet[str], touching: Iterable[str] | None = None
+) -> tuple[str, ...]:
+    """Members that attack, or are attacked by, a member of the set, in id order.
+
+    With ``touching`` only the attacks with an end in it are read: a
+    caller that grows a conflict-free set passes the members it just
+    added, since any new conflict involves one of them.
+    """
+    clash: set[str] = set()
+    for member in members if touching is None else members & set(touching):
+        for target in graph.targets_of(member):
+            if target in members:
+                clash.update((member, target))
+        for attacker in graph.attackers_of(member):
+            if attacker in members:
+                clash.update((attacker, member))
+    return tuple(sorted(clash, key=graph.arguments.index))
+
+
 def is_conflict_free(graph: AttackGraph, members: Iterable[str]) -> bool:
     """True when no member of the set attacks another member (or itself)."""
-    chosen = frozenset(members)
-    return not any(
-        (attacker, target) in graph.pairs
-        for attacker in chosen
-        for target in chosen
-    )
+    return not conflicting_members(graph, frozenset(members))
 
 
 def is_admissible(graph: AttackGraph, members: Iterable[str]) -> bool:
@@ -128,79 +152,273 @@ def grounded_extension(graph: AttackGraph) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 
 
-def _complete_masks(graph: AttackGraph, argument_limit: int) -> list[int]:
-    """All complete extensions as bitmasks, via backtracking search.
+def _components(attackers: list[int]) -> list[list[int]]:
+    """Strongly connected components, each after every component attacking it.
 
-    The search assigns each argument a status (committed, excluded or
-    undecided) and propagates three consequences before branching:
-    arguments attacked by the committed set are excluded, arguments
-    defended by the committed set are committed, and a branch dies when
-    an attacker of a committed argument can no longer be counter-attacked
-    by anyone.  Leaves are verified against the exact definition, so the
-    propagation only has to be sound, not exhaustive.
+    Iterative Tarjan that follows attacker edges: a component is emitted
+    only once every component upstream of it has been, so the list is in
+    topological order.  Successors are read bit by bit from the masks.
     """
-    ids, attackers, targets = _masks(graph)
-    n = len(ids)
-    if n > argument_limit:
-        raise ArgumentLimitExceeded(n, argument_limit)
-    full = (1 << n) - 1
-    results: list[int] = []
+    n = len(attackers)
+    order = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    work: list[tuple[int, int]] = []  # (argument, attackers not yet visited)
+    components: list[list[int]] = []
+    counter = itertools.count()
 
-    def is_complete(mask: int) -> bool:
-        attacked = _attacked_by(mask, targets)
-        if mask & attacked:
-            return False
-        for k in range(n):
-            defended = attackers[k] & ~attacked == 0
-            if bool((mask >> k) & 1) != defended:
-                return False
-        return True
+    def enter(v: int) -> None:
+        order[v] = low[v] = next(counter)
+        stack.append(v)
+        on_stack[v] = True
+        work.append((v, attackers[v]))
 
-    def search(in_mask: int, out_mask: int) -> None:
-        while True:
+    for root in range(n):
+        if order[root] >= 0:
+            continue
+        enter(root)
+        while work:
+            v, pending = work[-1]
+            if pending:
+                bit = pending & -pending
+                work[-1] = (v, pending ^ bit)
+                w = bit.bit_length() - 1
+                if order[w] < 0:
+                    enter(w)
+                elif on_stack[w]:
+                    low[v] = min(low[v], order[w])
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+            if low[v] == order[v]:
+                members: list[int] = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    members.append(w)
+                    if w == v:
+                        break
+                components.append(sorted(members))
+    return components
+
+
+def _parts(attackers: list[int], targets: list[int]) -> list[int]:
+    """Part number of every argument; arguments joined by attacks share one."""
+    part = [-1] * len(attackers)
+    count = 0
+    for root in range(len(attackers)):
+        if part[root] >= 0:
+            continue
+        part[root] = count
+        todo = [root]
+        while todo:
+            k = todo.pop()
+            linked = attackers[k] | targets[k]
+            while linked:
+                bit = linked & -linked
+                linked ^= bit
+                j = bit.bit_length() - 1
+                if part[j] < 0:
+                    part[j] = count
+                    todo.append(j)
+        count += 1
+    return part
+
+
+def _local_labellings(
+    attackers: list[int], targets: list[int], forced_out: int, barred: int, stable: bool
+) -> list[tuple[int, int]]:
+    """IN and UNDEC masks of one component's complete (or stable) labellings.
+
+    Masks are local to the component and hold its internal attacks only.
+    ``forced_out`` members have an IN attacker upstream; ``barred``
+    (a superset) also holds members with an UNDEC attacker upstream,
+    which can never be IN.  Every other member's upstream attackers are
+    all OUT.
+
+    The search decides each member in or out of the IN set and
+    propagates three consequences before branching: attacked members
+    are excluded, members whose attackers are all attacked are
+    committed, and a branch dies when an attacker of a committed member
+    can no longer be attacked.  With ``stable`` a branch also dies when
+    an excluded member can no longer be attacked, since no member may
+    be UNDEC.  Leaves are checked against the exact local definition,
+    so the propagation only has to be sound.  An explicit stack keeps
+    the depth flat.
+    """
+    full = (1 << len(attackers)) - 1
+    found: list[tuple[int, int]] = []
+    stack = [(0, barred)]
+    while stack:
+        in_mask, out_mask = stack.pop()
+        alive = True
+        changed = True
+        while alive and changed:
             changed = False
-            attacked = _attacked_by(in_mask, targets)
-            pending = full & ~(in_mask | out_mask)
-            scan = pending
+            attacked = forced_out | _attacked_by(in_mask, targets)
+            scan = full & ~(in_mask | out_mask)
             while scan:
-                low = scan & -scan
-                scan ^= low
-                k = low.bit_length() - 1
-                if (attacked >> k) & 1:
-                    out_mask |= low
+                bit = scan & -scan
+                scan ^= bit
+                k = bit.bit_length() - 1
+                if (in_mask | out_mask) & bit:
+                    continue
+                if attacked & bit:
+                    out_mask |= bit
                     changed = True
                 elif attackers[k] & ~attacked == 0:
                     if targets[k] & in_mask:
-                        return
-                    in_mask |= low
-                    out_mask |= (attackers[k] | targets[k]) & ~low
+                        alive = False
+                        break
+                    in_mask |= bit
+                    out_mask |= (attackers[k] | targets[k]) & ~bit
                     changed = True
-            scan = in_mask
-            while scan and not changed:
-                low = scan & -scan
-                scan ^= low
-                countered = attackers[low.bit_length() - 1] & ~attacked
-                while countered:
-                    low2 = countered & -countered
-                    countered ^= low2
-                    if attackers[low2.bit_length() - 1] & ~out_mask == 0:
-                        return
-            if not changed:
-                break
+            if not alive or changed:
+                continue
+            unattacked = _attacked_by(in_mask, attackers) & ~attacked
+            if stable:
+                unattacked |= out_mask & ~attacked
+            while unattacked:
+                bit = unattacked & -unattacked
+                unattacked ^= bit
+                if attackers[bit.bit_length() - 1] & ~out_mask == 0:
+                    alive = False
+                    break
+        if not alive:
+            continue
         pending = full & ~(in_mask | out_mask)
-        if not pending:
-            if is_complete(in_mask):
-                results.append(in_mask)
-            return
-        low = pending & -pending
-        k = low.bit_length() - 1
-        conflicts = attackers[k] | targets[k]
-        if not conflicts & (in_mask | low):
-            search(in_mask | low, out_mask | conflicts)
-        search(in_mask, out_mask | low)
+        if pending:
+            bit = pending & -pending
+            k = bit.bit_length() - 1
+            stack.append((in_mask, out_mask | bit))
+            conflicts = attackers[k] | targets[k]
+            if not conflicts & (in_mask | bit):
+                stack.append((in_mask | bit, out_mask | conflicts))
+            continue
+        attacked = forced_out | _attacked_by(in_mask, targets)
+        defended = full & ~barred & ~_attacked_by(full & ~attacked, targets)
+        undecided = full & ~(in_mask | attacked)
+        if in_mask == defended and not in_mask & attacked and not (stable and undecided):
+            found.append((in_mask, undecided))
+    return found
 
-    search(0, 0)
-    return results
+
+def _spread(mask: int, members: list[int]) -> int:
+    """Map a component-local mask to graph positions."""
+    out = 0
+    for i, k in enumerate(members):
+        if (mask >> i) & 1:
+            out |= 1 << k
+    return out
+
+
+def _gather(mask: int, local: dict[int, int]) -> int:
+    """Map a mask of graph positions inside one component to local bits."""
+    out = 0
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        out |= 1 << local[bit.bit_length() - 1]
+    return out
+
+
+def _label_component(
+    members: list[int],
+    attackers: list[int],
+    targets: list[int],
+    partial: list[tuple[int, int]],
+    stable: bool,
+) -> list[tuple[int, int]]:
+    """Extend every partial labelling (IN and UNDEC masks) over one component.
+
+    The partial labellings already label every argument upstream of the
+    component.  A component's own labellings depend only on the labels
+    of its upstream attackers, so they are computed once per distinct
+    combination of those labels.
+    """
+    own = _spread((1 << len(members)) - 1, members)
+    external = [attackers[k] & ~own for k in members]
+    extended: list[tuple[int, int]] = []
+    if len(members) == 1:  # one consistent label, no branching
+        upstream = external[0]
+        self_attacking = attackers[members[0]] & own
+        for in_mask, undec_mask in partial:
+            if upstream & in_mask:
+                extended.append((in_mask, undec_mask))
+            elif self_attacking or upstream & undec_mask:
+                if not stable:
+                    extended.append((in_mask, undec_mask | own))
+            else:
+                extended.append((in_mask | own, undec_mask))
+        return extended
+    local = {k: i for i, k in enumerate(members)}
+    inside_attackers = [_gather(attackers[k] & own, local) for k in members]
+    inside_targets = [_gather(targets[k] & own, local) for k in members]
+    upstream = 0
+    for mask in external:
+        upstream |= mask
+    memo: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for in_mask, undec_mask in partial:
+        key = (in_mask & upstream, undec_mask & upstream)
+        choices = memo.get(key)
+        if choices is None:
+            forced_out = sum(1 << i for i, mask in enumerate(external) if mask & in_mask)
+            barred = forced_out | sum(
+                1 << i for i, mask in enumerate(external) if mask & undec_mask
+            )
+            choices = memo[key] = [
+                (_spread(chosen, members), _spread(undecided, members))
+                for chosen, undecided in _local_labellings(
+                    inside_attackers, inside_targets, forced_out, barred, stable
+                )
+            ]
+        for chosen, undecided in choices:
+            extended.append((in_mask | chosen, undec_mask | undecided))
+    return extended
+
+
+def _is_complete(mask: int, targets: list[int], full: int) -> bool:
+    """Conflict-free and equal to the set of arguments it defends."""
+    attacked = _attacked_by(mask, targets)
+    undefended = _attacked_by(full & ~attacked, targets)
+    return not mask & attacked and mask == full & ~undefended
+
+
+def _extension_masks(
+    graph: AttackGraph, argument_limit: int, stable: bool
+) -> tuple[tuple[str, ...], list[int]]:
+    """Complete (or stable) extensions as bitmasks, component by component.
+
+    Components are labelled in topological order, each extending the
+    partial labellings of the arguments upstream of it.  Arguments of
+    different parts (joined by no chain of attacks either way) are
+    labelled independently and their labellings combined as a product.
+    Every combined extension is checked against the exact definition.
+    """
+    count = len(graph.arguments)
+    if count > argument_limit:
+        raise ArgumentLimitExceeded(count, argument_limit)
+    ids, attackers, targets = _masks(graph)
+    part = _parts(attackers, targets)
+    labellings: dict[int, list[tuple[int, int]]] = {}
+    for members in _components(attackers):
+        owner = part[members[0]]
+        labellings[owner] = _label_component(
+            members, attackers, targets, labellings.get(owner, [(0, 0)]), stable
+        )
+    masks = [0]
+    for partial in labellings.values():
+        masks = [mask | in_mask for mask in masks for in_mask, _ in partial]
+    full = (1 << len(ids)) - 1
+    return ids, [
+        mask
+        for mask in masks
+        if _is_complete(mask, targets, full)
+        and (not stable or mask | _attacked_by(mask, targets) == full)
+    ]
 
 
 def _sorted_extensions(
@@ -216,21 +434,18 @@ def _sorted_extensions(
 def complete_extensions(
     graph: AttackGraph, *, argument_limit: int = DEFAULT_ARGUMENT_LIMIT
 ) -> tuple[frozenset[str], ...]:
-    ids, _, _ = _masks(graph)
-    return _sorted_extensions(_complete_masks(graph, argument_limit), ids)
+    ids, masks = _extension_masks(graph, argument_limit, stable=False)
+    return _sorted_extensions(masks, ids)
 
 
 def stable_extensions(
     graph: AttackGraph, *, argument_limit: int = DEFAULT_ARGUMENT_LIMIT
 ) -> tuple[frozenset[str], ...]:
-    """Complete extensions that attack every outside argument."""
-    ids, _, targets = _masks(graph)
-    full = (1 << len(ids)) - 1
-    masks = [
-        mask
-        for mask in _complete_masks(graph, argument_limit)
-        if mask | _attacked_by(mask, targets) == full
-    ]
+    """Complete extensions that attack every outside argument.
+
+    Searched directly: no component may take an UNDEC label.
+    """
+    ids, masks = _extension_masks(graph, argument_limit, stable=True)
     return _sorted_extensions(masks, ids)
 
 

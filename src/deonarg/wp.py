@@ -23,6 +23,7 @@ from typing import Iterable
 
 from .arguments import ArgumentSet
 from .attacks import AttackGraph
+from .semantics import conflicting_members
 
 # ---------------------------------------------------------------------------
 # errors
@@ -278,24 +279,17 @@ def wp_extension(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
             change = acceptance(identifier, old_rejected, old_justified)
             if change is not None:
                 newly_justified.append(change)
-        justified.update(change.argument for change in newly_justified)
+        added = [change.argument for change in newly_justified]
+        justified.update(added)
 
         overlap = justified & rejected
         if overlap:
             raise FixpointInvariantError(
                 index, "overlap", tuple(sorted(overlap, key=arguments.index))
             )
-        clash = sorted(
-            {
-                member
-                for attacker, target in graph.pairs
-                if attacker in justified and target in justified
-                for member in (attacker, target)
-            },
-            key=arguments.index,
-        )
+        clash = conflicting_members(graph, justified, added)
         if clash:
-            raise FixpointInvariantError(index, "conflict", tuple(clash))
+            raise FixpointInvariantError(index, "conflict", clash)
 
         if not newly_rejected and not newly_justified:
             break

@@ -320,3 +320,20 @@ def test_version_flag_prints_the_package_version_without_installation(
     )
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout.strip() == expected
+
+
+def test_importing_the_cli_leaves_jsonschema_unloaded(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    completed = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, deonarg, deonarg.cli; print('jsonschema' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "False"

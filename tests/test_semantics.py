@@ -1,5 +1,10 @@
 """Unit tests for grounded, complete and stable extension computation."""
 
+import itertools
+import random
+import re
+from collections import Counter
+
 import pytest
 
 from deonarg import (
@@ -13,8 +18,10 @@ from deonarg import (
     is_conflict_free,
     justified_conclusions,
     parse_theory,
+    serialize_theory,
     stable_extensions,
 )
+from deonarg.semantics import conflicting_members
 from deonarg.testkit import brute_force_extensions
 
 
@@ -138,3 +145,87 @@ def test_justified_conclusions_deduplicate_and_sort(chained):
     rendered = [str(c) for c in conclusions]
     assert rendered == sorted(set(rendered), key=rendered.index)
     assert rendered[0] == "a"  # plain literals precede deontic conclusions
+
+
+def _prefixed(text, prefix):
+    """Put ``prefix`` in front of every atom and rule label of a theory."""
+    keywords = {"fact", "obl", "perm", "perm_w"}
+    return re.sub(
+        r"\b[A-Za-z_][A-Za-z0-9_]*\b",
+        lambda m: m.group(0) if m.group(0) in keywords else prefix + m.group(0),
+        text,
+    )
+
+
+def test_extensions_of_a_disjoint_union_are_the_product_of_the_parts(oracle_corpus):
+    # unions of 3 and 4 consecutive corpus theories, windows over 14 of them;
+    # each part has at most 15 arguments and every union more than 24
+    oracles = {}
+    for start in range(10):
+        cases = oracle_corpus[start:start + 3 + start % 2]
+        prefixes = [f"u{i}_" for i in range(len(cases))]
+        text = "".join(
+            _prefixed(serialize_theory(case.theory), prefix)
+            for case, prefix in zip(cases, prefixes)
+        )
+        arguments, graph = prepared_graph(text)
+        assert len(arguments) > 24
+        assert len(arguments) == sum(len(case.arguments) for case in cases)
+        # a union argument is its part's argument with the prefix removed
+        part_ids = [{repr(a): i for i, a in case.arguments} for case in cases]
+        owner = {}
+        for identifier, argument in arguments:
+            shown = repr(argument)
+            part = next(i for i, prefix in enumerate(prefixes) if prefix in shown)
+            owner[identifier] = (part, part_ids[part][shown.replace(prefixes[part], "")])
+
+        def project(extension):
+            split = [set() for _ in cases]
+            for identifier in extension:
+                part, part_id = owner[identifier]
+                split[part].add(part_id)
+            return tuple(frozenset(members) for members in split)
+
+        for case in cases:
+            if case.seed not in oracles:
+                oracles[case.seed] = brute_force_extensions(case.graph)
+        parts = [oracles[case.seed] for case in cases]
+        limit = len(arguments)
+        complete = complete_extensions(graph, argument_limit=limit)
+        stable = stable_extensions(graph, argument_limit=limit)
+        assert Counter(map(project, complete)) == Counter(
+            itertools.product(*(part.complete for part in parts))
+        )
+        assert Counter(map(project, stable)) == Counter(
+            itertools.product(*(part.stable for part in parts))
+        )
+
+
+def test_a_600_step_chain_enumerates_without_deep_recursion():
+    steps = 600
+    lines = ["fact a_0."]
+    lines += [f"r{i}: a_{i - 1} => a_{i}." for i in range(1, steps + 1)]
+    lines += [f"z1: a_{steps} => obl(z).", "z2: => obl(~z)."]
+    arguments, graph = prepared_graph("\n".join(lines) + "\n")
+    assert len(arguments) == 1809
+    limit = len(arguments)
+    assert len(complete_extensions(graph, argument_limit=limit)) == 3
+    assert len(stable_extensions(graph, argument_limit=limit)) == 2
+
+
+def test_conflicting_members_equal_a_scan_of_the_attack_pairs(goldens, oracle_corpus):
+    graphs = [prepared.graph for prepared in goldens.values()]
+    graphs += [case.graph for case in oracle_corpus[:50]]
+    rng = random.Random(0)
+    for graph in graphs:
+        ids = graph.arguments.ids
+        for _ in range(20):
+            chosen = {identifier for identifier in ids if rng.random() < 0.5}
+            touching = {identifier for identifier in ids if rng.random() < 0.3}
+            inside = [(a, t) for a, t in graph.pairs if a in chosen and t in chosen]
+            expected = {member for pair in inside for member in pair}
+            near = {member for pair in inside if set(pair) & touching for member in pair}
+            order = graph.arguments.index
+            assert conflicting_members(graph, chosen) == tuple(sorted(expected, key=order))
+            assert conflicting_members(graph, chosen, touching) == tuple(sorted(near, key=order))
+            assert is_conflict_free(graph, chosen) == (not expected)
