@@ -13,8 +13,10 @@ Three corpora mirror the acceptance suite:
   arguments; checks engine extensions against subset enumeration.
 
 Every corpus also re-checks disjointness, conflict-freeness and
-subargument closure of the fixed point.  Exit code 1 if any property
-fails.
+subargument closure of the fixed point, and compares the fixed point's
+trace (or, with the update guards off, its invariant breach) with the
+round-by-round ``testkit.reference_wp`` under both guard settings.  Exit
+code 1 if any property fails.
 """
 
 from __future__ import annotations
@@ -32,13 +34,19 @@ from deonarg import (
     Theory,
     build_arguments,
     compute_attacks,
+    FixpointInvariantError,
     evaluate,
     grounded_extension,
     is_conflict_free,
     wp_extension,
 )
 from deonarg.analysis import conflicted_literals, wp_conflicted_literals
-from deonarg.testkit import GeneratorParams, brute_force_extensions, generate_theory
+from deonarg.testkit import (
+    GeneratorParams,
+    brute_force_extensions,
+    generate_theory,
+    reference_wp,
+)
 
 ARGUMENT_CAP = 15
 
@@ -99,7 +107,21 @@ def imaginary_for(arguments, literal):
     return identifier
 
 
+def wp_outcome(run, graph, guards: bool):
+    """The trace and sets of a fixed point, or the payload of its breach."""
+    try:
+        ext = run(graph, fixpoint_guards=guards)
+    except FixpointInvariantError as error:
+        return ("breach", error.step, error.kind, error.members)
+    return ("fixed point", ext.steps, ext.justified, ext.rejected)
+
+
 def shared_invariants(case, failures: list[str]) -> None:
+    for guards in (True, False):
+        if wp_outcome(wp_extension, case.graph, guards) != wp_outcome(
+            reference_wp, case.graph, guards
+        ):
+            failures.append(f"seed {case.seed}: wp trace differs from reference_wp (guards {guards})")
     ext = wp_extension(case.graph)
     if not ext.justified.isdisjoint(ext.rejected):
         failures.append(f"seed {case.seed}: justified/rejected overlap")

@@ -98,9 +98,6 @@ class Argument:
             out |= child.subarguments()
         return frozenset(out)
 
-    def proper_subarguments(self) -> frozenset[Argument]:
-        return self.subarguments() - {self}
-
     def tree_labels(self) -> frozenset[str]:
         """Labels of every rule applied anywhere in the tree."""
         return self._labels
@@ -208,32 +205,56 @@ class ArgumentSet:
     _by_conclusion: dict[Conclusion, tuple[ArgumentId, ...]] = field(
         init=False, repr=False, compare=False
     )
+    _ids: tuple[ArgumentId, ...] = field(init=False, repr=False, compare=False)
     _sub_ids: dict[ArgumentId, tuple[ArgumentId, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+    _proper_sub_ids: dict[ArgumentId, tuple[ArgumentId, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+    _super_ids: dict[ArgumentId, frozenset[ArgumentId]] = field(
         init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
-        ids = [identifier for identifier, _ in self.ordered]
+        ids = tuple(identifier for identifier, _ in self.ordered)
         positions = {identifier: n for n, identifier in enumerate(ids)}
         id_of = {argument: identifier for identifier, argument in self.ordered}
         by_conclusion: dict[Conclusion, list[ArgumentId]] = {}
         for identifier, argument in self.ordered:
             by_conclusion.setdefault(argument.conclusion, []).append(identifier)
-        # subargument closures as positions, children (lower height) first
-        closures: dict[ArgumentId, set[int]] = {}
-        for identifier, argument in sorted(self.ordered, key=lambda pair: pair[1].height):
-            closure = {positions[identifier]}
-            for child in argument.children:
-                closure |= closures[id_of[child]]
-            closures[identifier] = closure
+        # subargument closures as positions, children (lower height) first,
+        # then the reverse closures, parents first
+        children = [[positions[id_of[child]] for child in a.children] for _, a in self.ordered]
+        by_height = sorted(range(len(ids)), key=lambda n: self.ordered[n][1].height)
+        closures: list[set[int]] = [set() for _ in ids]
+        for n in by_height:
+            closures[n].add(n)
+            for child in children[n]:
+                closures[n] |= closures[child]
+        supers: list[set[ArgumentId]] = [set() for _ in ids]
+        for n in reversed(by_height):
+            supers[n].add(ids[n])
+            for child in children[n]:
+                supers[child] |= supers[n]
+        as_id = ids.__getitem__
+        sub_ids: dict[ArgumentId, tuple[ArgumentId, ...]] = {}
+        proper_sub_ids: dict[ArgumentId, tuple[ArgumentId, ...]] = {}
+        for n, identifier in enumerate(ids):
+            order = sorted(closures[n])
+            closure = tuple(map(as_id, order))
+            own = order.index(n)
+            sub_ids[identifier] = closure
+            proper_sub_ids[identifier] = closure[:own] + closure[own + 1 :]
+        object.__setattr__(self, "_ids", ids)
         object.__setattr__(self, "_by_id", dict(self.ordered))
         object.__setattr__(self, "_id_of", id_of)
         object.__setattr__(self, "_positions", positions)
         object.__setattr__(self, "_by_conclusion", {k: tuple(v) for k, v in by_conclusion.items()})
+        object.__setattr__(self, "_sub_ids", sub_ids)
+        object.__setattr__(self, "_proper_sub_ids", proper_sub_ids)
         object.__setattr__(
-            self,
-            "_sub_ids",
-            {i: tuple(ids[n] for n in sorted(closure)) for i, closure in closures.items()},
+            self, "_super_ids", {ids[n]: frozenset(found) for n, found in enumerate(supers)}
         )
 
     def __iter__(self) -> Iterator[tuple[ArgumentId, Argument]]:
@@ -244,7 +265,7 @@ class ArgumentSet:
 
     @property
     def ids(self) -> tuple[ArgumentId, ...]:
-        return tuple(identifier for identifier, _ in self.ordered)
+        return self._ids
 
     def argument(self, identifier: ArgumentId) -> Argument:
         return self._by_id[identifier]
@@ -270,7 +291,12 @@ class ArgumentSet:
         return self._sub_ids[identifier]
 
     def proper_sub_ids(self, identifier: ArgumentId) -> tuple[ArgumentId, ...]:
-        return tuple(i for i in self._sub_ids[identifier] if i != identifier)
+        """Subargument closure without the argument itself (index order)."""
+        return self._proper_sub_ids[identifier]
+
+    def super_ids(self, identifier: ArgumentId) -> frozenset[ArgumentId]:
+        """Every argument whose closure contains this one, including the argument."""
+        return self._super_ids[identifier]
 
 
 # ---------------------------------------------------------------------------

@@ -20,14 +20,21 @@ also lifts it to natural arguments containing the imaginary premise.
 An edge record is suppressed when the witness's top rule is declared
 superior to the attacker's top rule.  A pair survives while any of its
 witness records survives; condition-1 records are never suppressed.
+
+The attackers at a witness depend only on its conclusion, and suppression
+only on the witness and the attacker, so the records are enumerated
+witness-first: once per conclusion, once per (witness, attacker) pair, then
+one record for every argument containing the witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 
 from .arguments import ArgumentId, ArgumentSet
-from .model import DeonticOperator, Literal, Theory, obl, perm
+from .model import Conclusion, DeonticOperator, Literal, Theory, obl, perm
 
 # ---------------------------------------------------------------------------
 # edge records
@@ -44,6 +51,10 @@ class Attack:
     witness: ArgumentId  # subargument of the target carrying the conflict
 
 
+_pair = attrgetter("attacker", "target")
+_witness_and_attacker = attrgetter("witness", "attacker")
+
+
 @dataclass(frozen=True)
 class AttackGraph:
     """All attack records over an argument set, split by suppression.
@@ -53,7 +64,7 @@ class AttackGraph:
     """
 
     arguments: ArgumentSet
-    edges: tuple[Attack, ...]  # surviving records
+    edges: tuple[Attack, ...]  # surviving records, in (attacker, target) id order
     suppressed: tuple[Attack, ...]  # removed by superiority
     generalized: bool = False
     _records: dict[tuple[ArgumentId, ArgumentId], tuple[Attack, ...]] = field(
@@ -71,19 +82,19 @@ class AttackGraph:
     )
 
     def __post_init__(self) -> None:
-        records: dict[tuple[ArgumentId, ArgumentId], list[Attack]] = {}
-        by_witness: dict[ArgumentId, dict[ArgumentId, None]] = {}
-        for edge in self.edges:
-            records.setdefault((edge.attacker, edge.target), []).append(edge)
-            by_witness.setdefault(edge.witness, {})[edge.attacker] = None
-        # grouping the pairs in id order leaves every group in id order
-        position = self.arguments._positions
+        # the edges come in (attacker, target) id order, so each pair's
+        # records are consecutive and grouping the pairs leaves every group
+        # in id order
+        records = {pair: tuple(group) for pair, group in groupby(self.edges, _pair)}
+        by_witness: dict[ArgumentId, list[ArgumentId]] = {}
+        for witness, attacker in dict.fromkeys(map(_witness_and_attacker, self.edges)):
+            by_witness.setdefault(witness, []).append(attacker)
         attackers: dict[ArgumentId, list[ArgumentId]] = {}
         targets: dict[ArgumentId, list[ArgumentId]] = {}
-        for attacker, target in sorted(records, key=lambda p: (position[p[0]], position[p[1]])):
+        for attacker, target in records:
             attackers.setdefault(target, []).append(attacker)
             targets.setdefault(attacker, []).append(target)
-        object.__setattr__(self, "_records", {k: tuple(v) for k, v in records.items()})
+        object.__setattr__(self, "_records", records)
         object.__setattr__(self, "_pairs", frozenset(records))
         object.__setattr__(self, "_attacker_index", {k: tuple(v) for k, v in attackers.items()})
         object.__setattr__(self, "_target_index", {k: tuple(v) for k, v in targets.items()})
@@ -123,54 +134,55 @@ def compute_attacks(
     if theory is None:
         theory = arguments.theory
 
-    records: list[Attack] = []
-    for target_id, target in arguments:
-        for witness_id in arguments.sub_ids(target_id):
-            witness = arguments.argument(witness_id)
-            conclusion = witness.conclusion
-            if isinstance(conclusion, Literal):
-                for attacker_id in arguments.concluders(conclusion.negated):
-                    records.append(Attack(attacker_id, target_id, 2, witness_id))
-            elif conclusion.operator is DeonticOperator.OBLIGATION:
-                flipped = conclusion.literal.negated
-                for attacker_id in arguments.concluders(obl(flipped)):
-                    records.append(Attack(attacker_id, target_id, 3, witness_id))
-                for attacker_id in arguments.concluders(perm(flipped)):
-                    records.append(Attack(attacker_id, target_id, 4, witness_id))
-            elif conclusion.operator is DeonticOperator.PERMISSION:
-                flipped = conclusion.literal.negated
-                for attacker_id in arguments.concluders(obl(flipped)):
-                    records.append(Attack(attacker_id, target_id, 3, witness_id))
-            else:  # weak permission: condition 1
-                if witness.is_imaginary and (witness_id == target_id or imaginary_subargument_attacks):
-                    flipped = conclusion.literal.negated
-                    for attacker_id in arguments.concluders(obl(flipped)):
-                        records.append(Attack(attacker_id, target_id, 1, witness_id))
-
-    top_rule = {identifier: argument.top_rule for identifier, argument in arguments}
-    surviving: list[Attack] = []
-    suppressed: list[Attack] = []
-    for record in records:
-        if record.condition != 1 and theory.is_superior(
-            top_rule[record.witness], top_rule[record.attacker]
-        ):
-            suppressed.append(record)
-        else:
-            surviving.append(record)
-
+    # witness-first (see the module docstring), in positions until the sort
+    ids = arguments.ids
     position = arguments._positions
+    top_rule = {identifier: argument.top_rule for identifier, argument in arguments}
+    surviving: list[tuple[int, int, int, int]] = []
+    suppressed: list[tuple[int, int, int, int]] = []
+    for conclusion, witness_ids in arguments._by_conclusion.items():
+        clashes = [(c, found) for c, found in _clashing_concluders(arguments, conclusion) if found]
+        if not clashes:
+            continue
+        narrow = clashes[0][0] == 1 and not imaginary_subargument_attacks
+        for witness_id in witness_ids:
+            w = position[witness_id]
+            if narrow:
+                targets: tuple[int, ...] = (w,)
+            else:
+                targets = tuple(position[t] for t in arguments.super_ids(witness_id))
+            for condition, attacker_ids in clashes:
+                for attacker_id in attacker_ids:
+                    out = surviving
+                    if condition != 1 and theory.is_superior(
+                        top_rule[witness_id], top_rule[attacker_id]
+                    ):
+                        out = suppressed
+                    a = position[attacker_id]
+                    out.extend([(a, t, condition, w) for t in targets])
 
-    def order(edge: Attack) -> tuple[int, int, int, int]:
-        return (
-            position[edge.attacker],
-            position[edge.target],
-            edge.condition,
-            position[edge.witness],
-        )
+    def records(found: list[tuple[int, int, int, int]]) -> tuple[Attack, ...]:
+        found.sort()
+        return tuple([Attack(ids[a], ids[t], c, ids[w]) for a, t, c, w in found])
 
     return AttackGraph(
         arguments,
-        tuple(sorted(surviving, key=order)),
-        tuple(sorted(suppressed, key=order)),
+        records(surviving),
+        records(suppressed),
         generalized=imaginary_subargument_attacks,
     )
+
+
+def _clashing_concluders(
+    arguments: ArgumentSet, conclusion: Conclusion
+) -> tuple[tuple[int, tuple[ArgumentId, ...]], ...]:
+    """``(condition, attackers)`` for a witness with the given conclusion."""
+    if isinstance(conclusion, Literal):
+        return ((2, arguments.concluders(conclusion.negated)),)
+    flipped = conclusion.literal.negated
+    if conclusion.operator is DeonticOperator.OBLIGATION:
+        return ((3, arguments.concluders(obl(flipped))), (4, arguments.concluders(perm(flipped))))
+    if conclusion.operator is DeonticOperator.PERMISSION:
+        return ((3, arguments.concluders(obl(flipped))),)
+    # a weak permission, concluded only by imaginary arguments: condition 1
+    return ((1, arguments.concluders(obl(flipped))),)

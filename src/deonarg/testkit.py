@@ -1,10 +1,14 @@
-"""Independent verification tools: brute-force semantics and a theory generator.
+"""Independent verification tools: brute-force semantics, a reference
+weak-permission iteration and a theory generator.
 
 The brute-force evaluator enumerates every subset of arguments and applies
 the extension definitions directly (conflict-freeness, defence of every
-member, closure under defended arguments, attacking every outsider).  It
-shares no traversal code with the fixpoint and search implementations, so it
-serves as an oracle for them on small instances.
+member, closure under defended arguments, attacking every outsider).  The
+reference weak-permission iteration re-tests every argument in every round
+against the predicate definitions.  Both read only the argument trees and
+the attack records, and share no index or traversal code with the fixpoint
+and search implementations, so they serve as oracles for them on small
+instances.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from dataclasses import dataclass
 
 from .arguments import ArgumentId, build_arguments
 from .attacks import AttackGraph
+from .wp import FixpointInvariantError, StatusChange, TraceStep, WpExtension
 from .model import (
     Atom,
     BodyElement,
@@ -104,6 +109,115 @@ def _bits(mask: int) -> list[int]:
 
 def _unmask(mask: int, ids: tuple[ArgumentId, ...]) -> frozenset[ArgumentId]:
     return frozenset(ids[i] for i in _bits(mask))
+
+
+# ---------------------------------------------------------------------------
+# reference weak-permission iteration
+# ---------------------------------------------------------------------------
+
+
+def reference_wp(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExtension:
+    """The weak-permission fixed point by the textbook round-by-round iteration.
+
+    Every round re-tests every argument against the previous snapshot:
+    rejection first, then acceptance, with the same guards, clauses,
+    witnesses and invariant checks as ``wp.wp_extension``.  Subargument
+    closures come from the recursive argument trees and attackers from a
+    scan of the attack records.  Each round rescans closures, so the cost
+    is cubic on tall chains: keep instances small.
+    """
+    arguments = graph.arguments
+    ids = arguments.ids
+    order = {identifier: n for n, identifier in enumerate(ids)}
+
+    def in_order(found) -> tuple[ArgumentId, ...]:
+        return tuple(sorted(found, key=order.__getitem__))
+
+    proper = {}
+    for identifier in ids:
+        closure = {arguments.id_of(sub) for sub in arguments.argument(identifier).subarguments()}
+        proper[identifier] = in_order(closure - {identifier})
+    imaginary = {identifier for identifier in ids if arguments.argument(identifier).is_imaginary}
+    attacking: dict[ArgumentId, set[ArgumentId]] = {identifier: set() for identifier in ids}
+    at_witness: dict[ArgumentId, set[ArgumentId]] = {identifier: set() for identifier in ids}
+    for edge in graph.edges:
+        attacking[edge.target].add(edge.attacker)
+        at_witness[edge.witness].add(edge.attacker)
+    attackers = {identifier: in_order(found) for identifier, found in attacking.items()}
+    pairs = {(edge.attacker, edge.target) for edge in graph.edges}
+
+    def supported(members, identifier) -> bool:
+        return all(sub in members for sub in proper[identifier])
+
+    def undercut(members, identifier) -> bool:
+        return any(
+            witness not in imaginary
+            and any(supported(members, attacker) for attacker in at_witness[witness])
+            for witness in proper[identifier]
+        )
+
+    def rejection(identifier, rejected, justified) -> StatusChange | None:
+        if identifier in imaginary:
+            hits = tuple(a for a in attackers[identifier] if a in justified)
+            return StatusChange(identifier, "attacker-justified", hits) if hits else None
+        hits = tuple(sub for sub in proper[identifier] if sub in rejected)
+        if hits:
+            return StatusChange(identifier, "subargument-rejected", hits)
+        hits = tuple(a for a in attackers[identifier] if supported(justified, a))
+        return StatusChange(identifier, "attacker-supported", hits) if hits else None
+
+    def acceptance(identifier, rejected, justified) -> StatusChange | None:
+        if identifier in imaginary:
+            clause = "attackers-all-rejected"
+            holds = all(a in rejected for a in attackers[identifier])
+        else:
+            clause = "supported-and-defended"
+            holds = supported(justified, identifier) and all(
+                a in rejected or undercut(justified, a) for a in attackers[identifier]
+            )
+        return StatusChange(identifier, clause, attackers[identifier]) if holds else None
+
+    justified: frozenset[ArgumentId] = frozenset()
+    rejected: frozenset[ArgumentId] = frozenset()
+    steps: list[TraceStep] = []
+    index = 0
+    while True:  # each round that does not stop adds an argument to a finite set
+        index += 1
+        newly_rejected = []
+        for identifier in ids:
+            if identifier in rejected or (fixpoint_guards and identifier in justified):
+                continue
+            change = rejection(identifier, rejected, justified)
+            if change is not None:
+                newly_rejected.append(change)
+        grown_rejected = rejected | {change.argument for change in newly_rejected}
+        newly_justified = []
+        for identifier in ids:
+            if identifier in justified or (fixpoint_guards and identifier in grown_rejected):
+                continue
+            change = acceptance(identifier, rejected, justified)
+            if change is not None:
+                newly_justified.append(change)
+        grown_justified = justified | {change.argument for change in newly_justified}
+
+        overlap = grown_justified & grown_rejected
+        if overlap:
+            raise FixpointInvariantError(index, "overlap", in_order(overlap))
+        clash = {
+            member
+            for attacker, target in pairs
+            if attacker in grown_justified and target in grown_justified
+            for member in (attacker, target)
+        }
+        if clash:
+            raise FixpointInvariantError(index, "conflict", in_order(clash))
+
+        if not newly_rejected and not newly_justified:
+            return WpExtension(justified, rejected, tuple(steps))
+        rejected, justified = grown_rejected, grown_justified
+        steps.append(
+            TraceStep(index, tuple(newly_rejected), tuple(newly_justified), rejected, justified)
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,23 @@ conflict-free.  Disabling them (``fixpoint_guards=False``) reproduces
 the unguarded textbook recursion, which breaches those invariants on
 some theories; the breach is then reported as
 :class:`FixpointInvariantError` rather than silently returned.
+
+``wp_extension`` evaluates the iteration as a worklist.  Every predicate
+is monotone in the snapshot, so an argument whose inputs did not change
+cannot change status; each iteration re-tests only the arguments woken
+by the previous one (semi-naive evaluation), in id order, so the trace
+is the round-by-round one.  Support is a counter of direct subarguments
+not yet justified, as in linear-time Horn satisfiability: the justified
+set is closed under subarguments, so an argument is supported when its
+counter reaches 0.  An argument becoming supported wakes itself and its
+targets, and marks the superarguments of every witness it attacks as
+undercut, waking their targets; an argument becoming rejected wakes its
+superarguments and its targets; an argument becoming justified wakes its
+targets.  Each argument changes each of these states once, so the work
+is about linear in the arguments, subargument links and attack records,
+plus one copy of the justified set per iteration for the trace.  The
+public predicates below (``supports``, ``undercuts``, ``wp_acceptable``,
+``wp_rejected``) are the direct definitions, evaluated by scanning.
 """
 
 from __future__ import annotations
@@ -203,86 +220,115 @@ def wp_extension(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
     argument already justified is never rejected.  The disjointness and
     conflict-freeness invariants are checked after every iteration
     regardless of the guard setting.
+
+    The first iteration evaluates every argument; each later one only
+    the arguments whose inputs the previous iteration changed (see the
+    module docstring).
     """
     arguments = graph.arguments
     ids = arguments.ids
+    position = arguments._positions
+    proper_subs = arguments._proper_sub_ids
+    supers = arguments._super_ids
+    attackers_of = graph.attackers_of
+    targets_of = graph.targets_of
     imaginary = frozenset(arguments.imaginary_ids())
-    proper_subs = {i: tuple(arguments.proper_sub_ids(i)) for i in ids}
 
-    def is_supported(members: frozenset[str], identifier: str) -> bool:
-        return all(sub in members for sub in proper_subs[identifier])
-
-    def is_undercut(members: frozenset[str], identifier: str) -> bool:
-        for witness in proper_subs[identifier]:
-            if witness in imaginary:
-                continue
+    # support: each argument counts its direct subarguments not yet justified
+    waiting: dict[str, int] = {}
+    parents: dict[str, list[str]] = {identifier: [] for identifier in ids}
+    for identifier, argument in arguments:
+        children = {arguments.id_of(child) for child in argument.children}
+        waiting[identifier] = len(children)
+        for child in children:
+            parents[child].append(identifier)
+    # undercut: the natural witnesses each argument attacks at
+    attacks_at: dict[str, list[str]] = {}
+    for witness in ids:
+        if witness not in imaginary:
             for attacker in graph.attackers_at(witness):
-                if is_supported(members, attacker):
-                    return True
-        return False
+                attacks_at.setdefault(attacker, []).append(witness)
 
-    def rejection(
-        identifier: str, old_rejected: frozenset[str], old_justified: frozenset[str]
-    ) -> StatusChange | None:
-        attackers = graph.attackers_of(identifier)
+    justified: set[str] = set()
+    rejected: set[str] = set()
+    supported: set[str] = set()  # by the justified set
+    undercut: set[str] = set()  # by the justified set
+    fallen: set[str] = set()  # arguments whose closure holds a rejected argument
+    live: set[str] = set()  # witnesses with a supported attacker
+
+    def support(identifier: str, woken: set[str]) -> None:
+        supported.add(identifier)
+        woken.add(identifier)
+        woken.update(targets_of(identifier))
+        for witness in attacks_at.get(identifier, ()):
+            if witness in live:
+                continue
+            live.add(witness)
+            for above in supers[witness]:
+                if above != witness and above not in undercut:
+                    undercut.add(above)
+                    woken.update(targets_of(above))
+
+    def rejection(identifier: str) -> StatusChange | None:
+        attackers = attackers_of(identifier)
         if identifier in imaginary:
-            hits = tuple(a for a in attackers if a in old_justified)
+            hits = tuple(a for a in attackers if a in justified)
             if hits:
                 return StatusChange(identifier, "attacker-justified", hits)
             return None
-        hits = tuple(s for s in proper_subs[identifier] if s in old_rejected)
-        if hits:
+        if identifier in fallen:
+            hits = tuple(s for s in proper_subs[identifier] if s in rejected)
             return StatusChange(identifier, "subargument-rejected", hits)
-        hits = tuple(a for a in attackers if is_supported(old_justified, a))
+        hits = tuple(a for a in attackers if a in supported)
         if hits:
             return StatusChange(identifier, "attacker-supported", hits)
         return None
 
-    def acceptance(
-        identifier: str, old_rejected: frozenset[str], old_justified: frozenset[str]
-    ) -> StatusChange | None:
-        attackers = graph.attackers_of(identifier)
+    def acceptance(identifier: str) -> StatusChange | None:
+        attackers = attackers_of(identifier)
         if identifier in imaginary:
-            if all(a in old_rejected for a in attackers):
+            if all(a in rejected for a in attackers):
                 return StatusChange(identifier, "attackers-all-rejected", attackers)
             return None
-        if not is_supported(old_justified, identifier):
+        if identifier not in supported:
             return None
-        if all(
-            a in old_rejected or is_undercut(old_justified, a) for a in attackers
-        ):
+        if all(a in rejected or a in undercut for a in attackers):
             return StatusChange(identifier, "supported-and-defended", attackers)
         return None
 
-    justified: set[str] = set()
-    rejected: set[str] = set()
+    first: set[str] = set()  # the first iteration evaluates every argument anyway
+    for identifier in ids:
+        if not waiting[identifier]:
+            support(identifier, first)
+    candidates = list(ids)
+    snapshot_rejected: frozenset[str] = frozenset()
     steps: list[TraceStep] = []
     for index in range(1, 2 * len(ids) + 2):
-        old_justified = frozenset(justified)
-        old_rejected = frozenset(rejected)
+        # every predicate reads the previous snapshot: the sets change after both sides
         newly_rejected: list[StatusChange] = []
-        for identifier in ids:
-            if identifier in old_rejected:
+        for identifier in candidates:
+            if identifier in rejected:
                 continue
-            if fixpoint_guards and identifier in old_justified:
+            if fixpoint_guards and identifier in justified:
                 continue
-            change = rejection(identifier, old_rejected, old_justified)
+            change = rejection(identifier)
             if change is not None:
                 newly_rejected.append(change)
-        rejected.update(change.argument for change in newly_rejected)
+        removed = {change.argument for change in newly_rejected}
         newly_justified: list[StatusChange] = []
-        for identifier in ids:
-            if identifier in old_justified:
+        for identifier in candidates:
+            if identifier in justified:
                 continue
-            if fixpoint_guards and identifier in rejected:
+            if fixpoint_guards and (identifier in rejected or identifier in removed):
                 continue
-            change = acceptance(identifier, old_rejected, old_justified)
+            change = acceptance(identifier)
             if change is not None:
                 newly_justified.append(change)
         added = [change.argument for change in newly_justified]
+        rejected.update(removed)
         justified.update(added)
 
-        overlap = justified & rejected
+        overlap = {i for i in removed if i in justified} | {i for i in added if i in rejected}
         if overlap:
             raise FixpointInvariantError(
                 index, "overlap", tuple(sorted(overlap, key=arguments.index))
@@ -293,15 +339,31 @@ def wp_extension(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
 
         if not newly_rejected and not newly_justified:
             break
+        if newly_rejected:
+            snapshot_rejected = frozenset(rejected)
         steps.append(
             TraceStep(
                 index,
                 tuple(newly_rejected),
                 tuple(newly_justified),
-                frozenset(rejected),
+                snapshot_rejected,
                 frozenset(justified),
             )
         )
+
+        # wake the arguments whose predicates read what just changed
+        woken = set()
+        for identifier in removed:
+            fallen.update(supers[identifier])
+            woken.update(supers[identifier])  # subargument-rejected
+            woken.update(targets_of(identifier))  # an attacker rejected
+        for identifier in added:
+            woken.update(targets_of(identifier))  # attacker-justified
+            for parent in parents[identifier]:
+                waiting[parent] -= 1
+                if not waiting[parent]:
+                    support(parent, woken)
+        candidates = sorted(woken, key=position.__getitem__)
     else:
         raise AssertionError("weak-permission iteration failed to stabilize")
     return WpExtension(frozenset(justified), frozenset(rejected), tuple(steps))

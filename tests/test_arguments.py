@@ -213,3 +213,27 @@ def test_stored_argument_values_match_their_definitions():
             assert arguments.index(identifier) == position
             assert arguments.argument(identifier) is argument
             assert arguments.id_of(rebuilt) == identifier
+
+
+def test_stored_closures_and_ids_match_their_definitions(goldens):
+    sets = [prepared.arguments for prepared in goldens.values()]
+    for seed in range(8):
+        params = GeneratorParams(
+            seed=seed, atom_count=6, rule_count=10, fact_count=3, acyclic=seed % 2 == 0
+        )
+        sets.append(build_arguments(generate_theory(params)))
+    for arguments in sets:
+        assert arguments.ids == tuple(identifier for identifier, _ in arguments)
+        assert arguments.ids is arguments.ids  # stored, not rebuilt per call
+        closures = {
+            identifier: {arguments.id_of(sub) for sub in argument.subarguments()}
+            for identifier, argument in arguments
+        }
+        for identifier in arguments.ids:
+            proper = closures[identifier] - {identifier}
+            assert arguments.proper_sub_ids(identifier) == tuple(
+                sorted(proper, key=arguments.index)
+            )
+            assert arguments.super_ids(identifier) == {
+                other for other, closure in closures.items() if identifier in closure
+            }

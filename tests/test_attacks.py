@@ -1,6 +1,16 @@
 """Unit tests for attack computation, condition tagging and suppression."""
 
-from deonarg import build_arguments, compute_attacks, lit, obl, parse_theory
+from deonarg import (
+    DeonticOperator,
+    Literal,
+    build_arguments,
+    compute_attacks,
+    lit,
+    obl,
+    parse_theory,
+    perm,
+)
+from deonarg.testkit import GeneratorParams, generate_theory
 
 
 def table(graph):
@@ -138,3 +148,79 @@ def test_indexes_agree_with_the_edge_list(chained, goldens):
                 assert graph.records_between(identifier, other) == tuple(
                     e for e in graph.edges if (e.attacker, e.target) == (identifier, other)
                 )
+
+
+def target_first_scan(arguments, theory, generalized):
+    """Every record by the definitions: each target, each subargument, each clash."""
+    records = []
+    for target, argument in arguments:
+        for sub in argument.subarguments():
+            witness, conclusion = arguments.id_of(sub), sub.conclusion
+            if isinstance(conclusion, Literal):
+                clashes = [(2, conclusion.negated)]
+            elif conclusion.operator is DeonticOperator.OBLIGATION:
+                flipped = conclusion.literal.negated
+                clashes = [(3, obl(flipped)), (4, perm(flipped))]
+            elif conclusion.operator is DeonticOperator.PERMISSION:
+                clashes = [(3, obl(conclusion.literal.negated))]
+            elif witness == target or generalized:
+                clashes = [(1, obl(conclusion.literal.negated))]
+            else:
+                clashes = []
+            for condition, clashing in clashes:
+                for attacker, other in arguments:
+                    if other.conclusion == clashing:
+                        records.append((attacker, target, condition, witness))
+    index = arguments.index
+    records.sort(key=lambda r: (index(r[0]), index(r[1]), r[2], index(r[3])))
+    top = {identifier: argument.top_rule for identifier, argument in arguments}
+    suppressed = [r for r in records if r[2] != 1 and theory.is_superior(top[r[3]], top[r[0]])]
+    return [r for r in records if r not in suppressed], suppressed
+
+
+def attack_corpus():
+    for seed in range(60):
+        params = GeneratorParams(
+            seed=seed,
+            atom_count=3 + seed % 3,
+            rule_count=5 + seed % 4,
+            fact_count=2,
+            inject_conflict=True,
+            superiority_count=1 + seed % 4,
+            acyclic=seed % 2 == 0,
+        )
+        theory = generate_theory(params)
+        arguments = build_arguments(theory)
+        if len(arguments) <= 80:
+            yield seed, theory, arguments
+
+
+def test_compute_attacks_matches_a_target_first_scan():
+    def rows(found):
+        return [(e.attacker, e.target, e.condition, e.witness) for e in found]
+
+    checked = suppressed_seen = 0
+    for seed, theory, arguments in attack_corpus():
+        for generalized in (False, True):
+            graph = compute_attacks(
+                arguments, theory, imaginary_subargument_attacks=generalized
+            )
+            edges, suppressed = target_first_scan(arguments, theory, generalized)
+            assert rows(graph.edges) == edges, (seed, generalized)
+            assert rows(graph.suppressed) == suppressed, (seed, generalized)
+            assert graph.pairs == {(a, t) for a, t, _, _ in edges}
+            order = arguments.index
+            for identifier in arguments.ids:
+                attackers = {a for a, t, _, _ in edges if t == identifier}
+                targets = {t for a, t, _, _ in edges if a == identifier}
+                at_witness = [a for a, _, _, w in edges if w == identifier]
+                assert graph.attackers_of(identifier) == tuple(sorted(attackers, key=order))
+                assert graph.targets_of(identifier) == tuple(sorted(targets, key=order))
+                assert graph.attackers_at(identifier) == tuple(dict.fromkeys(at_witness))
+            for attacker, target in graph.pairs:
+                assert rows(graph.records_between(attacker, target)) == [
+                    r for r in edges if r[:2] == (attacker, target)
+                ]
+            checked += 1
+            suppressed_seen += bool(suppressed)
+    assert checked >= 100 and suppressed_seen >= 20

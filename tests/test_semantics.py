@@ -84,12 +84,25 @@ def test_generalized_imaginary_attacks_change_the_grounded_extension(support_und
     assert narrow - wide == {"A3"}
 
 
-def test_engine_matches_brute_force_oracle_on_small_goldens(two_obligations, support_undercut):
-    for prepared in (two_obligations, support_undercut):
-        oracle = brute_force_extensions(prepared.graph)
-        assert grounded_extension(prepared.graph) == oracle.grounded
-        assert complete_extensions(prepared.graph) == oracle.complete
-        assert stable_extensions(prepared.graph) == oracle.stable
+def test_engine_matches_brute_force_oracle_on_small_goldens(
+    two_obligations, support_undercut, oracle_corpus
+):
+    def size_then_members(extension, order):
+        return (len(extension), sorted(order(i) for i in extension))
+
+    graphs = [two_obligations.graph, support_undercut.graph]
+    graphs += [case.graph for case in oracle_corpus]
+    for graph in graphs:
+        oracle = brute_force_extensions(graph)
+        assert grounded_extension(graph) == oracle.grounded
+        for found, expected in (
+            (complete_extensions(graph), oracle.complete),
+            (stable_extensions(graph), oracle.stable),
+        ):
+            # the oracle lists extensions in subset-enumeration order
+            assert len(found) == len(expected) and set(found) == set(expected)
+            order = graph.arguments.index
+            assert list(found) == sorted(found, key=lambda e: size_then_members(e, order))
 
 
 def test_theory_without_stable_extensions_is_flagged():

@@ -1,5 +1,7 @@
 """Unit tests for the weak-permission fixed point and its trace."""
 
+import random
+
 import pytest
 
 from deonarg import (
@@ -14,6 +16,7 @@ from deonarg import (
     undercuts,
     wp_extension,
 )
+from deonarg.testkit import reference_wp
 from deonarg.wp import wp_acceptable, wp_rejected
 
 
@@ -205,3 +208,128 @@ def test_conflict_free_chains_accept_one_level_per_step():
     assert ext.iterations == 3
     assert ext.rejected == frozenset()
     assert ext.justified == frozenset(arguments.ids)
+
+
+# ---------------------------------------------------------------------------
+# the engine against the reference iteration
+# ---------------------------------------------------------------------------
+
+
+def outcome(run, graph, guards):
+    """The trace and sets of a fixed point, or the payload of its breach."""
+    try:
+        ext = run(graph, fixpoint_guards=guards)
+    except FixpointInvariantError as error:
+        return ("breach", error.step, error.kind, error.members, str(error))
+    return ("fixed point", ext.steps, ext.justified, ext.rejected)
+
+
+def assert_matches_reference(graph, label):
+    """Compare every step, status change, clause and witness, under both guards."""
+    breaches = 0
+    for guards in (True, False):
+        engine = outcome(wp_extension, graph, guards)
+        reference = outcome(reference_wp, graph, guards)
+        if engine[0] == reference[0] == "fixed point":
+            for ours, theirs in zip(engine[1], reference[1]):  # first differing step
+                assert ours == theirs, (label, guards, ours.index)
+        assert engine == reference, (label, guards)
+        breaches += engine[0] == "breach"
+    return breaches
+
+
+def random_chain(rng):
+    """A rule chain with deontic rules hung off random links.
+
+    Rules may also lean on a weak permission that a self-undermining rule
+    leaves undecided, and superiority may shield one side of a conflict.
+    """
+    steps = rng.randint(2, 8)
+    links = [f"a{i}" for i in range(steps + 1)]
+    lines = ["fact a0."] + [f"c{i}: a{i - 1} => a{i}." for i in range(1, steps + 1)]
+    if rng.random() < 0.5:
+        lines += ["u0: perm_w(u) => obl(~u).", "u1: perm_w(u) => g."]
+        links.append("g")
+
+    def literal():
+        return f"{rng.choice(['', '~'])}{rng.choice('pqc')}"
+
+    labels = []
+    for k in range(rng.randint(2, 6)):
+        head = rng.choice([f"obl({literal()})", f"obl({literal()})", f"perm({literal()})", literal()])
+        body = ", ".join(rng.sample(links, rng.randint(0, 2)))
+        labels.append(f"d{k}")
+        lines.append(f"d{k}: {body} => {head}.")
+    if rng.random() < 0.5:
+        lines.append(f"w0: perm_w({literal()}), {rng.choice(links)} => b.")
+        lines.append(f"w1: b => obl({literal()}).")
+    for _ in range(rng.randint(0, 2)):
+        superior, inferior = rng.sample(labels, 2)
+        lines.append(f"{superior} > {inferior}.")
+    return "\n".join(lines) + "\n"
+
+
+def random_fan(rng):
+    """Layers of alternative rules, each layer carrying an obligation conflict."""
+    layers, width = rng.randint(1, 3), rng.randint(1, 3)
+    lines = ["fact x0."]
+    for i in range(1, layers + 1):
+        lines += [f"f{i}_{j}: x{i - 1} => x{i}." for j in range(width)]
+        lines += [f"o{i}: x{i} => obl(y{i}).", f"n{i}: x{i} => obl(~y{i})."]
+        if rng.random() < 0.5:
+            lines.append(f"m{i}: x{i - 1} => perm(~y{i}).")
+        if rng.random() < 0.5:
+            lines.append(f"o{i} > n{i}.")
+    return "\n".join(lines) + "\n"
+
+
+def test_an_undercut_attacker_stops_blocking_in_the_round_it_is_undercut():
+    # obl(~q) (A8) is never supported: its premise g rests on perm_w(u),
+    # which u0 leaves undecided.  Once d is justified, ~c (A10) is supported
+    # and undercuts A8 through its premise c, so obl(q) (A2), whose own
+    # attack on A8 is suppressed by s > x, is accepted in that very round,
+    # while A8 is rejected
+    theory = parse_theory(
+        "fact f.\nr1: f => e.\nr2: e => d.\nb: d => ~c.\nw: => c.\n"
+        "u0: perm_w(u) => obl(~u).\nu1: perm_w(u) => g.\n"
+        "s: c, g => obl(~q).\nx: => obl(q).\ns > x.\n"
+    )
+    arguments = build_arguments(theory)
+    graph = compute_attacks(arguments, theory)
+    ext = wp_extension(graph)
+    assert changes(ext.steps[3].newly_rejected) == [
+        ("A8", "attacker-supported", ["A10"]),
+        ("A11", "attacker-supported", ["A10"]),
+    ]
+    assert changes(ext.steps[3].newly_justified) == [
+        ("A2", "supported-and-defended", ["A8", "A11"]),
+    ]
+    assert_matches_reference(graph, "undercut")
+
+
+def test_engine_trace_matches_the_reference_iteration_on_goldens(goldens):
+    for name, prepared in goldens.items():
+        assert_matches_reference(prepared.graph, name)
+
+
+def test_engine_trace_matches_the_reference_iteration_on_the_corpora(
+    conflict_corpus, no_superiority_corpus, oracle_corpus
+):
+    breaches = 0
+    for corpus in (conflict_corpus, no_superiority_corpus, oracle_corpus):
+        for case in corpus:
+            breaches += assert_matches_reference(case.graph, case.seed)
+    assert breaches > 0  # the unguarded breach payloads were compared too
+
+
+def test_engine_trace_matches_the_reference_iteration_on_chains_and_fans():
+    rng = random.Random(2024)
+    breaches = 0
+    for n in range(60):
+        text = random_chain(rng) if n % 2 == 0 else random_fan(rng)
+        theory = parse_theory(text)
+        arguments = build_arguments(theory)
+        for generalized in (False, True):
+            graph = compute_attacks(arguments, theory, imaginary_subargument_attacks=generalized)
+            breaches += assert_matches_reference(graph, text)
+    assert breaches > 0
