@@ -11,7 +11,7 @@ internal invariants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .arguments import ArgumentSet, build_arguments
 from .attacks import AttackGraph, compute_attacks
@@ -212,6 +212,15 @@ def _imaginary_id(arguments: ArgumentSet, literal: Literal) -> str:
     raise AssertionError(f"no imaginary argument for {literal}")
 
 
+def _verdict(
+    name: str, problems: Sequence[str], failure_prefix: str, success_detail: str
+) -> CheckResult:
+    """Fail listing the problems after the prefix, or pass with the detail."""
+    if problems:
+        return CheckResult(name, "fail", failure_prefix + ", ".join(problems))
+    return CheckResult(name, "pass", success_detail)
+
+
 def _weak_permission_exclusion(
     name: str,
     conflicted: frozenset[Literal],
@@ -222,16 +231,10 @@ def _weak_permission_exclusion(
         for literal in conflicted
         if perm_w(literal) in conclusions or perm_w(complement(literal)) in conclusions
     )
-    if offending:
-        return CheckResult(
-            name,
-            "fail",
-            "weak permission justified for conflicted literal(s): "
-            + ", ".join(offending),
-        )
-    return CheckResult(
+    return _verdict(
         name,
-        "pass",
+        offending,
+        "weak permission justified for conflicted literal(s): ",
         f"{len(conflicted)} conflicted literal(s), no justified weak permission",
     )
 
@@ -258,16 +261,13 @@ def verify_theorems(
     results: list[CheckResult] = []
     conflicted = conflicted_literals(theory, arguments)
     superiority_free = not theory.superiority
+    adjudicated = "superiority pairs adjudicate conflicts; out of scope"
     grounded = grounded_extension(graph)
 
     # Conflicted weak permissions stay out of the grounded extension.
     name = "conflicted-weak-permissions-not-grounded"
     if not superiority_free:
-        results.append(
-            CheckResult(
-                name, "skipped", "superiority pairs adjudicate conflicts; out of scope"
-            )
-        )
+        results.append(CheckResult(name, "skipped", adjudicated))
     else:
         conclusions = frozenset(justified_conclusions(arguments, grounded))
         results.append(_weak_permission_exclusion(name, conflicted, conclusions))
@@ -275,11 +275,7 @@ def verify_theorems(
     # Conflicted weak permissions stay out of the sceptical stable core.
     name = "conflicted-weak-permissions-not-stable"
     if not superiority_free:
-        results.append(
-            CheckResult(
-                name, "skipped", "superiority pairs adjudicate conflicts; out of scope"
-            )
-        )
+        results.append(CheckResult(name, "skipped", adjudicated))
     else:
         try:
             extensions = stable_extensions(graph, argument_limit=argument_limit)
@@ -320,30 +316,23 @@ def verify_theorems(
     # Justified and rejected sets are disjoint; justified set conflict-free.
     name = "wp-sets-disjoint-and-conflict-free"
     overlap = sorted(extension.justified & extension.rejected, key=arguments.index)
-    clashes = conflicting_members(graph, extension.justified)
     if overlap:
-        results.append(
-            CheckResult(name, "fail", "overlapping arguments: " + ", ".join(overlap))
-        )
-    elif clashes:
-        results.append(
-            CheckResult(
-                name, "fail", "justified arguments attack each other: " + ", ".join(clashes)
-            )
-        )
+        problems, prefix = overlap, "overlapping arguments: "
     else:
-        results.append(
-            CheckResult(
-                name,
-                "pass",
-                f"{len(extension.justified)} justified, "
-                f"{len(extension.rejected)} rejected, disjoint and conflict-free",
-            )
+        problems = conflicting_members(graph, extension.justified)
+        prefix = "justified arguments attack each other: "
+    results.append(
+        _verdict(
+            name,
+            problems,
+            prefix,
+            f"{len(extension.justified)} justified, "
+            f"{len(extension.rejected)} rejected, disjoint and conflict-free",
         )
+    )
 
     # Unresolved conflicts with fully justified premises recover both
     # weak permissions.
-    name = "wp-conflicts-recover-weak-permissions"
     offending: list[str] = []
     checked = 0
     for pair in _conflict_pairs(
@@ -365,67 +354,45 @@ def verify_theorems(
             identifier = _imaginary_id(arguments, literal)
             if identifier not in extension.justified:
                 offending.append(f"{literal} ({identifier})")
-    if offending:
-        results.append(
-            CheckResult(
-                name,
-                "fail",
-                "weak permission not justified despite a fully justified conflict: "
-                + ", ".join(sorted(set(offending))),
-            )
+    results.append(
+        _verdict(
+            "wp-conflicts-recover-weak-permissions",
+            sorted(set(offending)),
+            "weak permission not justified despite a fully justified conflict: ",
+            f"{checked} fully justified conflict pair(s)",
         )
-    else:
-        results.append(
-            CheckResult(name, "pass", f"{checked} fully justified conflict pair(s)")
-        )
+    )
 
     # Grounded acceptance implies justification under the fixed point.
     name = "grounded-subset-of-wp-justified"
     if not superiority_free:
         results.append(
-            CheckResult(
-                name, "skipped", "stated for theories without superiority pairs"
-            )
+            CheckResult(name, "skipped", "stated for theories without superiority pairs")
         )
     else:
-        missing = sorted(grounded - extension.justified, key=arguments.index)
-        if missing:
-            results.append(
-                CheckResult(
-                    name,
-                    "fail",
-                    "grounded but not wp-justified: " + ", ".join(missing),
-                )
+        results.append(
+            _verdict(
+                name,
+                sorted(grounded - extension.justified, key=arguments.index),
+                "grounded but not wp-justified: ",
+                f"{len(grounded)} grounded argument(s) all wp-justified",
             )
-        else:
-            results.append(
-                CheckResult(
-                    name,
-                    "pass",
-                    f"{len(grounded)} grounded argument(s) all wp-justified",
-                )
-            )
+        )
 
     # Every subargument of a justified argument is justified.
-    name = "wp-justified-subargument-closure"
-    broken = sorted(
-        {
-            identifier
-            for identifier in extension.justified
-            for sub in arguments.sub_ids(identifier)
-            if sub not in extension.justified
-        },
-        key=arguments.index,
-    )
-    if broken:
-        results.append(
-            CheckResult(
-                name,
-                "fail",
-                "justified argument with unjustified subargument: " + ", ".join(broken),
-            )
+    broken = {
+        identifier
+        for identifier in extension.justified
+        for sub in arguments.sub_ids(identifier)
+        if sub not in extension.justified
+    }
+    results.append(
+        _verdict(
+            "wp-justified-subargument-closure",
+            sorted(broken, key=arguments.index),
+            "justified argument with unjustified subargument: ",
+            "closure holds",
         )
-    else:
-        results.append(CheckResult(name, "pass", "closure holds"))
+    )
 
     return CheckReport(tuple(results))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import ClassVar, Iterator
 
 from .model import (
     Conclusion,
@@ -46,6 +46,7 @@ class Argument:
     children's stored values, when the argument is constructed.
     """
 
+    kind: ClassVar[str]  # each form's name, as the JSON output spells it
     _height: int
     _hash: int
     _labels: frozenset[str]
@@ -58,7 +59,8 @@ class Argument:
         else:  # leaves apply no rule; a permission argument shares its base's labels
             labels = children[0]._labels if children else frozenset()
         height = 1 + max(child._height for child in children) if children else 0
-        head = (height, _kind_rank(self), self.top_rule or "", conclusion_sort_key(self.conclusion))
+        rank = _KIND_RANKS[self.kind]
+        head = (height, rank, self.top_rule or "", conclusion_sort_key(self.conclusion))
         object.__setattr__(self, "_height", height)
         object.__setattr__(self, "_labels", labels)
         object.__setattr__(self, "_key", (*head, tuple(child._key for child in children)))
@@ -107,6 +109,7 @@ class Argument:
 class ImaginaryArgument(Argument):
     """Concludes the weak permission of its literal; has no premises."""
 
+    kind = "imaginary"
     literal: Literal
     __hash__ = Argument.__hash__
 
@@ -117,6 +120,7 @@ class ImaginaryArgument(Argument):
 
 @dataclass(frozen=True)
 class FactArgument(Argument):
+    kind = "fact"
     literal: Literal
     __hash__ = Argument.__hash__
 
@@ -129,6 +133,7 @@ class FactArgument(Argument):
 class RuleApplication(Argument):
     """A rule applied to one matching argument per body element."""
 
+    kind = "rule-application"
     rule: Rule
     subs: tuple[Argument, ...]
     __hash__ = Argument.__hash__
@@ -150,6 +155,7 @@ class RuleApplication(Argument):
 class DAxiomArgument(Argument):
     """Obligation implies permission: built over an ``obl(l)`` argument."""
 
+    kind = "permission-axiom"
     base: Argument
     __hash__ = Argument.__hash__
 
@@ -168,12 +174,9 @@ class DAxiomArgument(Argument):
         return self.base.top_rule
 
 
-def _kind_rank(argument: Argument) -> int:
-    if isinstance(argument, FactArgument):
-        return 0
-    if isinstance(argument, RuleApplication):
-        return 1
-    return 2  # permission-from-obligation
+#: each kind's place in the structural key; imaginary arguments are numbered
+#: apart from the natural ones, so their rank only feeds the hash
+_KIND_RANKS = {"fact": 0, "rule-application": 1, "permission-axiom": 2, "imaginary": 2}
 
 
 def structural_key(argument: Argument) -> tuple:

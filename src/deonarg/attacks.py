@@ -30,7 +30,6 @@ one record for every argument containing the witness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby
 from operator import attrgetter
 
 from .arguments import ArgumentId, ArgumentSet
@@ -67,9 +66,6 @@ class AttackGraph:
     edges: tuple[Attack, ...]  # surviving records, in (attacker, target) id order
     suppressed: tuple[Attack, ...]  # removed by superiority
     generalized: bool = False
-    _records: dict[tuple[ArgumentId, ArgumentId], tuple[Attack, ...]] = field(
-        init=False, repr=False, compare=False
-    )
     _pairs: frozenset[tuple[ArgumentId, ArgumentId]] = field(init=False, repr=False, compare=False)
     _attacker_index: dict[ArgumentId, tuple[ArgumentId, ...]] = field(
         init=False, repr=False, compare=False
@@ -82,20 +78,18 @@ class AttackGraph:
     )
 
     def __post_init__(self) -> None:
-        # the edges come in (attacker, target) id order, so each pair's
-        # records are consecutive and grouping the pairs leaves every group
-        # in id order
-        records = {pair: tuple(group) for pair, group in groupby(self.edges, _pair)}
+        # the edges come in (attacker, target) id order, so the distinct pairs,
+        # in first-seen order, leave every attacker and target list in id order
+        pairs = dict.fromkeys(map(_pair, self.edges))
         by_witness: dict[ArgumentId, list[ArgumentId]] = {}
         for witness, attacker in dict.fromkeys(map(_witness_and_attacker, self.edges)):
             by_witness.setdefault(witness, []).append(attacker)
         attackers: dict[ArgumentId, list[ArgumentId]] = {}
         targets: dict[ArgumentId, list[ArgumentId]] = {}
-        for attacker, target in records:
+        for attacker, target in pairs:
             attackers.setdefault(target, []).append(attacker)
             targets.setdefault(attacker, []).append(target)
-        object.__setattr__(self, "_records", records)
-        object.__setattr__(self, "_pairs", frozenset(records))
+        object.__setattr__(self, "_pairs", frozenset(pairs))
         object.__setattr__(self, "_attacker_index", {k: tuple(v) for k, v in attackers.items()})
         object.__setattr__(self, "_target_index", {k: tuple(v) for k, v in targets.items()})
         object.__setattr__(self, "_witness_index", {k: tuple(v) for k, v in by_witness.items()})
@@ -112,7 +106,8 @@ class AttackGraph:
         return self._target_index.get(attacker, ())
 
     def records_between(self, attacker: ArgumentId, target: ArgumentId) -> tuple[Attack, ...]:
-        return self._records.get((attacker, target), ())
+        """The surviving records of one pair, by a scan of the edges."""
+        return tuple(edge for edge in self.edges if _pair(edge) == (attacker, target))
 
     def attackers_at(self, witness: ArgumentId) -> tuple[ArgumentId, ...]:
         """Distinct attackers of the records witnessed at the given argument."""

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import json
 import sys
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 from typing import Any
 
@@ -25,13 +27,7 @@ from .arguments import ArgumentSet, build_arguments
 from .attacks import AttackGraph, compute_attacks
 from .model import Theory, TheoryValidationError
 from .parser import ParseError, parse_theory, serialize_theory
-from .schema import (
-    argument_kind,
-    arguments_section,
-    attacks_section,
-    theory_section,
-    trace_section,
-)
+from .schema import arguments_section, attacks_section, theory_section, trace_section
 from .semantics import (
     DEFAULT_ARGUMENT_LIMIT,
     ArgumentLimitExceeded,
@@ -39,7 +35,7 @@ from .semantics import (
     justified_conclusions,
 )
 from .testkit import GeneratorParams, generate_theory
-from .wp import FixpointInvariantError, wp_extension
+from .wp import FixpointInvariantError, WpExtension, wp_extension
 
 EXIT_PARSE = 1
 EXIT_VALIDATION = 2
@@ -73,18 +69,59 @@ def _load_theory(source: str) -> Theory:
         sys.exit(EXIT_VALIDATION)
 
 
-def _emit_json(document: dict[str, Any]) -> None:
+def _load_graph(source: str, imaginary_subargument_attacks: bool) -> AttackGraph:
+    theory = _load_theory(source)
+    return compute_attacks(
+        build_arguments(theory),
+        theory=theory,
+        imaginary_subargument_attacks=imaginary_subargument_attacks,
+    )
+
+
+def _fixpoint(graph: AttackGraph, no_fixpoint_guards: bool) -> WpExtension:
+    try:
+        return wp_extension(graph, fixpoint_guards=not no_fixpoint_guards)
+    except FixpointInvariantError as error:
+        click.echo(f"invariant breach: {error}", err=True)
+        sys.exit(EXIT_INVARIANT)
+
+
+def _emit_json(
+    arguments: ArgumentSet, graph: AttackGraph | None = None, **sections: Any
+) -> None:
+    """Write the theory, its arguments and (given a graph) attacks, then the sections."""
+    document: dict[str, Any] = {
+        "theory": theory_section(arguments.theory),
+        "arguments": arguments_section(arguments),
+    }
+    if graph is not None:
+        document["attacks"] = attacks_section(graph)
+    document.update(sections)
     click.echo(json.dumps(document, indent=2))
 
 
-def _id_set(arguments: ArgumentSet, members) -> str:
-    ordered = sorted(members, key=arguments.index)
-    return "{" + ", ".join(ordered) + "}"
+def _in_order(arguments: ArgumentSet, members) -> list[str]:
+    return sorted(members, key=arguments.index)
 
 
-def _conclusion_set(arguments: ArgumentSet, members) -> str:
-    rendered = [str(c) for c in justified_conclusions(arguments, members)]
-    return "{" + ", ".join(rendered) + "}"
+def _braced(items) -> str:
+    return "{" + ", ".join(items) + "}"
+
+
+def _conclusions(arguments: ArgumentSet, members) -> list[str]:
+    return [str(c) for c in justified_conclusions(arguments, members)]
+
+
+def _wp_result(
+    arguments: ArgumentSet, extension: WpExtension, flags: dict[str, Any]
+) -> dict[str, Any]:
+    return {
+        "semantics": "wp",
+        "justified_arguments": _in_order(arguments, extension.justified),
+        "rejected_arguments": _in_order(arguments, extension.rejected),
+        "justified_conclusions": _conclusions(arguments, extension.justified),
+        "flags": flags,
+    }
 
 
 _THEORY_ARGUMENT = click.argument("theory_file", metavar="THEORY")
@@ -128,25 +165,14 @@ def main() -> None:
 )
 def cmd_args(theory_file: str, fmt: str) -> None:
     """List every argument of the theory."""
-    theory = _load_theory(theory_file)
-    arguments = build_arguments(theory)
+    arguments = build_arguments(_load_theory(theory_file))
     if fmt == "json":
-        _emit_json(
-            {
-                "theory": theory_section(theory),
-                "arguments": arguments_section(arguments),
-            }
-        )
+        _emit_json(arguments)
         return
-    for identifier in arguments.ids:
-        argument = arguments.argument(identifier)
-        if argument.is_imaginary:
-            tag = "imaginary"
-        else:
-            kind = argument_kind(argument)
-            tag = f"natural/{kind}"
-            if argument.top_rule is not None:
-                tag += f" {argument.top_rule}"
+    for identifier, argument in arguments:
+        tag = argument.kind if argument.is_imaginary else f"natural/{argument.kind}"
+        if argument.top_rule is not None:
+            tag += f" {argument.top_rule}"
         subs = " ".join(arguments.sub_ids(identifier))
         click.echo(f"{identifier}: {argument.conclusion} [{tag}] sub={{{subs}}}")
 
@@ -180,89 +206,45 @@ def cmd_eval(
     no_fixpoint_guards: bool,
 ) -> None:
     """Compute extensions and sceptically justified conclusions."""
-    theory = _load_theory(theory_file)
-    arguments = build_arguments(theory)
-    graph = compute_attacks(
-        arguments,
-        theory=theory,
-        imaginary_subargument_attacks=imaginary_subargument_attacks,
-    )
+    graph = _load_graph(theory_file, imaginary_subargument_attacks)
+    arguments = graph.arguments
     flags: dict[str, Any] = {
         "imaginary_subargument_attacks": imaginary_subargument_attacks,
     }
     if semantics == "wp":
         flags["fixpoint_guards"] = not no_fixpoint_guards
+        result = _wp_result(arguments, _fixpoint(graph, no_fixpoint_guards), flags)
+    else:
         try:
-            extension = wp_extension(graph, fixpoint_guards=not no_fixpoint_guards)
-        except FixpointInvariantError as error:
-            click.echo(f"invariant breach: {error}", err=True)
-            sys.exit(EXIT_INVARIANT)
+            outcome = evaluate(graph, semantics, argument_limit=argument_limit)
+        except ArgumentLimitExceeded as error:
+            click.echo(f"size limit: {error}", err=True)
+            sys.exit(EXIT_SIZE)
+        if outcome.no_extensions:
+            flags["no_stable_extensions"] = True
+            click.echo(
+                "warning: no stable extensions; the sceptical justified set is vacuous",
+                err=True,
+            )
         result = {
-            "semantics": "wp",
-            "justified_arguments": sorted(extension.justified, key=arguments.index),
-            "rejected_arguments": sorted(extension.rejected, key=arguments.index),
-            "justified_conclusions": [
-                str(c) for c in justified_conclusions(arguments, extension.justified)
-            ],
+            "semantics": semantics,
+            "extensions": [_in_order(arguments, members) for members in outcome.extensions],
+            "justified_arguments": _in_order(arguments, outcome.justified),
+            "justified_conclusions": _conclusions(arguments, outcome.justified),
             "flags": flags,
         }
-        if fmt == "json":
-            _emit_json(
-                {
-                    "theory": theory_section(theory),
-                    "arguments": arguments_section(arguments),
-                    "attacks": attacks_section(graph),
-                    "result": result,
-                }
-            )
-            return
-        click.echo("semantics: wp")
-        click.echo(f"justified arguments: {_id_set(arguments, extension.justified)}")
-        click.echo(f"rejected arguments: {_id_set(arguments, extension.rejected)}")
-        click.echo(
-            f"justified conclusions: {_conclusion_set(arguments, extension.justified)}"
-        )
-        return
-    try:
-        outcome = evaluate(graph, semantics, argument_limit=argument_limit)
-    except ArgumentLimitExceeded as error:
-        click.echo(f"size limit: {error}", err=True)
-        sys.exit(EXIT_SIZE)
-    if outcome.no_extensions:
-        flags["no_stable_extensions"] = True
-        click.echo(
-            "warning: no stable extensions; the sceptical justified set is vacuous",
-            err=True,
-        )
-    result = {
-        "semantics": semantics,
-        "extensions": [
-            sorted(extension, key=arguments.index) for extension in outcome.extensions
-        ],
-        "justified_arguments": sorted(outcome.justified, key=arguments.index),
-        "justified_conclusions": [
-            str(c) for c in justified_conclusions(arguments, outcome.justified)
-        ],
-        "flags": flags,
-    }
     if fmt == "json":
-        _emit_json(
-            {
-                "theory": theory_section(theory),
-                "arguments": arguments_section(arguments),
-                "attacks": attacks_section(graph),
-                "result": result,
-            }
-        )
+        _emit_json(arguments, graph, result=result)
         return
     click.echo(f"semantics: {semantics}")
-    click.echo(f"extensions: {len(outcome.extensions)}")
-    for number, extension in enumerate(outcome.extensions, start=1):
-        click.echo(f"extension {number}: {_id_set(arguments, extension)}")
-    click.echo(f"justified arguments: {_id_set(arguments, outcome.justified)}")
-    click.echo(
-        f"justified conclusions: {_conclusion_set(arguments, outcome.justified)}"
-    )
+    if "extensions" in result:
+        click.echo(f"extensions: {len(result['extensions'])}")
+        for number, members in enumerate(result["extensions"], start=1):
+            click.echo(f"extension {number}: {_braced(members)}")
+    click.echo(f"justified arguments: {_braced(result['justified_arguments'])}")
+    if "rejected_arguments" in result:
+        click.echo(f"rejected arguments: {_braced(result['rejected_arguments'])}")
+    click.echo(f"justified conclusions: {_braced(result['justified_conclusions'])}")
 
 
 # ---------------------------------------------------------------------------
@@ -284,58 +266,34 @@ def cmd_trace(
     no_fixpoint_guards: bool,
 ) -> None:
     """Log every weak-permission iteration with reasons."""
-    theory = _load_theory(theory_file)
-    arguments = build_arguments(theory)
-    graph = compute_attacks(
-        arguments,
-        theory=theory,
-        imaginary_subargument_attacks=imaginary_subargument_attacks,
-    )
-    try:
-        extension = wp_extension(graph, fixpoint_guards=not no_fixpoint_guards)
-    except FixpointInvariantError as error:
-        click.echo(f"invariant breach: {error}", err=True)
-        sys.exit(EXIT_INVARIANT)
+    graph = _load_graph(theory_file, imaginary_subargument_attacks)
+    arguments = graph.arguments
+    extension = _fixpoint(graph, no_fixpoint_guards)
     if fmt == "json":
+        flags = {
+            "imaginary_subargument_attacks": imaginary_subargument_attacks,
+            "fixpoint_guards": not no_fixpoint_guards,
+        }
         _emit_json(
-            {
-                "theory": theory_section(theory),
-                "arguments": arguments_section(arguments),
-                "attacks": attacks_section(graph),
-                "result": {
-                    "semantics": "wp",
-                    "justified_arguments": sorted(
-                        extension.justified, key=arguments.index
-                    ),
-                    "rejected_arguments": sorted(
-                        extension.rejected, key=arguments.index
-                    ),
-                    "justified_conclusions": [
-                        str(c)
-                        for c in justified_conclusions(arguments, extension.justified)
-                    ],
-                    "flags": {
-                        "imaginary_subargument_attacks": imaginary_subargument_attacks,
-                        "fixpoint_guards": not no_fixpoint_guards,
-                    },
-                },
-                "trace": trace_section(extension),
-            }
+            arguments,
+            graph,
+            result=_wp_result(arguments, extension, flags),
+            trace=trace_section(extension),
         )
         return
     for step in extension.steps:
         click.echo(f"step {step.index}:")
-        for change in step.newly_rejected:
-            witnesses = ", ".join(change.witnesses)
-            suffix = f": {witnesses}" if witnesses else ""
-            click.echo(f"  rejected {change.argument} [{change.clause}{suffix}]")
-        for change in step.newly_justified:
-            witnesses = ", ".join(change.witnesses)
-            suffix = f": {witnesses}" if witnesses else ""
-            click.echo(f"  justified {change.argument} [{change.clause}{suffix}]")
+        for verb, changes in (
+            ("rejected", step.newly_rejected),
+            ("justified", step.newly_justified),
+        ):
+            for change in changes:
+                witnesses = ", ".join(change.witnesses)
+                suffix = f": {witnesses}" if witnesses else ""
+                click.echo(f"  {verb} {change.argument} [{change.clause}{suffix}]")
     click.echo(f"fixpoint after {extension.iterations} step(s)")
-    click.echo(f"justified: {_id_set(arguments, extension.justified)}")
-    click.echo(f"rejected: {_id_set(arguments, extension.rejected)}")
+    click.echo(f"justified: {_braced(_in_order(arguments, extension.justified))}")
+    click.echo(f"rejected: {_braced(_in_order(arguments, extension.rejected))}")
 
 
 # ---------------------------------------------------------------------------
@@ -345,21 +303,16 @@ def cmd_trace(
 
 def _dot_graph(arguments: ArgumentSet, graph: AttackGraph) -> str:
     lines = ["digraph attacks {", "  rankdir=LR;"]
-    for identifier in arguments.ids:
-        argument = arguments.argument(identifier)
+    for identifier, argument in arguments:
         style = ", style=dashed" if argument.is_imaginary else ""
         lines.append(
             f'  "{identifier}" [label="{identifier}: {argument.conclusion}"{style}];'
         )
-    for attacker, target in sorted(
-        graph.pairs, key=lambda p: (arguments.index(p[0]), arguments.index(p[1]))
+    # the edges come in (attacker, target) id order, each pair's records together
+    for (attacker, target), records in groupby(
+        graph.edges, attrgetter("attacker", "target")
     ):
-        conditions = ",".join(
-            str(c)
-            for c in sorted(
-                {e.condition for e in graph.records_between(attacker, target)}
-            )
-        )
+        conditions = ",".join(str(c) for c in sorted({e.condition for e in records}))
         lines.append(f'  "{attacker}" -> "{target}" [label="{conditions}"];')
     lines.append("}")
     return "\n".join(lines)
@@ -375,26 +328,14 @@ def cmd_attacks(
     theory_file: str, fmt: str, imaginary_subargument_attacks: bool
 ) -> None:
     """Show the attack relation as a table or DOT graph."""
-    theory = _load_theory(theory_file)
-    arguments = build_arguments(theory)
-    graph = compute_attacks(
-        arguments,
-        theory=theory,
-        imaginary_subargument_attacks=imaginary_subargument_attacks,
-    )
+    graph = _load_graph(theory_file, imaginary_subargument_attacks)
     if fmt == "json":
-        _emit_json(
-            {
-                "theory": theory_section(theory),
-                "arguments": arguments_section(arguments),
-                "attacks": attacks_section(graph),
-            }
-        )
+        _emit_json(graph.arguments, graph)
         return
     if fmt == "dot":
-        click.echo(_dot_graph(arguments, graph))
+        click.echo(_dot_graph(graph.arguments, graph))
         return
-    for identifier in arguments.ids:
+    for identifier in graph.arguments.ids:
         targets = graph.targets_of(identifier)
         if targets:
             click.echo(f"{identifier} -> {', '.join(targets)}")
@@ -434,15 +375,8 @@ def cmd_check(
         fixpoint_guards=not no_fixpoint_guards,
     )
     if fmt == "json":
-        _emit_json(
-            {
-                "theory": theory_section(theory),
-                "checks": [
-                    {"name": r.name, "status": r.status, "detail": r.detail}
-                    for r in report.results
-                ],
-            }
-        )
+        checks = [{"name": r.name, "status": r.status, "detail": r.detail} for r in report.results]
+        click.echo(json.dumps({"theory": theory_section(theory), "checks": checks}, indent=2))
     else:
         for result in report.results:
             click.echo(f"{result.name}: {result.status} ({result.detail})")

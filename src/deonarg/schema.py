@@ -8,19 +8,13 @@ identical inputs produce byte-identical documents.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Iterable
 
-from .arguments import (
-    ArgumentSet,
-    DAxiomArgument,
-    FactArgument,
-    ImaginaryArgument,
-    RuleApplication,
-)
+from .arguments import ArgumentSet
 from .attacks import Attack, AttackGraph
 from .model import Theory
 from .parser import serialize_theory
-from .wp import WpExtension
+from .wp import StatusChange, WpExtension
 
 # ---------------------------------------------------------------------------
 # schema
@@ -202,18 +196,6 @@ def validate_document(document: dict[str, Any]) -> None:
 # section builders
 # ---------------------------------------------------------------------------
 
-_KIND_NAMES = {
-    ImaginaryArgument: "imaginary",
-    FactArgument: "fact",
-    RuleApplication: "rule-application",
-    DAxiomArgument: "permission-axiom",
-}
-
-
-def argument_kind(argument: object) -> str:
-    return _KIND_NAMES[type(argument)]
-
-
 def theory_section(theory: Theory) -> dict[str, Any]:
     return {
         "source": serialize_theory(theory),
@@ -237,7 +219,7 @@ def arguments_section(arguments: ArgumentSet) -> list[dict[str, Any]]:
         records.append(
             {
                 "id": identifier,
-                "kind": argument_kind(argument),
+                "kind": argument.kind,
                 "conclusion": str(argument.conclusion),
                 "sub": list(arguments.sub_ids(identifier)),
                 "top_rule": argument.top_rule,
@@ -262,26 +244,23 @@ def attacks_section(graph: AttackGraph) -> dict[str, Any]:
     }
 
 
+def _change_records(changes: Iterable[StatusChange]) -> list[dict[str, Any]]:
+    return [
+        {
+            "argument": change.argument,
+            "clause": change.clause,
+            "witnesses": list(change.witnesses),
+        }
+        for change in changes
+    ]
+
+
 def trace_section(extension: WpExtension) -> list[dict[str, Any]]:
     return [
         {
             "step": step.index,
-            "rejected": [
-                {
-                    "argument": change.argument,
-                    "clause": change.clause,
-                    "witnesses": list(change.witnesses),
-                }
-                for change in step.newly_rejected
-            ],
-            "justified": [
-                {
-                    "argument": change.argument,
-                    "clause": change.clause,
-                    "witnesses": list(change.witnesses),
-                }
-                for change in step.newly_justified
-            ],
+            "rejected": _change_records(step.newly_rejected),
+            "justified": _change_records(step.newly_justified),
         }
         for step in extension.steps
     ]

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -9,10 +10,11 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from deonarg import __version__, parse_theory
+from deonarg import __version__, parse_theory, serialize_theory
 from deonarg.cli import main
 from deonarg.corpus import BUILTIN_THEORIES
 from deonarg.schema import validate_document
+from deonarg.testkit import GeneratorParams, generate_theory
 
 
 @pytest.fixture()
@@ -337,3 +339,76 @@ def test_importing_the_cli_leaves_jsonschema_unloaded(tmp_path):
     )
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# byte identity of every command
+# ---------------------------------------------------------------------------
+
+CLI_DIGESTS = Path(__file__).with_name("cli_digests.json")
+
+# the verify_theorems failures of tests/test_analysis.py
+_FAILING_CHECK_THEORIES = {
+    "grounded-not-wp": "r1: => obl(~p).\nr2: perm_w(p) => s.\n",
+    "self-undermining": "r1: => obl(p).\nr2: obl(p) => obl(~p).\n",
+    "unadjudicated": BUILTIN_THEORIES["facultative"].replace("n3 > n4.\n", ""),
+}
+
+
+def _digest_theories():
+    theories = dict(BUILTIN_THEORIES)
+    for seed in range(6):
+        params = GeneratorParams(
+            seed=seed,
+            atom_count=5,
+            rule_count=8,
+            inject_conflict=True,
+            superiority_count=seed % 3,
+        )
+        theories[f"gen-{seed}"] = serialize_theory(generate_theory(params))
+    theories.update(_FAILING_CHECK_THEORIES)
+    return theories
+
+
+def _command_matrix():
+    """Every argv the digest test runs, theory file given as ``-``."""
+    flag_sets = [[], ["--imaginary-subargument-attacks"]]
+    flag_sets += [flags + ["--no-fixpoint-guards"] for flags in flag_sets]
+    for fmt in ("text", "json"):
+        yield ["args", "-", "-f", fmt]
+        for semantics in ("grounded", "complete", "stable", "wp"):
+            for flags in flag_sets:
+                yield ["eval", "-", "-s", semantics, "-f", fmt, *flags]
+            yield ["eval", "-", "-s", semantics, "-f", fmt, "--argument-limit", "3"]
+        for flags in flag_sets:
+            yield ["trace", "-", "-f", fmt, *flags]
+            yield ["check", "-", "-f", fmt, *flags]
+        yield ["check", "-", "-f", fmt, "--argument-limit", "3"]
+    for fmt in ("text", "json", "dot"):
+        yield ["attacks", "-", "-f", fmt]
+        yield ["attacks", "-", "-f", fmt, "--imaginary-subargument-attacks"]
+
+
+def _cli_digests():
+    runner = CliRunner()
+    digests = {}
+    for name, text in _digest_theories().items():
+        for argv in _command_matrix():
+            result = runner.invoke(main, argv, input=text)
+            payload = f"{result.exit_code}\0{result.output}".encode()
+            digests[f"{name}: {' '.join(argv)}"] = hashlib.sha256(payload).hexdigest()
+    return digests
+
+
+def test_every_command_matches_digests_recorded_at_the_parent():
+    recorded = json.loads(CLI_DIGESTS.read_text())
+    found = _cli_digests()
+    assert found.keys() == recorded.keys()
+    differing = [key for key in recorded if found[key] != recorded[key]]
+    assert not differing, f"{len(differing)} invocation(s) differ: {differing[:20]}"
+
+
+if __name__ == "__main__":
+    # re-record after an intended output change:
+    # PYTHONPATH=src python tests/test_cli.py
+    CLI_DIGESTS.write_text(json.dumps(_cli_digests(), indent=1, sort_keys=True) + "\n")
