@@ -15,8 +15,11 @@ Three corpora mirror the acceptance suite:
 Every corpus also re-checks disjointness, conflict-freeness and
 subargument closure of the fixed point, and compares the fixed point's
 trace (or, with the update guards off, its invariant breach) with the
-round-by-round ``testkit.reference_wp`` under both guard settings.  Exit
-code 1 if any property fails.
+round-by-round ``testkit.reference_wp`` under both guard settings.  On
+every case the sceptical cores read from the per-part labellings
+(``semantics.sceptical_core``) are compared with the intersections of the
+enumerated complete and stable extensions.  Exit code 1 if any property
+fails.
 """
 
 from __future__ import annotations
@@ -33,14 +36,17 @@ from deonarg import (
     AttackGraph,
     Theory,
     build_arguments,
+    complete_extensions,
     compute_attacks,
     FixpointInvariantError,
     evaluate,
     grounded_extension,
     is_conflict_free,
+    stable_extensions,
     wp_extension,
 )
 from deonarg.analysis import conflicted_literals, wp_conflicted_literals
+from deonarg.semantics import sceptical_core
 from deonarg.testkit import (
     GeneratorParams,
     brute_force_extensions,
@@ -116,7 +122,21 @@ def wp_outcome(run, graph, guards: bool):
     return ("fixed point", ext.steps, ext.justified, ext.rejected)
 
 
+def factorised_cores(case, failures: list[str]) -> None:
+    """The cores read without the product equal the enumerated intersections."""
+    limit = len(case.arguments)
+    for semantics, enumerate_extensions in (
+        ("complete", complete_extensions),
+        ("stable", stable_extensions),
+    ):
+        extensions = enumerate_extensions(case.graph, argument_limit=limit)
+        expected = frozenset.intersection(*extensions) if extensions else None
+        if sceptical_core(case.graph, semantics, argument_limit=limit) != expected:
+            failures.append(f"seed {case.seed}: factorised {semantics} core differs from the intersection")
+
+
 def shared_invariants(case, failures: list[str]) -> None:
+    factorised_cores(case, failures)
     for guards in (True, False):
         if wp_outcome(wp_extension, case.graph, guards) != wp_outcome(
             reference_wp, case.graph, guards

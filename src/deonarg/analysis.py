@@ -31,7 +31,7 @@ from .semantics import (
     conflicting_members,
     grounded_extension,
     justified_conclusions,
-    stable_extensions,
+    sceptical_core,
 )
 from .wp import FixpointInvariantError, WpExtension, wp_extension
 
@@ -278,11 +278,11 @@ def verify_theorems(
         results.append(CheckResult(name, "skipped", adjudicated))
     else:
         try:
-            extensions = stable_extensions(graph, argument_limit=argument_limit)
+            justified = sceptical_core(graph, "stable", argument_limit=argument_limit)
         except ArgumentLimitExceeded as error:
             results.append(CheckResult(name, "skipped", str(error)))
         else:
-            if not extensions:
+            if justified is None:
                 results.append(
                     CheckResult(
                         name,
@@ -291,7 +291,6 @@ def verify_theorems(
                     )
                 )
             else:
-                justified = frozenset.intersection(*extensions)
                 conclusions = frozenset(justified_conclusions(arguments, justified))
                 results.append(
                     _weak_permission_exclusion(name, conflicted, conclusions)

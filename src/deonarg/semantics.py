@@ -12,19 +12,30 @@ connected components of the attack graph are labelled IN, OUT or UNDEC
 in topological order, each conditioned on the labels of its upstream
 attackers, by a backtracking search with constraint propagation inside
 the component.  A singleton component has one consistent label and
-needs no search; components of parts joined by no attack are labelled
-independently and combined as a product.  Stable extensions are searched
-directly, with UNDEC forbidden in every component, rather than filtered
-from the complete ones.  The enumeration refuses to start when the whole
-graph has more than ``argument_limit`` arguments, because the worst case
-is exponential.
+needs no search.  Stable extensions are searched directly, with UNDEC
+forbidden in every component, rather than filtered from the complete
+ones.
+
+The labellings are kept per part (arguments joined by no attack either
+way fall in different parts), and each part's labellings are checked
+once against the exact definition over that part's members.  Parts with
+one labelling fold into a constant base.  The sceptical answers are read
+from this factorised form without building the product: an extension
+exists only if every part has one, the stable core is the union of the
+per-part intersections, and the complete core is the grounded extension.
+Only the extension lists build the product, decoded by walking set bits
+and sorted by size, then by member positions.  The enumeration refuses
+to start when the whole graph has more than ``argument_limit``
+arguments, because the worst case is exponential.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
-from typing import AbstractSet, Iterable
+from typing import AbstractSet, Iterable, NamedTuple
 
 from .arguments import ArgumentSet
 from .attacks import AttackGraph
@@ -77,8 +88,23 @@ def _attacked_by(mask: int, targets: list[int]) -> int:
     return acc
 
 
+def _positions(mask: int) -> list[int]:
+    """Positions of the set bits, lowest first, one step per set bit.
+
+    The binary string is scanned by ``str.find``: stripping the low bit
+    of a wide int instead costs a pass over all its digits per bit.
+    """
+    bits = bin(mask)[:1:-1]
+    found = []
+    k = bits.find("1")
+    while k >= 0:
+        found.append(k)
+        k = bits.find("1", k + 1)
+    return found
+
+
 def _to_ids(mask: int, ids: tuple[str, ...]) -> frozenset[str]:
-    return frozenset(ids[k] for k in range(len(ids)) if (mask >> k) & 1)
+    return frozenset(ids[k] for k in _positions(mask))
 
 
 # ---------------------------------------------------------------------------
@@ -380,23 +406,42 @@ def _label_component(
     return extended
 
 
-def _is_complete(mask: int, targets: list[int], full: int) -> bool:
-    """Conflict-free and equal to the set of arguments it defends."""
+def _is_extension(mask: int, targets: list[int], full: int, stable: bool) -> bool:
+    """Complete over the ``full`` members (conflict-free and equal to the set
+    of them it defends); with ``stable`` also attacking every other one."""
     attacked = _attacked_by(mask, targets)
     undefended = _attacked_by(full & ~attacked, targets)
-    return not mask & attacked and mask == full & ~undefended
+    return (
+        not mask & attacked
+        and mask == full & ~undefended
+        and not (stable and (mask | attacked) != full)
+    )
 
 
-def _extension_masks(
-    graph: AttackGraph, argument_limit: int, stable: bool
-) -> tuple[tuple[str, ...], list[int]]:
-    """Complete (or stable) extensions as bitmasks, component by component.
+class _Factors(NamedTuple):
+    """Complete (or stable) extensions factorised over the parts of a graph.
+
+    Every extension is ``base`` joined with one IN mask of each tuple in
+    ``choices``: ``base`` holds the members chosen by the parts with
+    exactly one labelling, and ``choices`` the IN masks of every part
+    with more than one.
+    """
+
+    ids: tuple[str, ...]
+    base: int
+    choices: tuple[tuple[int, ...], ...]
+
+
+def _factorise(graph: AttackGraph, argument_limit: int, stable: bool) -> _Factors | None:
+    """Labellings of every part, or None when some part has no extension.
 
     Components are labelled in topological order, each extending the
     partial labellings of the arguments upstream of it.  Arguments of
     different parts (joined by no chain of attacks either way) are
-    labelled independently and their labellings combined as a product.
-    Every combined extension is checked against the exact definition.
+    labelled independently.  No attack crosses parts, so a set is
+    complete (stable) exactly when its members in each part are complete
+    (stable) there: each part's labellings are checked once against the
+    exact definition, over that part's members.
     """
     count = len(graph.arguments)
     if count > argument_limit:
@@ -409,33 +454,65 @@ def _extension_masks(
         labellings[owner] = _label_component(
             members, attackers, targets, labellings.get(owner, [(0, 0)]), stable
         )
-    masks = [0]
-    for partial in labellings.values():
-        masks = [mask | in_mask for mask in masks for in_mask, _ in partial]
-    full = (1 << len(ids)) - 1
-    return ids, [
-        mask
-        for mask in masks
-        if _is_complete(mask, targets, full)
-        and (not stable or mask | _attacked_by(mask, targets) == full)
+    owned = [0] * len(labellings)
+    for k, owner in enumerate(part):
+        owned[owner] |= 1 << k
+    base = 0
+    choices: list[tuple[int, ...]] = []
+    for owner, partial in labellings.items():
+        full = owned[owner]
+        found = tuple(
+            in_mask for in_mask, _ in partial if _is_extension(in_mask, targets, full, stable)
+        )
+        if not found:
+            return None
+        if len(found) == 1:
+            base |= found[0]
+        else:
+            choices.append(found)
+    return _Factors(ids, base, tuple(choices))
+
+
+def _core(factors: _Factors) -> frozenset[str]:
+    """Members of every extension: the union of the per-part intersections."""
+    core = factors.base
+    for masks in factors.choices:
+        core |= functools.reduce(operator.and_, masks)
+    return _to_ids(core, factors.ids)
+
+
+def _product(factors: _Factors) -> tuple[frozenset[str], ...]:
+    """Every extension, by size and then by sorted member positions.
+
+    The base is in every extension, and of two sets of one size the one
+    holding the least position in only one of them sorts first; that
+    position is never a base member, so the key leaves the base out.
+    """
+    ids, base, choices = factors
+    decoded = [
+        [(positions, frozenset(ids[k] for k in positions)) for positions in map(_positions, masks)]
+        for masks in choices
     ]
+    keyed = []
+    for picked in itertools.product(*decoded):
+        positions = sorted(itertools.chain.from_iterable(p for p, _ in picked))
+        keyed.append(((len(positions), positions), picked))
+    keyed.sort(key=operator.itemgetter(0))
+    common = _to_ids(base, ids)
+    return tuple(common.union(*(members for _, members in picked)) for _, picked in keyed)
 
 
-def _sorted_extensions(
-    masks: list[int], ids: tuple[str, ...]
+def _extensions(
+    graph: AttackGraph, argument_limit: int, stable: bool
 ) -> tuple[frozenset[str], ...]:
-    keyed = sorted(
-        masks,
-        key=lambda m: (bin(m).count("1"), [k for k in range(len(ids)) if (m >> k) & 1]),
-    )
-    return tuple(_to_ids(mask, ids) for mask in keyed)
+    factors = _factorise(graph, argument_limit, stable)
+    return () if factors is None else _product(factors)
 
 
 def complete_extensions(
     graph: AttackGraph, *, argument_limit: int = DEFAULT_ARGUMENT_LIMIT
 ) -> tuple[frozenset[str], ...]:
-    ids, masks = _extension_masks(graph, argument_limit, stable=False)
-    return _sorted_extensions(masks, ids)
+    return _extensions(graph, argument_limit, stable=False)
 
 
 def stable_extensions(
@@ -445,8 +522,25 @@ def stable_extensions(
 
     Searched directly: no component may take an UNDEC label.
     """
-    ids, masks = _extension_masks(graph, argument_limit, stable=True)
-    return _sorted_extensions(masks, ids)
+    return _extensions(graph, argument_limit, stable=True)
+
+
+def sceptical_core(
+    graph: AttackGraph, semantics: str, *, argument_limit: int = DEFAULT_ARGUMENT_LIMIT
+) -> frozenset[str] | None:
+    """Arguments in every extension, or None when there is no extension.
+
+    Read from the per-part labellings without building their product:
+    a stable extension exists only when every part has one, and the
+    stable core is the union of the per-part intersections.  Under
+    ``complete`` (or ``grounded``) the core is the grounded extension,
+    the least complete extension (Dung, AIJ 1995), which is polynomial
+    and ignores the limit.
+    """
+    if semantics != "stable":
+        return grounded_extension(graph)
+    factors = _factorise(graph, argument_limit, stable=True)
+    return None if factors is None else _core(factors)
 
 
 # ---------------------------------------------------------------------------
@@ -481,20 +575,16 @@ def evaluate(
         raise ValueError(
             f"unknown semantics {semantics!r}; expected one of {SEMANTICS_NAMES}"
         )
-    all_ids = frozenset(graph.arguments.ids)
     if semantics == "grounded":
         extension = grounded_extension(graph)
         return SemanticsResult("grounded", (extension,), extension)
     if semantics == "complete":
         extensions = complete_extensions(graph, argument_limit=argument_limit)
-        justified = frozenset.intersection(*extensions) if extensions else all_ids
-        return SemanticsResult("complete", extensions, justified)
-    extensions = stable_extensions(graph, argument_limit=argument_limit)
-    if not extensions:
-        return SemanticsResult("stable", (), all_ids, no_extensions=True)
-    return SemanticsResult(
-        "stable", extensions, frozenset.intersection(*extensions)
-    )
+        return SemanticsResult("complete", extensions, sceptical_core(graph, "complete"))
+    factors = _factorise(graph, argument_limit, stable=True)
+    if factors is None:
+        return SemanticsResult("stable", (), frozenset(graph.arguments.ids), no_extensions=True)
+    return SemanticsResult("stable", _product(factors), _core(factors))
 
 
 def justified_conclusions(

@@ -1,11 +1,12 @@
 """Unit tests for the theory language parser and serializer."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deonarg import (
     ParseError,
+    Theory,
     TheoryValidationError,
     lit,
     obl,
@@ -100,3 +101,23 @@ def test_round_trip_identity_on_generated_theories(seed):
 def test_serialization_is_a_fixed_point(seed):
     text = serialize_theory(generate_theory(GeneratorParams(seed=seed)))
     assert serialize_theory(parse_theory(text)) == text
+
+
+#: tokens and whole statements of the language, plus near-misses it rejects
+_TOKENS = (
+    "fact", "obl", "perm", "perm_w", "a", "b", "r1", "r2", "~", ":", ",", ".",
+    "(", ")", ">", "=>", "=", "%", " ", "\n", "$", "1", "obl(", "~obl(", "perm_w(~",
+    "fact ~a.\n", "r1: => obl(a).\n", "r2: a, perm_w(~b) => ~obl(a).\n",
+    "r1: => perm_w(a).\n", "r1 > r2.\n", "r2 > r1.\n",
+)
+
+
+@settings(max_examples=500)
+@given(st.lists(st.sampled_from(_TOKENS), max_size=30).map("".join) | st.text(max_size=30))
+def test_any_token_string_parses_or_raises_a_documented_error(text):
+    try:
+        theory = parse_theory(text)
+    except (ParseError, TheoryValidationError):
+        return
+    assert isinstance(theory, Theory)
+    assert parse_theory(serialize_theory(theory)) == theory

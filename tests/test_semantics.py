@@ -21,7 +21,7 @@ from deonarg import (
     serialize_theory,
     stable_extensions,
 )
-from deonarg.semantics import conflicting_members
+from deonarg.semantics import conflicting_members, sceptical_core
 from deonarg.testkit import brute_force_extensions
 
 
@@ -212,6 +212,62 @@ def test_extensions_of_a_disjoint_union_are_the_product_of_the_parts(oracle_corp
         assert Counter(map(project, stable)) == Counter(
             itertools.product(*(part.stable for part in parts))
         )
+
+
+def _disjoint_union(cases):
+    """One theory holding every case, each with its own prefix."""
+    return "".join(
+        _prefixed(serialize_theory(case.theory), f"u{i}_") for i, case in enumerate(cases)
+    )
+
+
+def test_factorised_answers_equal_the_enumerated_intersections(goldens, oracle_corpus):
+    # goldens, the oracle corpus, and unions of 3 and 4 corpus theories
+    graphs = [prepared.graph for prepared in goldens.values()]
+    graphs += [case.graph for case in oracle_corpus]
+    for start in range(0, 40, 4):
+        cases = oracle_corpus[start:start + 3 + start % 8 // 4]
+        graphs.append(prepared_graph(_disjoint_union(cases))[1])
+    # one part without a stable extension, beside one with two
+    arguments, _ = prepared_graph("r1: perm_w(p) => obl(~p).\nr2: => obl(q).\nr3: => obl(~q).\n")
+    graphs.append(compute_attacks(arguments, imaginary_subargument_attacks=True))
+    for graph in graphs:
+        limit = len(graph.arguments)
+        position = graph.arguments.index
+
+        def reference_sort(extensions):
+            return sorted(extensions, key=lambda e: (len(e), sorted(map(position, e))))
+
+        complete = complete_extensions(graph, argument_limit=limit)
+        stable = stable_extensions(graph, argument_limit=limit)
+        assert list(complete) == reference_sort(complete)
+        assert list(stable) == reference_sort(stable)
+        grounded = grounded_extension(graph)
+        assert sceptical_core(graph, "complete") == grounded
+        assert frozenset.intersection(*complete) == grounded
+        core = sceptical_core(graph, "stable", argument_limit=limit)
+        if stable:
+            assert core == frozenset.intersection(*stable)
+        else:
+            assert core is None
+        result = evaluate(graph, "complete", argument_limit=limit)
+        assert (result.extensions, result.justified) == (complete, grounded)
+        result = evaluate(graph, "stable", argument_limit=limit)
+        everything = frozenset(graph.arguments.ids)
+        assert (result.extensions, result.justified) == (
+            stable, everything if core is None else core
+        )
+        assert result.no_extensions == (core is None)
+
+
+def test_the_stable_core_applies_the_argument_limit(chained):
+    with pytest.raises(ArgumentLimitExceeded) as err:
+        sceptical_core(chained.graph, "stable", argument_limit=3)
+    assert (err.value.count, err.value.limit) == (21, 3)
+    # the complete core is the grounded extension, which ignores the limit
+    assert sceptical_core(chained.graph, "complete", argument_limit=3) == grounded_extension(
+        chained.graph
+    )
 
 
 def test_a_600_step_chain_enumerates_without_deep_recursion():
