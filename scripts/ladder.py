@@ -2,7 +2,7 @@
 """Time the public pipeline stages on a fixed ladder of theories.
 
 Each rung is one theory.  The stages are timed one by one from outside
-the engine with ``time.process_time``, each the median of ``--repeat``
+the engine with ``time.process_time``, each the median of ``REPEAT`` (5)
 runs: ``build`` (``build_arguments``), ``attacks`` (``compute_attacks``),
 ``grounded``, ``complete`` and ``stable`` (the extension lists, with the
 argument limit raised to the argument count), ``wp`` (``wp_extension``)
@@ -60,6 +60,9 @@ from deonarg import (
 )
 from deonarg.testkit import GeneratorParams, generate_theory
 
+#: runs per stage; the median is reported
+REPEAT = 5
+
 STAGES = ("build", "attacks", "grounded", "complete", "stable", "wp", "verify_theorems")
 
 
@@ -105,9 +108,9 @@ def digest(value: object) -> str:
     return hashlib.sha256(json.dumps(value).encode()).hexdigest()
 
 
-def timed(function: Callable[[], object], repeat: int) -> tuple[list[float], object]:
+def timed(function: Callable[[], object]) -> tuple[list[float], object]:
     runs: list[float] = []
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         result = None  # free the previous run's result first
         gc.collect()
         started = time.process_time()
@@ -116,7 +119,7 @@ def timed(function: Callable[[], object], repeat: int) -> tuple[list[float], obj
     return runs, result
 
 
-def run_rung(name: str, repeat: int) -> dict:
+def run_rung(name: str) -> dict:
     make, left_out = RUNGS[name]
     theory = parse_theory(make())
     arguments = build_arguments(theory)
@@ -137,7 +140,7 @@ def run_rung(name: str, repeat: int) -> dict:
     for stage in STAGES:
         if stage in left_out:
             continue
-        runs, result = timed(calls[stage], repeat)
+        runs, result = timed(calls[stage])
         rung["stages"][stage] = {"median_s": statistics.median(runs), "runs_s": runs}
         if stage in ("grounded", "complete", "stable"):
             found = (result,) if stage == "grounded" else result
@@ -156,7 +159,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--column", required=True, help="column name, e.g. parent or change")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to merge into, e.g. BENCH_8.json")
-    parser.add_argument("--repeat", type=int, default=3, help="runs per stage (median reported)")
     parser.add_argument("--rungs", nargs="*", choices=list(RUNGS), default=list(RUNGS))
     options = parser.parse_args(argv)
 
@@ -169,11 +171,11 @@ def main(argv: list[str] | None = None) -> int:
         python=platform.python_version(),
         machine=platform.machine(),
         cpu=cpu_model(),
-        repeat=options.repeat,
+        repeat=REPEAT,
     )
     for name in options.rungs:
         print(f"{name}:", flush=True)
-        column["rungs"][name] = run_rung(name, options.repeat)
+        column["rungs"][name] = run_rung(name)
     options.out.write_text(json.dumps(document, indent=2) + "\n")
 
     first, *others = columns

@@ -31,7 +31,7 @@ from .semantics import (
     conflicting_members,
     grounded_extension,
     justified_conclusions,
-    sceptical_core,
+    _stable_core,
 )
 from .wp import FixpointInvariantError, WpExtension, wp_extension
 
@@ -278,7 +278,7 @@ def verify_theorems(
         results.append(CheckResult(name, "skipped", adjudicated))
     else:
         try:
-            justified = sceptical_core(graph, "stable", argument_limit=argument_limit)
+            justified = _stable_core(graph, argument_limit)
         except ArgumentLimitExceeded as error:
             results.append(CheckResult(name, "skipped", str(error)))
         else:

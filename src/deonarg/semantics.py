@@ -525,20 +525,13 @@ def stable_extensions(
     return _extensions(graph, argument_limit, stable=True)
 
 
-def sceptical_core(
-    graph: AttackGraph, semantics: str, *, argument_limit: int = DEFAULT_ARGUMENT_LIMIT
-) -> frozenset[str] | None:
-    """Arguments in every extension, or None when there is no extension.
+def _stable_core(graph: AttackGraph, argument_limit: int) -> frozenset[str] | None:
+    """Arguments in every stable extension, or None when there is none.
 
     Read from the per-part labellings without building their product:
     a stable extension exists only when every part has one, and the
-    stable core is the union of the per-part intersections.  Under
-    ``complete`` (or ``grounded``) the core is the grounded extension,
-    the least complete extension (Dung, AIJ 1995), which is polynomial
-    and ignores the limit.
+    core is the union of the per-part intersections.
     """
-    if semantics != "stable":
-        return grounded_extension(graph)
     factors = _factorise(graph, argument_limit, stable=True)
     return None if factors is None else _core(factors)
 
@@ -579,8 +572,9 @@ def evaluate(
         extension = grounded_extension(graph)
         return SemanticsResult("grounded", (extension,), extension)
     if semantics == "complete":
+        # the least complete extension is the grounded one (Dung, AIJ 1995)
         extensions = complete_extensions(graph, argument_limit=argument_limit)
-        return SemanticsResult("complete", extensions, sceptical_core(graph, "complete"))
+        return SemanticsResult("complete", extensions, grounded_extension(graph))
     factors = _factorise(graph, argument_limit, stable=True)
     if factors is None:
         return SemanticsResult("stable", (), frozenset(graph.arguments.ids), no_extensions=True)

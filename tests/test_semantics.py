@@ -21,7 +21,7 @@ from deonarg import (
     serialize_theory,
     stable_extensions,
 )
-from deonarg.semantics import conflicting_members, sceptical_core
+from deonarg.semantics import _stable_core, conflicting_members
 from deonarg.testkit import brute_force_extensions
 
 
@@ -243,9 +243,8 @@ def test_factorised_answers_equal_the_enumerated_intersections(goldens, oracle_c
         assert list(complete) == reference_sort(complete)
         assert list(stable) == reference_sort(stable)
         grounded = grounded_extension(graph)
-        assert sceptical_core(graph, "complete") == grounded
         assert frozenset.intersection(*complete) == grounded
-        core = sceptical_core(graph, "stable", argument_limit=limit)
+        core = _stable_core(graph, limit)
         if stable:
             assert core == frozenset.intersection(*stable)
         else:
@@ -262,12 +261,8 @@ def test_factorised_answers_equal_the_enumerated_intersections(goldens, oracle_c
 
 def test_the_stable_core_applies_the_argument_limit(chained):
     with pytest.raises(ArgumentLimitExceeded) as err:
-        sceptical_core(chained.graph, "stable", argument_limit=3)
+        _stable_core(chained.graph, 3)
     assert (err.value.count, err.value.limit) == (21, 3)
-    # the complete core is the grounded extension, which ignores the limit
-    assert sceptical_core(chained.graph, "complete", argument_limit=3) == grounded_extension(
-        chained.graph
-    )
 
 
 def test_a_600_step_chain_enumerates_without_deep_recursion():
