@@ -15,7 +15,7 @@ The ladder:
   extensions.  ``complete`` is left out at k = 12: its 531,441
   extensions would hold over a gigabyte of sets.
 * ``chain-n``: ``fact a_0`` and ``a_{i-1} => a_i`` for n steps, ending in
-  an ``obl(z)`` / ``obl(~z)`` conflict, n = 160, 320, 640.
+  an ``obl(z)`` / ``obl(~z)`` conflict, n = 160, 320, 640, 1000.
 * ``gen-3``: ``deonarg gen --seed 3 --atoms 32 --facts 16 --rules 100
   --inject-conflict``, 5,368 arguments; ``complete`` is left out (75,816
   extensions).
@@ -92,6 +92,7 @@ RUNGS: dict[str, tuple[Callable[[], str], frozenset[str]]] = {
     "chain-160": (lambda: chain(160), frozenset()),
     "chain-320": (lambda: chain(320), frozenset()),
     "chain-640": (lambda: chain(640), frozenset()),
+    "chain-1000": (lambda: chain(1000), frozenset()),
     "gen-3": (generated, frozenset({"complete"})),
 }
 

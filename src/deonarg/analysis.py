@@ -33,7 +33,7 @@ from .semantics import (
     justified_conclusions,
     _stable_core,
 )
-from .wp import FixpointInvariantError, WpExtension, wp_extension
+from .wp import FixpointInvariantError, WpExtension, supports, wp_extension
 
 # ---------------------------------------------------------------------------
 # conflict detection
@@ -332,21 +332,21 @@ def verify_theorems(
 
     # Unresolved conflicts with fully justified premises recover both
     # weak permissions.
+    by_rule: dict[str | None, list[str]] = {}
+    for identifier in arguments.natural_ids():
+        by_rule.setdefault(arguments.argument(identifier).top_rule, []).append(identifier)
     offending: list[str] = []
     checked = 0
     for pair in _conflict_pairs(
         theory, arguments, extension.justified, ignore_adjudicated=True
     ):
-        supported_sides = 0
-        for label in (pair.supporting_rule, pair.opposing_rule):
-            if any(
-                arguments.argument(identifier).top_rule == label
-                and frozenset(arguments.proper_sub_ids(identifier))
-                <= extension.justified
-                for identifier in arguments.natural_ids()
-            ):
-                supported_sides += 1
-        if supported_sides < 2:
+        if not all(
+            any(
+                supports(arguments, extension.justified, identifier)
+                for identifier in by_rule.get(label, ())
+            )
+            for label in (pair.supporting_rule, pair.opposing_rule)
+        ):
             continue
         checked += 1
         for literal in (pair.literal, complement(pair.literal)):

@@ -208,12 +208,6 @@ class Theory:
             out.append(Literal(atom, False))
         return tuple(out)
 
-    def rule_by_label(self, label: str) -> Rule:
-        for rule in self.rules:
-            if rule.label == label:
-                return rule
-        raise KeyError(label)
-
     def is_superior(self, superior_label: str | None, inferior_label: str | None) -> bool:
         if superior_label is None or inferior_label is None:
             return False

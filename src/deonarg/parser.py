@@ -218,10 +218,6 @@ def parse_theory(text: str, *, validate: bool = True) -> Theory:
 # ---------------------------------------------------------------------------
 
 
-def _format_element(element: BodyElement) -> str:
-    return str(element)
-
-
 def serialize_theory(theory: Theory) -> str:
     """Canonical text: facts first (sorted), rules by label, superiority last.
 
@@ -231,11 +227,7 @@ def serialize_theory(theory: Theory) -> str:
     for fact in sorted(theory.facts, key=lambda l: l.sort_key()):
         lines.append(f"fact {fact}.")
     for rule in theory.rules:
-        body = ", ".join(_format_element(e) for e in rule.body)
-        if body:
-            lines.append(f"{rule.label}: {body} => {rule.head}.")
-        else:
-            lines.append(f"{rule.label}: => {rule.head}.")
+        lines.append(f"{rule}.")
     for superior, inferior in sorted(theory.superiority):
         lines.append(f"{superior} > {inferior}.")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -14,7 +14,9 @@ attackers, by a backtracking search with constraint propagation inside
 the component.  A singleton component has one consistent label and
 needs no search.  Stable extensions are searched directly, with UNDEC
 forbidden in every component, rather than filtered from the complete
-ones.
+ones.  The search runs on graph positions, like every mask here: a
+component is the mask of its members.  One helper, ``_defended``, gives
+the members a set defends, for grounded, the search and the part check.
 
 The labellings are kept per part (arguments joined by no attack either
 way fall in different parts), and each part's labellings are checked
@@ -70,7 +72,7 @@ class ArgumentLimitExceeded(Exception):
 def _masks(graph: AttackGraph) -> tuple[tuple[str, ...], list[int], list[int]]:
     """Attacker and target bitmasks indexed by argument position."""
     ids = graph.arguments.ids
-    position = {identifier: k for k, identifier in enumerate(ids)}
+    position = graph.arguments._positions
     attackers = [0] * len(ids)
     targets = [0] * len(ids)
     for attacker, target in graph.pairs:
@@ -86,6 +88,12 @@ def _attacked_by(mask: int, targets: list[int]) -> int:
         acc |= targets[low.bit_length() - 1]
         mask ^= low
     return acc
+
+
+def _defended(attacked: int, targets: list[int], own: int) -> int:
+    """Members of ``own`` that no member of ``own`` outside ``attacked``
+    attacks: those whose attackers in ``own`` are all in ``attacked``."""
+    return own & ~_attacked_by(own & ~attacked, targets)
 
 
 def _positions(mask: int) -> list[int]:
@@ -160,14 +168,13 @@ def is_admissible(graph: AttackGraph, members: Iterable[str]) -> bool:
 def grounded_extension(graph: AttackGraph) -> frozenset[str]:
     """Least fixpoint of the characteristic function."""
     ids, attackers, targets = _masks(graph)
-    n = len(ids)
+    full = (1 << len(ids)) - 1
+    # members that attack nothing leave no one undefended: counting them
+    # as attacked keeps the defence test to the members that do attack
+    idle = full & ~functools.reduce(operator.or_, attackers, 0)
     current = 0
     while True:
-        attacked = _attacked_by(current, targets)
-        acceptable = 0
-        for k in range(n):
-            if attackers[k] & ~attacked == 0:
-                acceptable |= 1 << k
+        acceptable = _defended(_attacked_by(current, targets) | idle, targets, full)
         if acceptable == current:
             return _to_ids(current, ids)
         current = acceptable
@@ -254,16 +261,16 @@ def _parts(attackers: list[int], targets: list[int]) -> list[int]:
     return part
 
 
-def _local_labellings(
-    attackers: list[int], targets: list[int], forced_out: int, barred: int, stable: bool
+def _component_labellings(
+    attackers: list[int], targets: list[int], own: int, forced_out: int, barred: int, stable: bool
 ) -> list[tuple[int, int]]:
     """IN and UNDEC masks of one component's complete (or stable) labellings.
 
-    Masks are local to the component and hold its internal attacks only.
-    ``forced_out`` members have an IN attacker upstream; ``barred``
-    (a superset) also holds members with an UNDEC attacker upstream,
-    which can never be IN.  Every other member's upstream attackers are
-    all OUT.
+    ``own`` is the component's mask; the search reads only the attacks
+    inside it.  ``forced_out`` members have an IN attacker upstream;
+    ``barred`` (a superset) also holds members with an UNDEC attacker
+    upstream, which can never be IN.  Every other member's upstream
+    attackers are all OUT.
 
     The search decides each member in or out of the IN set and
     propagates three consequences before branching: attacked members
@@ -271,11 +278,10 @@ def _local_labellings(
     committed, and a branch dies when an attacker of a committed member
     can no longer be attacked.  With ``stable`` a branch also dies when
     an excluded member can no longer be attacked, since no member may
-    be UNDEC.  Leaves are checked against the exact local definition,
-    so the propagation only has to be sound.  An explicit stack keeps
-    the depth flat.
+    be UNDEC.  Leaves are checked against the exact definition inside
+    the component, so the propagation only has to be sound.  An
+    explicit stack keeps the depth flat.
     """
-    full = (1 << len(attackers)) - 1
     found: list[tuple[int, int]] = []
     stack = [(0, barred)]
     while stack:
@@ -285,7 +291,7 @@ def _local_labellings(
         while alive and changed:
             changed = False
             attacked = forced_out | _attacked_by(in_mask, targets)
-            scan = full & ~(in_mask | out_mask)
+            scan = own & ~(in_mask | out_mask)
             while scan:
                 bit = scan & -scan
                 scan ^= bit
@@ -295,60 +301,44 @@ def _local_labellings(
                 if attacked & bit:
                     out_mask |= bit
                     changed = True
-                elif attackers[k] & ~attacked == 0:
+                elif attackers[k] & own & ~attacked == 0:
                     if targets[k] & in_mask:
                         alive = False
                         break
                     in_mask |= bit
-                    out_mask |= (attackers[k] | targets[k]) & ~bit
+                    out_mask |= (attackers[k] | targets[k]) & own & ~bit
                     changed = True
             if not alive or changed:
                 continue
-            unattacked = _attacked_by(in_mask, attackers) & ~attacked
+            unattacked = own & _attacked_by(in_mask, attackers) & ~attacked
             if stable:
                 unattacked |= out_mask & ~attacked
             while unattacked:
                 bit = unattacked & -unattacked
                 unattacked ^= bit
-                if attackers[bit.bit_length() - 1] & ~out_mask == 0:
+                if attackers[bit.bit_length() - 1] & own & ~out_mask == 0:
                     alive = False
                     break
         if not alive:
             continue
-        pending = full & ~(in_mask | out_mask)
+        pending = own & ~(in_mask | out_mask)
         if pending:
             bit = pending & -pending
             k = bit.bit_length() - 1
             stack.append((in_mask, out_mask | bit))
-            conflicts = attackers[k] | targets[k]
+            conflicts = (attackers[k] | targets[k]) & own
             if not conflicts & (in_mask | bit):
                 stack.append((in_mask | bit, out_mask | conflicts))
             continue
         attacked = forced_out | _attacked_by(in_mask, targets)
-        defended = full & ~barred & ~_attacked_by(full & ~attacked, targets)
-        undecided = full & ~(in_mask | attacked)
-        if in_mask == defended and not in_mask & attacked and not (stable and undecided):
+        undecided = own & ~(in_mask | attacked)
+        if (
+            in_mask == _defended(attacked, targets, own) & ~barred
+            and not in_mask & attacked
+            and not (stable and undecided)
+        ):
             found.append((in_mask, undecided))
     return found
-
-
-def _spread(mask: int, members: list[int]) -> int:
-    """Map a component-local mask to graph positions."""
-    out = 0
-    for i, k in enumerate(members):
-        if (mask >> i) & 1:
-            out |= 1 << k
-    return out
-
-
-def _gather(mask: int, local: dict[int, int]) -> int:
-    """Map a mask of graph positions inside one component to local bits."""
-    out = 0
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        out |= 1 << local[bit.bit_length() - 1]
-    return out
 
 
 def _label_component(
@@ -365,11 +355,10 @@ def _label_component(
     of its upstream attackers, so they are computed once per distinct
     combination of those labels.
     """
-    own = _spread((1 << len(members)) - 1, members)
-    external = [attackers[k] & ~own for k in members]
+    own = sum(1 << k for k in members)
+    upstream = functools.reduce(operator.or_, (attackers[k] for k in members)) & ~own
     extended: list[tuple[int, int]] = []
     if len(members) == 1:  # one consistent label, no branching
-        upstream = external[0]
         self_attacking = attackers[members[0]] & own
         for in_mask, undec_mask in partial:
             if upstream & in_mask:
@@ -380,27 +369,16 @@ def _label_component(
             else:
                 extended.append((in_mask | own, undec_mask))
         return extended
-    local = {k: i for i, k in enumerate(members)}
-    inside_attackers = [_gather(attackers[k] & own, local) for k in members]
-    inside_targets = [_gather(targets[k] & own, local) for k in members]
-    upstream = 0
-    for mask in external:
-        upstream |= mask
     memo: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for in_mask, undec_mask in partial:
         key = (in_mask & upstream, undec_mask & upstream)
         choices = memo.get(key)
         if choices is None:
-            forced_out = sum(1 << i for i, mask in enumerate(external) if mask & in_mask)
-            barred = forced_out | sum(
-                1 << i for i, mask in enumerate(external) if mask & undec_mask
+            forced_out = own & _attacked_by(key[0], targets)
+            barred = forced_out | own & _attacked_by(key[1], targets)
+            choices = memo[key] = _component_labellings(
+                attackers, targets, own, forced_out, barred, stable
             )
-            choices = memo[key] = [
-                (_spread(chosen, members), _spread(undecided, members))
-                for chosen, undecided in _local_labellings(
-                    inside_attackers, inside_targets, forced_out, barred, stable
-                )
-            ]
         for chosen, undecided in choices:
             extended.append((in_mask | chosen, undec_mask | undecided))
     return extended
@@ -410,10 +388,9 @@ def _is_extension(mask: int, targets: list[int], full: int, stable: bool) -> boo
     """Complete over the ``full`` members (conflict-free and equal to the set
     of them it defends); with ``stable`` also attacking every other one."""
     attacked = _attacked_by(mask, targets)
-    undefended = _attacked_by(full & ~attacked, targets)
     return (
         not mask & attacked
-        and mask == full & ~undefended
+        and mask == _defended(attacked, targets, full)
         and not (stable and (mask | attacked) != full)
     )
 

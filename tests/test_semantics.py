@@ -90,7 +90,14 @@ def test_engine_matches_brute_force_oracle_on_small_goldens(
     def size_then_members(extension, order):
         return (len(extension), sorted(order(i) for i in extension))
 
-    graphs = [two_obligations.graph, support_undercut.graph]
+    # a multi-argument component with members forced OUT by an upstream
+    # IN attacker: the leaf check must count them as attacked
+    _, forced_out = prepared_graph(
+        "fact ~a.\nr1: a => obl(~a).\nr2: => obl(a).\nr3: a => obl(a).\n"
+        "r5: => a.\nr6: => obl(~a).\nr3 > r6.\n"
+    )
+    assert len(forced_out.arguments) == 12
+    graphs = [two_obligations.graph, support_undercut.graph, forced_out]
     graphs += [case.graph for case in oracle_corpus]
     for graph in graphs:
         oracle = brute_force_extensions(graph)
