@@ -2,7 +2,7 @@
 """Time the public pipeline stages on a fixed ladder of theories.
 
 Each rung is one theory.  The stages are timed one by one from outside
-the engine with ``time.process_time``, each the median of ``REPEAT`` (5)
+the engine with ``time.process_time``, each the median of ``REPEAT`` (9)
 runs: ``build`` (``build_arguments``), ``attacks`` (``compute_attacks``),
 ``grounded``, ``complete`` and ``stable`` (the extension lists, with the
 argument limit raised to the argument count), ``wp`` (``wp_extension``)
@@ -16,22 +16,33 @@ The ladder:
   extensions would hold over a gigabyte of sets.
 * ``chain-n``: ``fact a_0`` and ``a_{i-1} => a_i`` for n steps, ending in
   an ``obl(z)`` / ``obl(~z)`` conflict, n = 160, 320, 640, 1000.
+* ``fan-L``: ``fact a_0`` and three rules ``a_{i-1} => a_i`` per layer,
+  for L = 6, 8, 9 layers; 3^L arguments conclude ``a_L``, 29,544
+  arguments in all at L = 9, and no attacks.
 * ``gen-3``: ``deonarg gen --seed 3 --atoms 32 --facts 16 --rules 100
   --inject-conflict``, 5,368 arguments; ``complete`` is left out (75,816
   extensions).
 
 The results are merged into ``--out`` under the column named by
 ``--column``, rung by rung, so one file can hold the timings of two
-checkouts; running them rung by rung (``--rungs``) in alternation
-spreads the host's drift over both:
+checkouts.  Stages of identical code can differ by up to 2x between
+processes on a shared host, so two checkouts are best compared in one
+process: ``--against`` loads the ``deonarg`` package of a second
+checkout beside the imported one and alternates every timed call
+between the two, writing both columns:
 
-    PYTHONPATH=<parent checkout>/src python3 scripts/ladder.py --out BENCH.json --column parent
-    PYTHONPATH=src python3 scripts/ladder.py --out BENCH.json --column change
+    PYTHONPATH=src python3 scripts/ladder.py --out BENCH.json --column change \
+        --against <parent checkout>/src --against-column parent
 
-Every rung also records SHA-256 digests of the extension lists and of the
-check report, so columns taken on different code can be compared for
-identical output.  The ratios of each column's medians against the first
-column are printed at the end.
+Without ``--against`` each run times one checkout, the one on
+``PYTHONPATH``; running the rungs (``--rungs``) of two checkouts in
+alternating processes spreads the host's drift over both.
+
+Every rung also records SHA-256 digests of its attack section (as
+``deonarg.schema.attacks_section`` writes it), of the extension lists
+and of the check report, so columns taken on different code can be
+compared for identical output.  The ratios of each column's medians
+against the first column are printed at the end.
 """
 
 from __future__ import annotations
@@ -39,29 +50,23 @@ from __future__ import annotations
 import argparse
 import gc
 import hashlib
+import importlib
+import importlib.util
 import json
 import platform
 import statistics
 import sys
 import time
 from pathlib import Path
+from types import ModuleType
 from typing import Callable
 
-from deonarg import (
-    build_arguments,
-    complete_extensions,
-    compute_attacks,
-    grounded_extension,
-    parse_theory,
-    serialize_theory,
-    stable_extensions,
-    verify_theorems,
-    wp_extension,
-)
+import deonarg
+from deonarg import serialize_theory
 from deonarg.testkit import GeneratorParams, generate_theory
 
 #: runs per stage; the median is reported
-REPEAT = 5
+REPEAT = 9
 
 STAGES = ("build", "attacks", "grounded", "complete", "stable", "wp", "verify_theorems")
 
@@ -74,6 +79,12 @@ def chain(n: int) -> str:
     lines = ["fact a_0."]
     lines += [f"r{i}: a_{i - 1} => a_{i}." for i in range(1, n + 1)]
     lines += [f"z1: a_{n} => obl(z).", "z2: => obl(~z)."]
+    return "\n".join(lines) + "\n"
+
+
+def fan(layers: int) -> str:
+    lines = ["fact a_0."]
+    lines += [f"f{i}_{k}: a_{i - 1} => a_{i}." for i in range(1, layers + 1) for k in (1, 2, 3)]
     return "\n".join(lines) + "\n"
 
 
@@ -93,6 +104,9 @@ RUNGS: dict[str, tuple[Callable[[], str], frozenset[str]]] = {
     "chain-320": (lambda: chain(320), frozenset()),
     "chain-640": (lambda: chain(640), frozenset()),
     "chain-1000": (lambda: chain(1000), frozenset()),
+    "fan-6": (lambda: fan(6), frozenset()),
+    "fan-8": (lambda: fan(8), frozenset()),
+    "fan-9": (lambda: fan(9), frozenset()),
     "gen-3": (generated, frozenset({"complete"})),
 }
 
@@ -109,49 +123,77 @@ def digest(value: object) -> str:
     return hashlib.sha256(json.dumps(value).encode()).hexdigest()
 
 
-def timed(function: Callable[[], object]) -> tuple[list[float], object]:
-    runs: list[float] = []
-    for _ in range(REPEAT):
-        result = None  # free the previous run's result first
-        gc.collect()
-        started = time.process_time()
-        result = function()
-        runs.append(round(time.process_time() - started, 6))
-    return runs, result
+def load_checkout(src: Path, name: str) -> ModuleType:
+    """Import the ``deonarg`` package under ``src`` as ``name``, beside this one."""
+    package = src / "deonarg"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
-def run_rung(name: str) -> dict:
-    make, left_out = RUNGS[name]
-    theory = parse_theory(make())
-    arguments = build_arguments(theory)
+def stage_calls(engine: ModuleType, text: str) -> tuple[dict, dict[str, Callable], Callable]:
+    """A rung's sizes and attack digest on one engine, its timed calls and id order."""
+    theory = engine.parse_theory(text)
+    arguments = engine.build_arguments(theory)
     limit = len(arguments)
-    graph = compute_attacks(arguments, theory)
-    order = arguments.index
+    graph = engine.compute_attacks(arguments, theory)
+    attacks = importlib.import_module(f"{engine.__name__}.schema").attacks_section(graph)
+    rung = {"arguments": limit, "pairs": len(graph.pairs), "stages": {}, "digests": {}}
+    rung["digests"]["attacks"] = digest(attacks)
     calls: dict[str, Callable[[], object]] = {
-        "build": lambda: build_arguments(theory),
-        "attacks": lambda: compute_attacks(arguments, theory),
-        "grounded": lambda: grounded_extension(graph),
-        "complete": lambda: complete_extensions(graph, argument_limit=limit),
-        "stable": lambda: stable_extensions(graph, argument_limit=limit),
-        "wp": lambda: wp_extension(graph),
-        "verify_theorems": lambda: verify_theorems(theory, argument_limit=limit),
+        "build": lambda: engine.build_arguments(theory),
+        "attacks": lambda: engine.compute_attacks(arguments, theory),
+        "grounded": lambda: engine.grounded_extension(graph),
+        "complete": lambda: engine.complete_extensions(graph, argument_limit=limit),
+        "stable": lambda: engine.stable_extensions(graph, argument_limit=limit),
+        "wp": lambda: engine.wp_extension(graph),
+        "verify_theorems": lambda: engine.verify_theorems(theory, argument_limit=limit),
     }
-    rung: dict = {"arguments": len(arguments), "pairs": len(graph.pairs), "stages": {}}
-    digests: dict[str, str] = {}
+    return rung, calls, arguments.index
+
+
+def result_digest(stage: str, result: object, rung: dict, order: Callable[[str], int]) -> None:
+    if stage in ("grounded", "complete", "stable"):
+        found = (result,) if stage == "grounded" else result
+        rung[f"{stage}_extensions"] = len(found)
+        rung["digests"][stage] = digest([sorted(members, key=order) for members in found])
+    elif stage == "verify_theorems":
+        rung["digests"][stage] = digest([[r.name, r.status, r.detail] for r in result.results])
+
+
+def run_rung(name: str, engines: dict[str, ModuleType]) -> dict[str, dict]:
+    """One rung on every engine (column), each timed call alternating between them."""
+    make, left_out = RUNGS[name]
+    text = make()
+    rungs: dict[str, dict] = {}
+    calls: dict[str, dict[str, Callable[[], object]]] = {}
+    orders: dict[str, Callable[[str], int]] = {}
+    for column, engine in engines.items():
+        rungs[column], calls[column], orders[column] = stage_calls(engine, text)
+    columns = list(engines)
     for stage in STAGES:
         if stage in left_out:
             continue
-        runs, result = timed(calls[stage])
-        rung["stages"][stage] = {"median_s": statistics.median(runs), "runs_s": runs}
-        if stage in ("grounded", "complete", "stable"):
-            found = (result,) if stage == "grounded" else result
-            rung[f"{stage}_extensions"] = len(found)
-            digests[stage] = digest([sorted(members, key=order) for members in found])
-        elif stage == "verify_theorems":
-            digests[stage] = digest([[r.name, r.status, r.detail] for r in result.results])
-        print(f"  {stage:16} {statistics.median(runs):9.4f} s", flush=True)
-    rung["digests"] = digests
-    return rung
+        runs: dict[str, list[float]] = {column: [] for column in columns}
+        for repeat in range(REPEAT):
+            for column in columns if repeat % 2 == 0 else columns[::-1]:
+                result = None  # free the previous run's result first
+                gc.collect()
+                started = time.process_time()
+                result = calls[column][stage]()
+                runs[column].append(round(time.process_time() - started, 6))
+                if repeat == REPEAT - 1:
+                    result_digest(stage, result, rungs[column], orders[column])
+        result = None
+        for column in columns:
+            median = statistics.median(runs[column])
+            rungs[column]["stages"][stage] = {"median_s": median, "runs_s": runs[column]}
+            print(f"  {stage:16} {column:8} {median:9.4f} s", flush=True)
+    return rungs
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -161,22 +203,35 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--column", required=True, help="column name, e.g. parent or change")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to merge into, e.g. BENCH_8.json")
     parser.add_argument("--rungs", nargs="*", choices=list(RUNGS), default=list(RUNGS))
+    parser.add_argument(
+        "--against",
+        type=Path,
+        metavar="SRC",
+        help="the src directory of a second checkout, timed in this process, call by call in turn",
+    )
+    parser.add_argument("--against-column", default="parent", help="column name for --against")
     options = parser.parse_args(argv)
 
+    engines = {options.column: deonarg}
+    if options.against is not None:  # listed first, so the ratios read against it
+        engines = {options.against_column: load_checkout(options.against, "deonarg_against")}
+        engines[options.column] = deonarg
     document = json.loads(options.out.read_text()) if options.out.exists() else {}
     document.setdefault("ladder", "scripts/ladder.py")
     document["stages"] = list(STAGES)
     columns = document.setdefault("columns", {})
-    column = columns.setdefault(options.column, {"rungs": {}})
-    column.update(
-        python=platform.python_version(),
-        machine=platform.machine(),
-        cpu=cpu_model(),
-        repeat=REPEAT,
-    )
+    for name in engines:
+        columns.setdefault(name, {"rungs": {}}).update(
+            python=platform.python_version(),
+            machine=platform.machine(),
+            cpu=cpu_model(),
+            repeat=REPEAT,
+            alternated_with=[other for other in engines if other != name],
+        )
     for name in options.rungs:
         print(f"{name}:", flush=True)
-        column["rungs"][name] = run_rung(name)
+        for column, rung in run_rung(name, engines).items():
+            columns[column]["rungs"][name] = rung
     options.out.write_text(json.dumps(document, indent=2) + "\n")
 
     first, *others = columns

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterator
+from typing import ClassVar, Iterable, Iterator
 
 from .model import (
     Conclusion,
@@ -307,11 +307,36 @@ class ArgumentSet:
 # ---------------------------------------------------------------------------
 
 
+def _new_combinations(
+    pools: list[list[Argument]], done: list[int], sizes: list[int]
+) -> Iterator[tuple[Argument, ...]]:
+    """Combinations of the first ``sizes`` members of each pool that use a
+    member past the first ``done`` of its pool.
+
+    Each is yielded once, by the position ``j`` of its first new member:
+    positions before ``j`` take old members, position ``j`` a new one and
+    later positions any member.  The pools may grow meanwhile.
+    """
+    for j in range(len(pools)):
+        if done[j] < sizes[j]:
+            yield from itertools.product(
+                *(pool[:old] for pool, old in zip(pools[:j], done)),
+                pools[j][done[j] : sizes[j]],
+                *(pool[:size] for pool, size in zip(pools[j + 1 :], sizes[j + 1 :])),
+            )
+
+
 def build_arguments(theory: Theory) -> ArgumentSet:
-    """Build every argument of the theory and assign deterministic ids."""
+    """Build every argument of the theory and assign deterministic ids.
+
+    Rules are applied in rounds until a round adds nothing.  The
+    candidate pools only grow, so each rule remembers how much of every
+    pool it has combined and afterwards tries only the combinations with
+    a new member (semi-naive evaluation): each such combination is tried
+    once, by the position of its first new member.
+    """
     imaginary = [ImaginaryArgument(literal) for literal in theory.literal_universe]
     naturals: list[Argument] = []
-    known: set[Argument] = set(imaginary)
     # conclusion -> arguments, grown as arguments are found: the candidate pools
     by_conclusion: dict[Conclusion, list[Argument]] = {}
     for argument in imaginary:
@@ -326,25 +351,32 @@ def build_arguments(theory: Theory) -> ArgumentSet:
         ):
             found.append(DAxiomArgument(argument))  # every obligation spawns its permission
         for new in found:
-            known.add(new)
             naturals.append(new)
             by_conclusion.setdefault(new.conclusion, []).append(new)
 
     for literal in sorted(theory.facts, key=lambda l: l.sort_key()):
         add(FactArgument(literal))
 
+    # equal rules would build equal arguments, so each is applied once
+    rules = tuple(dict.fromkeys(theory.rules))
+    # per rule, the pool sizes it has combined (None before its first visit)
+    combined: list[list[int] | None] = [None] * len(rules)
     changed = True
     while changed:
         changed = False
-        for rule in theory.rules:
-            pools = [by_conclusion.get(element, ()) for element in rule.body]
-            for combo in itertools.product(*pools):
+        for r, rule in enumerate(rules):
+            pools = [by_conclusion.get(element, []) for element in rule.body]
+            sizes = [len(pool) for pool in pools]
+            done, combined[r] = combined[r], sizes
+            # the first visit tries every combination, which fires an empty body once
+            combos: Iterable[tuple[Argument, ...]] = (
+                itertools.product(*pools) if done is None else _new_combinations(pools, done, sizes)
+            )
+            for combo in combos:
                 if any(rule.label in sub.tree_labels() for sub in combo):
                     continue  # label already used on a path below: blocks cyclic growth
-                candidate = RuleApplication(rule, combo)
-                if candidate not in known:
-                    add(candidate)
-                    changed = True
+                add(RuleApplication(rule, combo))
+                changed = True
 
     naturals.sort(key=structural_key)
     ordered: list[tuple[ArgumentId, Argument]] = [

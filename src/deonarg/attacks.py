@@ -25,12 +25,19 @@ The attackers at a witness depend only on its conclusion, and suppression
 only on the witness and the attacker, so the records are enumerated
 witness-first: once per conclusion, once per (witness, attacker) pair, then
 one record for every argument containing the witness.
+
+A record is kept as a row of argument positions, ``(attacker, target,
+condition, witness)``, and the graph holds the rows sorted, which is
+(attacker, target) id order.  Its indexes are built once from the rows;
+``Attack`` records, with ids, are made only when ``edges``, ``suppressed``
+or ``records_between`` is called.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
-from operator import attrgetter
+from typing import Iterable
 
 from .arguments import ArgumentId, ArgumentSet
 from .model import Conclusion, DeonticOperator, Literal, Theory, obl, perm
@@ -50,21 +57,24 @@ class Attack:
     witness: ArgumentId  # subargument of the target carrying the conflict
 
 
-_pair = attrgetter("attacker", "target")
-_witness_and_attacker = attrgetter("witness", "attacker")
+#: one record as argument positions: ``(attacker, target, condition, witness)``
+Row = tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
 class AttackGraph:
     """All attack records over an argument set, split by suppression.
 
-    Every lookup index over the surviving records is built once, when the
-    graph is constructed.
+    The records are kept as position rows, sorted; ``edges``,
+    ``suppressed`` and ``records_between`` turn them into ``Attack``
+    records when called.  Every lookup index over the surviving rows is
+    built once, when the graph is constructed: the id-keyed ones, and the
+    attacker and target bitmasks by position that the semantics read.
     """
 
     arguments: ArgumentSet
-    edges: tuple[Attack, ...]  # surviving records, in (attacker, target) id order
-    suppressed: tuple[Attack, ...]  # removed by superiority
+    rows: tuple[Row, ...]  # surviving records, sorted
+    suppressed_rows: tuple[Row, ...]  # removed by superiority, sorted
     generalized: bool = False
     _pairs: frozenset[tuple[ArgumentId, ArgumentId]] = field(init=False, repr=False, compare=False)
     _attacker_index: dict[ArgumentId, tuple[ArgumentId, ...]] = field(
@@ -76,23 +86,60 @@ class AttackGraph:
     _witness_index: dict[ArgumentId, tuple[ArgumentId, ...]] = field(
         init=False, repr=False, compare=False
     )
+    #: bit ``a`` of ``attacker_masks[t]`` is set when position ``a`` attacks ``t``
+    attacker_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    #: bit ``t`` of ``target_masks[a]`` is set when position ``a`` attacks ``t``
+    target_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # the edges come in (attacker, target) id order, so the distinct pairs,
-        # in first-seen order, leave every attacker and target list in id order
-        pairs = dict.fromkeys(map(_pair, self.edges))
-        by_witness: dict[ArgumentId, list[ArgumentId]] = {}
-        for witness, attacker in dict.fromkeys(map(_witness_and_attacker, self.edges)):
-            by_witness.setdefault(witness, []).append(attacker)
-        attackers: dict[ArgumentId, list[ArgumentId]] = {}
-        targets: dict[ArgumentId, list[ArgumentId]] = {}
-        for attacker, target in pairs:
-            attackers.setdefault(target, []).append(attacker)
-            targets.setdefault(attacker, []).append(target)
-        object.__setattr__(self, "_pairs", frozenset(pairs))
-        object.__setattr__(self, "_attacker_index", {k: tuple(v) for k, v in attackers.items()})
-        object.__setattr__(self, "_target_index", {k: tuple(v) for k, v in targets.items()})
-        object.__setattr__(self, "_witness_index", {k: tuple(v) for k, v in by_witness.items()})
+        ids = self.arguments.ids
+        # the rows are sorted, so the distinct pairs, in first-seen order,
+        # leave every attacker and target list in position (id) order
+        pairs = dict.fromkeys([(a, t) for a, t, _, _ in self.rows])
+        attackers: dict[int, list[int]] = {}
+        targets: dict[int, list[int]] = {}
+        for a, t in pairs:
+            attackers.setdefault(t, []).append(a)
+            targets.setdefault(a, []).append(t)
+        # a witness is among the arguments containing it, so each attacker
+        # at a witness has the record targeting the witness itself
+        at_witness: dict[int, list[int]] = {}
+        for a, t, _, w in self.rows:
+            if t == w:
+                at_witness.setdefault(w, []).append(a)
+
+        def index(found: dict[int, list[int]]) -> dict[ArgumentId, tuple[ArgumentId, ...]]:
+            return {ids[k]: tuple([ids[j] for j in js]) for k, js in found.items()}
+
+        def masks(found: dict[int, list[int]]) -> tuple[int, ...]:
+            out = [0] * len(ids)
+            for k, js in found.items():
+                mask = 0
+                for j in js:
+                    mask |= 1 << j
+                out[k] = mask
+            return tuple(out)
+
+        object.__setattr__(self, "_pairs", frozenset([(ids[a], ids[t]) for a, t in pairs]))
+        object.__setattr__(self, "_attacker_index", index(attackers))
+        object.__setattr__(self, "_target_index", index(targets))
+        object.__setattr__(self, "_witness_index", index(at_witness))
+        object.__setattr__(self, "attacker_masks", masks(attackers))
+        object.__setattr__(self, "target_masks", masks(targets))
+
+    def _records(self, rows: Iterable[Row]) -> tuple[Attack, ...]:
+        ids = self.arguments.ids
+        return tuple([Attack(ids[a], ids[t], c, ids[w]) for a, t, c, w in rows])
+
+    @property
+    def edges(self) -> tuple[Attack, ...]:
+        """Surviving records, in (attacker, target) id order."""
+        return self._records(self.rows)
+
+    @property
+    def suppressed(self) -> tuple[Attack, ...]:
+        """Records removed by superiority, in (attacker, target) id order."""
+        return self._records(self.suppressed_rows)
 
     @property
     def pairs(self) -> frozenset[tuple[ArgumentId, ArgumentId]]:
@@ -106,8 +153,13 @@ class AttackGraph:
         return self._target_index.get(attacker, ())
 
     def records_between(self, attacker: ArgumentId, target: ArgumentId) -> tuple[Attack, ...]:
-        """The surviving records of one pair, by a scan of the edges."""
-        return tuple(edge for edge in self.edges if _pair(edge) == (attacker, target))
+        """The surviving records of one pair, found by bisecting the sorted rows."""
+        a = self.arguments._positions.get(attacker)
+        t = self.arguments._positions.get(target)
+        if a is None or t is None:
+            return ()
+        rows = self.rows
+        return self._records(rows[bisect.bisect(rows, (a, t)) : bisect.bisect(rows, (a, t + 1))])
 
     def attackers_at(self, witness: ArgumentId) -> tuple[ArgumentId, ...]:
         """Distinct attackers of the records witnessed at the given argument."""
@@ -129,12 +181,11 @@ def compute_attacks(
     if theory is None:
         theory = arguments.theory
 
-    # witness-first (see the module docstring), in positions until the sort
-    ids = arguments.ids
+    # witness-first (see the module docstring), as position rows
     position = arguments._positions
     top_rule = {identifier: argument.top_rule for identifier, argument in arguments}
-    surviving: list[tuple[int, int, int, int]] = []
-    suppressed: list[tuple[int, int, int, int]] = []
+    surviving: list[Row] = []
+    suppressed: list[Row] = []
     for conclusion, witness_ids in arguments._by_conclusion.items():
         clashes = [(c, found) for c, found in _clashing_concluders(arguments, conclusion) if found]
         if not clashes:
@@ -156,14 +207,10 @@ def compute_attacks(
                     a = position[attacker_id]
                     out.extend([(a, t, condition, w) for t in targets])
 
-    def records(found: list[tuple[int, int, int, int]]) -> tuple[Attack, ...]:
-        found.sort()
-        return tuple([Attack(ids[a], ids[t], c, ids[w]) for a, t, c, w in found])
-
     return AttackGraph(
         arguments,
-        records(surviving),
-        records(suppressed),
+        tuple(sorted(surviving)),
+        tuple(sorted(suppressed)),
         generalized=imaginary_subargument_attacks,
     )
 

@@ -34,7 +34,6 @@ from .semantics import (
     evaluate,
     justified_conclusions,
 )
-from .testkit import GeneratorParams, generate_theory
 from .wp import FixpointInvariantError, WpExtension, wp_extension
 
 EXIT_PARSE = 1
@@ -419,6 +418,9 @@ def cmd_gen(
     empty_obligation_bodies: bool,
 ) -> None:
     """Generate a random theory in the input language."""
+    # imported here: only this command needs the generator
+    from .testkit import GeneratorParams, generate_theory
+
     params = GeneratorParams(
         seed=seed,
         atom_count=atoms,

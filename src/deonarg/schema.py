@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any, Iterable
 
 from .arguments import ArgumentSet
-from .attacks import Attack, AttackGraph
+from .attacks import AttackGraph, Row
 from .model import Theory
 from .parser import serialize_theory
 from .wp import StatusChange, WpExtension
@@ -228,19 +228,18 @@ def arguments_section(arguments: ArgumentSet) -> list[dict[str, Any]]:
     return records
 
 
-def _edge_record(edge: Attack) -> dict[str, Any]:
-    return {
-        "attacker": edge.attacker,
-        "target": edge.target,
-        "condition": edge.condition,
-        "witness": edge.witness,
-    }
+def _edge_records(ids: tuple[str, ...], rows: Iterable[Row]) -> list[dict[str, Any]]:
+    return [
+        {"attacker": ids[a], "target": ids[t], "condition": c, "witness": ids[w]}
+        for a, t, c, w in rows
+    ]
 
 
 def attacks_section(graph: AttackGraph) -> dict[str, Any]:
+    ids = graph.arguments.ids
     return {
-        "edges": [_edge_record(edge) for edge in graph.edges],
-        "suppressed": [_edge_record(edge) for edge in graph.suppressed],
+        "edges": _edge_records(ids, graph.rows),
+        "suppressed": _edge_records(ids, graph.suppressed_rows),
     }
 
 

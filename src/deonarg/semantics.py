@@ -15,8 +15,10 @@ the component.  A singleton component has one consistent label and
 needs no search.  Stable extensions are searched directly, with UNDEC
 forbidden in every component, rather than filtered from the complete
 ones.  The search runs on graph positions, like every mask here: a
-component is the mask of its members.  One helper, ``_defended``, gives
-the members a set defends, for grounded, the search and the part check.
+component is the mask of its members, and the attacker and target masks
+are the graph's own, built once with it.  One helper, ``_defended``,
+gives the members a set defends, for grounded, the search and the part
+check.
 
 The labellings are kept per part (arguments joined by no attack either
 way fall in different parts), and each part's labellings are checked
@@ -37,7 +39,7 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
-from typing import AbstractSet, Iterable, NamedTuple
+from typing import AbstractSet, Iterable, NamedTuple, Sequence
 
 from .arguments import ArgumentSet
 from .attacks import AttackGraph
@@ -69,19 +71,7 @@ class ArgumentLimitExceeded(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _masks(graph: AttackGraph) -> tuple[tuple[str, ...], list[int], list[int]]:
-    """Attacker and target bitmasks indexed by argument position."""
-    ids = graph.arguments.ids
-    position = graph.arguments._positions
-    attackers = [0] * len(ids)
-    targets = [0] * len(ids)
-    for attacker, target in graph.pairs:
-        attackers[position[target]] |= 1 << position[attacker]
-        targets[position[attacker]] |= 1 << position[target]
-    return ids, attackers, targets
-
-
-def _attacked_by(mask: int, targets: list[int]) -> int:
+def _attacked_by(mask: int, targets: Sequence[int]) -> int:
     acc = 0
     while mask:
         low = mask & -mask
@@ -90,7 +80,7 @@ def _attacked_by(mask: int, targets: list[int]) -> int:
     return acc
 
 
-def _defended(attacked: int, targets: list[int], own: int) -> int:
+def _defended(attacked: int, targets: Sequence[int], own: int) -> int:
     """Members of ``own`` that no member of ``own`` outside ``attacked``
     attacks: those whose attackers in ``own`` are all in ``attacked``."""
     return own & ~_attacked_by(own & ~attacked, targets)
@@ -167,7 +157,7 @@ def is_admissible(graph: AttackGraph, members: Iterable[str]) -> bool:
 
 def grounded_extension(graph: AttackGraph) -> frozenset[str]:
     """Least fixpoint of the characteristic function."""
-    ids, attackers, targets = _masks(graph)
+    ids, attackers, targets = graph.arguments.ids, graph.attacker_masks, graph.target_masks
     full = (1 << len(ids)) - 1
     # members that attack nothing leave no one undefended: counting them
     # as attacked keeps the defence test to the members that do attack
@@ -185,7 +175,7 @@ def grounded_extension(graph: AttackGraph) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 
 
-def _components(attackers: list[int]) -> list[list[int]]:
+def _components(attackers: Sequence[int]) -> list[list[int]]:
     """Strongly connected components, each after every component attacking it.
 
     Iterative Tarjan that follows attacker edges: a component is emitted
@@ -238,7 +228,7 @@ def _components(attackers: list[int]) -> list[list[int]]:
     return components
 
 
-def _parts(attackers: list[int], targets: list[int]) -> list[int]:
+def _parts(attackers: Sequence[int], targets: Sequence[int]) -> list[int]:
     """Part number of every argument; arguments joined by attacks share one."""
     part = [-1] * len(attackers)
     count = 0
@@ -262,7 +252,12 @@ def _parts(attackers: list[int], targets: list[int]) -> list[int]:
 
 
 def _component_labellings(
-    attackers: list[int], targets: list[int], own: int, forced_out: int, barred: int, stable: bool
+    attackers: Sequence[int],
+    targets: Sequence[int],
+    own: int,
+    forced_out: int,
+    barred: int,
+    stable: bool,
 ) -> list[tuple[int, int]]:
     """IN and UNDEC masks of one component's complete (or stable) labellings.
 
@@ -343,8 +338,8 @@ def _component_labellings(
 
 def _label_component(
     members: list[int],
-    attackers: list[int],
-    targets: list[int],
+    attackers: Sequence[int],
+    targets: Sequence[int],
     partial: list[tuple[int, int]],
     stable: bool,
 ) -> list[tuple[int, int]]:
@@ -384,7 +379,7 @@ def _label_component(
     return extended
 
 
-def _is_extension(mask: int, targets: list[int], full: int, stable: bool) -> bool:
+def _is_extension(mask: int, targets: Sequence[int], full: int, stable: bool) -> bool:
     """Complete over the ``full`` members (conflict-free and equal to the set
     of them it defends); with ``stable`` also attacking every other one."""
     attacked = _attacked_by(mask, targets)
@@ -423,7 +418,7 @@ def _factorise(graph: AttackGraph, argument_limit: int, stable: bool) -> _Factor
     count = len(graph.arguments)
     if count > argument_limit:
         raise ArgumentLimitExceeded(count, argument_limit)
-    ids, attackers, targets = _masks(graph)
+    attackers, targets = graph.attacker_masks, graph.target_masks
     part = _parts(attackers, targets)
     labellings: dict[int, list[tuple[int, int]]] = {}
     for members in _components(attackers):
@@ -447,7 +442,7 @@ def _factorise(graph: AttackGraph, argument_limit: int, stable: bool) -> _Factor
             base |= found[0]
         else:
             choices.append(found)
-    return _Factors(ids, base, tuple(choices))
+    return _Factors(graph.arguments.ids, base, tuple(choices))
 
 
 def _core(factors: _Factors) -> frozenset[str]:

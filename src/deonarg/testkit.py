@@ -1,14 +1,15 @@
 """Independent verification tools: brute-force semantics, a reference
-weak-permission iteration and a theory generator.
+attack scan, a reference weak-permission iteration and a theory generator.
 
 The brute-force evaluator enumerates every subset of arguments and applies
 the extension definitions directly (conflict-freeness, defence of every
 member, closure under defended arguments, attacking every outsider).  The
-reference weak-permission iteration re-tests every argument in every round
-against the predicate definitions.  Both read only the argument trees and
-the attack records, and share no index or traversal code with the fixpoint
-and search implementations, so they serve as oracles for them on small
-instances.
+reference attack scan visits every subargument of every target and finds
+its attackers by scanning the argument set.  The reference weak-permission
+iteration re-tests every argument in every round against the predicate
+definitions.  They read only the argument trees and the attack records,
+and share no index or traversal code with the engine, so they serve as
+oracles for it on small instances.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import random
 import string
 from dataclasses import dataclass
 
-from .arguments import ArgumentId, build_arguments
+from .arguments import ArgumentId, ArgumentSet, build_arguments
 from .attacks import AttackGraph
 from .wp import FixpointInvariantError, StatusChange, TraceStep, WpExtension
 from .model import (
@@ -109,6 +110,63 @@ def _bits(mask: int) -> list[int]:
 
 def _unmask(mask: int, ids: tuple[ArgumentId, ...]) -> frozenset[ArgumentId]:
     return frozenset(ids[i] for i in _bits(mask))
+
+
+# ---------------------------------------------------------------------------
+# reference attack scan
+# ---------------------------------------------------------------------------
+
+#: one attack record as ids: ``(attacker, target, condition, witness)``
+Record = tuple[ArgumentId, ArgumentId, int, ArgumentId]
+
+
+def reference_attacks(
+    arguments: ArgumentSet,
+    theory: Theory | None = None,
+    *,
+    imaginary_subargument_attacks: bool = False,
+) -> tuple[list[Record], list[Record]]:
+    """Surviving and suppressed attack records by the definitions, target first.
+
+    For each target, each subargument of its tree and each clash of that
+    subargument's conclusion, every argument concluding the clashing
+    conclusion is an attacker.  Records are sorted by the positions of
+    attacker, target and witness, then split by superiority.  Every
+    target rescans all arguments: keep instances small.
+    """
+    if theory is None:
+        theory = arguments.theory
+    records = []
+    for target, argument in arguments:
+        for sub in argument.subarguments():
+            witness, conclusion = arguments.id_of(sub), sub.conclusion
+            if isinstance(conclusion, Literal):
+                clashes = [(2, conclusion.negated)]
+            elif conclusion.operator is DeonticOperator.OBLIGATION:
+                flipped = conclusion.literal.negated
+                clashes = [(3, _obl(flipped)), (4, DeonticLiteral(DeonticOperator.PERMISSION, flipped))]
+            elif conclusion.operator is DeonticOperator.PERMISSION:
+                clashes = [(3, _obl(conclusion.literal.negated))]
+            elif witness == target or imaginary_subargument_attacks:
+                clashes = [(1, _obl(conclusion.literal.negated))]
+            else:
+                clashes = []
+            for condition, clashing in clashes:
+                for attacker, other in arguments:
+                    if other.conclusion == clashing:
+                        records.append((attacker, target, condition, witness))
+    index = arguments.index
+    records.sort(key=lambda r: (index(r[0]), index(r[1]), r[2], index(r[3])))
+    top = {identifier: argument.top_rule for identifier, argument in arguments}
+    surviving: list[Record] = []
+    suppressed: list[Record] = []
+    for record in records:
+        attacker, _, condition, witness = record
+        if condition != 1 and theory.is_superior(top[witness], top[attacker]):
+            suppressed.append(record)
+        else:
+            surviving.append(record)
+    return surviving, suppressed
 
 
 # ---------------------------------------------------------------------------

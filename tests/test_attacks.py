@@ -1,16 +1,22 @@
 """Unit tests for attack computation, condition tagging and suppression."""
 
+import deonarg.attacks
 from deonarg import (
-    DeonticOperator,
-    Literal,
     build_arguments,
+    complete_extensions,
     compute_attacks,
+    evaluate,
     lit,
     obl,
     parse_theory,
-    perm,
+    serialize_theory,
+    stable_extensions,
+    verify_theorems,
+    wp_extension,
 )
-from deonarg.testkit import GeneratorParams, generate_theory
+from deonarg.schema import arguments_section, attacks_section, trace_section
+from deonarg.semantics import SEMANTICS_NAMES
+from deonarg.testkit import GeneratorParams, generate_theory, reference_attacks
 
 
 def table(graph):
@@ -150,34 +156,6 @@ def test_indexes_agree_with_the_edge_list(chained, goldens):
                 )
 
 
-def target_first_scan(arguments, theory, generalized):
-    """Every record by the definitions: each target, each subargument, each clash."""
-    records = []
-    for target, argument in arguments:
-        for sub in argument.subarguments():
-            witness, conclusion = arguments.id_of(sub), sub.conclusion
-            if isinstance(conclusion, Literal):
-                clashes = [(2, conclusion.negated)]
-            elif conclusion.operator is DeonticOperator.OBLIGATION:
-                flipped = conclusion.literal.negated
-                clashes = [(3, obl(flipped)), (4, perm(flipped))]
-            elif conclusion.operator is DeonticOperator.PERMISSION:
-                clashes = [(3, obl(conclusion.literal.negated))]
-            elif witness == target or generalized:
-                clashes = [(1, obl(conclusion.literal.negated))]
-            else:
-                clashes = []
-            for condition, clashing in clashes:
-                for attacker, other in arguments:
-                    if other.conclusion == clashing:
-                        records.append((attacker, target, condition, witness))
-    index = arguments.index
-    records.sort(key=lambda r: (index(r[0]), index(r[1]), r[2], index(r[3])))
-    top = {identifier: argument.top_rule for identifier, argument in arguments}
-    suppressed = [r for r in records if r[2] != 1 and theory.is_superior(top[r[3]], top[r[0]])]
-    return [r for r in records if r not in suppressed], suppressed
-
-
 def attack_corpus():
     for seed in range(60):
         params = GeneratorParams(
@@ -205,7 +183,9 @@ def test_compute_attacks_matches_a_target_first_scan():
             graph = compute_attacks(
                 arguments, theory, imaginary_subargument_attacks=generalized
             )
-            edges, suppressed = target_first_scan(arguments, theory, generalized)
+            edges, suppressed = reference_attacks(
+                arguments, theory, imaginary_subargument_attacks=generalized
+            )
             assert rows(graph.edges) == edges, (seed, generalized)
             assert rows(graph.suppressed) == suppressed, (seed, generalized)
             assert graph.pairs == {(a, t) for a, t, _, _ in edges}
@@ -224,3 +204,57 @@ def test_compute_attacks_matches_a_target_first_scan():
             checked += 1
             suppressed_seen += bool(suppressed)
     assert checked >= 100 and suppressed_seen >= 20
+
+
+def test_the_request_path_builds_no_attack_records(
+    goldens, conflict_corpus, no_superiority_corpus, oracle_corpus, monkeypatch
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an Attack record was built")
+
+    theories = [prepared.theory for prepared in goldens.values()] + [
+        case.theory for corpus in (conflict_corpus, no_superiority_corpus, oracle_corpus)
+        for case in corpus
+    ]
+    graphs = []
+    with monkeypatch.context() as patch:
+        patch.setattr(deonarg.attacks, "Attack", refuse)
+        for source in theories:
+            theory = parse_theory(serialize_theory(source))
+            arguments = build_arguments(theory)
+            limit = len(arguments)
+            arguments_section(arguments)
+            for generalized in (False, True):
+                graph = compute_attacks(arguments, theory, imaginary_subargument_attacks=generalized)
+                for semantics in SEMANTICS_NAMES:
+                    evaluate(graph, semantics, argument_limit=limit)
+                complete_extensions(graph, argument_limit=limit)
+                stable_extensions(graph, argument_limit=limit)
+                trace_section(wp_extension(graph))
+                attacks_section(graph)
+                verify_theorems(
+                    theory, imaginary_subargument_attacks=generalized, argument_limit=limit
+                )
+                graphs.append(graph)
+    assert len(graphs) == 2 * len(theories)
+
+    def rows(found):
+        return [(e.attacker, e.target, e.condition, e.witness) for e in found]
+
+    for graph in graphs:
+        edges, suppressed = reference_attacks(
+            graph.arguments, imaginary_subargument_attacks=graph.generalized
+        )
+        assert rows(graph.edges) == edges
+        assert rows(graph.suppressed) == suppressed
+        assert graph.pairs == {(a, t) for a, t, _, _ in edges}
+        for attacker, target in graph.pairs:
+            assert rows(graph.records_between(attacker, target)) == [
+                r for r in edges if r[:2] == (attacker, target)
+            ]
+        assert attacks_section(graph) == {
+            "edges": [dict(zip(("attacker", "target", "condition", "witness"), r)) for r in edges],
+            "suppressed": [
+                dict(zip(("attacker", "target", "condition", "witness"), r)) for r in suppressed
+            ],
+        }

@@ -341,6 +341,23 @@ def test_importing_the_cli_leaves_jsonschema_unloaded(tmp_path):
     assert completed.stdout.strip() == "False"
 
 
+def test_importing_the_cli_leaves_testkit_unloaded(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    completed = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, deonarg.cli; print('deonarg.testkit' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "False"
+
+
 # ---------------------------------------------------------------------------
 # byte identity of every command
 # ---------------------------------------------------------------------------
