@@ -22,6 +22,14 @@ The ladder:
 * ``gen-3``: ``deonarg gen --seed 3 --atoms 32 --facts 16 --rules 100
   --inject-conflict``, 5,368 arguments; ``complete`` is left out (75,816
   extensions).
+* ``startup``: the CLI's own cost, in fresh interpreters: the CPU of
+  ``import deonarg.cli`` (``import_cli``), of the same import after
+  ``import click`` (``import_cli_after_click``), and of whole ``python -m
+  deonarg eval -s wp -`` processes on the two-obligation demo theory
+  (``eval_wp_process``, user plus system CPU of the child).  Each is the
+  median of ``STARTUP_REPEAT`` (21) processes, run with
+  ``PYTHONDONTWRITEBYTECODE`` unset after one untimed warm-up run, so they
+  read current bytecode caches as an installed package does.
 
 The results are merged into ``--out`` under the column named by
 ``--column``, rung by rung, so one file can hold the timings of two
@@ -29,7 +37,8 @@ checkouts.  Stages of identical code can differ by up to 2x between
 processes on a shared host, so two checkouts are best compared in one
 process: ``--against`` loads the ``deonarg`` package of a second
 checkout beside the imported one and alternates every timed call
-between the two, writing both columns:
+between the two, writing both columns (``startup`` alternates the two
+checkouts' processes):
 
     PYTHONPATH=src python3 scripts/ladder.py --out BENCH.json --column change \
         --against <parent checkout>/src --against-column parent
@@ -53,8 +62,11 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import os
 import platform
+import resource
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -63,12 +75,32 @@ from typing import Callable
 
 import deonarg
 from deonarg import serialize_theory
+from deonarg.corpus import TWO_OBLIGATIONS
 from deonarg.testkit import GeneratorParams, generate_theory
 
 #: runs per stage; the median is reported
 REPEAT = 9
 
 STAGES = ("build", "attacks", "grounded", "complete", "stable", "wp", "verify_theorems")
+
+#: fresh interpreters per start-up stage; the median is reported
+STARTUP_REPEAT = 21
+
+#: prints the CPU seconds that importing the CLI takes, after ``{first}``
+_IMPORT_PROBE = (
+    "import time{first}; started = time.process_time(); import deonarg.cli; "
+    "print(time.process_time() - started)"
+)
+
+#: start-up stage -> (child command line, its standard input)
+STARTUP_STAGES: dict[str, tuple[list[str], str]] = {
+    "import_cli": ([sys.executable, "-c", _IMPORT_PROBE.format(first="")], ""),
+    "import_cli_after_click": ([sys.executable, "-c", _IMPORT_PROBE.format(first=", click")], ""),
+    "eval_wp_process": (
+        [sys.executable, "-m", "deonarg", "eval", "-s", "wp", "-"],
+        TWO_OBLIGATIONS,
+    ),
+}
 
 
 def conflicts(k: int) -> str:
@@ -165,6 +197,43 @@ def result_digest(stage: str, result: object, rung: dict, order: Callable[[str],
         rung["digests"][stage] = digest([[r.name, r.status, r.detail] for r in result.results])
 
 
+def child_cpu(command: list[str], stdin: str, env: dict[str, str]) -> tuple[float, str]:
+    """User plus system CPU seconds of one child process, and its stdout."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    completed = subprocess.run(
+        command, input=stdin, capture_output=True, text=True, env=env, check=True
+    )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = after.ru_utime - before.ru_utime + after.ru_stime - before.ru_stime
+    return cpu, completed.stdout
+
+
+def run_startup(sources: dict[str, Path]) -> dict[str, dict]:
+    """The start-up stages on every checkout (column), processes alternating between them."""
+    base = {key: value for key, value in os.environ.items() if key != "PYTHONDONTWRITEBYTECODE"}
+    envs = {column: {**base, "PYTHONPATH": str(src)} for column, src in sources.items()}
+    columns = list(sources)
+    rungs: dict[str, dict] = {column: {"stages": {}, "digests": {}} for column in columns}
+    for column in columns:  # warm-up: writes each checkout's bytecode caches
+        for command, stdin in STARTUP_STAGES.values():
+            child_cpu(command, stdin, envs[column])
+    for stage, (command, stdin) in STARTUP_STAGES.items():
+        runs: dict[str, list[float]] = {column: [] for column in columns}
+        for repeat in range(STARTUP_REPEAT):
+            for column in columns if repeat % 2 == 0 else columns[::-1]:
+                cpu, stdout = child_cpu(command, stdin, envs[column])
+                if stage == "eval_wp_process":
+                    rungs[column]["digests"][stage] = hashlib.sha256(stdout.encode()).hexdigest()
+                else:
+                    cpu = float(stdout)
+                runs[column].append(round(cpu, 6))
+        for column in columns:
+            median = statistics.median(runs[column])
+            rungs[column]["stages"][stage] = {"median_s": median, "runs_s": runs[column]}
+            print(f"  {stage:22} {column:8} {median:9.4f} s", flush=True)
+    return rungs
+
+
 def run_rung(name: str, engines: dict[str, ModuleType]) -> dict[str, dict]:
     """One rung on every engine (column), each timed call alternating between them."""
     make, left_out = RUNGS[name]
@@ -202,7 +271,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--column", required=True, help="column name, e.g. parent or change")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to merge into, e.g. BENCH_8.json")
-    parser.add_argument("--rungs", nargs="*", choices=list(RUNGS), default=list(RUNGS))
+    rungs = [*RUNGS, "startup"]
+    parser.add_argument("--rungs", nargs="*", choices=rungs, default=rungs)
     parser.add_argument(
         "--against",
         type=Path,
@@ -213,12 +283,14 @@ def main(argv: list[str] | None = None) -> int:
     options = parser.parse_args(argv)
 
     engines = {options.column: deonarg}
+    sources = {options.column: Path(deonarg.__file__).resolve().parents[1]}
     if options.against is not None:  # listed first, so the ratios read against it
         engines = {options.against_column: load_checkout(options.against, "deonarg_against")}
         engines[options.column] = deonarg
+        sources = {options.against_column: options.against.resolve(), **sources}
     document = json.loads(options.out.read_text()) if options.out.exists() else {}
     document.setdefault("ladder", "scripts/ladder.py")
-    document["stages"] = list(STAGES)
+    document["stages"] = [*STAGES, *STARTUP_STAGES]
     columns = document.setdefault("columns", {})
     for name in engines:
         columns.setdefault(name, {"rungs": {}}).update(
@@ -230,7 +302,8 @@ def main(argv: list[str] | None = None) -> int:
         )
     for name in options.rungs:
         print(f"{name}:", flush=True)
-        for column, rung in run_rung(name, engines).items():
+        measured = run_startup(sources) if name == "startup" else run_rung(name, engines)
+        for column, rung in measured.items():
             columns[column]["rungs"][name] = rung
     options.out.write_text(json.dumps(document, indent=2) + "\n")
 

@@ -37,18 +37,6 @@ from .model import (
     push_negation,
     validate_theory,
 )
-from .analysis import (
-    CheckReport,
-    CheckResult,
-    ConflictPair,
-    ConflictReport,
-    FacultativeStatus,
-    conflict_report,
-    conflicted_literals,
-    facultative_status,
-    verify_theorems,
-    wp_conflicted_literals,
-)
 from .parser import ParseError, SourceSpan, parse_theory, serialize_theory
 from .semantics import (
     DEFAULT_ARGUMENT_LIMIT,
@@ -140,3 +128,26 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+#: names served by ``analysis``, which only ``check`` needs: it is imported
+#: on first access to one of them (PEP 562), not with the package
+_ANALYSIS_NAMES = frozenset({
+    "CheckReport",
+    "CheckResult",
+    "ConflictPair",
+    "ConflictReport",
+    "FacultativeStatus",
+    "conflict_report",
+    "conflicted_literals",
+    "facultative_status",
+    "verify_theorems",
+    "wp_conflicted_literals",
+})
+
+
+def __getattr__(name: str) -> object:
+    if name in _ANALYSIS_NAMES:
+        from . import analysis
+
+        return getattr(analysis, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -10,7 +10,6 @@ internal invariants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .arguments import ArgumentSet, build_arguments
@@ -20,6 +19,7 @@ from .model import (
     DeonticLiteral,
     DeonticOperator,
     Literal,
+    Record,
     Theory,
     complement,
     perm,
@@ -40,8 +40,7 @@ from .wp import FixpointInvariantError, WpExtension, supports, wp_extension
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConflictPair:
+class ConflictPair(Record):
     """Two rules obliging a literal and its complement.
 
     ``literal`` is reported in positive polarity; ``supporting_rule``
@@ -49,15 +48,22 @@ class ConflictPair:
     obligation of its complement.
     """
 
-    literal: Literal
-    supporting_rule: str
-    opposing_rule: str
+    __slots__ = _fields = ("literal", "supporting_rule", "opposing_rule")
+
+    def __init__(self, literal: Literal, supporting_rule: str, opposing_rule: str) -> None:
+        object.__setattr__(self, "literal", literal)
+        object.__setattr__(self, "supporting_rule", supporting_rule)
+        object.__setattr__(self, "opposing_rule", opposing_rule)
 
 
-@dataclass(frozen=True)
-class ConflictReport:
-    conflicted: tuple[ConflictPair, ...]
-    wp_conflicted: tuple[ConflictPair, ...]
+class ConflictReport(Record):
+    __slots__ = _fields = ("conflicted", "wp_conflicted")
+
+    def __init__(
+        self, conflicted: tuple[ConflictPair, ...], wp_conflicted: tuple[ConflictPair, ...]
+    ) -> None:
+        object.__setattr__(self, "conflicted", conflicted)
+        object.__setattr__(self, "wp_conflicted", wp_conflicted)
 
     @property
     def conflicted_literals(self) -> frozenset[Literal]:
@@ -157,11 +163,14 @@ def conflict_report(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FacultativeStatus:
-    literal: Literal
-    semantics: str
-    status: str  # "facultative" | "weakly-facultative" | "neither"
+class FacultativeStatus(Record):
+    # status: "facultative" | "weakly-facultative" | "neither"
+    __slots__ = _fields = ("literal", "semantics", "status")
+
+    def __init__(self, literal: Literal, semantics: str, status: str) -> None:
+        object.__setattr__(self, "literal", literal)
+        object.__setattr__(self, "semantics", semantics)
+        object.__setattr__(self, "status", status)
 
 
 def facultative_status(
@@ -189,16 +198,21 @@ def facultative_status(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    status: str  # "pass" | "fail" | "skipped"
-    detail: str
+class CheckResult(Record):
+    # status: "pass" | "fail" | "skipped"
+    __slots__ = _fields = ("name", "status", "detail")
+
+    def __init__(self, name: str, status: str, detail: str) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    results: tuple[CheckResult, ...]
+class CheckReport(Record):
+    __slots__ = _fields = ("results",)
+
+    def __init__(self, results: tuple[CheckResult, ...]) -> None:
+        object.__setattr__(self, "results", results)
 
     @property
     def failed(self) -> bool:

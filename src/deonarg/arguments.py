@@ -18,7 +18,6 @@ cyclic rule sets.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import ClassVar, Iterable, Iterator
 
 from .model import (
@@ -26,6 +25,7 @@ from .model import (
     DeonticLiteral,
     DeonticOperator,
     Literal,
+    Record,
     Rule,
     Theory,
     conclusion_sort_key,
@@ -38,26 +38,19 @@ ArgumentId = str
 # ---------------------------------------------------------------------------
 
 
-class Argument:
-    """Base class; concrete forms are the four dataclasses below.
+class Argument(Record):
+    """Base class; concrete forms are the four records below.
 
     Arguments are immutable trees, so every value derived from a tree (its
     height, hash, rule labels and structural key) is computed once, from the
-    children's stored values, when the argument is constructed.
+    children's stored values, when the argument is constructed.  Equality
+    compares a form's own fields; the hash is the stored one.
     """
 
+    __slots__ = ("_height", "_hash", "_labels", "_key")
     kind: ClassVar[str]  # each form's name, as the JSON output spells it
-    _height: int
-    _hash: int
-    _labels: frozenset[str]
-    _key: tuple
 
-    def __post_init__(self) -> None:
-        children = self.children
-        if isinstance(self, RuleApplication):
-            labels = frozenset((self.rule.label,)).union(*(child._labels for child in children))
-        else:  # leaves apply no rule; a permission argument shares its base's labels
-            labels = children[0]._labels if children else frozenset()
+    def _derive(self, children: tuple[Argument, ...], labels: frozenset[str]) -> None:
         height = 1 + max(child._height for child in children) if children else 0
         rank = _KIND_RANKS[self.kind]
         head = (height, rank, self.top_rule or "", conclusion_sort_key(self.conclusion))
@@ -66,8 +59,8 @@ class Argument:
         object.__setattr__(self, "_key", (*head, tuple(child._key for child in children)))
         object.__setattr__(self, "_hash", hash((head, tuple(child._hash for child in children))))
 
-    # each form sets ``__hash__ = Argument.__hash__`` so that the dataclass
-    # decorator keeps this one instead of generating a recursive field hash
+    # a class defining ``__eq__`` loses the ``__hash__`` it inherits, so each
+    # form sets ``__hash__ = Argument.__hash__`` again
     def __hash__(self) -> int:
         return self._hash
 
@@ -105,12 +98,21 @@ class Argument:
         return self._labels
 
 
-@dataclass(frozen=True)
 class ImaginaryArgument(Argument):
     """Concludes the weak permission of its literal; has no premises."""
 
     kind = "imaginary"
-    literal: Literal
+    __slots__ = _fields = ("literal",)
+
+    def __init__(self, literal: Literal) -> None:
+        object.__setattr__(self, "literal", literal)
+        self._derive((), frozenset())
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.literal,) == (other.literal,)
+        return NotImplemented
+
     __hash__ = Argument.__hash__
 
     @property
@@ -118,10 +120,19 @@ class ImaginaryArgument(Argument):
         return DeonticLiteral(DeonticOperator.WEAK_PERMISSION, self.literal)
 
 
-@dataclass(frozen=True)
 class FactArgument(Argument):
     kind = "fact"
-    literal: Literal
+    __slots__ = _fields = ("literal",)
+
+    def __init__(self, literal: Literal) -> None:
+        object.__setattr__(self, "literal", literal)
+        self._derive((), frozenset())
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.literal,) == (other.literal,)
+        return NotImplemented
+
     __hash__ = Argument.__hash__
 
     @property
@@ -129,13 +140,22 @@ class FactArgument(Argument):
         return self.literal
 
 
-@dataclass(frozen=True)
 class RuleApplication(Argument):
     """A rule applied to one matching argument per body element."""
 
     kind = "rule-application"
-    rule: Rule
-    subs: tuple[Argument, ...]
+    __slots__ = _fields = ("rule", "subs")
+
+    def __init__(self, rule: Rule, subs: tuple[Argument, ...]) -> None:
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "subs", subs)
+        self._derive(subs, frozenset((rule.label,)).union(*(child._labels for child in subs)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.rule, self.subs) == (other.rule, other.subs)
+        return NotImplemented
+
     __hash__ = Argument.__hash__
 
     @property
@@ -151,12 +171,21 @@ class RuleApplication(Argument):
         return self.rule.label
 
 
-@dataclass(frozen=True)
 class DAxiomArgument(Argument):
     """Obligation implies permission: built over an ``obl(l)`` argument."""
 
     kind = "permission-axiom"
-    base: Argument
+    __slots__ = _fields = ("base",)
+
+    def __init__(self, base: Argument) -> None:
+        object.__setattr__(self, "base", base)
+        self._derive((base,), base._labels)  # a permission argument shares its base's labels
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.base,) == (other.base,)
+        return NotImplemented
+
     __hash__ = Argument.__hash__
 
     @property
@@ -193,43 +222,30 @@ def structural_key(argument: Argument) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ArgumentSet:
+class ArgumentSet(Record):
     """All arguments of a theory with stable ids (``A0..`` natural, ``I1..`` imaginary).
 
-    Every lookup index is built once, when the set is constructed.
+    Every lookup index is built once, when the set is constructed; the
+    indexes take no part in equality or ``repr``.
     """
 
-    theory: Theory
-    ordered: tuple[tuple[ArgumentId, Argument], ...]
-    _by_id: dict[ArgumentId, Argument] = field(init=False, repr=False, compare=False)
-    _id_of: dict[Argument, ArgumentId] = field(init=False, repr=False, compare=False)
-    _positions: dict[ArgumentId, int] = field(init=False, repr=False, compare=False)
-    _by_conclusion: dict[Conclusion, tuple[ArgumentId, ...]] = field(
-        init=False, repr=False, compare=False
-    )
-    _ids: tuple[ArgumentId, ...] = field(init=False, repr=False, compare=False)
-    _sub_ids: dict[ArgumentId, tuple[ArgumentId, ...]] = field(
-        init=False, repr=False, compare=False
-    )
-    _proper_sub_ids: dict[ArgumentId, tuple[ArgumentId, ...]] = field(
-        init=False, repr=False, compare=False
-    )
-    _super_ids: dict[ArgumentId, frozenset[ArgumentId]] = field(
-        init=False, repr=False, compare=False
-    )
+    _fields = ("theory", "ordered")
+    __slots__ = (*_fields, "_ids", "_by_id", "_id_of", "_positions", "_by_conclusion",
+                 "_sub_ids", "_proper_sub_ids", "_super_ids")
 
-    def __post_init__(self) -> None:
-        ids = tuple(identifier for identifier, _ in self.ordered)
+    def __init__(self, theory: Theory, ordered: tuple[tuple[ArgumentId, Argument], ...]) -> None:
+        object.__setattr__(self, "theory", theory)
+        object.__setattr__(self, "ordered", ordered)
+        ids = tuple(identifier for identifier, _ in ordered)
         positions = {identifier: n for n, identifier in enumerate(ids)}
-        id_of = {argument: identifier for identifier, argument in self.ordered}
+        id_of = {argument: identifier for identifier, argument in ordered}
         by_conclusion: dict[Conclusion, list[ArgumentId]] = {}
-        for identifier, argument in self.ordered:
+        for identifier, argument in ordered:
             by_conclusion.setdefault(argument.conclusion, []).append(identifier)
         # subargument closures as positions, children (lower height) first,
         # then the reverse closures, parents first
-        children = [[positions[id_of[child]] for child in a.children] for _, a in self.ordered]
-        by_height = sorted(range(len(ids)), key=lambda n: self.ordered[n][1].height)
+        children = [[positions[id_of[child]] for child in a.children] for _, a in ordered]
+        by_height = sorted(range(len(ids)), key=lambda n: ordered[n][1].height)
         closures: list[set[int]] = [set() for _ in ids]
         for n in by_height:
             closures[n].add(n)
@@ -250,7 +266,7 @@ class ArgumentSet:
             sub_ids[identifier] = closure
             proper_sub_ids[identifier] = closure[:own] + closure[own + 1 :]
         object.__setattr__(self, "_ids", ids)
-        object.__setattr__(self, "_by_id", dict(self.ordered))
+        object.__setattr__(self, "_by_id", dict(ordered))
         object.__setattr__(self, "_id_of", id_of)
         object.__setattr__(self, "_positions", positions)
         object.__setattr__(self, "_by_conclusion", {k: tuple(v) for k, v in by_conclusion.items()})

@@ -36,66 +36,83 @@ or ``records_between`` is called.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
 from typing import Iterable
 
 from .arguments import ArgumentId, ArgumentSet
-from .model import Conclusion, DeonticOperator, Literal, Theory, obl, perm
+from .model import Conclusion, DeonticOperator, Literal, Record, Theory, obl, perm
 
 # ---------------------------------------------------------------------------
 # edge records
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Attack:
-    """One witnessed attack record; a pair of arguments may carry several."""
+class Attack(Record):
+    """One witnessed attack record; a pair of arguments may carry several.
 
-    attacker: ArgumentId
-    target: ArgumentId
-    condition: int  # 1..4
-    witness: ArgumentId  # subargument of the target carrying the conflict
+    ``condition`` is 1..4; ``witness`` is the subargument of the target
+    carrying the conflict.
+    """
+
+    __slots__ = _fields = ("attacker", "target", "condition", "witness")
+
+    def __init__(
+        self, attacker: ArgumentId, target: ArgumentId, condition: int, witness: ArgumentId
+    ) -> None:
+        object.__setattr__(self, "attacker", attacker)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "condition", condition)
+        object.__setattr__(self, "witness", witness)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.attacker, self.target, self.condition, self.witness) == (
+                other.attacker, other.target, other.condition, other.witness
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.attacker, self.target, self.condition, self.witness))
 
 
 #: one record as argument positions: ``(attacker, target, condition, witness)``
 Row = tuple[int, int, int, int]
 
 
-@dataclass(frozen=True)
-class AttackGraph:
+class AttackGraph(Record):
     """All attack records over an argument set, split by suppression.
 
-    The records are kept as position rows, sorted; ``edges``,
+    The records are kept as position rows, sorted: ``rows`` the surviving
+    ones and ``suppressed_rows`` those removed by superiority.  ``edges``,
     ``suppressed`` and ``records_between`` turn them into ``Attack``
     records when called.  Every lookup index over the surviving rows is
     built once, when the graph is constructed: the id-keyed ones, and the
-    attacker and target bitmasks by position that the semantics read.
+    attacker and target bitmasks by position that the semantics read.  The
+    indexes take no part in equality or ``repr``.
     """
 
-    arguments: ArgumentSet
-    rows: tuple[Row, ...]  # surviving records, sorted
-    suppressed_rows: tuple[Row, ...]  # removed by superiority, sorted
-    generalized: bool = False
-    _pairs: frozenset[tuple[ArgumentId, ArgumentId]] = field(init=False, repr=False, compare=False)
-    _attacker_index: dict[ArgumentId, tuple[ArgumentId, ...]] = field(
-        init=False, repr=False, compare=False
-    )
-    _target_index: dict[ArgumentId, tuple[ArgumentId, ...]] = field(
-        init=False, repr=False, compare=False
-    )
-    _witness_index: dict[ArgumentId, tuple[ArgumentId, ...]] = field(
-        init=False, repr=False, compare=False
-    )
+    _fields = ("arguments", "rows", "suppressed_rows", "generalized")
+    __slots__ = (*_fields, "_pairs", "_attacker_index", "_target_index", "_witness_index",
+                 "attacker_masks", "target_masks")
     #: bit ``a`` of ``attacker_masks[t]`` is set when position ``a`` attacks ``t``
-    attacker_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    attacker_masks: tuple[int, ...]
     #: bit ``t`` of ``target_masks[a]`` is set when position ``a`` attacks ``t``
-    target_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    target_masks: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        ids = self.arguments.ids
+    def __init__(
+        self,
+        arguments: ArgumentSet,
+        rows: tuple[Row, ...],
+        suppressed_rows: tuple[Row, ...],
+        generalized: bool = False,
+    ) -> None:
+        object.__setattr__(self, "arguments", arguments)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "suppressed_rows", suppressed_rows)
+        object.__setattr__(self, "generalized", generalized)
+        ids = arguments.ids
         # the rows are sorted, so the distinct pairs, in first-seen order,
         # leave every attacker and target list in position (id) order
-        pairs = dict.fromkeys([(a, t) for a, t, _, _ in self.rows])
+        pairs = dict.fromkeys([(a, t) for a, t, _, _ in rows])
         attackers: dict[int, list[int]] = {}
         targets: dict[int, list[int]] = {}
         for a, t in pairs:
@@ -104,7 +121,7 @@ class AttackGraph:
         # a witness is among the arguments containing it, so each attacker
         # at a witness has the record targeting the witness itself
         at_witness: dict[int, list[int]] = {}
-        for a, t, _, w in self.rows:
+        for a, t, _, w in rows:
             if t == w:
                 at_witness.setdefault(w, []).append(a)
 

@@ -12,7 +12,6 @@ check.
 
 from __future__ import annotations
 
-import json
 import sys
 from itertools import groupby
 from operator import attrgetter
@@ -22,7 +21,6 @@ from typing import Any
 import click
 
 from . import __version__
-from .analysis import verify_theorems
 from .arguments import ArgumentSet, build_arguments
 from .attacks import AttackGraph, compute_attacks
 from .model import Theory, TheoryValidationError
@@ -96,6 +94,12 @@ def _emit_json(
     if graph is not None:
         document["attacks"] = attacks_section(graph)
     document.update(sections)
+    _echo_json(document)
+
+
+def _echo_json(document: dict[str, Any]) -> None:
+    import json  # only the JSON formats need it
+
     click.echo(json.dumps(document, indent=2))
 
 
@@ -366,6 +370,8 @@ def cmd_check(
     no_fixpoint_guards: bool,
 ) -> None:
     """Re-verify the engine's structural guarantees on the theory."""
+    from .analysis import verify_theorems  # only this command needs the analysis layer
+
     theory = _load_theory(theory_file)
     report = verify_theorems(
         theory,
@@ -375,7 +381,7 @@ def cmd_check(
     )
     if fmt == "json":
         checks = [{"name": r.name, "status": r.status, "detail": r.detail} for r in report.results]
-        click.echo(json.dumps({"theory": theory_section(theory), "checks": checks}, indent=2))
+        _echo_json({"theory": theory_section(theory), "checks": checks})
     else:
         for result in report.results:
             click.echo(f"{result.name}: {result.status} ({result.detail})")

@@ -10,30 +10,116 @@ normalised away at construction time (see :func:`push_negation`).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Union
+from typing import Any, Union
+
+# ---------------------------------------------------------------------------
+# immutable records
+# ---------------------------------------------------------------------------
+
+
+class Record:
+    """Base of the immutable value records.
+
+    A record class names its fields in ``_fields``, in constructor order,
+    keeps them in ``__slots__`` and sets them in its ``__init__`` through
+    ``object.__setattr__``; after that, assigning or deleting any attribute
+    raises ``AttributeError``.  Two records are equal when they are of the
+    same class and their field tuples are equal, and a record hashes as
+    its field tuple.  Records built in bulk write ``__init__``, ``__eq__``
+    and ``__hash__`` out for their own fields.  ``repr`` reads
+    ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild through the constructor
+        return self.__class__, self._values()
+
 
 # ---------------------------------------------------------------------------
 # atoms and literals
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class Atom:
-    """A propositional atom, identified by its name."""
+class Atom(Record):
+    """A propositional atom, identified by its name; atoms order by name."""
 
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str) -> None:
+        object.__setattr__(self, "name", name)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
+
+    def __lt__(self, other: Atom) -> bool:
+        if other.__class__ is self.__class__:
+            return self.name < other.name
+        return NotImplemented
+
+    def __le__(self, other: Atom) -> bool:
+        if other.__class__ is self.__class__:
+            return self.name <= other.name
+        return NotImplemented
+
+    def __gt__(self, other: Atom) -> bool:
+        if other.__class__ is self.__class__:
+            return self.name > other.name
+        return NotImplemented
+
+    def __ge__(self, other: Atom) -> bool:
+        if other.__class__ is self.__class__:
+            return self.name >= other.name
+        return NotImplemented
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(Record):
     """An atom or its negation."""
 
-    atom: Atom
-    positive: bool = True
+    __slots__ = _fields = ("atom", "positive")
+
+    def __init__(self, atom: Atom, positive: bool = True) -> None:
+        object.__setattr__(self, "atom", atom)
+        object.__setattr__(self, "positive", positive)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.atom, self.positive) == (other.atom, other.positive)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.atom, self.positive))
 
     def __str__(self) -> str:
         return self.atom.name if self.positive else f"~{self.atom.name}"
@@ -54,9 +140,8 @@ def lit(name: str) -> Literal:
     return Literal(Atom(name))
 
 
-def complement(literal: Literal) -> Literal:
-    """The complementary literal (involution: flips polarity)."""
-    return literal.negated
+#: the complementary literal (involution: flips polarity)
+complement = Literal.negated.fget
 
 
 # ---------------------------------------------------------------------------
@@ -86,12 +171,22 @@ _OPERATOR_RANK = {
 }
 
 
-@dataclass(frozen=True)
-class DeonticLiteral:
+class DeonticLiteral(Record):
     """A literal under a deontic operator, e.g. ``obl(~p)``."""
 
-    operator: DeonticOperator
-    literal: Literal
+    __slots__ = _fields = ("operator", "literal")
+
+    def __init__(self, operator: DeonticOperator, literal: Literal) -> None:
+        object.__setattr__(self, "operator", operator)
+        object.__setattr__(self, "literal", literal)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.operator, self.literal) == (other.operator, other.literal)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.operator, self.literal))
 
     def __str__(self) -> str:
         return f"{self.operator.value}({self.literal})"
@@ -153,37 +248,46 @@ def _collapse(body: tuple[BodyElement, ...]) -> tuple[BodyElement, ...]:
     return tuple(seen)
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Record):
     """A labelled defeasible rule ``label: body => head``."""
 
-    label: str
-    body: tuple[BodyElement, ...]
-    head: Conclusion
+    __slots__ = _fields = ("label", "body", "head")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "body", _collapse(tuple(self.body)))
+    def __init__(self, label: str, body: tuple[BodyElement, ...], head: Conclusion) -> None:
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "body", _collapse(tuple(body)))
+        object.__setattr__(self, "head", head)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.label, self.body, self.head) == (other.label, other.body, other.head)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.label, self.body, self.head))
 
     def __str__(self) -> str:
         body = ", ".join(str(element) for element in self.body)
         return f"{self.label}: {body} => {self.head}" if body else f"{self.label}: => {self.head}"
 
 
-@dataclass(frozen=True)
-class Theory:
+class Theory(Record):
     """Facts, rules (kept sorted by label) and a superiority relation.
 
     Superiority pairs are ``(superior_label, inferior_label)``.
     """
 
-    facts: frozenset[Literal] = frozenset()
-    rules: tuple[Rule, ...] = ()
-    superiority: frozenset[tuple[str, str]] = frozenset()
+    __slots__ = _fields = ("facts", "rules", "superiority")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "facts", frozenset(self.facts))
-        object.__setattr__(self, "rules", tuple(sorted(self.rules, key=lambda r: r.label)))
-        object.__setattr__(self, "superiority", frozenset(self.superiority))
+    def __init__(
+        self,
+        facts: frozenset[Literal] = frozenset(),
+        rules: tuple[Rule, ...] = (),
+        superiority: frozenset[tuple[str, str]] = frozenset(),
+    ) -> None:
+        object.__setattr__(self, "facts", frozenset(facts))
+        object.__setattr__(self, "rules", tuple(sorted(rules, key=lambda r: r.label)))
+        object.__setattr__(self, "superiority", frozenset(superiority))
 
     # -- derived views ------------------------------------------------------
 
@@ -225,12 +329,14 @@ def _atom_of(element: BodyElement) -> Atom:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """A single well-formedness failure, tied to a rule label when one applies."""
 
-    message: str
-    label: str | None = None
+    __slots__ = _fields = ("message", "label")
+
+    def __init__(self, message: str, label: str | None = None) -> None:
+        object.__setattr__(self, "message", message)
+        object.__setattr__(self, "label", label)
 
     def __str__(self) -> str:
         return f"[{self.label}] {self.message}" if self.label else self.message

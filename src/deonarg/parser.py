@@ -16,7 +16,6 @@ theories never contain negated modalities.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .model import (
     Atom,
@@ -24,6 +23,7 @@ from .model import (
     DeonticLiteral,
     DeonticOperator,
     Literal,
+    Record,
     Rule,
     Theory,
     ensure_valid,
@@ -48,23 +48,28 @@ _TOKEN_RE = re.compile(
 _OPERATORS = {op.value: op for op in DeonticOperator}
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(Record):
     """1-based position of a token in the source text."""
 
-    line: int
-    column: int
-    lexeme: str = ""
+    __slots__ = _fields = ("line", "column", "lexeme")
+
+    def __init__(self, line: int, column: int, lexeme: str = "") -> None:
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "column", column)
+        object.__setattr__(self, "lexeme", lexeme)
 
     def __str__(self) -> str:
         return f"line {self.line}, column {self.column}"
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'ident', '=>', '~', ':', ',', '.', '(', ')', '>', 'eof'
-    text: str
-    span: SourceSpan
+class _Token(Record):
+    # kind: 'ident', '=>', '~', ':', ',', '.', '(', ')', '>', 'eof'
+    __slots__ = _fields = ("kind", "text", "span")
+
+    def __init__(self, kind: str, text: str, span: SourceSpan) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "span", span)
 
 
 class ParseError(Exception):

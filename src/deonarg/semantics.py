@@ -38,12 +38,11 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, field
 from typing import AbstractSet, Iterable, NamedTuple, Sequence
 
 from .arguments import ArgumentSet
 from .attacks import AttackGraph
-from .model import Conclusion, conclusion_sort_key
+from .model import Conclusion, Record, conclusion_sort_key
 
 # ---------------------------------------------------------------------------
 # configuration and errors
@@ -513,8 +512,7 @@ def _stable_core(graph: AttackGraph, argument_limit: int) -> frozenset[str] | No
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SemanticsResult:
+class SemanticsResult(Record):
     """Extensions under one semantics plus the sceptical core.
 
     ``justified`` holds the arguments in every extension.  When the
@@ -524,10 +522,19 @@ class SemanticsResult:
     case instead of trusting it.
     """
 
-    semantics: str
-    extensions: tuple[frozenset[str], ...]
-    justified: frozenset[str]
-    no_extensions: bool = field(default=False)
+    __slots__ = _fields = ("semantics", "extensions", "justified", "no_extensions")
+
+    def __init__(
+        self,
+        semantics: str,
+        extensions: tuple[frozenset[str], ...],
+        justified: frozenset[str],
+        no_extensions: bool = False,
+    ) -> None:
+        object.__setattr__(self, "semantics", semantics)
+        object.__setattr__(self, "extensions", extensions)
+        object.__setattr__(self, "justified", justified)
+        object.__setattr__(self, "no_extensions", no_extensions)
 
 
 def evaluate(

@@ -35,11 +35,11 @@ public predicates below (``supports``, ``undercuts``, ``wp_acceptable``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .arguments import ArgumentSet
 from .attacks import AttackGraph
+from .model import Record
 from .semantics import conflicting_members
 
 # ---------------------------------------------------------------------------
@@ -116,8 +116,7 @@ def undercut_by(graph: AttackGraph, members: Iterable[str]) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StatusChange:
+class StatusChange(Record):
     """One argument changing status, with the clause that fired.
 
     Acceptance clauses: ``attackers-all-rejected`` (imaginary) and
@@ -127,25 +126,66 @@ class StatusChange:
     arguments the clause quantified over.
     """
 
-    argument: str
-    clause: str
-    witnesses: tuple[str, ...] = ()
+    __slots__ = _fields = ("argument", "clause", "witnesses")
+
+    def __init__(self, argument: str, clause: str, witnesses: tuple[str, ...] = ()) -> None:
+        object.__setattr__(self, "argument", argument)
+        object.__setattr__(self, "clause", clause)
+        object.__setattr__(self, "witnesses", witnesses)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.argument, self.clause, self.witnesses) == (
+                other.argument, other.clause, other.witnesses
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.argument, self.clause, self.witnesses))
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    index: int
-    newly_rejected: tuple[StatusChange, ...]
-    newly_justified: tuple[StatusChange, ...]
-    rejected: frozenset[str]
-    justified: frozenset[str]
+class TraceStep(Record):
+    __slots__ = _fields = ("index", "newly_rejected", "newly_justified", "rejected", "justified")
+
+    def __init__(
+        self,
+        index: int,
+        newly_rejected: tuple[StatusChange, ...],
+        newly_justified: tuple[StatusChange, ...],
+        rejected: frozenset[str],
+        justified: frozenset[str],
+    ) -> None:
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "newly_rejected", newly_rejected)
+        object.__setattr__(self, "newly_justified", newly_justified)
+        object.__setattr__(self, "rejected", rejected)
+        object.__setattr__(self, "justified", justified)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (
+                self.index, self.newly_rejected, self.newly_justified, self.rejected, self.justified
+            ) == (
+                other.index, other.newly_rejected, other.newly_justified, other.rejected,
+                other.justified,
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(
+            (self.index, self.newly_rejected, self.newly_justified, self.rejected, self.justified)
+        )
 
 
-@dataclass(frozen=True)
-class WpExtension:
-    justified: frozenset[str]
-    rejected: frozenset[str]
-    steps: tuple[TraceStep, ...]
+class WpExtension(Record):
+    __slots__ = _fields = ("justified", "rejected", "steps")
+
+    def __init__(
+        self, justified: frozenset[str], rejected: frozenset[str], steps: tuple[TraceStep, ...]
+    ) -> None:
+        object.__setattr__(self, "justified", justified)
+        object.__setattr__(self, "rejected", rejected)
+        object.__setattr__(self, "steps", steps)
 
     @property
     def iterations(self) -> int:

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import ast
 import hashlib
 import json
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import deonarg
 from deonarg import __version__, parse_theory, serialize_theory
 from deonarg.cli import main
 from deonarg.corpus import BUILTIN_THEORIES
@@ -356,6 +358,71 @@ def test_importing_the_cli_leaves_testkit_unloaded(tmp_path):
     )
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout.strip() == "False"
+
+
+#: prints, after the command's own output, the modules a ``python -m
+#: deonarg`` run (arguments from the command line) loads beyond start-up
+_NEW_MODULES_OF_A_RUN = """\
+import runpy, sys
+before = set(sys.modules)
+sys.argv[0] = "deonarg"
+try:
+    runpy.run_module("deonarg", run_name="__main__", alter_sys=True)
+except SystemExit as exit_:
+    assert not exit_.code, exit_.code
+print(sorted(set(sys.modules) - before))
+"""
+
+
+def test_start_up_leaves_dataclasses_analysis_and_json_unloaded(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+
+    def run(code, *argv, stdin=""):
+        completed = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            input=stdin,
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert completed.returncode == 0, completed.stderr
+        *output, last = completed.stdout.splitlines()
+        return output, ast.literal_eval(last)
+
+    unwanted = {"dataclasses", "deonarg.analysis", "json"}
+    _, loaded = run(
+        "import sys; before = set(sys.modules); import deonarg.cli; "
+        "print(sorted(set(sys.modules) - before))"
+    )
+    assert "deonarg.cli" in loaded
+    assert unwanted.isdisjoint(loaded)
+
+    demo = BUILTIN_THEORIES["two-obligations"]
+    output, loaded = run(_NEW_MODULES_OF_A_RUN, "eval", "-s", "wp", "-", stdin=demo)
+    assert output[0] == "semantics: wp"
+    assert unwanted.isdisjoint(loaded)
+
+    output, loaded = run(_NEW_MODULES_OF_A_RUN, "check", "-", stdin=demo)
+    assert output and all(": pass (" in line for line in output)
+    assert "deonarg.analysis" in loaded
+
+    # the package's analysis names resolve on first access, and by star import
+    _, resolved = run(
+        "import deonarg; print([type(getattr(deonarg, name)).__name__ for name in deonarg.__all__])"
+    )
+    assert len(resolved) == len(deonarg.__all__)
+    _, missing = run(
+        "namespace = {}; exec('from deonarg import *', namespace); "
+        "import deonarg; print(sorted(set(deonarg.__all__) - set(namespace)))"
+    )
+    assert missing == []
+    _, same = run(
+        "import deonarg, deonarg.analysis; "
+        "print([deonarg.verify_theorems is deonarg.analysis.verify_theorems, "
+        "hasattr(deonarg, 'no_such_name')])"
+    )
+    assert same == [True, False]
 
 
 # ---------------------------------------------------------------------------

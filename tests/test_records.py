@@ -1,0 +1,262 @@
+"""The value records keep the contract of the frozen dataclasses they replaced.
+
+For each record class the table below writes down the dataclass's field
+list, its compared fields and its repr fields (the same names, except for
+the indexes that ``ArgumentSet`` and ``AttackGraph`` build on
+construction, which took no part in either).  The records are drawn from
+the golden theories and from generated ones.
+"""
+
+from __future__ import annotations
+
+import copy
+import pickle
+
+import pytest
+
+from deonarg import (
+    ArgumentLimitExceeded,
+    ArgumentSet,
+    Atom,
+    Attack,
+    AttackGraph,
+    CheckReport,
+    CheckResult,
+    ConflictPair,
+    ConflictReport,
+    DAxiomArgument,
+    DeonticLiteral,
+    FactArgument,
+    FacultativeStatus,
+    ImaginaryArgument,
+    Literal,
+    Rule,
+    RuleApplication,
+    SemanticsResult,
+    SourceSpan,
+    StatusChange,
+    Theory,
+    TraceStep,
+    Violation,
+    WpExtension,
+    build_arguments,
+    compute_attacks,
+    conflict_report,
+    evaluate,
+    facultative_status,
+    justified_conclusions,
+    lit,
+    obl,
+    parse_theory,
+    perm_w,
+    validate_theory,
+    verify_theorems,
+    wp_extension,
+)
+from deonarg.arguments import _KIND_RANKS, Argument
+from deonarg.corpus import BUILTIN_THEORIES
+from deonarg.model import conclusion_sort_key
+from deonarg.parser import _Token, _tokenize, serialize_theory
+from deonarg.testkit import GeneratorParams, generate_theory
+
+_ARGUMENT_SET_INDEXES = (
+    "_by_id", "_id_of", "_positions", "_by_conclusion", "_ids", "_sub_ids", "_proper_sub_ids",
+    "_super_ids",
+)
+_ATTACK_GRAPH_INDEXES = (
+    "_pairs", "_attacker_index", "_target_index", "_witness_index", "attacker_masks",
+    "target_masks",
+)
+
+#: class -> (the dataclass's fields, the compared and repr fields)
+RECORDS: dict[type, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    Atom: (("name",),) * 2,
+    Literal: (("atom", "positive"),) * 2,
+    DeonticLiteral: (("operator", "literal"),) * 2,
+    Rule: (("label", "body", "head"),) * 2,
+    Theory: (("facts", "rules", "superiority"),) * 2,
+    Violation: (("message", "label"),) * 2,
+    SourceSpan: (("line", "column", "lexeme"),) * 2,
+    _Token: (("kind", "text", "span"),) * 2,
+    ImaginaryArgument: (("literal",),) * 2,
+    FactArgument: (("literal",),) * 2,
+    RuleApplication: (("rule", "subs"),) * 2,
+    DAxiomArgument: (("base",),) * 2,
+    ArgumentSet: (("theory", "ordered", *_ARGUMENT_SET_INDEXES), ("theory", "ordered")),
+    Attack: (("attacker", "target", "condition", "witness"),) * 2,
+    AttackGraph: (
+        ("arguments", "rows", "suppressed_rows", "generalized", *_ATTACK_GRAPH_INDEXES),
+        ("arguments", "rows", "suppressed_rows", "generalized"),
+    ),
+    SemanticsResult: (("semantics", "extensions", "justified", "no_extensions"),) * 2,
+    StatusChange: (("argument", "clause", "witnesses"),) * 2,
+    TraceStep: (("index", "newly_rejected", "newly_justified", "rejected", "justified"),) * 2,
+    WpExtension: (("justified", "rejected", "steps"),) * 2,
+    ConflictPair: (("literal", "supporting_rule", "opposing_rule"),) * 2,
+    ConflictReport: (("conflicted", "wp_conflicted"),) * 2,
+    FacultativeStatus: (("literal", "semantics", "status"),) * 2,
+    CheckResult: (("name", "status", "detail"),) * 2,
+    CheckReport: (("results",),) * 2,
+}
+
+#: records of each class compared pairwise, at most this many
+PAIRWISE = 40
+
+
+def _sources() -> list[str]:
+    texts = list(BUILTIN_THEORIES.values())
+    for seed in range(6):
+        params = GeneratorParams(seed=seed, inject_conflict=True, superiority_count=seed % 3)
+        texts.append(serialize_theory(generate_theory(params)))
+    return texts
+
+
+def _collect() -> dict[type, list]:
+    found: dict[type, list] = {cls: [] for cls in RECORDS}
+
+    def add(*records) -> None:
+        for record in records:
+            found[type(record)].append(record)
+
+    for text in _sources():
+        add(*_tokenize(text), *(token.span for token in _tokenize(text)))
+        theory = parse_theory(text)
+        arguments = build_arguments(theory)
+        graph = compute_attacks(arguments, theory)
+        extension = wp_extension(graph)
+        add(theory, *theory.rules, *theory.atoms, *theory.literal_universe, arguments, graph)
+        add(*(argument for _, argument in arguments), *graph.edges, *graph.suppressed)
+        conclusions = {argument.conclusion for _, argument in arguments}
+        add(*(c for c in conclusions if isinstance(c, DeonticLiteral)))
+        add(extension, *extension.steps)
+        add(*(change for step in extension.steps
+              for change in (*step.newly_rejected, *step.newly_justified)))
+        for semantics in ("grounded", "stable"):
+            try:
+                add(evaluate(graph, semantics))
+            except ArgumentLimitExceeded:
+                pass
+        report = conflict_report(theory, arguments, extension)
+        add(report, *report.conflicted, *report.wp_conflicted)
+        conclusions = justified_conclusions(arguments, extension.justified)
+        add(*(facultative_status(literal, conclusions, "wp") for literal in theory.literal_universe))
+        checks = verify_theorems(theory)
+        add(checks, *checks.results)
+    bad = Theory(
+        rules=(Rule("r", (), perm_w(lit("p"))), Rule("r", (), obl(lit("q")))),
+        superiority=frozenset({("r", "r"), ("r", "s")}),
+    )
+    add(*validate_theory(bad), Violation("unlabelled"))
+    return found
+
+
+@pytest.fixture(scope="module")
+def records() -> dict[type, list]:
+    found = _collect()
+    assert all(found.values()), [cls.__name__ for cls, listed in found.items() if not listed]
+    return found
+
+
+def _values(record) -> tuple:
+    return tuple(getattr(record, name) for name in RECORDS[type(record)][1])
+
+
+def test_every_former_dataclass_is_a_slotted_record(records):
+    assert len(RECORDS) == 24
+    for cls, listed in records.items():
+        assert not hasattr(cls, "__dataclass_fields__"), cls
+        assert not hasattr(listed[0], "__dict__"), cls
+
+
+def test_equality_holds_exactly_for_the_same_class_with_equal_fields(records):
+    everything = [record for listed in records.values() for record in listed[:PAIRWISE]]
+    for cls, listed in records.items():
+        sample = listed[:PAIRWISE]
+        for x in sample:
+            for y in everything if x is sample[0] else sample:
+                expected = type(x) is type(y) and _values(x) == _values(y)
+                assert (x == y) is expected, (x, y)
+                assert (x != y) is not expected, (x, y)
+            assert x != _values(x)
+            twin = cls(*_values(x))
+            assert twin == x and hash(twin) == hash(x)
+
+
+def test_a_record_hashes_as_its_compared_fields(records):
+    for cls, listed in records.items():
+        for record in listed:
+            if isinstance(record, Argument):
+                # an argument hashes as its key's head and its children's hashes
+                head = (
+                    record.height,
+                    _KIND_RANKS[record.kind],
+                    record.top_rule or "",
+                    conclusion_sort_key(record.conclusion),
+                )
+                children = tuple(hash(child) for child in record.children)
+                assert hash(record) == hash((head, children)), record
+            else:
+                assert hash(record) == hash(_values(record)), cls
+
+
+def test_repr_names_the_class_and_the_compared_fields(records):
+    for cls, listed in records.items():
+        for record in listed[:PAIRWISE]:
+            shown = ", ".join(f"{name}={getattr(record, name)!r}" for name in RECORDS[cls][1])
+            assert repr(record) == f"{cls.__qualname__}({shown})"
+    assert repr(lit("~p")) == "Literal(atom=Atom(name='p'), positive=False)"
+    assert repr(Attack("A0", "I2", 1, "I2")) == (
+        "Attack(attacker='A0', target='I2', condition=1, witness='I2')"
+    )
+
+
+def test_assigning_or_deleting_any_attribute_raises(records):
+    for cls, listed in records.items():
+        record = listed[0]
+        fields = RECORDS[cls][0]
+        before = tuple(getattr(record, name) for name in fields)
+        for name in (*fields, "unknown"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert tuple(getattr(record, name) for name in fields) == before
+
+
+def test_atoms_order_by_name(records):
+    atoms = records[Atom]
+    assert sorted(atoms) == sorted(atoms, key=lambda atom: atom.name)
+    a, b = Atom("a"), Atom("b")
+    assert a < b and a <= b and b > a and b >= a and a <= Atom("a") and a >= Atom("a")
+    assert not (b < a or a > b)
+    with pytest.raises(TypeError):
+        a < "b"  # noqa: B015
+
+
+def test_keyword_construction_and_defaults(records):
+    for cls, listed in records.items():
+        record = listed[0]
+        assert cls(**dict(zip(RECORDS[cls][1], _values(record)))) == record
+    atom = Atom("p")
+    assert Literal(atom, positive=False) == lit("~p")
+    assert Literal(atom).positive is True
+    rule = Rule("r1", (lit("a"), lit("a")), obl(lit("p")))
+    assert rule.body == (lit("a"),)
+    theory = Theory(rules=(Rule("r2", (), lit("b")), rule))
+    assert [r.label for r in theory.rules] == ["r1", "r2"]
+    assert theory.facts == frozenset() and theory.superiority == frozenset()
+    assert Theory() == Theory(frozenset(), (), frozenset())
+    assert Violation("broken").label is None
+    assert StatusChange("A0", "attacker-supported").witnesses == ()
+    assert SourceSpan(1, 2).lexeme == ""
+    assert SemanticsResult("grounded", (), frozenset()).no_extensions is False
+    arguments = build_arguments(theory)
+    assert AttackGraph(arguments, (), ()).generalized is False
+
+
+def test_copies_and_pickles_are_equal_records(records):
+    for listed in records.values():
+        for record in listed[:3]:
+            assert copy.copy(record) == record
+            assert copy.deepcopy(record) == record
+            assert pickle.loads(pickle.dumps(record)) == record
