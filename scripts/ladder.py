@@ -47,11 +47,18 @@ Without ``--against`` each run times one checkout, the one on
 ``PYTHONPATH``; running the rungs (``--rungs``) of two checkouts in
 alternating processes spreads the host's drift over both.
 
-Every rung also records SHA-256 digests of its attack section (as
-``deonarg.schema.attacks_section`` writes it), of the extension lists
-and of the check report, so columns taken on different code can be
-compared for identical output.  The ratios of each column's medians
-against the first column are printed at the end.
+Every rung also records SHA-256 digests of its argument, attack and
+trace sections (as ``deonarg.schema`` writes them), of the extension
+lists and of the check report, so columns taken on different code can
+be compared for identical output; ``--expect FILE`` exits 1 when a rung's
+digests differ from those of any column of FILE that has the rung.  The
+chain and fan rungs also record the MB that one built argument set
+retains (``build_retained_mb``, by ``tracemalloc``, untimed).  The ratios
+of each column's medians against the first column are printed at the
+end; without ``--out`` nothing is written:
+
+    PYTHONPATH=src python3 scripts/ladder.py --column ci --rungs conflicts-4 chain-160 \
+        --expect BENCH_12.json
 """
 
 from __future__ import annotations
@@ -69,6 +76,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from types import ModuleType
 from typing import Callable
@@ -173,9 +181,11 @@ def stage_calls(engine: ModuleType, text: str) -> tuple[dict, dict[str, Callable
     arguments = engine.build_arguments(theory)
     limit = len(arguments)
     graph = engine.compute_attacks(arguments, theory)
-    attacks = importlib.import_module(f"{engine.__name__}.schema").attacks_section(graph)
+    schema = importlib.import_module(f"{engine.__name__}.schema")
     rung = {"arguments": limit, "pairs": len(graph.pairs), "stages": {}, "digests": {}}
-    rung["digests"]["attacks"] = digest(attacks)
+    rung["digests"]["arguments"] = digest(schema.arguments_section(arguments))
+    rung["digests"]["attacks"] = digest(schema.attacks_section(graph))
+    rung["digests"]["trace"] = digest(schema.trace_section(engine.wp_extension(graph)))
     calls: dict[str, Callable[[], object]] = {
         "build": lambda: engine.build_arguments(theory),
         "attacks": lambda: engine.compute_attacks(arguments, theory),
@@ -186,6 +196,17 @@ def stage_calls(engine: ModuleType, text: str) -> tuple[dict, dict[str, Callable
         "verify_theorems": lambda: engine.verify_theorems(theory, argument_limit=limit),
     }
     return rung, calls, arguments.index
+
+
+def retained_mb(build: Callable[[], object]) -> float:
+    """MB still allocated, by ``tracemalloc``, while one build's result is alive."""
+    gc.collect()
+    tracemalloc.start()
+    result = build()  # noqa: F841  (kept alive until the memory is read)
+    gc.collect()
+    current = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    return round(current / 1e6, 2)
 
 
 def result_digest(stage: str, result: object, rung: dict, order: Callable[[str], int]) -> None:
@@ -244,6 +265,10 @@ def run_rung(name: str, engines: dict[str, ModuleType]) -> dict[str, dict]:
     for column, engine in engines.items():
         rungs[column], calls[column], orders[column] = stage_calls(engine, text)
     columns = list(engines)
+    if name.startswith(("chain-", "fan-")):
+        for column in columns:
+            rungs[column]["build_retained_mb"] = retained_mb(calls[column]["build"])
+            print(f"  {'retained MB':16} {column:8} {rungs[column]['build_retained_mb']:9.2f}")
     for stage in STAGES:
         if stage in left_out:
             continue
@@ -270,7 +295,10 @@ def main(argv: list[str] | None = None) -> int:
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
     parser.add_argument("--column", required=True, help="column name, e.g. parent or change")
-    parser.add_argument("--out", type=Path, required=True, help="JSON file to merge into, e.g. BENCH_8.json")
+    parser.add_argument("--out", type=Path, help="JSON file to merge into, e.g. BENCH_8.json")
+    parser.add_argument(
+        "--expect", type=Path, metavar="FILE", help="exit 1 unless every digest matches FILE's"
+    )
     rungs = [*RUNGS, "startup"]
     parser.add_argument("--rungs", nargs="*", choices=rungs, default=rungs)
     parser.add_argument(
@@ -288,7 +316,8 @@ def main(argv: list[str] | None = None) -> int:
         engines = {options.against_column: load_checkout(options.against, "deonarg_against")}
         engines[options.column] = deonarg
         sources = {options.against_column: options.against.resolve(), **sources}
-    document = json.loads(options.out.read_text()) if options.out.exists() else {}
+    out = options.out
+    document = json.loads(out.read_text()) if out is not None and out.exists() else {}
     document.setdefault("ladder", "scripts/ladder.py")
     document["stages"] = [*STAGES, *STARTUP_STAGES]
     columns = document.setdefault("columns", {})
@@ -305,7 +334,8 @@ def main(argv: list[str] | None = None) -> int:
         measured = run_startup(sources) if name == "startup" else run_rung(name, engines)
         for column, rung in measured.items():
             columns[column]["rungs"][name] = rung
-    options.out.write_text(json.dumps(document, indent=2) + "\n")
+    if out is not None:
+        out.write_text(json.dumps(document, indent=2) + "\n")
 
     first, *others = columns
     for other in others:
@@ -321,7 +351,29 @@ def main(argv: list[str] | None = None) -> int:
                 if stage in base["stages"]
             )
             print(f"  {name:13} {same:9} {ratios}")
+    if options.expect is not None:
+        return expect(options.expect, {name: columns[name] for name in engines}, options.rungs)
     return 0
+
+
+def expect(path: Path, columns: dict[str, dict], rungs: list[str]) -> int:
+    """1 if a measured rung's digests differ from those of any column of the file."""
+    columns_held = json.loads(path.read_text())["columns"]
+    expected = {column: held["rungs"] for column, held in columns_held.items()}
+    problems = [
+        f"{name}: {column} differs from {other}"
+        for name in rungs
+        for column, measured in columns.items()
+        for other, held in expected.items()
+        if name in held and held[name]["digests"] != measured["rungs"][name]["digests"]
+    ]
+    problems += [
+        f"{name}: not in {path}" for name in rungs if not any(name in h for h in expected.values())
+    ]
+    for problem in problems:
+        print(f"digest check: {problem}", file=sys.stderr)
+    print(f"{len(rungs)} rung(s) checked against {path}: {'FAILED' if problems else 'same'}")
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":

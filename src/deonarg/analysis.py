@@ -221,7 +221,7 @@ class CheckReport(Record):
 
 def _imaginary_id(arguments: ArgumentSet, literal: Literal) -> str:
     for identifier in arguments.concluders(perm_w(literal)):
-        if arguments.argument(identifier).is_imaginary:
+        if arguments.kind(identifier) == "imaginary":
             return identifier
     raise AssertionError(f"no imaginary argument for {literal}")
 
@@ -348,7 +348,7 @@ def verify_theorems(
     # weak permissions.
     by_rule: dict[str | None, list[str]] = {}
     for identifier in arguments.natural_ids():
-        by_rule.setdefault(arguments.argument(identifier).top_rule, []).append(identifier)
+        by_rule.setdefault(arguments.top_rule(identifier), []).append(identifier)
     offending: list[str] = []
     checked = 0
     for pair in _conflict_pairs(

@@ -13,10 +13,17 @@ Four argument forms exist:
 Construction always terminates: a rule label may not occur twice on any
 root-to-leaf path of an argument tree, which bounds tree depth even for
 cyclic rule sets.
+
+The built ``ArgumentSet`` is a table of position rows with position-tuple
+closures, filled without building an ``Argument``; the ``Argument``
+records are made from the rows only when asked for (hash-consed: one
+object per argument, children shared; Filliatre & Conchon, "Type-safe
+modular hash-consing", 2006).
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from typing import ClassVar, Iterable, Iterator
 
@@ -44,7 +51,7 @@ class Argument(Record):
     Arguments are immutable trees, so every value derived from a tree (its
     height, hash, rule labels and structural key) is computed once, from the
     children's stored values, when the argument is constructed.  Equality
-    compares a form's own fields; the hash is the stored one.
+    compares a form's own fields (``Record``); the hash is the stored one.
     """
 
     __slots__ = ("_height", "_hash", "_labels", "_key")
@@ -59,8 +66,6 @@ class Argument(Record):
         object.__setattr__(self, "_key", (*head, tuple(child._key for child in children)))
         object.__setattr__(self, "_hash", hash((head, tuple(child._hash for child in children))))
 
-    # a class defining ``__eq__`` loses the ``__hash__`` it inherits, so each
-    # form sets ``__hash__ = Argument.__hash__`` again
     def __hash__(self) -> int:
         return self._hash
 
@@ -89,8 +94,12 @@ class Argument(Record):
     def subarguments(self) -> frozenset[Argument]:
         """The subargument closure, including the argument itself."""
         out: set[Argument] = {self}
-        for child in self.children:
-            out |= child.subarguments()
+        stack: list[Argument] = [self]
+        while stack:  # no recursion: trees may be thousands of levels tall
+            for child in stack.pop().children:
+                if child not in out:
+                    out.add(child)
+                    stack.append(child)
         return frozenset(out)
 
     def tree_labels(self) -> frozenset[str]:
@@ -108,13 +117,6 @@ class ImaginaryArgument(Argument):
         object.__setattr__(self, "literal", literal)
         self._derive((), frozenset())
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.literal,) == (other.literal,)
-        return NotImplemented
-
-    __hash__ = Argument.__hash__
-
     @property
     def conclusion(self) -> Conclusion:
         return DeonticLiteral(DeonticOperator.WEAK_PERMISSION, self.literal)
@@ -127,13 +129,6 @@ class FactArgument(Argument):
     def __init__(self, literal: Literal) -> None:
         object.__setattr__(self, "literal", literal)
         self._derive((), frozenset())
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.literal,) == (other.literal,)
-        return NotImplemented
-
-    __hash__ = Argument.__hash__
 
     @property
     def conclusion(self) -> Conclusion:
@@ -150,13 +145,6 @@ class RuleApplication(Argument):
         object.__setattr__(self, "rule", rule)
         object.__setattr__(self, "subs", subs)
         self._derive(subs, frozenset((rule.label,)).union(*(child._labels for child in subs)))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.rule, self.subs) == (other.rule, other.subs)
-        return NotImplemented
-
-    __hash__ = Argument.__hash__
 
     @property
     def conclusion(self) -> Conclusion:
@@ -181,13 +169,6 @@ class DAxiomArgument(Argument):
         object.__setattr__(self, "base", base)
         self._derive((base,), base._labels)  # a permission argument shares its base's labels
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.base,) == (other.base,)
-        return NotImplemented
-
-    __hash__ = Argument.__hash__
-
     @property
     def conclusion(self) -> Conclusion:
         base_conclusion = self.base.conclusion
@@ -204,7 +185,7 @@ class DAxiomArgument(Argument):
 
 
 #: each kind's place in the structural key; imaginary arguments are numbered
-#: apart from the natural ones, so their rank only feeds the hash
+#: apart from the natural ones, and their rank orders them as children
 _KIND_RANKS = {"fact": 0, "rule-application": 1, "permission-axiom": 2, "imaginary": 2}
 
 
@@ -221,101 +202,150 @@ def structural_key(argument: Argument) -> tuple:
 # the built argument set
 # ---------------------------------------------------------------------------
 
-
 class ArgumentSet(Record):
     """All arguments of a theory with stable ids (``A0..`` natural, ``I1..`` imaginary).
 
-    Every lookup index is built once, when the set is constructed; the
-    indexes take no part in equality or ``repr``.
+    The set is a table of rows by position, ``(form, rule, conclusion,
+    children)``: the argument's class, the rule whose label is its top rule
+    (None for facts and imaginary arguments), its conclusion and its
+    children's positions.  The subargument and superargument closures are
+    sorted position tuples.  Every index is built once, when the set is
+    constructed, and the id-keyed views decode positions to ids when
+    called.  The ``ordered`` pairs hold ``Argument`` objects: they are
+    decoded from the rows the first time they are read and then kept, so
+    an argument is always the same object.  Equality compares the theory,
+    the ids and the rows, without recursing into trees; hash and ``repr``
+    are those of ``(theory, ordered)``.
     """
 
     _fields = ("theory", "ordered")
-    __slots__ = (*_fields, "_ids", "_by_id", "_id_of", "_positions", "_by_conclusion",
-                 "_sub_ids", "_proper_sub_ids", "_super_ids")
+    __slots__ = ("theory", "_ordered", "_ids", "_rows", "_positions", "_by_conclusion", "_subs",
+                 "_supers")
 
     def __init__(self, theory: Theory, ordered: tuple[tuple[ArgumentId, Argument], ...]) -> None:
-        object.__setattr__(self, "theory", theory)
-        object.__setattr__(self, "ordered", ordered)
-        ids = tuple(identifier for identifier, _ in ordered)
-        positions = {identifier: n for n, identifier in enumerate(ids)}
-        id_of = {argument: identifier for identifier, argument in ordered}
-        by_conclusion: dict[Conclusion, list[ArgumentId]] = {}
-        for identifier, argument in ordered:
-            by_conclusion.setdefault(argument.conclusion, []).append(identifier)
-        # subargument closures as positions, children (lower height) first,
-        # then the reverse closures, parents first
-        children = [[positions[id_of[child]] for child in a.children] for _, a in ordered]
-        by_height = sorted(range(len(ids)), key=lambda n: ordered[n][1].height)
-        closures: list[set[int]] = [set() for _ in ids]
+        ordered = tuple(ordered)
+        position = {argument: n for n, (_, argument) in enumerate(ordered)}
+        rows = []
+        for _, argument in ordered:
+            top = argument.base if isinstance(argument, DAxiomArgument) else argument
+            rule = top.rule if isinstance(top, RuleApplication) else None
+            children = tuple([position[child] for child in argument.children])
+            rows.append((argument.__class__, rule, argument.conclusion, children))
+        by_height = sorted(range(len(ordered)), key=lambda n: ordered[n][1].height)
+        self._fill(theory, ordered, tuple(i for i, _ in ordered), tuple(rows), by_height)
+
+    def _fill(self, theory: Theory, ordered: tuple | None, ids: tuple[ArgumentId, ...],
+              rows: tuple[tuple, ...], by_height: Iterable[int]) -> None:
+        """Set the fields and build the indexes; ``by_height`` lists each position after its
+        children's.  ``build_arguments`` fills its table here too, with no ``ordered``."""
+        subs: list[tuple[int, ...]] = [()] * len(rows)
         for n in by_height:
-            closures[n].add(n)
-            for child in children[n]:
-                closures[n] |= closures[child]
-        supers: list[set[ArgumentId]] = [set() for _ in ids]
-        for n in reversed(by_height):
-            supers[n].add(ids[n])
-            for child in children[n]:
-                supers[child] |= supers[n]
-        as_id = ids.__getitem__
-        sub_ids: dict[ArgumentId, tuple[ArgumentId, ...]] = {}
-        proper_sub_ids: dict[ArgumentId, tuple[ArgumentId, ...]] = {}
-        for n, identifier in enumerate(ids):
-            order = sorted(closures[n])
-            closure = tuple(map(as_id, order))
-            own = order.index(n)
-            sub_ids[identifier] = closure
-            proper_sub_ids[identifier] = closure[:own] + closure[own + 1 :]
+            children = rows[n][3]
+            if len(children) == 1:  # most rows: insert n into the child's closure
+                below = subs[children[0]]
+                k = bisect.bisect(below, n)
+                subs[n] = (*below[:k], n, *below[k:])
+            else:
+                subs[n] = tuple(sorted({n}.union(*[subs[child] for child in children])))
+        supers: list[list[int]] = [[] for _ in rows]
+        for n, closure in enumerate(subs):
+            for sub in closure:
+                supers[sub].append(n)
+        by_conclusion: dict[Conclusion, list[int]] = {}
+        for n, row in enumerate(rows):
+            by_conclusion.setdefault(row[2], []).append(n)
+        object.__setattr__(self, "theory", theory)
+        object.__setattr__(self, "_ordered", ordered)
         object.__setattr__(self, "_ids", ids)
-        object.__setattr__(self, "_by_id", dict(ordered))
-        object.__setattr__(self, "_id_of", id_of)
-        object.__setattr__(self, "_positions", positions)
-        object.__setattr__(self, "_by_conclusion", {k: tuple(v) for k, v in by_conclusion.items()})
-        object.__setattr__(self, "_sub_ids", sub_ids)
-        object.__setattr__(self, "_proper_sub_ids", proper_sub_ids)
-        object.__setattr__(
-            self, "_super_ids", {ids[n]: frozenset(found) for n, found in enumerate(supers)}
-        )
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_positions", {identifier: n for n, identifier in enumerate(ids)})
+        object.__setattr__(self, "_by_conclusion", by_conclusion)
+        object.__setattr__(self, "_subs", tuple(subs))
+        object.__setattr__(self, "_supers", tuple(map(tuple, supers)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.theory, self._ids, self._rows) == (other.theory, other._ids, other._rows)
+        return NotImplemented
+
+    __hash__ = Record.__hash__
+
+    @property
+    def ordered(self) -> tuple[tuple[ArgumentId, Argument], ...]:
+        """``(id, Argument)`` pairs in id order, decoded from the rows once."""
+        if self._ordered is None:
+            rows = self._rows
+            made: list[Argument] = [None] * len(rows)  # type: ignore[list-item]
+            # childless rows first: every other one comes after its children
+            for n in sorted(range(len(rows)), key=lambda n: bool(rows[n][3])):
+                form, rule, conclusion, children = rows[n]
+                if form is RuleApplication:
+                    made[n] = RuleApplication(rule, tuple([made[child] for child in children]))
+                elif form is DAxiomArgument:
+                    made[n] = DAxiomArgument(made[children[0]])
+                else:
+                    made[n] = form(conclusion if form is FactArgument else conclusion.literal)
+            object.__setattr__(self, "_ordered", tuple(zip(self._ids, made)))
+        return self._ordered
 
     def __iter__(self) -> Iterator[tuple[ArgumentId, Argument]]:
         return iter(self.ordered)
 
     def __len__(self) -> int:
-        return len(self.ordered)
+        return len(self._ids)
 
     @property
     def ids(self) -> tuple[ArgumentId, ...]:
         return self._ids
 
+    def _decode(self, positions: Iterable[int]) -> tuple[ArgumentId, ...]:
+        return tuple(map(self._ids.__getitem__, positions))
+
     def argument(self, identifier: ArgumentId) -> Argument:
-        return self._by_id[identifier]
+        return self.ordered[self._positions[identifier]][1]
 
     def id_of(self, argument: Argument) -> ArgumentId:
-        return self._id_of[argument]
+        for n in self._by_conclusion.get(argument.conclusion, ()):
+            if self.ordered[n][1] == argument:
+                return self._ids[n]
+        raise KeyError(argument)
+
+    def kind(self, identifier: ArgumentId) -> str:
+        """The argument's form, as the JSON output spells it."""
+        return self._rows[self._positions[identifier]][0].kind
+
+    def conclusion(self, identifier: ArgumentId) -> Conclusion:
+        return self._rows[self._positions[identifier]][2]
+
+    def top_rule(self, identifier: ArgumentId) -> str | None:
+        rule = self._rows[self._positions[identifier]][1]
+        return None if rule is None else rule.label
 
     def concluders(self, conclusion: Conclusion) -> tuple[ArgumentId, ...]:
         """Ids of every argument with the given conclusion."""
-        return self._by_conclusion.get(conclusion, ())
+        return self._decode(self._by_conclusion.get(conclusion, ()))
 
     def natural_ids(self) -> tuple[ArgumentId, ...]:
-        return tuple(i for i, a in self.ordered if not a.is_imaginary)
+        return tuple(i for i, row in zip(self._ids, self._rows) if row[0] is not ImaginaryArgument)
 
     def imaginary_ids(self) -> tuple[ArgumentId, ...]:
-        return tuple(i for i, a in self.ordered if a.is_imaginary)
+        return tuple(i for i, row in zip(self._ids, self._rows) if row[0] is ImaginaryArgument)
 
     def index(self, identifier: ArgumentId) -> int:
         return self._positions[identifier]
 
     def sub_ids(self, identifier: ArgumentId) -> tuple[ArgumentId, ...]:
         """Subargument closure as ids (index order), including the argument."""
-        return self._sub_ids[identifier]
+        return self._decode(self._subs[self._positions[identifier]])
 
     def proper_sub_ids(self, identifier: ArgumentId) -> tuple[ArgumentId, ...]:
         """Subargument closure without the argument itself (index order)."""
-        return self._proper_sub_ids[identifier]
+        n = self._positions[identifier]
+        return self._decode([sub for sub in self._subs[n] if sub != n])
 
     def super_ids(self, identifier: ArgumentId) -> frozenset[ArgumentId]:
         """Every argument whose closure contains this one, including the argument."""
-        return self._super_ids[identifier]
+        return frozenset(self._decode(self._supers[self._positions[identifier]]))
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +354,8 @@ class ArgumentSet(Record):
 
 
 def _new_combinations(
-    pools: list[list[Argument]], done: list[int], sizes: list[int]
-) -> Iterator[tuple[Argument, ...]]:
+    pools: list[list[int]], done: list[int], sizes: list[int]
+) -> Iterator[tuple[int, ...]]:
     """Combinations of the first ``sizes`` members of each pool that use a
     member past the first ``done`` of its pool.
 
@@ -343,60 +373,104 @@ def _new_combinations(
 
 
 def build_arguments(theory: Theory) -> ArgumentSet:
-    """Build every argument of the theory and assign deterministic ids.
+    """Build every argument of the theory as a table row and assign deterministic ids.
 
     Rules are applied in rounds until a round adds nothing.  The
-    candidate pools only grow, so each rule remembers how much of every
-    pool it has combined and afterwards tries only the combinations with
-    a new member (semi-naive evaluation): each such combination is tried
-    once, by the position of its first new member.
+    candidate pools (rows by conclusion) only grow, so each rule
+    remembers how much of every pool it has combined and afterwards tries
+    only the combinations with a new member (semi-naive evaluation): each
+    such combination is tried once, by the position of its first new
+    member.  A combination whose rule-label bitset holds the rule's own
+    label is skipped.  The ids follow the structural key, ranked one height
+    at a time: a row's key holds its children's ranks in place of their
+    keys.  No ``Argument`` object is built.
     """
-    imaginary = [ImaginaryArgument(literal) for literal in theory.literal_universe]
-    naturals: list[Argument] = []
-    # conclusion -> arguments, grown as arguments are found: the candidate pools
-    by_conclusion: dict[Conclusion, list[Argument]] = {}
-    for argument in imaginary:
-        by_conclusion.setdefault(argument.conclusion, []).append(argument)
+    universe = theory.literal_universe
+    # rows in the order found: (form, rule, conclusion, children, height, label bitset)
+    found: list[tuple[type, Rule | None, int, tuple[int, ...], int, int]] = []
+    interned: dict[Conclusion, int] = {}  # conclusions as indexes into ``pools``
+    pools: list[list[int]] = []  # rows by conclusion: the candidate pools
 
-    def add(argument: Argument) -> None:
-        found = [argument]
-        conclusion = argument.conclusion
-        if (
-            isinstance(conclusion, DeonticLiteral)
-            and conclusion.operator is DeonticOperator.OBLIGATION
-        ):
-            found.append(DAxiomArgument(argument))  # every obligation spawns its permission
-        for new in found:
-            naturals.append(new)
-            by_conclusion.setdefault(new.conclusion, []).append(new)
+    def intern(conclusion: Conclusion) -> int:
+        index = interned.setdefault(conclusion, len(pools))
+        if index == len(pools):
+            pools.append([])
+        return index
 
+    def add(*row) -> None:
+        pools[row[2]].append(len(found))
+        found.append(row)
+
+    for literal in universe:
+        weak = DeonticLiteral(DeonticOperator.WEAK_PERMISSION, literal)
+        add(ImaginaryArgument, None, intern(weak), (), 0, 0)
     for literal in sorted(theory.facts, key=lambda l: l.sort_key()):
-        add(FactArgument(literal))
+        add(FactArgument, None, intern(literal), (), 0, 0)
 
     # equal rules would build equal arguments, so each is applied once
-    rules = tuple(dict.fromkeys(theory.rules))
+    unique = tuple(dict.fromkeys(theory.rules))
+    bits = {label: 1 << k for k, label in enumerate(dict.fromkeys(r.label for r in unique))}
+    plans = []  # per rule: its body's pools, label bit, head and the head's permission
+    for rule in unique:
+        head, permission = rule.head, None  # every obligation spawns its permission
+        if isinstance(head, DeonticLiteral) and head.operator is DeonticOperator.OBLIGATION:
+            permission = intern(DeonticLiteral(DeonticOperator.PERMISSION, head.literal))
+        body = [pools[intern(element)] for element in rule.body]
+        plans.append((rule, body, bits[rule.label], intern(head), permission))
     # per rule, the pool sizes it has combined (None before its first visit)
-    combined: list[list[int] | None] = [None] * len(rules)
+    combined: list[list[int] | None] = [None] * len(unique)
     changed = True
     while changed:
         changed = False
-        for r, rule in enumerate(rules):
-            pools = [by_conclusion.get(element, []) for element in rule.body]
-            sizes = [len(pool) for pool in pools]
+        for r, (rule, body, own, head, permission) in enumerate(plans):
+            sizes = [len(pool) for pool in body]
             done, combined[r] = combined[r], sizes
             # the first visit tries every combination, which fires an empty body once
-            combos: Iterable[tuple[Argument, ...]] = (
-                itertools.product(*pools) if done is None else _new_combinations(pools, done, sizes)
+            combos: Iterable[tuple[int, ...]] = (
+                itertools.product(*body) if done is None else _new_combinations(body, done, sizes)
             )
             for combo in combos:
-                if any(rule.label in sub.tree_labels() for sub in combo):
+                below, height = 0, -1
+                for sub in combo:
+                    below |= found[sub][5]
+                    height = max(height, found[sub][4])
+                if below & own:
                     continue  # label already used on a path below: blocks cyclic growth
-                add(RuleApplication(rule, combo))
+                labels = below | own
+                add(RuleApplication, rule, head, combo, height + 1, labels)
+                if permission is not None:  # a permission argument shares its base's labels
+                    add(DAxiomArgument, rule, permission, (len(found) - 1,), height + 2, labels)
                 changed = True
 
-    naturals.sort(key=structural_key)
-    ordered: list[tuple[ArgumentId, Argument]] = [
-        (f"A{n}", argument) for n, argument in enumerate(naturals)
-    ]
-    ordered.extend((f"I{n + 1}", argument) for n, argument in enumerate(imaginary))
-    return ArgumentSet(theory, tuple(ordered))
+    # rank-compressed structural keys, one height at a time; imaginary rows
+    # take part at height 0, where their kind rank sorts them last
+    keys = [conclusion_sort_key(conclusion) for conclusion in interned]
+    rank = [0] * len(found)
+    levels: dict[int, list[int]] = {}
+    for n, row in enumerate(found):
+        levels.setdefault(row[4], []).append(n)
+    order: list[int] = []
+    for height in sorted(levels):
+        for n in sorted(levels[height], key=lambda n: (
+            _KIND_RANKS[found[n][0].kind],
+            "" if found[n][1] is None else found[n][1].label,
+            keys[found[n][2]],
+            tuple([rank[child] for child in found[n][3]]),
+        )):
+            rank[n] = len(order)  # a rank only has to follow the key's order
+            order.append(n)
+    # naturals in key order, then the imaginary rows in literal order
+    count = len(order) - len(universe)
+    order = [n for n in order if n >= len(universe)] + list(range(len(universe)))
+    where = [0] * len(found)
+    for position, n in enumerate(order):
+        where[n] = position
+    conclusions = list(interned)
+    rows = tuple(
+        (form, rule, conclusions[conclusion], tuple([where[child] for child in children]))
+        for form, rule, conclusion, children, _, _ in map(found.__getitem__, order)
+    )
+    ids = (*(f"A{n}" for n in range(count)), *(f"I{n + 1}" for n in range(len(universe))))
+    table = object.__new__(ArgumentSet)
+    table._fill(theory, None, ids, rows, [*range(count, len(rows)), *range(count)])
+    return table

@@ -23,14 +23,15 @@ witness records survives; condition-1 records are never suppressed.
 
 The attackers at a witness depend only on its conclusion, and suppression
 only on the witness and the attacker, so the records are enumerated
-witness-first: once per conclusion, once per (witness, attacker) pair, then
-one record for every argument containing the witness.
+witness-first, on the positions of the argument table: once per
+conclusion, once per (witness, attacker) pair, then one record for every
+argument containing the witness.
 
 A record is kept as a row of argument positions, ``(attacker, target,
 condition, witness)``, and the graph holds the rows sorted, which is
-(attacker, target) id order.  Its indexes are built once from the rows;
-``Attack`` records, with ids, are made only when ``edges``, ``suppressed``
-or ``records_between`` is called.
+(attacker, target) id order.  Its indexes are built once from the rows,
+by position; ``Attack`` records, with ids, are made only when ``edges``,
+``suppressed`` or ``records_between`` is called.
 """
 
 from __future__ import annotations
@@ -85,14 +86,16 @@ class AttackGraph(Record):
     ones and ``suppressed_rows`` those removed by superiority.  ``edges``,
     ``suppressed`` and ``records_between`` turn them into ``Attack``
     records when called.  Every lookup index over the surviving rows is
-    built once, when the graph is constructed: the id-keyed ones, and the
-    attacker and target bitmasks by position that the semantics read.  The
-    indexes take no part in equality or ``repr``.
+    built once, when the graph is constructed, by position: the distinct
+    attackers and targets of each argument and the attackers at each
+    witness, as position tuples, and the attacker and target bitmasks that
+    the semantics read.  The id-keyed views decode positions when called.
+    The indexes take no part in equality or ``repr``.
     """
 
     _fields = ("arguments", "rows", "suppressed_rows", "generalized")
-    __slots__ = (*_fields, "_pairs", "_attacker_index", "_target_index", "_witness_index",
-                 "attacker_masks", "target_masks")
+    __slots__ = (*_fields, "_attackers", "_targets", "_at_witness", "attacker_masks",
+                 "target_masks")
     #: bit ``a`` of ``attacker_masks[t]`` is set when position ``a`` attacks ``t``
     attacker_masks: tuple[int, ...]
     #: bit ``t`` of ``target_masks[a]`` is set when position ``a`` attacks ``t``
@@ -109,13 +112,12 @@ class AttackGraph(Record):
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "suppressed_rows", suppressed_rows)
         object.__setattr__(self, "generalized", generalized)
-        ids = arguments.ids
+        size = len(arguments)
         # the rows are sorted, so the distinct pairs, in first-seen order,
         # leave every attacker and target list in position (id) order
-        pairs = dict.fromkeys([(a, t) for a, t, _, _ in rows])
         attackers: dict[int, list[int]] = {}
         targets: dict[int, list[int]] = {}
-        for a, t in pairs:
+        for a, t in dict.fromkeys([(a, t) for a, t, _, _ in rows]):
             attackers.setdefault(t, []).append(a)
             targets.setdefault(a, []).append(t)
         # a witness is among the arguments containing it, so each attacker
@@ -125,24 +127,23 @@ class AttackGraph(Record):
             if t == w:
                 at_witness.setdefault(w, []).append(a)
 
-        def index(found: dict[int, list[int]]) -> dict[ArgumentId, tuple[ArgumentId, ...]]:
-            return {ids[k]: tuple([ids[j] for j in js]) for k, js in found.items()}
-
-        def masks(found: dict[int, list[int]]) -> tuple[int, ...]:
-            out = [0] * len(ids)
+        def by_position(found: dict[int, list[int]], empty: object, value) -> tuple:
+            out = [empty] * size
             for k, js in found.items():
-                mask = 0
-                for j in js:
-                    mask |= 1 << j
-                out[k] = mask
+                out[k] = value(js)
             return tuple(out)
 
-        object.__setattr__(self, "_pairs", frozenset([(ids[a], ids[t]) for a, t in pairs]))
-        object.__setattr__(self, "_attacker_index", index(attackers))
-        object.__setattr__(self, "_target_index", index(targets))
-        object.__setattr__(self, "_witness_index", index(at_witness))
-        object.__setattr__(self, "attacker_masks", masks(attackers))
-        object.__setattr__(self, "target_masks", masks(targets))
+        def mask(js: list[int]) -> int:
+            bits = 0
+            for j in js:
+                bits |= 1 << j
+            return bits
+
+        object.__setattr__(self, "_attackers", by_position(attackers, (), tuple))
+        object.__setattr__(self, "_targets", by_position(targets, (), tuple))
+        object.__setattr__(self, "_at_witness", by_position(at_witness, (), tuple))
+        object.__setattr__(self, "attacker_masks", by_position(attackers, 0, mask))
+        object.__setattr__(self, "target_masks", by_position(targets, 0, mask))
 
     def _records(self, rows: Iterable[Row]) -> tuple[Attack, ...]:
         ids = self.arguments.ids
@@ -160,14 +161,19 @@ class AttackGraph(Record):
 
     @property
     def pairs(self) -> frozenset[tuple[ArgumentId, ArgumentId]]:
-        return self._pairs
+        ids = self.arguments.ids
+        return frozenset([(ids[a], ids[t]) for a, found in enumerate(self._targets) for t in found])
+
+    def _decoded(self, index: tuple[tuple[int, ...], ...], identifier: ArgumentId) -> tuple:
+        n = self.arguments._positions.get(identifier)
+        return () if n is None else self.arguments._decode(index[n])
 
     def attackers_of(self, target: ArgumentId) -> tuple[ArgumentId, ...]:
         """Distinct attackers of the target, in id order (post-suppression)."""
-        return self._attacker_index.get(target, ())
+        return self._decoded(self._attackers, target)
 
     def targets_of(self, attacker: ArgumentId) -> tuple[ArgumentId, ...]:
-        return self._target_index.get(attacker, ())
+        return self._decoded(self._targets, attacker)
 
     def records_between(self, attacker: ArgumentId, target: ArgumentId) -> tuple[Attack, ...]:
         """The surviving records of one pair, found by bisecting the sorted rows."""
@@ -180,7 +186,7 @@ class AttackGraph(Record):
 
     def attackers_at(self, witness: ArgumentId) -> tuple[ArgumentId, ...]:
         """Distinct attackers of the records witnessed at the given argument."""
-        return self._witness_index.get(witness, ())
+        return self._decoded(self._at_witness, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -198,30 +204,27 @@ def compute_attacks(
     if theory is None:
         theory = arguments.theory
 
-    # witness-first (see the module docstring), as position rows
-    position = arguments._positions
-    top_rule = {identifier: argument.top_rule for identifier, argument in arguments}
+    # witness-first (see the module docstring), on positions
+    by_conclusion, supers = arguments._by_conclusion, arguments._supers
+    top_rule = [None if rule is None else rule.label for _, rule, _, _ in arguments._rows]
     surviving: list[Row] = []
     suppressed: list[Row] = []
-    for conclusion, witness_ids in arguments._by_conclusion.items():
-        clashes = [(c, found) for c, found in _clashing_concluders(arguments, conclusion) if found]
+    for conclusion, witnesses in by_conclusion.items():
+        clashes = [
+            (condition, by_conclusion[clashing])
+            for condition, clashing in _clashes(conclusion)
+            if clashing in by_conclusion
+        ]
         if not clashes:
             continue
         narrow = clashes[0][0] == 1 and not imaginary_subargument_attacks
-        for witness_id in witness_ids:
-            w = position[witness_id]
-            if narrow:
-                targets: tuple[int, ...] = (w,)
-            else:
-                targets = tuple(position[t] for t in arguments.super_ids(witness_id))
-            for condition, attacker_ids in clashes:
-                for attacker_id in attacker_ids:
+        for w in witnesses:
+            targets = (w,) if narrow else supers[w]
+            for condition, attackers in clashes:
+                for a in attackers:
                     out = surviving
-                    if condition != 1 and theory.is_superior(
-                        top_rule[witness_id], top_rule[attacker_id]
-                    ):
+                    if condition != 1 and theory.is_superior(top_rule[w], top_rule[a]):
                         out = suppressed
-                    a = position[attacker_id]
                     out.extend([(a, t, condition, w) for t in targets])
 
     return AttackGraph(
@@ -232,16 +235,14 @@ def compute_attacks(
     )
 
 
-def _clashing_concluders(
-    arguments: ArgumentSet, conclusion: Conclusion
-) -> tuple[tuple[int, tuple[ArgumentId, ...]], ...]:
-    """``(condition, attackers)`` for a witness with the given conclusion."""
+def _clashes(conclusion: Conclusion) -> tuple[tuple[int, Conclusion], ...]:
+    """``(condition, clashing conclusion)`` for a witness with the given conclusion."""
     if isinstance(conclusion, Literal):
-        return ((2, arguments.concluders(conclusion.negated)),)
+        return ((2, conclusion.negated),)
     flipped = conclusion.literal.negated
     if conclusion.operator is DeonticOperator.OBLIGATION:
-        return ((3, arguments.concluders(obl(flipped))), (4, arguments.concluders(perm(flipped))))
+        return ((3, obl(flipped)), (4, perm(flipped)))
     if conclusion.operator is DeonticOperator.PERMISSION:
-        return ((3, arguments.concluders(obl(flipped))),)
+        return ((3, obl(flipped)),)
     # a weak permission, concluded only by imaginary arguments: condition 1
-    return ((1, arguments.concluders(obl(flipped))),)
+    return ((1, obl(flipped)),)

@@ -172,12 +172,13 @@ def cmd_args(theory_file: str, fmt: str) -> None:
     if fmt == "json":
         _emit_json(arguments)
         return
-    for identifier, argument in arguments:
-        tag = argument.kind if argument.is_imaginary else f"natural/{argument.kind}"
-        if argument.top_rule is not None:
-            tag += f" {argument.top_rule}"
+    for identifier in arguments.ids:
+        kind, top_rule = arguments.kind(identifier), arguments.top_rule(identifier)
+        tag = kind if kind == "imaginary" else f"natural/{kind}"
+        if top_rule is not None:
+            tag += f" {top_rule}"
         subs = " ".join(arguments.sub_ids(identifier))
-        click.echo(f"{identifier}: {argument.conclusion} [{tag}] sub={{{subs}}}")
+        click.echo(f"{identifier}: {arguments.conclusion(identifier)} [{tag}] sub={{{subs}}}")
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +307,10 @@ def cmd_trace(
 
 def _dot_graph(arguments: ArgumentSet, graph: AttackGraph) -> str:
     lines = ["digraph attacks {", "  rankdir=LR;"]
-    for identifier, argument in arguments:
-        style = ", style=dashed" if argument.is_imaginary else ""
+    for identifier in arguments.ids:
+        style = ", style=dashed" if arguments.kind(identifier) == "imaginary" else ""
         lines.append(
-            f'  "{identifier}" [label="{identifier}: {argument.conclusion}"{style}];'
+            f'  "{identifier}" [label="{identifier}: {arguments.conclusion(identifier)}"{style}];'
         )
     # the edges come in (attacker, target) id order, each pair's records together
     for (attacker, target), records in groupby(

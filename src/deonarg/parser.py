@@ -94,20 +94,18 @@ def _tokenize(text: str) -> list[_Token]:
         if match is None:
             span = SourceSpan(line, pos - line_start + 1, text[pos])
             raise ParseError(f"unexpected character {text[pos]!r}", span)
-        lexeme = match.group(0)
-        span = SourceSpan(line, pos - line_start + 1, lexeme)
-        if match.lastgroup == "ident":
-            tokens.append(_Token("ident", lexeme, span))
-        elif match.lastgroup == "arrow":
-            tokens.append(_Token("=>", lexeme, span))
-        elif match.lastgroup == "punct":
-            tokens.append(_Token(lexeme, lexeme, span))
-        # whitespace and comments are skipped, but newlines advance the line counter
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + lexeme.rfind("\n") + 1
-        pos = match.end()
+        kind, end = match.lastgroup, match.end()
+        if kind == "ws" or kind == "comment":
+            # skipped, but newlines advance the line counter
+            newlines = text.count("\n", pos, end)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", pos, end) + 1
+        else:
+            lexeme = match.group()
+            tag = "ident" if kind == "ident" else "=>" if kind == "arrow" else lexeme
+            tokens.append(_Token(tag, lexeme, SourceSpan(line, pos - line_start + 1, lexeme)))
+        pos = end
     tokens.append(_Token("eof", "", SourceSpan(line, pos - line_start + 1)))
     return tokens
 

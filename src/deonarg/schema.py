@@ -213,19 +213,19 @@ def theory_section(theory: Theory) -> dict[str, Any]:
 
 
 def arguments_section(arguments: ArgumentSet) -> list[dict[str, Any]]:
-    records = []
-    for identifier in arguments.ids:
-        argument = arguments.argument(identifier)
-        records.append(
-            {
-                "id": identifier,
-                "kind": argument.kind,
-                "conclusion": str(argument.conclusion),
-                "sub": list(arguments.sub_ids(identifier)),
-                "top_rule": argument.top_rule,
-            }
+    ids = arguments.ids  # one pass over the table's rows and closures, by position
+    return [
+        {
+            "id": ids[n],
+            "kind": form.kind,
+            "conclusion": str(conclusion),
+            "sub": [ids[k] for k in closure],
+            "top_rule": None if rule is None else rule.label,
+        }
+        for n, ((form, rule, conclusion, _), closure) in enumerate(
+            zip(arguments._rows, arguments._subs)
         )
-    return records
+    ]
 
 
 def _edge_records(ids: tuple[str, ...], rows: Iterable[Row]) -> list[dict[str, Any]]:

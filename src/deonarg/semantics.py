@@ -38,7 +38,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from typing import AbstractSet, Iterable, NamedTuple, Sequence
+from typing import AbstractSet, Container, Iterable, NamedTuple, Sequence
 
 from .arguments import ArgumentSet
 from .attacks import AttackGraph
@@ -109,6 +109,19 @@ def _to_ids(mask: int, ids: tuple[str, ...]) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 
 
+def _clashing(graph: AttackGraph, members: Container[int], touching: Iterable[int]) -> set[int]:
+    """Positions in ``members`` that attack, or are attacked by, a member in ``touching``."""
+    clash: set[int] = set()
+    for member in touching:
+        for target in graph._targets[member]:
+            if target in members:
+                clash.update((member, target))
+        for attacker in graph._attackers[member]:
+            if attacker in members:
+                clash.update((attacker, member))
+    return clash
+
+
 def conflicting_members(
     graph: AttackGraph, members: AbstractSet[str], touching: Iterable[str] | None = None
 ) -> tuple[str, ...]:
@@ -118,15 +131,10 @@ def conflicting_members(
     caller that grows a conflict-free set passes the members it just
     added, since any new conflict involves one of them.
     """
-    clash: set[str] = set()
-    for member in members if touching is None else members & set(touching):
-        for target in graph.targets_of(member):
-            if target in members:
-                clash.update((member, target))
-        for attacker in graph.attackers_of(member):
-            if attacker in members:
-                clash.update((attacker, member))
-    return tuple(sorted(clash, key=graph.arguments.index))
+    positions = graph.arguments._positions
+    chosen = {positions[member] for member in members if member in positions}
+    near = chosen if touching is None else chosen & {positions.get(t) for t in touching}
+    return graph.arguments._decode(sorted(_clashing(graph, chosen, near)))
 
 
 def is_conflict_free(graph: AttackGraph, members: Iterable[str]) -> bool:
@@ -564,5 +572,5 @@ def justified_conclusions(
     arguments: ArgumentSet, justified: Iterable[str]
 ) -> tuple[Conclusion, ...]:
     """Distinct conclusions of the justified arguments, in display order."""
-    seen = {arguments.argument(identifier).conclusion for identifier in justified}
+    seen = {arguments.conclusion(identifier) for identifier in justified}
     return tuple(sorted(seen, key=conclusion_sort_key))

@@ -1,24 +1,38 @@
 """Independent verification tools: brute-force semantics, a reference
-attack scan, a reference weak-permission iteration and a theory generator.
+argument construction, a reference attack scan, a reference
+weak-permission iteration and a theory generator.
 
 The brute-force evaluator enumerates every subset of arguments and applies
 the extension definitions directly (conflict-freeness, defence of every
 member, closure under defended arguments, attacking every outsider).  The
-reference attack scan visits every subargument of every target and finds
-its attackers by scanning the argument set.  The reference weak-permission
-iteration re-tests every argument in every round against the predicate
-definitions.  They read only the argument trees and the attack records,
-and share no index or traversal code with the engine, so they serve as
-oracles for it on small instances.
+reference construction chains forward over ``Argument`` objects and reads
+the closures off the trees.  The reference attack scan visits every
+subargument of every target and finds its attackers by scanning the
+argument set.  The reference weak-permission iteration re-tests every
+argument in every round against the predicate definitions.  They read
+only the argument trees and the attack records, and share no index or
+traversal code with the engine, so they serve as oracles for it on small
+instances.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import string
 from dataclasses import dataclass
 
-from .arguments import ArgumentId, ArgumentSet, build_arguments
+from .arguments import (
+    Argument,
+    ArgumentId,
+    ArgumentSet,
+    DAxiomArgument,
+    FactArgument,
+    ImaginaryArgument,
+    RuleApplication,
+    build_arguments,
+    structural_key,
+)
 from .attacks import AttackGraph
 from .wp import FixpointInvariantError, StatusChange, TraceStep, WpExtension
 from .model import (
@@ -110,6 +124,51 @@ def _bits(mask: int) -> list[int]:
 
 def _unmask(mask: int, ids: tuple[ArgumentId, ...]) -> frozenset[ArgumentId]:
     return frozenset(ids[i] for i in _bits(mask))
+
+
+# ---------------------------------------------------------------------------
+# reference argument construction
+# ---------------------------------------------------------------------------
+
+
+def reference_arguments(
+    theory: Theory,
+) -> tuple[tuple[tuple[ArgumentId, Argument], ...], dict[ArgumentId, tuple[ArgumentId, ...]]]:
+    """The ``(id, Argument)`` pairs by naive forward chaining, and each closure as ids.
+
+    Every round applies every rule to every matching combination of the
+    arguments so far, except those whose trees already use its label, and
+    adds each obligation's permission, until a round finds nothing new.
+    Natural arguments are numbered in ``structural_key`` order, imaginary
+    ones in literal order; the closures are read off the trees.
+    """
+    imaginary = [ImaginaryArgument(literal) for literal in theory.literal_universe]
+    naturals: set[Argument] = {FactArgument(literal) for literal in theory.facts}
+    while True:
+        built = [*naturals, *imaginary]
+        found: set[Argument] = {
+            RuleApplication(rule, subs)
+            for rule in theory.rules
+            for subs in itertools.product(
+                *([a for a in built if a.conclusion == element] for element in rule.body)
+            )
+            if not any(rule.label in sub.tree_labels() for sub in subs)
+        }
+        found |= {
+            DAxiomArgument(a) for a in found
+            if getattr(a.conclusion, "operator", None) is DeonticOperator.OBLIGATION
+        }
+        if found <= naturals:
+            break
+        naturals |= found
+    ordered = [(f"A{n}", a) for n, a in enumerate(sorted(naturals, key=structural_key))]
+    ordered += [(f"I{n + 1}", a) for n, a in enumerate(imaginary)]
+    position = {argument: n for n, (_, argument) in enumerate(ordered)}
+    closures = {
+        identifier: tuple(ordered[n][0] for n in sorted(map(position.get, argument.subarguments())))
+        for identifier, argument in ordered
+    }
+    return tuple(ordered), closures
 
 
 # ---------------------------------------------------------------------------

@@ -27,20 +27,22 @@ targets, and marks the superarguments of every witness it attacks as
 undercut, waking their targets; an argument becoming rejected wakes its
 superarguments and its targets; an argument becoming justified wakes its
 targets.  Each argument changes each of these states once, so the work
-is about linear in the arguments, subargument links and attack records,
-plus one copy of the justified set per iteration for the trace.  The
-public predicates below (``supports``, ``undercuts``, ``wp_acceptable``,
-``wp_rejected``) are the direct definitions, evaluated by scanning.
+is about linear in the arguments, subargument links and attack records.
+It runs on positions; the trace records once the order in which
+arguments became rejected and justified, and each step's sets are
+prefixes of those orders, built when read.  The public predicates below
+(``supports``, ``undercuts``, ``wp_acceptable``, ``wp_rejected``) are the
+direct definitions, evaluated by scanning.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .arguments import ArgumentSet
+from .arguments import ArgumentSet, ImaginaryArgument
 from .attacks import AttackGraph
 from .model import Record
-from .semantics import conflicting_members
+from .semantics import _clashing
 
 # ---------------------------------------------------------------------------
 # errors
@@ -94,7 +96,7 @@ def undercuts(graph: AttackGraph, members: Iterable[str], identifier: str) -> bo
     chosen = frozenset(members)
     arguments = graph.arguments
     for witness in arguments.proper_sub_ids(identifier):
-        if arguments.argument(witness).is_imaginary:
+        if arguments.kind(witness) == "imaginary":
             continue
         for attacker in graph.attackers_at(witness):
             if supports(arguments, chosen, attacker):
@@ -144,8 +146,30 @@ class StatusChange(Record):
         return hash((self.argument, self.clause, self.witnesses))
 
 
+class _Prefix:
+    """The first ``length`` entries of an order that only grows."""
+
+    __slots__ = ("order", "length")
+
+    def __init__(self, order: list[str], length: int) -> None:
+        self.order = order
+        self.length = length
+
+
+def _held(members: frozenset[str] | _Prefix) -> frozenset[str]:
+    return frozenset(members.order[: members.length]) if isinstance(members, _Prefix) else members
+
+
 class TraceStep(Record):
-    __slots__ = _fields = ("index", "newly_rejected", "newly_justified", "rejected", "justified")
+    """One iteration: its status changes, then the rejected and justified sets.
+
+    ``wp_extension`` records once the order in which arguments became
+    rejected and justified, and each step holds only a prefix of each
+    order: ``rejected`` and ``justified`` are built when read.
+    """
+
+    _fields = ("index", "newly_rejected", "newly_justified", "rejected", "justified")
+    __slots__ = ("index", "newly_rejected", "newly_justified", "_rejected", "_justified")
 
     def __init__(
         self,
@@ -158,23 +182,16 @@ class TraceStep(Record):
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "newly_rejected", newly_rejected)
         object.__setattr__(self, "newly_justified", newly_justified)
-        object.__setattr__(self, "rejected", rejected)
-        object.__setattr__(self, "justified", justified)
+        object.__setattr__(self, "_rejected", rejected)
+        object.__setattr__(self, "_justified", justified)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (
-                self.index, self.newly_rejected, self.newly_justified, self.rejected, self.justified
-            ) == (
-                other.index, other.newly_rejected, other.newly_justified, other.rejected,
-                other.justified,
-            )
-        return NotImplemented
+    @property
+    def rejected(self) -> frozenset[str]:
+        return _held(self._rejected)
 
-    def __hash__(self) -> int:
-        return hash(
-            (self.index, self.newly_rejected, self.newly_justified, self.rejected, self.justified)
-        )
+    @property
+    def justified(self) -> frozenset[str]:
+        return _held(self._justified)
 
 
 class WpExtension(Record):
@@ -214,7 +231,7 @@ def wp_acceptable(
     rejected = frozenset(rejected)
     justified = frozenset(justified)
     attackers = graph.attackers_of(identifier)
-    if arguments.argument(identifier).is_imaginary:
+    if arguments.kind(identifier) == "imaginary":
         return all(attacker in rejected for attacker in attackers)
     if not supports(arguments, justified, identifier):
         return False
@@ -240,7 +257,7 @@ def wp_rejected(
     arguments = graph.arguments
     rejected = frozenset(rejected)
     justified = frozenset(justified)
-    if arguments.argument(identifier).is_imaginary:
+    if arguments.kind(identifier) == "imaginary":
         return any(a in justified for a in graph.attackers_of(identifier))
     if any(sub in rejected for sub in arguments.proper_sub_ids(identifier)):
         return True
@@ -262,148 +279,145 @@ def wp_extension(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
     regardless of the guard setting.
 
     The first iteration evaluates every argument; each later one only
-    the arguments whose inputs the previous iteration changed (see the
-    module docstring).
+    the arguments whose inputs the previous iteration changed, on
+    positions, and the steps' sets are prefixes of the recorded orders
+    (see the module docstring).
     """
     arguments = graph.arguments
     ids = arguments.ids
-    position = arguments._positions
-    proper_subs = arguments._proper_sub_ids
-    supers = arguments._super_ids
-    attackers_of = graph.attackers_of
-    targets_of = graph.targets_of
-    imaginary = frozenset(arguments.imaginary_ids())
+    decode = arguments._decode
+    subs, supers = arguments._subs, arguments._supers
+    attackers_of, targets_of = graph._attackers, graph._targets
+    imaginary = [row[0] is ImaginaryArgument for row in arguments._rows]
 
     # support: each argument counts its direct subarguments not yet justified
-    waiting: dict[str, int] = {}
-    parents: dict[str, list[str]] = {identifier: [] for identifier in ids}
-    for identifier, argument in arguments:
-        children = {arguments.id_of(child) for child in argument.children}
-        waiting[identifier] = len(children)
+    waiting: list[int] = []
+    parents: list[list[int]] = [[] for _ in ids]
+    for n, row in enumerate(arguments._rows):
+        children = set(row[3])
+        waiting.append(len(children))
         for child in children:
-            parents[child].append(identifier)
+            parents[child].append(n)
     # undercut: the natural witnesses each argument attacks at
-    attacks_at: dict[str, list[str]] = {}
-    for witness in ids:
-        if witness not in imaginary:
-            for attacker in graph.attackers_at(witness):
-                attacks_at.setdefault(attacker, []).append(witness)
+    attacks_at: list[list[int]] = [[] for _ in ids]
+    for witness, attackers in enumerate(graph._at_witness):
+        if not imaginary[witness]:
+            for attacker in attackers:
+                attacks_at[attacker].append(witness)
 
-    justified: set[str] = set()
-    rejected: set[str] = set()
-    supported: set[str] = set()  # by the justified set
-    undercut: set[str] = set()  # by the justified set
-    fallen: set[str] = set()  # arguments whose closure holds a rejected argument
-    live: set[str] = set()  # witnesses with a supported attacker
+    # every set below holds positions
+    justified: set[int] = set()
+    rejected: set[int] = set()
+    supported: set[int] = set()  # by the justified set
+    undercut: set[int] = set()  # by the justified set
+    fallen: set[int] = set()  # arguments whose closure holds a rejected argument
+    live: set[int] = set()  # witnesses with a supported attacker
 
-    def support(identifier: str, woken: set[str]) -> None:
-        supported.add(identifier)
-        woken.add(identifier)
-        woken.update(targets_of(identifier))
-        for witness in attacks_at.get(identifier, ()):
+    def support(n: int, woken: set[int]) -> None:
+        supported.add(n)
+        woken.add(n)
+        woken.update(targets_of[n])
+        for witness in attacks_at[n]:
             if witness in live:
                 continue
             live.add(witness)
             for above in supers[witness]:
                 if above != witness and above not in undercut:
                     undercut.add(above)
-                    woken.update(targets_of(above))
+                    woken.update(targets_of[above])
 
-    def rejection(identifier: str) -> StatusChange | None:
-        attackers = attackers_of(identifier)
-        if identifier in imaginary:
-            hits = tuple(a for a in attackers if a in justified)
-            if hits:
-                return StatusChange(identifier, "attacker-justified", hits)
-            return None
-        if identifier in fallen:
-            hits = tuple(s for s in proper_subs[identifier] if s in rejected)
-            return StatusChange(identifier, "subargument-rejected", hits)
-        hits = tuple(a for a in attackers if a in supported)
-        if hits:
-            return StatusChange(identifier, "attacker-supported", hits)
-        return None
+    def rejection(n: int) -> StatusChange | None:
+        attackers = attackers_of[n]
+        if imaginary[n]:
+            hits = [a for a in attackers if a in justified]
+            return StatusChange(ids[n], "attacker-justified", decode(hits)) if hits else None
+        if n in fallen:
+            hits = [sub for sub in subs[n] if sub in rejected]  # n itself is not rejected
+            return StatusChange(ids[n], "subargument-rejected", decode(hits))
+        hits = [a for a in attackers if a in supported]
+        return StatusChange(ids[n], "attacker-supported", decode(hits)) if hits else None
 
-    def acceptance(identifier: str) -> StatusChange | None:
-        attackers = attackers_of(identifier)
-        if identifier in imaginary:
+    def acceptance(n: int) -> StatusChange | None:
+        attackers = attackers_of[n]
+        if imaginary[n]:
             if all(a in rejected for a in attackers):
-                return StatusChange(identifier, "attackers-all-rejected", attackers)
+                return StatusChange(ids[n], "attackers-all-rejected", decode(attackers))
             return None
-        if identifier not in supported:
+        if n not in supported:
             return None
         if all(a in rejected or a in undercut for a in attackers):
-            return StatusChange(identifier, "supported-and-defended", attackers)
+            return StatusChange(ids[n], "supported-and-defended", decode(attackers))
         return None
 
-    first: set[str] = set()  # the first iteration evaluates every argument anyway
-    for identifier in ids:
-        if not waiting[identifier]:
-            support(identifier, first)
-    candidates = list(ids)
-    snapshot_rejected: frozenset[str] = frozenset()
+    first: set[int] = set()  # the first iteration evaluates every argument anyway
+    for n in range(len(ids)):
+        if not waiting[n]:
+            support(n, first)
+    candidates: Iterable[int] = range(len(ids))
+    # the order in which arguments became rejected and justified, as ids
+    rejected_order: list[str] = []
+    justified_order: list[str] = []
     steps: list[TraceStep] = []
     for index in range(1, 2 * len(ids) + 2):
         # every predicate reads the previous snapshot: the sets change after both sides
         newly_rejected: list[StatusChange] = []
-        for identifier in candidates:
-            if identifier in rejected:
+        removed: list[int] = []
+        for n in candidates:
+            if n in rejected or (fixpoint_guards and n in justified):
                 continue
-            if fixpoint_guards and identifier in justified:
-                continue
-            change = rejection(identifier)
+            change = rejection(n)
             if change is not None:
                 newly_rejected.append(change)
-        removed = {change.argument for change in newly_rejected}
+                removed.append(n)
+        gone = set(removed)
         newly_justified: list[StatusChange] = []
-        for identifier in candidates:
-            if identifier in justified:
+        added: list[int] = []
+        for n in candidates:
+            if n in justified:
                 continue
-            if fixpoint_guards and (identifier in rejected or identifier in removed):
+            if fixpoint_guards and (n in rejected or n in gone):
                 continue
-            change = acceptance(identifier)
+            change = acceptance(n)
             if change is not None:
                 newly_justified.append(change)
-        added = [change.argument for change in newly_justified]
+                added.append(n)
         rejected.update(removed)
         justified.update(added)
 
-        overlap = {i for i in removed if i in justified} | {i for i in added if i in rejected}
+        overlap = {n for n in removed if n in justified} | {n for n in added if n in rejected}
         if overlap:
-            raise FixpointInvariantError(
-                index, "overlap", tuple(sorted(overlap, key=arguments.index))
-            )
-        clash = conflicting_members(graph, justified, added)
+            raise FixpointInvariantError(index, "overlap", decode(sorted(overlap)))
+        clash = _clashing(graph, justified, added)
         if clash:
-            raise FixpointInvariantError(index, "conflict", clash)
+            raise FixpointInvariantError(index, "conflict", decode(sorted(clash)))
 
         if not newly_rejected and not newly_justified:
             break
-        if newly_rejected:
-            snapshot_rejected = frozenset(rejected)
+        rejected_order += decode(removed)
+        justified_order += decode(added)
         steps.append(
             TraceStep(
                 index,
                 tuple(newly_rejected),
                 tuple(newly_justified),
-                snapshot_rejected,
-                frozenset(justified),
+                _Prefix(rejected_order, len(rejected_order)),  # type: ignore[arg-type]
+                _Prefix(justified_order, len(justified_order)),  # type: ignore[arg-type]
             )
         )
 
         # wake the arguments whose predicates read what just changed
-        woken = set()
-        for identifier in removed:
-            fallen.update(supers[identifier])
-            woken.update(supers[identifier])  # subargument-rejected
-            woken.update(targets_of(identifier))  # an attacker rejected
-        for identifier in added:
-            woken.update(targets_of(identifier))  # attacker-justified
-            for parent in parents[identifier]:
+        woken: set[int] = set()
+        for n in removed:
+            fallen.update(supers[n])
+            woken.update(supers[n])  # subargument-rejected
+            woken.update(targets_of[n])  # an attacker rejected
+        for n in added:
+            woken.update(targets_of[n])  # attacker-justified
+            for parent in parents[n]:
                 waiting[parent] -= 1
                 if not waiting[parent]:
                     support(parent, woken)
-        candidates = sorted(woken, key=position.__getitem__)
+        candidates = sorted(woken)
     else:
         raise AssertionError("weak-permission iteration failed to stabilize")
-    return WpExtension(frozenset(justified), frozenset(rejected), tuple(steps))
+    return WpExtension(frozenset(justified_order), frozenset(rejected_order), tuple(steps))

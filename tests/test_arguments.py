@@ -1,20 +1,37 @@
 """Unit tests for argument construction and the argument set."""
 
+import importlib.util
+from pathlib import Path
+
+from click.testing import CliRunner
+
 from deonarg import (
     DAxiomArgument,
     FactArgument,
     ImaginaryArgument,
     RuleApplication,
+    Rule,
+    Theory,
     build_arguments,
+    complete_extensions,
+    compute_attacks,
+    evaluate,
     lit,
     obl,
     parse_theory,
     perm,
     perm_w,
+    serialize_theory,
+    stable_extensions,
+    verify_theorems,
+    wp_extension,
 )
 from deonarg.arguments import structural_key
+from deonarg.cli import main
 from deonarg.model import conclusion_sort_key
-from deonarg.testkit import GeneratorParams, generate_theory
+from deonarg.schema import arguments_section, attacks_section, trace_section
+from deonarg.semantics import SEMANTICS_NAMES
+from deonarg.testkit import GeneratorParams, generate_theory, reference_arguments
 
 
 def kinds(prepared):
@@ -237,3 +254,90 @@ def test_stored_closures_and_ids_match_their_definitions(goldens):
             assert arguments.super_ids(identifier) == {
                 other for other, closure in closures.items() if identifier in closure
             }
+
+
+def _ladder():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "ladder.py"
+    spec = importlib.util.spec_from_file_location("ladder", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tall_argument_sets_compare_without_recursion():
+    theory = parse_theory(_ladder().chain(1000))
+    first, second = build_arguments(theory), build_arguments(theory)
+    assert first == second and first is not second
+    rules = list(theory.rules)
+    rules[500] = Rule(rules[500].label, rules[500].body, lit("b"))
+    changed = build_arguments(Theory(theory.facts, tuple(rules), theory.superiority))
+    assert first != changed
+    # the top argument is the permission of the final obligation
+    top = first.argument(first.natural_ids()[-1])
+    assert isinstance(top, DAxiomArgument) and str(top.conclusion) == "perm(z)"
+    assert len(top.subarguments()) == 1003
+
+
+def _theories(goldens, corpora):
+    theories = [prepared.theory for prepared in goldens.values()]
+    return theories + [case.theory for corpus in corpora for case in corpus]
+
+
+def test_the_table_matches_the_reference_construction(
+    goldens, conflict_corpus, no_superiority_corpus, oracle_corpus
+):
+    theories = _theories(goldens, (conflict_corpus, no_superiority_corpus, oracle_corpus))
+    for seed in range(200):
+        params = GeneratorParams(
+            seed=seed, atom_count=4, rule_count=6, fact_count=2, acyclic=seed % 2 == 0,
+            inject_conflict=True,
+        )
+        theories.append(generate_theory(params))
+    for theory in theories:
+        arguments = build_arguments(theory)
+        ordered, closures = reference_arguments(theory)
+        assert arguments.ordered == ordered
+        for identifier, closure in closures.items():
+            assert arguments.sub_ids(identifier) == closure
+            proper = tuple(i for i in closure if i != identifier)
+            assert arguments.proper_sub_ids(identifier) == proper
+            assert arguments.super_ids(identifier) == {
+                other for other, found in closures.items() if identifier in found
+            }
+
+
+def test_the_request_path_builds_no_argument_objects(
+    goldens, conflict_corpus, no_superiority_corpus, oracle_corpus, monkeypatch
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an Argument object was built")
+
+    theories = _theories(goldens, (conflict_corpus, no_superiority_corpus, oracle_corpus))
+    runner = CliRunner()
+    with monkeypatch.context() as patch:
+        for form in (ImaginaryArgument, FactArgument, RuleApplication, DAxiomArgument):
+            patch.setattr(form, "__init__", refuse)
+        for source in theories:
+            text = serialize_theory(source)
+            theory = parse_theory(text)
+            arguments = build_arguments(theory)
+            limit = len(arguments)
+            arguments_section(arguments)
+            result = runner.invoke(main, ["args", "-"], input=text)
+            assert result.exit_code == 0, result.output + str(result.exception)
+            for generalized in (False, True):
+                graph = compute_attacks(
+                    arguments, theory, imaginary_subargument_attacks=generalized
+                )
+                for semantics in SEMANTICS_NAMES:
+                    evaluate(graph, semantics, argument_limit=limit)
+                complete_extensions(graph, argument_limit=limit)
+                stable_extensions(graph, argument_limit=limit)
+                trace_section(wp_extension(graph))
+                attacks_section(graph)
+                verify_theorems(
+                    theory, imaginary_subargument_attacks=generalized, argument_limit=limit
+                )
+                flag = ["--imaginary-subargument-attacks"] if generalized else []
+                result = runner.invoke(main, ["attacks", "-f", "dot", *flag, "-"], input=text)
+                assert result.exit_code == 0, result.output + str(result.exception)

@@ -60,12 +60,10 @@ from deonarg.parser import _Token, _tokenize, serialize_theory
 from deonarg.testkit import GeneratorParams, generate_theory
 
 _ARGUMENT_SET_INDEXES = (
-    "_by_id", "_id_of", "_positions", "_by_conclusion", "_ids", "_sub_ids", "_proper_sub_ids",
-    "_super_ids",
+    "_ordered", "_ids", "_rows", "_positions", "_by_conclusion", "_subs", "_supers",
 )
 _ATTACK_GRAPH_INDEXES = (
-    "_pairs", "_attacker_index", "_target_index", "_witness_index", "attacker_masks",
-    "target_masks",
+    "_attackers", "_targets", "_at_witness", "attacker_masks", "target_masks",
 )
 
 #: class -> (the dataclass's fields, the compared and repr fields)
