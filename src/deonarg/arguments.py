@@ -51,11 +51,13 @@ class Argument(Record):
     Arguments are immutable trees, so every value derived from a tree (its
     height, hash, rule labels and structural key) is computed once, from the
     children's stored values, when the argument is constructed.  Equality
-    compares a form's own fields (``Record``); the hash is the stored one.
+    compares a form's own fields (``Record``) down the trees, without
+    recursion; the hash is the stored one.
     """
 
     __slots__ = ("_height", "_hash", "_labels", "_key")
     kind: ClassVar[str]  # each form's name, as the JSON output spells it
+    _plain: ClassVar[tuple[str, ...]] = ()  # the fields other than the children
 
     def _derive(self, children: tuple[Argument, ...], labels: frozenset[str]) -> None:
         height = 1 + max(child._height for child in children) if children else 0
@@ -65,6 +67,22 @@ class Argument(Record):
         object.__setattr__(self, "_labels", labels)
         object.__setattr__(self, "_key", (*head, tuple(child._key for child in children)))
         object.__setattr__(self, "_hash", hash((head, tuple(child._hash for child in children))))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs, seen = [(self, other)], set()  # a shared subtree is compared once
+        while pairs:  # no recursion: trees may be thousands of levels tall
+            left, right = pairs.pop()
+            if left is right or (id(left), id(right)) in seen:
+                continue
+            seen.add((id(left), id(right)))
+            if left.__class__ is not right.__class__ or left._hash != right._hash:
+                return False
+            if any(getattr(left, name) != getattr(right, name) for name in left._plain):
+                return False
+            pairs.extend(zip(left.children, right.children))
+        return True
 
     def __hash__(self) -> int:
         return self._hash
@@ -111,7 +129,7 @@ class ImaginaryArgument(Argument):
     """Concludes the weak permission of its literal; has no premises."""
 
     kind = "imaginary"
-    __slots__ = _fields = ("literal",)
+    __slots__ = _fields = _plain = ("literal",)
 
     def __init__(self, literal: Literal) -> None:
         object.__setattr__(self, "literal", literal)
@@ -124,7 +142,7 @@ class ImaginaryArgument(Argument):
 
 class FactArgument(Argument):
     kind = "fact"
-    __slots__ = _fields = ("literal",)
+    __slots__ = _fields = _plain = ("literal",)
 
     def __init__(self, literal: Literal) -> None:
         object.__setattr__(self, "literal", literal)
@@ -140,6 +158,7 @@ class RuleApplication(Argument):
 
     kind = "rule-application"
     __slots__ = _fields = ("rule", "subs")
+    _plain = ("rule",)
 
     def __init__(self, rule: Rule, subs: tuple[Argument, ...]) -> None:
         object.__setattr__(self, "rule", rule)

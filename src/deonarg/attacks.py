@@ -64,16 +64,6 @@ class Attack(Record):
         object.__setattr__(self, "condition", condition)
         object.__setattr__(self, "witness", witness)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.attacker, self.target, self.condition, self.witness) == (
-                other.attacker, other.target, other.condition, other.witness
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.attacker, self.target, self.condition, self.witness))
-
 
 #: one record as argument positions: ``(attacker, target, condition, witness)``
 Row = tuple[int, int, int, int]
@@ -85,21 +75,16 @@ class AttackGraph(Record):
     The records are kept as position rows, sorted: ``rows`` the surviving
     ones and ``suppressed_rows`` those removed by superiority.  ``edges``,
     ``suppressed`` and ``records_between`` turn them into ``Attack``
-    records when called.  Every lookup index over the surviving rows is
-    built once, when the graph is constructed, by position: the distinct
-    attackers and targets of each argument and the attackers at each
-    witness, as position tuples, and the attacker and target bitmasks that
-    the semantics read.  The id-keyed views decode positions when called.
+    records when called.  The graph's only adjacency index is built once,
+    when it is constructed, from the surviving rows: the distinct attackers
+    and targets of each argument and the attackers at each witness, as
+    position tuples in position order.  The semantics, wp and the id-keyed
+    views read these tuples, the views decoding positions when called.
     The indexes take no part in equality or ``repr``.
     """
 
     _fields = ("arguments", "rows", "suppressed_rows", "generalized")
-    __slots__ = (*_fields, "_attackers", "_targets", "_at_witness", "attacker_masks",
-                 "target_masks")
-    #: bit ``a`` of ``attacker_masks[t]`` is set when position ``a`` attacks ``t``
-    attacker_masks: tuple[int, ...]
-    #: bit ``t`` of ``target_masks[a]`` is set when position ``a`` attacks ``t``
-    target_masks: tuple[int, ...]
+    __slots__ = (*_fields, "_attackers", "_targets", "_at_witness")
 
     def __init__(
         self,
@@ -127,23 +112,15 @@ class AttackGraph(Record):
             if t == w:
                 at_witness.setdefault(w, []).append(a)
 
-        def by_position(found: dict[int, list[int]], empty: object, value) -> tuple:
-            out = [empty] * size
+        def by_position(found: dict[int, list[int]]) -> tuple[tuple[int, ...], ...]:
+            out: list[tuple[int, ...]] = [()] * size
             for k, js in found.items():
-                out[k] = value(js)
+                out[k] = tuple(js)
             return tuple(out)
 
-        def mask(js: list[int]) -> int:
-            bits = 0
-            for j in js:
-                bits |= 1 << j
-            return bits
-
-        object.__setattr__(self, "_attackers", by_position(attackers, (), tuple))
-        object.__setattr__(self, "_targets", by_position(targets, (), tuple))
-        object.__setattr__(self, "_at_witness", by_position(at_witness, (), tuple))
-        object.__setattr__(self, "attacker_masks", by_position(attackers, 0, mask))
-        object.__setattr__(self, "target_masks", by_position(targets, 0, mask))
+        object.__setattr__(self, "_attackers", by_position(attackers))
+        object.__setattr__(self, "_targets", by_position(targets))
+        object.__setattr__(self, "_at_witness", by_position(at_witness))
 
     def _records(self, rows: Iterable[Row]) -> tuple[Attack, ...]:
         ids = self.arguments.ids

@@ -5,20 +5,19 @@ post-suppression attack relation, plus the sceptical notion of a
 justified argument (member of every extension under the chosen
 semantics).
 
-The grounded extension is computed as the least fixpoint of the
-characteristic function.  Complete and stable extensions are enumerated
-SCC-recursively (Baroni, Giacomin & Guida, AIJ 2005): the strongly
-connected components of the attack graph are labelled IN, OUT or UNDEC
-in topological order, each conditioned on the labels of its upstream
-attackers, by a backtracking search with constraint propagation inside
-the component.  A singleton component has one consistent label and
-needs no search.  Stable extensions are searched directly, with UNDEC
-forbidden in every component, rather than filtered from the complete
-ones.  The search runs on graph positions, like every mask here: a
-component is the mask of its members, and the attacker and target masks
-are the graph's own, built once with it.  One helper, ``_defended``,
-gives the members a set defends, for grounded, the search and the part
-check.
+The grounded extension is computed by labelling propagation over the
+graph's attacker and target position tuples (Modgil & Caminada, "Proof
+theories and algorithms for abstract argumentation frameworks", 2009).
+Complete and stable extensions are enumerated SCC-recursively (Baroni,
+Giacomin & Guida, AIJ 2005): the strongly connected components, found
+over the same tuples, are labelled IN, OUT or UNDEC in topological
+order, each conditioned on the labels of its upstream attackers, by a
+backtracking search with constraint propagation inside the component.
+A singleton component has one consistent label and needs no search.
+Stable extensions are searched directly, with UNDEC forbidden in every
+component, rather than filtered from the complete ones.  The search
+alone runs on bitmasks of graph positions, which ``_factorise`` builds
+from the tuples once per call.
 
 The labellings are kept per part (arguments joined by no attack either
 way fall in different parts), and each part's labellings are checked
@@ -38,7 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from typing import AbstractSet, Container, Iterable, NamedTuple, Sequence
+from typing import AbstractSet, Container, Iterable, Iterator, NamedTuple, Sequence
 
 from .arguments import ArgumentSet
 from .attacks import AttackGraph
@@ -81,8 +80,14 @@ def _attacked_by(mask: int, targets: Sequence[int]) -> int:
 
 def _defended(attacked: int, targets: Sequence[int], own: int) -> int:
     """Members of ``own`` that no member of ``own`` outside ``attacked``
-    attacks: those whose attackers in ``own`` are all in ``attacked``."""
+    attacks: those whose attackers in ``own`` are all in ``attacked``
+    (for the complete and stable search and its part check)."""
     return own & ~_attacked_by(own & ~attacked, targets)
+
+
+def _masks(index: Sequence[Sequence[int]]) -> list[int]:
+    """One bitmask per position of an attacker or target tuple index."""
+    return [sum(1 << j for j in found) if found else 0 for found in index]
 
 
 def _positions(mask: int) -> list[int]:
@@ -163,18 +168,28 @@ def is_admissible(graph: AttackGraph, members: Iterable[str]) -> bool:
 
 
 def grounded_extension(graph: AttackGraph) -> frozenset[str]:
-    """Least fixpoint of the characteristic function."""
-    ids, attackers, targets = graph.arguments.ids, graph.attacker_masks, graph.target_masks
-    full = (1 << len(ids)) - 1
-    # members that attack nothing leave no one undefended: counting them
-    # as attacked keeps the defence test to the members that do attack
-    idle = full & ~functools.reduce(operator.or_, attackers, 0)
-    current = 0
-    while True:
-        acceptable = _defended(_attacked_by(current, targets) | idle, targets, full)
-        if acceptable == current:
-            return _to_ids(current, ids)
-        current = acceptable
+    """Least fixpoint of the characteristic function, by labelling propagation.
+
+    An argument is IN once every attacker is OUT, and OUT once an attacker
+    is IN; the rest are UNDEC.  ``pending`` counts the attackers not yet
+    OUT, so each attack is read at most twice: as its attacker turns IN
+    and as it turns OUT.
+    """
+    attackers, targets = graph._attackers, graph._targets
+    pending = [len(found) for found in attackers]
+    out = [False] * len(pending)
+    accepted = [k for k, count in enumerate(pending) if not count]
+    for k in accepted:  # grows while it is read
+        for t in targets[k]:
+            if out[t]:
+                continue
+            out[t] = True
+            for u in targets[t]:
+                pending[u] -= 1
+                if not pending[u]:
+                    accepted.append(u)
+    ids = graph.arguments.ids
+    return frozenset([ids[k] for k in accepted])
 
 
 # ---------------------------------------------------------------------------
@@ -182,19 +197,19 @@ def grounded_extension(graph: AttackGraph) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 
 
-def _components(attackers: Sequence[int]) -> list[list[int]]:
+def _components(attackers: Sequence[Sequence[int]]) -> list[list[int]]:
     """Strongly connected components, each after every component attacking it.
 
     Iterative Tarjan that follows attacker edges: a component is emitted
     only once every component upstream of it has been, so the list is in
-    topological order.  Successors are read bit by bit from the masks.
+    topological order.  Successors are read from the attacker tuples.
     """
     n = len(attackers)
     order = [-1] * n
     low = [0] * n
     on_stack = [False] * n
     stack: list[int] = []
-    work: list[tuple[int, int]] = []  # (argument, attackers not yet visited)
+    work: list[tuple[int, Iterator[int]]] = []  # (argument, attackers not yet visited)
     components: list[list[int]] = []
     counter = itertools.count()
 
@@ -202,7 +217,7 @@ def _components(attackers: Sequence[int]) -> list[list[int]]:
         order[v] = low[v] = next(counter)
         stack.append(v)
         on_stack[v] = True
-        work.append((v, attackers[v]))
+        work.append((v, iter(attackers[v])))
 
     for root in range(n):
         if order[root] >= 0:
@@ -210,10 +225,8 @@ def _components(attackers: Sequence[int]) -> list[list[int]]:
         enter(root)
         while work:
             v, pending = work[-1]
-            if pending:
-                bit = pending & -pending
-                work[-1] = (v, pending ^ bit)
-                w = bit.bit_length() - 1
+            w = next(pending, -1)
+            if w >= 0:
                 if order[w] < 0:
                     enter(w)
                 elif on_stack[w]:
@@ -235,7 +248,7 @@ def _components(attackers: Sequence[int]) -> list[list[int]]:
     return components
 
 
-def _parts(attackers: Sequence[int], targets: Sequence[int]) -> list[int]:
+def _parts(attackers: Sequence[Sequence[int]], targets: Sequence[Sequence[int]]) -> list[int]:
     """Part number of every argument; arguments joined by attacks share one."""
     part = [-1] * len(attackers)
     count = 0
@@ -246,11 +259,7 @@ def _parts(attackers: Sequence[int], targets: Sequence[int]) -> list[int]:
         todo = [root]
         while todo:
             k = todo.pop()
-            linked = attackers[k] | targets[k]
-            while linked:
-                bit = linked & -linked
-                linked ^= bit
-                j = bit.bit_length() - 1
+            for j in attackers[k] + targets[k]:
                 if part[j] < 0:
                     part[j] = count
                     todo.append(j)
@@ -425,10 +434,10 @@ def _factorise(graph: AttackGraph, argument_limit: int, stable: bool) -> _Factor
     count = len(graph.arguments)
     if count > argument_limit:
         raise ArgumentLimitExceeded(count, argument_limit)
-    attackers, targets = graph.attacker_masks, graph.target_masks
-    part = _parts(attackers, targets)
+    part = _parts(graph._attackers, graph._targets)
+    attackers, targets = _masks(graph._attackers), _masks(graph._targets)
     labellings: dict[int, list[tuple[int, int]]] = {}
-    for members in _components(attackers):
+    for members in _components(graph._attackers):
         owner = part[members[0]]
         labellings[owner] = _label_component(
             members, attackers, targets, labellings.get(owner, [(0, 0)]), stable

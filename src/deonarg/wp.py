@@ -135,16 +135,6 @@ class StatusChange(Record):
         object.__setattr__(self, "clause", clause)
         object.__setattr__(self, "witnesses", witnesses)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.argument, self.clause, self.witnesses) == (
-                other.argument, other.clause, other.witnesses
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.argument, self.clause, self.witnesses))
-
 
 class _Prefix:
     """The first ``length`` entries of an order that only grows."""

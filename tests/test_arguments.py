@@ -278,6 +278,31 @@ def test_tall_argument_sets_compare_without_recursion():
     assert len(top.subarguments()) == 1003
 
 
+def test_tall_arguments_compare_without_recursion():
+    for steps in (300, 1000):
+        theory = parse_theory(_ladder().chain(steps))
+        first, second = build_arguments(theory), build_arguments(theory)
+        top, twin = (built.argument(built.natural_ids()[-1]) for built in (first, second))
+        assert top is not twin and top.height == steps + 2
+        assert top == twin and hash(top) == hash(twin)
+        # r150 reads a_148 instead of a_149: the chain holds, one step shorter
+        rules = tuple(
+            Rule(rule.label, (lit("a_148"),), rule.head) if rule.label == "r150" else rule
+            for rule in theory.rules
+        )
+        changed = build_arguments(Theory(theory.facts, rules, theory.superiority))
+        other = changed.argument(changed.natural_ids()[-1])
+        assert str(other.conclusion) == "perm(z)" and other.height == steps + 1
+        assert top != other
+    # every a_i and b_i reads both a_{i-1} and b_{i-1}: 2^40 root-to-leaf
+    # paths over 82 shared subtrees, each pair compared once
+    lines = ["fact a_0.", "fact b_0."]
+    for i in range(1, 41):
+        lines += [f"{label}{i}: a_{i - 1}, b_{i - 1} => {atom}_{i}." for label, atom in ("ra", "sb")]
+    first, second = (build_arguments(parse_theory("\n".join(lines) + "\n")) for _ in range(2))
+    assert first.argument(first.natural_ids()[-1]) == second.argument(second.natural_ids()[-1])
+
+
 def _theories(goldens, corpora):
     theories = [prepared.theory for prepared in goldens.values()]
     return theories + [case.theory for corpus in corpora for case in corpus]

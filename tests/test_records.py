@@ -63,7 +63,7 @@ _ARGUMENT_SET_INDEXES = (
     "_ordered", "_ids", "_rows", "_positions", "_by_conclusion", "_subs", "_supers",
 )
 _ATTACK_GRAPH_INDEXES = (
-    "_attackers", "_targets", "_at_witness", "attacker_masks", "target_masks",
+    "_attackers", "_targets", "_at_witness",
 )
 
 #: class -> (the dataclass's fields, the compared and repr fields)

@@ -1,9 +1,11 @@
 """Unit tests for grounded, complete and stable extension computation."""
 
+import importlib.util
 import itertools
 import random
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +24,7 @@ from deonarg import (
     stable_extensions,
 )
 from deonarg.semantics import _stable_core, conflicting_members
-from deonarg.testkit import brute_force_extensions
+from deonarg.testkit import GeneratorParams, brute_force_extensions, generate_theory
 
 
 def prepared_graph(text):
@@ -300,3 +302,45 @@ def test_conflicting_members_equal_a_scan_of_the_attack_pairs(goldens, oracle_co
             assert conflicting_members(graph, chosen) == tuple(sorted(expected, key=order))
             assert conflicting_members(graph, chosen, touching) == tuple(sorted(near, key=order))
             assert is_conflict_free(graph, chosen) == (not expected)
+
+
+def _characteristic_fixpoint(graph):
+    """The least fixpoint of F, iterated from the empty set over ``graph.pairs``:
+    ``F(S)`` holds the arguments whose every attacker is attacked by ``S``."""
+    attackers = {identifier: set() for identifier in graph.arguments.ids}
+    for attacker, target in graph.pairs:
+        attackers[target].add(attacker)
+    current = frozenset()
+    while True:
+        attacked = {target for attacker, target in graph.pairs if attacker in current}
+        following = frozenset(i for i, found in attackers.items() if found <= attacked)
+        if following == current:
+            return current
+        current = following
+
+
+def _ladder():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "ladder.py"
+    spec = importlib.util.spec_from_file_location("ladder", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_grounded_is_the_least_fixpoint_of_the_characteristic_function(
+    goldens, conflict_corpus, no_superiority_corpus, oracle_corpus
+):
+    graphs = [prepared.graph for prepared in goldens.values()]
+    for corpus in (conflict_corpus, no_superiority_corpus, oracle_corpus):
+        graphs += [case.graph for case in corpus]
+    for seed in range(200):
+        params = GeneratorParams(
+            seed=seed, atom_count=4, rule_count=6, fact_count=2, acyclic=seed % 2 == 0,
+            inject_conflict=True,
+        )
+        graphs.append(prepared_graph(serialize_theory(generate_theory(params)))[1])
+    ladder = _ladder()
+    for text in (ladder.chain(1000), ladder.fan(8), ladder.generated()):
+        graphs.append(prepared_graph(text)[1])
+    for graph in graphs:
+        assert grounded_extension(graph) == _characteristic_fixpoint(graph)
