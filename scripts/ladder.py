@@ -3,10 +3,12 @@
 
 Each rung is one theory.  The stages are timed one by one from outside
 the engine with ``time.process_time``, each the median of ``REPEAT`` (9)
-runs: ``build`` (``build_arguments``), ``attacks`` (``compute_attacks``),
-``grounded``, ``complete`` and ``stable`` (the extension lists, with the
-argument limit raised to the argument count), ``wp`` (``wp_extension``)
-and ``verify_theorems`` (the whole check on the theory, limit raised).
+runs: ``parse`` (``parse_theory`` on the rung's text, validation
+included), ``build`` (``build_arguments``), ``attacks``
+(``compute_attacks``), ``grounded``, ``complete`` and ``stable`` (the
+extension lists, with the argument limit raised to the argument count),
+``wp`` (``wp_extension``) and ``verify_theorems`` (the whole check on
+the theory, limit raised).
 
 The ladder:
 
@@ -89,7 +91,7 @@ from deonarg.testkit import GeneratorParams, generate_theory
 #: runs per stage; the median is reported
 REPEAT = 9
 
-STAGES = ("build", "attacks", "grounded", "complete", "stable", "wp", "verify_theorems")
+STAGES = ("parse", "build", "attacks", "grounded", "complete", "stable", "wp", "verify_theorems")
 
 #: fresh interpreters per start-up stage; the median is reported
 STARTUP_REPEAT = 21
@@ -187,6 +189,7 @@ def stage_calls(engine: ModuleType, text: str) -> tuple[dict, dict[str, Callable
     rung["digests"]["attacks"] = digest(schema.attacks_section(graph))
     rung["digests"]["trace"] = digest(schema.trace_section(engine.wp_extension(graph)))
     calls: dict[str, Callable[[], object]] = {
+        "parse": lambda: engine.parse_theory(text),
         "build": lambda: engine.build_arguments(theory),
         "attacks": lambda: engine.compute_attacks(arguments, theory),
         "grounded": lambda: engine.grounded_extension(graph),

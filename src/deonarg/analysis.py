@@ -100,24 +100,22 @@ def _conflict_pairs(
     *,
     ignore_adjudicated: bool,
 ) -> tuple[ConflictPair, ...]:
-    pairs: list[ConflictPair] = []
-    for supporting in theory.rules:
-        head = _obligation_head(supporting)
-        if head is None or not head.positive:
-            continue
-        for opposing in theory.rules:
-            if _obligation_head(opposing) != complement(head):
-                continue
-            if ignore_adjudicated and (
-                theory.is_superior(supporting.label, opposing.label)
-                or theory.is_superior(opposing.label, supporting.label)
-            ):
-                continue
-            if not _body_supported(supporting, arguments, justified):
-                continue
-            if not _body_supported(opposing, arguments, justified):
-                continue
-            pairs.append(ConflictPair(head, supporting.label, opposing.label))
+    # the obligation rules with supported bodies, indexed by the obliged literal
+    by_head: dict[Literal, list[str]] = {}
+    for rule in theory.rules:
+        head = _obligation_head(rule)
+        if head is not None and _body_supported(rule, arguments, justified):
+            by_head.setdefault(head, []).append(rule.label)
+    pairs = [
+        ConflictPair(head, supporting, opposing)
+        for head, supporting_labels in by_head.items()
+        if head.positive
+        for supporting in supporting_labels
+        for opposing in by_head.get(head.negated, ())
+        if not ignore_adjudicated
+        or not (theory.is_superior(supporting, opposing)
+                or theory.is_superior(opposing, supporting))
+    ]
     pairs.sort(key=lambda p: (p.literal.sort_key(), p.supporting_rule, p.opposing_rule))
     return tuple(pairs)
 

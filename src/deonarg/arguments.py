@@ -350,8 +350,8 @@ class ArgumentSet(Record):
     def imaginary_ids(self) -> tuple[ArgumentId, ...]:
         return tuple(i for i, row in zip(self._ids, self._rows) if row[0] is ImaginaryArgument)
 
-    def index(self, identifier: ArgumentId) -> int:
-        return self._positions[identifier]
+    #: an id's position: the position dict's own lookup, no Python call per sort key
+    index = property(lambda self: self._positions.__getitem__)
 
     def sub_ids(self, identifier: ArgumentId) -> tuple[ArgumentId, ...]:
         """Subargument closure as ids (index order), including the argument."""

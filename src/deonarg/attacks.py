@@ -25,7 +25,8 @@ The attackers at a witness depend only on its conclusion, and suppression
 only on the witness and the attacker, so the records are enumerated
 witness-first, on the positions of the argument table: once per
 conclusion, once per (witness, attacker) pair, then one record for every
-argument containing the witness.
+argument containing the witness.  Clashing conclusions share an atom, so
+they are found by atom and a form-and-polarity code in a fixed table.
 
 A record is kept as a row of argument positions, ``(attacker, target,
 condition, witness)``, and the graph holds the rows sorted, which is
@@ -40,7 +41,7 @@ import bisect
 from typing import Iterable
 
 from .arguments import ArgumentId, ArgumentSet
-from .model import Conclusion, DeonticOperator, Literal, Record, Theory, obl, perm
+from .model import Literal, Record, Theory
 
 # ---------------------------------------------------------------------------
 # edge records
@@ -171,6 +172,16 @@ class AttackGraph(Record):
 # ---------------------------------------------------------------------------
 
 
+#: code -> ``(condition, code)`` of its clashing conclusions; a code is 2 * form
+#: + (1 if negative), form 0 for a plain literal, else 1 + rank (obl 1, perm 2, perm_w 3)
+_CLASHES = (
+    ((2, 1),), ((2, 0),),  # l: ~l
+    ((3, 3), (4, 5)), ((3, 2), (4, 4)),  # obl(l): obl(~l), perm(~l)
+    ((3, 3),), ((3, 2),),  # perm(l): obl(~l)
+    ((1, 3),), ((1, 2),),  # perm_w(l), the imaginary arguments': obl(~l)
+)
+
+
 def compute_attacks(
     arguments: ArgumentSet,
     theory: Theory | None = None,
@@ -181,28 +192,35 @@ def compute_attacks(
     if theory is None:
         theory = arguments.theory
 
-    # witness-first (see the module docstring), on positions
-    by_conclusion, supers = arguments._by_conclusion, arguments._supers
+    # witness-first (see the module docstring), on positions, by atom and code
+    by_atom: dict[str, dict[int, list[int]]] = {}
+    for conclusion, witnesses in arguments._by_conclusion.items():
+        literal, form = conclusion, 0
+        if conclusion.__class__ is not Literal:
+            literal, form = conclusion.literal, 1 + conclusion.operator.rank
+        by_atom.setdefault(literal.atom.name, {})[2 * form + (not literal.positive)] = witnesses
+    supers = arguments._supers
     top_rule = [None if rule is None else rule.label for _, rule, _, _ in arguments._rows]
     surviving: list[Row] = []
     suppressed: list[Row] = []
-    for conclusion, witnesses in by_conclusion.items():
-        clashes = [
-            (condition, by_conclusion[clashing])
-            for condition, clashing in _clashes(conclusion)
-            if clashing in by_conclusion
-        ]
-        if not clashes:
-            continue
-        narrow = clashes[0][0] == 1 and not imaginary_subargument_attacks
-        for w in witnesses:
-            targets = (w,) if narrow else supers[w]
-            for condition, attackers in clashes:
-                for a in attackers:
-                    out = surviving
-                    if condition != 1 and theory.is_superior(top_rule[w], top_rule[a]):
-                        out = suppressed
-                    out.extend([(a, t, condition, w) for t in targets])
+    for group in by_atom.values():
+        for code, witnesses in group.items():
+            clashes = [
+                (condition, group[clashing])
+                for condition, clashing in _CLASHES[code]
+                if clashing in group
+            ]
+            if not clashes:
+                continue
+            narrow = clashes[0][0] == 1 and not imaginary_subargument_attacks
+            for w in witnesses:
+                targets = (w,) if narrow else supers[w]
+                for condition, attackers in clashes:
+                    for a in attackers:
+                        out = surviving
+                        if condition != 1 and theory.is_superior(top_rule[w], top_rule[a]):
+                            out = suppressed
+                        out.extend([(a, t, condition, w) for t in targets])
 
     return AttackGraph(
         arguments,
@@ -210,16 +228,3 @@ def compute_attacks(
         tuple(sorted(suppressed)),
         generalized=imaginary_subargument_attacks,
     )
-
-
-def _clashes(conclusion: Conclusion) -> tuple[tuple[int, Conclusion], ...]:
-    """``(condition, clashing conclusion)`` for a witness with the given conclusion."""
-    if isinstance(conclusion, Literal):
-        return ((2, conclusion.negated),)
-    flipped = conclusion.literal.negated
-    if conclusion.operator is DeonticOperator.OBLIGATION:
-        return ((3, obl(flipped)), (4, perm(flipped)))
-    if conclusion.operator is DeonticOperator.PERMISSION:
-        return ((3, obl(flipped)),)
-    # a weak permission, concluded only by imaginary arguments: condition 1
-    return ((1, obl(flipped)),)

@@ -26,8 +26,8 @@ class Record:
     raises ``AttributeError``.  Two records are equal when they are of the
     same class and their field tuples are equal, and a record hashes as
     its field tuple.  Records built in bulk write ``__init__``, ``__eq__``
-    and ``__hash__`` out for their own fields.  ``repr`` reads
-    ``Name(field=value, ...)``.
+    and ``__hash__`` out for their own fields, and (deontic) literals and
+    atoms store it when built.  ``repr`` reads ``Name(field=value, ...)``.
     """
 
     __slots__ = ()
@@ -67,10 +67,12 @@ class Record:
 class Atom(Record):
     """A propositional atom, identified by its name; atoms order by name."""
 
-    __slots__ = _fields = ("name",)
+    _fields = ("name",)
+    __slots__ = (*_fields, "_hash")
 
     def __init__(self, name: str) -> None:
         object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_hash", hash((name,)))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -78,7 +80,7 @@ class Atom(Record):
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.name,))
+        return self._hash
 
     def __lt__(self, other: Atom) -> bool:
         if other.__class__ is self.__class__:
@@ -107,11 +109,13 @@ class Atom(Record):
 class Literal(Record):
     """An atom or its negation."""
 
-    __slots__ = _fields = ("atom", "positive")
+    _fields = ("atom", "positive")
+    __slots__ = (*_fields, "_hash")
 
     def __init__(self, atom: Atom, positive: bool = True) -> None:
         object.__setattr__(self, "atom", atom)
         object.__setattr__(self, "positive", positive)
+        object.__setattr__(self, "_hash", hash((atom, positive)))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -119,7 +123,7 @@ class Literal(Record):
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.atom, self.positive))
+        return self._hash
 
     def __str__(self) -> str:
         return self.atom.name if self.positive else f"~{self.atom.name}"
@@ -174,11 +178,13 @@ _OPERATOR_RANK = {
 class DeonticLiteral(Record):
     """A literal under a deontic operator, e.g. ``obl(~p)``."""
 
-    __slots__ = _fields = ("operator", "literal")
+    _fields = ("operator", "literal")
+    __slots__ = (*_fields, "_hash")
 
     def __init__(self, operator: DeonticOperator, literal: Literal) -> None:
         object.__setattr__(self, "operator", operator)
         object.__setattr__(self, "literal", literal)
+        object.__setattr__(self, "_hash", hash((operator, literal)))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -186,7 +192,7 @@ class DeonticLiteral(Record):
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.operator, self.literal))
+        return self._hash
 
     def __str__(self) -> str:
         return f"{self.operator.value}({self.literal})"

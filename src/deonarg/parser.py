@@ -11,6 +11,10 @@ Literals are ``ident`` or ``~ident``; deontic elements are ``obl(l)``,
 ``perm(l)`` and ``perm_w(l)``.  An outer ``~`` on a deontic element is
 normalised at parse time (``~obl(p)`` parses as ``perm(~p)``), so parsed
 theories never contain negated modalities.
+
+One pattern scans the text into token kinds, texts and offsets; spans are
+built for errors only.  The result is hash-consed: each distinct atom,
+literal and deontic literal in it is one object, by a table local to the parse.
 """
 
 from __future__ import annotations
@@ -34,13 +38,14 @@ from .model import (
 # tokens
 # ---------------------------------------------------------------------------
 
+#: for ``finditer``: the search steps over whitespace, comments match no named
+#: group, and ``bad`` is any other character the language has no token for
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>%[^\n]*)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<arrow>=>)
-  | (?P<punct>[~:,.()>])
+    (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<punct>=>|[~:,.()>])
+  | %[^\n]*
+  | (?P<bad>\S)
     """,
     re.VERBOSE,
 )
@@ -60,6 +65,12 @@ class SourceSpan(Record):
 
     def __str__(self) -> str:
         return f"line {self.line}, column {self.column}"
+
+
+def _span(text: str, offset: int, lexeme: str) -> SourceSpan:
+    """The span of the token at ``offset``; only ``\\n`` starts a new line."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return SourceSpan(text.count("\n", 0, line_start) + 1, offset - line_start + 1, lexeme)
 
 
 class _Token(Record):
@@ -85,29 +96,24 @@ class ParseError(Exception):
         super().__init__(detail)
 
 
+def _scan(text: str) -> tuple[list[str], list[str], list[int]]:
+    """The tokens' kinds, texts and offsets, then an ``eof`` token; a
+    :class:`ParseError` at the first character that starts no token."""
+    kinds, lexemes, offsets = [], [], []
+    for match in _TOKEN_RE.finditer(text):
+        kind, lexeme = match.lastgroup, match.group()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {lexeme!r}", _span(text, match.start(), lexeme))
+        if kind is not None:  # not a comment
+            kinds.append(kind if kind == "ident" else lexeme)
+            lexemes.append(lexeme)
+            offsets.append(match.start())
+    return kinds + ["eof"], lexemes + [""], offsets + [len(text)]
+
+
 def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, line_start = 1, 0
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            span = SourceSpan(line, pos - line_start + 1, text[pos])
-            raise ParseError(f"unexpected character {text[pos]!r}", span)
-        kind, end = match.lastgroup, match.end()
-        if kind == "ws" or kind == "comment":
-            # skipped, but newlines advance the line counter
-            newlines = text.count("\n", pos, end)
-            if newlines:
-                line += newlines
-                line_start = text.rindex("\n", pos, end) + 1
-        else:
-            lexeme = match.group()
-            tag = "ident" if kind == "ident" else "=>" if kind == "arrow" else lexeme
-            tokens.append(_Token(tag, lexeme, SourceSpan(line, pos - line_start + 1, lexeme)))
-        pos = end
-    tokens.append(_Token("eof", "", SourceSpan(line, pos - line_start + 1)))
-    return tokens
+    """The tokens of :func:`_scan` as records, each with its span."""
+    return [_Token(k, x, _span(text, offset, x)) for k, x, offset in zip(*_scan(text))]
 
 
 # ---------------------------------------------------------------------------
@@ -117,28 +123,33 @@ def _tokenize(text: str) -> list[_Token]:
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.kinds, self.lexemes, self.offsets = _scan(text)
         self.index = 0
+        self.interned: dict = {}  # literals by (name, positive), others by (operator, literal)
 
-    @property
-    def current(self) -> _Token:
-        return self.tokens[self.index]
+    def expect(self, kind: str, expected: str) -> str:
+        index = self.index
+        if self.kinds[index] != kind:
+            raise self.error(expected)
+        self.index = index + 1
+        return self.lexemes[index]
 
-    def advance(self) -> _Token:
-        token = self.current
-        self.index += 1
-        return token
+    def error(self, expected: str, after: str = "") -> ParseError:
+        """An "unexpected <current token>" error, its span built from the token's offset."""
+        index = self.index
+        lexeme = self.lexemes[index]
+        found = "end of input" if self.kinds[index] == "eof" else repr(lexeme)
+        span = _span(self.text, self.offsets[index], lexeme)
+        return ParseError(f"unexpected {found}{after}", span, expected)
 
-    def expect(self, kind: str, expected: str) -> _Token:
-        if self.current.kind != kind:
-            raise ParseError(
-                f"unexpected {self._describe(self.current)}", self.current.span, expected
-            )
-        return self.advance()
-
-    @staticmethod
-    def _describe(token: _Token) -> str:
-        return "end of input" if token.kind == "eof" else f"{token.text!r}"
+    def _interned_literal(self, name: str, positive: bool) -> Literal:
+        literal = self.interned.get((name, positive))
+        if literal is None:
+            other = self.interned.get((name, not positive))  # its atom is shared
+            atom = Atom(name) if other is None else other.atom
+            literal = self.interned[name, positive] = Literal(atom, positive)
+        return literal
 
     # -- grammar ------------------------------------------------------------
 
@@ -146,33 +157,33 @@ class _Parser:
         facts: list[Literal] = []
         rules: list[Rule] = []
         superiority: list[tuple[str, str]] = []
-        while self.current.kind != "eof":
+        kinds = self.kinds
+        while kinds[self.index] != "eof":
             first = self.expect("ident", "a statement ('fact', a rule label, or a superiority pair)")
-            if first.text == "fact" and self.current.kind in ("ident", "~"):
+            kind = kinds[self.index]
+            if first == "fact" and kind in ("ident", "~"):
                 facts.append(self._literal())
                 self.expect(".", "'.'")
-            elif self.current.kind == ":":
-                self.advance()
-                rules.append(self._rule_tail(first.text))
-            elif self.current.kind == ">":
-                self.advance()
-                other = self.expect("ident", "a rule label")
-                superiority.append((first.text, other.text))
+            elif kind == ":":
+                self.index += 1
+                rules.append(self._rule_tail(first))
+            elif kind == ">":
+                self.index += 1
+                superiority.append((first, self.expect("ident", "a rule label")))
                 self.expect(".", "'.'")
             else:
-                raise ParseError(
-                    f"unexpected {self._describe(self.current)} after '{first.text}'",
-                    self.current.span,
+                raise self.error(
                     "':' to start a rule, '>' for superiority, or a literal after 'fact'",
+                    after=f" after '{first}'",
                 )
         return Theory(frozenset(facts), tuple(rules), frozenset(superiority))
 
     def _rule_tail(self, label: str) -> Rule:
         body: list[BodyElement] = []
-        if self.current.kind != "=>":
+        if self.kinds[self.index] != "=>":
             body.append(self._element())
-            while self.current.kind == ",":
-                self.advance()
+            while self.kinds[self.index] == ",":
+                self.index += 1
                 body.append(self._element())
         self.expect("=>", "'=>'")
         head = self._element()  # heads share element syntax; well-formedness is checked later
@@ -180,27 +191,31 @@ class _Parser:
         return Rule(label, tuple(body), head)
 
     def _literal(self) -> Literal:
-        negated = False
-        if self.current.kind == "~":
-            self.advance()
-            negated = True
-        name = self.expect("ident", "an atom name")
-        return Literal(Atom(name.text), positive=not negated)
+        negated = self.kinds[self.index] == "~"
+        if negated:
+            self.index += 1
+        return self._interned_literal(self.expect("ident", "an atom name"), not negated)
 
     def _element(self) -> BodyElement:
         """A literal or a deontic literal, with outer negation pushed inward."""
-        negated = False
-        if self.current.kind == "~":
-            self.advance()
-            negated = True
+        negated = self.kinds[self.index] == "~"
+        if negated:
+            self.index += 1
         name = self.expect("ident", "an atom name or deontic operator")
-        if name.text in _OPERATORS and self.current.kind == "(":
-            self.advance()
-            inner = self._literal()
-            self.expect(")", "')'")
-            deontic = DeonticLiteral(_OPERATORS[name.text], inner)
-            return push_negation(deontic) if negated else deontic
-        return Literal(Atom(name.text), positive=not negated)
+        operator = _OPERATORS.get(name)
+        if operator is None or self.kinds[self.index] != "(":
+            return self._interned_literal(name, not negated)
+        self.index += 1
+        inner = self._literal()
+        self.expect(")", "')'")
+        if negated:
+            normal = push_negation(DeonticLiteral(operator, inner))
+            operator = normal.operator
+            inner = self._interned_literal(inner.atom.name, normal.literal.positive)
+        deontic = self.interned.get((operator, inner))
+        if deontic is None:
+            deontic = self.interned[operator, inner] = DeonticLiteral(operator, inner)
+        return deontic
 
 
 def parse_theory(text: str, *, validate: bool = True) -> Theory:

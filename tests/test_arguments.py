@@ -3,6 +3,7 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from deonarg import (
@@ -254,6 +255,9 @@ def test_stored_closures_and_ids_match_their_definitions(goldens):
             assert arguments.super_ids(identifier) == {
                 other for other, closure in closures.items() if identifier in closure
             }
+        for unknown in ("A-1", f"I{len(arguments) + 1}", "x"):
+            with pytest.raises(KeyError):
+                arguments.index(unknown)
 
 
 def _ladder():

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deonarg import (
+    DeonticLiteral,
     ParseError,
     Theory,
     TheoryValidationError,
@@ -12,6 +13,7 @@ from deonarg import (
     obl,
     parse_theory,
     perm,
+    perm_w,
     serialize_theory,
 )
 from deonarg.testkit import GeneratorParams, generate_theory
@@ -121,3 +123,134 @@ def test_any_token_string_parses_or_raises_a_documented_error(text):
         return
     assert isinstance(theory, Theory)
     assert parse_theory(serialize_theory(theory)) == theory
+
+
+def _parsed_values(theory: Theory) -> list:
+    """Every literal and deontic literal of a theory, inner literals included, and their atoms."""
+    found = [*theory.facts, *(e for rule in theory.rules for e in (*rule.body, rule.head))]
+    found += [e.literal for e in found if isinstance(e, DeonticLiteral)]
+    return found + [e.atom for e in found if not isinstance(e, DeonticLiteral)]
+
+
+def _assert_interned(theory: Theory) -> None:
+    first: dict = {}
+    for value in _parsed_values(theory):
+        assert first.setdefault(value, value) is value, value
+
+
+_SHARING = (
+    "fact a.\nfact ~b.\n"
+    "r1: a, ~b, obl(a) => obl(~b).\n"
+    "r2: ~obl(b), perm_w(a), a => a.\n"
+    "r3: perm(~b), ~perm_w(~a) => ~b.\n"
+)
+
+
+def test_equal_values_of_one_parse_are_one_object():
+    theory = parse_theory(_SHARING)
+    _assert_interned(theory)
+    rules = {rule.label: rule for rule in theory.rules}
+    # the normalised ~obl(b) is the same object as the perm(~b) written out
+    assert rules["r2"].body[0] is rules["r3"].body[0] == perm(lit("~b"))
+    assert rules["r3"].body[1] is rules["r1"].body[2] == obl(lit("a"))
+    assert rules["r2"].head is rules["r1"].body[0] is rules["r2"].body[2]
+
+
+def test_separate_parses_and_hand_built_values_stay_equal_with_equal_hashes():
+    first, second = parse_theory(_SHARING), parse_theory(_SHARING)
+    assert first == second and hash(first) == hash(second)
+    for one, other in zip(_parsed_values(first), _parsed_values(second)):
+        assert one == other and hash(one) == hash(other)
+        assert hash(one) == hash(tuple(getattr(one, name) for name in one._fields))
+    built = {lit("a"), lit("~b"), obl(lit("a")), obl(lit("~b")), perm(lit("~b")), perm_w(lit("a"))}
+    for value in built:
+        assert any(value == found and hash(value) == hash(found)
+                   for found in _parsed_values(first)), value
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from(_TOKENS), max_size=30).map("".join))
+def test_token_strings_parse_to_interned_values(text):
+    try:
+        theory = parse_theory(text, validate=False)
+    except ParseError:
+        return
+    _assert_interned(theory)
+    again = parse_theory(text, validate=False)
+    for one, other in zip(_parsed_values(theory), _parsed_values(again)):
+        assert one == other and hash(one) == hash(other)
+
+
+#: malformed inputs -> str(error), span line, column and lexeme, and ``expected``
+_STATEMENT = "a statement ('fact', a rule label, or a superiority pair)"
+_AFTER_LABEL = "':' to start a rule, '>' for superiority, or a literal after 'fact'"
+_ELEMENT = "an atom name or deontic operator"
+PARSE_ERRORS = [
+    ("!", "line 1, column 1: unexpected character '!'", 1, 1, "!", None),
+    ("é", "line 1, column 1: unexpected character 'é'", 1, 1, "é", None),
+    # the whole text is scanned before any statement is parsed
+    ("fact a b. !", "line 1, column 11: unexpected character '!'", 1, 11, "!", None),
+    ("fact a", "line 1, column 7: unexpected end of input (expected '.')", 1, 7, "", "'.'"),
+    ("fact", f"line 1, column 5: unexpected end of input after 'fact' (expected {_AFTER_LABEL})",
+     1, 5, "", _AFTER_LABEL),
+    ("r1: => obl(p", "line 1, column 13: unexpected end of input (expected ')')", 1, 13, "", "')'"),
+    ("r1: a, ", f"line 1, column 8: unexpected end of input (expected {_ELEMENT})",
+     1, 8, "", _ELEMENT),
+    ("r1: a =>", f"line 1, column 9: unexpected end of input (expected {_ELEMENT})",
+     1, 9, "", _ELEMENT),
+    ("~", f"line 1, column 1: unexpected '~' (expected {_STATEMENT})", 1, 1, "~", _STATEMENT),
+    ("=> a.", f"line 1, column 1: unexpected '=>' (expected {_STATEMENT})",
+     1, 1, "=>", _STATEMENT),
+    ("fact ~.", "line 1, column 7: unexpected '.' (expected an atom name)",
+     1, 7, ".", "an atom name"),
+    ("r1: => obl(", "line 1, column 12: unexpected end of input (expected an atom name)",
+     1, 12, "", "an atom name"),
+    ("obl(", f"line 1, column 4: unexpected '(' after 'obl' (expected {_AFTER_LABEL})",
+     1, 4, "(", _AFTER_LABEL),
+    ("r1: => obl(.", "line 1, column 12: unexpected '.' (expected an atom name)",
+     1, 12, ".", "an atom name"),
+    ("r1: => obl().", "line 1, column 12: unexpected ')' (expected an atom name)",
+     1, 12, ")", "an atom name"),
+    ("r1: => ~~a.", f"line 1, column 9: unexpected '~' (expected {_ELEMENT})",
+     1, 9, "~", _ELEMENT),
+    ("r1: a b => c.", "line 1, column 7: unexpected 'b' (expected '=>')", 1, 7, "b", "'=>'"),
+    ("r1: a,, b => c.", f"line 1, column 7: unexpected ',' (expected {_ELEMENT})",
+     1, 7, ",", _ELEMENT),
+    ("fact a b.", "line 1, column 8: unexpected 'b' (expected '.')", 1, 8, "b", "'.'"),
+    ("r1 > .", "line 1, column 6: unexpected '.' (expected a rule label)",
+     1, 6, ".", "a rule label"),
+    ("r1 > r2", "line 1, column 8: unexpected end of input (expected '.')", 1, 8, "", "'.'"),
+    ("r1 a => b.", f"line 1, column 4: unexpected 'a' after 'r1' (expected {_AFTER_LABEL})",
+     1, 4, "a", _AFTER_LABEL),
+    ("% comment\nr1: => ob$.", "line 2, column 10: unexpected character '$'", 2, 10, "$", None),
+    ("fact a. % trailing comment\n% another\nr1: => obl(p) r2.",
+     "line 3, column 15: unexpected 'r2' (expected '.')", 3, 15, "r2", "'.'"),
+    ("\tfact\ta\t!", "line 1, column 9: unexpected character '!'", 1, 9, "!", None),
+    ("fact a.\r\nr1: => obl(p]\r\n", "line 2, column 13: unexpected character ']'",
+     2, 13, "]", None),
+    ("fact a.\r\n\r\nr1 > r2", "line 3, column 8: unexpected end of input (expected '.')",
+     3, 8, "", "'.'"),
+    ("fact a.\xa0fact b", "line 1, column 15: unexpected end of input (expected '.')",
+     1, 15, "", "'.'"),
+    ("fact a.\n\u2003r1 a => b.",
+     f"line 2, column 5: unexpected 'a' after 'r1' (expected {_AFTER_LABEL})",
+     2, 5, "a", _AFTER_LABEL),
+    # only '\n' starts a line; '\r' and U+2028 are whitespace within it
+    ("\u3000fact a.\u2028r1: =>",
+     f"line 1, column 16: unexpected end of input (expected {_ELEMENT})", 1, 16, "", _ELEMENT),
+    ("fact a.\rr1: => !", "line 1, column 16: unexpected character '!'", 1, 16, "!", None),
+    ("fact a.\nfact b.\nr1: => perm(~).",
+     "line 3, column 14: unexpected ')' (expected an atom name)", 3, 14, ")", "an atom name"),
+    ("fact a.\n\n  r1: => obl(p) r2", "line 3, column 17: unexpected 'r2' (expected '.')",
+     3, 17, "r2", "'.'"),
+]
+
+
+@pytest.mark.parametrize("text, message, line, column, lexeme, expected", PARSE_ERRORS)
+def test_parse_errors_match_the_golden_table(text, message, line, column, lexeme, expected):
+    with pytest.raises(ParseError) as err:
+        parse_theory(text)
+    error = err.value
+    assert str(error) == message
+    assert (error.span.line, error.span.column, error.span.lexeme) == (line, column, lexeme)
+    assert error.expected == expected
