@@ -16,7 +16,6 @@ from .arguments import ArgumentSet, build_arguments
 from .attacks import AttackGraph, compute_attacks
 from .model import (
     Conclusion,
-    DeonticLiteral,
     DeonticOperator,
     Literal,
     Record,
@@ -74,13 +73,6 @@ class ConflictReport(Record):
         return frozenset(pair.literal for pair in self.wp_conflicted)
 
 
-def _obligation_head(rule) -> Literal | None:
-    head = rule.head
-    if isinstance(head, DeonticLiteral) and head.operator is DeonticOperator.OBLIGATION:
-        return head.literal
-    return None
-
-
 def _body_supported(rule, arguments: ArgumentSet, justified: frozenset[str] | None) -> bool:
     """Every body element has a concluding argument (a justified one if given)."""
     for element in rule.body:
@@ -103,9 +95,10 @@ def _conflict_pairs(
     # the obligation rules with supported bodies, indexed by the obliged literal
     by_head: dict[Literal, list[str]] = {}
     for rule in theory.rules:
-        head = _obligation_head(rule)
-        if head is not None and _body_supported(rule, arguments, justified):
-            by_head.setdefault(head, []).append(rule.label)
+        head = rule.head
+        if getattr(head, "operator", None) is DeonticOperator.OBLIGATION:
+            if _body_supported(rule, arguments, justified):
+                by_head.setdefault(head.literal, []).append(rule.label)
     pairs = [
         ConflictPair(head, supporting, opposing)
         for head, supporting_labels in by_head.items()

@@ -24,7 +24,7 @@ modular hash-consing", 2006).
 from __future__ import annotations
 
 import bisect
-import itertools
+from itertools import product
 from typing import ClassVar, Iterable, Iterator
 
 from .model import (
@@ -51,8 +51,9 @@ class Argument(Record):
     Arguments are immutable trees, so every value derived from a tree (its
     height, hash, rule labels and structural key) is computed once, from the
     children's stored values, when the argument is constructed.  Equality
-    compares a form's own fields (``Record``) down the trees, without
-    recursion; the hash is the stored one.
+    compares a form's own fields (``Record``) down the trees, and ``repr``,
+    pickling and copying walk them, all without recursion; the hash is the
+    stored one.
     """
 
     __slots__ = ("_height", "_hash", "_labels", "_key")
@@ -109,16 +110,44 @@ class Argument(Record):
         """Label of the last rule applied; permission arguments inherit it."""
         return None
 
-    def subarguments(self) -> frozenset[Argument]:
-        """The subargument closure, including the argument itself."""
-        out: set[Argument] = {self}
+    def _flat(self) -> list[tuple[Argument, list, list[int]]]:
+        """The tree's distinct nodes (by identity), each after its children: the node,
+        its plain fields' values and its children's places in the list."""
+        place: dict[int, int] = {}
+        flat: list[tuple[Argument, list, list[int]]] = []
         stack: list[Argument] = [self]
         while stack:  # no recursion: trees may be thousands of levels tall
-            for child in stack.pop().children:
-                if child not in out:
-                    out.add(child)
-                    stack.append(child)
-        return frozenset(out)
+            node = stack[-1]
+            waiting = [child for child in node.children if id(child) not in place]
+            if waiting:
+                stack += waiting
+            elif id(stack.pop()) not in place:
+                place[id(node)] = len(flat)
+                children = [place[id(child)] for child in node.children]
+                flat.append((node, [getattr(node, name) for name in node._plain], children))
+        return flat
+
+    @classmethod
+    def _init_args(cls, plain: list, children: list) -> tuple:
+        """The constructor's arguments, from the plain fields' values and the children."""
+        return (*plain, *children)
+
+    def __repr__(self) -> str:
+        shown: list[_Shown] = []  # each node's text, by its place
+        for node, plain, children in self._flat():
+            values = node._init_args(plain, [shown[child] for child in children])
+            fields = ", ".join(f"{name}={value!r}" for name, value in zip(node._fields, values))
+            shown.append(_Shown(f"{node.__class__.__qualname__}({fields})"))
+        return str(shown[-1])
+
+    def __reduce__(self) -> tuple:
+        # flat, so that pickle and deepcopy do not recurse down a tall tree
+        flat = self._flat()
+        return _rebuild, ([(node.__class__, plain, children) for node, plain, children in flat],)
+
+    def subarguments(self) -> frozenset[Argument]:
+        """The subargument closure, including the argument itself."""
+        return frozenset([node for node, _, _ in self._flat()])
 
     def tree_labels(self) -> frozenset[str]:
         """Labels of every rule applied anywhere in the tree."""
@@ -165,6 +194,10 @@ class RuleApplication(Argument):
         object.__setattr__(self, "subs", subs)
         self._derive(subs, frozenset((rule.label,)).union(*(child._labels for child in subs)))
 
+    @classmethod
+    def _init_args(cls, plain: list, children: list) -> tuple:
+        return (*plain, tuple(children))
+
     @property
     def conclusion(self) -> Conclusion:
         return self.rule.head
@@ -201,6 +234,20 @@ class DAxiomArgument(Argument):
     @property
     def top_rule(self) -> str | None:
         return self.base.top_rule
+
+
+class _Shown(str):
+    """A subtree's repr, shown as is inside its parent's."""
+
+    __repr__ = str.__str__
+
+
+def _rebuild(flat: list[tuple[type, list, list[int]]]) -> Argument:
+    """The argument ``Argument.__reduce__`` flattened, built children first."""
+    made: list[Argument] = []
+    for form, plain, children in flat:
+        made.append(form(*form._init_args(plain, [made[child] for child in children])))
+    return made[-1]
 
 
 #: each kind's place in the structural key; imaginary arguments are numbered
@@ -255,16 +302,16 @@ class ArgumentSet(Record):
 
     def _fill(self, theory: Theory, ordered: tuple | None, ids: tuple[ArgumentId, ...],
               rows: tuple[tuple, ...], by_height: Iterable[int]) -> None:
-        """Set the fields and build the indexes; ``by_height`` lists each position after its
-        children's.  ``build_arguments`` fills its table here too, with no ``ordered``."""
-        subs: list[tuple[int, ...]] = [()] * len(rows)
+        """Set the fields and build the indexes; ``by_height`` lists each position with children
+        after its children's.  ``build_arguments`` fills its table here too, with no ``ordered``."""
+        subs = [(n,) for n in range(len(rows))]
         for n in by_height:
             children = rows[n][3]
             if len(children) == 1:  # most rows: insert n into the child's closure
                 below = subs[children[0]]
                 k = bisect.bisect(below, n)
                 subs[n] = (*below[:k], n, *below[k:])
-            else:
+            elif children:
                 subs[n] = tuple(sorted({n}.union(*[subs[child] for child in children])))
         supers: list[list[int]] = [[] for _ in rows]
         for n, closure in enumerate(subs):
@@ -384,7 +431,7 @@ def _new_combinations(
     """
     for j in range(len(pools)):
         if done[j] < sizes[j]:
-            yield from itertools.product(
+            yield from product(
                 *(pool[:old] for pool, old in zip(pools[:j], done)),
                 pools[j][done[j] : sizes[j]],
                 *(pool[:size] for pool, size in zip(pools[j + 1 :], sizes[j + 1 :])),
@@ -402,13 +449,18 @@ def build_arguments(theory: Theory) -> ArgumentSet:
     member.  A combination whose rule-label bitset holds the rule's own
     label is skipped.  The ids follow the structural key, ranked one height
     at a time: a row's key holds its children's ranks in place of their
-    keys.  No ``Argument`` object is built.
+    keys.  The imaginary rows rank last at height 0, in universe order, so
+    they take those ranks without a key.  No ``Argument`` object is built.
     """
     universe = theory.literal_universe
-    # rows in the order found: (form, rule, conclusion, children, height, label bitset)
-    found: list[tuple[type, Rule | None, int, tuple[int, ...], int, int]] = []
-    interned: dict[Conclusion, int] = {}  # conclusions as indexes into ``pools``
-    pools: list[list[int]] = []  # rows by conclusion: the candidate pools
+    imaginary = len(universe)
+    # rows in the order found, the imaginary ones first:
+    # (form, rule, conclusion, children, height, label bitset)
+    found: list[tuple] = [(ImaginaryArgument, None, n, (), 0, 0) for n in range(imaginary)]
+    # conclusions as indexes into ``pools``, the rows by conclusion (the candidate pools)
+    weak = DeonticOperator.WEAK_PERMISSION
+    interned = {DeonticLiteral(weak, literal): n for n, literal in enumerate(universe)}
+    pools: list[list[int]] = [[n] for n in range(imaginary)]
 
     def intern(conclusion: Conclusion) -> int:
         index = interned.setdefault(conclusion, len(pools))
@@ -420,76 +472,84 @@ def build_arguments(theory: Theory) -> ArgumentSet:
         pools[row[2]].append(len(found))
         found.append(row)
 
-    for literal in universe:
-        weak = DeonticLiteral(DeonticOperator.WEAK_PERMISSION, literal)
-        add(ImaginaryArgument, None, intern(weak), (), 0, 0)
-    for literal in sorted(theory.facts, key=lambda l: l.sort_key()):
+    for literal in sorted(theory.facts, key=Literal.sort_key):
         add(FactArgument, None, intern(literal), (), 0, 0)
 
-    # equal rules would build equal arguments, so each is applied once
-    unique = tuple(dict.fromkeys(theory.rules))
-    bits = {label: 1 << k for k, label in enumerate(dict.fromkeys(r.label for r in unique))}
+    # equal rules would build equal arguments, so each is applied once (the
+    # rules are sorted by label, so equal ones are neighbours)
+    rules = theory.rules
+    bits: dict[str, int] = {}
     plans = []  # per rule: its body's pools, label bit, head and the head's permission
-    for rule in unique:
+    for k, rule in enumerate(rules):
+        if k and rule.label == rules[k - 1].label and rule in rules[:k]:
+            continue
         head, permission = rule.head, None  # every obligation spawns its permission
-        if isinstance(head, DeonticLiteral) and head.operator is DeonticOperator.OBLIGATION:
+        if head.__class__ is DeonticLiteral and head.operator is DeonticOperator.OBLIGATION:
             permission = intern(DeonticLiteral(DeonticOperator.PERMISSION, head.literal))
         body = [pools[intern(element)] for element in rule.body]
-        plans.append((rule, body, bits[rule.label], intern(head), permission))
+        plans.append((rule, body, bits.setdefault(rule.label, 1 << len(bits)), intern(head),
+                      permission))
     # per rule, the pool sizes it has combined (None before its first visit)
-    combined: list[list[int] | None] = [None] * len(unique)
+    combined: list[list[int] | None] = [None] * len(plans)
     changed = True
     while changed:
         changed = False
         for r, (rule, body, own, head, permission) in enumerate(plans):
-            sizes = [len(pool) for pool in body]
-            done, combined[r] = combined[r], sizes
+            sizes, done = list(map(len, body)), combined[r]
+            if done == sizes:
+                continue  # no pool has a new member
+            combined[r] = sizes
             # the first visit tries every combination, which fires an empty body once
-            combos: Iterable[tuple[int, ...]] = (
-                itertools.product(*body) if done is None else _new_combinations(body, done, sizes)
-            )
+            combos = product(*body) if done is None else _new_combinations(body, done, sizes)
             for combo in combos:
-                below, height = 0, -1
+                below, height = 0, 0
                 for sub in combo:
-                    below |= found[sub][5]
-                    height = max(height, found[sub][4])
+                    _, _, _, _, level, labels = found[sub]
+                    below |= labels
+                    height = max(height, level + 1)
                 if below & own:
                     continue  # label already used on a path below: blocks cyclic growth
-                labels = below | own
-                add(RuleApplication, rule, head, combo, height + 1, labels)
+                add(RuleApplication, rule, head, combo, height, below | own)
                 if permission is not None:  # a permission argument shares its base's labels
-                    add(DAxiomArgument, rule, permission, (len(found) - 1,), height + 2, labels)
+                    add(DAxiomArgument, rule, permission, (len(found) - 1,), height + 1,
+                        below | own)
                 changed = True
 
-    # rank-compressed structural keys, one height at a time; imaginary rows
-    # take part at height 0, where their kind rank sorts them last
-    keys = [conclusion_sort_key(conclusion) for conclusion in interned]
-    rank = [0] * len(found)
+    # rank-compressed structural keys, one height at a time; a level of one
+    # row needs no key, and a conclusion's key is made when first needed
+    conclusions = list(interned)
+    keys: dict[int, tuple] = {}
+
+    def key(n: int) -> tuple:
+        form, rule, conclusion, children, _, _ = found[n]
+        if conclusion not in keys:
+            keys[conclusion] = conclusion_sort_key(conclusions[conclusion])
+        return (_KIND_RANKS[form.kind], rule.label if rule else "", keys[conclusion],
+                tuple([rank[child] for child in children]))
+
     levels: dict[int, list[int]] = {}
-    for n, row in enumerate(found):
-        levels.setdefault(row[4], []).append(n)
-    order: list[int] = []
+    for n in range(imaginary, len(found)):
+        levels.setdefault(found[n][4], []).append(n)
+    # the imaginary rows rank after the natural ones of height 0, before all others
+    rank = [0] * len(found)
+    ground = len(levels.get(0, ()))
+    rank[:imaginary] = range(ground, ground + imaginary)
+    order: list[int] = []  # the natural rows in key order
     for height in sorted(levels):
-        for n in sorted(levels[height], key=lambda n: (
-            _KIND_RANKS[found[n][0].kind],
-            "" if found[n][1] is None else found[n][1].label,
-            keys[found[n][2]],
-            tuple([rank[child] for child in found[n][3]]),
-        )):
-            rank[n] = len(order)  # a rank only has to follow the key's order
+        if len(levels[height]) > 1:
+            levels[height].sort(key=key)
+        for n in levels[height]:
+            rank[n] = len(order) + (height and imaginary)  # ranks only follow the key's order
             order.append(n)
-    # naturals in key order, then the imaginary rows in literal order
-    count = len(order) - len(universe)
-    order = [n for n in order if n >= len(universe)] + list(range(len(universe)))
-    where = [0] * len(found)
+    count = len(order)
+    where = [*range(count, count + imaginary), *[0] * count]  # the imaginary rows go last
     for position, n in enumerate(order):
         where[n] = position
-    conclusions = list(interned)
-    rows = tuple(
-        (form, rule, conclusions[conclusion], tuple([where[child] for child in children]))
+    rows = tuple([
+        (form, rule, conclusions[conclusion], tuple(map(where.__getitem__, children)))
         for form, rule, conclusion, children, _, _ in map(found.__getitem__, order)
-    )
-    ids = (*(f"A{n}" for n in range(count)), *(f"I{n + 1}" for n in range(len(universe))))
+    ] + [(ImaginaryArgument, None, conclusions[n], ()) for n in range(imaginary)])
+    ids = (*[f"A{n}" for n in range(count)], *[f"I{n}" for n in range(1, imaginary + 1)])
     table = object.__new__(ArgumentSet)
-    table._fill(theory, None, ids, rows, [*range(count, len(rows)), *range(count)])
+    table._fill(theory, None, ids, rows, range(count))  # the imaginary rows have no children
     return table

@@ -128,6 +128,9 @@ def _wp_result(
 
 
 _THEORY_ARGUMENT = click.argument("theory_file", metavar="THEORY")
+_TEXT_OR_JSON = click.option(
+    "--format", "-f", "fmt", type=click.Choice(["text", "json"]), default="text"
+)
 _GENERALIZED_FLAG = click.option(
     "--imaginary-subargument-attacks",
     is_flag=True,
@@ -163,9 +166,7 @@ def main() -> None:
 
 @main.command(name="args")
 @_THEORY_ARGUMENT
-@click.option(
-    "--format", "-f", "fmt", type=click.Choice(["text", "json"]), default="text"
-)
+@_TEXT_OR_JSON
 def cmd_args(theory_file: str, fmt: str) -> None:
     """List every argument of the theory."""
     arguments = build_arguments(_load_theory(theory_file))
@@ -195,9 +196,7 @@ def cmd_args(theory_file: str, fmt: str) -> None:
     default="grounded",
     show_default=True,
 )
-@click.option(
-    "--format", "-f", "fmt", type=click.Choice(["text", "json"]), default="text"
-)
+@_TEXT_OR_JSON
 @_GENERALIZED_FLAG
 @_LIMIT_OPTION
 @_GUARDS_FLAG
@@ -258,9 +257,7 @@ def cmd_eval(
 
 @main.command(name="trace")
 @_THEORY_ARGUMENT
-@click.option(
-    "--format", "-f", "fmt", type=click.Choice(["text", "json"]), default="text"
-)
+@_TEXT_OR_JSON
 @_GENERALIZED_FLAG
 @_GUARDS_FLAG
 def cmd_trace(
@@ -357,9 +354,7 @@ def cmd_attacks(
 
 @main.command(name="check")
 @_THEORY_ARGUMENT
-@click.option(
-    "--format", "-f", "fmt", type=click.Choice(["text", "json"]), default="text"
-)
+@_TEXT_OR_JSON
 @_GENERALIZED_FLAG
 @_LIMIT_OPTION
 @_GUARDS_FLAG
@@ -397,50 +392,32 @@ def cmd_check(
 
 @main.command(name="gen")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--atoms", type=int, default=4, show_default=True)
-@click.option("--facts", type=int, default=2, show_default=True)
-@click.option("--rules", type=int, default=5, show_default=True)
-@click.option("--max-body", type=int, default=2, show_default=True)
-@click.option("--superiority", type=int, default=0, show_default=True)
-@click.option("--obligation-bias", type=float, default=0.3, show_default=True)
-@click.option("--permission-weight", type=float, default=0.1, show_default=True)
+@click.option("--atoms", "atom_count", type=int, default=4, show_default=True)
+@click.option("--facts", "fact_count", type=int, default=2, show_default=True)
+@click.option("--rules", "rule_count", type=int, default=5, show_default=True)
+@click.option("--max-body", "max_body_len", type=int, default=2, show_default=True)
+@click.option("--superiority", "superiority_count", type=int, default=0, show_default=True)
+@click.option(
+    "--obligation-bias", "obligation_head_bias", type=float, default=0.3, show_default=True
+)
+@click.option(
+    "--permission-weight", "permission_head_weight", type=float, default=0.1, show_default=True
+)
 @click.option("--deontic-body-weight", type=float, default=0.2, show_default=True)
-@click.option("--weak-permission-weight", type=float, default=0.15, show_default=True)
+@click.option(
+    "--weak-permission-weight",
+    "weak_permission_body_weight",
+    type=float,
+    default=0.15,
+    show_default=True,
+)
 @click.option("--acyclic/--no-acyclic", default=True, show_default=True)
 @click.option("--inject-conflict", is_flag=True)
 @click.option("--empty-obligation-bodies", is_flag=True)
-def cmd_gen(
-    seed: int,
-    atoms: int,
-    facts: int,
-    rules: int,
-    max_body: int,
-    superiority: int,
-    obligation_bias: float,
-    permission_weight: float,
-    deontic_body_weight: float,
-    weak_permission_weight: float,
-    acyclic: bool,
-    inject_conflict: bool,
-    empty_obligation_bodies: bool,
-) -> None:
+def cmd_gen(**fields: Any) -> None:
     """Generate a random theory in the input language."""
     # imported here: only this command needs the generator
     from .testkit import GeneratorParams, generate_theory
 
-    params = GeneratorParams(
-        seed=seed,
-        atom_count=atoms,
-        fact_count=facts,
-        rule_count=rules,
-        max_body_len=max_body,
-        obligation_head_bias=obligation_bias,
-        permission_head_weight=permission_weight,
-        deontic_body_weight=deontic_body_weight,
-        weak_permission_body_weight=weak_permission_weight,
-        acyclic=acyclic,
-        inject_conflict=inject_conflict,
-        empty_obligation_bodies=empty_obligation_bodies,
-        superiority_count=superiority,
-    )
-    click.echo(serialize_theory(generate_theory(params)), nl=False)
+    # each option is named after the generator field it sets
+    click.echo(serialize_theory(generate_theory(GeneratorParams(**fields))), nl=False)

@@ -10,6 +10,7 @@ normalised away at construction time (see :func:`push_negation`).
 from __future__ import annotations
 
 import enum
+import functools
 from typing import Any, Union
 
 # ---------------------------------------------------------------------------
@@ -22,7 +23,8 @@ class Record:
 
     A record class names its fields in ``_fields``, in constructor order,
     keeps them in ``__slots__`` and sets them in its ``__init__`` through
-    ``object.__setattr__``; after that, assigning or deleting any attribute
+    ``object.__setattr__``, or through ``slot_setters`` where records are
+    made in bulk; after that, assigning or deleting any attribute
     raises ``AttributeError``.  Two records are equal when they are of the
     same class and their field tuples are equal, and a record hashes as
     its field tuple.  Records built in bulk write ``__init__``, ``__eq__``
@@ -59,11 +61,18 @@ class Record:
         return self.__class__, self._values()
 
 
+def slot_setters(cls: type) -> tuple:
+    """Each slot's ``__set__``, in ``__slots__`` order: ``object.__setattr__`` without the
+    lookup of the slot by name."""
+    return tuple([cls.__dict__[name].__set__ for name in cls.__slots__])
+
+
 # ---------------------------------------------------------------------------
 # atoms and literals
 # ---------------------------------------------------------------------------
 
 
+@functools.total_ordering
 class Atom(Record):
     """A propositional atom, identified by its name; atoms order by name."""
 
@@ -87,21 +96,6 @@ class Atom(Record):
             return self.name < other.name
         return NotImplemented
 
-    def __le__(self, other: Atom) -> bool:
-        if other.__class__ is self.__class__:
-            return self.name <= other.name
-        return NotImplemented
-
-    def __gt__(self, other: Atom) -> bool:
-        if other.__class__ is self.__class__:
-            return self.name > other.name
-        return NotImplemented
-
-    def __ge__(self, other: Atom) -> bool:
-        if other.__class__ is self.__class__:
-            return self.name >= other.name
-        return NotImplemented
-
     def __str__(self) -> str:
         return self.name
 
@@ -113,9 +107,10 @@ class Literal(Record):
     __slots__ = (*_fields, "_hash")
 
     def __init__(self, atom: Atom, positive: bool = True) -> None:
-        object.__setattr__(self, "atom", atom)
-        object.__setattr__(self, "positive", positive)
-        object.__setattr__(self, "_hash", hash((atom, positive)))
+        set_atom, set_positive, set_hash = _LITERAL_SETTERS  # made in bulk
+        set_atom(self, atom)
+        set_positive(self, positive)
+        set_hash(self, hash((atom, positive)))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -135,6 +130,9 @@ class Literal(Record):
     def sort_key(self) -> tuple:
         # positive polarity sorts first
         return (self.atom.name, 0 if self.positive else 1)
+
+
+_LITERAL_SETTERS = slot_setters(Literal)
 
 
 def lit(name: str) -> Literal:
@@ -182,9 +180,10 @@ class DeonticLiteral(Record):
     __slots__ = (*_fields, "_hash")
 
     def __init__(self, operator: DeonticOperator, literal: Literal) -> None:
-        object.__setattr__(self, "operator", operator)
-        object.__setattr__(self, "literal", literal)
-        object.__setattr__(self, "_hash", hash((operator, literal)))
+        set_operator, set_literal, set_hash = _DEONTIC_SETTERS  # made in bulk
+        set_operator(self, operator)
+        set_literal(self, literal)
+        set_hash(self, hash((operator, literal)))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -199,6 +198,9 @@ class DeonticLiteral(Record):
 
     def sort_key(self) -> tuple:
         return (self.operator.rank, *self.literal.sort_key())
+
+
+_DEONTIC_SETTERS = slot_setters(DeonticLiteral)
 
 
 def obl(literal: Literal) -> DeonticLiteral:
@@ -299,35 +301,30 @@ class Theory(Record):
 
     @property
     def atoms(self) -> tuple[Atom, ...]:
-        """The atom universe: every atom mentioned anywhere in the theory."""
-        found: set[Atom] = set()
-        for fact in self.facts:
-            found.add(fact.atom)
-        for rule in self.rules:
-            for element in rule.body:
-                found.add(_atom_of(element))
-            found.add(_atom_of(rule.head))
-        return tuple(sorted(found))
+        """The atom universe: every atom mentioned anywhere in the theory, by name."""
+        return tuple([literal.atom for literal in self.literal_universe[::2]])
 
     @property
     def literal_universe(self) -> tuple[Literal, ...]:
-        """Both polarities of every atom, in deterministic order."""
+        """Both polarities of every atom, by atom name, positive first: the theory's own
+        literal objects, and new ones only for the polarities it never mentions."""
+        held: dict[str, list] = {}  # atom name -> its [positive, negative] literal, or None
+        elements = [element for rule in self.rules for element in (*rule.body, rule.head)]
+        for literal in (*self.facts, *elements):
+            if literal.__class__ is not Literal:
+                literal = literal.literal
+            held.setdefault(literal.atom.name, [None, None])[not literal.positive] = literal
         out: list[Literal] = []
-        for atom in self.atoms:
-            out.append(Literal(atom, True))
-            out.append(Literal(atom, False))
+        for name in sorted(held):
+            positive, negative = held[name]
+            atom = (positive or negative).atom
+            out += (positive or Literal(atom, True), negative or Literal(atom, False))
         return tuple(out)
 
     def is_superior(self, superior_label: str | None, inferior_label: str | None) -> bool:
         if superior_label is None or inferior_label is None:
             return False
         return (superior_label, inferior_label) in self.superiority
-
-
-def _atom_of(element: BodyElement) -> Atom:
-    if isinstance(element, Literal):
-        return element.atom
-    return element.literal.atom
 
 
 # ---------------------------------------------------------------------------

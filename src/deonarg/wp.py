@@ -41,7 +41,7 @@ from typing import Iterable
 
 from .arguments import ArgumentSet, ImaginaryArgument
 from .attacks import AttackGraph
-from .model import Record
+from .model import Record, slot_setters
 from .semantics import _clashing
 
 # ---------------------------------------------------------------------------
@@ -79,11 +79,7 @@ def supports(arguments: ArgumentSet, members: Iterable[str], identifier: str) ->
 
 def supported_by(arguments: ArgumentSet, members: Iterable[str]) -> frozenset[str]:
     chosen = frozenset(members)
-    return frozenset(
-        identifier
-        for identifier in arguments.ids
-        if frozenset(arguments.proper_sub_ids(identifier)) <= chosen
-    )
+    return frozenset(i for i in arguments.ids if supports(arguments, chosen, i))
 
 
 def undercuts(graph: AttackGraph, members: Iterable[str], identifier: str) -> bool:
@@ -131,23 +127,18 @@ class StatusChange(Record):
     __slots__ = _fields = ("argument", "clause", "witnesses")
 
     def __init__(self, argument: str, clause: str, witnesses: tuple[str, ...] = ()) -> None:
-        object.__setattr__(self, "argument", argument)
-        object.__setattr__(self, "clause", clause)
-        object.__setattr__(self, "witnesses", witnesses)
+        set_argument, set_clause, set_witnesses = _CHANGE_SETTERS  # one record per change
+        set_argument(self, argument)
+        set_clause(self, clause)
+        set_witnesses(self, witnesses)
 
 
-class _Prefix:
-    """The first ``length`` entries of an order that only grows."""
-
-    __slots__ = ("order", "length")
-
-    def __init__(self, order: list[str], length: int) -> None:
-        self.order = order
-        self.length = length
+_CHANGE_SETTERS = slot_setters(StatusChange)
 
 
-def _held(members: frozenset[str] | _Prefix) -> frozenset[str]:
-    return frozenset(members.order[: members.length]) if isinstance(members, _Prefix) else members
+def _held(members: frozenset[str] | tuple[list[str], int]) -> frozenset[str]:
+    """A step's set: held as is, or as an order that only grows and the length of its prefix."""
+    return members if isinstance(members, frozenset) else frozenset(members[0][: members[1]])
 
 
 class TraceStep(Record):
@@ -169,11 +160,9 @@ class TraceStep(Record):
         rejected: frozenset[str],
         justified: frozenset[str],
     ) -> None:
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "newly_rejected", newly_rejected)
-        object.__setattr__(self, "newly_justified", newly_justified)
-        object.__setattr__(self, "_rejected", rejected)
-        object.__setattr__(self, "_justified", justified)
+        values = (index, newly_rejected, newly_justified, rejected, justified)
+        for setter, value in zip(_STEP_SETTERS, values):  # one record per iteration
+            setter(self, value)
 
     @property
     def rejected(self) -> frozenset[str]:
@@ -182,6 +171,9 @@ class TraceStep(Record):
     @property
     def justified(self) -> frozenset[str]:
         return _held(self._justified)
+
+
+_STEP_SETTERS = slot_setters(TraceStep)
 
 
 class WpExtension(Record):
@@ -268,30 +260,31 @@ def wp_extension(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
     conflict-freeness invariants are checked after every iteration
     regardless of the guard setting.
 
-    The first iteration evaluates every argument; each later one only
-    the arguments whose inputs the previous iteration changed, on
-    positions, and the steps' sets are prefixes of the recorded orders
-    (see the module docstring).
+    The first iteration evaluates every argument (the unattacked imaginary
+    ones as a block, see below); each later one only the arguments whose
+    inputs the previous iteration changed, on positions, and the steps'
+    sets are prefixes of the recorded orders (see the module docstring).
     """
     arguments = graph.arguments
     ids = arguments.ids
     decode = arguments._decode
+    rows = arguments._rows
     subs, supers = arguments._subs, arguments._supers
     attackers_of, targets_of = graph._attackers, graph._targets
-    imaginary = [row[0] is ImaginaryArgument for row in arguments._rows]
+    imaginary = [row[0] is ImaginaryArgument for row in rows]
 
     # support: each argument counts its direct subarguments not yet justified
     waiting: list[int] = []
     parents: list[list[int]] = [[] for _ in ids]
-    for n, row in enumerate(arguments._rows):
-        children = set(row[3])
+    for n, row in enumerate(rows):
+        children = set(row[3]) if row[3] else ()
         waiting.append(len(children))
         for child in children:
             parents[child].append(n)
     # undercut: the natural witnesses each argument attacks at
     attacks_at: list[list[int]] = [[] for _ in ids]
     for witness, attackers in enumerate(graph._at_witness):
-        if not imaginary[witness]:
+        if attackers and not imaginary[witness]:
             for attacker in attackers:
                 attacks_at[attacker].append(witness)
 
@@ -330,20 +323,21 @@ def wp_extension(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
     def acceptance(n: int) -> StatusChange | None:
         attackers = attackers_of[n]
         if imaginary[n]:
-            if all(a in rejected for a in attackers):
-                return StatusChange(ids[n], "attackers-all-rejected", decode(attackers))
-            return None
-        if n not in supported:
-            return None
-        if all(a in rejected or a in undercut for a in attackers):
-            return StatusChange(ids[n], "supported-and-defended", decode(attackers))
-        return None
+            holds, clause = rejected.issuperset(attackers), "attackers-all-rejected"
+        else:
+            holds = n in supported and all(a in rejected or a in undercut for a in attackers)
+            clause = "supported-and-defended"
+        return StatusChange(ids[n], clause, decode(attackers)) if holds else None
 
-    first: set[int] = set()  # the first iteration evaluates every argument anyway
-    for n in range(len(ids)):
-        if not waiting[n]:
-            support(n, first)
-    candidates: Iterable[int] = range(len(ids))
+    supported.update([n for n, count in enumerate(waiting) if not count])
+    for n in [n for n in supported if attacks_at[n]]:  # their undercuts; what they wake
+        support(n, set())  # is read anyway, as the first iteration evaluates every argument
+    # an imaginary argument with no attackers is justified in the first iteration, with
+    # no witnesses, and never woken again: those after the last natural argument are
+    # settled as one block at the end of that iteration's justified list
+    end = len(ids) - imaginary[::-1].index(False) if False in imaginary else 0
+    settled = [n for n in range(end, len(ids)) if not attackers_of[n]]
+    candidates: Iterable[int] = [*range(end), *(n for n in range(end, len(ids)) if attackers_of[n])]
     # the order in which arguments became rejected and justified, as ids
     rejected_order: list[str] = []
     justified_order: list[str] = []
@@ -371,10 +365,13 @@ def wp_extension(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
             if change is not None:
                 newly_justified.append(change)
                 added.append(n)
+        if index == 1:  # the settled block
+            newly_justified += [StatusChange(ids[n], "attackers-all-rejected", ()) for n in settled]
+            added += settled
         rejected.update(removed)
         justified.update(added)
 
-        overlap = {n for n in removed if n in justified} | {n for n in added if n in rejected}
+        overlap = justified.intersection(removed) | rejected.intersection(added)
         if overlap:
             raise FixpointInvariantError(index, "overlap", decode(sorted(overlap)))
         clash = _clashing(graph, justified, added)
@@ -383,17 +380,13 @@ def wp_extension(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
 
         if not newly_rejected and not newly_justified:
             break
-        rejected_order += decode(removed)
-        justified_order += decode(added)
-        steps.append(
-            TraceStep(
-                index,
-                tuple(newly_rejected),
-                tuple(newly_justified),
-                _Prefix(rejected_order, len(rejected_order)),  # type: ignore[arg-type]
-                _Prefix(justified_order, len(justified_order)),  # type: ignore[arg-type]
-            )
-        )
+        rejected_order += map(ids.__getitem__, removed)
+        justified_order += map(ids.__getitem__, added)
+        steps.append(TraceStep(
+            index, tuple(newly_rejected), tuple(newly_justified),
+            (rejected_order, len(rejected_order)),  # type: ignore[arg-type]
+            (justified_order, len(justified_order)),  # type: ignore[arg-type]
+        ))
 
         # wake the arguments whose predicates read what just changed
         woken: set[int] = set()

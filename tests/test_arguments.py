@@ -1,6 +1,8 @@
 """Unit tests for argument construction and the argument set."""
 
+import copy
 import importlib.util
+import pickle
 from pathlib import Path
 
 import pytest
@@ -27,7 +29,7 @@ from deonarg import (
     verify_theorems,
     wp_extension,
 )
-from deonarg.arguments import structural_key
+from deonarg.arguments import Argument, structural_key
 from deonarg.cli import main
 from deonarg.model import conclusion_sort_key
 from deonarg.schema import arguments_section, attacks_section, trace_section
@@ -305,6 +307,39 @@ def test_tall_arguments_compare_without_recursion():
         lines += [f"{label}{i}: a_{i - 1}, b_{i - 1} => {atom}_{i}." for label, atom in ("ra", "sb")]
     first, second = (build_arguments(parse_theory("\n".join(lines) + "\n")) for _ in range(2))
     assert first.argument(first.natural_ids()[-1]) == second.argument(second.natural_ids()[-1])
+
+
+def _recursive_repr(value) -> str:
+    """The record repr of a value, by recursion: an oracle for short trees."""
+    if isinstance(value, Argument):
+        fields = ", ".join(f"{name}={_recursive_repr(getattr(value, name))}" for name in value._fields)
+        return f"{type(value).__qualname__}({fields})"
+    if isinstance(value, tuple) and value and isinstance(value[0], Argument):
+        shown = ", ".join(map(_recursive_repr, value))
+        return f"({shown},)" if len(value) == 1 else f"({shown})"
+    return repr(value)
+
+
+def test_tall_arguments_show_copy_and_pickle_without_recursion():
+    ladder = _ladder()
+    lines = ["fact a.", "r1: a, perm_w(~b) => obl(b).", "r2: obl(b), perm(b), a => c."]
+    for text in (ladder.chain(40), ladder.fan(3), "\n".join(lines) + "\n"):
+        for _, argument in build_arguments(parse_theory(text)):
+            assert repr(argument) == _recursive_repr(argument)
+    arguments = build_arguments(parse_theory(ladder.chain(1000)))
+    top = arguments.argument(arguments.natural_ids()[-1])
+    assert top.height == 1002
+    text = repr(top)
+    assert str(top) == text
+    assert text.startswith("DAxiomArgument(base=RuleApplication(rule=Rule(label='z1', ")
+    assert text.count("RuleApplication(") == 1001 and text.count("FactArgument(") == 1
+    for twin in (pickle.loads(pickle.dumps(top)), copy.deepcopy(top), copy.copy(top)):
+        assert twin == top and hash(twin) == hash(top) and twin is not top
+    assert twin.subarguments() == top.subarguments()
+    # an argument set shows every argument's tree
+    tall = build_arguments(parse_theory(ladder.chain(200)))
+    assert repr(tall) == f"ArgumentSet(theory={tall.theory!r}, ordered={tall.ordered!r})"
+    assert pickle.loads(pickle.dumps(tall)) == tall
 
 
 def _theories(goldens, corpora):

@@ -1,0 +1,109 @@
+"""Metamorphic property: an order-preserving renaming and a reversed source.
+
+Putting one token in front of every atom and rule label keeps every sort
+order the engine reads (the same prefix on every identifier), and the
+order of the rules in the source text is not part of a theory.  So the
+variant must number, connect and settle its arguments exactly as the
+original does: the same argument ids, kinds and children, the same
+attack rows as ids, the same wp trace, and the renamed conclusions and
+top rules.  The tall and wide ladder rungs reach the construction's rank
+and universe paths at sizes the oracle corpus does not.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import re
+from pathlib import Path
+
+from deonarg import build_arguments, compute_attacks, parse_theory, serialize_theory, wp_extension
+from deonarg.schema import arguments_section, attacks_section, trace_section
+from deonarg.testkit import GeneratorParams, generate_theory
+
+TOKEN = "Tmq_"
+_KEYWORDS = frozenset({"fact", "obl", "perm", "perm_w"})
+_IDENTIFIER = re.compile(r"\b[A-Za-z_][A-Za-z0-9_]*\b")
+
+
+def renamed(text: str) -> str:
+    """The text with ``TOKEN`` in front of every atom and rule label."""
+    return _IDENTIFIER.sub(
+        lambda m: m.group(0) if m.group(0) in _KEYWORDS else TOKEN + m.group(0), text
+    )
+
+
+def variant(text: str) -> str:
+    """The renamed text with its statements in reverse order."""
+    lines = renamed(text).splitlines()
+    return "\n".join(reversed(lines)) + "\n"
+
+
+def outputs(text: str, rename=lambda value: value) -> tuple:
+    """Every output the property compares, with conclusions and rules passed through ``rename``."""
+    theory = parse_theory(text)
+    arguments = build_arguments(theory)
+    graph = compute_attacks(arguments, theory)
+    ids = arguments.ids
+    children = [tuple(ids[child] for child in row[3]) for row in arguments._rows]
+    listed = [
+        (
+            entry["id"],
+            entry["kind"],
+            children[n],
+            entry["sub"],
+            rename(entry["conclusion"]),
+            None if entry["top_rule"] is None else rename(entry["top_rule"]),
+        )
+        for n, entry in enumerate(arguments_section(arguments))
+    ]
+    return listed, attacks_section(graph), trace_section(wp_extension(graph))
+
+
+def check(text: str) -> None:
+    assert outputs(variant(text)) == outputs(text, renamed), text
+
+
+def _ladder():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "ladder.py"
+    spec = importlib.util.spec_from_file_location("ladder", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_variant_reads_as_intended():
+    text = "fact a_0.\nr2: a_0, perm_w(~b) => obl(c).\nr1: => perm(b).\nr2 > r1.\n"
+    assert variant(text) == (
+        "Tmq_r2 > Tmq_r1.\nTmq_r1: => perm(Tmq_b).\n"
+        "Tmq_r2: Tmq_a_0, perm_w(~Tmq_b) => obl(Tmq_c).\nfact Tmq_a_0.\n"
+    )
+
+
+def test_renaming_and_reversing_the_goldens_and_the_corpora_changes_nothing(
+    goldens, conflict_corpus, no_superiority_corpus, oracle_corpus
+):
+    for prepared in goldens.values():
+        check(prepared.text)
+    for corpus in (conflict_corpus, no_superiority_corpus, oracle_corpus):
+        for case in corpus:
+            check(serialize_theory(case.theory))
+
+
+def test_renaming_and_reversing_generated_theories_changes_nothing():
+    for seed in range(200):
+        params = GeneratorParams(
+            seed=seed,
+            atom_count=4,
+            fact_count=2,
+            rule_count=6,
+            acyclic=seed % 2 == 0,
+            inject_conflict=seed % 3 != 0,
+            superiority_count=seed % 3,
+        )
+        check(serialize_theory(generate_theory(params)))
+
+
+def test_renaming_and_reversing_the_tall_and_wide_rungs_changes_nothing():
+    ladder = _ladder()
+    for text in (ladder.chain(160), ladder.fan(6)):
+        check(text)
