@@ -80,7 +80,7 @@ def run_theory(name: str, text: str, *, generalized: bool) -> None:
         status = facultative_status(literal, conclusions, "wp")
         print(f"  {literal}: {status.status}")
 
-    checks = verify_theorems(theory, imaginary_subargument_attacks=generalized)
+    checks = verify_theorems(graph)
     print("\nchecks:")
     for result in checks.results:
         print(f"  {result.name}: {result.status} ({result.detail})")

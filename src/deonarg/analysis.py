@@ -29,7 +29,6 @@ from .semantics import (
     ArgumentLimitExceeded,
     conflicting_members,
     grounded_extension,
-    justified_conclusions,
     _stable_core,
 )
 from .wp import FixpointInvariantError, WpExtension, supports, wp_extension
@@ -77,21 +76,16 @@ def _body_supported(rule, arguments: ArgumentSet, justified: frozenset[str] | No
     """Every body element has a concluding argument (a justified one if given)."""
     for element in rule.body:
         concluders = arguments.concluders(element)
-        if justified is None:
-            if not concluders:
-                return False
-        elif not any(identifier in justified for identifier in concluders):
+        if not concluders or justified is not None and justified.isdisjoint(concluders):
             return False
     return True
 
 
 def _conflict_pairs(
-    theory: Theory,
-    arguments: ArgumentSet,
-    justified: frozenset[str] | None,
-    *,
-    ignore_adjudicated: bool,
+    theory: Theory, arguments: ArgumentSet, justified: frozenset[str] | None
 ) -> tuple[ConflictPair, ...]:
+    """Rule pairs obliging a literal both ways whose bodies have arguments; given a
+    justified set, the bodies need justified ones and superiority-adjudicated pairs drop."""
     # the obligation rules with supported bodies, indexed by the obliged literal
     by_head: dict[Literal, list[str]] = {}
     for rule in theory.rules:
@@ -105,7 +99,7 @@ def _conflict_pairs(
         if head.positive
         for supporting in supporting_labels
         for opposing in by_head.get(head.negated, ())
-        if not ignore_adjudicated
+        if justified is None
         or not (theory.is_superior(supporting, opposing)
                 or theory.is_superior(opposing, supporting))
     ]
@@ -115,10 +109,7 @@ def _conflict_pairs(
 
 def conflicted_literals(theory: Theory, arguments: ArgumentSet) -> frozenset[Literal]:
     """Literals obliged both ways by rules whose bodies all have arguments."""
-    return frozenset(
-        pair.literal
-        for pair in _conflict_pairs(theory, arguments, None, ignore_adjudicated=False)
-    )
+    return frozenset(pair.literal for pair in _conflict_pairs(theory, arguments, None))
 
 
 def wp_conflicted_literals(
@@ -131,10 +122,7 @@ def wp_conflicted_literals(
     obligations never stand unresolved side by side.
     """
     return frozenset(
-        pair.literal
-        for pair in _conflict_pairs(
-            theory, arguments, extension.justified, ignore_adjudicated=True
-        )
+        pair.literal for pair in _conflict_pairs(theory, arguments, extension.justified)
     )
 
 
@@ -142,10 +130,8 @@ def conflict_report(
     theory: Theory, arguments: ArgumentSet, extension: WpExtension
 ) -> ConflictReport:
     return ConflictReport(
-        _conflict_pairs(theory, arguments, None, ignore_adjudicated=False),
-        _conflict_pairs(
-            theory, arguments, extension.justified, ignore_adjudicated=True
-        ),
+        _conflict_pairs(theory, arguments, None),
+        _conflict_pairs(theory, arguments, extension.justified),
     )
 
 
@@ -226,11 +212,24 @@ def _verdict(
     return CheckResult(name, "pass", success_detail)
 
 
+#: the checks in the order they run: two on the extension-based semantics,
+#: then four on the weak-permission fixed point
+_EXCLUSION_CHECKS = (
+    "conflicted-weak-permissions-not-grounded",
+    "conflicted-weak-permissions-not-stable",
+)
+_WP_CHECKS = (
+    "wp-sets-disjoint-and-conflict-free",
+    "wp-conflicts-recover-weak-permissions",
+    "grounded-subset-of-wp-justified",
+    "wp-justified-subargument-closure",
+)
+
+
 def _weak_permission_exclusion(
-    name: str,
-    conflicted: frozenset[Literal],
-    conclusions: frozenset[Conclusion],
+    name: str, conflicted: frozenset[Literal], arguments: ArgumentSet, members: frozenset[str]
 ) -> CheckResult:
+    conclusions = {arguments.conclusion(identifier) for identifier in members}
     offending = sorted(
         str(literal)
         for literal in conflicted
@@ -245,7 +244,7 @@ def _weak_permission_exclusion(
 
 
 def verify_theorems(
-    theory: Theory,
+    theory: Theory | AttackGraph,
     *,
     imaginary_subargument_attacks: bool = False,
     argument_limit: int = DEFAULT_ARGUMENT_LIMIT,
@@ -253,150 +252,117 @@ def verify_theorems(
 ) -> CheckReport:
     """Re-verify every structural guarantee on one theory.
 
-    Checks that hold only for restricted theory classes (no superiority
-    pairs, or a stable extension that actually exists) are reported as
-    skipped outside their scope rather than counted as failures.
+    Given a ``Theory``, its arguments and attack graph are built first,
+    under the ``imaginary_subargument_attacks`` reading.  Given the
+    ``AttackGraph`` built from a theory, that graph is checked as it was
+    built; asking for the generalized reading of a graph built without it
+    raises ``ValueError``.  Checks that hold only for restricted theory
+    classes (no superiority pairs, or a stable extension that actually
+    exists) are reported as skipped outside their scope rather than
+    counted as failures.
     """
-    arguments = build_arguments(theory)
-    graph = compute_attacks(
-        arguments,
-        theory=theory,
-        imaginary_subargument_attacks=imaginary_subargument_attacks,
-    )
-    results: list[CheckResult] = []
-    conflicted = conflicted_literals(theory, arguments)
+    if isinstance(theory, AttackGraph):
+        if imaginary_subargument_attacks and not theory.generalized:
+            raise ValueError("the graph was built without imaginary_subargument_attacks")
+        graph = theory
+    else:
+        graph = compute_attacks(
+            build_arguments(theory), imaginary_subargument_attacks=imaginary_subargument_attacks
+        )
+    arguments = graph.arguments
+    theory = arguments.theory
     superiority_free = not theory.superiority
-    adjudicated = "superiority pairs adjudicate conflicts; out of scope"
     grounded = grounded_extension(graph)
 
-    # Conflicted weak permissions stay out of the grounded extension.
-    name = "conflicted-weak-permissions-not-grounded"
+    # Conflicted weak permissions stay out of the grounded extension and
+    # out of the sceptical stable core.
+    not_grounded, not_stable = _EXCLUSION_CHECKS
     if not superiority_free:
-        results.append(CheckResult(name, "skipped", adjudicated))
+        adjudicated = "superiority pairs adjudicate conflicts; out of scope"
+        results = [CheckResult(name, "skipped", adjudicated) for name in _EXCLUSION_CHECKS]
     else:
-        conclusions = frozenset(justified_conclusions(arguments, grounded))
-        results.append(_weak_permission_exclusion(name, conflicted, conclusions))
-
-    # Conflicted weak permissions stay out of the sceptical stable core.
-    name = "conflicted-weak-permissions-not-stable"
-    if not superiority_free:
-        results.append(CheckResult(name, "skipped", adjudicated))
-    else:
+        conflicted = conflicted_literals(theory, arguments)
+        results = [_weak_permission_exclusion(not_grounded, conflicted, arguments, grounded)]
         try:
-            justified = _stable_core(graph, argument_limit)
+            core = _stable_core(graph, argument_limit)
+            vacuous = "no stable extensions; sceptical quantification is vacuous"
         except ArgumentLimitExceeded as error:
-            results.append(CheckResult(name, "skipped", str(error)))
-        else:
-            if justified is None:
-                results.append(
-                    CheckResult(
-                        name,
-                        "skipped",
-                        "no stable extensions; sceptical quantification is vacuous",
-                    )
-                )
-            else:
-                conclusions = frozenset(justified_conclusions(arguments, justified))
-                results.append(
-                    _weak_permission_exclusion(name, conflicted, conclusions)
-                )
+            core, vacuous = None, str(error)
+        results.append(
+            CheckResult(not_stable, "skipped", vacuous)
+            if core is None
+            else _weak_permission_exclusion(not_stable, conflicted, arguments, core)
+        )
 
+    disjoint, recover, subset, closure = _WP_CHECKS
     try:
         extension = wp_extension(graph, fixpoint_guards=fixpoint_guards)
     except FixpointInvariantError as error:
-        results.append(
-            CheckResult("wp-sets-disjoint-and-conflict-free", "fail", str(error))
-        )
-        for name in (
-            "wp-conflicts-recover-weak-permissions",
-            "grounded-subset-of-wp-justified",
-            "wp-justified-subargument-closure",
-        ):
-            results.append(
-                CheckResult(name, "skipped", "weak-permission fixed point unavailable")
-            )
+        results.append(CheckResult(disjoint, "fail", str(error)))
+        unavailable = "weak-permission fixed point unavailable"
+        results += [CheckResult(name, "skipped", unavailable) for name in _WP_CHECKS[1:]]
         return CheckReport(tuple(results))
+    justified, rejected = extension.justified, extension.rejected
 
     # Justified and rejected sets are disjoint; justified set conflict-free.
-    name = "wp-sets-disjoint-and-conflict-free"
-    overlap = sorted(extension.justified & extension.rejected, key=arguments.index)
-    if overlap:
-        problems, prefix = overlap, "overlapping arguments: "
-    else:
-        problems = conflicting_members(graph, extension.justified)
-        prefix = "justified arguments attack each other: "
-    results.append(
-        _verdict(
-            name,
-            problems,
-            prefix,
-            f"{len(extension.justified)} justified, "
-            f"{len(extension.rejected)} rejected, disjoint and conflict-free",
-        )
-    )
+    overlap = sorted(justified & rejected, key=arguments.index)
+    results.append(_verdict(
+        disjoint,
+        overlap or conflicting_members(graph, justified),
+        "overlapping arguments: " if overlap else "justified arguments attack each other: ",
+        f"{len(justified)} justified, {len(rejected)} rejected, disjoint and conflict-free",
+    ))
 
     # Unresolved conflicts with fully justified premises recover both
     # weak permissions.
     by_rule: dict[str | None, list[str]] = {}
     for identifier in arguments.natural_ids():
         by_rule.setdefault(arguments.top_rule(identifier), []).append(identifier)
-    offending: list[str] = []
-    checked = 0
-    for pair in _conflict_pairs(
-        theory, arguments, extension.justified, ignore_adjudicated=True
-    ):
-        if not all(
-            any(
-                supports(arguments, extension.justified, identifier)
-                for identifier in by_rule.get(label, ())
-            )
+    backed = [
+        pair
+        for pair in _conflict_pairs(theory, arguments, justified)
+        if all(
+            any(supports(arguments, justified, identifier) for identifier in by_rule.get(label, ()))
             for label in (pair.supporting_rule, pair.opposing_rule)
-        ):
-            continue
-        checked += 1
-        for literal in (pair.literal, complement(pair.literal)):
-            identifier = _imaginary_id(arguments, literal)
-            if identifier not in extension.justified:
-                offending.append(f"{literal} ({identifier})")
-    results.append(
-        _verdict(
-            "wp-conflicts-recover-weak-permissions",
-            sorted(set(offending)),
-            "weak permission not justified despite a fully justified conflict: ",
-            f"{checked} fully justified conflict pair(s)",
         )
-    )
+    ]
+    offending = {
+        f"{literal} ({identifier})"
+        for pair in backed
+        for literal in (pair.literal, complement(pair.literal))
+        if (identifier := _imaginary_id(arguments, literal)) not in justified
+    }
+    results.append(_verdict(
+        recover,
+        sorted(offending),
+        "weak permission not justified despite a fully justified conflict: ",
+        f"{len(backed)} fully justified conflict pair(s)",
+    ))
 
     # Grounded acceptance implies justification under the fixed point.
-    name = "grounded-subset-of-wp-justified"
-    if not superiority_free:
-        results.append(
-            CheckResult(name, "skipped", "stated for theories without superiority pairs")
-        )
+    if superiority_free:
+        results.append(_verdict(
+            subset,
+            sorted(grounded - justified, key=arguments.index),
+            "grounded but not wp-justified: ",
+            f"{len(grounded)} grounded argument(s) all wp-justified",
+        ))
     else:
-        results.append(
-            _verdict(
-                name,
-                sorted(grounded - extension.justified, key=arguments.index),
-                "grounded but not wp-justified: ",
-                f"{len(grounded)} grounded argument(s) all wp-justified",
-            )
-        )
+        scope = "stated for theories without superiority pairs"
+        results.append(CheckResult(subset, "skipped", scope))
 
     # Every subargument of a justified argument is justified.
     broken = {
         identifier
-        for identifier in extension.justified
+        for identifier in justified
         for sub in arguments.sub_ids(identifier)
-        if sub not in extension.justified
+        if sub not in justified
     }
-    results.append(
-        _verdict(
-            "wp-justified-subargument-closure",
-            sorted(broken, key=arguments.index),
-            "justified argument with unjustified subargument: ",
-            "closure holds",
-        )
-    )
+    results.append(_verdict(
+        closure,
+        sorted(broken, key=arguments.index),
+        "justified argument with unjustified subargument: ",
+        "closure holds",
+    ))
 
     return CheckReport(tuple(results))

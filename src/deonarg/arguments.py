@@ -336,14 +336,23 @@ class ArgumentSet(Record):
 
     __hash__ = Record.__hash__
 
+    def __reduce__(self) -> tuple:
+        # the table, so that pickle and deepcopy are linear: ``ordered`` would flatten
+        # every argument's tree on its own
+        return _table, (self.theory, self._ids, self._rows, self._children_first())
+
+    def _children_first(self) -> list[int]:
+        """The positions, each after its children's: a child's closure is inside its parent's."""
+        sizes = list(map(len, self._subs))
+        return sorted(range(len(sizes)), key=sizes.__getitem__)
+
     @property
     def ordered(self) -> tuple[tuple[ArgumentId, Argument], ...]:
         """``(id, Argument)`` pairs in id order, decoded from the rows once."""
         if self._ordered is None:
             rows = self._rows
             made: list[Argument] = [None] * len(rows)  # type: ignore[list-item]
-            # childless rows first: every other one comes after its children
-            for n in sorted(range(len(rows)), key=lambda n: bool(rows[n][3])):
+            for n in self._children_first():
                 form, rule, conclusion, children = rows[n]
                 if form is RuleApplication:
                     made[n] = RuleApplication(rule, tuple([made[child] for child in children]))
@@ -550,6 +559,12 @@ def build_arguments(theory: Theory) -> ArgumentSet:
         for form, rule, conclusion, children, _, _ in map(found.__getitem__, order)
     ] + [(ImaginaryArgument, None, conclusions[n], ()) for n in range(imaginary)])
     ids = (*[f"A{n}" for n in range(count)], *[f"I{n}" for n in range(1, imaginary + 1)])
+    return _table(theory, ids, rows, range(count))  # the imaginary rows have no children
+
+
+def _table(theory: Theory, ids: tuple[ArgumentId, ...], rows: tuple[tuple, ...],
+           by_height: Iterable[int]) -> ArgumentSet:
+    """The argument set of the rows, with no ``ordered`` (see ``ArgumentSet._fill``)."""
     table = object.__new__(ArgumentSet)
-    table._fill(theory, None, ids, rows, range(count))  # the imaginary rows have no children
+    table._fill(theory, None, ids, rows, by_height)
     return table

@@ -52,7 +52,7 @@ def _load_theory(source: str) -> Theory:
     else:
         try:
             text = Path(source).read_text(encoding="utf-8")
-        except OSError as error:
+        except (OSError, UnicodeDecodeError) as error:
             click.echo(f"error: cannot read {source}: {error}", err=True)
             sys.exit(EXIT_PARSE)
     try:
@@ -368,16 +368,13 @@ def cmd_check(
     """Re-verify the engine's structural guarantees on the theory."""
     from .analysis import verify_theorems  # only this command needs the analysis layer
 
-    theory = _load_theory(theory_file)
+    graph = _load_graph(theory_file, imaginary_subargument_attacks)
     report = verify_theorems(
-        theory,
-        imaginary_subargument_attacks=imaginary_subargument_attacks,
-        argument_limit=argument_limit,
-        fixpoint_guards=not no_fixpoint_guards,
+        graph, argument_limit=argument_limit, fixpoint_guards=not no_fixpoint_guards
     )
     if fmt == "json":
         checks = [{"name": r.name, "status": r.status, "detail": r.detail} for r in report.results]
-        _echo_json({"theory": theory_section(theory), "checks": checks})
+        _echo_json({"theory": theory_section(graph.arguments.theory), "checks": checks})
     else:
         for result in report.results:
             click.echo(f"{result.name}: {result.status} ({result.detail})")
@@ -390,13 +387,16 @@ def cmd_check(
 # ---------------------------------------------------------------------------
 
 
+_COUNT = click.IntRange(min=0)
+
+
 @main.command(name="gen")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--atoms", "atom_count", type=int, default=4, show_default=True)
-@click.option("--facts", "fact_count", type=int, default=2, show_default=True)
-@click.option("--rules", "rule_count", type=int, default=5, show_default=True)
-@click.option("--max-body", "max_body_len", type=int, default=2, show_default=True)
-@click.option("--superiority", "superiority_count", type=int, default=0, show_default=True)
+@click.option("--atoms", "atom_count", type=click.IntRange(min=1), default=4, show_default=True)
+@click.option("--facts", "fact_count", type=_COUNT, default=2, show_default=True)
+@click.option("--rules", "rule_count", type=_COUNT, default=5, show_default=True)
+@click.option("--max-body", "max_body_len", type=_COUNT, default=2, show_default=True)
+@click.option("--superiority", "superiority_count", type=_COUNT, default=0, show_default=True)
 @click.option(
     "--obligation-bias", "obligation_head_bias", type=float, default=0.3, show_default=True
 )

@@ -256,6 +256,24 @@ def test_gen_honours_conflict_injection(runner):
     assert conflicted_literals(theory, build_arguments(theory))
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [("--atoms", "0"), ("--atoms", "-1"), ("--facts", "-1"), ("--rules", "-1"),
+     ("--max-body", "-1"), ("--superiority", "-1")],
+)
+def test_gen_rejects_out_of_range_counts_with_a_usage_error(runner, option, value):
+    result = runner.invoke(main, ["gen", option, value])
+    assert result.exit_code == 2
+    assert f"Invalid value for '{option}'" in result.output
+    assert not isinstance(result.exception, (IndexError, ValueError))
+
+
+def test_gen_keeps_the_alphabet_above_26_atoms(runner):
+    wide = run_ok(runner, "gen", "--seed", "1", "--atoms", "32", "--rules", "40")
+    alphabet = run_ok(runner, "gen", "--seed", "1", "--atoms", "26", "--rules", "40")
+    assert wide.output == alphabet.output
+
+
 # ---------------------------------------------------------------------------
 # exit codes and determinism
 # ---------------------------------------------------------------------------
@@ -276,6 +294,15 @@ def test_validation_errors_exit_two(runner):
 def test_missing_files_exit_one(runner, tmp_path):
     result = runner.invoke(main, ["args", str(tmp_path / "absent.theory")])
     assert result.exit_code == 1
+
+
+def test_undecodable_files_exit_one_as_unreadable(runner, tmp_path):
+    path = tmp_path / "bad.dl"
+    path.write_bytes(b"fact a\xff.\n")
+    result = runner.invoke(main, ["eval", str(path)])
+    assert result.exit_code == 1
+    assert result.stderr.startswith(f"error: cannot read {path}: ")
+    assert "codec can't decode" in result.stderr
 
 
 def test_fixpoint_invariant_breaches_exit_three(runner, theory_file):
