@@ -25,8 +25,7 @@ The ladder:
   --inject-conflict``, 5,368 arguments; ``complete`` is left out (75,816
   extensions).
 * ``startup``: the CLI's own cost, in fresh interpreters: the CPU of
-  ``import deonarg.cli`` (``import_cli``), of the same import after
-  ``import click`` (``import_cli_after_click``), and of whole ``python -m
+  ``import deonarg.cli`` (``import_cli``) and of whole ``python -m
   deonarg eval -s wp -`` processes on the two-obligation demo theory
   (``eval_wp_process``, user plus system CPU of the child).  Each is the
   median of ``STARTUP_REPEAT`` (21) processes, run with
@@ -96,16 +95,15 @@ STAGES = ("parse", "build", "attacks", "grounded", "complete", "stable", "wp", "
 #: fresh interpreters per start-up stage; the median is reported
 STARTUP_REPEAT = 21
 
-#: prints the CPU seconds that importing the CLI takes, after ``{first}``
+#: prints the CPU seconds that importing the CLI takes
 _IMPORT_PROBE = (
-    "import time{first}; started = time.process_time(); import deonarg.cli; "
+    "import time; started = time.process_time(); import deonarg.cli; "
     "print(time.process_time() - started)"
 )
 
 #: start-up stage -> (child command line, its standard input)
 STARTUP_STAGES: dict[str, tuple[list[str], str]] = {
-    "import_cli": ([sys.executable, "-c", _IMPORT_PROBE.format(first="")], ""),
-    "import_cli_after_click": ([sys.executable, "-c", _IMPORT_PROBE.format(first=", click")], ""),
+    "import_cli": ([sys.executable, "-c", _IMPORT_PROBE], ""),
     "eval_wp_process": (
         [sys.executable, "-m", "deonarg", "eval", "-s", "wp", "-"],
         TWO_OBLIGATIONS,

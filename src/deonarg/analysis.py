@@ -351,16 +351,12 @@ def verify_theorems(
         scope = "stated for theories without superiority pairs"
         results.append(CheckResult(subset, "skipped", scope))
 
-    # Every subargument of a justified argument is justified.
-    broken = {
-        identifier
-        for identifier in justified
-        for sub in arguments.sub_ids(identifier)
-        if sub not in justified
-    }
+    # Every subargument of a justified argument is justified (on positions).
+    held = set(map(arguments.index, justified))
+    broken = sorted(n for n in held if not held.issuperset(arguments._subs[n]))
     results.append(_verdict(
         closure,
-        sorted(broken, key=arguments.index),
+        arguments._decode(broken),
         "justified argument with unjustified subargument: ",
         "closure holds",
     ))

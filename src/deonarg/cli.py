@@ -12,13 +12,13 @@ check.
 
 from __future__ import annotations
 
+import argparse
+import os
 import sys
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
-from typing import Any
-
-import click
+from typing import Any, Callable
 
 from . import __version__
 from .arguments import ArgumentSet, build_arguments
@@ -46,6 +46,13 @@ EXIT_CHECK = 5
 # ---------------------------------------------------------------------------
 
 
+def _echo(message: str, err: bool = False, nl: bool = True) -> None:
+    """Write to the current stdout (or stderr), then flush, so the two interleave in order."""
+    stream = sys.stderr if err else sys.stdout
+    stream.write(f"{message}\n" if nl else message)
+    stream.flush()
+
+
 def _load_theory(source: str) -> Theory:
     if source == "-":
         text = sys.stdin.read()
@@ -53,16 +60,16 @@ def _load_theory(source: str) -> Theory:
         try:
             text = Path(source).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as error:
-            click.echo(f"error: cannot read {source}: {error}", err=True)
+            _echo(f"error: cannot read {source}: {error}", err=True)
             sys.exit(EXIT_PARSE)
     try:
         return parse_theory(text)
     except ParseError as error:
-        click.echo(f"parse error: {error}", err=True)
+        _echo(f"parse error: {error}", err=True)
         sys.exit(EXIT_PARSE)
     except TheoryValidationError as error:
         for violation in error.violations:
-            click.echo(f"validation error: {violation.message}", err=True)
+            _echo(f"validation error: {violation.message}", err=True)
         sys.exit(EXIT_VALIDATION)
 
 
@@ -79,7 +86,7 @@ def _fixpoint(graph: AttackGraph, no_fixpoint_guards: bool) -> WpExtension:
     try:
         return wp_extension(graph, fixpoint_guards=not no_fixpoint_guards)
     except FixpointInvariantError as error:
-        click.echo(f"invariant breach: {error}", err=True)
+        _echo(f"invariant breach: {error}", err=True)
         sys.exit(EXIT_INVARIANT)
 
 
@@ -100,7 +107,7 @@ def _emit_json(
 def _echo_json(document: dict[str, Any]) -> None:
     import json  # only the JSON formats need it
 
-    click.echo(json.dumps(document, indent=2))
+    _echo(json.dumps(document, indent=2))
 
 
 def _in_order(arguments: ArgumentSet, members) -> list[str]:
@@ -127,36 +134,82 @@ def _wp_result(
     }
 
 
-_THEORY_ARGUMENT = click.argument("theory_file", metavar="THEORY")
-_TEXT_OR_JSON = click.option(
-    "--format", "-f", "fmt", type=click.Choice(["text", "json"]), default="text"
-)
-_GENERALIZED_FLAG = click.option(
+#: command name -> the function that runs it, and its options
+_COMMANDS: dict[str, tuple[Callable[..., None], tuple]] = {}
+
+
+def _option(*flags: str, **settings: Any) -> tuple:
+    """One ``add_argument`` call's flags and settings; an option with a default shows it."""
+    if "default" in settings:
+        settings["help"] = f"{settings.get('help', '')} [default: %(default)s]".lstrip()
+    return flags, settings
+
+
+def _command(name: str, *options: tuple) -> Callable:
+    """Register the decorated function as the subcommand ``name``; its docstring is the help."""
+
+    def register(function: Callable[..., None]) -> Callable[..., None]:
+        _COMMANDS[name] = (function, options)
+        return function
+
+    return register
+
+
+class _AtLeast(argparse.Action):
+    """Store an integer no lower than ``const``; a lower one is a usage error naming the option."""
+
+    def __call__(self, parser, namespace, value, option_string=None) -> None:
+        if value < self.const:
+            parser.error(
+                f"Invalid value for '{option_string}': {value} is not in the range x>={self.const}."
+            )
+        setattr(namespace, self.dest, value)
+
+
+_THEORY_ARGUMENT = _option("theory_file", metavar="THEORY", help="theory file, or - for stdin")
+_TEXT_OR_JSON = _option("-f", "--format", dest="fmt", choices=["text", "json"], default="text")
+_GENERALIZED_FLAG = _option(
     "--imaginary-subargument-attacks",
-    is_flag=True,
+    action="store_true",
     help="Let obligations attack natural arguments through their imaginary "
     "subarguments (generalized reading; default targets only the imaginary "
     "argument itself).",
 )
-_LIMIT_OPTION = click.option(
+_LIMIT_OPTION = _option(
     "--argument-limit",
     type=int,
     default=DEFAULT_ARGUMENT_LIMIT,
-    show_default=True,
     help="Refuse complete/stable enumeration above this many arguments.",
 )
-_GUARDS_FLAG = click.option(
+_GUARDS_FLAG = _option(
     "--no-fixpoint-guards",
-    is_flag=True,
+    action="store_true",
     help="Drop the exclusion guards from the weak-permission iteration "
     "(diagnostic; breaches the disjointness invariant on some theories).",
 )
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="deonarg")
-def main() -> None:
-    """Deontic argumentation engine."""
+def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
+    """Run the command in ``args`` (default ``sys.argv[1:]``); always ends in ``SystemExit``."""
+    parser = argparse.ArgumentParser(
+        prog=prog_name or "deonarg", description="Deontic argumentation engine.", allow_abbrev=False
+    )
+    parser.add_argument("--version", action="version", version=f"deonarg, version {__version__}")
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    for name, (function, options) in _COMMANDS.items():
+        summary = function.__doc__
+        command = commands.add_parser(name, help=summary, description=summary, allow_abbrev=False)
+        for flags, settings in options:
+            command.add_argument(*flags, **settings)
+        command.set_defaults(run=function)
+    chosen = vars(parser.parse_args(args))
+    del chosen["command"]
+    try:
+        chosen.pop("run")(**chosen)
+    except BrokenPipeError:  # the reader stopped early, as ``| head`` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(0)
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +217,7 @@ def main() -> None:
 # ---------------------------------------------------------------------------
 
 
-@main.command(name="args")
-@_THEORY_ARGUMENT
-@_TEXT_OR_JSON
+@_command("args", _THEORY_ARGUMENT, _TEXT_OR_JSON)
 def cmd_args(theory_file: str, fmt: str) -> None:
     """List every argument of the theory."""
     arguments = build_arguments(_load_theory(theory_file))
@@ -179,7 +230,7 @@ def cmd_args(theory_file: str, fmt: str) -> None:
         if top_rule is not None:
             tag += f" {top_rule}"
         subs = " ".join(arguments.sub_ids(identifier))
-        click.echo(f"{identifier}: {arguments.conclusion(identifier)} [{tag}] sub={{{subs}}}")
+        _echo(f"{identifier}: {arguments.conclusion(identifier)} [{tag}] sub={{{subs}}}")
 
 
 # ---------------------------------------------------------------------------
@@ -187,19 +238,17 @@ def cmd_args(theory_file: str, fmt: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-@main.command(name="eval")
-@_THEORY_ARGUMENT
-@click.option(
-    "--semantics",
-    "-s",
-    type=click.Choice(["grounded", "complete", "stable", "wp"]),
-    default="grounded",
-    show_default=True,
+@_command(
+    "eval",
+    _THEORY_ARGUMENT,
+    _option(
+        "-s", "--semantics", choices=["grounded", "complete", "stable", "wp"], default="grounded"
+    ),
+    _TEXT_OR_JSON,
+    _GENERALIZED_FLAG,
+    _LIMIT_OPTION,
+    _GUARDS_FLAG,
 )
-@_TEXT_OR_JSON
-@_GENERALIZED_FLAG
-@_LIMIT_OPTION
-@_GUARDS_FLAG
 def cmd_eval(
     theory_file: str,
     semantics: str,
@@ -221,11 +270,11 @@ def cmd_eval(
         try:
             outcome = evaluate(graph, semantics, argument_limit=argument_limit)
         except ArgumentLimitExceeded as error:
-            click.echo(f"size limit: {error}", err=True)
+            _echo(f"size limit: {error}", err=True)
             sys.exit(EXIT_SIZE)
         if outcome.no_extensions:
             flags["no_stable_extensions"] = True
-            click.echo(
+            _echo(
                 "warning: no stable extensions; the sceptical justified set is vacuous",
                 err=True,
             )
@@ -239,15 +288,15 @@ def cmd_eval(
     if fmt == "json":
         _emit_json(arguments, graph, result=result)
         return
-    click.echo(f"semantics: {semantics}")
+    _echo(f"semantics: {semantics}")
     if "extensions" in result:
-        click.echo(f"extensions: {len(result['extensions'])}")
+        _echo(f"extensions: {len(result['extensions'])}")
         for number, members in enumerate(result["extensions"], start=1):
-            click.echo(f"extension {number}: {_braced(members)}")
-    click.echo(f"justified arguments: {_braced(result['justified_arguments'])}")
+            _echo(f"extension {number}: {_braced(members)}")
+    _echo(f"justified arguments: {_braced(result['justified_arguments'])}")
     if "rejected_arguments" in result:
-        click.echo(f"rejected arguments: {_braced(result['rejected_arguments'])}")
-    click.echo(f"justified conclusions: {_braced(result['justified_conclusions'])}")
+        _echo(f"rejected arguments: {_braced(result['rejected_arguments'])}")
+    _echo(f"justified conclusions: {_braced(result['justified_conclusions'])}")
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +304,7 @@ def cmd_eval(
 # ---------------------------------------------------------------------------
 
 
-@main.command(name="trace")
-@_THEORY_ARGUMENT
-@_TEXT_OR_JSON
-@_GENERALIZED_FLAG
-@_GUARDS_FLAG
+@_command("trace", _THEORY_ARGUMENT, _TEXT_OR_JSON, _GENERALIZED_FLAG, _GUARDS_FLAG)
 def cmd_trace(
     theory_file: str,
     fmt: str,
@@ -283,7 +328,7 @@ def cmd_trace(
         )
         return
     for step in extension.steps:
-        click.echo(f"step {step.index}:")
+        _echo(f"step {step.index}:")
         for verb, changes in (
             ("rejected", step.newly_rejected),
             ("justified", step.newly_justified),
@@ -291,10 +336,10 @@ def cmd_trace(
             for change in changes:
                 witnesses = ", ".join(change.witnesses)
                 suffix = f": {witnesses}" if witnesses else ""
-                click.echo(f"  {verb} {change.argument} [{change.clause}{suffix}]")
-    click.echo(f"fixpoint after {extension.iterations} step(s)")
-    click.echo(f"justified: {_braced(_in_order(arguments, extension.justified))}")
-    click.echo(f"rejected: {_braced(_in_order(arguments, extension.rejected))}")
+                _echo(f"  {verb} {change.argument} [{change.clause}{suffix}]")
+    _echo(f"fixpoint after {extension.iterations} step(s)")
+    _echo(f"justified: {_braced(_in_order(arguments, extension.justified))}")
+    _echo(f"rejected: {_braced(_in_order(arguments, extension.rejected))}")
 
 
 # ---------------------------------------------------------------------------
@@ -319,29 +364,27 @@ def _dot_graph(arguments: ArgumentSet, graph: AttackGraph) -> str:
     return "\n".join(lines)
 
 
-@main.command(name="attacks")
-@_THEORY_ARGUMENT
-@click.option(
-    "--format", "-f", "fmt", type=click.Choice(["text", "json", "dot"]), default="text"
+@_command(
+    "attacks",
+    _THEORY_ARGUMENT,
+    _option("-f", "--format", dest="fmt", choices=["text", "json", "dot"], default="text"),
+    _GENERALIZED_FLAG,
 )
-@_GENERALIZED_FLAG
-def cmd_attacks(
-    theory_file: str, fmt: str, imaginary_subargument_attacks: bool
-) -> None:
+def cmd_attacks(theory_file: str, fmt: str, imaginary_subargument_attacks: bool) -> None:
     """Show the attack relation as a table or DOT graph."""
     graph = _load_graph(theory_file, imaginary_subargument_attacks)
     if fmt == "json":
         _emit_json(graph.arguments, graph)
         return
     if fmt == "dot":
-        click.echo(_dot_graph(graph.arguments, graph))
+        _echo(_dot_graph(graph.arguments, graph))
         return
     for identifier in graph.arguments.ids:
         targets = graph.targets_of(identifier)
         if targets:
-            click.echo(f"{identifier} -> {', '.join(targets)}")
+            _echo(f"{identifier} -> {', '.join(targets)}")
     for edge in graph.suppressed:
-        click.echo(
+        _echo(
             f"suppressed: {edge.attacker} -> {edge.target} "
             f"[condition {edge.condition}, witness {edge.witness}]"
         )
@@ -352,12 +395,9 @@ def cmd_attacks(
 # ---------------------------------------------------------------------------
 
 
-@main.command(name="check")
-@_THEORY_ARGUMENT
-@_TEXT_OR_JSON
-@_GENERALIZED_FLAG
-@_LIMIT_OPTION
-@_GUARDS_FLAG
+@_command(
+    "check", _THEORY_ARGUMENT, _TEXT_OR_JSON, _GENERALIZED_FLAG, _LIMIT_OPTION, _GUARDS_FLAG
+)
 def cmd_check(
     theory_file: str,
     fmt: str,
@@ -377,7 +417,7 @@ def cmd_check(
         _echo_json({"theory": theory_section(graph.arguments.theory), "checks": checks})
     else:
         for result in report.results:
-            click.echo(f"{result.name}: {result.status} ({result.detail})")
+            _echo(f"{result.name}: {result.status} ({result.detail})")
     if report.failed:
         sys.exit(EXIT_CHECK)
 
@@ -387,37 +427,35 @@ def cmd_check(
 # ---------------------------------------------------------------------------
 
 
-_COUNT = click.IntRange(min=0)
+def _count(flag: str, dest: str, default: int, minimum: int = 0) -> tuple:
+    return _option(
+        flag, dest=dest, type=int, action=_AtLeast, const=minimum, default=default, metavar="N"
+    )
 
 
-@main.command(name="gen")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--atoms", "atom_count", type=click.IntRange(min=1), default=4, show_default=True)
-@click.option("--facts", "fact_count", type=_COUNT, default=2, show_default=True)
-@click.option("--rules", "rule_count", type=_COUNT, default=5, show_default=True)
-@click.option("--max-body", "max_body_len", type=_COUNT, default=2, show_default=True)
-@click.option("--superiority", "superiority_count", type=_COUNT, default=0, show_default=True)
-@click.option(
-    "--obligation-bias", "obligation_head_bias", type=float, default=0.3, show_default=True
+@_command(
+    "gen",
+    _option("--seed", type=int, default=0),
+    _count("--atoms", "atom_count", 4, minimum=1),
+    _count("--facts", "fact_count", 2),
+    _count("--rules", "rule_count", 5),
+    _count("--max-body", "max_body_len", 2),
+    _count("--superiority", "superiority_count", 0),
+    _option("--obligation-bias", dest="obligation_head_bias", type=float, default=0.3),
+    _option("--permission-weight", dest="permission_head_weight", type=float, default=0.1),
+    _option("--deontic-body-weight", type=float, default=0.2),
+    _option(
+        "--weak-permission-weight", dest="weak_permission_body_weight", type=float, default=0.15
+    ),
+    _option("--acyclic", action="store_true", default=True),
+    _option("--no-acyclic", dest="acyclic", action="store_false"),
+    _option("--inject-conflict", action="store_true"),
+    _option("--empty-obligation-bodies", action="store_true"),
 )
-@click.option(
-    "--permission-weight", "permission_head_weight", type=float, default=0.1, show_default=True
-)
-@click.option("--deontic-body-weight", type=float, default=0.2, show_default=True)
-@click.option(
-    "--weak-permission-weight",
-    "weak_permission_body_weight",
-    type=float,
-    default=0.15,
-    show_default=True,
-)
-@click.option("--acyclic/--no-acyclic", default=True, show_default=True)
-@click.option("--inject-conflict", is_flag=True)
-@click.option("--empty-obligation-bodies", is_flag=True)
 def cmd_gen(**fields: Any) -> None:
     """Generate a random theory in the input language."""
     # imported here: only this command needs the generator
     from .testkit import GeneratorParams, generate_theory
 
     # each option is named after the generator field it sets
-    click.echo(serialize_theory(generate_theory(GeneratorParams(**fields))), nl=False)
+    _echo(serialize_theory(generate_theory(GeneratorParams(**fields))), nl=False)

@@ -20,6 +20,8 @@ from .wp import StatusChange, WpExtension
 # schema
 # ---------------------------------------------------------------------------
 
+_STRINGS = {"type": "array", "items": {"type": "string"}}
+
 _EDGE_LIST = {
     "type": "array",
     "items": {
@@ -44,7 +46,7 @@ _CHANGE_LIST = {
         "properties": {
             "argument": {"type": "string"},
             "clause": {"type": "string"},
-            "witnesses": {"type": "array", "items": {"type": "string"}},
+            "witnesses": _STRINGS,
         },
     },
 }
@@ -62,7 +64,7 @@ SCHEMA: dict[str, Any] = {
             "additionalProperties": False,
             "properties": {
                 "source": {"type": "string"},
-                "facts": {"type": "array", "items": {"type": "string"}},
+                "facts": _STRINGS,
                 "rules": {
                     "type": "array",
                     "items": {
@@ -71,19 +73,14 @@ SCHEMA: dict[str, Any] = {
                         "additionalProperties": False,
                         "properties": {
                             "label": {"type": "string"},
-                            "body": {"type": "array", "items": {"type": "string"}},
+                            "body": _STRINGS,
                             "head": {"type": "string"},
                         },
                     },
                 },
                 "superiority": {
                     "type": "array",
-                    "items": {
-                        "type": "array",
-                        "items": {"type": "string"},
-                        "minItems": 2,
-                        "maxItems": 2,
-                    },
+                    "items": {**_STRINGS, "minItems": 2, "maxItems": 2},
                 },
             },
         },
@@ -95,16 +92,9 @@ SCHEMA: dict[str, Any] = {
                 "additionalProperties": False,
                 "properties": {
                     "id": {"type": "string"},
-                    "kind": {
-                        "enum": [
-                            "imaginary",
-                            "fact",
-                            "rule-application",
-                            "permission-axiom",
-                        ]
-                    },
+                    "kind": {"enum": ["imaginary", "fact", "rule-application", "permission-axiom"]},
                     "conclusion": {"type": "string"},
-                    "sub": {"type": "array", "items": {"type": "string"}},
+                    "sub": _STRINGS,
                     "top_rule": {"type": ["string", "null"]},
                 },
             },
@@ -117,31 +107,14 @@ SCHEMA: dict[str, Any] = {
         },
         "result": {
             "type": "object",
-            "required": [
-                "semantics",
-                "justified_arguments",
-                "justified_conclusions",
-                "flags",
-            ],
+            "required": ["semantics", "justified_arguments", "justified_conclusions", "flags"],
             "additionalProperties": False,
             "properties": {
                 "semantics": {"enum": ["grounded", "complete", "stable", "wp"]},
-                "extensions": {
-                    "type": "array",
-                    "items": {"type": "array", "items": {"type": "string"}},
-                },
-                "justified_arguments": {
-                    "type": "array",
-                    "items": {"type": "string"},
-                },
-                "rejected_arguments": {
-                    "type": "array",
-                    "items": {"type": "string"},
-                },
-                "justified_conclusions": {
-                    "type": "array",
-                    "items": {"type": "string"},
-                },
+                "extensions": {"type": "array", "items": _STRINGS},
+                "justified_arguments": _STRINGS,
+                "rejected_arguments": _STRINGS,
+                "justified_conclusions": _STRINGS,
                 "flags": {
                     "type": "object",
                     "additionalProperties": False,
@@ -201,11 +174,7 @@ def theory_section(theory: Theory) -> dict[str, Any]:
         "source": serialize_theory(theory),
         "facts": [str(literal) for literal in sorted(theory.facts, key=lambda l: l.sort_key())],
         "rules": [
-            {
-                "label": rule.label,
-                "body": [str(element) for element in rule.body],
-                "head": str(rule.head),
-            }
+            {"label": rule.label, "body": [str(e) for e in rule.body], "head": str(rule.head)}
             for rule in theory.rules
         ],
         "superiority": [list(pair) for pair in sorted(theory.superiority)],
@@ -245,11 +214,7 @@ def attacks_section(graph: AttackGraph) -> dict[str, Any]:
 
 def _change_records(changes: Iterable[StatusChange]) -> list[dict[str, Any]]:
     return [
-        {
-            "argument": change.argument,
-            "clause": change.clause,
-            "witnesses": list(change.witnesses),
-        }
+        {"argument": change.argument, "clause": change.clause, "witnesses": list(change.witnesses)}
         for change in changes
     ]
 

@@ -1,4 +1,4 @@
-"""Shared fixtures: golden theories and seeded random corpora.
+"""Shared fixtures: golden theories, seeded random corpora and a CLI runner.
 
 Corpus seeds are drawn by deterministic iteration from zero, filtered by
 argument count only (never by outcome), so every run sees the same
@@ -7,6 +7,8 @@ instances.
 
 from __future__ import annotations
 
+import io
+import sys
 from dataclasses import dataclass
 
 import pytest
@@ -136,3 +138,58 @@ def no_superiority_corpus() -> tuple[CorpusCase, ...]:
 @pytest.fixture(scope="session")
 def oracle_corpus() -> tuple[CorpusCase, ...]:
     return build_corpus(oracle_params)
+
+
+# ---------------------------------------------------------------------------
+# in-process CLI runs
+# ---------------------------------------------------------------------------
+
+
+class _Tee(io.StringIO):
+    """A captured stream that also copies each write into a shared one, in write order."""
+
+    def __init__(self, shared: io.StringIO) -> None:
+        super().__init__()
+        self.shared = shared
+
+    def write(self, text: str) -> int:
+        self.shared.write(text)
+        return super().write(text)
+
+
+@dataclass(frozen=True)
+class CommandResult:
+    exit_code: int
+    output: str  # stdout and stderr, interleaved in write order
+    stdout: str
+    stderr: str
+    exception: BaseException | None  # a non-zero SystemExit, or what the command raised
+
+
+class CommandRunner:
+    """Runs ``main(args=..., prog_name="deonarg")`` in this process on a given stdin."""
+
+    def invoke(self, main, args, input: str = "") -> CommandResult:
+        output = io.StringIO()
+        stdout, stderr = _Tee(output), _Tee(output)
+        saved = sys.stdin, sys.stdout, sys.stderr
+        sys.stdin = io.TextIOWrapper(io.BytesIO(input.encode()), encoding="utf-8")
+        sys.stdout, sys.stderr = stdout, stderr
+        exception, exit_code = None, 0
+        try:
+            main(args=list(args), prog_name="deonarg")
+        except SystemExit as exit_:
+            exit_code = exit_.code or 0
+            exception = exit_ if exit_code else None
+        except Exception as error:
+            exception, exit_code = error, 1
+        finally:
+            sys.stdin, sys.stdout, sys.stderr = saved
+        return CommandResult(
+            exit_code, output.getvalue(), stdout.getvalue(), stderr.getvalue(), exception
+        )
+
+
+@pytest.fixture()
+def runner() -> CommandRunner:
+    return CommandRunner()

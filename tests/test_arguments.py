@@ -6,7 +6,6 @@ import pickle
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from deonarg import (
     DAxiomArgument,
@@ -371,13 +370,12 @@ def test_the_table_matches_the_reference_construction(
 
 
 def test_the_request_path_builds_no_argument_objects(
-    goldens, conflict_corpus, no_superiority_corpus, oracle_corpus, monkeypatch
+    goldens, conflict_corpus, no_superiority_corpus, oracle_corpus, monkeypatch, runner
 ):
     def refuse(*args, **kwargs):
         raise AssertionError("an Argument object was built")
 
     theories = _theories(goldens, (conflict_corpus, no_superiority_corpus, oracle_corpus))
-    runner = CliRunner()
     with monkeypatch.context() as patch:
         for form in (ImaginaryArgument, FactArgument, RuleApplication, DAxiomArgument):
             patch.setattr(form, "__init__", refuse)

@@ -2,14 +2,15 @@
 
 import ast
 import hashlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import deonarg
 from deonarg import __version__, parse_theory, serialize_theory
@@ -17,11 +18,6 @@ from deonarg.cli import main
 from deonarg.corpus import BUILTIN_THEORIES
 from deonarg.schema import validate_document
 from deonarg.testkit import GeneratorParams, generate_theory
-
-
-@pytest.fixture()
-def runner():
-    return CliRunner()
 
 
 @pytest.fixture()
@@ -353,6 +349,102 @@ def test_version_flag_prints_the_package_version_without_installation(
     assert completed.stdout.strip() == expected
 
 
+# ---------------------------------------------------------------------------
+# the command-line surface
+# ---------------------------------------------------------------------------
+
+
+def test_main_runs_like_python_m_deonarg_and_always_exits(monkeypatch, capsys, tmp_path):
+    demo = BUILTIN_THEORIES["two-obligations"]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(demo))
+    with pytest.raises(SystemExit) as raised:
+        main(args=["eval", "-", "-s", "wp"], prog_name="deonarg")
+    assert raised.value.code == 0
+    src = Path(__file__).resolve().parents[1] / "src"
+    completed = subprocess.run(
+        [sys.executable, "-m", "deonarg", "eval", "-", "-s", "wp"],
+        input=demo,
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.startswith("semantics: wp\n")
+    assert capsys.readouterr().out == completed.stdout
+
+    # without ``args`` the command line comes from sys.argv
+    monkeypatch.setattr(sys, "argv", ["deonarg", "--version"])
+    with pytest.raises(SystemExit) as raised:
+        main()
+    assert raised.value.code == 0
+    assert capsys.readouterr().out == f"deonarg, version {__version__}\n"
+
+
+_FORMAT = ("--format", "{text,json}", "text")
+_GENERALIZED = (
+    "--imaginary-subargument-attacks",
+    "Let obligations attack natural arguments through their imaginary subarguments "
+    "(generalized reading; default targets only the imaginary argument itself).",
+    None,
+)
+_LIMIT = (
+    "--argument-limit", "Refuse complete/stable enumeration above this many arguments.", "24"
+)
+_GUARDS = (
+    "--no-fixpoint-guards",
+    "Drop the exclusion guards from the weak-permission iteration "
+    "(diagnostic; breaches the disjointness invariant on some theories).",
+    None,
+)
+
+#: per command: each option its help names, with its help text (or choices) and default
+_HELP = {
+    "args": [_FORMAT],
+    "eval": [
+        ("--semantics", "{grounded,complete,stable,wp}", "grounded"),
+        _FORMAT, _GENERALIZED, _LIMIT, _GUARDS,
+    ],
+    "trace": [_FORMAT, _GENERALIZED, _GUARDS],
+    "attacks": [("--format", "{text,json,dot}", "text"), _GENERALIZED],
+    "check": [_FORMAT, _GENERALIZED, _LIMIT, _GUARDS],
+    "gen": [
+        ("--seed", "", "0"), ("--atoms", "", "4"), ("--facts", "", "2"),
+        ("--rules", "", "5"), ("--max-body", "", "2"), ("--superiority", "", "0"),
+        ("--obligation-bias", "", "0.3"), ("--permission-weight", "", "0.1"),
+        ("--deontic-body-weight", "", "0.2"), ("--weak-permission-weight", "", "0.15"),
+        ("--acyclic", "", "True"), ("--no-acyclic", "", None),
+        ("--inject-conflict", "", None), ("--empty-obligation-bodies", "", None),
+    ],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_HELP))
+def test_every_command_help_names_each_option_with_its_help_and_default(runner, command):
+    result = run_ok(runner, command, "--help")
+    # one entry per option: its first line and the indented lines under it
+    entries = [" ".join(entry.split()) for entry in re.split(r"\n(?=\S|  \S)", result.stdout)]
+    for option, text, default in _HELP[command]:
+        (entry,) = [e for e in entries if option in {t.rstrip(",") for t in e.split()}]
+        assert text in entry, entry
+        if default is None:
+            assert "[default:" not in entry, entry
+        else:
+            assert f"[default: {default}]" in entry, entry
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["frobnicate", "-"], ["eval", "-", "--no-such-option"], ["eval", "-", "--imag"]],
+    ids=["unknown-command", "unknown-option", "abbreviated-option"],
+)
+def test_usage_errors_exit_two(runner, argv):
+    result = runner.invoke(main, argv, input=BUILTIN_THEORIES["two-obligations"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("usage: deonarg")
+
+
 def test_importing_the_cli_leaves_jsonschema_unloaded(tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
     completed = subprocess.run(
@@ -417,7 +509,7 @@ def test_start_up_leaves_dataclasses_analysis_and_json_unloaded(tmp_path):
         *output, last = completed.stdout.splitlines()
         return output, ast.literal_eval(last)
 
-    unwanted = {"dataclasses", "deonarg.analysis", "json"}
+    unwanted = {"click", "dataclasses", "deonarg.analysis", "json"}
     _, loaded = run(
         "import sys; before = set(sys.modules); import deonarg.cli; "
         "print(sorted(set(sys.modules) - before))"
@@ -500,8 +592,7 @@ def _command_matrix():
         yield ["attacks", "-", "-f", fmt, "--imaginary-subargument-attacks"]
 
 
-def _cli_digests():
-    runner = CliRunner()
+def _cli_digests(runner):
     digests = {}
     for name, text in _digest_theories().items():
         for argv in _command_matrix():
@@ -511,9 +602,9 @@ def _cli_digests():
     return digests
 
 
-def test_every_command_matches_digests_recorded_at_the_parent():
+def test_every_command_matches_digests_recorded_at_the_parent(runner):
     recorded = json.loads(CLI_DIGESTS.read_text())
-    found = _cli_digests()
+    found = _cli_digests(runner)
     assert found.keys() == recorded.keys()
     differing = [key for key in recorded if found[key] != recorded[key]]
     assert not differing, f"{len(differing)} invocation(s) differ: {differing[:20]}"
@@ -522,4 +613,6 @@ def test_every_command_matches_digests_recorded_at_the_parent():
 if __name__ == "__main__":
     # re-record after an intended output change:
     # PYTHONPATH=src python tests/test_cli.py
-    CLI_DIGESTS.write_text(json.dumps(_cli_digests(), indent=1, sort_keys=True) + "\n")
+    from conftest import CommandRunner
+
+    CLI_DIGESTS.write_text(json.dumps(_cli_digests(CommandRunner()), indent=1, sort_keys=True) + "\n")
