@@ -48,20 +48,9 @@ class ConflictPair(Record):
 
     __slots__ = _fields = ("literal", "supporting_rule", "opposing_rule")
 
-    def __init__(self, literal: Literal, supporting_rule: str, opposing_rule: str) -> None:
-        object.__setattr__(self, "literal", literal)
-        object.__setattr__(self, "supporting_rule", supporting_rule)
-        object.__setattr__(self, "opposing_rule", opposing_rule)
-
 
 class ConflictReport(Record):
     __slots__ = _fields = ("conflicted", "wp_conflicted")
-
-    def __init__(
-        self, conflicted: tuple[ConflictPair, ...], wp_conflicted: tuple[ConflictPair, ...]
-    ) -> None:
-        object.__setattr__(self, "conflicted", conflicted)
-        object.__setattr__(self, "wp_conflicted", wp_conflicted)
 
     @property
     def conflicted_literals(self) -> frozenset[Literal]:
@@ -144,11 +133,6 @@ class FacultativeStatus(Record):
     # status: "facultative" | "weakly-facultative" | "neither"
     __slots__ = _fields = ("literal", "semantics", "status")
 
-    def __init__(self, literal: Literal, semantics: str, status: str) -> None:
-        object.__setattr__(self, "literal", literal)
-        object.__setattr__(self, "semantics", semantics)
-        object.__setattr__(self, "status", status)
-
 
 def facultative_status(
     literal: Literal, justified: Iterable[Conclusion], semantics: str
@@ -179,17 +163,9 @@ class CheckResult(Record):
     # status: "pass" | "fail" | "skipped"
     __slots__ = _fields = ("name", "status", "detail")
 
-    def __init__(self, name: str, status: str, detail: str) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "detail", detail)
-
 
 class CheckReport(Record):
     __slots__ = _fields = ("results",)
-
-    def __init__(self, results: tuple[CheckResult, ...]) -> None:
-        object.__setattr__(self, "results", results)
 
     @property
     def failed(self) -> bool:

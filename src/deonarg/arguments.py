@@ -64,10 +64,11 @@ class Argument(Record):
         height = 1 + max(child._height for child in children) if children else 0
         rank = _KIND_RANKS[self.kind]
         head = (height, rank, self.top_rule or "", conclusion_sort_key(self.conclusion))
-        object.__setattr__(self, "_height", height)
-        object.__setattr__(self, "_labels", labels)
-        object.__setattr__(self, "_key", (*head, tuple(child._key for child in children)))
-        object.__setattr__(self, "_hash", hash((head, tuple(child._hash for child in children))))
+        set_height, set_hash, set_labels, set_key = Argument._setters
+        set_height(self, height)
+        set_hash(self, hash((head, tuple(child._hash for child in children))))
+        set_labels(self, labels)
+        set_key(self, (*head, tuple(child._key for child in children)))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -161,7 +162,8 @@ class ImaginaryArgument(Argument):
     __slots__ = _fields = _plain = ("literal",)
 
     def __init__(self, literal: Literal) -> None:
-        object.__setattr__(self, "literal", literal)
+        (set_literal,) = self._setters
+        set_literal(self, literal)
         self._derive((), frozenset())
 
     @property
@@ -174,7 +176,8 @@ class FactArgument(Argument):
     __slots__ = _fields = _plain = ("literal",)
 
     def __init__(self, literal: Literal) -> None:
-        object.__setattr__(self, "literal", literal)
+        (set_literal,) = self._setters
+        set_literal(self, literal)
         self._derive((), frozenset())
 
     @property
@@ -190,8 +193,9 @@ class RuleApplication(Argument):
     _plain = ("rule",)
 
     def __init__(self, rule: Rule, subs: tuple[Argument, ...]) -> None:
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "subs", subs)
+        set_rule, set_subs = self._setters
+        set_rule(self, rule)
+        set_subs(self, subs)
         self._derive(subs, frozenset((rule.label,)).union(*(child._labels for child in subs)))
 
     @classmethod
@@ -218,7 +222,8 @@ class DAxiomArgument(Argument):
     __slots__ = _fields = ("base",)
 
     def __init__(self, base: Argument) -> None:
-        object.__setattr__(self, "base", base)
+        (set_base,) = self._setters
+        set_base(self, base)
         self._derive((base,), base._labels)  # a permission argument shares its base's labels
 
     @property
@@ -320,14 +325,11 @@ class ArgumentSet(Record):
         by_conclusion: dict[Conclusion, list[int]] = {}
         for n, row in enumerate(rows):
             by_conclusion.setdefault(row[2], []).append(n)
-        object.__setattr__(self, "theory", theory)
-        object.__setattr__(self, "_ordered", ordered)
-        object.__setattr__(self, "_ids", ids)
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_positions", {identifier: n for n, identifier in enumerate(ids)})
-        object.__setattr__(self, "_by_conclusion", by_conclusion)
-        object.__setattr__(self, "_subs", tuple(subs))
-        object.__setattr__(self, "_supers", tuple(map(tuple, supers)))
+        positions = {identifier: n for n, identifier in enumerate(ids)}
+        values = (theory, ordered, ids, rows, positions, by_conclusion, tuple(subs),
+                  tuple(map(tuple, supers)))
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -360,7 +362,8 @@ class ArgumentSet(Record):
                     made[n] = DAxiomArgument(made[children[0]])
                 else:
                     made[n] = form(conclusion if form is FactArgument else conclusion.literal)
-            object.__setattr__(self, "_ordered", tuple(zip(self._ids, made)))
+            set_ordered = self._setters[1]  # the slot after ``theory``
+            set_ordered(self, tuple(zip(self._ids, made)))
         return self._ordered
 
     def __iter__(self) -> Iterator[tuple[ArgumentId, Argument]]:

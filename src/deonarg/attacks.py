@@ -57,14 +57,6 @@ class Attack(Record):
 
     __slots__ = _fields = ("attacker", "target", "condition", "witness")
 
-    def __init__(
-        self, attacker: ArgumentId, target: ArgumentId, condition: int, witness: ArgumentId
-    ) -> None:
-        object.__setattr__(self, "attacker", attacker)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "condition", condition)
-        object.__setattr__(self, "witness", witness)
-
 
 #: one record as argument positions: ``(attacker, target, condition, witness)``
 Row = tuple[int, int, int, int]
@@ -94,10 +86,6 @@ class AttackGraph(Record):
         suppressed_rows: tuple[Row, ...],
         generalized: bool = False,
     ) -> None:
-        object.__setattr__(self, "arguments", arguments)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "suppressed_rows", suppressed_rows)
-        object.__setattr__(self, "generalized", generalized)
         size = len(arguments)
         # the rows are sorted, so the distinct pairs, in first-seen order,
         # leave every attacker and target list in position (id) order
@@ -119,9 +107,10 @@ class AttackGraph(Record):
                 out[k] = tuple(js)
             return tuple(out)
 
-        object.__setattr__(self, "_attackers", by_position(attackers))
-        object.__setattr__(self, "_targets", by_position(targets))
-        object.__setattr__(self, "_at_witness", by_position(at_witness))
+        values = (arguments, rows, suppressed_rows, generalized,
+                  by_position(attackers), by_position(targets), by_position(at_witness))
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
 
     def _records(self, rows: Iterable[Row]) -> tuple[Attack, ...]:
         ids = self.arguments.ids
@@ -188,9 +177,10 @@ def compute_attacks(
     *,
     imaginary_subargument_attacks: bool = False,
 ) -> AttackGraph:
-    """Compute every attack record, then apply superiority suppression."""
-    if theory is None:
-        theory = arguments.theory
+    """Compute every attack record, then apply the superiority of ``arguments.theory``."""
+    if theory is not None and theory is not arguments.theory and theory != arguments.theory:
+        raise ValueError("the theory is not the one the arguments were built from")
+    theory = arguments.theory
 
     # witness-first (see the module docstring), on positions, by atom and code
     by_atom: dict[str, dict[int, list[int]]] = {}

@@ -74,10 +74,8 @@ def _load_theory(source: str) -> Theory:
 
 
 def _load_graph(source: str, imaginary_subargument_attacks: bool) -> AttackGraph:
-    theory = _load_theory(source)
     return compute_attacks(
-        build_arguments(theory),
-        theory=theory,
+        build_arguments(_load_theory(source)),
         imaginary_subargument_attacks=imaginary_subargument_attacks,
     )
 
@@ -178,6 +176,8 @@ _GENERALIZED_FLAG = _option(
 _LIMIT_OPTION = _option(
     "--argument-limit",
     type=int,
+    action=_AtLeast,
+    const=0,
     default=DEFAULT_ARGUMENT_LIMIT,
     help="Refuse complete/stable enumeration above this many arguments.",
 )

@@ -22,18 +22,53 @@ class Record:
     """Base of the immutable value records.
 
     A record class names its fields in ``_fields``, in constructor order,
-    keeps them in ``__slots__`` and sets them in its ``__init__`` through
-    ``object.__setattr__``, or through ``slot_setters`` where records are
-    made in bulk; after that, assigning or deleting any attribute
-    raises ``AttributeError``.  Two records are equal when they are of the
-    same class and their field tuples are equal, and a record hashes as
-    its field tuple.  Records built in bulk write ``__init__``, ``__eq__``
-    and ``__hash__`` out for their own fields, and (deontic) literals and
-    atoms store it when built.  ``repr`` reads ``Name(field=value, ...)``.
+    and keeps them in its first ``__slots__``, in the same order, before
+    any value it stores beside them (``TraceStep`` keeps its ``rejected``
+    field in the slot ``_rejected``).  Each class gets ``_setters`` when it
+    is defined: the ``__set__`` of each of its own slots, in ``__slots__``
+    order, and every record sets its slots through these alone.  The
+    shared constructor takes the fields by position or by name, fills
+    trailing ones from the class's ``_defaults`` and raises ``TypeError``
+    as a function call would; a record that normalises or derives fields,
+    or is made once per row, writes its ``__init__`` out over the same
+    setters.  After that, assigning or deleting any attribute raises
+    ``AttributeError``.  Two records are equal when they are of the same
+    class and their field tuples are equal, and a record hashes as its
+    field tuple; (deontic) literals and atoms store the hash when built.
+    ``repr`` reads ``Name(field=value, ...)``.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict[str, Any] = {}
+    _setters: tuple = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        if "__slots__" in cls.__dict__:  # else the parent's slots and setters stand
+            cls._setters = tuple([cls.__dict__[name].__set__ for name in cls.__slots__])
+
+    def __init__(self, *values: Any, **named: Any) -> None:
+        if named or len(values) != len(self._fields):
+            values = self._bind(values, named)
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
+
+    def _bind(self, values: tuple, named: dict[str, Any]) -> tuple:
+        """The fields' values, bound from a call as to a function of the fields."""
+        call, fields = f"{self.__class__.__qualname__}()", self._fields
+        if len(values) > len(fields):
+            raise TypeError(f"{call} takes {len(fields)} arguments but {len(values)} were given")
+        rest = fields[len(values):]
+        for name in named:
+            if name not in rest:
+                problem = "multiple values for" if name in fields else "an unexpected keyword"
+                raise TypeError(f"{call} got {problem} argument {name!r}")
+        bound = {**self._defaults, **named}
+        missing = [name for name in rest if name not in bound]
+        if missing:
+            raise TypeError(f"{call} missing required arguments: {', '.join(missing)}")
+        return (*values, *[bound[name] for name in rest])
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -61,12 +96,6 @@ class Record:
         return self.__class__, self._values()
 
 
-def slot_setters(cls: type) -> tuple:
-    """Each slot's ``__set__``, in ``__slots__`` order: ``object.__setattr__`` without the
-    lookup of the slot by name."""
-    return tuple([cls.__dict__[name].__set__ for name in cls.__slots__])
-
-
 # ---------------------------------------------------------------------------
 # atoms and literals
 # ---------------------------------------------------------------------------
@@ -80,8 +109,9 @@ class Atom(Record):
     __slots__ = (*_fields, "_hash")
 
     def __init__(self, name: str) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_hash", hash((name,)))
+        set_name, set_hash = self._setters
+        set_name(self, name)
+        set_hash(self, hash((name,)))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -107,7 +137,7 @@ class Literal(Record):
     __slots__ = (*_fields, "_hash")
 
     def __init__(self, atom: Atom, positive: bool = True) -> None:
-        set_atom, set_positive, set_hash = _LITERAL_SETTERS  # made in bulk
+        set_atom, set_positive, set_hash = self._setters
         set_atom(self, atom)
         set_positive(self, positive)
         set_hash(self, hash((atom, positive)))
@@ -130,9 +160,6 @@ class Literal(Record):
     def sort_key(self) -> tuple:
         # positive polarity sorts first
         return (self.atom.name, 0 if self.positive else 1)
-
-
-_LITERAL_SETTERS = slot_setters(Literal)
 
 
 def lit(name: str) -> Literal:
@@ -180,7 +207,7 @@ class DeonticLiteral(Record):
     __slots__ = (*_fields, "_hash")
 
     def __init__(self, operator: DeonticOperator, literal: Literal) -> None:
-        set_operator, set_literal, set_hash = _DEONTIC_SETTERS  # made in bulk
+        set_operator, set_literal, set_hash = self._setters
         set_operator(self, operator)
         set_literal(self, literal)
         set_hash(self, hash((operator, literal)))
@@ -198,9 +225,6 @@ class DeonticLiteral(Record):
 
     def sort_key(self) -> tuple:
         return (self.operator.rank, *self.literal.sort_key())
-
-
-_DEONTIC_SETTERS = slot_setters(DeonticLiteral)
 
 
 def obl(literal: Literal) -> DeonticLiteral:
@@ -262,17 +286,10 @@ class Rule(Record):
     __slots__ = _fields = ("label", "body", "head")
 
     def __init__(self, label: str, body: tuple[BodyElement, ...], head: Conclusion) -> None:
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "body", _collapse(tuple(body)))
-        object.__setattr__(self, "head", head)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.label, self.body, self.head) == (other.label, other.body, other.head)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.label, self.body, self.head))
+        set_label, set_body, set_head = self._setters
+        set_label(self, label)
+        set_body(self, _collapse(tuple(body)))
+        set_head(self, head)
 
     def __str__(self) -> str:
         body = ", ".join(str(element) for element in self.body)
@@ -293,9 +310,10 @@ class Theory(Record):
         rules: tuple[Rule, ...] = (),
         superiority: frozenset[tuple[str, str]] = frozenset(),
     ) -> None:
-        object.__setattr__(self, "facts", frozenset(facts))
-        object.__setattr__(self, "rules", tuple(sorted(rules, key=lambda r: r.label)))
-        object.__setattr__(self, "superiority", frozenset(superiority))
+        set_facts, set_rules, set_superiority = self._setters
+        set_facts(self, frozenset(facts))
+        set_rules(self, tuple(sorted(rules, key=lambda r: r.label)))
+        set_superiority(self, frozenset(superiority))
 
     # -- derived views ------------------------------------------------------
 
@@ -336,10 +354,7 @@ class Violation(Record):
     """A single well-formedness failure, tied to a rule label when one applies."""
 
     __slots__ = _fields = ("message", "label")
-
-    def __init__(self, message: str, label: str | None = None) -> None:
-        object.__setattr__(self, "message", message)
-        object.__setattr__(self, "label", label)
+    _defaults = {"label": None}
 
     def __str__(self) -> str:
         return f"[{self.label}] {self.message}" if self.label else self.message

@@ -57,11 +57,7 @@ class SourceSpan(Record):
     """1-based position of a token in the source text."""
 
     __slots__ = _fields = ("line", "column", "lexeme")
-
-    def __init__(self, line: int, column: int, lexeme: str = "") -> None:
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "column", column)
-        object.__setattr__(self, "lexeme", lexeme)
+    _defaults = {"lexeme": ""}
 
     def __str__(self) -> str:
         return f"line {self.line}, column {self.column}"
@@ -76,11 +72,6 @@ def _span(text: str, offset: int, lexeme: str) -> SourceSpan:
 class _Token(Record):
     # kind: 'ident', '=>', '~', ':', ',', '.', '(', ')', '>', 'eof'
     __slots__ = _fields = ("kind", "text", "span")
-
-    def __init__(self, kind: str, text: str, span: SourceSpan) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "span", span)
 
 
 class ParseError(Exception):

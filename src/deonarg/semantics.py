@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from typing import AbstractSet, Container, Iterable, Iterator, NamedTuple, Sequence
+from typing import AbstractSet, Container, Iterable, Iterator, Sequence
 
 from .arguments import ArgumentSet
 from .attacks import AttackGraph
@@ -406,7 +406,7 @@ def _is_extension(mask: int, targets: Sequence[int], full: int, stable: bool) ->
     )
 
 
-class _Factors(NamedTuple):
+class _Factors(Record):
     """Complete (or stable) extensions factorised over the parts of a graph.
 
     Every extension is ``base`` joined with one IN mask of each tuple in
@@ -415,9 +415,7 @@ class _Factors(NamedTuple):
     with more than one.
     """
 
-    ids: tuple[str, ...]
-    base: int
-    choices: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("ids", "base", "choices")
 
 
 def _factorise(graph: AttackGraph, argument_limit: int, stable: bool) -> _Factors | None:
@@ -476,7 +474,7 @@ def _product(factors: _Factors) -> tuple[frozenset[str], ...]:
     holding the least position in only one of them sorts first; that
     position is never a base member, so the key leaves the base out.
     """
-    ids, base, choices = factors
+    ids, base, choices = factors.ids, factors.base, factors.choices
     decoded = [
         [(positions, frozenset(ids[k] for k in positions)) for positions in map(_positions, masks)]
         for masks in choices
@@ -540,18 +538,7 @@ class SemanticsResult(Record):
     """
 
     __slots__ = _fields = ("semantics", "extensions", "justified", "no_extensions")
-
-    def __init__(
-        self,
-        semantics: str,
-        extensions: tuple[frozenset[str], ...],
-        justified: frozenset[str],
-        no_extensions: bool = False,
-    ) -> None:
-        object.__setattr__(self, "semantics", semantics)
-        object.__setattr__(self, "extensions", extensions)
-        object.__setattr__(self, "justified", justified)
-        object.__setattr__(self, "no_extensions", no_extensions)
+    _defaults = {"no_extensions": False}
 
 
 def evaluate(

@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import random
 import string
-from dataclasses import dataclass
 
 from .arguments import (
     Argument,
@@ -41,6 +40,7 @@ from .model import (
     DeonticLiteral,
     DeonticOperator,
     Literal,
+    Record,
     Rule,
     Theory,
 )
@@ -54,11 +54,9 @@ class OracleSizeError(Exception):
     """Raised when an instance is too large for exhaustive enumeration."""
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    grounded: frozenset[ArgumentId]
-    complete: tuple[frozenset[ArgumentId], ...]
-    stable: tuple[frozenset[ArgumentId], ...]
+class OracleResult(Record):
+    # grounded: one set of argument ids; complete, stable: tuples of them
+    __slots__ = _fields = ("grounded", "complete", "stable")
 
 
 def brute_force_extensions(graph: AttackGraph, *, max_arguments: int = 15) -> OracleResult:
@@ -176,7 +174,7 @@ def reference_arguments(
 # ---------------------------------------------------------------------------
 
 #: one attack record as ids: ``(attacker, target, condition, witness)``
-Record = tuple[ArgumentId, ArgumentId, int, ArgumentId]
+AttackRow = tuple[ArgumentId, ArgumentId, int, ArgumentId]
 
 
 def reference_attacks(
@@ -184,7 +182,7 @@ def reference_attacks(
     theory: Theory | None = None,
     *,
     imaginary_subargument_attacks: bool = False,
-) -> tuple[list[Record], list[Record]]:
+) -> tuple[list[AttackRow], list[AttackRow]]:
     """Surviving and suppressed attack records by the definitions, target first.
 
     For each target, each subargument of its tree and each clash of that
@@ -217,8 +215,8 @@ def reference_attacks(
     index = arguments.index
     records.sort(key=lambda r: (index(r[0]), index(r[1]), r[2], index(r[3])))
     top = {identifier: argument.top_rule for identifier, argument in arguments}
-    surviving: list[Record] = []
-    suppressed: list[Record] = []
+    surviving: list[AttackRow] = []
+    suppressed: list[AttackRow] = []
     for record in records:
         attacker, _, condition, witness = record
         if condition != 1 and theory.is_superior(top[witness], top[attacker]):
@@ -342,23 +340,27 @@ def reference_wp(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeneratorParams:
-    """Knobs for random theory generation; identical params give identical output."""
+class GeneratorParams(Record):
+    """Knobs for random theory generation; identical params give identical output.
 
-    seed: int
-    atom_count: int = 4
-    fact_count: int = 2
-    rule_count: int = 5
-    max_body_len: int = 2
-    obligation_head_bias: float = 0.3
-    permission_head_weight: float = 0.1
-    deontic_body_weight: float = 0.2
-    weak_permission_body_weight: float = 0.15
-    acyclic: bool = True
-    inject_conflict: bool = False
-    empty_obligation_bodies: bool = False
-    superiority_count: int = 0
+    ``seed`` is the only field without a default.
+    """
+
+    _defaults = {
+        "atom_count": 4,
+        "fact_count": 2,
+        "rule_count": 5,
+        "max_body_len": 2,
+        "obligation_head_bias": 0.3,
+        "permission_head_weight": 0.1,
+        "deontic_body_weight": 0.2,
+        "weak_permission_body_weight": 0.15,
+        "acyclic": True,
+        "inject_conflict": False,
+        "empty_obligation_bodies": False,
+        "superiority_count": 0,
+    }
+    __slots__ = _fields = ("seed", *_defaults)
 
 
 def generate_theory(params: GeneratorParams) -> Theory:

@@ -41,7 +41,7 @@ from typing import Iterable
 
 from .arguments import ArgumentSet, ImaginaryArgument
 from .attacks import AttackGraph
-from .model import Record, slot_setters
+from .model import Record
 from .semantics import _clashing
 
 # ---------------------------------------------------------------------------
@@ -127,13 +127,10 @@ class StatusChange(Record):
     __slots__ = _fields = ("argument", "clause", "witnesses")
 
     def __init__(self, argument: str, clause: str, witnesses: tuple[str, ...] = ()) -> None:
-        set_argument, set_clause, set_witnesses = _CHANGE_SETTERS  # one record per change
+        set_argument, set_clause, set_witnesses = self._setters  # one record per change
         set_argument(self, argument)
         set_clause(self, clause)
         set_witnesses(self, witnesses)
-
-
-_CHANGE_SETTERS = slot_setters(StatusChange)
 
 
 def _held(members: frozenset[str] | tuple[list[str], int]) -> frozenset[str]:
@@ -152,18 +149,6 @@ class TraceStep(Record):
     _fields = ("index", "newly_rejected", "newly_justified", "rejected", "justified")
     __slots__ = ("index", "newly_rejected", "newly_justified", "_rejected", "_justified")
 
-    def __init__(
-        self,
-        index: int,
-        newly_rejected: tuple[StatusChange, ...],
-        newly_justified: tuple[StatusChange, ...],
-        rejected: frozenset[str],
-        justified: frozenset[str],
-    ) -> None:
-        values = (index, newly_rejected, newly_justified, rejected, justified)
-        for setter, value in zip(_STEP_SETTERS, values):  # one record per iteration
-            setter(self, value)
-
     @property
     def rejected(self) -> frozenset[str]:
         return _held(self._rejected)
@@ -173,18 +158,8 @@ class TraceStep(Record):
         return _held(self._justified)
 
 
-_STEP_SETTERS = slot_setters(TraceStep)
-
-
 class WpExtension(Record):
     __slots__ = _fields = ("justified", "rejected", "steps")
-
-    def __init__(
-        self, justified: frozenset[str], rejected: frozenset[str], steps: tuple[TraceStep, ...]
-    ) -> None:
-        object.__setattr__(self, "justified", justified)
-        object.__setattr__(self, "rejected", rejected)
-        object.__setattr__(self, "steps", steps)
 
     @property
     def iterations(self) -> int:

@@ -1,5 +1,7 @@
 """Unit tests for attack computation, condition tagging and suppression."""
 
+import pytest
+
 import deonarg.attacks
 from deonarg import (
     build_arguments,
@@ -124,6 +126,18 @@ def test_suppression_is_pairwise_not_global():
     attackers = set(graph.attackers_of(obl_a))
     labels = {arguments.argument(i).top_rule for i in attackers}
     assert labels == {"r3"}
+
+
+def test_a_theory_other_than_the_arguments_own_is_refused():
+    text = "r1: => obl(a).\nr2: => obl(~a).\n"
+    theory = parse_theory(text + "r1 > r2.\n")
+    arguments = build_arguments(theory)
+    with pytest.raises(ValueError, match="not the one the arguments were built from"):
+        compute_attacks(arguments, parse_theory(text))
+    # the same theory, or an equal one, suppresses by its superiority
+    for given in (None, theory, parse_theory(text + "r1 > r2.\n")):
+        graph = compute_attacks(arguments, given)
+        assert (len(graph.rows), len(graph.suppressed_rows)) == (7, 5)
 
 
 def test_attack_free_theory_has_empty_graph():

@@ -264,6 +264,18 @@ def test_gen_rejects_out_of_range_counts_with_a_usage_error(runner, option, valu
     assert not isinstance(result.exception, (IndexError, ValueError))
 
 
+@pytest.mark.parametrize("command", ["eval", "check"])
+def test_a_negative_argument_limit_is_a_usage_error(runner, command):
+    argv = [command, "-", "-s", "complete"] if command == "eval" else [command, "-"]
+    demo = BUILTIN_THEORIES["two-obligations"]
+    result = runner.invoke(main, [*argv, "--argument-limit", "-1"], input=demo)
+    assert result.exit_code == 2
+    assert "Invalid value for '--argument-limit': -1 is not in the range x>=0." in result.output
+    # zero is a limit every theory exceeds: eval refuses the search, check skips it
+    accepted = runner.invoke(main, [*argv, "--argument-limit", "0"], input=demo)
+    assert accepted.exit_code == (4 if command == "eval" else 0)
+
+
 def test_gen_keeps_the_alphabet_above_26_atoms(runner):
     wide = run_ok(runner, "gen", "--seed", "1", "--atoms", "32", "--rules", "40")
     alphabet = run_ok(runner, "gen", "--seed", "1", "--atoms", "26", "--rules", "40")
@@ -520,6 +532,10 @@ def test_start_up_leaves_dataclasses_analysis_and_json_unloaded(tmp_path):
     demo = BUILTIN_THEORIES["two-obligations"]
     output, loaded = run(_NEW_MODULES_OF_A_RUN, "eval", "-s", "wp", "-", stdin=demo)
     assert output[0] == "semantics: wp"
+    assert unwanted.isdisjoint(loaded)
+
+    output, loaded = run(_NEW_MODULES_OF_A_RUN, "gen", "--seed", "3")
+    assert output and output[0].startswith("fact ")
     assert unwanted.isdisjoint(loaded)
 
     output, loaded = run(_NEW_MODULES_OF_A_RUN, "check", "-", stdin=demo)

@@ -57,7 +57,13 @@ from deonarg.arguments import _KIND_RANKS, Argument
 from deonarg.corpus import BUILTIN_THEORIES
 from deonarg.model import conclusion_sort_key
 from deonarg.parser import _Token, _tokenize, serialize_theory
-from deonarg.testkit import GeneratorParams, generate_theory
+from deonarg.testkit import (
+    GeneratorParams,
+    OracleResult,
+    OracleSizeError,
+    brute_force_extensions,
+    generate_theory,
+)
 
 _ARGUMENT_SET_INDEXES = (
     "_ordered", "_ids", "_rows", "_positions", "_by_conclusion", "_subs", "_supers",
@@ -95,16 +101,28 @@ RECORDS: dict[type, tuple[tuple[str, ...], tuple[str, ...]]] = {
     FacultativeStatus: (("literal", "semantics", "status"),) * 2,
     CheckResult: (("name", "status", "detail"),) * 2,
     CheckReport: (("results",),) * 2,
+    GeneratorParams: ((
+        "seed", "atom_count", "fact_count", "rule_count", "max_body_len",
+        "obligation_head_bias", "permission_head_weight", "deontic_body_weight",
+        "weak_permission_body_weight", "acyclic", "inject_conflict",
+        "empty_obligation_bodies", "superiority_count",
+    ),) * 2,
+    OracleResult: (("grounded", "complete", "stable"),) * 2,
 }
 
 #: records of each class compared pairwise, at most this many
 PAIRWISE = 40
 
 
+_PARAMS = [
+    GeneratorParams(seed=seed, inject_conflict=True, superiority_count=seed % 3)
+    for seed in range(6)
+]
+
+
 def _sources() -> list[str]:
     texts = list(BUILTIN_THEORIES.values())
-    for seed in range(6):
-        params = GeneratorParams(seed=seed, inject_conflict=True, superiority_count=seed % 3)
+    for params in _PARAMS:
         texts.append(serialize_theory(generate_theory(params)))
     return texts
 
@@ -134,6 +152,10 @@ def _collect() -> dict[type, list]:
                 add(evaluate(graph, semantics))
             except ArgumentLimitExceeded:
                 pass
+        try:
+            add(brute_force_extensions(graph))
+        except OracleSizeError:
+            pass
         report = conflict_report(theory, arguments, extension)
         add(report, *report.conflicted, *report.wp_conflicted)
         conclusions = justified_conclusions(arguments, extension.justified)
@@ -144,7 +166,7 @@ def _collect() -> dict[type, list]:
         rules=(Rule("r", (), perm_w(lit("p"))), Rule("r", (), obl(lit("q")))),
         superiority=frozenset({("r", "r"), ("r", "s")}),
     )
-    add(*validate_theory(bad), Violation("unlabelled"))
+    add(*validate_theory(bad), Violation("unlabelled"), *_PARAMS)
     return found
 
 
@@ -160,7 +182,7 @@ def _values(record) -> tuple:
 
 
 def test_every_former_dataclass_is_a_slotted_record(records):
-    assert len(RECORDS) == 24
+    assert len(RECORDS) == 26
     for cls, listed in records.items():
         assert not hasattr(cls, "__dataclass_fields__"), cls
         assert not hasattr(listed[0], "__dict__"), cls
@@ -250,6 +272,23 @@ def test_keyword_construction_and_defaults(records):
     assert SemanticsResult("grounded", (), frozenset()).no_extensions is False
     arguments = build_arguments(theory)
     assert AttackGraph(arguments, (), ()).generalized is False
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Attack("A0", "I2", 1), "missing required arguments: witness"),
+        (lambda: GeneratorParams(), "missing required arguments: seed"),
+        (lambda: Attack("A0", "I2", 1, "I2", "I3"), "takes 4 arguments but 5 were given"),
+        (lambda: GeneratorParams(1, colour=2), "unexpected keyword argument 'colour'"),
+        (lambda: Attack("A0", "I2", 1, attacker="A1", witness="I2"),
+         "multiple values for argument 'attacker'"),
+    ],
+    ids=["missing", "missing-without-default", "extra-positional", "unknown-keyword", "twice"],
+)
+def test_the_shared_constructor_binds_fields_as_a_function_call_would(call, message):
+    with pytest.raises(TypeError, match=message):
+        call()
 
 
 def test_copies_and_pickles_are_equal_records(records):
