@@ -362,8 +362,7 @@ class ArgumentSet(Record):
                     made[n] = DAxiomArgument(made[children[0]])
                 else:
                     made[n] = form(conclusion if form is FactArgument else conclusion.literal)
-            set_ordered = self._setters[1]  # the slot after ``theory``
-            set_ordered(self, tuple(zip(self._ids, made)))
+            ArgumentSet._ordered.__set__(self, tuple(zip(self._ids, made)))
         return self._ordered
 
     def __iter__(self) -> Iterator[tuple[ArgumentId, Argument]]:

@@ -26,7 +26,9 @@ class Record:
     any value it stores beside them (``TraceStep`` keeps its ``rejected``
     field in the slot ``_rejected``).  Each class gets ``_setters`` when it
     is defined: the ``__set__`` of each of its own slots, in ``__slots__``
-    order, and every record sets its slots through these alone.  The
+    order.  Records set their slots only through these descriptors; a slot
+    filled later is set through its descriptor by name
+    (``ArgumentSet.ordered``).  The
     shared constructor takes the fields by position or by name, fills
     trailing ones from the class's ``_defaults`` and raises ``TypeError``
     as a function call would; a record that normalises or derives fields,

@@ -125,12 +125,7 @@ class StatusChange(Record):
     """
 
     __slots__ = _fields = ("argument", "clause", "witnesses")
-
-    def __init__(self, argument: str, clause: str, witnesses: tuple[str, ...] = ()) -> None:
-        set_argument, set_clause, set_witnesses = self._setters  # one record per change
-        set_argument(self, argument)
-        set_clause(self, clause)
-        set_witnesses(self, witnesses)
+    _defaults = {"witnesses": ()}
 
 
 def _held(members: frozenset[str] | tuple[list[str], int]) -> frozenset[str]:
