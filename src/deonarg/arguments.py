@@ -284,9 +284,9 @@ class ArgumentSet(Record):
     constructed, and the id-keyed views decode positions to ids when
     called.  The ``ordered`` pairs hold ``Argument`` objects: they are
     decoded from the rows the first time they are read and then kept, so
-    an argument is always the same object.  Equality compares the theory,
-    the ids and the rows, without recursing into trees; hash and ``repr``
-    are those of ``(theory, ordered)``.
+    an argument is always the same object.  Equality and hash read the
+    theory, the ids and the rows, without decoding or recursing into
+    trees; ``repr`` is that of ``(theory, ordered)``.
     """
 
     _fields = ("theory", "ordered")
@@ -336,7 +336,8 @@ class ArgumentSet(Record):
             return (self.theory, self._ids, self._rows) == (other.theory, other._ids, other._rows)
         return NotImplemented
 
-    __hash__ = Record.__hash__
+    def __hash__(self) -> int:
+        return hash((self.theory, self._ids, self._rows))
 
     def __reduce__(self) -> tuple:
         # the table, so that pickle and deepcopy are linear: ``ordered`` would flatten

@@ -69,11 +69,6 @@ def _span(text: str, offset: int, lexeme: str) -> SourceSpan:
     return SourceSpan(text.count("\n", 0, line_start) + 1, offset - line_start + 1, lexeme)
 
 
-class _Token(Record):
-    # kind: 'ident', '=>', '~', ':', ',', '.', '(', ')', '>', 'eof'
-    __slots__ = _fields = ("kind", "text", "span")
-
-
 class ParseError(Exception):
     """A syntax error, carrying the offending source position."""
 
@@ -100,11 +95,6 @@ def _scan(text: str) -> tuple[list[str], list[str], list[int]]:
             lexemes.append(lexeme)
             offsets.append(match.start())
     return kinds + ["eof"], lexemes + [""], offsets + [len(text)]
-
-
-def _tokenize(text: str) -> list[_Token]:
-    """The tokens of :func:`_scan` as records, each with its span."""
-    return [_Token(k, x, _span(text, offset, x)) for k, x, offset in zip(*_scan(text))]
 
 
 # ---------------------------------------------------------------------------

@@ -157,9 +157,12 @@ SCHEMA: dict[str, Any] = {
 
 
 def validate_document(document: dict[str, Any]) -> None:
-    """Raise ``jsonschema.ValidationError`` when the document is malformed."""
-    # imported here: only validation needs it, and importing it takes
-    # longer than importing the rest of deonarg
+    """Raise ``jsonschema.ValidationError`` when the document is malformed.
+
+    Needs ``jsonschema``, which deonarg does not depend on: install the
+    ``test`` extra (``pip install '.[test]'``).  Nothing else in deonarg
+    imports it.
+    """
     import jsonschema
 
     jsonschema.validate(document, SCHEMA)

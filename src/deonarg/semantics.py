@@ -115,7 +115,9 @@ def _to_ids(mask: int, ids: tuple[str, ...]) -> frozenset[str]:
 
 
 def _clashing(graph: AttackGraph, members: Container[int], touching: Iterable[int]) -> set[int]:
-    """Positions in ``members`` that attack, or are attacked by, a member in ``touching``."""
+    """Positions in ``members`` that attack, or are attacked by, a member in ``touching``.
+
+    ``wp_extension`` passes the members it just added: any new conflict involves one of them."""
     clash: set[int] = set()
     for member in touching:
         for target in graph._targets[member]:
@@ -127,19 +129,11 @@ def _clashing(graph: AttackGraph, members: Container[int], touching: Iterable[in
     return clash
 
 
-def conflicting_members(
-    graph: AttackGraph, members: AbstractSet[str], touching: Iterable[str] | None = None
-) -> tuple[str, ...]:
-    """Members that attack, or are attacked by, a member of the set, in id order.
-
-    With ``touching`` only the attacks with an end in it are read: a
-    caller that grows a conflict-free set passes the members it just
-    added, since any new conflict involves one of them.
-    """
+def conflicting_members(graph: AttackGraph, members: AbstractSet[str]) -> tuple[str, ...]:
+    """Members that attack, or are attacked by, a member of the set, in id order."""
     positions = graph.arguments._positions
     chosen = {positions[member] for member in members if member in positions}
-    near = chosen if touching is None else chosen & {positions.get(t) for t in touching}
-    return graph.arguments._decode(sorted(_clashing(graph, chosen, near)))
+    return graph.arguments._decode(sorted(_clashing(graph, chosen, chosen)))
 
 
 def is_conflict_free(graph: AttackGraph, members: Iterable[str]) -> bool:

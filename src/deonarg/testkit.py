@@ -178,10 +178,7 @@ AttackRow = tuple[ArgumentId, ArgumentId, int, ArgumentId]
 
 
 def reference_attacks(
-    arguments: ArgumentSet,
-    theory: Theory | None = None,
-    *,
-    imaginary_subargument_attacks: bool = False,
+    arguments: ArgumentSet, *, imaginary_subargument_attacks: bool = False
 ) -> tuple[list[AttackRow], list[AttackRow]]:
     """Surviving and suppressed attack records by the definitions, target first.
 
@@ -189,10 +186,9 @@ def reference_attacks(
     subargument's conclusion, every argument concluding the clashing
     conclusion is an attacker.  Records are sorted by the positions of
     attacker, target and witness, then split by superiority.  Every
-    target rescans all arguments: keep instances small.
+    target rescans all arguments: keep instances small.  Superiority is
+    read from ``arguments.theory``, as ``compute_attacks`` reads it.
     """
-    if theory is None:
-        theory = arguments.theory
     records = []
     for target, argument in arguments:
         for sub in argument.subarguments():
@@ -219,7 +215,7 @@ def reference_attacks(
     suppressed: list[AttackRow] = []
     for record in records:
         attacker, _, condition, witness = record
-        if condition != 1 and theory.is_superior(top[witness], top[attacker]):
+        if condition != 1 and arguments.theory.is_superior(top[witness], top[attacker]):
             suppressed.append(record)
         else:
             surviving.append(record)

@@ -30,9 +30,9 @@ targets.  Each argument changes each of these states once, so the work
 is about linear in the arguments, subargument links and attack records.
 It runs on positions; the trace records once the order in which
 arguments became rejected and justified, and each step's sets are
-prefixes of those orders, built when read.  The public predicates below
-(``supports``, ``undercuts``, ``wp_acceptable``, ``wp_rejected``) are the
-direct definitions, evaluated by scanning.
+prefixes of those orders, built when read.  The public predicates
+``supports`` and ``undercuts`` are the direct definitions, evaluated by
+scanning.
 """
 
 from __future__ import annotations
@@ -164,59 +164,6 @@ class WpExtension(Record):
 # ---------------------------------------------------------------------------
 # the fixed point
 # ---------------------------------------------------------------------------
-
-
-def wp_acceptable(
-    graph: AttackGraph,
-    identifier: str,
-    rejected: Iterable[str],
-    justified: Iterable[str],
-) -> bool:
-    """Acceptability of one argument against a rejected/justified snapshot.
-
-    An imaginary argument is acceptable when every attacker is already
-    rejected.  A natural argument is acceptable when the justified set
-    supports it and every attacker is either rejected or undercut by
-    the justified set.
-    """
-    arguments = graph.arguments
-    rejected = frozenset(rejected)
-    justified = frozenset(justified)
-    attackers = graph.attackers_of(identifier)
-    if arguments.kind(identifier) == "imaginary":
-        return all(attacker in rejected for attacker in attackers)
-    if not supports(arguments, justified, identifier):
-        return False
-    return all(
-        attacker in rejected or undercuts(graph, justified, attacker)
-        for attacker in attackers
-    )
-
-
-def wp_rejected(
-    graph: AttackGraph,
-    identifier: str,
-    rejected: Iterable[str],
-    justified: Iterable[str],
-) -> bool:
-    """Rejection of one argument against a rejected/justified snapshot.
-
-    An imaginary argument is rejected when some attacker is justified.
-    A natural argument is rejected when some proper subargument is
-    already rejected or some attacker is supported by the justified
-    set.
-    """
-    arguments = graph.arguments
-    rejected = frozenset(rejected)
-    justified = frozenset(justified)
-    if arguments.kind(identifier) == "imaginary":
-        return any(a in justified for a in graph.attackers_of(identifier))
-    if any(sub in rejected for sub in arguments.proper_sub_ids(identifier)):
-        return True
-    return any(
-        supports(arguments, justified, attacker)
-        for attacker in graph.attackers_of(identifier)
-    )
 
 
 def wp_extension(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExtension:

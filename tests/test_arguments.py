@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from deonarg import (
+    ArgumentSet,
     DAxiomArgument,
     FactArgument,
     ImaginaryArgument,
@@ -281,6 +282,17 @@ def test_tall_argument_sets_compare_without_recursion():
     top = first.argument(first.natural_ids()[-1])
     assert isinstance(top, DAxiomArgument) and str(top.conclusion) == "perm(z)"
     assert len(top.subarguments()) == 1003
+
+
+def test_hashing_a_set_or_its_graph_decodes_no_argument():
+    theory = parse_theory(_ladder().chain(160))
+    first, second = build_arguments(theory), build_arguments(theory)
+    assert hash(first) == hash(second)
+    assert hash(compute_attacks(first)) == hash(compute_attacks(second))
+    assert first._ordered is None and second._ordered is None
+    # decoding the arguments leaves the hash as it was
+    before = hash(first)
+    assert hash(ArgumentSet(theory, first.ordered)) == hash(first) == before
 
 
 def test_tall_arguments_compare_without_recursion():

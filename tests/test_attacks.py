@@ -198,7 +198,7 @@ def test_compute_attacks_matches_a_target_first_scan():
                 arguments, theory, imaginary_subargument_attacks=generalized
             )
             edges, suppressed = reference_attacks(
-                arguments, theory, imaginary_subargument_attacks=generalized
+                arguments, imaginary_subargument_attacks=generalized
             )
             assert rows(graph.edges) == edges, (seed, generalized)
             assert rows(graph.suppressed) == suppressed, (seed, generalized)

@@ -23,7 +23,7 @@ from deonarg import (
     serialize_theory,
     stable_extensions,
 )
-from deonarg.semantics import _stable_core, conflicting_members
+from deonarg.semantics import _clashing, _stable_core, conflicting_members
 from deonarg.testkit import GeneratorParams, brute_force_extensions, generate_theory
 
 
@@ -300,7 +300,12 @@ def test_conflicting_members_equal_a_scan_of_the_attack_pairs(goldens, oracle_co
             near = {member for pair in inside if set(pair) & touching for member in pair}
             order = graph.arguments.index
             assert conflicting_members(graph, chosen) == tuple(sorted(expected, key=order))
-            assert conflicting_members(graph, chosen, touching) == tuple(sorted(near, key=order))
+            # the clashes of the members just added, as wp_extension reads them
+            positions = graph.arguments._positions
+            members = {positions[member] for member in chosen}
+            added = members & {positions[member] for member in touching}
+            clash = graph.arguments._decode(sorted(_clashing(graph, members, added)))
+            assert clash == tuple(sorted(near, key=order))
             assert is_conflict_free(graph, chosen) == (not expected)
 
 

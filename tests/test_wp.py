@@ -17,7 +17,6 @@ from deonarg import (
     wp_extension,
 )
 from deonarg.testkit import reference_wp
-from deonarg.wp import wp_acceptable, wp_rejected
 
 
 def changes(step_changes):
@@ -59,33 +58,6 @@ def test_undercut_requires_a_supported_attacker_at_a_proper_natural_subargument(
 def test_rebuttals_at_the_argument_itself_never_undercut(support_undercut):
     # A1 attacks A2 at A2's own conclusion; that is not an undercut of A2
     assert not undercuts(support_undercut.graph, {"A0"}, "A2")
-
-
-# ---------------------------------------------------------------------------
-# acceptance and rejection predicates
-# ---------------------------------------------------------------------------
-
-
-def test_imaginary_acceptance_needs_every_attacker_rejected(two_obligations):
-    graph = two_obligations.graph
-    assert not wp_acceptable(graph, "I1", rejected=set(), justified=set())
-    assert wp_acceptable(graph, "I1", rejected={"A1"}, justified=set())
-
-
-def test_natural_rejection_fires_on_a_supported_attacker(two_obligations):
-    graph = two_obligations.graph
-    assert wp_rejected(graph, "A0", rejected=set(), justified=set())
-
-
-def test_natural_rejection_fires_on_a_rejected_subargument(two_obligations):
-    graph = two_obligations.graph
-    assert wp_rejected(graph, "A2", rejected={"A0"}, justified=set())
-
-
-def test_imaginary_rejection_needs_a_justified_attacker(two_obligations):
-    graph = two_obligations.graph
-    assert not wp_rejected(graph, "I1", rejected=set(), justified=set())
-    assert wp_rejected(graph, "I1", rejected=set(), justified={"A1"})
 
 
 # ---------------------------------------------------------------------------
