@@ -8,36 +8,39 @@ semantics).
 The grounded extension is computed by labelling propagation over the
 graph's attacker and target position tuples (Modgil & Caminada, "Proof
 theories and algorithms for abstract argumentation frameworks", 2009).
-Complete and stable extensions are enumerated SCC-recursively (Baroni,
-Giacomin & Guida, AIJ 2005): the strongly connected components, found
-over the same tuples, are labelled IN, OUT or UNDEC in topological
-order, each conditioned on the labels of its upstream attackers, by a
-backtracking search with constraint propagation inside the component.
-A singleton component has one consistent label and needs no search.
-Stable extensions are searched directly, with UNDEC forbidden in every
-component, rather than filtered from the complete ones.  The search
-alone runs on bitmasks of graph positions, which ``_factorise`` builds
-from the tuples once per call.
 
-The labellings are kept per part (arguments joined by no attack either
-way fall in different parts), and each part's labellings are checked
-once against the exact definition over that part's members.  Parts with
-one labelling fold into a constant base.  The sceptical answers are read
-from this factorised form without building the product: an extension
-exists only if every part has one, the stable core is the union of the
-per-part intersections, and the complete core is the grounded extension.
-Only the extension lists build the product, decoded by walking set bits
-and sorted by size, then by member positions.  The enumeration refuses
-to start when the whole graph has more than ``argument_limit``
-arguments, because the worst case is exponential.
+Complete and stable extensions are enumerated SCC-recursively (Baroni,
+Giacomin & Guida, AIJ 2005).  An argument in no attack either way is IN
+in every complete extension, so it goes straight into a constant base
+and is never searched.  The others fall into parts (arguments joined by
+no chain of attacks either way fall in different parts), labelled one
+part at a time.  A part's strongly connected components, found over the
+same tuples, are labelled IN, OUT or UNDEC in topological order, each
+conditioned on the labels of its upstream attackers.  The part's partial
+labellings are held transposed, as columns with one bit per labelling,
+so a singleton component costs a few ORs and ANDs of its attackers'
+columns.  A larger component is searched, with constraint propagation,
+on bitmasks of its own members, once per distinct way its upstream
+attackers constrain it.  Stable extensions are searched directly,
+with UNDEC forbidden in every component, rather than filtered from the
+complete ones.
+
+Parts with one labelling fold into the base.  The sceptical answers are
+read from this factorised form without building the product: an
+extension exists only if every part has one, the stable core is the
+union of the per-part intersections, and the complete core is the
+grounded extension.  Only the extension lists build the product, sorted
+by size, then by member positions, through one additive integer key per
+labelling of a part.  The enumeration refuses to start when the whole
+graph has more than ``argument_limit`` arguments, because the worst case
+is exponential.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
-from typing import AbstractSet, Container, Iterable, Iterator, Sequence
+from typing import AbstractSet, Container, Iterable, Sequence
 
 from .arguments import ArgumentSet
 from .attacks import AttackGraph
@@ -62,51 +65,6 @@ class ArgumentLimitExceeded(Exception):
         )
         self.count = count
         self.limit = limit
-
-
-# ---------------------------------------------------------------------------
-# bitmask internals
-# ---------------------------------------------------------------------------
-
-
-def _attacked_by(mask: int, targets: Sequence[int]) -> int:
-    acc = 0
-    while mask:
-        low = mask & -mask
-        acc |= targets[low.bit_length() - 1]
-        mask ^= low
-    return acc
-
-
-def _defended(attacked: int, targets: Sequence[int], own: int) -> int:
-    """Members of ``own`` that no member of ``own`` outside ``attacked``
-    attacks: those whose attackers in ``own`` are all in ``attacked``
-    (for the complete and stable search and its part check)."""
-    return own & ~_attacked_by(own & ~attacked, targets)
-
-
-def _masks(index: Sequence[Sequence[int]]) -> list[int]:
-    """One bitmask per position of an attacker or target tuple index."""
-    return [sum(1 << j for j in found) if found else 0 for found in index]
-
-
-def _positions(mask: int) -> list[int]:
-    """Positions of the set bits, lowest first, one step per set bit.
-
-    The binary string is scanned by ``str.find``: stripping the low bit
-    of a wide int instead costs a pass over all its digits per bit.
-    """
-    bits = bin(mask)[:1:-1]
-    found = []
-    k = bits.find("1")
-    while k >= 0:
-        found.append(k)
-        k = bits.find("1", k + 1)
-    return found
-
-
-def _to_ids(mask: int, ids: tuple[str, ...]) -> frozenset[str]:
-    return frozenset(ids[k] for k in _positions(mask))
 
 
 # ---------------------------------------------------------------------------
@@ -191,91 +149,75 @@ def grounded_extension(graph: AttackGraph) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 
 
-def _components(attackers: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Strongly connected components, each after every component attacking it.
+def _components(
+    members: Sequence[int], attackers: Sequence[Sequence[int]], index: list[int], low: list[int]
+) -> list[list[int]]:
+    """Strongly connected components of one part, each after every component attacking it.
 
-    Iterative Tarjan that follows attacker edges: a component is emitted
-    only once every component upstream of it has been, so the list is in
-    topological order.  Successors are read from the attacker tuples.
+    Iterative Tarjan along attacker edges, so the list is in topological
+    order.  ``index`` and ``low`` are indexed by graph position, with
+    ``index`` -1 where unvisited; an emitted argument's ``index`` is set
+    past every visit number, so it never lowers a ``low``.
     """
-    n = len(attackers)
-    order = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
+    emitted = len(index)
     stack: list[int] = []
-    work: list[tuple[int, Iterator[int]]] = []  # (argument, attackers not yet visited)
     components: list[list[int]] = []
-    counter = itertools.count()
-
-    def enter(v: int) -> None:
-        order[v] = low[v] = next(counter)
-        stack.append(v)
-        on_stack[v] = True
-        work.append((v, iter(attackers[v])))
-
-    for root in range(n):
-        if order[root] >= 0:
+    visits = 0
+    for root in members:
+        if index[root] >= 0:
             continue
-        enter(root)
+        index[root] = low[root] = visits
+        visits += 1
+        stack.append(root)
+        work = [(root, iter(attackers[root]))]  # (argument, attackers not yet visited)
         while work:
             v, pending = work[-1]
-            w = next(pending, -1)
-            if w >= 0:
-                if order[w] < 0:
-                    enter(w)
-                elif on_stack[w]:
-                    low[v] = min(low[v], order[w])
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == order[v]:
-                members: list[int] = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    members.append(w)
-                    if w == v:
-                        break
-                components.append(sorted(members))
+            for w in pending:
+                if index[w] < 0:
+                    index[w] = low[w] = visits
+                    visits += 1
+                    stack.append(w)
+                    work.append((w, iter(attackers[w])))
+                    break
+                if index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    component: list[int] = []
+                    while not component or component[-1] != v:
+                        component.append(stack.pop())
+                        index[component[-1]] = emitted
+                    components.append(sorted(component))
     return components
 
 
-def _parts(attackers: Sequence[Sequence[int]], targets: Sequence[Sequence[int]]) -> list[int]:
-    """Part number of every argument; arguments joined by attacks share one."""
-    part = [-1] * len(attackers)
-    count = 0
-    for root in range(len(attackers)):
-        if part[root] >= 0:
-            continue
-        part[root] = count
-        todo = [root]
-        while todo:
-            k = todo.pop()
-            for j in attackers[k] + targets[k]:
-                if part[j] < 0:
-                    part[j] = count
-                    todo.append(j)
-        count += 1
-    return part
+def _attacked_by(mask: int, targets: Sequence[int]) -> int:
+    """The union of ``targets`` over the set bits of a component's mask."""
+    acc = 0
+    while mask:
+        low = mask & -mask
+        acc |= targets[low.bit_length() - 1]
+        mask ^= low
+    return acc
 
 
 def _component_labellings(
     attackers: Sequence[int],
     targets: Sequence[int],
-    own: int,
     forced_out: int,
     barred: int,
     stable: bool,
 ) -> list[tuple[int, int]]:
     """IN and UNDEC masks of one component's complete (or stable) labellings.
 
-    ``own`` is the component's mask; the search reads only the attacks
-    inside it.  ``forced_out`` members have an IN attacker upstream;
-    ``barred`` (a superset) also holds members with an UNDEC attacker
-    upstream, which can never be IN.  Every other member's upstream
-    attackers are all OUT.
+    The masks are over the component's own members, and ``attackers``
+    and ``targets`` hold only the attacks inside it.  ``forced_out``
+    members have an IN attacker upstream; ``barred`` (a superset) also
+    holds members with an UNDEC attacker upstream, which can never be
+    IN.  Every other member's upstream attackers are all OUT.
 
     The search decides each member in or out of the IN set and
     propagates three consequences before branching: attacked members
@@ -287,6 +229,7 @@ def _component_labellings(
     the component, so the propagation only has to be sound.  An
     explicit stack keeps the depth flat.
     """
+    own = (1 << len(attackers)) - 1
     found: list[tuple[int, int]] = []
     stack = [(0, barred)]
     while stack:
@@ -306,22 +249,22 @@ def _component_labellings(
                 if attacked & bit:
                     out_mask |= bit
                     changed = True
-                elif attackers[k] & own & ~attacked == 0:
+                elif attackers[k] & ~attacked == 0:
                     if targets[k] & in_mask:
                         alive = False
                         break
                     in_mask |= bit
-                    out_mask |= (attackers[k] | targets[k]) & own & ~bit
+                    out_mask |= (attackers[k] | targets[k]) & ~bit
                     changed = True
             if not alive or changed:
                 continue
-            unattacked = own & _attacked_by(in_mask, attackers) & ~attacked
+            unattacked = _attacked_by(in_mask, attackers) & ~attacked
             if stable:
                 unattacked |= out_mask & ~attacked
             while unattacked:
                 bit = unattacked & -unattacked
                 unattacked ^= bit
-                if attackers[bit.bit_length() - 1] & own & ~out_mask == 0:
+                if attackers[bit.bit_length() - 1] & ~out_mask == 0:
                     alive = False
                     break
         if not alive:
@@ -331,14 +274,15 @@ def _component_labellings(
             bit = pending & -pending
             k = bit.bit_length() - 1
             stack.append((in_mask, out_mask | bit))
-            conflicts = (attackers[k] | targets[k]) & own
+            conflicts = attackers[k] | targets[k]
             if not conflicts & (in_mask | bit):
                 stack.append((in_mask | bit, out_mask | conflicts))
             continue
         attacked = forced_out | _attacked_by(in_mask, targets)
         undecided = own & ~(in_mask | attacked)
+        defended = own & ~_attacked_by(own & ~attacked, targets)  # inside attackers all OUT
         if (
-            in_mask == _defended(attacked, targets, own) & ~barred
+            in_mask == defended & ~barred
             and not in_mask & attacked
             and not (stable and undecided)
         ):
@@ -346,67 +290,116 @@ def _component_labellings(
     return found
 
 
-def _label_component(
-    members: list[int],
-    attackers: Sequence[int],
-    targets: Sequence[int],
-    partial: list[tuple[int, int]],
-    stable: bool,
-) -> list[tuple[int, int]]:
-    """Extend every partial labelling (IN and UNDEC masks) over one component.
+def _label_part(
+    components: list[list[int]], attackers: Sequence[Sequence[int]], stable: bool
+) -> list[list[int]]:
+    """IN members of every complete (or stable) labelling of one part.
 
-    The partial labellings already label every argument upstream of the
-    component.  A component's own labellings depend only on the labels
-    of its upstream attackers, so they are computed once per distinct
-    combination of those labels.
+    The part's partial labellings are held transposed: ``inn[k]`` has
+    bit r set when labelling (row) r labels argument k IN, ``und[k]``
+    when it labels it UNDEC; rows outside ``alive`` are dead.  The
+    components are labelled in topological order.  A singleton's columns
+    are a few ORs and ANDs over its attackers' columns.  A larger
+    component splits the live rows by the labels of its upstream
+    attackers, searches once per distinct split, and, when a split has
+    several labellings, copies every column once per labelling: block b
+    of the rows takes each split's labelling b.  The rows are compacted
+    first when at most half of them live.
     """
-    own = sum(1 << k for k in members)
-    upstream = functools.reduce(operator.or_, (attackers[k] for k in members)) & ~own
-    extended: list[tuple[int, int]] = []
-    if len(members) == 1:  # one consistent label, no branching
-        self_attacking = attackers[members[0]] & own
-        for in_mask, undec_mask in partial:
-            if upstream & in_mask:
-                extended.append((in_mask, undec_mask))
-            elif self_attacking or upstream & undec_mask:
-                if not stable:
-                    extended.append((in_mask, undec_mask | own))
-            else:
-                extended.append((in_mask | own, undec_mask))
-        return extended
-    memo: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for in_mask, undec_mask in partial:
-        key = (in_mask & upstream, undec_mask & upstream)
-        choices = memo.get(key)
-        if choices is None:
-            forced_out = own & _attacked_by(key[0], targets)
-            barred = forced_out | own & _attacked_by(key[1], targets)
-            choices = memo[key] = _component_labellings(
-                attackers, targets, own, forced_out, barred, stable
-            )
-        for chosen, undecided in choices:
-            extended.append((in_mask | chosen, undec_mask | undecided))
-    return extended
-
-
-def _is_extension(mask: int, targets: Sequence[int], full: int, stable: bool) -> bool:
-    """Complete over the ``full`` members (conflict-free and equal to the set
-    of them it defends); with ``stable`` also attacking every other one."""
-    attacked = _attacked_by(mask, targets)
-    return (
-        not mask & attacked
-        and mask == _defended(attacked, targets, full)
-        and not (stable and (mask | attacked) != full)
-    )
+    inn: dict[int, int] = {}
+    und: dict[int, int] = {}
+    rows = alive = 1
+    for component in components:
+        full = (1 << rows) - 1
+        if len(component) == 1:  # one consistent label, no branching
+            k = component[0]
+            found = attackers[k]
+            inn[k] = und[k] = hit = undecided = 0
+            for a in found:
+                hit |= inn[a]
+                undecided |= und[a]
+            if k in found:  # UNDEC unless an attacker is IN
+                undecided = full
+            inn[k] = full & ~(hit | undecided)
+            undecided &= ~hit
+            if not stable:
+                und[k] = undecided
+            elif undecided:  # no stable row labels k UNDEC
+                alive &= ~undecided
+                if not alive:
+                    return []
+            continue
+        if alive.bit_count() * 2 <= rows:  # keep the live rows only, renumbered from 0
+            keep = [r for r in range(rows) if alive >> r & 1]
+            for columns in (inn, und):
+                for k, column in columns.items():
+                    bits = format(column, "b").zfill(rows)[::-1]
+                    columns[k] = int("".join([bits[r] for r in keep])[::-1], 2)
+            rows, alive = len(keep), (1 << len(keep)) - 1
+        local = {k: c for c, k in enumerate(component)}
+        inside_attackers = [0] * len(component)
+        inside_targets = [0] * len(component)
+        upstream: dict[int, int] = {}  # attacker outside -> the members it attacks
+        for c, k in enumerate(component):
+            for a in attackers[k]:
+                j = local.get(a)
+                if j is None:
+                    upstream[a] = upstream.get(a, 0) | 1 << c
+                else:
+                    inside_attackers[c] |= 1 << j
+                    inside_targets[j] |= 1 << c
+        split = {(0, 0): alive}  # (forced_out, barred) -> live rows
+        for a, hit in upstream.items():
+            refined: dict[tuple[int, int], int] = {}
+            for (forced_out, barred), live in split.items():
+                for key, part in (((forced_out | hit, barred | hit), live & inn[a]),
+                                  ((forced_out, barred | hit), live & und[a]),
+                                  ((forced_out, barred), live & ~(inn[a] | und[a]))):
+                    if part:
+                        refined[key] = refined.get(key, 0) | part
+            split = refined
+        labelled = [
+            (live, _component_labellings(inside_attackers, inside_targets, *key, stable))
+            for key, live in split.items()
+        ]
+        copies = max(len(choices) for _, choices in labelled)
+        if not copies:
+            return []
+        if copies > 1:
+            spread = sum(1 << b * rows for b in range(copies))
+            for columns in (inn, und):
+                for k in columns:
+                    columns[k] *= spread
+        alive = 0
+        for k in component:
+            inn[k] = und[k] = 0
+        for live, choices in labelled:
+            for b, (chosen, undecided) in enumerate(choices):
+                block = live << b * rows
+                alive |= block
+                for c, k in enumerate(component):
+                    if chosen >> c & 1:
+                        inn[k] |= block
+                    elif undecided >> c & 1:
+                        und[k] |= block
+        rows *= copies
+    chosen_by: list[list[int]] = [[] for _ in range(rows)]
+    for k, column in inn.items():
+        column &= alive
+        while column:
+            low = column & -column
+            chosen_by[low.bit_length() - 1].append(k)
+            column ^= low
+    return [chosen_by[r] for r in range(rows) if alive >> r & 1]
 
 
 class _Factors(Record):
     """Complete (or stable) extensions factorised over the parts of a graph.
 
-    Every extension is ``base`` joined with one IN mask of each tuple in
-    ``choices``: ``base`` holds the members chosen by the parts with
-    exactly one labelling, and ``choices`` the IN masks of every part
-    with more than one.
+    Every extension is ``base`` joined with one position list of each
+    tuple in ``choices``: ``base`` holds the arguments in no attack and
+    the IN members of the parts with one labelling, ``choices`` the IN
+    members of each labelling of every other part.
     """
 
     __slots__ = _fields = ("ids", "base", "choices")
@@ -415,84 +408,86 @@ class _Factors(Record):
 def _factorise(graph: AttackGraph, argument_limit: int, stable: bool) -> _Factors | None:
     """Labellings of every part, or None when some part has no extension.
 
-    Components are labelled in topological order, each extending the
-    partial labellings of the arguments upstream of it.  Arguments of
-    different parts (joined by no chain of attacks either way) are
-    labelled independently.  No attack crosses parts, so a set is
-    complete (stable) exactly when its members in each part are complete
-    (stable) there: each part's labellings are checked once against the
-    exact definition, over that part's members.
+    Arguments in no attack go straight into the base.  No attack crosses
+    parts, so a set is complete (stable) exactly when its members in each
+    part are complete (stable) there.  Each component's labellings are
+    exact given its upstream labels (the search checks its leaves), so
+    their composition in topological order is exact (SCC-recursiveness).
     """
     count = len(graph.arguments)
     if count > argument_limit:
         raise ArgumentLimitExceeded(count, argument_limit)
-    part = _parts(graph._attackers, graph._targets)
-    attackers, targets = _masks(graph._attackers), _masks(graph._targets)
-    labellings: dict[int, list[tuple[int, int]]] = {}
-    for members in _components(graph._attackers):
-        owner = part[members[0]]
-        labellings[owner] = _label_component(
-            members, attackers, targets, labellings.get(owner, [(0, 0)]), stable
-        )
-    owned = [0] * len(labellings)
-    for k, owner in enumerate(part):
-        owned[owner] |= 1 << k
-    base = 0
-    choices: list[tuple[int, ...]] = []
-    for owner, partial in labellings.items():
-        full = owned[owner]
-        found = tuple(
-            in_mask for in_mask, _ in partial if _is_extension(in_mask, targets, full, stable)
-        )
-        if not found:
+    attackers, targets = graph._attackers, graph._targets
+    seen = [False] * count
+    index, low = [-1] * count, [0] * count  # Tarjan's, shared by the parts
+    base: list[int] = []
+    choices: list[tuple[list[int], ...]] = []
+    for root in range(count):
+        if seen[root]:
+            continue
+        if not attackers[root] and not targets[root]:
+            base.append(root)
+            continue
+        seen[root] = True
+        members = [root]
+        for k in members:  # grows while it is read
+            for j in attackers[k] + targets[k]:
+                if not seen[j]:
+                    seen[j] = True
+                    members.append(j)
+        labellings = _label_part(_components(members, attackers, index, low), attackers, stable)
+        if not labellings:
             return None
-        if len(found) == 1:
-            base |= found[0]
+        if len(labellings) == 1:
+            base += labellings[0]
         else:
-            choices.append(found)
+            choices.append(tuple(labellings))
     return _Factors(graph.arguments.ids, base, tuple(choices))
 
 
 def _core(factors: _Factors) -> frozenset[str]:
     """Members of every extension: the union of the per-part intersections."""
-    core = factors.base
-    for masks in factors.choices:
-        core |= functools.reduce(operator.and_, masks)
-    return _to_ids(core, factors.ids)
+    core = set(factors.base)
+    for labellings in factors.choices:
+        core.update(set(labellings[0]).intersection(*labellings[1:]))
+    ids = factors.ids
+    return frozenset([ids[k] for k in core])
 
 
 def _product(factors: _Factors) -> tuple[frozenset[str], ...]:
     """Every extension, by size and then by sorted member positions.
 
-    The base is in every extension, and of two sets of one size the one
-    holding the least position in only one of them sorts first; that
-    position is never a base member, so the key leaves the base out.
+    Of two sets of one size, the one holding the least position in only
+    one of them sorts first, which is the order of their masks with the
+    bits reversed, taken descending.  Each part's choice is keyed once
+    by its size shifted above its reversed mask, less that mask; parts
+    are disjoint, so an extension's key is the sum of its choices' keys.
+    The base is in every extension, so the key leaves it out.
     """
-    ids, base, choices = factors.ids, factors.base, factors.choices
-    decoded = [
-        [(positions, frozenset(ids[k] for k in positions)) for positions in map(_positions, masks)]
-        for masks in choices
-    ]
-    keyed = []
-    for picked in itertools.product(*decoded):
-        positions = sorted(itertools.chain.from_iterable(p for p, _ in picked))
-        keyed.append(((len(positions), positions), picked))
-    keyed.sort(key=operator.itemgetter(0))
-    common = _to_ids(base, ids)
-    return tuple(common.union(*(members for _, members in picked)) for _, picked in keyed)
-
-
-def _extensions(
-    graph: AttackGraph, argument_limit: int, stable: bool
-) -> tuple[frozenset[str], ...]:
-    factors = _factorise(graph, argument_limit, stable)
-    return () if factors is None else _product(factors)
+    ids, width = factors.ids, len(factors.ids)
+    keys, members = [], []
+    for labellings in factors.choices:
+        part_keys = []
+        for chosen in labellings:
+            reversed_mask = bytearray(b"0" * width)  # position k weighs 2**(width - 1 - k)
+            for k in chosen:
+                reversed_mask[k] = 49  # "1"
+            part_keys.append((len(chosen) << width) - int(reversed_mask, 2))
+        keys.append(part_keys)
+        members.append([frozenset([ids[k] for k in chosen]) for chosen in labellings])
+    keyed = sorted(
+        zip(map(sum, itertools.product(*keys)), itertools.product(*members)),
+        key=operator.itemgetter(0),
+    )
+    common = frozenset([ids[k] for k in factors.base])
+    return tuple(common.union(*picked) for _, picked in keyed)
 
 
 def complete_extensions(
     graph: AttackGraph, *, argument_limit: int = DEFAULT_ARGUMENT_LIMIT
 ) -> tuple[frozenset[str], ...]:
-    return _extensions(graph, argument_limit, stable=False)
+    factors = _factorise(graph, argument_limit, stable=False)
+    return () if factors is None else _product(factors)
 
 
 def stable_extensions(
@@ -502,7 +497,8 @@ def stable_extensions(
 
     Searched directly: no component may take an UNDEC label.
     """
-    return _extensions(graph, argument_limit, stable=True)
+    factors = _factorise(graph, argument_limit, stable=True)
+    return () if factors is None else _product(factors)
 
 
 def _stable_core(graph: AttackGraph, argument_limit: int) -> frozenset[str] | None:

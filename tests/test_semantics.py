@@ -349,3 +349,96 @@ def test_grounded_is_the_least_fixpoint_of_the_characteristic_function(
         graphs.append(prepared_graph(text)[1])
     for graph in graphs:
         assert grounded_extension(graph) == _characteristic_fixpoint(graph)
+
+
+def _documented_order(graph, extensions):
+    """Extensions sorted by size, then by their sorted member positions."""
+    position = graph.arguments.index
+    return sorted(extensions, key=lambda e: (len(e), sorted(map(position, e))))
+
+
+def _assert_oracle_order(graph, complete, stable):
+    """The engine's lists equal the given extensions in the documented order."""
+    limit = len(graph.arguments)
+    assert list(complete_extensions(graph, argument_limit=limit)) == _documented_order(
+        graph, complete
+    )
+    assert list(stable_extensions(graph, argument_limit=limit)) == _documented_order(graph, stable)
+
+
+def test_extensions_of_unions_equal_the_oracle_in_the_documented_order(oracle_corpus):
+    # unions of 3 and 4 corpus theories, whose positions interleave the
+    # parts: the product of the parts' oracle extensions, lifted to the
+    # union's ids.  On the small goldens and the corpus,
+    # test_engine_matches_brute_force_oracle_on_small_goldens already pins
+    # the exact lists: the same set and length, sorted.
+    oracles = {case.seed: brute_force_extensions(case.graph) for case in oracle_corpus[:14]}
+    for start in range(10):
+        cases = oracle_corpus[start:start + 3 + start % 2]
+        arguments, graph = prepared_graph(_disjoint_union(cases))
+        lift = [{} for _ in cases]
+        for identifier, argument in arguments:
+            shown = repr(argument)
+            part = next(i for i in range(len(cases)) if f"u{i}_" in shown)
+            lift[part][shown.replace(f"u{part}_", "")] = identifier
+        parts = []
+        for case, names in zip(cases, lift):
+            by_id = {i: names[repr(a)] for i, a in case.arguments}
+            oracle = oracles[case.seed]
+            parts.append([[frozenset(map(by_id.get, e)) for e in found]
+                          for found in (oracle.complete, oracle.stable)])
+
+        def product(which):
+            return [frozenset().union(*picked)
+                    for picked in itertools.product(*(part[which] for part in parts))]
+
+        _assert_oracle_order(graph, product(0), product(1))
+
+
+def test_attack_free_edge_cases_match_the_oracle():
+    # the empty theory: one empty extension under both semantics
+    _, empty = prepared_graph("")
+    assert complete_extensions(empty) == stable_extensions(empty) == (frozenset(),)
+    # one fact: every argument is attack-free, one extension equal to grounded
+    _, fact = prepared_graph("fact a.\n")
+    assert not fact.pairs
+    assert complete_extensions(fact) == stable_extensions(fact) == (grounded_extension(fact),)
+    for graph in (empty, fact):
+        oracle = brute_force_extensions(graph)
+        _assert_oracle_order(graph, oracle.complete, oracle.stable)
+    # a self-attacking argument next to attack-free ones: with obl(p) it is
+    # OUT in the stable extension and UNDEC in the grounded one; alone it
+    # leaves no stable extension
+    for text, counts in (("fact a.\nr1: perm_w(p) => obl(~p).\nr2: => obl(p).\n", (2, 1)),
+                         ("fact a.\nfact b.\nr1: perm_w(p) => obl(~p).\n", (1, 0))):
+        arguments = build_arguments(parse_theory(text))
+        graph = compute_attacks(arguments, imaginary_subargument_attacks=True)
+        assert any(attacker == target for attacker, target in graph.pairs)
+        free = frozenset(arguments.ids) - {member for pair in graph.pairs for member in pair}
+        assert len(free) >= 3
+        oracle = brute_force_extensions(graph)
+        assert (len(oracle.complete), len(oracle.stable)) == counts
+        assert all(free <= extension for extension in oracle.complete)
+        _assert_oracle_order(graph, oracle.complete, oracle.stable)
+
+
+def test_attack_free_arguments_of_a_fan_join_every_extension_of_a_conflict():
+    conflict = "c1: => obl(q).\nc2: => obl(~q).\n"
+    arguments, graph = prepared_graph(_ladder().fan(6) + conflict)
+    free = frozenset(arguments.ids) - {member for pair in graph.pairs for member in pair}
+    assert len(free) > 1000
+    # the conflict alone, through the oracle, lifted by argument to the fan's ids
+    small_arguments, small_graph = prepared_graph(conflict)
+    oracle = brute_force_extensions(small_graph)
+    by_repr = {repr(argument): identifier for identifier, argument in arguments}
+    by_id = {i: by_repr[repr(a)] for i, a in small_arguments}
+
+    def lift(extensions):
+        return [free | frozenset(map(by_id.get, extension)) for extension in extensions]
+
+    _assert_oracle_order(graph, lift(oracle.complete), lift(oracle.stable))
+    limit = len(arguments)
+    complete = complete_extensions(graph, argument_limit=limit)
+    stable = stable_extensions(graph, argument_limit=limit)
+    assert (len(complete), len(stable)) == (3, 2)
+    assert all(free <= extension for extension in complete + stable)
