@@ -19,7 +19,11 @@ round-by-round ``testkit.reference_wp`` under both guard settings.  On
 every case the stable core read from the per-part labellings
 (``semantics._stable_core``) is compared with the intersection of the
 enumerated stable extensions, and the grounded extension with that of
-the complete ones.  Exit code 1 if any property fails.
+the complete ones.  Under both readings of condition 1, every case's
+attack rows and suppressed rows are compared with the target-first
+``testkit.reference_attacks``, and the graph's three indexes (the
+attackers and targets of each argument and the attackers at each
+witness) with scans of the rows.  Exit code 1 if any property fails.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from deonarg.testkit import (
     GeneratorParams,
     brute_force_extensions,
     generate_theory,
+    reference_attacks,
     reference_wp,
 )
 
@@ -134,7 +139,33 @@ def factorised_cores(case, failures: list[str]) -> None:
         failures.append(f"seed {case.seed}: factorised stable core differs from the intersection")
 
 
+def attack_tables(case, failures: list[str]) -> None:
+    """Both readings' rows equal the target-first reference, and the indexes scans of the rows."""
+    arguments = case.arguments
+    index, size = arguments.index, len(arguments)
+    for generalized in (False, True):
+        graph = compute_attacks(arguments, imaginary_subargument_attacks=generalized)
+        reading = f"generalized {generalized}"
+        edges, suppressed = reference_attacks(arguments, imaginary_subargument_attacks=generalized)
+        for name, rows, expected in (("rows", graph.rows, edges),
+                                     ("suppressed rows", graph.suppressed_rows, suppressed)):
+            if list(rows) != [(index(a), index(t), c, index(w)) for a, t, c, w in expected]:
+                failures.append(f"seed {case.seed}: attack {name} differ from reference_attacks "
+                                f"({reading})")
+        scans: dict[str, list[set[int]]] = {
+            name: [set() for _ in range(size)] for name in ("_attackers", "_targets", "_at_witness")
+        }
+        for a, t, _, w in graph.rows:
+            scans["_attackers"][t].add(a)
+            scans["_targets"][a].add(t)
+            scans["_at_witness"][w].add(a)
+        for name, scan in scans.items():
+            if getattr(graph, name) != tuple(tuple(sorted(found)) for found in scan):
+                failures.append(f"seed {case.seed}: {name} differs from a scan of the rows ({reading})")
+
+
 def shared_invariants(case, failures: list[str]) -> None:
+    attack_tables(case, failures)
     factorised_cores(case, failures)
     for guards in (True, False):
         if wp_outcome(wp_extension, case.graph, guards) != wp_outcome(

@@ -21,27 +21,27 @@ An edge record is suppressed when the witness's top rule is declared
 superior to the attacker's top rule.  A pair survives while any of its
 witness records survives; condition-1 records are never suppressed.
 
-The attackers at a witness depend only on its conclusion, and suppression
-only on the witness and the attacker, so the records are enumerated
-witness-first, on the positions of the argument table: once per
-conclusion, once per (witness, attacker) pair, then one record for every
-argument containing the witness.  Clashing conclusions share an atom, so
-they are found by atom and a form-and-polarity code in a fixed table.
-
-A record is kept as a row of argument positions, ``(attacker, target,
-condition, witness)``, and the graph holds the rows sorted, which is
-(attacker, target) id order.  Its indexes are built once from the rows,
-by position; ``Attack`` records, with ids, are made only when ``edges``,
-``suppressed`` or ``records_between`` is called.
+The clashes of an attacker depend only on its conclusion, and suppression
+only on its top rule and the witness's, so one pass over the argument
+table, on positions, makes the records.  Clashing conclusions share an
+atom, so they are found by atom and a form-and-polarity code in a fixed
+table.  The concluders of a conclusion share their hits, the
+``(condition, witness)`` pairs they clash at, save those that an inferior
+top rule loses (by a lookup of its superiors made once).  Each group of
+hits becomes one block of records, in (target, condition, witness)
+order, that every concluder in it takes as its rows: the rows come out
+sorted, attacker by attacker, with no sort over all of them.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Iterable
+from itertools import groupby, repeat
+from operator import itemgetter
+from typing import Iterable, Sequence
 
 from .arguments import ArgumentId, ArgumentSet
-from .model import Literal, Record, Theory
+from .model import DeonticOperator, Literal, Record, Theory
 
 # ---------------------------------------------------------------------------
 # edge records
@@ -68,47 +68,44 @@ class AttackGraph(Record):
     The records are kept as position rows, sorted: ``rows`` the surviving
     ones and ``suppressed_rows`` those removed by superiority.  ``edges``,
     ``suppressed`` and ``records_between`` turn them into ``Attack``
-    records when called.  The graph's only adjacency index is built once,
-    when it is constructed, from the surviving rows: the distinct attackers
-    and targets of each argument and the attackers at each witness, as
-    position tuples in position order.  The semantics, wp and the id-keyed
-    views read these tuples, the views decoding positions when called.
-    The indexes take no part in equality or ``repr``.
+    records when called.  The graph's only adjacency index, the distinct
+    attackers and targets of each argument and the attackers at each
+    witness as position tuples in position order, is filled once, by
+    ``_fill``, with no (attacker, target) tuple, from groups of attackers
+    with the same surviving targets and witnesses: ``compute_attacks``
+    hands over the groups it made, and the constructor (so copying and
+    pickling too) reads them off the rows.  The indexes take no part in
+    equality or ``repr``.
     """
 
     _fields = ("arguments", "rows", "suppressed_rows", "generalized")
     __slots__ = (*_fields, "_attackers", "_targets", "_at_witness")
 
-    def __init__(
-        self,
-        arguments: ArgumentSet,
-        rows: tuple[Row, ...],
-        suppressed_rows: tuple[Row, ...],
-        generalized: bool = False,
-    ) -> None:
-        size = len(arguments)
-        # the rows are sorted, so the distinct pairs, in first-seen order,
-        # leave every attacker and target list in position (id) order
-        attackers: dict[int, list[int]] = {}
-        targets: dict[int, list[int]] = {}
-        for a, t in dict.fromkeys([(a, t) for a, t, _, _ in rows]):
-            attackers.setdefault(t, []).append(a)
-            targets.setdefault(a, []).append(t)
-        # a witness is among the arguments containing it, so each attacker
-        # at a witness has the record targeting the witness itself
-        at_witness: dict[int, list[int]] = {}
-        for a, t, _, w in rows:
-            if t == w:
-                at_witness.setdefault(w, []).append(a)
+    def __init__(self, arguments: ArgumentSet, rows: tuple[Row, ...],
+                 suppressed_rows: tuple[Row, ...], generalized: bool = False) -> None:
+        groups: dict[tuple, list[int]] = {}  # an attacker's targets and witnesses -> attackers
+        for a, records in groupby(rows, itemgetter(0)):
+            records = list(records)
+            columns = tuple(map(itemgetter(1), records)), tuple(map(itemgetter(3), records))
+            groups.setdefault(columns, []).append(a)
+        self._fill(arguments, rows, suppressed_rows, generalized, groups.items())
 
-        def by_position(found: dict[int, list[int]]) -> tuple[tuple[int, ...], ...]:
-            out: list[tuple[int, ...]] = [()] * size
-            for k, js in found.items():
-                out[k] = tuple(js)
-            return tuple(out)
-
+    def _fill(self, arguments: ArgumentSet, rows: tuple[Row, ...],
+              suppressed_rows: tuple[Row, ...], generalized: bool,
+              groups: Iterable[tuple[tuple[Sequence[int], Sequence[int]], list[int]]]) -> None:
+        """Set the fields and fill the indexes from ``((targets, witnesses), attackers)`` groups."""
+        targets, attackers, at_witness = ([()] * len(arguments) for _ in range(3))
+        for (found, witnesses), members in groups:
+            reach, members = tuple(dict.fromkeys(found)), tuple(members)
+            for a in members:
+                targets[a] = reach
+            for index, keys in ((attackers, reach), (at_witness, set(witnesses))):
+                for k in keys:  # merge the sorted run of attackers into the one held
+                    held = index[k]
+                    index[k] = (held + members if not held or held[-1] < members[0]
+                                else tuple(sorted(held + members)))
         values = (arguments, rows, suppressed_rows, generalized,
-                  by_position(attackers), by_position(targets), by_position(at_witness))
+                  tuple(attackers), tuple(targets), tuple(at_witness))
         for setter, value in zip(self._setters, values):
             setter(self, value)
 
@@ -161,13 +158,14 @@ class AttackGraph(Record):
 # ---------------------------------------------------------------------------
 
 
-#: code -> ``(condition, code)`` of its clashing conclusions; a code is 2 * form
-#: + (1 if negative), form 0 for a plain literal, else 1 + rank (obl 1, perm 2, perm_w 3)
-_CLASHES = (
+#: a conclusion's code is 2 * form + (1 if negative), form 0 for a plain literal, else this
+_FORMS = {operator: 1 + operator.rank for operator in DeonticOperator}  # obl 1, perm 2, perm_w 3
+#: an attacker's code -> ``(condition, code)`` of each witness conclusion it clashes with
+_HITS = (
     ((2, 1),), ((2, 0),),  # l: ~l
-    ((3, 3), (4, 5)), ((3, 2), (4, 4)),  # obl(l): obl(~l), perm(~l)
-    ((3, 3),), ((3, 2),),  # perm(l): obl(~l)
-    ((1, 3),), ((1, 2),),  # perm_w(l), the imaginary arguments': obl(~l)
+    ((1, 7), (3, 3), (3, 5)), ((1, 6), (3, 2), (3, 4)),  # obl(l): perm_w(~l), obl(~l), perm(~l)
+    ((4, 3),), ((4, 2),),  # perm(l): obl(~l)
+    (), (),  # perm_w(l): the imaginary arguments attack nothing
 )
 
 
@@ -177,44 +175,64 @@ def compute_attacks(
     *,
     imaginary_subargument_attacks: bool = False,
 ) -> AttackGraph:
-    """Compute every attack record, then apply the superiority of ``arguments.theory``."""
+    """Compute every attack record, split by the superiority of ``arguments.theory``."""
     if theory is not None and theory is not arguments.theory and theory != arguments.theory:
         raise ValueError("the theory is not the one the arguments were built from")
-    theory = arguments.theory
+    narrow, table, supers = not imaginary_subargument_attacks, arguments._rows, arguments._supers
 
-    # witness-first (see the module docstring), on positions, by atom and code
+    def block(hits: list[tuple[int, int]]) -> tuple:
+        """The hits' records as sorted columns: targets, conditions and witnesses."""
+        if len(hits) == 1:
+            ((c, w),) = hits
+            reach = (w,) if c == 1 and narrow else supers[w]
+            return reach, (c,) * len(reach), (w,) * len(reach)
+        records = [(t, c, w) for c, w in hits for t in ((w,) if c == 1 and narrow else supers[w])]
+        records.sort()  # zip(*records) would make one iterator, a tracked object, per record
+        return (tuple(map(itemgetter(0), records)), tuple(map(itemgetter(1), records)),
+                tuple(map(itemgetter(2), records)))
+
+    # one pass (see the module docstring), on positions, by atom and code
     by_atom: dict[str, dict[int, list[int]]] = {}
-    for conclusion, witnesses in arguments._by_conclusion.items():
+    for conclusion, concluders in arguments._by_conclusion.items():
         literal, form = conclusion, 0
         if conclusion.__class__ is not Literal:
-            literal, form = conclusion.literal, 1 + conclusion.operator.rank
-        by_atom.setdefault(literal.atom.name, {})[2 * form + (not literal.positive)] = witnesses
-    supers = arguments._supers
-    top_rule = [None if rule is None else rule.label for _, rule, _, _ in arguments._rows]
-    surviving: list[Row] = []
-    suppressed: list[Row] = []
+            literal, form = conclusion.literal, _FORMS[conclusion.operator]
+        by_atom.setdefault(literal.atom.name, {})[2 * form + (not literal.positive)] = concluders
+    superiors: dict[str, set[str]] = {}  # inferior label -> the labels superior to it
+    for superior, inferior in arguments.theory.superiority:
+        superiors.setdefault(inferior, set()).add(superior)
+    rows_of: dict[int, tuple] = {}  # attacker -> the columns of its kept and its lost records
+    groups = []  # the kept records' targets and witnesses, with their attackers
     for group in by_atom.values():
-        for code, witnesses in group.items():
-            clashes = [
-                (condition, group[clashing])
-                for condition, clashing in _CLASHES[code]
-                if clashing in group
-            ]
-            if not clashes:
+        for code, concluders in group.items():
+            found = [(condition, w) for condition, clashing in _HITS[code] if clashing in group
+                     for w in group[clashing]]
+            if not found:
                 continue
-            narrow = clashes[0][0] == 1 and not imaginary_subargument_attacks
-            for w in witnesses:
-                targets = (w,) if narrow else supers[w]
-                for condition, attackers in clashes:
-                    for a in attackers:
-                        out = surviving
-                        if condition != 1 and theory.is_superior(top_rule[w], top_rule[a]):
-                            out = suppressed
-                        out.extend([(a, t, condition, w) for t in targets])
+            by_label = {None: concluders}
+            if superiors:  # an inferior top rule loses the hits at its superiors' derivations
+                by_label = {}
+                for a in concluders:
+                    label = getattr(table[a][1], "label", None)
+                    by_label.setdefault(label if label in superiors else None, []).append(a)
+            for label, members in by_label.items():
+                lost = []
+                if label is not None:
+                    over = superiors[label]
+                    lost = [(c, w) for c, w in found if getattr(table[w][1], "label", None) in over]
+                kept = sorted(set(found).difference(lost)) if lost else found
+                columns = block(kept)
+                records = columns, block(lost) if lost else None
+                for a in members:
+                    rows_of[a] = records
+                groups.append(((columns[0], columns[2]), members))
 
-    return AttackGraph(
-        arguments,
-        tuple(sorted(surviving)),
-        tuple(sorted(suppressed)),
-        generalized=imaginary_subargument_attacks,
-    )
+    surviving, suppressed = [], []
+    for a in sorted(rows_of):  # each attacker's records are one block, in order
+        kept, lost = rows_of[a]
+        surviving += zip(repeat(a), *kept)
+        if lost:
+            suppressed += zip(repeat(a), *lost)
+    graph = object.__new__(AttackGraph)
+    graph._fill(arguments, tuple(surviving), tuple(suppressed), not narrow, groups)
+    return graph

@@ -263,23 +263,12 @@ def push_negation(target: DeonticLiteral) -> DeonticLiteral:
 
 def conclusion_sort_key(conclusion: Conclusion) -> tuple:
     """Total deterministic order: plain literals first, then deontic ones."""
-    if isinstance(conclusion, Literal):
-        return (0, *conclusion.sort_key())
-    return (1, *conclusion.sort_key())
+    return (0 if isinstance(conclusion, Literal) else 1, *conclusion.sort_key())
 
 
 # ---------------------------------------------------------------------------
 # rules and theories
 # ---------------------------------------------------------------------------
-
-
-def _collapse(body: tuple[BodyElement, ...]) -> tuple[BodyElement, ...]:
-    # drop exact duplicates, keep first occurrence order
-    seen: list[BodyElement] = []
-    for element in body:
-        if element not in seen:
-            seen.append(element)
-    return tuple(seen)
 
 
 class Rule(Record):
@@ -290,7 +279,11 @@ class Rule(Record):
     def __init__(self, label: str, body: tuple[BodyElement, ...], head: Conclusion) -> None:
         set_label, set_body, set_head = self._setters
         set_label(self, label)
-        set_body(self, _collapse(tuple(body)))
+        kept: list[BodyElement] = []  # exact duplicates dropped, first occurrences in order
+        for element in body:
+            if element not in kept:
+                kept.append(element)
+        set_body(self, tuple(kept))
         set_head(self, head)
 
     def __str__(self) -> str:

@@ -222,11 +222,7 @@ def serialize_theory(theory: Theory) -> str:
 
     ``parse_theory(serialize_theory(t)) == t`` holds for every valid theory.
     """
-    lines: list[str] = []
-    for fact in sorted(theory.facts, key=lambda l: l.sort_key()):
-        lines.append(f"fact {fact}.")
-    for rule in theory.rules:
-        lines.append(f"{rule}.")
-    for superior, inferior in sorted(theory.superiority):
-        lines.append(f"{superior} > {inferior}.")
+    lines = [f"fact {fact}." for fact in sorted(theory.facts, key=Literal.sort_key)]
+    lines += [f"{rule}." for rule in theory.rules]
+    lines += [f"{superior} > {inferior}." for superior, inferior in sorted(theory.superiority)]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -43,6 +43,7 @@ from .model import (
     Record,
     Rule,
     Theory,
+    obl,
 )
 
 # ---------------------------------------------------------------------------
@@ -197,11 +198,11 @@ def reference_attacks(
                 clashes = [(2, conclusion.negated)]
             elif conclusion.operator is DeonticOperator.OBLIGATION:
                 flipped = conclusion.literal.negated
-                clashes = [(3, _obl(flipped)), (4, DeonticLiteral(DeonticOperator.PERMISSION, flipped))]
+                clashes = [(3, obl(flipped)), (4, DeonticLiteral(DeonticOperator.PERMISSION, flipped))]
             elif conclusion.operator is DeonticOperator.PERMISSION:
-                clashes = [(3, _obl(conclusion.literal.negated))]
+                clashes = [(3, obl(conclusion.literal.negated))]
             elif witness == target or imaginary_subargument_attacks:
-                clashes = [(1, _obl(conclusion.literal.negated))]
+                clashes = [(1, obl(conclusion.literal.negated))]
             else:
                 clashes = []
             for condition, clashing in clashes:
@@ -389,8 +390,8 @@ def generate_theory(params: GeneratorParams) -> Theory:
         atom = rng.choice(used)
         base = len(rules)
         positive = Literal(atom, True)
-        rules.append(Rule(f"r{base + 1}", (), _obl(positive)))
-        rules.append(Rule(f"r{base + 2}", (), _obl(positive.negated)))
+        rules.append(Rule(f"r{base + 1}", (), obl(positive)))
+        rules.append(Rule(f"r{base + 2}", (), obl(positive.negated)))
 
     superiority: set[tuple[str, str]] = set()
     labels = [rule.label for rule in rules]
@@ -402,10 +403,6 @@ def generate_theory(params: GeneratorParams) -> Theory:
             superiority.add((superior, inferior))
 
     return Theory(frozenset(facts), tuple(rules), frozenset(superiority))
-
-
-def _obl(literal: Literal) -> DeonticLiteral:
-    return DeonticLiteral(DeonticOperator.OBLIGATION, literal)
 
 
 def _draw_head(

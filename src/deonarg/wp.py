@@ -102,11 +102,7 @@ def undercuts(graph: AttackGraph, members: Iterable[str], identifier: str) -> bo
 
 def undercut_by(graph: AttackGraph, members: Iterable[str]) -> frozenset[str]:
     chosen = frozenset(members)
-    return frozenset(
-        identifier
-        for identifier in graph.arguments.ids
-        if undercuts(graph, chosen, identifier)
-    )
+    return frozenset(i for i in graph.arguments.ids if undercuts(graph, chosen, i))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 
 import deonarg.attacks
 from deonarg import (
+    AttackGraph,
     build_arguments,
     complete_extensions,
     compute_attacks,
@@ -272,3 +273,55 @@ def test_the_request_path_builds_no_attack_records(
                 dict(zip(("attacker", "target", "condition", "witness"), r)) for r in suppressed
             ],
         }
+
+
+def fanout_conflicts(fanouts):
+    """Layer ``l`` derives ``x_l`` by ``fanouts[l-1]`` alternative rules and adds an
+    ``obl(y_l)`` / ``obl(~y_l)`` / ``perm(~y_l)`` conflict; odd layers rank ``o_l``
+    above ``n_l``."""
+    lines = ["fact x_0."]
+    for layer, fanout in enumerate(fanouts, start=1):
+        lines += [f"r{layer}_{j}: x_{layer - 1} => x_{layer}." for j in range(1, fanout + 1)]
+        lines += [
+            f"o{layer}: x_{layer} => obl(y_{layer}).",
+            f"n{layer}: x_{layer - 1} => obl(~y_{layer}).",
+            f"q{layer}: x_{layer} => perm(~y_{layer}).",
+        ]
+        if layer % 2:
+            lines.append(f"o{layer} > n{layer}.")
+    return parse_theory("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("fanouts", [(2, 2, 2, 2), (3, 2, 2), (2, 3, 2)])
+@pytest.mark.parametrize("generalized", [False, True])
+def test_fanout_conflicts_fill_the_rows_and_indexes_of_the_reference(fanouts, generalized):
+    arguments = build_arguments(fanout_conflicts(fanouts))
+    graph = compute_attacks(arguments, imaginary_subargument_attacks=generalized)
+    index, size = arguments.index, len(arguments)
+
+    def positions(records):
+        return [(index(a), index(t), c, index(w)) for a, t, c, w in records]
+
+    edges, suppressed = reference_attacks(arguments, imaginary_subargument_attacks=generalized)
+    assert list(graph.rows) == positions(edges)
+    assert list(graph.suppressed_rows) == positions(suppressed)
+    assert graph.suppressed_rows
+    # every index equals a scan of the surviving rows
+    attackers, targets, at_witness = ([set() for _ in range(size)] for _ in range(3))
+    for a, t, _, w in graph.rows:
+        attackers[t].add(a)
+        targets[a].add(t)
+        at_witness[w].add(a)
+    indexes = tuple(
+        tuple(tuple(sorted(found)) for found in scan) for scan in (attackers, targets, at_witness)
+    )
+    assert (graph._attackers, graph._targets, graph._at_witness) == indexes
+    # the public constructor rebuilds the same indexes from the graph's own fields
+    twin = AttackGraph(graph.arguments, graph.rows, graph.suppressed_rows, graph.generalized)
+    assert twin == graph
+    assert (twin._attackers, twin._targets, twin._at_witness) == indexes
+    # some attacker hits witnesses under two conditions, so its records are merged
+    conditions = {}
+    for a, _, c, _ in graph.rows:
+        conditions.setdefault(a, set()).add(c)
+    assert any(len(found) > 1 for found in conditions.values())
