@@ -7,8 +7,10 @@ runs: ``parse`` (``parse_theory`` on the rung's text, validation
 included), ``build`` (``build_arguments``), ``attacks``
 (``compute_attacks``), ``grounded``, ``complete`` and ``stable`` (the
 extension lists, with the argument limit raised to the argument count),
-``wp`` (``wp_extension``) and ``verify_theorems`` (the whole check on
-the theory, limit raised).
+``wp`` (``wp_extension``), ``trace`` (``deonarg.schema.trace_section`` of
+one ``wp`` result, so that the cost of turning the trace into records
+shows wherever it lies) and ``verify_theorems`` (the whole check on the
+theory, limit raised).
 
 The ladder:
 
@@ -90,7 +92,9 @@ from deonarg.testkit import GeneratorParams, generate_theory
 #: runs per stage; the median is reported
 REPEAT = 9
 
-STAGES = ("parse", "build", "attacks", "grounded", "complete", "stable", "wp", "verify_theorems")
+STAGES = (
+    "parse", "build", "attacks", "grounded", "complete", "stable", "wp", "trace", "verify_theorems",
+)
 
 #: fresh interpreters per start-up stage; the median is reported
 STARTUP_REPEAT = 21
@@ -185,7 +189,8 @@ def stage_calls(engine: ModuleType, text: str) -> tuple[dict, dict[str, Callable
     rung = {"arguments": limit, "pairs": len(graph.pairs), "stages": {}, "digests": {}}
     rung["digests"]["arguments"] = digest(schema.arguments_section(arguments))
     rung["digests"]["attacks"] = digest(schema.attacks_section(graph))
-    rung["digests"]["trace"] = digest(schema.trace_section(engine.wp_extension(graph)))
+    extension = engine.wp_extension(graph)
+    rung["digests"]["trace"] = digest(schema.trace_section(extension))
     calls: dict[str, Callable[[], object]] = {
         "parse": lambda: engine.parse_theory(text),
         "build": lambda: engine.build_arguments(theory),
@@ -194,6 +199,7 @@ def stage_calls(engine: ModuleType, text: str) -> tuple[dict, dict[str, Callable
         "complete": lambda: engine.complete_extensions(graph, argument_limit=limit),
         "stable": lambda: engine.stable_extensions(graph, argument_limit=limit),
         "wp": lambda: engine.wp_extension(graph),
+        "trace": lambda: schema.trace_section(extension),
         "verify_theorems": lambda: engine.verify_theorems(theory, argument_limit=limit),
     }
     return rung, calls, arguments.index

@@ -327,16 +327,13 @@ def cmd_trace(
             trace=trace_section(extension),
         )
         return
-    for step in extension.steps:
-        _echo(f"step {step.index}:")
-        for verb, changes in (
-            ("rejected", step.newly_rejected),
-            ("justified", step.newly_justified),
-        ):
-            for change in changes:
-                witnesses = ", ".join(change.witnesses)
+    for step in trace_section(extension):
+        _echo(f"step {step['step']}:")
+        for verb in ("rejected", "justified"):
+            for change in step[verb]:
+                witnesses = ", ".join(change["witnesses"])
                 suffix = f": {witnesses}" if witnesses else ""
-                _echo(f"  {verb} {change.argument} [{change.clause}{suffix}]")
+                _echo(f"  {verb} {change['argument']} [{change['clause']}{suffix}]")
     _echo(f"fixpoint after {extension.iterations} step(s)")
     _echo(f"justified: {_braced(_in_order(arguments, extension.justified))}")
     _echo(f"rejected: {_braced(_in_order(arguments, extension.rejected))}")

@@ -23,12 +23,12 @@ class Record:
 
     A record class names its fields in ``_fields``, in constructor order,
     and keeps them in its first ``__slots__``, in the same order, before
-    any value it stores beside them (``TraceStep`` keeps its ``rejected``
-    field in the slot ``_rejected``).  Each class gets ``_setters`` when it
-    is defined: the ``__set__`` of each of its own slots, in ``__slots__``
-    order.  Records set their slots only through these descriptors; a slot
-    filled later is set through its descriptor by name
-    (``ArgumentSet.ordered``).  The
+    any value it stores beside them (``WpExtension`` keeps its ``steps``
+    field in the slot ``_steps``, None until decoded from its rows).  Each
+    class gets ``_setters`` when it is defined: the ``__set__`` of each of
+    its own slots, in ``__slots__`` order.  Records set their slots only
+    through these descriptors; a slot filled later is set through its
+    descriptor by name (``ArgumentSet.ordered``, ``WpExtension.steps``).  The
     shared constructor takes the fields by position or by name, fills
     trailing ones from the class's ``_defaults`` and raises ``TypeError``
     as a function call would; a record that normalises or derives fields,
@@ -186,6 +186,9 @@ class DeonticOperator(enum.Enum):
     OBLIGATION = "obl"
     PERMISSION = "perm"
     WEAK_PERMISSION = "perm_w"
+
+    # members are singletons compared by identity: hash them so, not through ``Enum.__hash__``
+    __hash__ = object.__hash__
 
     def __str__(self) -> str:
         return self.value

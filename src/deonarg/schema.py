@@ -14,7 +14,7 @@ from .arguments import ArgumentSet
 from .attacks import AttackGraph, Row
 from .model import Theory
 from .parser import serialize_theory
-from .wp import StatusChange, WpExtension
+from .wp import WpExtension
 
 # ---------------------------------------------------------------------------
 # schema
@@ -215,19 +215,16 @@ def attacks_section(graph: AttackGraph) -> dict[str, Any]:
     }
 
 
-def _change_records(changes: Iterable[StatusChange]) -> list[dict[str, Any]]:
+def _changes(ids: tuple[str, ...], rows: Iterable[tuple]) -> list[dict[str, Any]]:
     return [
-        {"argument": change.argument, "clause": change.clause, "witnesses": list(change.witnesses)}
-        for change in changes
+        {"argument": ids[n], "clause": clause, "witnesses": [ids[w] for w in hits] if hits else []}
+        for n, clause, hits in rows
     ]
 
 
 def trace_section(extension: WpExtension) -> list[dict[str, Any]]:
+    ids = extension._ids  # the trace's rows, read with no record built
     return [
-        {
-            "step": step.index,
-            "rejected": _change_records(step.newly_rejected),
-            "justified": _change_records(step.newly_justified),
-        }
-        for step in extension.steps
+        {"step": index, "rejected": _changes(ids, rejected), "justified": _changes(ids, justified)}
+        for index, (rejected, justified) in enumerate(extension._rows, 1)
     ]

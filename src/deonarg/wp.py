@@ -2,42 +2,37 @@
 
 Computes the unique pair of justified and rejected argument sets by a
 monotone iteration over support, undercut, acceptability and rejection
-predicates, together with a per-iteration trace explaining every status
-change.
+predicates, with a trace of every status change, step by step.
 
 Within one iteration all predicates read the previous snapshot, so the
-result is deterministic and order-independent.  Newly rejected
-arguments are collected before newly justified ones, and each side
-excludes arguments already on the other: these exclusion guards keep
-the justified and rejected sets disjoint and the justified set
-conflict-free.  Disabling them (``fixpoint_guards=False``) reproduces
-the unguarded textbook recursion, which breaches those invariants on
-some theories; the breach is then reported as
-:class:`FixpointInvariantError` rather than silently returned.
+result is order-independent.  Newly rejected arguments are collected
+before newly justified ones, and each side excludes arguments already on
+the other: these exclusion guards keep the two sets disjoint and the
+justified set conflict-free.  Without them (``fixpoint_guards=False``)
+the textbook recursion breaches those invariants on some theories, and
+the breach raises :class:`FixpointInvariantError`.
 
-``wp_extension`` evaluates the iteration as a worklist.  Every predicate
-is monotone in the snapshot, so an argument whose inputs did not change
-cannot change status; each iteration re-tests only the arguments woken
-by the previous one (semi-naive evaluation), in id order, so the trace
-is the round-by-round one.  Support is a counter of direct subarguments
-not yet justified, as in linear-time Horn satisfiability: the justified
-set is closed under subarguments, so an argument is supported when its
-counter reaches 0.  An argument becoming supported wakes itself and its
-targets, and marks the superarguments of every witness it attacks as
-undercut, waking their targets; an argument becoming rejected wakes its
-superarguments and its targets; an argument becoming justified wakes its
-targets.  Each argument changes each of these states once, so the work
-is about linear in the arguments, subargument links and attack records.
-It runs on positions; the trace records once the order in which
-arguments became rejected and justified, and each step's sets are
-prefixes of those orders, built when read.  The public predicates
-``supports`` and ``undercuts`` are the direct definitions, evaluated by
-scanning.
+``wp_extension`` evaluates the iteration as a worklist on positions.
+Every predicate is monotone in the snapshot, so each iteration re-tests,
+in id order, only the arguments whose inputs the previous one changed
+(semi-naive evaluation), and the trace is the round-by-round one.
+Support is a counter of direct subarguments not yet justified, as in
+linear-time Horn satisfiability.  An argument becoming supported wakes
+itself and its targets, and marks the superarguments of every witness it
+attacks as undercut, waking their targets; one becoming rejected wakes
+its superarguments and targets; one becoming justified wakes its
+targets.  So the work is about linear in the arguments, subargument
+links and attack records.  The predicates are written out in the loop,
+and each status change is kept as a row of positions, ``(argument,
+clause, witnesses)``, with no record built: ``schema.trace_section``
+reads the rows, and ``WpExtension.steps`` decodes them when first read.
+The public ``supports`` and ``undercuts`` are the direct definitions,
+evaluated by scanning.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Any, Iterable
 
 from .arguments import ArgumentSet, ImaginaryArgument
 from .attacks import AttackGraph
@@ -57,14 +52,9 @@ class FixpointInvariantError(Exception):
     """
 
     def __init__(self, step: int, kind: str, members: tuple[str, ...]) -> None:
-        listing = ", ".join(members)
-        super().__init__(
-            f"fixed-point invariant breached at iteration {step}: "
-            f"{kind} involving {listing}"
-        )
-        self.step = step
-        self.kind = kind
-        self.members = members
+        super().__init__(f"fixed-point invariant breached at iteration {step}: "
+                         f"{kind} involving {', '.join(members)}")
+        self.step, self.kind, self.members = step, kind, members
 
 
 # ---------------------------------------------------------------------------
@@ -89,15 +79,13 @@ def undercuts(graph: AttackGraph, members: Iterable[str], identifier: str) -> bo
     subargument of the argument count; a rebuttal witnessed at the
     argument itself never undercuts it.
     """
-    chosen = frozenset(members)
-    arguments = graph.arguments
-    for witness in arguments.proper_sub_ids(identifier):
-        if arguments.kind(witness) == "imaginary":
-            continue
-        for attacker in graph.attackers_at(witness):
-            if supports(arguments, chosen, attacker):
-                return True
-    return False
+    chosen, arguments = frozenset(members), graph.arguments
+    return any(
+        supports(arguments, chosen, attacker)
+        for witness in arguments.proper_sub_ids(identifier)
+        if arguments.kind(witness) != "imaginary"
+        for attacker in graph.attackers_at(witness)
+    )
 
 
 def undercut_by(graph: AttackGraph, members: Iterable[str]) -> frozenset[str]:
@@ -132,29 +120,71 @@ def _held(members: frozenset[str] | tuple[list[str], int]) -> frozenset[str]:
 class TraceStep(Record):
     """One iteration: its status changes, then the rejected and justified sets.
 
-    ``wp_extension`` records once the order in which arguments became
-    rejected and justified, and each step holds only a prefix of each
-    order: ``rejected`` and ``justified`` are built when read.
+    The steps ``WpExtension.steps`` decodes share one order per set, the order
+    in which arguments entered it, and each holds the length of its prefix:
+    ``rejected`` and ``justified`` are built when read.
     """
 
     _fields = ("index", "newly_rejected", "newly_justified", "rejected", "justified")
     __slots__ = ("index", "newly_rejected", "newly_justified", "_rejected", "_justified")
-
-    @property
-    def rejected(self) -> frozenset[str]:
-        return _held(self._rejected)
-
-    @property
-    def justified(self) -> frozenset[str]:
-        return _held(self._justified)
+    rejected = property(lambda self: _held(self._rejected))
+    justified = property(lambda self: _held(self._justified))
 
 
 class WpExtension(Record):
-    __slots__ = _fields = ("justified", "rejected", "steps")
+    """The fixed point's justified and rejected sets, and its trace.
+
+    The trace is held as rows on positions into ``_ids``, per step a list of
+    rejected and a list of justified ``(argument, clause, witnesses)``, which
+    ``iterations`` and ``schema.trace_section`` read.  ``steps`` decodes them
+    to records when first read and keeps them, as ``ArgumentSet.ordered``
+    does; the constructor keeps the steps and packs them into rows.
+    """
+
+    _fields = ("justified", "rejected", "steps")
+    __slots__ = ("justified", "rejected", "_steps", "_ids", "_rows")
+
+    def __init__(self, justified: frozenset[str], rejected: frozenset[str],
+                 steps: Iterable[TraceStep]) -> None:
+        steps = tuple(steps)
+        ids: dict[str, int] = {}  # each id the steps name, numbered as met
+        rows = tuple([
+            tuple([
+                [(ids.setdefault(c.argument, len(ids)), c.clause,
+                  [ids.setdefault(w, len(ids)) for w in c.witnesses]) for c in changes]
+                for changes in (step.newly_rejected, step.newly_justified)
+            ])
+            for step in steps
+        ])
+        self._fill(justified, rejected, steps, tuple(ids), rows)
+
+    def _fill(self, *values: Any) -> WpExtension:
+        """Set ``justified``, ``rejected``, ``steps`` (None until read), the ids and the rows."""
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
+        return self
+
+    @property
+    def steps(self) -> tuple[TraceStep, ...]:
+        """One ``TraceStep`` per iteration, decoded from the rows once."""
+        if self._steps is None:
+            ids, made = self._ids, []
+            orders: tuple[list[str], list[str]] = ([], [])  # rejected, justified
+            for index, sides in enumerate(self._rows, 1):
+                changes = [
+                    tuple([StatusChange(ids[n], clause, tuple([ids[w] for w in hits]))
+                           for n, clause, hits in side])
+                    for side in sides
+                ]
+                for order, side in zip(orders, sides):
+                    order += [ids[row[0]] for row in side]
+                made.append(TraceStep(index, *changes, *[(order, len(order)) for order in orders]))
+            WpExtension._steps.__set__(self, tuple(made))
+        return self._steps
 
     @property
     def iterations(self) -> int:
-        return len(self.steps)
+        return len(self._rows)
 
 
 # ---------------------------------------------------------------------------
@@ -172,16 +202,9 @@ def wp_extension(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
     argument already justified is never rejected.  The disjointness and
     conflict-freeness invariants are checked after every iteration
     regardless of the guard setting.
-
-    The first iteration evaluates every argument (the unattacked imaginary
-    ones as a block, see below); each later one only the arguments whose
-    inputs the previous iteration changed, on positions, and the steps'
-    sets are prefixes of the recorded orders (see the module docstring).
     """
     arguments = graph.arguments
-    ids = arguments.ids
-    decode = arguments._decode
-    rows = arguments._rows
+    ids, decode, rows = arguments.ids, arguments._decode, arguments._rows
     subs, supers = arguments._subs, arguments._supers
     attackers_of, targets_of = graph._attackers, graph._targets
     imaginary = [row[0] is ImaginaryArgument for row in rows]
@@ -205,7 +228,7 @@ def wp_extension(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
     justified: set[int] = set()
     rejected: set[int] = set()
     supported: set[int] = set()  # by the justified set
-    undercut: set[int] = set()  # by the justified set
+    beaten: set[int] = set()  # rejected, or undercut by the justified set
     fallen: set[int] = set()  # arguments whose closure holds a rejected argument
     live: set[int] = set()  # witnesses with a supported attacker
 
@@ -214,33 +237,12 @@ def wp_extension(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
         woken.add(n)
         woken.update(targets_of[n])
         for witness in attacks_at[n]:
-            if witness in live:
-                continue
-            live.add(witness)
-            for above in supers[witness]:
-                if above != witness and above not in undercut:
-                    undercut.add(above)
-                    woken.update(targets_of[above])
-
-    def rejection(n: int) -> StatusChange | None:
-        attackers = attackers_of[n]
-        if imaginary[n]:
-            hits = [a for a in attackers if a in justified]
-            return StatusChange(ids[n], "attacker-justified", decode(hits)) if hits else None
-        if n in fallen:
-            hits = [sub for sub in subs[n] if sub in rejected]  # n itself is not rejected
-            return StatusChange(ids[n], "subargument-rejected", decode(hits))
-        hits = [a for a in attackers if a in supported]
-        return StatusChange(ids[n], "attacker-supported", decode(hits)) if hits else None
-
-    def acceptance(n: int) -> StatusChange | None:
-        attackers = attackers_of[n]
-        if imaginary[n]:
-            holds, clause = rejected.issuperset(attackers), "attackers-all-rejected"
-        else:
-            holds = n in supported and all(a in rejected or a in undercut for a in attackers)
-            clause = "supported-and-defended"
-        return StatusChange(ids[n], clause, decode(attackers)) if holds else None
+            if witness not in live:
+                live.add(witness)
+                for above in supers[witness]:
+                    if above != witness and above not in beaten:
+                        beaten.add(above)
+                        woken.update(targets_of[above])
 
     supported.update([n for n, count in enumerate(waiting) if not count])
     for n in [n for n in supported if attacks_at[n]]:  # their undercuts; what they wake
@@ -251,40 +253,44 @@ def wp_extension(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
     end = len(ids) - imaginary[::-1].index(False) if False in imaginary else 0
     settled = [n for n in range(end, len(ids)) if not attackers_of[n]]
     candidates: Iterable[int] = [*range(end), *(n for n in range(end, len(ids)) if attackers_of[n])]
-    # the order in which arguments became rejected and justified, as ids
-    rejected_order: list[str] = []
-    justified_order: list[str] = []
-    steps: list[TraceStep] = []
+    steps: list[tuple[list[tuple], list[tuple]]] = []
     for index in range(1, 2 * len(ids) + 2):
         # every predicate reads the previous snapshot: the sets change after both sides
-        newly_rejected: list[StatusChange] = []
-        removed: list[int] = []
-        for n in candidates:
+        newly_rejected: list[tuple] = []
+        for n in candidates:  # the rejection clauses
             if n in rejected or (fixpoint_guards and n in justified):
                 continue
-            change = rejection(n)
-            if change is not None:
-                newly_rejected.append(change)
-                removed.append(n)
-        gone = set(removed)
-        newly_justified: list[StatusChange] = []
-        added: list[int] = []
-        for n in candidates:
-            if n in justified:
+            attackers = attackers_of[n]
+            if imaginary[n]:
+                if not justified.isdisjoint(attackers):
+                    hits = [a for a in attackers if a in justified]
+                    newly_rejected.append((n, "attacker-justified", hits))
+            elif n in fallen:  # n itself is not rejected
+                hits = [sub for sub in subs[n] if sub in rejected]
+                newly_rejected.append((n, "subargument-rejected", hits))
+            elif not supported.isdisjoint(attackers):
+                hits = [a for a in attackers if a in supported]
+                newly_rejected.append((n, "attacker-supported", hits))
+        gone = {change[0] for change in newly_rejected}
+        newly_justified: list[tuple] = []
+        for n in candidates:  # the acceptance clauses
+            if n in justified or (fixpoint_guards and (n in rejected or n in gone)):
                 continue
-            if fixpoint_guards and (n in rejected or n in gone):
-                continue
-            change = acceptance(n)
-            if change is not None:
-                newly_justified.append(change)
-                added.append(n)
+            attackers = attackers_of[n]
+            if imaginary[n]:
+                if rejected.issuperset(attackers):
+                    newly_justified.append((n, "attackers-all-rejected", attackers))
+            elif n in supported and beaten.issuperset(attackers):
+                newly_justified.append((n, "supported-and-defended", attackers))
+        added = [change[0] for change in newly_justified]
         if index == 1:  # the settled block
-            newly_justified += [StatusChange(ids[n], "attackers-all-rejected", ()) for n in settled]
+            newly_justified += [(n, "attackers-all-rejected", ()) for n in settled]
             added += settled
-        rejected.update(removed)
+        rejected.update(gone)
+        beaten.update(gone)
         justified.update(added)
 
-        overlap = justified.intersection(removed) | rejected.intersection(added)
+        overlap = justified.intersection(gone) | rejected.intersection(added)
         if overlap:
             raise FixpointInvariantError(index, "overlap", decode(sorted(overlap)))
         clash = _clashing(graph, justified, added)
@@ -293,17 +299,11 @@ def wp_extension(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
 
         if not newly_rejected and not newly_justified:
             break
-        rejected_order += map(ids.__getitem__, removed)
-        justified_order += map(ids.__getitem__, added)
-        steps.append(TraceStep(
-            index, tuple(newly_rejected), tuple(newly_justified),
-            (rejected_order, len(rejected_order)),  # type: ignore[arg-type]
-            (justified_order, len(justified_order)),  # type: ignore[arg-type]
-        ))
+        steps.append((newly_rejected, newly_justified))
 
         # wake the arguments whose predicates read what just changed
         woken: set[int] = set()
-        for n in removed:
+        for n in gone:
             fallen.update(supers[n])
             woken.update(supers[n])  # subargument-rejected
             woken.update(targets_of[n])  # an attacker rejected
@@ -316,4 +316,7 @@ def wp_extension(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
         candidates = sorted(woken)
     else:
         raise AssertionError("weak-permission iteration failed to stabilize")
-    return WpExtension(frozenset(justified_order), frozenset(rejected_order), tuple(steps))
+    named = ids.__getitem__
+    return object.__new__(WpExtension)._fill(
+        frozenset(map(named, justified)), frozenset(map(named, rejected)), None, ids, tuple(steps)
+    )

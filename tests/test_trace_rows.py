@@ -1,0 +1,128 @@
+"""The weak-permission trace is kept as rows and decoded to records only when read.
+
+``wp_extension`` records every status change as a position row; the
+``TraceStep`` and ``StatusChange`` records are built the first time
+``WpExtension.steps`` is read.  ``trace_section`` and ``verify_theorems``
+never read them.  The decoded steps are those of ``testkit.reference_wp``,
+and the public constructor, pickling and copying keep the trace.
+"""
+
+from __future__ import annotations
+
+import copy
+import pickle
+
+import pytest
+
+from deonarg import (
+    StatusChange,
+    TraceStep,
+    WpExtension,
+    build_arguments,
+    compute_attacks,
+    parse_theory,
+    verify_theorems,
+    wp_extension,
+)
+from deonarg.schema import trace_section
+from deonarg.testkit import reference_wp
+
+
+def _chain(n: int) -> str:
+    lines = ["fact a_0."] + [f"r{i}: a_{i - 1} => a_{i}." for i in range(1, n + 1)]
+    return "\n".join([*lines, f"z1: a_{n} => obl(z).", "z2: => obl(~z)."]) + "\n"
+
+
+def _fan(layers: int) -> str:
+    lines = ["fact a_0."]
+    lines += [f"f{i}_{k}: a_{i - 1} => a_{i}." for i in range(1, layers + 1) for k in (1, 2, 3)]
+    return "\n".join(lines) + "\n"
+
+
+def _graph(text: str):
+    theory = parse_theory(text)
+    return compute_attacks(build_arguments(theory), theory)
+
+
+@pytest.fixture(scope="module")
+def graphs(goldens) -> dict[str, object]:
+    found = {name: prepared.graph for name, prepared in goldens.items()}
+    found["chain-40"] = _graph(_chain(40))
+    found["fan-4"] = _graph(_fan(4))
+    return found
+
+
+def _count_records(monkeypatch) -> dict[str, int]:
+    """Count every ``StatusChange`` and ``TraceStep`` built from here on."""
+    made = {"StatusChange": 0, "TraceStep": 0}
+    for cls in (StatusChange, TraceStep):
+        build = cls.__init__
+
+        def counted(self, *values, _build=build, _name=cls.__name__, **named):
+            made[_name] += 1
+            _build(self, *values, **named)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return made
+
+
+def test_the_fixed_point_its_trace_section_and_the_check_build_no_trace_record(
+    graphs, monkeypatch
+):
+    made = _count_records(monkeypatch)
+    for name, graph in graphs.items():
+        extension = wp_extension(graph)
+        assert extension.iterations > 0, name
+        assert trace_section(extension), name
+        verify_theorems(graph)
+    assert made == {"StatusChange": 0, "TraceStep": 0}
+    extension.steps  # noqa: B018  (reading the steps decodes them, once)
+    assert made["TraceStep"] == extension.iterations and made["StatusChange"] > 0
+    before = dict(made)
+    assert extension.steps is extension.steps
+    assert made == before
+
+
+def _extensions(graphs, corpora):
+    for name, graph in graphs.items():
+        yield name, graph
+    for corpus in corpora:
+        for case in corpus:
+            yield case.seed, case.graph
+
+
+def test_decoded_steps_are_the_reference_steps(
+    graphs, conflict_corpus, no_superiority_corpus, oracle_corpus
+):
+    corpora = (conflict_corpus, no_superiority_corpus, oracle_corpus)
+    for label, graph in _extensions(graphs, corpora):
+        extension, reference = wp_extension(graph), reference_wp(graph)
+        assert extension.steps == reference.steps, label
+        assert extension.iterations == len(reference.steps), label
+        assert trace_section(extension) == trace_section(reference), label
+
+
+def test_the_constructor_keeps_the_trace_section_and_the_steps(graphs, oracle_corpus):
+    for label, graph in _extensions(graphs, (oracle_corpus,)):
+        extension = wp_extension(graph)
+        section = trace_section(extension)
+        rebuilt = WpExtension(extension.justified, extension.rejected, extension.steps)
+        assert trace_section(rebuilt) == section, label
+        assert rebuilt == extension and hash(rebuilt) == hash(extension), label
+        assert rebuilt.steps == extension.steps and rebuilt.iterations == extension.iterations
+        named = WpExtension(
+            justified=extension.justified, rejected=extension.rejected, steps=list(extension.steps)
+        )
+        assert named == extension and trace_section(named) == section, label
+
+
+def test_pickles_and_deep_copies_keep_the_trace(graphs):
+    for label, graph in graphs.items():
+        for fresh in (True, False):  # pickled before and after the steps are first read
+            extension = wp_extension(graph)
+            if not fresh:
+                extension.steps  # noqa: B018
+            for twin in (pickle.loads(pickle.dumps(extension)), copy.deepcopy(extension)):
+                assert twin == extension, label
+                assert twin.steps == extension.steps, label
+                assert trace_section(twin) == trace_section(extension), label
