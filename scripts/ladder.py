@@ -4,13 +4,15 @@
 Each rung is one theory.  The stages are timed one by one from outside
 the engine with ``time.process_time``, each the median of ``REPEAT`` (9)
 runs: ``parse`` (``parse_theory`` on the rung's text, validation
-included), ``build`` (``build_arguments``), ``attacks``
-(``compute_attacks``), ``grounded``, ``complete`` and ``stable`` (the
-extension lists, with the argument limit raised to the argument count),
-``wp`` (``wp_extension``), ``trace`` (``deonarg.schema.trace_section`` of
-one ``wp`` result, so that the cost of turning the trace into records
-shows wherever it lies) and ``verify_theorems`` (the whole check on the
-theory, limit raised).
+included), ``build`` (``build_arguments``), ``decode`` (reading
+``ordered`` of the built set, which decodes its rows to ``Argument``
+records; the records are freed between runs, outside the timing),
+``attacks`` (``compute_attacks``), ``grounded``, ``complete`` and
+``stable`` (the extension lists, with the argument limit raised to the
+argument count), ``wp`` (``wp_extension``), ``trace``
+(``deonarg.schema.trace_section`` of one ``wp`` result, so that the cost
+of turning the trace into records shows wherever it lies) and
+``verify_theorems`` (the whole check on the theory, limit raised).
 
 The ladder:
 
@@ -56,7 +58,8 @@ lists and of the check report, so columns taken on different code can
 be compared for identical output; ``--expect FILE`` exits 1 when a rung's
 digests differ from those of any column of FILE that has the rung.  The
 chain and fan rungs also record the MB that one built argument set
-retains (``build_retained_mb``, by ``tracemalloc``, untimed).  The ratios
+retains (``build_retained_mb``) and that decoding its records adds
+(``decoded_retained_mb``), by ``tracemalloc``, untimed.  The ratios
 of each column's medians against the first column are printed at the
 end; without ``--out`` nothing is written:
 
@@ -93,7 +96,8 @@ from deonarg.testkit import GeneratorParams, generate_theory
 REPEAT = 9
 
 STAGES = (
-    "parse", "build", "attacks", "grounded", "complete", "stable", "wp", "trace", "verify_theorems",
+    "parse", "build", "decode", "attacks", "grounded", "complete", "stable", "wp", "trace",
+    "verify_theorems",
 )
 
 #: fresh interpreters per start-up stage; the median is reported
@@ -194,6 +198,7 @@ def stage_calls(engine: ModuleType, text: str) -> tuple[dict, dict[str, Callable
     calls: dict[str, Callable[[], object]] = {
         "parse": lambda: engine.parse_theory(text),
         "build": lambda: engine.build_arguments(theory),
+        "decode": decode_call(arguments),
         "attacks": lambda: engine.compute_attacks(arguments, theory),
         "grounded": lambda: engine.grounded_extension(graph),
         "complete": lambda: engine.complete_extensions(graph, argument_limit=limit),
@@ -203,6 +208,23 @@ def stage_calls(engine: ModuleType, text: str) -> tuple[dict, dict[str, Callable
         "verify_theorems": lambda: engine.verify_theorems(theory, argument_limit=limit),
     }
     return rung, calls, arguments.index
+
+
+def decode_call(arguments: object) -> Callable[[], object]:
+    """Reads the set's ``ordered``, decoded afresh on every call.
+
+    The call empties the set's cache after reading it, so that the records
+    it returns are freed with the result, after the timing, not in the next call.
+    """
+    cache = type(arguments)._ordered
+    cache.__set__(arguments, None)
+
+    def decode() -> object:
+        ordered = arguments.ordered
+        cache.__set__(arguments, None)
+        return ordered
+
+    return decode
 
 
 def retained_mb(build: Callable[[], object]) -> float:
@@ -274,8 +296,11 @@ def run_rung(name: str, engines: dict[str, ModuleType]) -> dict[str, dict]:
     columns = list(engines)
     if name.startswith(("chain-", "fan-")):
         for column in columns:
-            rungs[column]["build_retained_mb"] = retained_mb(calls[column]["build"])
-            print(f"  {'retained MB':16} {column:8} {rungs[column]['build_retained_mb']:9.2f}")
+            rung = rungs[column]
+            rung["build_retained_mb"] = retained_mb(calls[column]["build"])
+            rung["decoded_retained_mb"] = retained_mb(calls[column]["decode"])
+            print(f"  {'retained MB':16} {column:8} {rung['build_retained_mb']:9.2f} build "
+                  f"{rung['decoded_retained_mb']:9.2f} decoded")
     for stage in STAGES:
         if stage in left_out:
             continue

@@ -45,7 +45,6 @@ from .semantics import (
     complete_extensions,
     evaluate,
     grounded_extension,
-    is_admissible,
     is_conflict_free,
     justified_conclusions,
     stable_extensions,
@@ -55,10 +54,7 @@ from .wp import (
     StatusChange,
     TraceStep,
     WpExtension,
-    supported_by,
     supports,
-    undercut_by,
-    undercuts,
     wp_extension,
 )
 
@@ -106,7 +102,6 @@ __all__ = [
     "evaluate",
     "facultative_status",
     "grounded_extension",
-    "is_admissible",
     "is_conflict_free",
     "justified_conclusions",
     "lit",
@@ -117,10 +112,7 @@ __all__ = [
     "push_negation",
     "serialize_theory",
     "stable_extensions",
-    "supported_by",
     "supports",
-    "undercut_by",
-    "undercuts",
     "validate_theory",
     "verify_theorems",
     "wp_conflicted_literals",

@@ -48,27 +48,25 @@ ArgumentId = str
 class Argument(Record):
     """Base class; concrete forms are the four records below.
 
-    Arguments are immutable trees, so every value derived from a tree (its
-    height, hash, rule labels and structural key) is computed once, from the
-    children's stored values, when the argument is constructed.  Equality
-    compares a form's own fields (``Record``) down the trees, and ``repr``,
-    pickling and copying walk them, all without recursion; the hash is the
-    stored one.
+    Arguments are immutable trees.  An argument stores its form's fields and
+    two values derived from its tree, its height and hash, computed once from
+    the children's when it is constructed; nothing it stores grows with the
+    tree below it.  Equality compares a form's own fields (``Record``) down
+    the trees, and ``repr``, pickling and copying walk them, all without
+    recursion; the hash is the stored one.
     """
 
-    __slots__ = ("_height", "_hash", "_labels", "_key")
+    __slots__ = ("_height", "_hash")
     kind: ClassVar[str]  # each form's name, as the JSON output spells it
     _plain: ClassVar[tuple[str, ...]] = ()  # the fields other than the children
 
-    def _derive(self, children: tuple[Argument, ...], labels: frozenset[str]) -> None:
+    def _derive(self, children: tuple[Argument, ...]) -> None:
         height = 1 + max(child._height for child in children) if children else 0
-        rank = _KIND_RANKS[self.kind]
-        head = (height, rank, self.top_rule or "", conclusion_sort_key(self.conclusion))
-        set_height, set_hash, set_labels, set_key = Argument._setters
+        head = (height, _KIND_RANKS[self.kind], self.top_rule or "",
+                conclusion_sort_key(self.conclusion))
+        set_height, set_hash = Argument._setters
         set_height(self, height)
         set_hash(self, hash((head, tuple(child._hash for child in children))))
-        set_labels(self, labels)
-        set_key(self, (*head, tuple(child._key for child in children)))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -150,10 +148,6 @@ class Argument(Record):
         """The subargument closure, including the argument itself."""
         return frozenset([node for node, _, _ in self._flat()])
 
-    def tree_labels(self) -> frozenset[str]:
-        """Labels of every rule applied anywhere in the tree."""
-        return self._labels
-
 
 class ImaginaryArgument(Argument):
     """Concludes the weak permission of its literal; has no premises."""
@@ -164,7 +158,7 @@ class ImaginaryArgument(Argument):
     def __init__(self, literal: Literal) -> None:
         (set_literal,) = self._setters
         set_literal(self, literal)
-        self._derive((), frozenset())
+        self._derive(())
 
     @property
     def conclusion(self) -> Conclusion:
@@ -178,7 +172,7 @@ class FactArgument(Argument):
     def __init__(self, literal: Literal) -> None:
         (set_literal,) = self._setters
         set_literal(self, literal)
-        self._derive((), frozenset())
+        self._derive(())
 
     @property
     def conclusion(self) -> Conclusion:
@@ -196,7 +190,7 @@ class RuleApplication(Argument):
         set_rule, set_subs = self._setters
         set_rule(self, rule)
         set_subs(self, subs)
-        self._derive(subs, frozenset((rule.label,)).union(*(child._labels for child in subs)))
+        self._derive(subs)
 
     @classmethod
     def _init_args(cls, plain: list, children: list) -> tuple:
@@ -224,7 +218,7 @@ class DAxiomArgument(Argument):
     def __init__(self, base: Argument) -> None:
         (set_base,) = self._setters
         set_base(self, base)
-        self._derive((base,), base._labels)  # a permission argument shares its base's labels
+        self._derive((base,))
 
     @property
     def conclusion(self) -> Conclusion:
@@ -255,18 +249,9 @@ def _rebuild(flat: list[tuple[type, list, list[int]]]) -> Argument:
     return made[-1]
 
 
-#: each kind's place in the structural key; imaginary arguments are numbered
-#: apart from the natural ones, and their rank orders them as children
+#: each kind's place in the id order and the hash; imaginary arguments are
+#: numbered apart from the natural ones, and their rank orders them as children
 _KIND_RANKS = {"fact": 0, "rule-application": 1, "permission-axiom": 2, "imaginary": 2}
-
-
-def structural_key(argument: Argument) -> tuple:
-    """Total deterministic order on natural arguments (used for id assignment).
-
-    ``(height, kind rank, top rule, conclusion key, children's keys)``,
-    stored on the argument when it is constructed.
-    """
-    return argument._key
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +444,10 @@ def build_arguments(theory: Theory) -> ArgumentSet:
     only the combinations with a new member (semi-naive evaluation): each
     such combination is tried once, by the position of its first new
     member.  A combination whose rule-label bitset holds the rule's own
-    label is skipped.  The ids follow the structural key, ranked one height
-    at a time: a row's key holds its children's ranks in place of their
-    keys.  The imaginary rows rank last at height 0, in universe order, so
+    label is skipped.  The natural ids follow the structural key, ``(height,
+    kind rank, top rule, conclusion key, children's keys)``, ranked one
+    height at a time: a row's key holds its children's ranks in place of
+    their keys.  The imaginary rows rank last at height 0, in universe order, so
     they take those ranks without a key.  No ``Argument`` object is built.
     """
     universe = theory.literal_universe

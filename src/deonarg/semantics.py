@@ -99,21 +99,6 @@ def is_conflict_free(graph: AttackGraph, members: Iterable[str]) -> bool:
     return not conflicting_members(graph, frozenset(members))
 
 
-def is_admissible(graph: AttackGraph, members: Iterable[str]) -> bool:
-    """Conflict-free and every attacker of a member is counter-attacked."""
-    chosen = frozenset(members)
-    if not is_conflict_free(graph, chosen):
-        return False
-    attacked = {
-        target for member in chosen for target in graph.targets_of(member)
-    }
-    return all(
-        attacker in attacked
-        for member in chosen
-        for attacker in graph.attackers_of(member)
-    )
-
-
 # ---------------------------------------------------------------------------
 # grounded semantics
 # ---------------------------------------------------------------------------

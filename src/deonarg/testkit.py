@@ -1,16 +1,18 @@
 """Independent verification tools: brute-force semantics, a reference
-argument construction, a reference attack scan, a reference
-weak-permission iteration and a theory generator.
+argument construction, a reference attack scan, the support and undercut
+predicates, a reference weak-permission iteration and a theory generator.
 
 The brute-force evaluator enumerates every subset of arguments and applies
 the extension definitions directly (conflict-freeness, defence of every
 member, closure under defended arguments, attacking every outsider).  The
-reference construction chains forward over ``Argument`` objects and reads
-the closures off the trees.  The reference attack scan visits every
-subargument of every target and finds its attackers by scanning the
-argument set.  The reference weak-permission iteration re-tests every
-argument in every round against the predicate definitions.  They read
-only the argument trees and the attack records, and share no index or
+reference construction chains forward over ``Argument`` objects, numbers
+them by its own structural key and reads the closures off the trees.  The
+reference attack scan visits every subargument of every target and finds
+its attackers by scanning the argument set.  Support and undercut are
+stated once, over the closures read off the trees and the attackers found
+by a scan of the attack records; the reference weak-permission iteration
+re-tests every argument in every round against them.  The tools read only
+the argument trees and the attack records, and share no index, key or
 traversal code with the engine, so they serve as oracles for it on small
 instances.
 """
@@ -20,6 +22,7 @@ from __future__ import annotations
 import itertools
 import random
 import string
+from typing import Iterable
 
 from .arguments import (
     Argument,
@@ -30,7 +33,6 @@ from .arguments import (
     ImaginaryArgument,
     RuleApplication,
     build_arguments,
-    structural_key,
 )
 from .attacks import AttackGraph
 from .wp import FixpointInvariantError, StatusChange, TraceStep, WpExtension
@@ -43,6 +45,7 @@ from .model import (
     Record,
     Rule,
     Theory,
+    conclusion_sort_key,
     obl,
 )
 
@@ -130,6 +133,11 @@ def _unmask(mask: int, ids: tuple[ArgumentId, ...]) -> frozenset[ArgumentId]:
 # ---------------------------------------------------------------------------
 
 
+#: each form's place in the structural key; imaginary arguments are numbered
+#: apart from the natural ones, and their rank orders them as children
+_RANKS = {FactArgument: 0, RuleApplication: 1, DAxiomArgument: 2, ImaginaryArgument: 2}
+
+
 def reference_arguments(
     theory: Theory,
 ) -> tuple[tuple[tuple[ArgumentId, Argument], ...], dict[ArgumentId, tuple[ArgumentId, ...]]]:
@@ -138,29 +146,43 @@ def reference_arguments(
     Every round applies every rule to every matching combination of the
     arguments so far, except those whose trees already use its label, and
     adds each obligation's permission, until a round finds nothing new.
-    Natural arguments are numbered in ``structural_key`` order, imaginary
-    ones in literal order; the closures are read off the trees.
+    Natural arguments are numbered in the order of their structural key,
+    ``(height, form rank, top rule, conclusion key, children's keys)``,
+    imaginary ones in literal order; the closures are read off the trees.
     """
-    imaginary = [ImaginaryArgument(literal) for literal in theory.literal_universe]
-    naturals: set[Argument] = {FactArgument(literal) for literal in theory.facts}
+    labels: dict[Argument, frozenset[str]] = {}  # every rule label in the tree
+    keys: dict[Argument, tuple] = {}  # the structural key
+
+    def note(argument: Argument) -> Argument:  # its children are noted already
+        children = argument.children
+        own = {argument.rule.label} if isinstance(argument, RuleApplication) else set()
+        labels[argument] = frozenset(own.union(*[labels[child] for child in children]))
+        height = 1 + max(keys[child][0] for child in children) if children else 0
+        keys[argument] = (height, _RANKS[argument.__class__], argument.top_rule or "",
+                          conclusion_sort_key(argument.conclusion),
+                          tuple([keys[child] for child in children]))
+        return argument
+
+    imaginary = [note(ImaginaryArgument(literal)) for literal in theory.literal_universe]
+    naturals: set[Argument] = {note(FactArgument(literal)) for literal in theory.facts}
     while True:
         built = [*naturals, *imaginary]
         found: set[Argument] = {
-            RuleApplication(rule, subs)
+            note(RuleApplication(rule, subs))
             for rule in theory.rules
             for subs in itertools.product(
                 *([a for a in built if a.conclusion == element] for element in rule.body)
             )
-            if not any(rule.label in sub.tree_labels() for sub in subs)
+            if not any(rule.label in labels[sub] for sub in subs)
         }
         found |= {
-            DAxiomArgument(a) for a in found
+            note(DAxiomArgument(a)) for a in found
             if getattr(a.conclusion, "operator", None) is DeonticOperator.OBLIGATION
         }
         if found <= naturals:
             break
         naturals |= found
-    ordered = [(f"A{n}", a) for n, a in enumerate(sorted(naturals, key=structural_key))]
+    ordered = [(f"A{n}", a) for n, a in enumerate(sorted(naturals, key=keys.__getitem__))]
     ordered += [(f"I{n + 1}", a) for n, a in enumerate(imaginary)]
     position = {argument: n for n, (_, argument) in enumerate(ordered)}
     closures = {
@@ -224,6 +246,65 @@ def reference_attacks(
 
 
 # ---------------------------------------------------------------------------
+# support and undercut
+# ---------------------------------------------------------------------------
+
+
+class ReferenceGraph(Record):
+    """What the predicates read of an attack graph, once: the ids, the imaginary ids, each
+    argument's proper subargument closure (off its tree) and attackers (in id order), and
+    the attackers at each witness and the attacking pairs (off the attack records)."""
+
+    __slots__ = _fields = ("ids", "imaginary", "proper", "attackers", "at_witness", "pairs")
+
+
+def reference_graph(graph: AttackGraph) -> ReferenceGraph:
+    arguments = graph.arguments
+    ids = arguments.ids
+    order = {identifier: n for n, identifier in enumerate(ids)}
+    named = {argument: identifier for identifier, argument in arguments}
+    proper = {
+        identifier: tuple(sorted({named[sub] for sub in argument.subarguments()} - {identifier},
+                                 key=order.__getitem__))
+        for identifier, argument in arguments
+    }
+    imaginary = frozenset(i for i, argument in arguments if isinstance(argument, ImaginaryArgument))
+    attacking: dict[ArgumentId, set[ArgumentId]] = {identifier: set() for identifier in ids}
+    at_witness: dict[ArgumentId, set[ArgumentId]] = {identifier: set() for identifier in ids}
+    for edge in graph.edges:
+        attacking[edge.target].add(edge.attacker)
+        at_witness[edge.witness].add(edge.attacker)
+    attackers = {i: tuple(sorted(found, key=order.__getitem__)) for i, found in attacking.items()}
+    pairs = frozenset((edge.attacker, edge.target) for edge in graph.edges)
+    return ReferenceGraph(ids, imaginary, proper, attackers, at_witness, pairs)
+
+
+def supported_by(view: ReferenceGraph, members: Iterable[ArgumentId]) -> frozenset[ArgumentId]:
+    """The arguments the set supports: those whose every proper subargument is a member."""
+    chosen = frozenset(members)
+    return frozenset(i for i in view.ids if chosen.issuperset(view.proper[i]))
+
+
+def undercut_by(view: ReferenceGraph, members: Iterable[ArgumentId]) -> frozenset[ArgumentId]:
+    """The arguments the set undercuts: it supports an attacker at a proper natural subargument.
+
+    Only records whose witness is a proper, non-imaginary subargument of the
+    argument count; a rebuttal witnessed at the argument itself never
+    undercuts it.
+    """
+    supported = supported_by(view, members)
+    return frozenset(
+        identifier for identifier in view.ids
+        if any(witness not in view.imaginary and not supported.isdisjoint(view.at_witness[witness])
+               for witness in view.proper[identifier])
+    )
+
+
+def undercuts(view: ReferenceGraph, members: Iterable[ArgumentId], identifier: ArgumentId) -> bool:
+    return identifier in undercut_by(view, members)
+
+
+# ---------------------------------------------------------------------------
 # reference weak-permission iteration
 # ---------------------------------------------------------------------------
 
@@ -233,59 +314,35 @@ def reference_wp(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
 
     Every round re-tests every argument against the previous snapshot:
     rejection first, then acceptance, with the same guards, clauses,
-    witnesses and invariant checks as ``wp.wp_extension``.  Subargument
-    closures come from the recursive argument trees and attackers from a
-    scan of the attack records.  Each round rescans closures, so the cost
-    is cubic on tall chains: keep instances small.
+    witnesses and invariant checks as ``wp.wp_extension``.  Support and
+    undercut are the predicates above, evaluated on the whole snapshot
+    each round, so the cost is cubic on tall chains: keep instances small.
     """
-    arguments = graph.arguments
-    ids = arguments.ids
+    view = reference_graph(graph)
+    ids, imaginary, proper, attackers = view.ids, view.imaginary, view.proper, view.attackers
     order = {identifier: n for n, identifier in enumerate(ids)}
 
     def in_order(found) -> tuple[ArgumentId, ...]:
         return tuple(sorted(found, key=order.__getitem__))
 
-    proper = {}
-    for identifier in ids:
-        closure = {arguments.id_of(sub) for sub in arguments.argument(identifier).subarguments()}
-        proper[identifier] = in_order(closure - {identifier})
-    imaginary = {identifier for identifier in ids if arguments.argument(identifier).is_imaginary}
-    attacking: dict[ArgumentId, set[ArgumentId]] = {identifier: set() for identifier in ids}
-    at_witness: dict[ArgumentId, set[ArgumentId]] = {identifier: set() for identifier in ids}
-    for edge in graph.edges:
-        attacking[edge.target].add(edge.attacker)
-        at_witness[edge.witness].add(edge.attacker)
-    attackers = {identifier: in_order(found) for identifier, found in attacking.items()}
-    pairs = {(edge.attacker, edge.target) for edge in graph.edges}
-
-    def supported(members, identifier) -> bool:
-        return all(sub in members for sub in proper[identifier])
-
-    def undercut(members, identifier) -> bool:
-        return any(
-            witness not in imaginary
-            and any(supported(members, attacker) for attacker in at_witness[witness])
-            for witness in proper[identifier]
-        )
-
-    def rejection(identifier, rejected, justified) -> StatusChange | None:
+    def rejection(identifier, rejected, justified, supported) -> StatusChange | None:
         if identifier in imaginary:
             hits = tuple(a for a in attackers[identifier] if a in justified)
             return StatusChange(identifier, "attacker-justified", hits) if hits else None
         hits = tuple(sub for sub in proper[identifier] if sub in rejected)
         if hits:
             return StatusChange(identifier, "subargument-rejected", hits)
-        hits = tuple(a for a in attackers[identifier] if supported(justified, a))
+        hits = tuple(a for a in attackers[identifier] if a in supported)
         return StatusChange(identifier, "attacker-supported", hits) if hits else None
 
-    def acceptance(identifier, rejected, justified) -> StatusChange | None:
+    def acceptance(identifier, rejected, supported, undercut) -> StatusChange | None:
         if identifier in imaginary:
             clause = "attackers-all-rejected"
             holds = all(a in rejected for a in attackers[identifier])
         else:
             clause = "supported-and-defended"
-            holds = supported(justified, identifier) and all(
-                a in rejected or undercut(justified, a) for a in attackers[identifier]
+            holds = identifier in supported and all(
+                a in rejected or a in undercut for a in attackers[identifier]
             )
         return StatusChange(identifier, clause, attackers[identifier]) if holds else None
 
@@ -295,11 +352,12 @@ def reference_wp(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
     index = 0
     while True:  # each round that does not stop adds an argument to a finite set
         index += 1
+        supported, undercut = supported_by(view, justified), undercut_by(view, justified)
         newly_rejected = []
         for identifier in ids:
             if identifier in rejected or (fixpoint_guards and identifier in justified):
                 continue
-            change = rejection(identifier, rejected, justified)
+            change = rejection(identifier, rejected, justified, supported)
             if change is not None:
                 newly_rejected.append(change)
         grown_rejected = rejected | {change.argument for change in newly_rejected}
@@ -307,7 +365,7 @@ def reference_wp(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
         for identifier in ids:
             if identifier in justified or (fixpoint_guards and identifier in grown_rejected):
                 continue
-            change = acceptance(identifier, rejected, justified)
+            change = acceptance(identifier, rejected, supported, undercut)
             if change is not None:
                 newly_justified.append(change)
         grown_justified = justified | {change.argument for change in newly_justified}
@@ -317,7 +375,7 @@ def reference_wp(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
             raise FixpointInvariantError(index, "overlap", in_order(overlap))
         clash = {
             member
-            for attacker, target in pairs
+            for attacker, target in view.pairs
             if attacker in grown_justified and target in grown_justified
             for member in (attacker, target)
         }

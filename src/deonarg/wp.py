@@ -26,8 +26,8 @@ links and attack records.  The predicates are written out in the loop,
 and each status change is kept as a row of positions, ``(argument,
 clause, witnesses)``, with no record built: ``schema.trace_section``
 reads the rows, and ``WpExtension.steps`` decodes them when first read.
-The public ``supports`` and ``undercuts`` are the direct definitions,
-evaluated by scanning.
+The public ``supports``, which ``analysis`` reads, is support's direct
+definition; ``testkit`` states support and undercut over the trees.
 """
 
 from __future__ import annotations
@@ -58,39 +58,13 @@ class FixpointInvariantError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# support and undercut
+# support
 # ---------------------------------------------------------------------------
 
 
 def supports(arguments: ArgumentSet, members: Iterable[str], identifier: str) -> bool:
     """True when every proper subargument of the argument is a member."""
     return frozenset(arguments.proper_sub_ids(identifier)) <= frozenset(members)
-
-
-def supported_by(arguments: ArgumentSet, members: Iterable[str]) -> frozenset[str]:
-    chosen = frozenset(members)
-    return frozenset(i for i in arguments.ids if supports(arguments, chosen, i))
-
-
-def undercuts(graph: AttackGraph, members: Iterable[str], identifier: str) -> bool:
-    """True when the set supports an attack on a proper natural subargument.
-
-    Only attack records whose witness is a proper, non-imaginary
-    subargument of the argument count; a rebuttal witnessed at the
-    argument itself never undercuts it.
-    """
-    chosen, arguments = frozenset(members), graph.arguments
-    return any(
-        supports(arguments, chosen, attacker)
-        for witness in arguments.proper_sub_ids(identifier)
-        if arguments.kind(witness) != "imaginary"
-        for attacker in graph.attackers_at(witness)
-    )
-
-
-def undercut_by(graph: AttackGraph, members: Iterable[str]) -> frozenset[str]:
-    chosen = frozenset(members)
-    return frozenset(i for i in graph.arguments.ids if undercuts(graph, chosen, i))
 
 
 # ---------------------------------------------------------------------------

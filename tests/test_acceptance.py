@@ -14,14 +14,21 @@ from deonarg import (
     justified_conclusions,
     parse_theory,
     serialize_theory,
-    supported_by,
-    undercut_by,
+    supports,
     wp_extension,
 )
 from deonarg.analysis import conflicted_literals, wp_conflicted_literals
 from deonarg.corpus import BUILTIN_THEORIES
 from deonarg.semantics import grounded_extension, is_conflict_free
-from deonarg.testkit import GeneratorParams, brute_force_extensions, generate_theory
+from deonarg.testkit import (
+    GeneratorParams,
+    brute_force_extensions,
+    generate_theory,
+    reference_graph,
+    supported_by,
+    undercut_by,
+    undercuts,
+)
 
 
 def conclusion_names(arguments, justified):
@@ -222,19 +229,29 @@ def test_superiority_adjudication_keeps_weak_permissions_and_the_winning_obligat
 
 def test_support_and_undercut_sets_match_the_frozen_values(support_undercut):
     arguments, graph = support_undercut.arguments, support_undercut.graph
+    view = reference_graph(graph)
     imaginary = set(arguments.imaginary_ids())
 
-    assert supported_by(arguments, frozenset()) == imaginary | {"A0", "A1"}
-    assert supported_by(arguments, frozenset({"A0"})) == imaginary | {"A0", "A1", "A2"}
+    # the empty set supports exactly the premise-free arguments, and support
+    # grows with the supporting set; the engine's ``supports`` agrees
+    base = supported_by(view, frozenset())
+    assert base == imaginary | {"A0", "A1"}
+    grown = supported_by(view, frozenset({"A0"}))
+    assert grown == imaginary | {"A0", "A1", "A2"}
+    for members, supported in ((set(), base), ({"A0"}, grown)):
+        assert {i for i in arguments.ids if supports(arguments, members, i)} == supported
 
-    with_fact = undercut_by(graph, frozenset({"A0"}))
-    assert "A4" in with_fact
-    assert "A3" not in with_fact  # its only premise is imaginary, never undercut
-    # divergence note: under the witness-at-a-proper-subargument reading the
-    # empty set undercuts only the derived permission, not the obligation
-    # argument it rebuts directly
-    assert undercut_by(graph, frozenset()) == {"A5"}
-    assert with_fact == {"A4", "A5"}
+    # an undercut needs a supported attacker at a proper natural subargument:
+    # perm(~b) needs no premises, so its attack at the obl(b) premise of perm(b)
+    # is grounded even by the empty set, and the obligation argument it rebuts
+    # directly is not undercut
+    assert undercut_by(view, frozenset()) == {"A5"}
+    # with the fact for a supported, obl(b) grounds the attack into e's premise
+    assert undercut_by(view, frozenset({"A0"})) == {"A4", "A5"}
+    assert undercuts(view, {"A0"}, "A4")
+    assert not undercuts(view, {"A0"}, "A3")  # its only premise is imaginary
+    # A1 attacks A2 at A2's own conclusion; that is not an undercut of A2
+    assert not undercuts(view, {"A0"}, "A2")
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,8 @@ from deonarg import (
     verify_theorems,
     wp_extension,
 )
-from deonarg.arguments import Argument, structural_key
+from deonarg.arguments import Argument
 from deonarg.cli import main
-from deonarg.model import conclusion_sort_key
 from deonarg.schema import arguments_section, attacks_section, trace_section
 from deonarg.semantics import SEMANTICS_NAMES
 from deonarg.testkit import GeneratorParams, generate_theory, reference_arguments
@@ -174,27 +173,6 @@ def _height(argument):
     return 1 + max(_height(c) for c in argument.children) if argument.children else 0
 
 
-def _labels(argument):
-    own = {argument.rule.label} if isinstance(argument, RuleApplication) else set()
-    return frozenset(own.union(*(_labels(c) for c in argument.children)))
-
-
-def _kind(argument):
-    if isinstance(argument, FactArgument):
-        return 0
-    return 1 if isinstance(argument, RuleApplication) else 2
-
-
-def _key(argument):
-    return (
-        _height(argument),
-        _kind(argument),
-        argument.top_rule or "",
-        conclusion_sort_key(argument.conclusion),
-        tuple(_key(c) for c in argument.children),
-    )
-
-
 def _rebuild(argument):
     if isinstance(argument, ImaginaryArgument):
         return ImaginaryArgument(argument.literal)
@@ -224,8 +202,6 @@ def test_stored_argument_values_match_their_definitions():
         arguments = build_arguments(generate_theory(params))
         for position, (identifier, argument) in enumerate(arguments):
             assert argument.height == _height(argument)
-            assert argument.tree_labels() == _labels(argument)
-            assert structural_key(argument) == _key(argument)
             subs = {arguments.id_of(sub) for sub in argument.subarguments()}
             assert arguments.sub_ids(identifier) == tuple(sorted(subs, key=arguments.index))
             rebuilt = _rebuild(argument)
@@ -282,6 +258,21 @@ def test_tall_argument_sets_compare_without_recursion():
     top = first.argument(first.natural_ids()[-1])
     assert isinstance(top, DAxiomArgument) and str(top.conclusion) == "perm(z)"
     assert len(top.subarguments()) == 1003
+
+
+def test_an_argument_stores_only_its_fields_height_and_hash():
+    for form in (ImaginaryArgument, FactArgument, RuleApplication, DAxiomArgument):
+        slots = {slot for cls in form.__mro__ for slot in cls.__dict__.get("__slots__", ())}
+        assert slots == {*form._fields, "_height", "_hash"}, form
+
+
+def test_decoding_a_tall_chain_holds_little_memory():
+    # one record per argument, its children shared: nothing a node stores grows
+    # with the height of the tree below it
+    ladder = _ladder()
+    arguments = build_arguments(parse_theory(ladder.chain(1000)))
+    assert ladder.retained_mb(lambda: arguments.ordered) < 4
+    assert len(arguments.ordered) == len(arguments)
 
 
 def test_hashing_a_set_or_its_graph_decodes_no_argument():

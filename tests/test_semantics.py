@@ -16,7 +16,6 @@ from deonarg import (
     compute_attacks,
     evaluate,
     grounded_extension,
-    is_admissible,
     is_conflict_free,
     justified_conclusions,
     parse_theory,
@@ -148,13 +147,6 @@ def test_conflict_freeness_predicate(two_obligations):
     assert is_conflict_free(graph, {"A0", "A2", "I1"})
     assert not is_conflict_free(graph, {"A0", "A1"})
     assert is_conflict_free(graph, set())
-
-
-def test_admissibility_requires_defence(two_obligations):
-    graph = two_obligations.graph
-    assert is_admissible(graph, {"A0", "A2", "I1"})
-    assert is_admissible(graph, {"A0"})  # counterattacks both its attackers
-    assert not is_admissible(graph, {"I1"})  # I1 cannot answer A1 itself
 
 
 def test_extensions_are_sorted_by_size_then_membership(two_obligations):
