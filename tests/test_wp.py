@@ -10,13 +10,60 @@ from deonarg import (
     compute_attacks,
     is_conflict_free,
     parse_theory,
+    supports,
     wp_extension,
 )
-from deonarg.testkit import reference_wp
+from deonarg.testkit import (
+    reference_graph,
+    reference_wp,
+    supported_by,
+    undercut_by,
+    undercuts,
+)
 
 
 def changes(step_changes):
     return [(c.argument, c.clause, list(c.witnesses)) for c in step_changes]
+
+
+# ---------------------------------------------------------------------------
+# support and undercut (the testkit's reference predicates)
+# ---------------------------------------------------------------------------
+
+
+def test_the_empty_set_supports_exactly_the_premise_free_arguments(support_undercut):
+    view = reference_graph(support_undercut.graph)
+    assert sorted(supported_by(view, frozenset())) == [
+        "A0", "A1", "I1", "I2", "I3", "I4", "I5", "I6", "I7", "I8",
+    ]
+
+
+def test_support_grows_with_the_supporting_set(support_undercut):
+    view = reference_graph(support_undercut.graph)
+    base = supported_by(view, frozenset())
+    grown = supported_by(view, frozenset({"A0"}))
+    assert grown - base == {"A2"}
+    assert supports(support_undercut.arguments, {"A0"}, "A2")
+    assert not supports(support_undercut.arguments, set(), "A2")
+
+
+def test_undercut_requires_a_supported_attacker_at_a_proper_natural_subargument(
+    support_undercut,
+):
+    view = reference_graph(support_undercut.graph)
+    # perm(~b) needs no premises, so its attack at the obl(b) premise of
+    # perm(b) is grounded even by the empty set
+    assert undercut_by(view, frozenset()) == {"A5"}
+    # with the fact for a supported, obl(b) grounds the attack into e's premise
+    assert undercut_by(view, frozenset({"A0"})) == {"A4", "A5"}
+    assert undercuts(view, {"A0"}, "A4")
+    assert not undercuts(view, {"A0"}, "A3")  # its only premise is imaginary
+
+
+def test_rebuttals_at_the_argument_itself_never_undercut(support_undercut):
+    # A1 attacks A2 at A2's own conclusion; that is not an undercut of A2
+    view = reference_graph(support_undercut.graph)
+    assert not undercuts(view, {"A0"}, "A2")
 
 
 # ---------------------------------------------------------------------------
