@@ -24,7 +24,7 @@ modular hash-consing", 2006).
 from __future__ import annotations
 
 import bisect
-from itertools import product
+from itertools import chain, product
 from typing import ClassVar, Iterable, Iterator
 
 from .model import (
@@ -297,10 +297,13 @@ class ArgumentSet(Record):
         subs = [(n,) for n in range(len(rows))]
         for n in by_height:
             children = rows[n][3]
-            if len(children) == 1:  # most rows: insert n into the child's closure
+            if len(children) == 1:  # most rows: the child's closure and n
                 below = subs[children[0]]
-                k = bisect.bisect(below, n)
-                subs[n] = (*below[:k], n, *below[k:])
+                if below[-1] < n:  # n comes after every row in it, as in a chain
+                    subs[n] = below + (n,)
+                else:  # a row numbered after n is in it: in a built set, an imaginary one
+                    k = bisect.bisect(below, n)
+                    subs[n] = (*below[:k], n, *below[k:])
             elif children:
                 subs[n] = tuple(sorted({n}.union(*[subs[child] for child in children])))
         supers: list[list[int]] = [[] for _ in rows]
@@ -406,33 +409,10 @@ class ArgumentSet(Record):
         n = self._positions[identifier]
         return self._decode([sub for sub in self._subs[n] if sub != n])
 
-    def super_ids(self, identifier: ArgumentId) -> frozenset[ArgumentId]:
-        """Every argument whose closure contains this one, including the argument."""
-        return frozenset(self._decode(self._supers[self._positions[identifier]]))
-
 
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
-
-
-def _new_combinations(
-    pools: list[list[int]], done: list[int], sizes: list[int]
-) -> Iterator[tuple[int, ...]]:
-    """Combinations of the first ``sizes`` members of each pool that use a
-    member past the first ``done`` of its pool.
-
-    Each is yielded once, by the position ``j`` of its first new member:
-    positions before ``j`` take old members, position ``j`` a new one and
-    later positions any member.  The pools may grow meanwhile.
-    """
-    for j in range(len(pools)):
-        if done[j] < sizes[j]:
-            yield from product(
-                *(pool[:old] for pool, old in zip(pools[:j], done)),
-                pools[j][done[j] : sizes[j]],
-                *(pool[:size] for pool, size in zip(pools[j + 1 :], sizes[j + 1 :])),
-            )
 
 
 def build_arguments(theory: Theory) -> ArgumentSet:
@@ -466,12 +446,10 @@ def build_arguments(theory: Theory) -> ArgumentSet:
             pools.append([])
         return index
 
-    def add(*row) -> None:
-        pools[row[2]].append(len(found))
-        found.append(row)
-
     for literal in sorted(theory.facts, key=Literal.sort_key):
-        add(FactArgument, None, intern(literal), (), 0, 0)
+        conclusion = intern(literal)
+        pools[conclusion].append(len(found))
+        found.append((FactArgument, None, conclusion, (), 0, 0))
 
     # equal rules would build equal arguments, so each is applied once (the
     # rules are sorted by label, so equal ones are neighbours)
@@ -487,30 +465,48 @@ def build_arguments(theory: Theory) -> ArgumentSet:
         body = [pools[intern(element)] for element in rule.body]
         plans.append((rule, body, bits.setdefault(rule.label, 1 << len(bits)), intern(head),
                       permission))
-    # per rule, the pool sizes it has combined (None before its first visit)
-    combined: list[list[int] | None] = [None] * len(plans)
+    # per rule, how much of its pools it has combined: a one-element body's pool size, other
+    # bodies' pool sizes (None before the first visit)
+    combined: list[int | list[int] | None] = [0 if len(plan[1]) == 1 else None for plan in plans]
     changed = True
     while changed:
         changed = False
         for r, (rule, body, own, head, permission) in enumerate(plans):
-            sizes, done = list(map(len, body)), combined[r]
-            if done == sizes:
-                continue  # no pool has a new member
-            combined[r] = sizes
-            # the first visit tries every combination, which fires an empty body once
-            combos = product(*body) if done is None else _new_combinations(body, done, sizes)
-            for combo in combos:
-                below, height = 0, 0
-                for sub in combo:
-                    _, _, _, _, level, labels = found[sub]
-                    below |= labels
-                    height = max(height, level + 1)
+            done = combined[r]
+            if len(body) == 1:  # most rules: one combination per new member
+                pool = body[0]
+                if done == len(pool):
+                    continue
+                combined[r] = len(pool)
+                combos = [((sub,), found[sub][5], found[sub][4]) for sub in pool[done:]]
+            else:  # the first visit tries every combination, which fires an empty body once;
+                # later ones each combination with a new member once, by the position j of its
+                # first new member: old members before j, a new one at j and any member after j
+                sizes = [*map(len, body)]
+                if done == sizes:
+                    continue  # no pool has a new member
+                combined[r] = sizes
+                combos = []
+                for children in product(*body) if done is None else chain.from_iterable([
+                    product(*[pool[:old] for pool, old in zip(body[:j], done)], body[j][old:size],
+                            *[pool[:size] for pool, size in zip(body[j + 1:], sizes[j + 1:])])
+                    for j, (old, size) in enumerate(zip(done, sizes)) if old < size
+                ]):
+                    below, top = 0, -1
+                    for sub in children:
+                        _, _, _, _, level, labels = found[sub]
+                        below |= labels
+                        top = max(top, level)
+                    combos.append((children, below, top))
+            for children, below, top in combos:
                 if below & own:
                     continue  # label already used on a path below: blocks cyclic growth
-                add(RuleApplication, rule, head, combo, height, below | own)
+                n = len(found)
+                pools[head].append(n)
+                found.append((RuleApplication, rule, head, children, top + 1, below | own))
                 if permission is not None:  # a permission argument shares its base's labels
-                    add(DAxiomArgument, rule, permission, (len(found) - 1,), height + 1,
-                        below | own)
+                    pools[permission].append(n + 1)
+                    found.append((DAxiomArgument, rule, permission, (n,), top + 2, below | own))
                 changed = True
 
     # rank-compressed structural keys, one height at a time; a level of one

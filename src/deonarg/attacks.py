@@ -148,10 +148,6 @@ class AttackGraph(Record):
         rows = self.rows
         return self._records(rows[bisect.bisect(rows, (a, t)) : bisect.bisect(rows, (a, t + 1))])
 
-    def attackers_at(self, witness: ArgumentId) -> tuple[ArgumentId, ...]:
-        """Distinct attackers of the records witnessed at the given argument."""
-        return self._decoded(self._at_witness, witness)
-
 
 # ---------------------------------------------------------------------------
 # computation

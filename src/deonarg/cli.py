@@ -196,7 +196,11 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
     )
     parser.add_argument("--version", action="version", version=f"deonarg, version {__version__}")
     commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
-    for name, (function, options) in _COMMANDS.items():
+    args = sys.argv[1:] if args is None else list(args)
+    # only the named command's parser is built; help, the version and a missing or
+    # unknown command list every command, so they build them all
+    for name in args[:1] if args and args[0] in _COMMANDS else _COMMANDS:
+        function, options = _COMMANDS[name]
         summary = function.__doc__
         command = commands.add_parser(name, help=summary, description=summary, allow_abbrev=False)
         for flags, settings in options:

@@ -12,14 +12,17 @@ Literals are ``ident`` or ``~ident``; deontic elements are ``obl(l)``,
 normalised at parse time (``~obl(p)`` parses as ``perm(~p)``), so parsed
 theories never contain negated modalities.
 
-One pattern scans the text into token kinds, texts and offsets; spans are
-built for errors only.  The result is hash-consed: each distinct atom,
-literal and deontic literal in it is one object, by a table local to the parse.
+One ``findall`` over a plain pattern scans the text into lexemes, and each
+distinct lexeme's kind is told from its text; an error rescans the text for
+its token's offset, so offsets and spans are found for errors only.  The
+result is hash-consed: each distinct atom, literal and deontic literal in it
+is one object, by a table local to the parse.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import islice
 
 from .model import (
     Atom,
@@ -38,17 +41,12 @@ from .model import (
 # tokens
 # ---------------------------------------------------------------------------
 
-#: for ``finditer``: the search steps over whitespace, comments match no named
-#: group, and ``bad`` is any other character the language has no token for
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<punct>=>|[~:,.()>])
-  | %[^\n]*
-  | (?P<bad>\S)
-    """,
-    re.VERBOSE,
-)
+#: for ``findall``: the search steps over whitespace, and a match is an identifier, a
+#: punctuation mark, a comment or (``\S``) a character that starts no token
+_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|=>|[~:,.()>]|%[^\n]*|\S")
+
+#: each punctuation lexeme's kind is its own text; every other token is an ``ident``
+_PUNCTUATION = frozenset(("=>", "~", ":", ",", ".", "(", ")", ">"))
 
 _OPERATORS = {op.value: op for op in DeonticOperator}
 
@@ -63,8 +61,11 @@ class SourceSpan(Record):
         return f"line {self.line}, column {self.column}"
 
 
-def _span(text: str, offset: int, lexeme: str) -> SourceSpan:
-    """The span of the token at ``offset``; only ``\\n`` starts a new line."""
+def _span(text: str, index: int, lexeme: str) -> SourceSpan:
+    """The span of the token at ``index`` of the scan, found by rescanning the text (errors
+    only); only ``\\n`` starts a new line."""
+    starts = (match.start() for match in _TOKEN_RE.finditer(text) if match.group()[0] != "%")
+    offset = next(islice(starts, index, None), len(text))
     line_start = text.rfind("\n", 0, offset) + 1
     return SourceSpan(text.count("\n", 0, line_start) + 1, offset - line_start + 1, lexeme)
 
@@ -82,19 +83,20 @@ class ParseError(Exception):
         super().__init__(detail)
 
 
-def _scan(text: str) -> tuple[list[str], list[str], list[int]]:
-    """The tokens' kinds, texts and offsets, then an ``eof`` token; a
-    :class:`ParseError` at the first character that starts no token."""
-    kinds, lexemes, offsets = [], [], []
-    for match in _TOKEN_RE.finditer(text):
-        kind, lexeme = match.lastgroup, match.group()
-        if kind == "bad":
-            raise ParseError(f"unexpected character {lexeme!r}", _span(text, match.start(), lexeme))
-        if kind is not None:  # not a comment
-            kinds.append(kind if kind == "ident" else lexeme)
-            lexemes.append(lexeme)
-            offsets.append(match.start())
-    return kinds + ["eof"], lexemes + [""], offsets + [len(text)]
+def _scan(text: str) -> tuple[list[str], list[str]]:
+    """The tokens' kinds and texts, then an ``eof`` token; a :class:`ParseError` at the
+    first character that starts no token."""
+    lexemes = _TOKEN_RE.findall(text)
+    if "%" in text:  # only a comment holds one
+        lexemes = [lexeme for lexeme in lexemes if lexeme[0] != "%"]
+    kind_of = dict.fromkeys(lexemes, "ident")  # each distinct lexeme, by first occurrence
+    for lexeme in kind_of:
+        if lexeme in _PUNCTUATION:
+            kind_of[lexeme] = lexeme
+        elif not (lexeme.isascii() and lexeme.isidentifier()):  # 'é'.isidentifier() holds
+            span = _span(text, lexemes.index(lexeme), lexeme)
+            raise ParseError(f"unexpected character {lexeme!r}", span)
+    return [*map(kind_of.__getitem__, lexemes), "eof"], lexemes + [""]
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +107,7 @@ def _scan(text: str) -> tuple[list[str], list[str], list[int]]:
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.kinds, self.lexemes, self.offsets = _scan(text)
+        self.kinds, self.lexemes = _scan(text)
         self.index = 0
         self.interned: dict = {}  # literals by (name, positive), others by (operator, literal)
 
@@ -117,11 +119,11 @@ class _Parser:
         return self.lexemes[index]
 
     def error(self, expected: str, after: str = "") -> ParseError:
-        """An "unexpected <current token>" error, its span built from the token's offset."""
+        """An "unexpected <current token>" error, its span found by rescanning the text."""
         index = self.index
         lexeme = self.lexemes[index]
         found = "end of input" if self.kinds[index] == "eof" else repr(lexeme)
-        span = _span(self.text, self.offsets[index], lexeme)
+        span = _span(self.text, index, lexeme)
         return ParseError(f"unexpected {found}{after}", span, expected)
 
     def _interned_literal(self, name: str, positive: bool) -> Literal:

@@ -40,6 +40,11 @@ def kinds(prepared):
     return {i: type(a).__name__ for i, a in prepared.arguments}
 
 
+def super_ids(arguments, identifier):
+    """The superargument closure, decoded from the index that attacks and wp read."""
+    return frozenset(arguments._decode(arguments._supers[arguments.index(identifier)]))
+
+
 def test_two_obligation_theory_builds_exactly_six_arguments(two_obligations):
     listing = [
         (i, str(a.conclusion), a.top_rule, list(two_obligations.arguments.sub_ids(i)))
@@ -230,7 +235,7 @@ def test_stored_closures_and_ids_match_their_definitions(goldens):
             assert arguments.proper_sub_ids(identifier) == tuple(
                 sorted(proper, key=arguments.index)
             )
-            assert arguments.super_ids(identifier) == {
+            assert super_ids(arguments, identifier) == {
                 other for other, closure in closures.items() if identifier in closure
             }
         for unknown in ("A-1", f"I{len(arguments) + 1}", "x"):
@@ -359,6 +364,14 @@ def test_the_table_matches_the_reference_construction(
             inject_conflict=True,
         )
         theories.append(generate_theory(params))
+    # one-element and longer bodies take different chaining paths: cyclic and acyclic draws of both
+    for max_body_len in (1, 3):
+        for seed in range(40):
+            params = GeneratorParams(
+                seed=seed, atom_count=4, rule_count=6, fact_count=2, max_body_len=max_body_len,
+                acyclic=seed % 2 == 0, inject_conflict=True,
+            )
+            theories.append(generate_theory(params))
     for theory in theories:
         arguments = build_arguments(theory)
         ordered, closures = reference_arguments(theory)
@@ -367,7 +380,7 @@ def test_the_table_matches_the_reference_construction(
             assert arguments.sub_ids(identifier) == closure
             proper = tuple(i for i in closure if i != identifier)
             assert arguments.proper_sub_ids(identifier) == proper
-            assert arguments.super_ids(identifier) == {
+            assert super_ids(arguments, identifier) == {
                 other for other, found in closures.items() if identifier in found
             }
 

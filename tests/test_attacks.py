@@ -26,6 +26,11 @@ def table(graph):
     return {(e.attacker, e.target, e.condition, e.witness) for e in graph.edges}
 
 
+def attackers_at(graph, witness):
+    """The attackers of the records witnessed at an argument, decoded from the index wp reads."""
+    return graph.arguments._decode(graph._at_witness[graph.arguments.index(witness)])
+
+
 def test_two_obligation_conflict_attack_table(two_obligations):
     assert table(two_obligations.graph) == {
         ("A0", "A1", 3, "A1"),
@@ -164,7 +169,7 @@ def test_indexes_agree_with_the_edge_list(chained, goldens):
             at_witness = [e.attacker for e in graph.edges if e.witness == identifier]
             assert graph.attackers_of(identifier) == tuple(sorted(attackers, key=index))
             assert graph.targets_of(identifier) == tuple(sorted(targets, key=index))
-            assert graph.attackers_at(identifier) == tuple(dict.fromkeys(at_witness))
+            assert attackers_at(graph, identifier) == tuple(dict.fromkeys(at_witness))
             for other in prepared.arguments.ids:
                 assert graph.records_between(identifier, other) == tuple(
                     e for e in graph.edges if (e.attacker, e.target) == (identifier, other)
@@ -211,7 +216,7 @@ def test_compute_attacks_matches_a_target_first_scan():
                 at_witness = [a for a, _, _, w in edges if w == identifier]
                 assert graph.attackers_of(identifier) == tuple(sorted(attackers, key=order))
                 assert graph.targets_of(identifier) == tuple(sorted(targets, key=order))
-                assert graph.attackers_at(identifier) == tuple(dict.fromkeys(at_witness))
+                assert attackers_at(graph, identifier) == tuple(dict.fromkeys(at_witness))
             for attacker, target in graph.pairs:
                 assert rows(graph.records_between(attacker, target)) == [
                     r for r in edges if r[:2] == (attacker, target)

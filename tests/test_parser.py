@@ -254,3 +254,51 @@ def test_parse_errors_match_the_golden_table(text, message, line, column, lexeme
     assert str(error) == message
     assert (error.span.line, error.span.column, error.span.lexeme) == (line, column, lexeme)
     assert error.expected == expected
+
+
+#: characters that start no token: a digit only continues an identifier
+_STRAYS = ("$", "1", "é")
+
+
+def _first_stray(text: str) -> tuple[int, int, str] | None:
+    """Line, column and text of the first character outside a comment that starts no token
+    (a ``$`` put inside ``=>`` leaves a lone ``=``), found one character at a time."""
+    line, column, comment, word = 1, 0, False, False
+    for offset, char in enumerate(text):
+        column += 1
+        if char == "\n":
+            line, column, comment, word = line + 1, 0, False, False
+        elif not comment:
+            continues = char.isascii() and (char.isalnum() or char == "_")
+            word = continues and (word or not char.isdigit())
+            token = word or char in "~:,.()>" or text.startswith("=>", offset)
+            if char == "%":
+                comment = True
+            elif not (token or char.isspace()):
+                return line, column, char
+    return None
+
+
+@settings(max_examples=300)
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from(_STRAYS), st.data())
+def test_a_character_that_starts_no_token_is_reported_where_it_stands(seed, stray, data):
+    text = serialize_theory(generate_theory(GeneratorParams(seed=seed)))
+    offset = data.draw(st.integers(min_value=0, max_value=len(text)))
+    broken = text[:offset] + stray + text[offset:]
+    expected = _first_stray(broken)
+    try:
+        parse_theory(broken, validate=False)
+    except ParseError as error:
+        if expected is not None:
+            assert error.reason == f"unexpected character {expected[2]!r}"
+            assert (error.span.line, error.span.column, error.span.lexeme) == expected
+        else:  # the digit joined an identifier
+            assert not error.reason.startswith("unexpected character")
+    else:
+        assert expected is None
+    # inside a comment, the same character is skipped with the rest of its line
+    lines = text.split("\n")
+    row = data.draw(st.integers(min_value=0, max_value=len(lines) - 1))
+    lines[row] += f" %{stray}"
+    commented = "\n".join(lines)
+    assert parse_theory(commented, validate=False) == parse_theory(text, validate=False)
