@@ -11,8 +11,11 @@ records; the records are freed between runs, outside the timing),
 ``stable`` (the extension lists, with the argument limit raised to the
 argument count), ``wp`` (``wp_extension``), ``trace``
 (``deonarg.schema.trace_section`` of one ``wp`` result, so that the cost
-of turning the trace into records shows wherever it lies) and
-``verify_theorems`` (the whole check on the theory, limit raised).
+of turning the trace into records shows wherever it lies), ``sections``
+(``theory_section``, ``arguments_section`` and ``attacks_section`` of the
+rung's theory, argument set and attack graph, the other sections of the
+JSON document) and ``verify_theorems`` (the whole check on the theory,
+limit raised).
 
 The ladder:
 
@@ -57,11 +60,17 @@ trace sections (as ``deonarg.schema`` writes them), of the extension
 lists and of the check report, so columns taken on different code can
 be compared for identical output; ``--expect FILE`` exits 1 when a rung's
 digests differ from those of any column of FILE that has the rung.  The
+``sections`` stage adds no digest: its output is the argument and attack
+digests' and the source text's.  The
 chain and fan rungs also record the MB that one built argument set
 retains (``build_retained_mb``) and that decoding its records adds
-(``decoded_retained_mb``), by ``tracemalloc``, untimed.  The ratios
-of each column's medians against the first column are printed at the
-end; without ``--out`` nothing is written:
+(``decoded_retained_mb``), by ``tracemalloc``, untimed.  At the end, for
+each stage, the ratio of the first column's median to each other
+column's is printed, then how many of the alternated pairs of runs (run
+``i`` of both columns) the other column won, and the ratio of the
+minima: a median of 9 on a shared host can swing by a third, and the
+pair count and minima show whether a ratio is more than that.  Without
+``--out`` nothing is written:
 
     PYTHONPATH=src python3 scripts/ladder.py --column ci --rungs conflicts-4 chain-160 \
         --expect BENCH_12.json
@@ -97,7 +106,7 @@ REPEAT = 9
 
 STAGES = (
     "parse", "build", "decode", "attacks", "grounded", "complete", "stable", "wp", "trace",
-    "verify_theorems",
+    "sections", "verify_theorems",
 )
 
 #: fresh interpreters per start-up stage; the median is reported
@@ -205,6 +214,8 @@ def stage_calls(engine: ModuleType, text: str) -> tuple[dict, dict[str, Callable
         "stable": lambda: engine.stable_extensions(graph, argument_limit=limit),
         "wp": lambda: engine.wp_extension(graph),
         "trace": lambda: schema.trace_section(extension),
+        "sections": lambda: (schema.theory_section(theory), schema.arguments_section(arguments),
+                             schema.attacks_section(graph)),
         "verify_theorems": lambda: engine.verify_theorems(theory, argument_limit=limit),
     }
     return rung, calls, arguments.index
@@ -371,14 +382,15 @@ def main(argv: list[str] | None = None) -> int:
 
     first, *others = columns
     for other in others:
-        print(f"\n{first} / {other} (median ratio, digests):")
+        print(f"\n{first} / {other} (digests; per stage the median ratio, "
+              f"the pairs {other} won, the ratio of the minima):")
         for name, rung in columns[other]["rungs"].items():
             base = columns[first]["rungs"].get(name)
             if base is None:
                 continue
             same = "same" if base["digests"] == rung["digests"] else "DIFFERENT"
             ratios = "  ".join(
-                f"{stage} {base['stages'][stage]['median_s'] / max(timing['median_s'], 1e-6):.2f}x"
+                f"{stage} {compare(base['stages'][stage], timing)}"
                 for stage, timing in rung["stages"].items()
                 if stage in base["stages"]
             )
@@ -386,6 +398,20 @@ def main(argv: list[str] | None = None) -> int:
     if options.expect is not None:
         return expect(options.expect, {name: columns[name] for name in engines}, options.rungs)
     return 0
+
+
+def compare(base: dict, timing: dict) -> str:
+    """``base`` over ``timing``: median ratio, pairs of runs won by ``timing``, ratio of minima.
+
+    Runs of the two columns are paired by position, as they alternated; a
+    column taken in another process pairs with no alternation, and the count
+    then only says how the two sets of runs overlap.
+    """
+    pairs = list(zip(base["runs_s"], timing["runs_s"]))
+    won = sum(theirs < ours for ours, theirs in pairs)
+    median = base["median_s"] / max(timing["median_s"], 1e-6)
+    least = min(base["runs_s"]) / max(min(timing["runs_s"]), 1e-6)
+    return f"{median:.2f}x {won}/{len(pairs)} min {least:.2f}x"
 
 
 def expect(path: Path, columns: dict[str, dict], rungs: list[str]) -> int:

@@ -201,9 +201,9 @@ def compute_attacks(
     groups = []  # the kept records' targets and witnesses, with their attackers
     for group in by_atom.values():
         for code, concluders in group.items():
-            found = [(condition, w) for condition, clashing in _HITS[code] if clashing in group
-                     for w in group[clashing]]
-            if not found:
+            found = _HITS[code] and [(condition, w) for condition, clashing in _HITS[code]
+                                     if clashing in group for w in group[clashing]]
+            if not found:  # perm_w builds no list: imaginary arguments attack nothing
                 continue
             by_label = {None: concluders}
             if superiors:  # an inferior top rule loses the hits at its superiors' derivations

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from typing import Any, Union
+from typing import Any, Iterable, Union
 
 # ---------------------------------------------------------------------------
 # immutable records
@@ -191,18 +191,14 @@ class DeonticOperator(enum.Enum):
     __hash__ = object.__hash__
 
     def __str__(self) -> str:
-        return self.value
+        return self._value_  # the plain attribute, not the slower ``value`` property
 
     @property
     def rank(self) -> int:
         return _OPERATOR_RANK[self]
 
 
-_OPERATOR_RANK = {
-    DeonticOperator.OBLIGATION: 0,
-    DeonticOperator.PERMISSION: 1,
-    DeonticOperator.WEAK_PERMISSION: 2,
-}
+_OPERATOR_RANK = {op: rank for rank, op in enumerate(DeonticOperator)}  # obl 0, perm 1, perm_w 2
 
 
 class DeonticLiteral(Record):
@@ -226,7 +222,8 @@ class DeonticLiteral(Record):
         return self._hash
 
     def __str__(self) -> str:
-        return f"{self.operator.value}({self.literal})"
+        literal = self.literal
+        return f"{self.operator._value_}({'' if literal.positive else '~'}{literal.atom.name})"
 
     def sort_key(self) -> tuple:
         return (self.operator.rank, *self.literal.sort_key())
@@ -290,8 +287,11 @@ class Rule(Record):
         set_head(self, head)
 
     def __str__(self) -> str:
-        body = ", ".join(str(element) for element in self.body)
-        return f"{self.label}: {body} => {self.head}" if body else f"{self.label}: => {self.head}"
+        return self._text(map(str, self.body), str(self.head))
+
+    def _text(self, body: Iterable[str], head: str) -> str:  # from its parts' text
+        body = ", ".join(body)
+        return f"{self.label}: {body} => {head}" if body else f"{self.label}: => {head}"
 
 
 class Theory(Record):
@@ -341,6 +341,17 @@ class Theory(Record):
         if superior_label is None or inferior_label is None:
             return False
         return (superior_label, inferior_label) in self.superiority
+
+
+def theory_text(theory: Theory) -> tuple[list[str], list[list[str]], list[str], str]:
+    """The text of the facts (by ``Literal.sort_key``) and of each rule's body and head, each
+    formatted once, and the source they make, as ``parser.serialize_theory`` writes it."""
+    facts = [str(fact) for fact in sorted(theory.facts, key=Literal.sort_key)]
+    bodies = [[*map(str, rule.body)] for rule in theory.rules]  # in rule order, as the heads
+    heads = [str(rule.head) for rule in theory.rules]
+    lines = [*[f"fact {fact}" for fact in facts], *map(Rule._text, theory.rules, bodies, heads)]
+    lines += [f"{superior} > {inferior}" for superior, inferior in sorted(theory.superiority)]
+    return facts, bodies, heads, "".join([f"{line}.\n" for line in lines])
 
 
 # ---------------------------------------------------------------------------

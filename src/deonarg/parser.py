@@ -35,6 +35,7 @@ from .model import (
     Theory,
     ensure_valid,
     push_negation,
+    theory_text,
 )
 
 # ---------------------------------------------------------------------------
@@ -224,7 +225,4 @@ def serialize_theory(theory: Theory) -> str:
 
     ``parse_theory(serialize_theory(t)) == t`` holds for every valid theory.
     """
-    lines = [f"fact {fact}." for fact in sorted(theory.facts, key=Literal.sort_key)]
-    lines += [f"{rule}." for rule in theory.rules]
-    lines += [f"{superior} > {inferior}." for superior, inferior in sorted(theory.superiority)]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return theory_text(theory)[-1]

@@ -11,9 +11,8 @@ from __future__ import annotations
 from typing import Any, Iterable
 
 from .arguments import ArgumentSet
-from .attacks import AttackGraph, Row
-from .model import Theory
-from .parser import serialize_theory
+from .attacks import AttackGraph
+from .model import Theory, theory_text
 from .wp import WpExtension
 
 # ---------------------------------------------------------------------------
@@ -173,13 +172,11 @@ def validate_document(document: dict[str, Any]) -> None:
 # ---------------------------------------------------------------------------
 
 def theory_section(theory: Theory) -> dict[str, Any]:
+    facts, bodies, heads, source = theory_text(theory)
     return {
-        "source": serialize_theory(theory),
-        "facts": [str(literal) for literal in sorted(theory.facts, key=lambda l: l.sort_key())],
-        "rules": [
-            {"label": rule.label, "body": [str(e) for e in rule.body], "head": str(rule.head)}
-            for rule in theory.rules
-        ],
+        "source": source,
+        "facts": facts,
+        "rules": [{"label": r.label, "body": b, "head": h} for r, b, h in zip(theory.rules, bodies, heads)],
         "superiority": [list(pair) for pair in sorted(theory.superiority)],
     }
 
@@ -188,30 +185,22 @@ def arguments_section(arguments: ArgumentSet) -> list[dict[str, Any]]:
     ids = arguments.ids  # one pass over the table's rows and closures, by position
     return [
         {
-            "id": ids[n],
+            "id": name,
             "kind": form.kind,
             "conclusion": str(conclusion),
-            "sub": [ids[k] for k in closure],
+            "sub": [name] if len(closure) == 1 else [ids[k] for k in closure],  # a leaf: itself
             "top_rule": None if rule is None else rule.label,
         }
-        for n, ((form, rule, conclusion, _), closure) in enumerate(
-            zip(arguments._rows, arguments._subs)
-        )
-    ]
-
-
-def _edge_records(ids: tuple[str, ...], rows: Iterable[Row]) -> list[dict[str, Any]]:
-    return [
-        {"attacker": ids[a], "target": ids[t], "condition": c, "witness": ids[w]}
-        for a, t, c, w in rows
+        for name, (form, rule, conclusion, _), closure in zip(ids, arguments._rows, arguments._subs)
     ]
 
 
 def attacks_section(graph: AttackGraph) -> dict[str, Any]:
     ids = graph.arguments.ids
     return {
-        "edges": _edge_records(ids, graph.rows),
-        "suppressed": _edge_records(ids, graph.suppressed_rows),
+        key: [{"attacker": ids[a], "target": ids[t], "condition": c, "witness": ids[w]}
+              for a, t, c, w in rows]
+        for key, rows in (("edges", graph.rows), ("suppressed", graph.suppressed_rows))
     }
 
 
@@ -225,6 +214,7 @@ def _changes(ids: tuple[str, ...], rows: Iterable[tuple]) -> list[dict[str, Any]
 def trace_section(extension: WpExtension) -> list[dict[str, Any]]:
     ids = extension._ids  # the trace's rows, read with no record built
     return [
-        {"step": index, "rejected": _changes(ids, rejected), "justified": _changes(ids, justified)}
+        {"step": index, "rejected": _changes(ids, rejected) if rejected else [],
+         "justified": _changes(ids, justified) if justified else []}  # most steps have one side
         for index, (rejected, justified) in enumerate(extension._rows, 1)
     ]

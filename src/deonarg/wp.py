@@ -184,12 +184,10 @@ def wp_extension(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
     imaginary = [row[0] is ImaginaryArgument for row in rows]
 
     # support: each argument counts its direct subarguments not yet justified
-    waiting: list[int] = []
+    waiting = [len(row[3]) for row in rows]  # a child listed twice is counted and met twice
     parents: list[list[int]] = [[] for _ in ids]
     for n, row in enumerate(rows):
-        children = set(row[3]) if row[3] else ()
-        waiting.append(len(children))
-        for child in children:
+        for child in row[3]:
             parents[child].append(n)
     # undercut: the natural witnesses each argument attacks at
     attacks_at: list[list[int]] = [[] for _ in ids]
@@ -245,8 +243,9 @@ def wp_extension(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
             elif not supported.isdisjoint(attackers):
                 hits = [a for a in attackers if a in supported]
                 newly_rejected.append((n, "attacker-supported", hits))
-        gone = {change[0] for change in newly_rejected}
+        gone = {change[0] for change in newly_rejected} if newly_rejected else ()
         newly_justified: list[tuple] = []
+        added: list[int] = []
         for n in candidates:  # the acceptance clauses
             if n in justified or (fixpoint_guards and (n in rejected or n in gone)):
                 continue
@@ -254,20 +253,22 @@ def wp_extension(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
             if imaginary[n]:
                 if rejected.issuperset(attackers):
                     newly_justified.append((n, "attackers-all-rejected", attackers))
+                    added.append(n)
             elif n in supported and beaten.issuperset(attackers):
                 newly_justified.append((n, "supported-and-defended", attackers))
-        added = [change[0] for change in newly_justified]
+                added.append(n)
         if index == 1:  # the settled block
             newly_justified += [(n, "attackers-all-rejected", ()) for n in settled]
             added += settled
-        rejected.update(gone)
-        beaten.update(gone)
+        if gone:
+            rejected.update(gone)
+            beaten.update(gone)
         justified.update(added)
 
-        overlap = justified.intersection(gone) | rejected.intersection(added)
-        if overlap:
+        if not (justified.isdisjoint(gone) and rejected.isdisjoint(added)):
+            overlap = justified.intersection(gone) | rejected.intersection(added)
             raise FixpointInvariantError(index, "overlap", decode(sorted(overlap)))
-        clash = _clashing(graph, justified, added)
+        clash = added and graph.rows and _clashing(graph, justified, added)  # needs an attack
         if clash:
             raise FixpointInvariantError(index, "conflict", decode(sorted(clash)))
 

@@ -37,9 +37,14 @@ def test_literal_text_forms():
 
 
 def test_deontic_literal_text_forms():
-    assert str(obl(lit("~a"))) == "obl(~a)"
-    assert str(perm(lit("a"))) == "perm(a)"
-    assert str(perm_w(lit("~a"))) == "perm_w(~a)"
+    forms = [str(make(lit(text))) for make in (obl, perm, perm_w) for text in ("a", "~a")]
+    assert forms == ["obl(a)", "obl(~a)", "perm(a)", "perm(~a)", "perm_w(a)", "perm_w(~a)"]
+
+
+def test_operator_text_is_its_keyword():
+    operators = (DeonticOperator.OBLIGATION, DeonticOperator.PERMISSION, DeonticOperator.WEAK_PERMISSION)
+    assert [str(operator) for operator in operators] == ["obl", "perm", "perm_w"]
+    assert list(DeonticOperator) == list(operators)
 
 
 @given(literals)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from deonarg import (
     DeonticLiteral,
+    Literal,
     ParseError,
     Theory,
     TheoryValidationError,
@@ -16,6 +17,7 @@ from deonarg import (
     perm_w,
     serialize_theory,
 )
+from deonarg.schema import theory_section
 from deonarg.testkit import GeneratorParams, generate_theory
 
 
@@ -103,6 +105,49 @@ def test_round_trip_identity_on_generated_theories(seed):
 def test_serialization_is_a_fixed_point(seed):
     text = serialize_theory(generate_theory(GeneratorParams(seed=seed)))
     assert serialize_theory(parse_theory(text)) == text
+
+
+def _assert_text_written_once(theory: Theory) -> None:
+    """The document's theory section, the serializer and the records' own text agree."""
+    section = theory_section(theory)
+    assert section["source"] == serialize_theory(theory)
+    assert section["facts"] == [str(fact) for fact in sorted(theory.facts, key=Literal.sort_key)]
+    assert [(rule["label"], rule["body"], rule["head"]) for rule in section["rules"]] == [
+        (rule.label, [str(element) for element in rule.body], str(rule.head))
+        for rule in theory.rules
+    ]
+    lines = [f"fact {fact}." for fact in section["facts"]] + [f"{rule}." for rule in theory.rules]
+    lines += [f"{superior} > {inferior}." for superior, inferior in sorted(theory.superiority)]
+    assert section["source"] == "".join(f"{line}\n" for line in lines)
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from(["acyclic", "cyclic", "sup"]))
+def test_theory_text_is_written_in_one_place_on_generated_theories(seed, kind):
+    params = GeneratorParams(
+        seed=seed, atom_count=5, fact_count=seed % 4, rule_count=8, acyclic=kind == "acyclic",
+        superiority_count=2 if kind == "sup" else 0, inject_conflict=seed % 2 == 0,
+    )
+    _assert_text_written_once(generate_theory(params))
+
+
+@pytest.mark.parametrize(
+    "text, facts, rules",
+    [
+        ("fact ~b.\nfact a.\nfact ~a.\n", ["a", "~a", "~b"], []),
+        ("r1: ~obl(p), a => q.\n", [], [("r1", ["perm(~p)", "a"], "q")]),
+        ("fact a.\nr2: => obl(~a).\nr1: a, perm_w(~b) => c.\n", ["a"],
+         [("r1", ["a", "perm_w(~b)"], "c"), ("r2", [], "obl(~a)")]),
+        ("r1: => obl(a).\nr2: => obl(~a).\nr1 > r2.\n", [],
+         [("r1", [], "obl(a)"), ("r2", [], "obl(~a)")]),
+        ("", [], []),
+    ],
+)
+def test_theory_text_is_written_in_one_place_on_hand_written_theories(text, facts, rules):
+    theory = parse_theory(text)
+    _assert_text_written_once(theory)
+    section = theory_section(theory)
+    assert section["facts"] == facts
+    assert [(rule["label"], rule["body"], rule["head"]) for rule in section["rules"]] == rules
 
 
 #: tokens and whole statements of the language, plus near-misses it rejects
