@@ -24,6 +24,15 @@ attack rows and suppressed rows are compared with the target-first
 ``testkit.reference_attacks``, and the graph's three indexes (the
 attackers and targets of each argument and the attackers at each
 witness) with scans of the rows.  Exit code 1 if any property fails.
+
+``--ladder`` runs the polynomial oracles at ladder scale instead of the
+corpora, on rungs of ``scripts/ladder.py``: ``testkit.reference_wp``
+against ``wp_extension`` under both guard settings on conflicts-12,
+chain-160, fan-9 and gen-3 (the justified and rejected sets and the
+``trace_section`` rows, or the same invariant breach), and the argument
+table against ``testkit.reference_arguments`` on fan-6 and gen-3 (the
+decoded arguments, and every subargument closure both as ``sub_ids``
+walks it and as the children-first pass of the outputs builds it).
 """
 
 from __future__ import annotations
@@ -46,18 +55,22 @@ from deonarg import (
     evaluate,
     grounded_extension,
     is_conflict_free,
+    parse_theory,
     stable_extensions,
     wp_extension,
 )
 from deonarg.analysis import conflicted_literals, wp_conflicted_literals
+from deonarg.schema import trace_section
 from deonarg.semantics import _stable_core
 from deonarg.testkit import (
     GeneratorParams,
     brute_force_extensions,
     generate_theory,
+    reference_arguments,
     reference_attacks,
     reference_wp,
 )
+from ladder import RUNGS
 
 ARGUMENT_CAP = 15
 
@@ -118,13 +131,13 @@ def imaginary_for(arguments, literal):
     return identifier
 
 
-def wp_outcome(run, graph, guards: bool):
+def wp_outcome(run, graph, guards: bool, trace=lambda ext: ext.steps):
     """The trace and sets of a fixed point, or the payload of its breach."""
     try:
         ext = run(graph, fixpoint_guards=guards)
     except FixpointInvariantError as error:
         return ("breach", error.step, error.kind, error.members)
-    return ("fixed point", ext.steps, ext.justified, ext.rejected)
+    return ("fixed point", trace(ext), ext.justified, ext.rejected)
 
 
 def factorised_cores(case, failures: list[str]) -> None:
@@ -245,20 +258,53 @@ def run_oracle_corpus(count: int) -> list[str]:
     return failures
 
 
+def run_ladder_wp(name: str) -> list[str]:
+    failures: list[str] = []
+    graph = compute_attacks(build_arguments(parse_theory(RUNGS[name][0]())))
+    for guards in (True, False):
+        found, expected = (wp_outcome(run, graph, guards, trace_section)
+                           for run in (wp_extension, reference_wp))
+        if found != expected:
+            failures.append(f"{name}: wp differs from reference_wp (guards {guards})")
+        print(f"  guards {guards}: {found[0]}" + (f" ({found[2]})" if found[0] == "breach" else ""))
+    return failures
+
+
+def run_ladder_arguments(name: str) -> list[str]:
+    failures: list[str] = []
+    theory = parse_theory(RUNGS[name][0]())
+    arguments = build_arguments(theory)
+    ordered, closures = reference_arguments(theory)
+    if arguments.ordered != ordered:
+        failures.append(f"{name}: the arguments differ from reference_arguments")
+    if {identifier: arguments.sub_ids(identifier) for identifier in arguments.ids} != closures:
+        failures.append(f"{name}: sub_ids differs from the reference closures")
+    if dict(zip(arguments.ids, map(tuple, arguments._closures()))) != closures:
+        failures.append(f"{name}: the closures of the outputs differ from the reference ones")
+    print(f"  {len(arguments)} arguments")
+    return failures
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--count", type=int, default=200, help="instances per corpus")
+    parser.add_argument("--ladder", action="store_true",
+                        help="run the polynomial oracles on ladder rungs instead of the corpora")
     options = parser.parse_args(argv)
 
+    if options.ladder:
+        runs = [(f"{name} wp", run_ladder_wp, name)
+                for name in ("conflicts-12", "chain-160", "fan-9", "gen-3")]
+        runs += [(f"{name} arguments", run_ladder_arguments, name) for name in ("fan-6", "gen-3")]
+    else:
+        runs = [("conflict corpus", run_conflict_corpus, options.count),
+                ("no-superiority corpus", run_no_superiority_corpus, options.count),
+                ("oracle corpus", run_oracle_corpus, options.count)]
     failures: list[str] = []
-    for name, runner in (
-        ("conflict corpus", run_conflict_corpus),
-        ("no-superiority corpus", run_no_superiority_corpus),
-        ("oracle corpus", run_oracle_corpus),
-    ):
+    for name, runner, argument in runs:
         print(f"{name}:")
         started = time.perf_counter()
-        failures += runner(options.count)
+        failures += runner(argument)
         print(f"  done in {time.perf_counter() - started:.2f}s")
 
     if failures:

@@ -327,9 +327,9 @@ def verify_theorems(
         scope = "stated for theories without superiority pairs"
         results.append(CheckResult(subset, "skipped", scope))
 
-    # Every subargument of a justified argument is justified (on positions).
-    held = set(map(arguments.index, justified))
-    broken = sorted(n for n in held if not held.issuperset(arguments._subs[n]))
+    # Every subargument of a justified argument is justified (children suffice, by induction).
+    held, rows = set(map(arguments.index, justified)), arguments._rows
+    broken = sorted(n for n in held if not held.issuperset(rows[n][3]))
     results.append(_verdict(
         closure,
         arguments._decode(broken),

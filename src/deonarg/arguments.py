@@ -14,8 +14,8 @@ Construction always terminates: a rule label may not occur twice on any
 root-to-leaf path of an argument tree, which bounds tree depth even for
 cyclic rule sets.
 
-The built ``ArgumentSet`` is a table of position rows with position-tuple
-closures, filled without building an ``Argument``; the ``Argument``
+The built ``ArgumentSet`` is a table of position rows with a parents
+index, filled without building an ``Argument``; the ``Argument``
 records are made from the rows only when asked for (hash-consed: one
 object per argument, children shared; Filliatre & Conchon, "Type-safe
 modular hash-consing", 2006).
@@ -23,9 +23,8 @@ modular hash-consing", 2006).
 
 from __future__ import annotations
 
-import bisect
-from itertools import chain, product
-from typing import ClassVar, Iterable, Iterator
+from itertools import chain, product, repeat
+from typing import ClassVar, Iterable, Iterator, Sequence
 
 from .model import (
     Conclusion,
@@ -109,44 +108,22 @@ class Argument(Record):
         """Label of the last rule applied; permission arguments inherit it."""
         return None
 
-    def _flat(self) -> list[tuple[Argument, list, list[int]]]:
-        """The tree's distinct nodes (by identity), each after its children: the node,
-        its plain fields' values and its children's places in the list."""
-        place: dict[int, int] = {}
-        flat: list[tuple[Argument, list, list[int]]] = []
-        stack: list[Argument] = [self]
-        while stack:  # no recursion: trees may be thousands of levels tall
-            node = stack[-1]
-            waiting = [child for child in node.children if id(child) not in place]
-            if waiting:
-                stack += waiting
-            elif id(stack.pop()) not in place:
-                place[id(node)] = len(flat)
-                children = [place[id(child)] for child in node.children]
-                flat.append((node, [getattr(node, name) for name in node._plain], children))
-        return flat
-
     @classmethod
     def _init_args(cls, plain: list, children: list) -> tuple:
         """The constructor's arguments, from the plain fields' values and the children."""
         return (*plain, *children)
 
     def __repr__(self) -> str:
-        shown: list[_Shown] = []  # each node's text, by its place
-        for node, plain, children in self._flat():
-            values = node._init_args(plain, [shown[child] for child in children])
-            fields = ", ".join(f"{name}={value!r}" for name, value in zip(node._fields, values))
-            shown.append(_Shown(f"{node.__class__.__qualname__}({fields})"))
-        return str(shown[-1])
+        return str(_reprs([self])[0])
 
     def __reduce__(self) -> tuple:
         # flat, so that pickle and deepcopy do not recurse down a tall tree
-        flat = self._flat()
+        flat = _flat([self])[0]
         return _rebuild, ([(node.__class__, plain, children) for node, plain, children in flat],)
 
     def subarguments(self) -> frozenset[Argument]:
         """The subargument closure, including the argument itself."""
-        return frozenset([node for node, _, _ in self._flat()])
+        return frozenset([node for node, _, _ in _flat([self])[0]])
 
 
 class ImaginaryArgument(Argument):
@@ -241,6 +218,36 @@ class _Shown(str):
     __repr__ = str.__str__
 
 
+def _flat(roots: list[Argument]) -> tuple[list[tuple[Argument, list, list[int]]], list[int]]:
+    """The distinct nodes (by identity) of the roots' trees, each after its children: the
+    node, its plain fields' values and its children's places in the list; and the roots'
+    places.  A tree's root is its last node."""
+    place: dict[int, int] = {}
+    flat: list[tuple[Argument, list, list[int]]] = []
+    stack = roots[::-1]
+    while stack:  # no recursion: trees may be thousands of levels tall
+        node = stack[-1]
+        waiting = [child for child in node.children if id(child) not in place]
+        if waiting:
+            stack += waiting
+        elif id(stack.pop()) not in place:
+            place[id(node)] = len(flat)
+            children = [place[id(child)] for child in node.children]
+            flat.append((node, [getattr(node, name) for name in node._plain], children))
+    return flat, [place[id(root)] for root in roots]
+
+
+def _reprs(roots: list[Argument]) -> list[_Shown]:
+    """The roots' reprs: each distinct node's text is made once and shown in its parents'."""
+    flat, places = _flat(roots)
+    shown: list[_Shown] = []
+    for node, plain, children in flat:
+        values = node._init_args(plain, [shown[child] for child in children])
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(node._fields, values))
+        shown.append(_Shown(f"{node.__class__.__qualname__}({fields})"))
+    return [shown[place] for place in places]
+
+
 def _rebuild(flat: list[tuple[type, list, list[int]]]) -> Argument:
     """The argument ``Argument.__reduce__`` flattened, built children first."""
     made: list[Argument] = []
@@ -264,19 +271,19 @@ class ArgumentSet(Record):
     The set is a table of rows by position, ``(form, rule, conclusion,
     children)``: the argument's class, the rule whose label is its top rule
     (None for facts and imaginary arguments), its conclusion and its
-    children's positions.  The subargument and superargument closures are
-    sorted position tuples.  Every index is built once, when the set is
-    constructed, and the id-keyed views decode positions to ids when
-    called.  The ``ordered`` pairs hold ``Argument`` objects: they are
-    decoded from the rows the first time they are read and then kept, so
-    an argument is always the same object.  Equality and hash read the
-    theory, the ids and the rows, without decoding or recursing into
-    trees; ``repr`` is that of ``(theory, ordered)``.
+    children's positions.  No index is larger than the table: closures are
+    walks of the children or of the parents index.  Every index is built
+    once, when the set is constructed, and the id-keyed views decode
+    positions to ids when called.  The ``ordered`` pairs hold ``Argument``
+    objects: they are decoded from the rows the first time they are read
+    and then kept, so an argument is always the same object.  Equality and
+    hash read the theory, the ids and the rows, without decoding or
+    recursing into trees; ``repr`` is that of ``(theory, ordered)``.
     """
 
     _fields = ("theory", "ordered")
-    __slots__ = ("theory", "_ordered", "_ids", "_rows", "_positions", "_by_conclusion", "_subs",
-                 "_supers")
+    __slots__ = ("theory", "_ordered", "_ids", "_rows", "_positions", "_by_conclusion", "_parents",
+                 "_order")
 
     def __init__(self, theory: Theory, ordered: tuple[tuple[ArgumentId, Argument], ...]) -> None:
         ordered = tuple(ordered)
@@ -287,35 +294,22 @@ class ArgumentSet(Record):
             rule = top.rule if isinstance(top, RuleApplication) else None
             children = tuple([position[child] for child in argument.children])
             rows.append((argument.__class__, rule, argument.conclusion, children))
-        by_height = sorted(range(len(ordered)), key=lambda n: ordered[n][1].height)
-        self._fill(theory, ordered, tuple(i for i, _ in ordered), tuple(rows), by_height)
+        order = tuple(sorted(range(len(ordered)), key=lambda n: ordered[n][1].height))
+        self._fill(theory, ordered, tuple(i for i, _ in ordered), tuple(rows), order)
 
     def _fill(self, theory: Theory, ordered: tuple | None, ids: tuple[ArgumentId, ...],
-              rows: tuple[tuple, ...], by_height: Iterable[int]) -> None:
-        """Set the fields and build the indexes; ``by_height`` lists each position with children
-        after its children's.  ``build_arguments`` fills its table here too, with no ``ordered``."""
-        subs = [(n,) for n in range(len(rows))]
-        for n in by_height:
-            children = rows[n][3]
-            if len(children) == 1:  # most rows: the child's closure and n
-                below = subs[children[0]]
-                if below[-1] < n:  # n comes after every row in it, as in a chain
-                    subs[n] = below + (n,)
-                else:  # a row numbered after n is in it: in a built set, an imaginary one
-                    k = bisect.bisect(below, n)
-                    subs[n] = (*below[:k], n, *below[k:])
-            elif children:
-                subs[n] = tuple(sorted({n}.union(*[subs[child] for child in children])))
-        supers: list[list[int]] = [[] for _ in rows]
-        for n, closure in enumerate(subs):
-            for sub in closure:
-                supers[sub].append(n)
+              rows: tuple[tuple, ...], order: Sequence[int]) -> None:
+        """Set the fields and build the indexes; ``order``, kept, lists every position after its
+        children's.  ``build_arguments`` fills its table here too, with no ``ordered``."""
+        parents: dict[int, list[int]] = {}  # a list only for the rows that have parents
         by_conclusion: dict[Conclusion, list[int]] = {}
-        for n, row in enumerate(rows):
-            by_conclusion.setdefault(row[2], []).append(n)
+        for n, (_, _, conclusion, children) in enumerate(rows):
+            by_conclusion.setdefault(conclusion, []).append(n)
+            for child in children:
+                parents.setdefault(child, []).append(n)
         positions = {identifier: n for n, identifier in enumerate(ids)}
-        values = (theory, ordered, ids, rows, positions, by_conclusion, tuple(subs),
-                  tuple(map(tuple, supers)))
+        parents = tuple(map(parents.get, range(len(rows)), repeat(())))
+        values = (theory, ordered, ids, rows, positions, by_conclusion, parents, order)
         for setter, value in zip(self._setters, values):
             setter(self, value)
 
@@ -330,12 +324,11 @@ class ArgumentSet(Record):
     def __reduce__(self) -> tuple:
         # the table, so that pickle and deepcopy are linear: ``ordered`` would flatten
         # every argument's tree on its own
-        return _table, (self.theory, self._ids, self._rows, self._children_first())
+        return _table, (self.theory, self._ids, self._rows, self._order)
 
-    def _children_first(self) -> list[int]:
-        """The positions, each after its children's: a child's closure is inside its parent's."""
-        sizes = list(map(len, self._subs))
-        return sorted(range(len(sizes)), key=sizes.__getitem__)
+    def __repr__(self) -> str:  # each argument's text made once, not once per superargument
+        shown = _reprs([argument for _, argument in self.ordered])
+        return f"ArgumentSet(theory={self.theory!r}, ordered={tuple(zip(self._ids, shown))!r})"
 
     @property
     def ordered(self) -> tuple[tuple[ArgumentId, Argument], ...]:
@@ -343,7 +336,7 @@ class ArgumentSet(Record):
         if self._ordered is None:
             rows = self._rows
             made: list[Argument] = [None] * len(rows)  # type: ignore[list-item]
-            for n in self._children_first():
+            for n in self._order:
                 form, rule, conclusion, children = rows[n]
                 if form is RuleApplication:
                     made[n] = RuleApplication(rule, tuple([made[child] for child in children]))
@@ -366,6 +359,31 @@ class ArgumentSet(Record):
 
     def _decode(self, positions: Iterable[int]) -> tuple[ArgumentId, ...]:
         return tuple(map(self._ids.__getitem__, positions))
+
+    def _walk(self, n: int, up: bool, seen: set[int]) -> list[int]:
+        """``n`` and the positions below it (its subarguments), or above it with ``up``, that
+        are not in ``seen``, a set closed in that direction, to which the walk adds them."""
+        rows, parents, reached, stack = self._rows, self._parents, [], [n]
+        while stack:
+            k = stack.pop()
+            if k not in seen:
+                seen.add(k)
+                reached.append(k)
+                stack += parents[k] if up else rows[k][3]
+        return reached
+
+    def _closures(self) -> list[list[ArgumentId]]:
+        """Every row's subargument closure as ids in position order, built in one pass children
+        first: for the outputs that print them all, at their size."""
+        rows, ids, index = self._rows, self._ids, self._positions.__getitem__
+        subs = [[name] for name in ids]
+        for n in self._order:
+            children = rows[n][3]
+            if len(children) == 1 and index(subs[children[0]][-1]) < n:  # most rows: n after
+                subs[n] = subs[children[0]] + subs[n]  # the child's closure, as in a chain
+            elif children:
+                subs[n] = sorted({ids[n]}.union(*[subs[child] for child in children]), key=index)
+        return subs
 
     def argument(self, identifier: ArgumentId) -> Argument:
         return self.ordered[self._positions[identifier]][1]
@@ -402,12 +420,12 @@ class ArgumentSet(Record):
 
     def sub_ids(self, identifier: ArgumentId) -> tuple[ArgumentId, ...]:
         """Subargument closure as ids (index order), including the argument."""
-        return self._decode(self._subs[self._positions[identifier]])
+        return self._decode(sorted(self._walk(self._positions[identifier], False, set())))
 
     def proper_sub_ids(self, identifier: ArgumentId) -> tuple[ArgumentId, ...]:
         """Subargument closure without the argument itself (index order)."""
-        n = self._positions[identifier]
-        return self._decode([sub for sub in self._subs[n] if sub != n])
+        walk = self._walk(self._positions[identifier], False, set())
+        return self._decode(sorted(walk[1:]))  # the argument is reached first
 
 
 # ---------------------------------------------------------------------------
@@ -544,12 +562,12 @@ def build_arguments(theory: Theory) -> ArgumentSet:
         for form, rule, conclusion, children, _, _ in map(found.__getitem__, order)
     ] + [(ImaginaryArgument, None, conclusions[n], ()) for n in range(imaginary)])
     ids = (*[f"A{n}" for n in range(count)], *[f"I{n}" for n in range(1, imaginary + 1)])
-    return _table(theory, ids, rows, range(count))  # the imaginary rows have no children
+    return _table(theory, ids, rows, (*range(count, len(rows)), *range(count)))  # children first
 
 
 def _table(theory: Theory, ids: tuple[ArgumentId, ...], rows: tuple[tuple, ...],
-           by_height: Iterable[int]) -> ArgumentSet:
+           order: Sequence[int]) -> ArgumentSet:
     """The argument set of the rows, with no ``ordered`` (see ``ArgumentSet._fill``)."""
     table = object.__new__(ArgumentSet)
-    table._fill(theory, None, ids, rows, by_height)
+    table._fill(theory, None, ids, rows, order)
     return table

@@ -174,15 +174,24 @@ def compute_attacks(
     """Compute every attack record, split by the superiority of ``arguments.theory``."""
     if theory is not None and theory is not arguments.theory and theory != arguments.theory:
         raise ValueError("the theory is not the one the arguments were built from")
-    narrow, table, supers = not imaginary_subargument_attacks, arguments._rows, arguments._supers
+    narrow, table, supers = not imaginary_subargument_attacks, arguments._rows, {}
+    parents = arguments._parents
+
+    def reach(c: int, w: int) -> tuple[int, ...]:
+        """A hit's targets: its witness and, unless narrow, every argument above it."""
+        if c == 1 and narrow or not parents[w]:
+            return (w,)
+        if w not in supers:  # each witness is walked once a call
+            supers[w] = tuple(sorted(arguments._walk(w, True, set())))
+        return supers[w]
 
     def block(hits: list[tuple[int, int]]) -> tuple:
         """The hits' records as sorted columns: targets, conditions and witnesses."""
         if len(hits) == 1:
             ((c, w),) = hits
-            reach = (w,) if c == 1 and narrow else supers[w]
-            return reach, (c,) * len(reach), (w,) * len(reach)
-        records = [(t, c, w) for c, w in hits for t in ((w,) if c == 1 and narrow else supers[w])]
+            found = reach(c, w)
+            return found, (c,) * len(found), (w,) * len(found)
+        records = [(t, c, w) for c, w in hits for t in reach(c, w)]
         records.sort()  # zip(*records) would make one iterator, a tracked object, per record
         return (tuple(map(itemgetter(0), records)), tuple(map(itemgetter(1), records)),
                 tuple(map(itemgetter(2), records)))

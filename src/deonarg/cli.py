@@ -228,13 +228,11 @@ def cmd_args(theory_file: str, fmt: str) -> None:
     if fmt == "json":
         _emit_json(arguments)
         return
-    for identifier in arguments.ids:
-        kind, top_rule = arguments.kind(identifier), arguments.top_rule(identifier)
-        tag = kind if kind == "imaginary" else f"natural/{kind}"
-        if top_rule is not None:
-            tag += f" {top_rule}"
-        subs = " ".join(arguments.sub_ids(identifier))
-        _echo(f"{identifier}: {arguments.conclusion(identifier)} [{tag}] sub={{{subs}}}")
+    for row in arguments_section(arguments):  # its closures are built in one pass
+        tag = row["kind"] if row["kind"] == "imaginary" else f"natural/{row['kind']}"
+        if row["top_rule"] is not None:
+            tag += f" {row['top_rule']}"
+        _echo(f"{row['id']}: {row['conclusion']} [{tag}] sub={{{' '.join(row['sub'])}}}")
 
 
 # ---------------------------------------------------------------------------

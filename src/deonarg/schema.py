@@ -21,34 +21,20 @@ from .wp import WpExtension
 
 _STRINGS = {"type": "array", "items": {"type": "string"}}
 
-_EDGE_LIST = {
-    "type": "array",
-    "items": {
-        "type": "object",
-        "required": ["attacker", "target", "condition", "witness"],
-        "additionalProperties": False,
-        "properties": {
-            "attacker": {"type": "string"},
-            "target": {"type": "string"},
-            "condition": {"type": "integer", "minimum": 1, "maximum": 4},
-            "witness": {"type": "string"},
-        },
-    },
-}
 
-_CHANGE_LIST = {
-    "type": "array",
-    "items": {
-        "type": "object",
-        "required": ["argument", "clause", "witnesses"],
-        "additionalProperties": False,
-        "properties": {
-            "argument": {"type": "string"},
-            "clause": {"type": "string"},
-            "witnesses": _STRINGS,
-        },
-    },
-}
+def _records(**properties: Any) -> dict[str, Any]:
+    """An array of objects that hold exactly these properties."""
+    return {"type": "array", "items": {"type": "object", "required": [*properties],
+                                       "additionalProperties": False, "properties": properties}}
+
+
+_EDGE_LIST = _records(
+    attacker={"type": "string"},
+    target={"type": "string"},
+    condition={"type": "integer", "minimum": 1, "maximum": 4},
+    witness={"type": "string"},
+)
+_CHANGE_LIST = _records(argument={"type": "string"}, clause={"type": "string"}, witnesses=_STRINGS)
 
 SCHEMA: dict[str, Any] = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -64,40 +50,20 @@ SCHEMA: dict[str, Any] = {
             "properties": {
                 "source": {"type": "string"},
                 "facts": _STRINGS,
-                "rules": {
-                    "type": "array",
-                    "items": {
-                        "type": "object",
-                        "required": ["label", "body", "head"],
-                        "additionalProperties": False,
-                        "properties": {
-                            "label": {"type": "string"},
-                            "body": _STRINGS,
-                            "head": {"type": "string"},
-                        },
-                    },
-                },
+                "rules": _records(label={"type": "string"}, body=_STRINGS, head={"type": "string"}),
                 "superiority": {
                     "type": "array",
                     "items": {**_STRINGS, "minItems": 2, "maxItems": 2},
                 },
             },
         },
-        "arguments": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["id", "kind", "conclusion", "sub", "top_rule"],
-                "additionalProperties": False,
-                "properties": {
-                    "id": {"type": "string"},
-                    "kind": {"enum": ["imaginary", "fact", "rule-application", "permission-axiom"]},
-                    "conclusion": {"type": "string"},
-                    "sub": _STRINGS,
-                    "top_rule": {"type": ["string", "null"]},
-                },
-            },
-        },
+        "arguments": _records(
+            id={"type": "string"},
+            kind={"enum": ["imaginary", "fact", "rule-application", "permission-axiom"]},
+            conclusion={"type": "string"},
+            sub=_STRINGS,
+            top_rule={"type": ["string", "null"]},
+        ),
         "attacks": {
             "type": "object",
             "required": ["edges", "suppressed"],
@@ -125,32 +91,14 @@ SCHEMA: dict[str, Any] = {
                 },
             },
         },
-        "trace": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["step", "rejected", "justified"],
-                "additionalProperties": False,
-                "properties": {
-                    "step": {"type": "integer", "minimum": 1},
-                    "rejected": _CHANGE_LIST,
-                    "justified": _CHANGE_LIST,
-                },
-            },
-        },
-        "checks": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["name", "status", "detail"],
-                "additionalProperties": False,
-                "properties": {
-                    "name": {"type": "string"},
-                    "status": {"enum": ["pass", "fail", "skipped"]},
-                    "detail": {"type": "string"},
-                },
-            },
-        },
+        "trace": _records(
+            step={"type": "integer", "minimum": 1}, rejected=_CHANGE_LIST, justified=_CHANGE_LIST
+        ),
+        "checks": _records(
+            name={"type": "string"},
+            status={"enum": ["pass", "fail", "skipped"]},
+            detail={"type": "string"},
+        ),
     },
 }
 
@@ -182,16 +130,16 @@ def theory_section(theory: Theory) -> dict[str, Any]:
 
 
 def arguments_section(arguments: ArgumentSet) -> list[dict[str, Any]]:
-    ids = arguments.ids  # one pass over the table's rows and closures, by position
+    subs = arguments._closures()  # one pass over them and the rows, by position
     return [
         {
             "id": name,
             "kind": form.kind,
             "conclusion": str(conclusion),
-            "sub": [name] if len(closure) == 1 else [ids[k] for k in closure],  # a leaf: itself
+            "sub": sub,
             "top_rule": None if rule is None else rule.label,
         }
-        for name, (form, rule, conclusion, _), closure in zip(ids, arguments._rows, arguments._subs)
+        for name, (form, rule, conclusion, _), sub in zip(arguments.ids, arguments._rows, subs)
     ]
 
 

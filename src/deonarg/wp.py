@@ -21,11 +21,13 @@ linear-time Horn satisfiability.  An argument becoming supported wakes
 itself and its targets, and marks the superarguments of every witness it
 attacks as undercut, waking their targets; one becoming rejected wakes
 its superarguments and targets; one becoming justified wakes its
-targets.  So the work is about linear in the arguments, subargument
-links and attack records.  The predicates are written out in the loop,
-and each status change is kept as a row of positions, ``(argument,
-clause, witnesses)``, with no record built: ``schema.trace_section``
-reads the rows, and ``WpExtension.steps`` decodes them when first read.
+targets.  Superarguments are walks up the argument set's parents index
+that stop at a set closed upward (undercut, fallen), so the work is about
+linear in the arguments, subargument links and attack records.  The
+predicates are written out in the loop, and each status change is kept
+as a row of positions, ``(argument, clause, witnesses)``, with no record
+built: ``schema.trace_section`` reads the rows, and ``WpExtension.steps``
+decodes them when first read.
 The public ``supports``, which ``analysis`` reads, is support's direct
 definition; ``testkit`` states support and undercut over the trees.
 """
@@ -64,7 +66,7 @@ class FixpointInvariantError(Exception):
 
 def supports(arguments: ArgumentSet, members: Iterable[str], identifier: str) -> bool:
     """True when every proper subargument of the argument is a member."""
-    return frozenset(arguments.proper_sub_ids(identifier)) <= frozenset(members)
+    return frozenset(members).issuperset(arguments.proper_sub_ids(identifier))
 
 
 # ---------------------------------------------------------------------------
@@ -179,16 +181,11 @@ def wp_extension(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
     """
     arguments = graph.arguments
     ids, decode, rows = arguments.ids, arguments._decode, arguments._rows
-    subs, supers = arguments._subs, arguments._supers
-    attackers_of, targets_of = graph._attackers, graph._targets
+    parents, attackers_of, targets_of = arguments._parents, graph._attackers, graph._targets
     imaginary = [row[0] is ImaginaryArgument for row in rows]
 
     # support: each argument counts its direct subarguments not yet justified
     waiting = [len(row[3]) for row in rows]  # a child listed twice is counted and met twice
-    parents: list[list[int]] = [[] for _ in ids]
-    for n, row in enumerate(rows):
-        for child in row[3]:
-            parents[child].append(n)
     # undercut: the natural witnesses each argument attacks at
     attacks_at: list[list[int]] = [[] for _ in ids]
     for witness, attackers in enumerate(graph._at_witness):
@@ -201,8 +198,9 @@ def wp_extension(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
     rejected: set[int] = set()
     supported: set[int] = set()  # by the justified set
     beaten: set[int] = set()  # rejected, or undercut by the justified set
-    fallen: set[int] = set()  # arguments whose closure holds a rejected argument
     live: set[int] = set()  # witnesses with a supported attacker
+    undercut: set[int] = set()  # the arguments above them (closed upward, as ``fallen``)
+    fallen: set[int] = set()  # arguments whose closure holds a rejected argument
 
     def support(n: int, woken: set[int]) -> None:
         supported.add(n)
@@ -211,10 +209,11 @@ def wp_extension(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
         for witness in attacks_at[n]:
             if witness not in live:
                 live.add(witness)
-                for above in supers[witness]:
-                    if above != witness and above not in beaten:
-                        beaten.add(above)
-                        woken.update(targets_of[above])
+                for parent in parents[witness]:  # the walks stop at ``undercut``, not
+                    for above in arguments._walk(parent, True, undercut):  # at ``beaten``: it
+                        if above not in beaten:  # holds rejected arguments too
+                            beaten.add(above)
+                            woken.update(targets_of[above])
 
     supported.update([n for n, count in enumerate(waiting) if not count])
     for n in [n for n in supported if attacks_at[n]]:  # their undercuts; what they wake
@@ -238,7 +237,7 @@ def wp_extension(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
                     hits = [a for a in attackers if a in justified]
                     newly_rejected.append((n, "attacker-justified", hits))
             elif n in fallen:  # n itself is not rejected
-                hits = [sub for sub in subs[n] if sub in rejected]
+                hits = [sub for sub in sorted(arguments._walk(n, False, set())) if sub in rejected]
                 newly_rejected.append((n, "subargument-rejected", hits))
             elif not supported.isdisjoint(attackers):
                 hits = [a for a in attackers if a in supported]
@@ -279,8 +278,7 @@ def wp_extension(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
         # wake the arguments whose predicates read what just changed
         woken: set[int] = set()
         for n in gone:
-            fallen.update(supers[n])
-            woken.update(supers[n])  # subargument-rejected
+            woken.update(arguments._walk(n, True, fallen))  # subargument-rejected
             woken.update(targets_of[n])  # an attacker rejected
         for n in added:
             woken.update(targets_of[n])  # attacker-justified

@@ -1,8 +1,10 @@
 """Unit tests for argument construction and the argument set."""
 
 import copy
+import gc
 import importlib.util
 import pickle
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -41,8 +43,8 @@ def kinds(prepared):
 
 
 def super_ids(arguments, identifier):
-    """The superargument closure, decoded from the index that attacks and wp read."""
-    return frozenset(arguments._decode(arguments._supers[arguments.index(identifier)]))
+    """The superargument closure, by the walk up the parents index that attacks and wp read."""
+    return frozenset(arguments._decode(arguments._walk(arguments.index(identifier), True, set())))
 
 
 def test_two_obligation_theory_builds_exactly_six_arguments(two_obligations):
@@ -251,6 +253,25 @@ def _ladder():
     return module
 
 
+def test_a_built_table_retains_memory_linear_in_the_arguments():
+    # the table stores no closure, so a chain four times as long retains at most five times
+    # the memory; a stored closure per argument grows with the square of the chain
+    retained = {}
+    for steps in (1000, 4000):
+        theory = parse_theory(_ladder().chain(steps))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            arguments = build_arguments(theory)
+            gc.collect()
+            retained[steps] = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(arguments) == 3 * steps + 9
+        del arguments
+    assert retained[4000] <= 5 * retained[1000], retained
+
+
 def test_tall_argument_sets_compare_without_recursion():
     theory = parse_theory(_ladder().chain(1000))
     first, second = build_arguments(theory), build_arguments(theory)
@@ -376,6 +397,7 @@ def test_the_table_matches_the_reference_construction(
         arguments = build_arguments(theory)
         ordered, closures = reference_arguments(theory)
         assert arguments.ordered == ordered
+        assert dict(zip(arguments.ids, map(tuple, arguments._closures()))) == closures
         for identifier, closure in closures.items():
             assert arguments.sub_ids(identifier) == closure
             proper = tuple(i for i in closure if i != identifier)

@@ -67,7 +67,7 @@ from deonarg.testkit import (
 )
 
 _ARGUMENT_SET_INDEXES = (
-    "_ordered", "_ids", "_rows", "_positions", "_by_conclusion", "_subs", "_supers",
+    "_ordered", "_ids", "_rows", "_positions", "_by_conclusion", "_parents", "_order",
 )
 _ATTACK_GRAPH_INDEXES = (
     "_attackers", "_targets", "_at_witness",

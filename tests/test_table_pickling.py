@@ -14,7 +14,7 @@ from pathlib import Path
 
 from deonarg import ArgumentSet, build_arguments, compute_attacks, parse_theory
 
-_INDEXES = ("_ids", "_rows", "_positions", "_by_conclusion", "_subs", "_supers")
+_INDEXES = ("_ids", "_rows", "_positions", "_by_conclusion", "_parents", "_order")
 
 
 def _ladder():
@@ -52,4 +52,9 @@ def test_a_set_listing_parents_before_children_round_trips_equal(goldens):
         for twin in _twins(listed):
             assert twin == listed
             assert twin.ordered == listed.ordered
-            assert (twin._subs, twin._supers) == (listed._subs, listed._supers)
+            assert (twin._parents, twin._order) == (listed._parents, listed._order)
+            assert twin._closures() == listed._closures()
+        # the closures built children first equal the walks, in a set whose order is not
+        assert [tuple(closure) for closure in listed._closures()] == [
+            listed.sub_ids(identifier) for identifier in listed.ids
+        ]
