@@ -14,8 +14,9 @@ argument count), ``wp`` (``wp_extension``), ``trace``
 of turning the trace into records shows wherever it lies), ``sections``
 (``theory_section``, ``arguments_section`` and ``attacks_section`` of the
 rung's theory, argument set and attack graph, the other sections of the
-JSON document) and ``verify_theorems`` (the whole check on the theory,
-limit raised).
+JSON document), ``verify_theorems`` (the whole check on the theory,
+limit raised) and ``check`` (``verify_theorems`` on the rung's attack
+graph, limit raised: the checks' own cost, without the build).
 
 The ladder:
 
@@ -61,7 +62,8 @@ lists and of the check report, so columns taken on different code can
 be compared for identical output; ``--expect FILE`` exits 1 when a rung's
 digests differ from those of any column of FILE that has the rung.  The
 ``sections`` stage adds no digest: its output is the argument and attack
-digests' and the source text's.  The
+digests' and the source text's; nor does ``check``, whose report is
+``verify_theorems``'.  The
 chain and fan rungs also record the MB that one built argument set
 retains (``build_retained_mb``) and that decoding its records adds
 (``decoded_retained_mb``), by ``tracemalloc``, untimed.  At the end, for
@@ -106,7 +108,7 @@ REPEAT = 9
 
 STAGES = (
     "parse", "build", "decode", "attacks", "grounded", "complete", "stable", "wp", "trace",
-    "sections", "verify_theorems",
+    "sections", "verify_theorems", "check",
 )
 
 #: fresh interpreters per start-up stage; the median is reported
@@ -217,6 +219,7 @@ def stage_calls(engine: ModuleType, text: str) -> tuple[dict, dict[str, Callable
         "sections": lambda: (schema.theory_section(theory), schema.arguments_section(arguments),
                              schema.attacks_section(graph)),
         "verify_theorems": lambda: engine.verify_theorems(theory, argument_limit=limit),
+        "check": lambda: engine.verify_theorems(graph, argument_limit=limit),
     }
     return rung, calls, arguments.index
 

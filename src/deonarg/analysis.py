@@ -203,19 +203,16 @@ _WP_CHECKS = (
 
 
 def _weak_permission_exclusion(
-    name: str, conflicted: frozenset[Literal], arguments: ArgumentSet, members: frozenset[str]
+    name: str, weak: dict[Literal, tuple[str, ...]], members: frozenset[str]
 ) -> CheckResult:
-    conclusions = {arguments.conclusion(identifier) for identifier in members}
-    offending = sorted(
-        str(literal)
-        for literal in conflicted
-        if perm_w(literal) in conclusions or perm_w(complement(literal)) in conclusions
-    )
+    """``weak`` maps each conflicted literal to the arguments concluding either weak permission."""
+    offending = sorted(str(literal) for literal, found in weak.items()
+                       if not members.isdisjoint(found))
     return _verdict(
         name,
         offending,
         "weak permission justified for conflicted literal(s): ",
-        f"{len(conflicted)} conflicted literal(s), no justified weak permission",
+        f"{len(weak)} conflicted literal(s), no justified weak permission",
     )
 
 
@@ -257,8 +254,12 @@ def verify_theorems(
         adjudicated = "superiority pairs adjudicate conflicts; out of scope"
         results = [CheckResult(name, "skipped", adjudicated) for name in _EXCLUSION_CHECKS]
     else:
-        conflicted = conflicted_literals(theory, arguments)
-        results = [_weak_permission_exclusion(not_grounded, conflicted, arguments, grounded)]
+        weak = {
+            literal: arguments.concluders(perm_w(literal))
+            + arguments.concluders(perm_w(complement(literal)))
+            for literal in conflicted_literals(theory, arguments)
+        }
+        results = [_weak_permission_exclusion(not_grounded, weak, grounded)]
         try:
             core = _stable_core(graph, argument_limit)
             vacuous = "no stable extensions; sceptical quantification is vacuous"
@@ -267,7 +268,7 @@ def verify_theorems(
         results.append(
             CheckResult(not_stable, "skipped", vacuous)
             if core is None
-            else _weak_permission_exclusion(not_stable, conflicted, arguments, core)
+            else _weak_permission_exclusion(not_stable, weak, core)
         )
 
     disjoint, recover, subset, closure = _WP_CHECKS
@@ -289,16 +290,15 @@ def verify_theorems(
         f"{len(justified)} justified, {len(rejected)} rejected, disjoint and conflict-free",
     ))
 
-    # Unresolved conflicts with fully justified premises recover both
-    # weak permissions.
-    by_rule: dict[str | None, list[str]] = {}
-    for identifier in arguments.natural_ids():
-        by_rule.setdefault(arguments.top_rule(identifier), []).append(identifier)
+    # Unresolved conflicts with fully justified premises recover both weak permissions; a rule's
+    # applications suffice, as a permission argument's proper subarguments hold its base's.
+    heads = {rule.label: rule.head for rule in theory.rules}
     backed = [
         pair
         for pair in _conflict_pairs(theory, arguments, justified)
         if all(
-            any(supports(arguments, justified, identifier) for identifier in by_rule.get(label, ()))
+            any(arguments.top_rule(i) == label and supports(arguments, justified, i)
+                for i in arguments.concluders(heads[label]))
             for label in (pair.supporting_rule, pair.opposing_rule)
         )
     ]
@@ -328,7 +328,7 @@ def verify_theorems(
         results.append(CheckResult(subset, "skipped", scope))
 
     # Every subargument of a justified argument is justified (children suffice, by induction).
-    held, rows = set(map(arguments.index, justified)), arguments._rows
+    held, rows = set(map(arguments.index, justified)), arguments.rows
     broken = sorted(n for n in held if not held.issuperset(rows[n][3]))
     results.append(_verdict(
         closure,

@@ -14,17 +14,18 @@ Construction always terminates: a rule label may not occur twice on any
 root-to-leaf path of an argument tree, which bounds tree depth even for
 cyclic rule sets.
 
-The built ``ArgumentSet`` is a table of position rows with a parents
-index, filled without building an ``Argument``; the ``Argument``
-records are made from the rows only when asked for (hash-consed: one
-object per argument, children shared; Filliatre & Conchon, "Type-safe
-modular hash-consing", 2006).
+The built ``ArgumentSet`` is a record of its table, the theory, the ids
+and the position rows, filled without building an ``Argument``; the
+``Argument`` records are made from the rows only when asked for
+(hash-consed: one object per argument, children shared; Filliatre &
+Conchon, "Type-safe modular hash-consing", 2006).
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from itertools import chain, product, repeat
-from typing import ClassVar, Iterable, Iterator, Sequence
+from typing import ClassVar, Iterable, Iterator
 
 from .model import (
     Conclusion,
@@ -268,39 +269,29 @@ _KIND_RANKS = {"fact": 0, "rule-application": 1, "permission-axiom": 2, "imagina
 class ArgumentSet(Record):
     """All arguments of a theory with stable ids (``A0..`` natural, ``I1..`` imaginary).
 
-    The set is a table of rows by position, ``(form, rule, conclusion,
-    children)``: the argument's class, the rule whose label is its top rule
-    (None for facts and imaginary arguments), its conclusion and its
-    children's positions.  No index is larger than the table: closures are
-    walks of the children or of the parents index.  Every index is built
-    once, when the set is constructed, and the id-keyed views decode
-    positions to ids when called.  The ``ordered`` pairs hold ``Argument``
-    objects: they are decoded from the rows the first time they are read
-    and then kept, so an argument is always the same object.  Equality and
-    hash read the theory, the ids and the rows, without decoding or
-    recursing into trees; ``repr`` is that of ``(theory, ordered)``.
+    The fields are the table: the theory, the ids and the rows by position,
+    ``(form, rule, conclusion, children)``: the argument's class, the rule
+    whose label is its top rule (None for facts and imaginary arguments),
+    its conclusion and its children's positions.  Equality, hash, pickling
+    and copying are ``Record``'s, on these three fields, so none decodes an
+    argument or recurses into a tree.  The constructor builds every index
+    once: positions by id, rows by conclusion, the parents of each row and
+    the children-first order, the imaginary rows and then the natural ones
+    by position.  The constructor's precondition is the shape
+    ``build_arguments`` makes: the natural rows come first, each after its
+    natural children, then the imaginary rows.  No index is larger than
+    the table: closures are walks of the children or of the parents index,
+    and the id-keyed views decode positions to ids when called.  The ``ordered``
+    pairs hold ``Argument`` objects: they are decoded from the rows the
+    first time they are read and then kept, so an argument is always the
+    same object.  ``repr`` is that of ``(theory, ordered)``.
     """
 
-    _fields = ("theory", "ordered")
-    __slots__ = ("theory", "_ordered", "_ids", "_rows", "_positions", "_by_conclusion", "_parents",
-                 "_order")
+    _fields = ("theory", "ids", "rows")
+    __slots__ = (*_fields, "_ordered", "_positions", "_by_conclusion", "_parents", "_order")
 
-    def __init__(self, theory: Theory, ordered: tuple[tuple[ArgumentId, Argument], ...]) -> None:
-        ordered = tuple(ordered)
-        position = {argument: n for n, (_, argument) in enumerate(ordered)}
-        rows = []
-        for _, argument in ordered:
-            top = argument.base if isinstance(argument, DAxiomArgument) else argument
-            rule = top.rule if isinstance(top, RuleApplication) else None
-            children = tuple([position[child] for child in argument.children])
-            rows.append((argument.__class__, rule, argument.conclusion, children))
-        order = tuple(sorted(range(len(ordered)), key=lambda n: ordered[n][1].height))
-        self._fill(theory, ordered, tuple(i for i, _ in ordered), tuple(rows), order)
-
-    def _fill(self, theory: Theory, ordered: tuple | None, ids: tuple[ArgumentId, ...],
-              rows: tuple[tuple, ...], order: Sequence[int]) -> None:
-        """Set the fields and build the indexes; ``order``, kept, lists every position after its
-        children's.  ``build_arguments`` fills its table here too, with no ``ordered``."""
+    def __init__(self, theory: Theory, ids: tuple[ArgumentId, ...],
+                 rows: tuple[tuple, ...]) -> None:
         parents: dict[int, list[int]] = {}  # a list only for the rows that have parents
         by_conclusion: dict[Conclusion, list[int]] = {}
         for n, (_, _, conclusion, children) in enumerate(rows):
@@ -309,32 +300,22 @@ class ArgumentSet(Record):
                 parents.setdefault(child, []).append(n)
         positions = {identifier: n for n, identifier in enumerate(ids)}
         parents = tuple(map(parents.get, range(len(rows)), repeat(())))
-        values = (theory, ordered, ids, rows, positions, by_conclusion, parents, order)
+        # the natural rows come first (the precondition); children first, the imaginary rows do
+        count = bisect(rows, False, key=lambda row: row[0] is ImaginaryArgument)
+        order = (*range(count, len(rows)), *range(count))
+        values = (theory, ids, rows, None, positions, by_conclusion, parents, order)
         for setter, value in zip(self._setters, values):
             setter(self, value)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.theory, self._ids, self._rows) == (other.theory, other._ids, other._rows)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.theory, self._ids, self._rows))
-
-    def __reduce__(self) -> tuple:
-        # the table, so that pickle and deepcopy are linear: ``ordered`` would flatten
-        # every argument's tree on its own
-        return _table, (self.theory, self._ids, self._rows, self._order)
-
     def __repr__(self) -> str:  # each argument's text made once, not once per superargument
         shown = _reprs([argument for _, argument in self.ordered])
-        return f"ArgumentSet(theory={self.theory!r}, ordered={tuple(zip(self._ids, shown))!r})"
+        return f"ArgumentSet(theory={self.theory!r}, ordered={tuple(zip(self.ids, shown))!r})"
 
     @property
     def ordered(self) -> tuple[tuple[ArgumentId, Argument], ...]:
         """``(id, Argument)`` pairs in id order, decoded from the rows once."""
         if self._ordered is None:
-            rows = self._rows
+            rows = self.rows
             made: list[Argument] = [None] * len(rows)  # type: ignore[list-item]
             for n in self._order:
                 form, rule, conclusion, children = rows[n]
@@ -344,26 +325,22 @@ class ArgumentSet(Record):
                     made[n] = DAxiomArgument(made[children[0]])
                 else:
                     made[n] = form(conclusion if form is FactArgument else conclusion.literal)
-            ArgumentSet._ordered.__set__(self, tuple(zip(self._ids, made)))
+            ArgumentSet._ordered.__set__(self, tuple(zip(self.ids, made)))
         return self._ordered
 
     def __iter__(self) -> Iterator[tuple[ArgumentId, Argument]]:
         return iter(self.ordered)
 
     def __len__(self) -> int:
-        return len(self._ids)
-
-    @property
-    def ids(self) -> tuple[ArgumentId, ...]:
-        return self._ids
+        return len(self.ids)
 
     def _decode(self, positions: Iterable[int]) -> tuple[ArgumentId, ...]:
-        return tuple(map(self._ids.__getitem__, positions))
+        return tuple(map(self.ids.__getitem__, positions))
 
     def _walk(self, n: int, up: bool, seen: set[int]) -> list[int]:
         """``n`` and the positions below it (its subarguments), or above it with ``up``, that
         are not in ``seen``, a set closed in that direction, to which the walk adds them."""
-        rows, parents, reached, stack = self._rows, self._parents, [], [n]
+        rows, parents, reached, stack = self.rows, self._parents, [], [n]
         while stack:
             k = stack.pop()
             if k not in seen:
@@ -375,7 +352,7 @@ class ArgumentSet(Record):
     def _closures(self) -> list[list[ArgumentId]]:
         """Every row's subargument closure as ids in position order, built in one pass children
         first: for the outputs that print them all, at their size."""
-        rows, ids, index = self._rows, self._ids, self._positions.__getitem__
+        rows, ids, index = self.rows, self.ids, self._positions.__getitem__
         subs = [[name] for name in ids]
         for n in self._order:
             children = rows[n][3]
@@ -391,18 +368,18 @@ class ArgumentSet(Record):
     def id_of(self, argument: Argument) -> ArgumentId:
         for n in self._by_conclusion.get(argument.conclusion, ()):
             if self.ordered[n][1] == argument:
-                return self._ids[n]
+                return self.ids[n]
         raise KeyError(argument)
 
     def kind(self, identifier: ArgumentId) -> str:
         """The argument's form, as the JSON output spells it."""
-        return self._rows[self._positions[identifier]][0].kind
+        return self.rows[self._positions[identifier]][0].kind
 
     def conclusion(self, identifier: ArgumentId) -> Conclusion:
-        return self._rows[self._positions[identifier]][2]
+        return self.rows[self._positions[identifier]][2]
 
     def top_rule(self, identifier: ArgumentId) -> str | None:
-        rule = self._rows[self._positions[identifier]][1]
+        rule = self.rows[self._positions[identifier]][1]
         return None if rule is None else rule.label
 
     def concluders(self, conclusion: Conclusion) -> tuple[ArgumentId, ...]:
@@ -410,10 +387,10 @@ class ArgumentSet(Record):
         return self._decode(self._by_conclusion.get(conclusion, ()))
 
     def natural_ids(self) -> tuple[ArgumentId, ...]:
-        return tuple(i for i, row in zip(self._ids, self._rows) if row[0] is not ImaginaryArgument)
+        return tuple(i for i, row in zip(self.ids, self.rows) if row[0] is not ImaginaryArgument)
 
     def imaginary_ids(self) -> tuple[ArgumentId, ...]:
-        return tuple(i for i, row in zip(self._ids, self._rows) if row[0] is ImaginaryArgument)
+        return tuple(i for i, row in zip(self.ids, self.rows) if row[0] is ImaginaryArgument)
 
     #: an id's position: the position dict's own lookup, no Python call per sort key
     index = property(lambda self: self._positions.__getitem__)
@@ -562,12 +539,4 @@ def build_arguments(theory: Theory) -> ArgumentSet:
         for form, rule, conclusion, children, _, _ in map(found.__getitem__, order)
     ] + [(ImaginaryArgument, None, conclusions[n], ()) for n in range(imaginary)])
     ids = (*[f"A{n}" for n in range(count)], *[f"I{n}" for n in range(1, imaginary + 1)])
-    return _table(theory, ids, rows, (*range(count, len(rows)), *range(count)))  # children first
-
-
-def _table(theory: Theory, ids: tuple[ArgumentId, ...], rows: tuple[tuple, ...],
-           order: Sequence[int]) -> ArgumentSet:
-    """The argument set of the rows, with no ``ordered`` (see ``ArgumentSet._fill``)."""
-    table = object.__new__(ArgumentSet)
-    table._fill(theory, None, ids, rows, order)
-    return table
+    return ArgumentSet(theory, ids, rows)

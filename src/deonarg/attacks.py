@@ -174,7 +174,7 @@ def compute_attacks(
     """Compute every attack record, split by the superiority of ``arguments.theory``."""
     if theory is not None and theory is not arguments.theory and theory != arguments.theory:
         raise ValueError("the theory is not the one the arguments were built from")
-    narrow, table, supers = not imaginary_subargument_attacks, arguments._rows, {}
+    narrow, table, supers = not imaginary_subargument_attacks, arguments.rows, {}
     parents = arguments._parents
 
     def reach(c: int, w: int) -> tuple[int, ...]:

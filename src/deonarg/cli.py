@@ -16,7 +16,7 @@ import argparse
 import os
 import sys
 from itertools import groupby
-from operator import attrgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable
 
@@ -347,18 +347,16 @@ def cmd_trace(
 
 
 def _dot_graph(arguments: ArgumentSet, graph: AttackGraph) -> str:
-    lines = ["digraph attacks {", "  rankdir=LR;"]
-    for identifier in arguments.ids:
+    lines, ids = ["digraph attacks {", "  rankdir=LR;"], arguments.ids
+    for identifier in ids:
         style = ", style=dashed" if arguments.kind(identifier) == "imaginary" else ""
         lines.append(
             f'  "{identifier}" [label="{identifier}: {arguments.conclusion(identifier)}"{style}];'
         )
-    # the edges come in (attacker, target) id order, each pair's records together
-    for (attacker, target), records in groupby(
-        graph.edges, attrgetter("attacker", "target")
-    ):
-        conditions = ",".join(str(c) for c in sorted({e.condition for e in records}))
-        lines.append(f'  "{attacker}" -> "{target}" [label="{conditions}"];')
+    # the rows come in (attacker, target) order, each pair's records together
+    for (attacker, target), records in groupby(graph.rows, itemgetter(0, 1)):
+        conditions = ",".join(str(c) for c in sorted({row[2] for row in records}))
+        lines.append(f'  "{ids[attacker]}" -> "{ids[target]}" [label="{conditions}"];')
     lines.append("}")
     return "\n".join(lines)
 
@@ -378,14 +376,15 @@ def cmd_attacks(theory_file: str, fmt: str, imaginary_subargument_attacks: bool)
     if fmt == "dot":
         _echo(_dot_graph(graph.arguments, graph))
         return
-    for identifier in graph.arguments.ids:
+    ids = graph.arguments.ids
+    for identifier in ids:
         targets = graph.targets_of(identifier)
         if targets:
             _echo(f"{identifier} -> {', '.join(targets)}")
-    for edge in graph.suppressed:
+    for attacker, target, condition, witness in graph.suppressed_rows:
         _echo(
-            f"suppressed: {edge.attacker} -> {edge.target} "
-            f"[condition {edge.condition}, witness {edge.witness}]"
+            f"suppressed: {ids[attacker]} -> {ids[target]} "
+            f"[condition {condition}, witness {ids[witness]}]"
         )
 
 

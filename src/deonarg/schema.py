@@ -139,7 +139,7 @@ def arguments_section(arguments: ArgumentSet) -> list[dict[str, Any]]:
             "sub": sub,
             "top_rule": None if rule is None else rule.label,
         }
-        for name, (form, rule, conclusion, _), sub in zip(arguments.ids, arguments._rows, subs)
+        for name, (form, rule, conclusion, _), sub in zip(arguments.ids, arguments.rows, subs)
     ]
 
 
@@ -160,9 +160,9 @@ def _changes(ids: tuple[str, ...], rows: Iterable[tuple]) -> list[dict[str, Any]
 
 
 def trace_section(extension: WpExtension) -> list[dict[str, Any]]:
-    ids = extension._ids  # the trace's rows, read with no record built
+    ids = extension.ids  # the trace's rows, read with no record built
     return [
         {"step": index, "rejected": _changes(ids, rejected) if rejected else [],
          "justified": _changes(ids, justified) if justified else []}  # most steps have one side
-        for index, (rejected, justified) in enumerate(extension._rows, 1)
+        for index, (rejected, justified) in enumerate(extension.rows, 1)
     ]

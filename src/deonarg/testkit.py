@@ -35,7 +35,7 @@ from .arguments import (
     build_arguments,
 )
 from .attacks import AttackGraph
-from .wp import FixpointInvariantError, StatusChange, TraceStep, WpExtension
+from .wp import FixpointInvariantError, WpExtension
 from .model import (
     Atom,
     BodyElement,
@@ -317,6 +317,8 @@ def reference_wp(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
     witnesses and invariant checks as ``wp.wp_extension``.  Support and
     undercut are the predicates above, evaluated on the whole snapshot
     each round, so the cost is cubic on tall chains: keep instances small.
+    Each change is written as a row over the graph's ids, ``(position,
+    clause, witness positions)``, the ``WpExtension`` form.
     """
     view = reference_graph(graph)
     ids, imaginary, proper, attackers = view.ids, view.imaginary, view.proper, view.attackers
@@ -325,17 +327,17 @@ def reference_wp(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
     def in_order(found) -> tuple[ArgumentId, ...]:
         return tuple(sorted(found, key=order.__getitem__))
 
-    def rejection(identifier, rejected, justified, supported) -> StatusChange | None:
+    def rejection(identifier, rejected, justified, supported) -> tuple | None:
         if identifier in imaginary:
             hits = tuple(a for a in attackers[identifier] if a in justified)
-            return StatusChange(identifier, "attacker-justified", hits) if hits else None
+            return ("attacker-justified", hits) if hits else None
         hits = tuple(sub for sub in proper[identifier] if sub in rejected)
         if hits:
-            return StatusChange(identifier, "subargument-rejected", hits)
+            return ("subargument-rejected", hits)
         hits = tuple(a for a in attackers[identifier] if a in supported)
-        return StatusChange(identifier, "attacker-supported", hits) if hits else None
+        return ("attacker-supported", hits) if hits else None
 
-    def acceptance(identifier, rejected, supported, undercut) -> StatusChange | None:
+    def acceptance(identifier, rejected, supported, undercut) -> tuple | None:
         if identifier in imaginary:
             clause = "attackers-all-rejected"
             holds = all(a in rejected for a in attackers[identifier])
@@ -344,31 +346,35 @@ def reference_wp(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
             holds = identifier in supported and all(
                 a in rejected or a in undercut for a in attackers[identifier]
             )
-        return StatusChange(identifier, clause, attackers[identifier]) if holds else None
+        return (clause, attackers[identifier]) if holds else None
+
+    def rows(changes: dict) -> tuple:
+        return tuple((order[identifier], clause, tuple(map(order.__getitem__, hits)))
+                     for identifier, (clause, hits) in changes.items())
 
     justified: frozenset[ArgumentId] = frozenset()
     rejected: frozenset[ArgumentId] = frozenset()
-    steps: list[TraceStep] = []
+    steps: list[tuple] = []
     index = 0
     while True:  # each round that does not stop adds an argument to a finite set
         index += 1
         supported, undercut = supported_by(view, justified), undercut_by(view, justified)
-        newly_rejected = []
+        newly_rejected = {}
         for identifier in ids:
             if identifier in rejected or (fixpoint_guards and identifier in justified):
                 continue
             change = rejection(identifier, rejected, justified, supported)
             if change is not None:
-                newly_rejected.append(change)
-        grown_rejected = rejected | {change.argument for change in newly_rejected}
-        newly_justified = []
+                newly_rejected[identifier] = change
+        grown_rejected = rejected.union(newly_rejected)
+        newly_justified = {}
         for identifier in ids:
             if identifier in justified or (fixpoint_guards and identifier in grown_rejected):
                 continue
             change = acceptance(identifier, rejected, supported, undercut)
             if change is not None:
-                newly_justified.append(change)
-        grown_justified = justified | {change.argument for change in newly_justified}
+                newly_justified[identifier] = change
+        grown_justified = justified.union(newly_justified)
 
         overlap = grown_justified & grown_rejected
         if overlap:
@@ -383,11 +389,9 @@ def reference_wp(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
             raise FixpointInvariantError(index, "conflict", in_order(clash))
 
         if not newly_rejected and not newly_justified:
-            return WpExtension(justified, rejected, tuple(steps))
+            return WpExtension(justified, rejected, ids, tuple(steps))
         rejected, justified = grown_rejected, grown_justified
-        steps.append(
-            TraceStep(index, tuple(newly_rejected), tuple(newly_justified), rejected, justified)
-        )
+        steps.append((rows(newly_rejected), rows(newly_justified)))
 
 
 # ---------------------------------------------------------------------------

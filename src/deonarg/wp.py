@@ -22,19 +22,33 @@ itself and its targets, and marks the superarguments of every witness it
 attacks as undercut, waking their targets; one becoming rejected wakes
 its superarguments and targets; one becoming justified wakes its
 targets.  Superarguments are walks up the argument set's parents index
-that stop at a set closed upward (undercut, fallen), so the work is about
-linear in the arguments, subargument links and attack records.  The
-predicates are written out in the loop, and each status change is kept
-as a row of positions, ``(argument, clause, witnesses)``, with no record
-built: ``schema.trace_section`` reads the rows, and ``WpExtension.steps``
-decodes them when first read.
-The public ``supports``, which ``analysis`` reads, is support's direct
-definition; ``testkit`` states support and undercut over the trees.
+that stop at a set closed upward, so the work is about linear in the
+arguments, subargument links and attack records.  The rejection walk
+stops at ``fallen``, the arguments above a rejected one.  The undercut
+walk stops at ``beaten``, the rejected and the undercut arguments, whose
+natural members are closed upward.  Undercut is closed upward by
+construction, and a natural argument is rejected in one of two ways:
+
+* by ``attacker-supported``: its supported attackers attack every
+  superargument at the same witness, with the same top rules, so they
+  reject the superarguments in the same iteration (narrow condition 1
+  only ever targets imaginary arguments);
+* by ``subargument-rejected``: every superargument is then in ``fallen``,
+  and rejected in the same iteration too.
+
+Imaginary arguments are never parents, so the undercut walk, which
+starts above a natural witness, never reaches an imaginary member of
+``beaten``.  The predicates are written out in the loop, and each status
+change is kept as a row of positions, ``(argument, clause, witnesses)``,
+with no record built: ``schema.trace_section`` reads the rows, and
+``WpExtension.steps`` decodes them when first read.  The public
+``supports``, which ``analysis`` reads, is support's direct definition;
+``testkit`` states support and undercut over the trees.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Iterable
 
 from .arguments import ArgumentSet, ImaginaryArgument
 from .attacks import AttackGraph
@@ -108,45 +122,33 @@ class TraceStep(Record):
 
 
 class WpExtension(Record):
-    """The fixed point's justified and rejected sets, and its trace.
+    """The fixed point's justified and rejected sets, and its trace as rows.
 
-    The trace is held as rows on positions into ``_ids``, per step a list of
-    rejected and a list of justified ``(argument, clause, witnesses)``, which
-    ``iterations`` and ``schema.trace_section`` read.  ``steps`` decodes them
-    to records when first read and keeps them, as ``ArgumentSet.ordered``
-    does; the constructor keeps the steps and packs them into rows.
+    The fields are ``justified``, ``rejected``, ``ids`` and the trace's
+    ``rows``: per step a tuple of rejected and a tuple of justified
+    changes, each a row ``(argument, clause, witnesses)`` of positions into
+    ``ids``, tuples all the way down, so that ``Record``'s equality, hash
+    and pickling work on them as they are.  ``iterations`` and
+    ``schema.trace_section`` read the rows; ``steps`` decodes them to
+    records when first read and keeps them in the slot ``_steps``, as
+    ``ArgumentSet.ordered`` does.
     """
 
-    _fields = ("justified", "rejected", "steps")
-    __slots__ = ("justified", "rejected", "_steps", "_ids", "_rows")
+    _fields = ("justified", "rejected", "ids", "rows")
+    __slots__ = (*_fields, "_steps")
 
     def __init__(self, justified: frozenset[str], rejected: frozenset[str],
-                 steps: Iterable[TraceStep]) -> None:
-        steps = tuple(steps)
-        ids: dict[str, int] = {}  # each id the steps name, numbered as met
-        rows = tuple([
-            tuple([
-                [(ids.setdefault(c.argument, len(ids)), c.clause,
-                  [ids.setdefault(w, len(ids)) for w in c.witnesses]) for c in changes]
-                for changes in (step.newly_rejected, step.newly_justified)
-            ])
-            for step in steps
-        ])
-        self._fill(justified, rejected, steps, tuple(ids), rows)
-
-    def _fill(self, *values: Any) -> WpExtension:
-        """Set ``justified``, ``rejected``, ``steps`` (None until read), the ids and the rows."""
-        for setter, value in zip(self._setters, values):
+                 ids: tuple[str, ...], rows: tuple[tuple, ...]) -> None:
+        for setter, value in zip(self._setters, (justified, rejected, ids, rows, None)):
             setter(self, value)
-        return self
 
     @property
     def steps(self) -> tuple[TraceStep, ...]:
         """One ``TraceStep`` per iteration, decoded from the rows once."""
         if self._steps is None:
-            ids, made = self._ids, []
+            ids, made = self.ids, []
             orders: tuple[list[str], list[str]] = ([], [])  # rejected, justified
-            for index, sides in enumerate(self._rows, 1):
+            for index, sides in enumerate(self.rows, 1):
                 changes = [
                     tuple([StatusChange(ids[n], clause, tuple([ids[w] for w in hits]))
                            for n, clause, hits in side])
@@ -160,7 +162,7 @@ class WpExtension(Record):
 
     @property
     def iterations(self) -> int:
-        return len(self._rows)
+        return len(self.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +182,7 @@ def wp_extension(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
     regardless of the guard setting.
     """
     arguments = graph.arguments
-    ids, decode, rows = arguments.ids, arguments._decode, arguments._rows
+    ids, decode, rows = arguments.ids, arguments._decode, arguments.rows
     parents, attackers_of, targets_of = arguments._parents, graph._attackers, graph._targets
     imaginary = [row[0] is ImaginaryArgument for row in rows]
 
@@ -199,7 +201,6 @@ def wp_extension(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
     supported: set[int] = set()  # by the justified set
     beaten: set[int] = set()  # rejected, or undercut by the justified set
     live: set[int] = set()  # witnesses with a supported attacker
-    undercut: set[int] = set()  # the arguments above them (closed upward, as ``fallen``)
     fallen: set[int] = set()  # arguments whose closure holds a rejected argument
 
     def support(n: int, woken: set[int]) -> None:
@@ -209,11 +210,9 @@ def wp_extension(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
         for witness in attacks_at[n]:
             if witness not in live:
                 live.add(witness)
-                for parent in parents[witness]:  # the walks stop at ``undercut``, not
-                    for above in arguments._walk(parent, True, undercut):  # at ``beaten``: it
-                        if above not in beaten:  # holds rejected arguments too
-                            beaten.add(above)
-                            woken.update(targets_of[above])
+                for parent in parents[witness]:  # closed upward: see the module docstring
+                    for above in arguments._walk(parent, True, beaten):
+                        woken.update(targets_of[above])
 
     supported.update([n for n, count in enumerate(waiting) if not count])
     for n in [n for n in supported if attacks_at[n]]:  # their undercuts; what they wake
@@ -224,7 +223,7 @@ def wp_extension(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
     end = len(ids) - imaginary[::-1].index(False) if False in imaginary else 0
     settled = [n for n in range(end, len(ids)) if not attackers_of[n]]
     candidates: Iterable[int] = [*range(end), *(n for n in range(end, len(ids)) if attackers_of[n])]
-    steps: list[tuple[list[tuple], list[tuple]]] = []
+    steps: list[tuple[tuple, tuple]] = []
     for index in range(1, 2 * len(ids) + 2):
         # every predicate reads the previous snapshot: the sets change after both sides
         newly_rejected: list[tuple] = []
@@ -234,13 +233,14 @@ def wp_extension(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
             attackers = attackers_of[n]
             if imaginary[n]:
                 if not justified.isdisjoint(attackers):
-                    hits = [a for a in attackers if a in justified]
+                    hits = tuple(filter(justified.__contains__, attackers))
                     newly_rejected.append((n, "attacker-justified", hits))
             elif n in fallen:  # n itself is not rejected
-                hits = [sub for sub in sorted(arguments._walk(n, False, set())) if sub in rejected]
+                below = sorted(arguments._walk(n, False, set()))
+                hits = tuple(filter(rejected.__contains__, below))
                 newly_rejected.append((n, "subargument-rejected", hits))
             elif not supported.isdisjoint(attackers):
-                hits = [a for a in attackers if a in supported]
+                hits = tuple(filter(supported.__contains__, attackers))
                 newly_rejected.append((n, "attacker-supported", hits))
         gone = {change[0] for change in newly_rejected} if newly_rejected else ()
         newly_justified: list[tuple] = []
@@ -273,7 +273,7 @@ def wp_extension(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
 
         if not newly_rejected and not newly_justified:
             break
-        steps.append((newly_rejected, newly_justified))
+        steps.append((tuple(newly_rejected), tuple(newly_justified)))
 
         # wake the arguments whose predicates read what just changed
         woken: set[int] = set()
@@ -290,6 +290,5 @@ def wp_extension(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
     else:
         raise AssertionError("weak-permission iteration failed to stabilize")
     named = ids.__getitem__
-    return object.__new__(WpExtension)._fill(
-        frozenset(map(named, justified)), frozenset(map(named, rejected)), None, ids, tuple(steps)
-    )
+    return WpExtension(frozenset(map(named, justified)), frozenset(map(named, rejected)), ids,
+                       tuple(steps))

@@ -1,4 +1,4 @@
-"""Shared fixtures: golden theories, seeded random corpora and a CLI runner.
+"""Shared fixtures: golden theories, seeded random corpora, the ladder script and a CLI runner.
 
 Corpus seeds are drawn by deterministic iteration from zero, filtered by
 argument count only (never by outcome), so every run sees the same
@@ -7,9 +7,12 @@ instances.
 
 from __future__ import annotations
 
+import importlib.util
 import io
 import sys
 from dataclasses import dataclass
+from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -138,6 +141,21 @@ def no_superiority_corpus() -> tuple[CorpusCase, ...]:
 @pytest.fixture(scope="session")
 def oracle_corpus() -> tuple[CorpusCase, ...]:
     return build_corpus(oracle_params)
+
+
+# ---------------------------------------------------------------------------
+# the ladder script
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="session")
+def ladder() -> ModuleType:
+    """``scripts/ladder.py``, loaded once: its theory texts and ``retained_mb``."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "ladder.py"
+    spec = importlib.util.spec_from_file_location("ladder", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from deonarg import (
     verify_theorems,
     wp_extension,
 )
+from deonarg.cli import main
 from deonarg.schema import arguments_section, attacks_section, trace_section
 from deonarg.semantics import SEMANTICS_NAMES
 from deonarg.testkit import GeneratorParams, generate_theory, reference_attacks
@@ -227,7 +228,7 @@ def test_compute_attacks_matches_a_target_first_scan():
 
 
 def test_the_request_path_builds_no_attack_records(
-    goldens, conflict_corpus, no_superiority_corpus, oracle_corpus, monkeypatch
+    goldens, conflict_corpus, no_superiority_corpus, oracle_corpus, monkeypatch, runner
 ):
     def refuse(*args, **kwargs):
         raise AssertionError("an Attack record was built")
@@ -240,7 +241,8 @@ def test_the_request_path_builds_no_attack_records(
     with monkeypatch.context() as patch:
         patch.setattr(deonarg.attacks, "Attack", refuse)
         for source in theories:
-            theory = parse_theory(serialize_theory(source))
+            text = serialize_theory(source)
+            theory = parse_theory(text)
             arguments = build_arguments(theory)
             limit = len(arguments)
             arguments_section(arguments)
@@ -255,6 +257,10 @@ def test_the_request_path_builds_no_attack_records(
                 verify_theorems(
                     theory, imaginary_subargument_attacks=generalized, argument_limit=limit
                 )
+                flags = ["--imaginary-subargument-attacks"] if generalized else []
+                for fmt in ("text", "json", "dot"):  # the attacks command's writers
+                    result = runner.invoke(main, ["attacks", "-f", fmt, *flags, "-"], input=text)
+                    assert result.exit_code == 0, result.output
                 graphs.append(graph)
     assert len(graphs) == 2 * len(theories)
 

@@ -12,9 +12,7 @@ and universe paths at sizes the oracle corpus does not.
 
 from __future__ import annotations
 
-import importlib.util
 import re
-from pathlib import Path
 
 from deonarg import build_arguments, compute_attacks, parse_theory, serialize_theory, wp_extension
 from deonarg.schema import arguments_section, attacks_section, trace_section
@@ -44,7 +42,7 @@ def outputs(text: str, rename=lambda value: value) -> tuple:
     arguments = build_arguments(theory)
     graph = compute_attacks(arguments, theory)
     ids = arguments.ids
-    children = [tuple(ids[child] for child in row[3]) for row in arguments._rows]
+    children = [tuple(ids[child] for child in row[3]) for row in arguments.rows]
     listed = [
         (
             entry["id"],
@@ -61,14 +59,6 @@ def outputs(text: str, rename=lambda value: value) -> tuple:
 
 def check(text: str) -> None:
     assert outputs(variant(text)) == outputs(text, renamed), text
-
-
-def _ladder():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "ladder.py"
-    spec = importlib.util.spec_from_file_location("ladder", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_the_variant_reads_as_intended():
@@ -103,7 +93,6 @@ def test_renaming_and_reversing_generated_theories_changes_nothing():
         check(serialize_theory(generate_theory(params)))
 
 
-def test_renaming_and_reversing_the_tall_and_wide_rungs_changes_nothing():
-    ladder = _ladder()
+def test_renaming_and_reversing_the_tall_and_wide_rungs_changes_nothing(ladder):
     for text in (ladder.chain(160), ladder.fan(6)):
         check(text)

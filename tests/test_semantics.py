@@ -1,11 +1,9 @@
 """Unit tests for grounded, complete and stable extension computation."""
 
-import importlib.util
 import itertools
 import random
 import re
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
@@ -266,12 +264,8 @@ def test_the_stable_core_applies_the_argument_limit(chained):
     assert (err.value.count, err.value.limit) == (21, 3)
 
 
-def test_a_600_step_chain_enumerates_without_deep_recursion():
-    steps = 600
-    lines = ["fact a_0."]
-    lines += [f"r{i}: a_{i - 1} => a_{i}." for i in range(1, steps + 1)]
-    lines += [f"z1: a_{steps} => obl(z).", "z2: => obl(~z)."]
-    arguments, graph = prepared_graph("\n".join(lines) + "\n")
+def test_a_600_step_chain_enumerates_without_deep_recursion(ladder):
+    arguments, graph = prepared_graph(ladder.chain(600))
     assert len(arguments) == 1809
     limit = len(arguments)
     assert len(complete_extensions(graph, argument_limit=limit)) == 3
@@ -316,16 +310,8 @@ def _characteristic_fixpoint(graph):
         current = following
 
 
-def _ladder():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "ladder.py"
-    spec = importlib.util.spec_from_file_location("ladder", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_grounded_is_the_least_fixpoint_of_the_characteristic_function(
-    goldens, conflict_corpus, no_superiority_corpus, oracle_corpus
+    goldens, conflict_corpus, no_superiority_corpus, oracle_corpus, ladder
 ):
     graphs = [prepared.graph for prepared in goldens.values()]
     for corpus in (conflict_corpus, no_superiority_corpus, oracle_corpus):
@@ -336,7 +322,6 @@ def test_grounded_is_the_least_fixpoint_of_the_characteristic_function(
             inject_conflict=True,
         )
         graphs.append(prepared_graph(serialize_theory(generate_theory(params)))[1])
-    ladder = _ladder()
     for text in (ladder.chain(1000), ladder.fan(8), ladder.generated()):
         graphs.append(prepared_graph(text)[1])
     for graph in graphs:
@@ -414,9 +399,9 @@ def test_attack_free_edge_cases_match_the_oracle():
         _assert_oracle_order(graph, oracle.complete, oracle.stable)
 
 
-def test_attack_free_arguments_of_a_fan_join_every_extension_of_a_conflict():
+def test_attack_free_arguments_of_a_fan_join_every_extension_of_a_conflict(ladder):
     conflict = "c1: => obl(q).\nc2: => obl(~q).\n"
-    arguments, graph = prepared_graph(_ladder().fan(6) + conflict)
+    arguments, graph = prepared_graph(ladder.fan(6) + conflict)
     free = frozenset(arguments.ids) - {member for pair in graph.pairs for member in pair}
     assert len(free) > 1000
     # the conflict alone, through the oracle, lifted by argument to the fan's ids

@@ -1,36 +1,27 @@
 """Argument sets pickle and copy as their row table.
 
-Pickling hands over the theory, the ids and the rows, and the copy
-rebuilds every index from them, so a tall set round-trips at table
-cost instead of flattening each argument's tree on its own.
+Pickling hands over the set's fields, the theory, the ids and the rows,
+and the copy's constructor rebuilds every index from them, so a tall set
+round-trips at table cost instead of flattening each argument's tree on
+its own.
 """
 
 from __future__ import annotations
 
 import copy
-import importlib.util
 import pickle
-from pathlib import Path
 
 from deonarg import ArgumentSet, build_arguments, compute_attacks, parse_theory
 
-_INDEXES = ("_ids", "_rows", "_positions", "_by_conclusion", "_parents", "_order")
-
-
-def _ladder():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "ladder.py"
-    spec = importlib.util.spec_from_file_location("ladder", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+_INDEXES = ("ids", "rows", "_positions", "_by_conclusion", "_parents", "_order")
 
 
 def _twins(original):
     return pickle.loads(pickle.dumps(original)), copy.deepcopy(original), copy.copy(original)
 
 
-def test_a_tall_set_and_its_graph_round_trip_equal():
-    arguments = build_arguments(parse_theory(_ladder().chain(1000)))
+def test_a_tall_set_and_its_graph_round_trip_equal(ladder):
+    arguments = build_arguments(parse_theory(ladder.chain(1000)))
     graph = compute_attacks(arguments)
     top = arguments.natural_ids()[-1]
     for twin in _twins(arguments):
@@ -46,15 +37,19 @@ def test_a_tall_set_and_its_graph_round_trip_equal():
         )
 
 
-def test_a_set_listing_parents_before_children_round_trips_equal(goldens):
+def test_a_set_rebuilt_from_its_rows_round_trips_equal(goldens):
     for prepared in goldens.values():
-        listed = ArgumentSet(prepared.theory, tuple(reversed(prepared.arguments.ordered)))
-        for twin in _twins(listed):
-            assert twin == listed
-            assert twin.ordered == listed.ordered
-            assert (twin._parents, twin._order) == (listed._parents, listed._order)
-            assert twin._closures() == listed._closures()
-        # the closures built children first equal the walks, in a set whose order is not
-        assert [tuple(closure) for closure in listed._closures()] == [
-            listed.sub_ids(identifier) for identifier in listed.ids
+        arguments = prepared.arguments
+        rebuilt = ArgumentSet(prepared.theory, arguments.ids, arguments.rows)
+        assert rebuilt == arguments and rebuilt.ordered == arguments.ordered
+        assert (rebuilt._parents, rebuilt._order) == (arguments._parents, arguments._order)
+        assert rebuilt._closures() == arguments._closures()
+        for twin in _twins(rebuilt):
+            assert twin == rebuilt
+            assert twin.ordered == rebuilt.ordered
+            assert (twin._parents, twin._order) == (rebuilt._parents, rebuilt._order)
+            assert twin._closures() == rebuilt._closures()
+        # the closures built children first equal the walks
+        assert [tuple(closure) for closure in rebuilt._closures()] == [
+            rebuilt.sub_ids(identifier) for identifier in rebuilt.ids
         ]

@@ -28,27 +28,16 @@ from deonarg.schema import trace_section
 from deonarg.testkit import reference_wp
 
 
-def _chain(n: int) -> str:
-    lines = ["fact a_0."] + [f"r{i}: a_{i - 1} => a_{i}." for i in range(1, n + 1)]
-    return "\n".join([*lines, f"z1: a_{n} => obl(z).", "z2: => obl(~z)."]) + "\n"
-
-
-def _fan(layers: int) -> str:
-    lines = ["fact a_0."]
-    lines += [f"f{i}_{k}: a_{i - 1} => a_{i}." for i in range(1, layers + 1) for k in (1, 2, 3)]
-    return "\n".join(lines) + "\n"
-
-
 def _graph(text: str):
     theory = parse_theory(text)
     return compute_attacks(build_arguments(theory), theory)
 
 
 @pytest.fixture(scope="module")
-def graphs(goldens) -> dict[str, object]:
+def graphs(goldens, ladder) -> dict[str, object]:
     found = {name: prepared.graph for name, prepared in goldens.items()}
-    found["chain-40"] = _graph(_chain(40))
-    found["fan-4"] = _graph(_fan(4))
+    found["chain-40"] = _graph(ladder.chain(40))
+    found["fan-4"] = _graph(ladder.fan(4))
     return found
 
 
@@ -106,12 +95,13 @@ def test_the_constructor_keeps_the_trace_section_and_the_steps(graphs, oracle_co
     for label, graph in _extensions(graphs, (oracle_corpus,)):
         extension = wp_extension(graph)
         section = trace_section(extension)
-        rebuilt = WpExtension(extension.justified, extension.rejected, extension.steps)
+        rebuilt = WpExtension(extension.justified, extension.rejected, extension.ids, extension.rows)
         assert trace_section(rebuilt) == section, label
         assert rebuilt == extension and hash(rebuilt) == hash(extension), label
         assert rebuilt.steps == extension.steps and rebuilt.iterations == extension.iterations
         named = WpExtension(
-            justified=extension.justified, rejected=extension.rejected, steps=list(extension.steps)
+            justified=extension.justified, rejected=extension.rejected, ids=extension.ids,
+            rows=extension.rows,
         )
         assert named == extension and trace_section(named) == section, label
 
