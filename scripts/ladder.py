@@ -9,14 +9,21 @@ included), ``build`` (``build_arguments``), ``decode`` (reading
 records; the records are freed between runs, outside the timing),
 ``attacks`` (``compute_attacks``), ``grounded``, ``complete`` and
 ``stable`` (the extension lists, with the argument limit raised to the
-argument count), ``wp`` (``wp_extension``), ``trace``
+argument count), ``core`` (``semantics._stable_core``, the sceptical
+stable core that the stable check reads, limit raised), ``wp``
+(``wp_extension``), ``trace``
 (``deonarg.schema.trace_section`` of one ``wp`` result, so that the cost
 of turning the trace into records shows wherever it lies), ``sections``
 (``theory_section``, ``arguments_section`` and ``attacks_section`` of the
 rung's theory, argument set and attack graph, the other sections of the
 JSON document), ``verify_theorems`` (the whole check on the theory,
 limit raised) and ``check`` (``verify_theorems`` on the rung's attack
-graph, limit raised: the checks' own cost, without the build).
+graph, limit raised: the checks and their engine calls, without the
+build).  Each rung also records and prints the checks' own time,
+``check_own``: per alternated run, ``check`` less ``grounded``, ``core``
+and ``wp``, the engine calls ``verify_theorems`` makes on a theory
+without superiority pairs, as every rung is; the median of these
+differences, and that of the engine calls' sum, ``engine_median_s``.
 
 The ladder:
 
@@ -62,16 +69,18 @@ lists and of the check report, so columns taken on different code can
 be compared for identical output; ``--expect FILE`` exits 1 when a rung's
 digests differ from those of any column of FILE that has the rung.  The
 ``sections`` stage adds no digest: its output is the argument and attack
-digests' and the source text's; nor does ``check``, whose report is
+digests' and the source text's; nor do ``core``, whose core the
+``verify_theorems`` report reads, and ``check``, whose report is
 ``verify_theorems``'.  The
 chain and fan rungs also record the MB that one built argument set
 retains (``build_retained_mb``) and that decoding its records adds
 (``decoded_retained_mb``), by ``tracemalloc``, untimed.  At the end, for
-each stage, the ratio of the first column's median to each other
-column's is printed, then how many of the alternated pairs of runs (run
-``i`` of both columns) the other column won, and the ratio of the
-minima: a median of 9 on a shared host can swing by a third, and the
-pair count and minima show whether a ratio is more than that.  Without
+each stage and for ``check_own``, the ratio of the first column's median
+to each other column's is printed (n/a unless both are above zero), then
+how many of the alternated pairs of runs (run ``i`` of both columns) the
+other column won, and the ratio of the minima: a median of 9 on a shared
+host can swing by a third, and the pair count and minima show whether a
+ratio is more than that.  Without
 ``--out`` nothing is written:
 
     PYTHONPATH=src python3 scripts/ladder.py --column ci --rungs conflicts-4 chain-160 \
@@ -107,9 +116,12 @@ from deonarg.testkit import GeneratorParams, generate_theory
 REPEAT = 9
 
 STAGES = (
-    "parse", "build", "decode", "attacks", "grounded", "complete", "stable", "wp", "trace",
-    "sections", "verify_theorems", "check",
+    "parse", "build", "decode", "attacks", "grounded", "complete", "stable", "core", "wp",
+    "trace", "sections", "verify_theorems", "check",
 )
+
+#: the engine calls ``verify_theorems`` makes on a theory without superiority pairs (every rung)
+ENGINE_CALLS = ("grounded", "core", "wp")
 
 #: fresh interpreters per start-up stage; the median is reported
 STARTUP_REPEAT = 21
@@ -201,6 +213,7 @@ def stage_calls(engine: ModuleType, text: str) -> tuple[dict, dict[str, Callable
     limit = len(arguments)
     graph = engine.compute_attacks(arguments, theory)
     schema = importlib.import_module(f"{engine.__name__}.schema")
+    semantics = importlib.import_module(f"{engine.__name__}.semantics")
     rung = {"arguments": limit, "pairs": len(graph.pairs), "stages": {}, "digests": {}}
     rung["digests"]["arguments"] = digest(schema.arguments_section(arguments))
     rung["digests"]["attacks"] = digest(schema.attacks_section(graph))
@@ -214,6 +227,7 @@ def stage_calls(engine: ModuleType, text: str) -> tuple[dict, dict[str, Callable
         "grounded": lambda: engine.grounded_extension(graph),
         "complete": lambda: engine.complete_extensions(graph, argument_limit=limit),
         "stable": lambda: engine.stable_extensions(graph, argument_limit=limit),
+        "core": lambda: semantics._stable_core(graph, limit),
         "wp": lambda: engine.wp_extension(graph),
         "trace": lambda: schema.trace_section(extension),
         "sections": lambda: (schema.theory_section(theory), schema.arguments_section(arguments),
@@ -333,6 +347,17 @@ def run_rung(name: str, engines: dict[str, ModuleType]) -> dict[str, dict]:
             median = statistics.median(runs[column])
             rungs[column]["stages"][stage] = {"median_s": median, "runs_s": runs[column]}
             print(f"  {stage:16} {column:8} {median:9.4f} s", flush=True)
+    for column in columns:
+        stages = rungs[column]["stages"]
+        if "check" not in stages or not all(call in stages for call in ENGINE_CALLS):
+            continue
+        engine_runs = [sum(run) for run in zip(*(stages[call]["runs_s"] for call in ENGINE_CALLS))]
+        own = [round(check - calls, 6)
+               for check, calls in zip(stages["check"]["runs_s"], engine_runs)]
+        median, engine = statistics.median(own), statistics.median(engine_runs)
+        rungs[column]["check_own"] = {"median_s": median, "runs_s": own, "engine_median_s": engine}
+        print(f"  {'check own':16} {column:8} {median:9.4f} s, "
+              f"{median / max(engine, 1e-6):.2f} of the engine calls' {engine:.4f} s")
     return rungs
 
 
@@ -392,10 +417,12 @@ def main(argv: list[str] | None = None) -> int:
             if base is None:
                 continue
             same = "same" if base["digests"] == rung["digests"] else "DIFFERENT"
+            timings = {**rung["stages"], "check_own": rung.get("check_own")}
+            held = {**base["stages"], "check_own": base.get("check_own")}
             ratios = "  ".join(
-                f"{stage} {compare(base['stages'][stage], timing)}"
-                for stage, timing in rung["stages"].items()
-                if stage in base["stages"]
+                f"{stage} {compare(held[stage], timing)}"
+                for stage, timing in timings.items()
+                if timing and held.get(stage)
             )
             print(f"  {name:13} {same:9} {ratios}")
     if options.expect is not None:
@@ -412,9 +439,15 @@ def compare(base: dict, timing: dict) -> str:
     """
     pairs = list(zip(base["runs_s"], timing["runs_s"]))
     won = sum(theirs < ours for ours, theirs in pairs)
-    median = base["median_s"] / max(timing["median_s"], 1e-6)
-    least = min(base["runs_s"]) / max(min(timing["runs_s"]), 1e-6)
-    return f"{median:.2f}x {won}/{len(pairs)} min {least:.2f}x"
+    median = ratio(base["median_s"], timing["median_s"])
+    least = ratio(min(base["runs_s"]), min(timing["runs_s"]))
+    return f"{median} {won}/{len(pairs)} min {least}"
+
+
+def ratio(ours: float, theirs: float) -> str:
+    """``ours / theirs``, or n/a unless both are above zero (a time, or a difference of times,
+    below the clock's resolution)."""
+    return f"{ours / theirs:.2f}x" if ours > 0 and theirs > 0 else "n/a"
 
 
 def expect(path: Path, columns: dict[str, dict], rungs: list[str]) -> int:

@@ -26,13 +26,19 @@ attackers and targets of each argument and the attackers at each
 witness) with scans of the rows.  Exit code 1 if any property fails.
 
 ``--ladder`` runs the polynomial oracles at ladder scale instead of the
-corpora, on rungs of ``scripts/ladder.py``: ``testkit.reference_wp``
-against ``wp_extension`` under both guard settings on conflicts-12,
-chain-160, fan-9 and gen-3 (the justified and rejected sets and the
-``trace_section`` rows, or the same invariant breach), and the argument
-table against ``testkit.reference_arguments`` on fan-6 and gen-3 (the
-decoded arguments, and every subargument closure both as ``sub_ids``
-walks it and as the children-first pass of the outputs builds it).
+corpora, on rungs of ``scripts/ladder.py``.  On conflicts-12, chain-160,
+fan-9 and gen-3 it compares ``testkit.reference_grounded`` (Dung's
+characteristic function iterated over the attacking pairs) with
+``grounded_extension``, and ``testkit.reference_wp`` with
+``wp_extension`` under both guard settings (the justified and rejected
+sets and the ``trace_section`` rows, or the same invariant breach).  On
+fan-6 and gen-3 it compares the argument table with
+``testkit.reference_arguments`` (the decoded arguments, and every
+subargument closure both as ``sub_ids`` walks it and as the
+children-first pass of the outputs builds it).  It also compares the two
+grounded extensions on 200 seeded theories with superiority pairs, under
+both readings: their shape, an argument with several grounded attackers,
+is one no rung has.
 """
 
 from __future__ import annotations
@@ -68,6 +74,7 @@ from deonarg.testkit import (
     generate_theory,
     reference_arguments,
     reference_attacks,
+    reference_grounded,
     reference_wp,
 )
 from ladder import RUNGS
@@ -120,6 +127,15 @@ def oracle_params(seed: int) -> GeneratorParams:
         superiority_count=2,
         acyclic=(seed % 2 == 0),
     )
+
+
+def superiority_params(seed: int) -> GeneratorParams:
+    """Wider theories with superiority pairs, where some argument has several grounded
+    attackers and a target with another attacker: dropping ``grounded_extension``'s ``out``
+    guard counts that argument out more than once and changes the extension on some of
+    these theories, and on no ladder rung."""
+    return GeneratorParams(seed=seed, atom_count=8, fact_count=4, rule_count=20,
+                           inject_conflict=True, superiority_count=3, max_body_len=2)
 
 
 def imaginary_for(arguments, literal):
@@ -258,15 +274,32 @@ def run_oracle_corpus(count: int) -> list[str]:
     return failures
 
 
-def run_ladder_wp(name: str) -> list[str]:
+def run_ladder_semantics(name: str) -> list[str]:
     failures: list[str] = []
     graph = compute_attacks(build_arguments(parse_theory(RUNGS[name][0]())))
+    grounded = grounded_extension(graph)
+    if grounded != reference_grounded(graph):
+        failures.append(f"{name}: grounded differs from reference_grounded")
+    print(f"  grounded: {len(grounded)} of {len(graph.arguments)} arguments")
     for guards in (True, False):
         found, expected = (wp_outcome(run, graph, guards, trace_section)
                            for run in (wp_extension, reference_wp))
         if found != expected:
             failures.append(f"{name}: wp differs from reference_wp (guards {guards})")
         print(f"  guards {guards}: {found[0]}" + (f" ({found[2]})" if found[0] == "breach" else ""))
+    return failures
+
+
+def run_grounded_corpus(count: int) -> list[str]:
+    failures: list[str] = []
+    corpus = build_corpus(superiority_params, count=count, cap=None)
+    for case in corpus:
+        for generalized in (False, True):
+            graph = compute_attacks(case.arguments, imaginary_subargument_attacks=generalized)
+            if grounded_extension(graph) != reference_grounded(graph):
+                failures.append(f"seed {case.seed}: grounded differs from reference_grounded "
+                                f"(generalized {generalized})")
+    print(f"  {len(corpus)} theories, both readings")
     return failures
 
 
@@ -293,9 +326,10 @@ def main(argv: list[str] | None = None) -> int:
     options = parser.parse_args(argv)
 
     if options.ladder:
-        runs = [(f"{name} wp", run_ladder_wp, name)
+        runs = [(f"{name} grounded and wp", run_ladder_semantics, name)
                 for name in ("conflicts-12", "chain-160", "fan-9", "gen-3")]
         runs += [(f"{name} arguments", run_ladder_arguments, name) for name in ("fan-6", "gen-3")]
+        runs += [("superiority corpus grounded", run_grounded_corpus, 200)]
     else:
         runs = [("conflict corpus", run_conflict_corpus, options.count),
                 ("no-superiority corpus", run_no_superiority_corpus, options.count),

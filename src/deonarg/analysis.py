@@ -5,7 +5,8 @@ facultative or weakly facultative, and re-verifies the engine's
 structural guarantees on a concrete theory.  The verifiers are
 production code surfaced through the ``check`` command: they recompute
 each guarantee from first principles instead of trusting the engine's
-internal invariants.
+internal invariants, mapping the justified set to positions once and
+scanning no attack-free graph for conflicts.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .model import (
 from .semantics import (
     DEFAULT_ARGUMENT_LIMIT,
     ArgumentLimitExceeded,
-    conflicting_members,
     grounded_extension,
+    _clashing,
     _stable_core,
 )
 from .wp import FixpointInvariantError, WpExtension, supports, wp_extension
@@ -280,12 +281,13 @@ def verify_theorems(
         results += [CheckResult(name, "skipped", unavailable) for name in _WP_CHECKS[1:]]
         return CheckReport(tuple(results))
     justified, rejected = extension.justified, extension.rejected
+    held, rows = set(map(arguments.index, justified)), arguments.rows  # mapped once a report
 
-    # Justified and rejected sets are disjoint; justified set conflict-free.
+    # Justified and rejected sets are disjoint; justified set conflict-free (no attacks, no scan).
     overlap = sorted(justified & rejected, key=arguments.index)
     results.append(_verdict(
         disjoint,
-        overlap or conflicting_members(graph, justified),
+        overlap or arguments._decode(sorted(graph.rows and _clashing(graph, held, held))),
         "overlapping arguments: " if overlap else "justified arguments attack each other: ",
         f"{len(justified)} justified, {len(rejected)} rejected, disjoint and conflict-free",
     ))
@@ -328,7 +330,6 @@ def verify_theorems(
         results.append(CheckResult(subset, "skipped", scope))
 
     # Every subargument of a justified argument is justified (children suffice, by induction).
-    held, rows = set(map(arguments.index, justified)), arguments.rows
     broken = sorted(n for n in held if not held.issuperset(rows[n][3]))
     results.append(_verdict(
         closure,

@@ -1,9 +1,10 @@
 """Acceptability semantics over an attack graph.
 
 Implements grounded, complete and stable extensions on the
-post-suppression attack relation, plus the sceptical notion of a
-justified argument (member of every extension under the chosen
-semantics).
+post-suppression attack relation, the sceptical notion of a justified
+argument (member of every extension under the chosen semantics), and
+conflict-freeness: ``_clashing`` on positions, which ``wp_extension``
+and ``verify_theorems`` call, wrapped on ids by ``is_conflict_free``.
 
 The grounded extension is computed by labelling propagation over the
 graph's attacker and target position tuples (Modgil & Caminada, "Proof
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import AbstractSet, Container, Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 from .arguments import ArgumentSet
 from .attacks import AttackGraph
@@ -73,9 +74,9 @@ class ArgumentLimitExceeded(Exception):
 
 
 def _clashing(graph: AttackGraph, members: Container[int], touching: Iterable[int]) -> set[int]:
-    """Positions in ``members`` that attack, or are attacked by, a member in ``touching``.
-
-    ``wp_extension`` passes the members it just added: any new conflict involves one of them."""
+    """Positions in ``members`` that attack, or are attacked by, a member in ``touching``:
+    every conflict of the set when ``touching`` is ``members``, and every new one when it holds
+    the members just added, as ``wp_extension`` passes them."""
     clash: set[int] = set()
     for member in touching:
         for target in graph._targets[member]:
@@ -87,16 +88,11 @@ def _clashing(graph: AttackGraph, members: Container[int], touching: Iterable[in
     return clash
 
 
-def conflicting_members(graph: AttackGraph, members: AbstractSet[str]) -> tuple[str, ...]:
-    """Members that attack, or are attacked by, a member of the set, in id order."""
-    positions = graph.arguments._positions
-    chosen = {positions[member] for member in members if member in positions}
-    return graph.arguments._decode(sorted(_clashing(graph, chosen, chosen)))
-
-
 def is_conflict_free(graph: AttackGraph, members: Iterable[str]) -> bool:
     """True when no member of the set attacks another member (or itself)."""
-    return not conflicting_members(graph, frozenset(members))
+    positions = graph.arguments._positions
+    chosen = {positions[member] for member in members if member in positions}
+    return not _clashing(graph, chosen, chosen)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Independent verification tools: brute-force semantics, a reference
-argument construction, a reference attack scan, the support and undercut
-predicates, a reference weak-permission iteration and a theory generator.
+grounded extension, a reference argument construction, a reference attack
+scan, the support and undercut predicates, a reference weak-permission
+iteration and a theory generator.
 
 The brute-force evaluator enumerates every subset of arguments and applies
 the extension definitions directly (conflict-freeness, defence of every
 member, closure under defended arguments, attacking every outsider).  The
-reference construction chains forward over ``Argument`` objects, numbers
+reference grounded extension iterates Dung's characteristic function over
+the attacking pairs, in polynomial time, so it reaches sizes the
+enumeration cannot.  The reference construction chains forward over ``Argument`` objects, numbers
 them by its own structural key and reads the closures off the trees.  The
 reference attack scan visits every subargument of every target and finds
 its attackers by scanning the argument set.  Support and undercut are
@@ -126,6 +129,26 @@ def _bits(mask: int) -> list[int]:
 
 def _unmask(mask: int, ids: tuple[ArgumentId, ...]) -> frozenset[ArgumentId]:
     return frozenset(ids[i] for i in _bits(mask))
+
+
+def reference_grounded(graph: AttackGraph) -> frozenset[ArgumentId]:
+    """The least fixed point of Dung's characteristic function, iterated from the empty set.
+
+    ``F(S)`` holds the arguments whose every attacker is attacked by ``S``.
+    The attackers are read off ``graph.pairs`` alone, and every iteration
+    rescans the pairs and re-tests every argument, so no labelling or index
+    of the engine takes part.  Polynomial: at most one iteration per argument.
+    """
+    attackers: dict[ArgumentId, set[ArgumentId]] = {i: set() for i in graph.arguments.ids}
+    for attacker, target in graph.pairs:
+        attackers[target].add(attacker)
+    current: frozenset[ArgumentId] = frozenset()
+    while True:
+        attacked = {target for attacker, target in graph.pairs if attacker in current}
+        following = frozenset(i for i, found in attackers.items() if found <= attacked)
+        if following == current:
+            return current
+        current = following
 
 
 # ---------------------------------------------------------------------------

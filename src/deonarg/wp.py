@@ -79,8 +79,9 @@ class FixpointInvariantError(Exception):
 
 
 def supports(arguments: ArgumentSet, members: Iterable[str], identifier: str) -> bool:
-    """True when every proper subargument of the argument is a member."""
-    return frozenset(members).issuperset(arguments.proper_sub_ids(identifier))
+    """True when every proper subargument is a member, read off the positions of its walk down."""
+    held, walk = frozenset(members), arguments._walk(arguments.index(identifier), False, set())
+    return all(arguments.ids[k] in held for k in walk[1:])  # the argument is reached first
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ order the engine reads (the same prefix on every identifier), and the
 order of the rules in the source text is not part of a theory.  So the
 variant must number, connect and settle its arguments exactly as the
 original does: the same argument ids, kinds and children, the same
-attack rows as ids, the same wp trace, and the renamed conclusions and
-top rules.  The tall and wide ladder rungs reach the construction's rank
+attack rows as ids, the same wp trace, the same grounded extension and
+complete and stable extension lists (ids, in order), and the renamed
+conclusions and top rules.  The tall and wide ladder rungs reach the construction's rank
 and universe paths at sizes the oracle corpus does not.
 """
 
@@ -14,7 +15,16 @@ from __future__ import annotations
 
 import re
 
-from deonarg import build_arguments, compute_attacks, parse_theory, serialize_theory, wp_extension
+from deonarg import (
+    build_arguments,
+    complete_extensions,
+    compute_attacks,
+    grounded_extension,
+    parse_theory,
+    serialize_theory,
+    stable_extensions,
+    wp_extension,
+)
 from deonarg.schema import arguments_section, attacks_section, trace_section
 from deonarg.testkit import GeneratorParams, generate_theory
 
@@ -54,7 +64,13 @@ def outputs(text: str, rename=lambda value: value) -> tuple:
         )
         for n, entry in enumerate(arguments_section(arguments))
     ]
-    return listed, attacks_section(graph), trace_section(wp_extension(graph))
+    limit = len(arguments)
+    extensions = (
+        grounded_extension(graph),
+        complete_extensions(graph, argument_limit=limit),
+        stable_extensions(graph, argument_limit=limit),
+    )
+    return listed, attacks_section(graph), trace_section(wp_extension(graph)), extensions
 
 
 def check(text: str) -> None:

@@ -1,8 +1,10 @@
 """Unit tests for grounded, complete and stable extension computation."""
 
+import inspect
 import itertools
 import random
 import re
+import sys
 from collections import Counter
 
 import pytest
@@ -17,11 +19,17 @@ from deonarg import (
     is_conflict_free,
     justified_conclusions,
     parse_theory,
+    semantics,
     serialize_theory,
     stable_extensions,
 )
-from deonarg.semantics import _clashing, _stable_core, conflicting_members
-from deonarg.testkit import GeneratorParams, brute_force_extensions, generate_theory
+from deonarg.semantics import _clashing, _stable_core
+from deonarg.testkit import (
+    GeneratorParams,
+    brute_force_extensions,
+    generate_theory,
+    reference_grounded,
+)
 
 
 def prepared_graph(text):
@@ -285,29 +293,16 @@ def test_conflicting_members_equal_a_scan_of_the_attack_pairs(goldens, oracle_co
             expected = {member for pair in inside for member in pair}
             near = {member for pair in inside if set(pair) & touching for member in pair}
             order = graph.arguments.index
-            assert conflicting_members(graph, chosen) == tuple(sorted(expected, key=order))
-            # the clashes of the members just added, as wp_extension reads them
+            # every clash of the set, as verify_theorems reads them
             positions = graph.arguments._positions
             members = {positions[member] for member in chosen}
+            clash = graph.arguments._decode(sorted(_clashing(graph, members, members)))
+            assert clash == tuple(sorted(expected, key=order))
+            # the clashes of the members just added, as wp_extension reads them
             added = members & {positions[member] for member in touching}
             clash = graph.arguments._decode(sorted(_clashing(graph, members, added)))
             assert clash == tuple(sorted(near, key=order))
             assert is_conflict_free(graph, chosen) == (not expected)
-
-
-def _characteristic_fixpoint(graph):
-    """The least fixpoint of F, iterated from the empty set over ``graph.pairs``:
-    ``F(S)`` holds the arguments whose every attacker is attacked by ``S``."""
-    attackers = {identifier: set() for identifier in graph.arguments.ids}
-    for attacker, target in graph.pairs:
-        attackers[target].add(attacker)
-    current = frozenset()
-    while True:
-        attacked = {target for attacker, target in graph.pairs if attacker in current}
-        following = frozenset(i for i, found in attackers.items() if found <= attacked)
-        if following == current:
-            return current
-        current = following
 
 
 def test_grounded_is_the_least_fixpoint_of_the_characteristic_function(
@@ -322,10 +317,18 @@ def test_grounded_is_the_least_fixpoint_of_the_characteristic_function(
             inject_conflict=True,
         )
         graphs.append(prepared_graph(serialize_theory(generate_theory(params)))[1])
+    for seed in range(100):  # superiority pairs: arguments with several grounded attackers
+        params = GeneratorParams(
+            seed=seed, atom_count=8, fact_count=4, rule_count=20, inject_conflict=True,
+            superiority_count=3, max_body_len=2,
+        )
+        arguments = build_arguments(generate_theory(params))
+        graphs += [compute_attacks(arguments, imaginary_subargument_attacks=generalized)
+                   for generalized in (False, True)]
     for text in (ladder.chain(1000), ladder.fan(8), ladder.generated()):
         graphs.append(prepared_graph(text)[1])
     for graph in graphs:
-        assert grounded_extension(graph) == _characteristic_fixpoint(graph)
+        assert grounded_extension(graph) == reference_grounded(graph)
 
 
 def _documented_order(graph, extensions):
@@ -419,3 +422,59 @@ def test_attack_free_arguments_of_a_fan_join_every_extension_of_a_conflict(ladde
     stable = stable_extensions(graph, argument_limit=limit)
     assert (len(complete), len(stable)) == (3, 2)
     assert all(free <= extension for extension in complete + stable)
+
+
+def _row_compactions(run):
+    """``run()``'s result, and every row compaction in ``_label_part`` as ``(rows, live rows)``
+    before it and ``(rows, live mask)`` at the component search that follows it."""
+    lines, start = inspect.getsourcelines(semantics._label_part)
+    keep, search = (start + next(i for i, line in enumerate(lines) if text in line)
+                    for text in ("keep = [r for r in range(rows)", "local = {k: c"))
+    events = []
+
+    def watch(frame, event, arg):  # Python 3.12+ inlines comprehensions: a line repeats
+        line = frame.f_lineno
+        if event == "line" and line in (keep, search) and (not events or events[-1][0] != line):
+            events.append((line, frame.f_locals["rows"], frame.f_locals["alive"]))
+        return watch
+
+    def calls(frame, event, arg):
+        return watch if frame.f_code is semantics._label_part.__code__ else None
+
+    saved = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        result = run()
+    finally:
+        sys.settrace(saved)
+    compactions = [
+        ((rows, alive.bit_count()), events[n + 1][1:])
+        for n, (line, rows, alive) in enumerate(events) if line == keep
+    ]
+    return result, compactions
+
+
+def test_stable_rows_left_dead_are_compacted_without_changing_the_extensions():
+    # the one compaction: 8 rows, 4 of them live, renumbered to rows 0-3 before the next search
+    params = GeneratorParams(
+        seed=696, atom_count=5, fact_count=2, rule_count=10, inject_conflict=True, max_body_len=2
+    )
+    theory = generate_theory(params)
+    arguments = build_arguments(theory)
+    graph = compute_attacks(arguments, theory)
+    limit = len(arguments)
+    assert limit == 26  # above the brute-force oracle's cap
+    stable, compactions = _row_compactions(
+        lambda: stable_extensions(graph, argument_limit=limit)
+    )
+    assert compactions == [((8, 4), (4, 0b1111))]
+    # stable: the complete extensions that attack every argument outside them
+    complete = complete_extensions(graph, argument_limit=limit)
+    everything = frozenset(arguments.ids)
+    attacking = [
+        extension for extension in complete
+        if extension | {target for attacker, target in graph.pairs if attacker in extension}
+        == everything
+    ]
+    assert (len(complete), len(stable)) == (90, 16)
+    assert stable == tuple(attacking)
