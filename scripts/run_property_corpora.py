@@ -22,8 +22,9 @@ enumerated stable extensions, and the grounded extension with that of
 the complete ones.  Under both readings of condition 1, every case's
 attack rows and suppressed rows are compared with the target-first
 ``testkit.reference_attacks``, and the graph's three indexes (the
-attackers and targets of each argument and the attackers at each
-witness) with scans of the rows.  Exit code 1 if any property fails.
+attackers and targets of each argument and the natural witnesses each
+argument attacks at) with scans of the rows.  Exit code 1 if any
+property fails.
 
 ``--ladder`` runs the polynomial oracles at ladder scale instead of the
 corpora, on rungs of ``scripts/ladder.py``.  On conflicts-12, chain-160,
@@ -91,7 +92,7 @@ class CorpusCase:
 
 
 def build_corpus(make_params, *, count: int, cap: int | None = ARGUMENT_CAP):
-    """Deterministic seed iteration, filtered by argument count only."""
+    """Deterministic seed iteration from zero, filtered by argument count only."""
     cases: list[CorpusCase] = []
     seed = 0
     while len(cases) < count:
@@ -104,6 +105,7 @@ def build_corpus(make_params, *, count: int, cap: int | None = ARGUMENT_CAP):
 
 
 def conflict_params(seed: int) -> GeneratorParams:
+    """Guaranteed-conflictual regime: an injected empty-body obligation pair."""
     return GeneratorParams(
         seed=seed,
         atom_count=3,
@@ -115,10 +117,12 @@ def conflict_params(seed: int) -> GeneratorParams:
 
 
 def no_superiority_params(seed: int) -> GeneratorParams:
+    """Free-form rule bodies except weak permissions; no superiority pairs."""
     return GeneratorParams(seed=seed, weak_permission_body_weight=0.0)
 
 
 def oracle_params(seed: int) -> GeneratorParams:
+    """Free-form regime for oracle comparison, superiority included."""
     return GeneratorParams(
         seed=seed,
         atom_count=3,
@@ -182,12 +186,13 @@ def attack_tables(case, failures: list[str]) -> None:
                 failures.append(f"seed {case.seed}: attack {name} differ from reference_attacks "
                                 f"({reading})")
         scans: dict[str, list[set[int]]] = {
-            name: [set() for _ in range(size)] for name in ("_attackers", "_targets", "_at_witness")
+            name: [set() for _ in range(size)] for name in ("_attackers", "_targets", "_witnesses")
         }
         for a, t, _, w in graph.rows:
             scans["_attackers"][t].add(a)
             scans["_targets"][a].add(t)
-            scans["_at_witness"][w].add(a)
+            if arguments.rows[w][0].kind != "imaginary":
+                scans["_witnesses"][a].add(w)
         for name, scan in scans.items():
             if getattr(graph, name) != tuple(tuple(sorted(found)) for found in scan):
                 failures.append(f"seed {case.seed}: {name} differs from a scan of the rows ({reading})")

@@ -32,7 +32,7 @@ from .semantics import (
     _clashing,
     _stable_core,
 )
-from .wp import FixpointInvariantError, WpExtension, supports, wp_extension
+from .wp import FixpointInvariantError, WpExtension, _members, supports, wp_extension
 
 # ---------------------------------------------------------------------------
 # conflict detection
@@ -281,7 +281,7 @@ def verify_theorems(
         results += [CheckResult(name, "skipped", unavailable) for name in _WP_CHECKS[1:]]
         return CheckReport(tuple(results))
     justified, rejected = extension.justified, extension.rejected
-    held, rows = set(map(arguments.index, justified)), arguments.rows  # mapped once a report
+    held, rows = set(_members(extension.rows, 1)), arguments.rows  # the trace's positions
 
     # Justified and rejected sets are disjoint; justified set conflict-free (no attacks, no scan).
     overlap = sorted(justified & rejected, key=arguments.index)

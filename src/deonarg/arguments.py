@@ -23,8 +23,8 @@ Conchon, "Type-safe modular hash-consing", 2006).
 
 from __future__ import annotations
 
-from bisect import bisect
 from itertools import chain, product, repeat
+from operator import itemgetter
 from typing import ClassVar, Iterable, Iterator
 
 from .model import (
@@ -276,19 +276,19 @@ class ArgumentSet(Record):
     and copying are ``Record``'s, on these three fields, so none decodes an
     argument or recurses into a tree.  The constructor builds every index
     once: positions by id, rows by conclusion, the parents of each row and
-    the children-first order, the imaginary rows and then the natural ones
-    by position.  The constructor's precondition is the shape
-    ``build_arguments`` makes: the natural rows come first, each after its
-    natural children, then the imaginary rows.  No index is larger than
-    the table: closures are walks of the children or of the parents index,
-    and the id-keyed views decode positions to ids when called.  The ``ordered``
-    pairs hold ``Argument`` objects: they are decoded from the rows the
-    first time they are read and then kept, so an argument is always the
-    same object.  ``repr`` is that of ``(theory, ordered)``.
+    ``natural``, the count of natural rows.  Its precondition is the shape
+    ``build_arguments`` makes: the natural rows, each after its natural
+    children, then the imaginary rows as one block (else ``ValueError``),
+    so the imaginary rows, then the natural ones, come children first.  No
+    index is larger than the table: closures are walks of the children or
+    of the parents index, and the id-keyed views decode or slice the ids.
+    The ``ordered`` pairs hold ``Argument`` objects: they are decoded from
+    the rows the first time they are read and then kept, so an argument is
+    always the same object.  ``repr`` is that of ``(theory, ordered)``.
     """
 
     _fields = ("theory", "ids", "rows")
-    __slots__ = (*_fields, "_ordered", "_positions", "_by_conclusion", "_parents", "_order")
+    __slots__ = (*_fields, "_ordered", "_positions", "_by_conclusion", "_parents", "natural")
 
     def __init__(self, theory: Theory, ids: tuple[ArgumentId, ...],
                  rows: tuple[tuple, ...]) -> None:
@@ -300,10 +300,11 @@ class ArgumentSet(Record):
                 parents.setdefault(child, []).append(n)
         positions = {identifier: n for n, identifier in enumerate(ids)}
         parents = tuple(map(parents.get, range(len(rows)), repeat(())))
-        # the natural rows come first (the precondition); children first, the imaginary rows do
-        count = bisect(rows, False, key=lambda row: row[0] is ImaginaryArgument)
-        order = (*range(count, len(rows)), *range(count))
-        values = (theory, ids, rows, None, positions, by_conclusion, parents, order)
+        forms = list(map(itemgetter(0), rows))
+        natural = len(forms) - forms.count(ImaginaryArgument)
+        if forms[natural:].count(ImaginaryArgument) != len(forms) - natural:  # not all trailing
+            raise ValueError("the imaginary rows are not one block after the natural rows")
+        values = (theory, ids, rows, None, positions, by_conclusion, parents, natural)
         for setter, value in zip(self._setters, values):
             setter(self, value)
 
@@ -317,7 +318,7 @@ class ArgumentSet(Record):
         if self._ordered is None:
             rows = self.rows
             made: list[Argument] = [None] * len(rows)  # type: ignore[list-item]
-            for n in self._order:
+            for n in chain(range(self.natural, len(rows)), range(self.natural)):  # children first
                 form, rule, conclusion, children = rows[n]
                 if form is RuleApplication:
                     made[n] = RuleApplication(rule, tuple([made[child] for child in children]))
@@ -354,7 +355,7 @@ class ArgumentSet(Record):
         first: for the outputs that print them all, at their size."""
         rows, ids, index = self.rows, self.ids, self._positions.__getitem__
         subs = [[name] for name in ids]
-        for n in self._order:
+        for n in chain(range(self.natural, len(rows)), range(self.natural)):
             children = rows[n][3]
             if len(children) == 1 and index(subs[children[0]][-1]) < n:  # most rows: n after
                 subs[n] = subs[children[0]] + subs[n]  # the child's closure, as in a chain
@@ -387,10 +388,10 @@ class ArgumentSet(Record):
         return self._decode(self._by_conclusion.get(conclusion, ()))
 
     def natural_ids(self) -> tuple[ArgumentId, ...]:
-        return tuple(i for i, row in zip(self.ids, self.rows) if row[0] is not ImaginaryArgument)
+        return self.ids[: self.natural]
 
     def imaginary_ids(self) -> tuple[ArgumentId, ...]:
-        return tuple(i for i, row in zip(self.ids, self.rows) if row[0] is ImaginaryArgument)
+        return self.ids[self.natural :]
 
     #: an id's position: the position dict's own lookup, no Python call per sort key
     index = property(lambda self: self._positions.__getitem__)

@@ -69,17 +69,17 @@ class AttackGraph(Record):
     ones and ``suppressed_rows`` those removed by superiority.  ``edges``,
     ``suppressed`` and ``records_between`` turn them into ``Attack``
     records when called.  The graph's only adjacency index, the distinct
-    attackers and targets of each argument and the attackers at each
-    witness as position tuples in position order, is filled once, by
-    ``_fill``, with no (attacker, target) tuple, from groups of attackers
-    with the same surviving targets and witnesses: ``compute_attacks``
-    hands over the groups it made, and the constructor (so copying and
-    pickling too) reads them off the rows.  The indexes take no part in
-    equality or ``repr``.
+    attackers and targets of each argument and the natural witnesses each
+    attacker attacks at (which undercut reads), as position tuples in
+    position order, is filled once, by ``_fill``, with no (attacker,
+    target) tuple, from groups of attackers with the same surviving
+    targets and witnesses: ``compute_attacks`` hands over the groups it
+    made, and the constructor (so copying and pickling too) reads them off
+    the rows.  The indexes take no part in equality or ``repr``.
     """
 
     _fields = ("arguments", "rows", "suppressed_rows", "generalized")
-    __slots__ = (*_fields, "_attackers", "_targets", "_at_witness")
+    __slots__ = (*_fields, "_attackers", "_targets", "_witnesses")
 
     def __init__(self, arguments: ArgumentSet, rows: tuple[Row, ...],
                  suppressed_rows: tuple[Row, ...], generalized: bool = False) -> None:
@@ -94,18 +94,18 @@ class AttackGraph(Record):
               suppressed_rows: tuple[Row, ...], generalized: bool,
               groups: Iterable[tuple[tuple[Sequence[int], Sequence[int]], list[int]]]) -> None:
         """Set the fields and fill the indexes from ``((targets, witnesses), attackers)`` groups."""
-        targets, attackers, at_witness = ([()] * len(arguments) for _ in range(3))
+        targets, attackers, witnessed = ([()] * len(arguments) for _ in range(3))
         for (found, witnesses), members in groups:
-            reach, members = tuple(dict.fromkeys(found)), tuple(members)
+            reach, members, hit = tuple(dict.fromkeys(found)), tuple(members), sorted({*witnesses})
+            hit = tuple(hit[: bisect.bisect_left(hit, arguments.natural)])  # the natural ones
             for a in members:
-                targets[a] = reach
-            for index, keys in ((attackers, reach), (at_witness, set(witnesses))):
-                for k in keys:  # merge the sorted run of attackers into the one held
-                    held = index[k]
-                    index[k] = (held + members if not held or held[-1] < members[0]
+                targets[a], witnessed[a] = reach, hit
+            for k in reach:  # merge the sorted run of attackers into the one held
+                held = attackers[k]
+                attackers[k] = (held + members if not held or held[-1] < members[0]
                                 else tuple(sorted(held + members)))
         values = (arguments, rows, suppressed_rows, generalized,
-                  tuple(attackers), tuple(targets), tuple(at_witness))
+                  tuple(attackers), tuple(targets), tuple(witnessed))
         for setter, value in zip(self._setters, values):
             setter(self, value)
 
@@ -187,10 +187,6 @@ def compute_attacks(
 
     def block(hits: list[tuple[int, int]]) -> tuple:
         """The hits' records as sorted columns: targets, conditions and witnesses."""
-        if len(hits) == 1:
-            ((c, w),) = hits
-            found = reach(c, w)
-            return found, (c,) * len(found), (w,) * len(found)
         records = [(t, c, w) for c, w in hits for t in reach(c, w)]
         records.sort()  # zip(*records) would make one iterator, a tracked object, per record
         return (tuple(map(itemgetter(0), records)), tuple(map(itemgetter(1), records)),

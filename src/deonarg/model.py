@@ -23,9 +23,9 @@ class Record:
 
     A record class names its fields in ``_fields``, in constructor order,
     and keeps them in its first ``__slots__``, in the same order, before
-    any value it stores beside them (``WpExtension``'s fields are its
-    rows, and it keeps the ``steps`` decoded from them in the slot
-    ``_steps``, None until first read).  Each
+    any value it derives from them (``WpExtension``'s fields are its ids
+    and trace rows; it keeps the sets and the ``steps`` they add up to, the
+    latter in the slot ``_steps``, None until first read).  Each
     class gets ``_setters`` when it is defined: the ``__set__`` of each of
     its own slots, in ``__slots__`` order.  Records set their slots only
     through these descriptors; a slot filled later is set through its

@@ -412,7 +412,7 @@ def reference_wp(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
             raise FixpointInvariantError(index, "conflict", in_order(clash))
 
         if not newly_rejected and not newly_justified:
-            return WpExtension(justified, rejected, ids, tuple(steps))
+            return WpExtension(ids, tuple(steps))
         rejected, justified = grown_rejected, grown_justified
         steps.append((rows(newly_rejected), rows(newly_justified)))
 

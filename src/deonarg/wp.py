@@ -18,16 +18,17 @@ in id order, only the arguments whose inputs the previous one changed
 (semi-naive evaluation), and the trace is the round-by-round one.
 Support is a counter of direct subarguments not yet justified, as in
 linear-time Horn satisfiability.  An argument becoming supported wakes
-itself and its targets, and marks the superarguments of every witness it
-attacks as undercut, waking their targets; one becoming rejected wakes
-its superarguments and targets; one becoming justified wakes its
-targets.  Superarguments are walks up the argument set's parents index
-that stop at a set closed upward, so the work is about linear in the
-arguments, subargument links and attack records.  The rejection walk
-stops at ``fallen``, the arguments above a rejected one.  The undercut
-walk stops at ``beaten``, the rejected and the undercut arguments, whose
-natural members are closed upward.  Undercut is closed upward by
-construction, and a natural argument is rejected in one of two ways:
+itself and its targets, and marks the superarguments of every natural
+witness it attacks at (kept by the graph) as undercut, waking their
+targets; one becoming rejected wakes its superarguments and targets; one
+becoming justified wakes its targets.  Superarguments are walks up the
+argument set's parents index that stop at a set closed upward, so the
+work is about linear in the arguments, subargument links and attack
+records.  The rejection walk stops at ``fallen``, the arguments above a
+rejected one.  The undercut walk stops at ``beaten``, the rejected and
+the undercut arguments, whose natural members are closed upward.
+Undercut is closed upward by construction, and a natural argument is
+rejected in one of two ways:
 
 * by ``attacker-supported``: its supported attackers attack every
   superargument at the same witness, with the same top rules, so they
@@ -40,17 +41,20 @@ Imaginary arguments are never parents, so the undercut walk, which
 starts above a natural witness, never reaches an imaginary member of
 ``beaten``.  The predicates are written out in the loop, and each status
 change is kept as a row of positions, ``(argument, clause, witnesses)``,
-with no record built: ``schema.trace_section`` reads the rows, and
-``WpExtension.steps`` decodes them when first read.  The public
+with no record built.  The rows are the result: ``WpExtension`` derives
+its justified and rejected sets from them, ``schema.trace_section`` reads
+them, and ``WpExtension.steps`` decodes them when first read.  The public
 ``supports``, which ``analysis`` reads, is support's direct definition;
 ``testkit`` states support and undercut over the trees.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from itertools import chain
+from operator import itemgetter
+from typing import Iterable, Iterator
 
-from .arguments import ArgumentSet, ImaginaryArgument
+from .arguments import ArgumentSet
 from .attacks import AttackGraph
 from .model import Record
 from .semantics import _clashing
@@ -122,25 +126,30 @@ class TraceStep(Record):
     justified = property(lambda self: _held(self._justified))
 
 
-class WpExtension(Record):
-    """The fixed point's justified and rejected sets, and its trace as rows.
+def _members(rows: tuple[tuple, ...], side: int) -> Iterator[int]:
+    """The positions that trace rows change on one side: 0 rejected, 1 justified."""
+    return map(itemgetter(0), chain.from_iterable(map(itemgetter(side), rows)))
 
-    The fields are ``justified``, ``rejected``, ``ids`` and the trace's
-    ``rows``: per step a tuple of rejected and a tuple of justified
-    changes, each a row ``(argument, clause, witnesses)`` of positions into
-    ``ids``, tuples all the way down, so that ``Record``'s equality, hash
-    and pickling work on them as they are.  ``iterations`` and
-    ``schema.trace_section`` read the rows; ``steps`` decodes them to
-    records when first read and keeps them in the slot ``_steps``, as
-    ``ArgumentSet.ordered`` does.
+
+class WpExtension(Record):
+    """The fixed point as its trace: the rows, and the sets they add up to.
+
+    The fields are ``ids`` and the trace's ``rows``: per step a tuple of
+    rejected and a tuple of justified changes, each a row ``(argument,
+    clause, witnesses)`` of positions into ``ids``, tuples all the way
+    down, so that ``Record``'s equality, hash and pickling work on them as
+    they are.  The constructor derives the ``justified`` and ``rejected``
+    id sets from the rows.  ``iterations`` and ``schema.trace_section`` read
+    the rows; ``steps`` decodes them to records when first read and keeps
+    them in the slot ``_steps``, as ``ArgumentSet.ordered`` does.
     """
 
-    _fields = ("justified", "rejected", "ids", "rows")
-    __slots__ = (*_fields, "_steps")
+    _fields = ("ids", "rows")
+    __slots__ = (*_fields, "justified", "rejected", "_steps")
 
-    def __init__(self, justified: frozenset[str], rejected: frozenset[str],
-                 ids: tuple[str, ...], rows: tuple[tuple, ...]) -> None:
-        for setter, value in zip(self._setters, (justified, rejected, ids, rows, None)):
+    def __init__(self, ids: tuple[str, ...], rows: tuple[tuple, ...]) -> None:
+        sets = [frozenset(map(ids.__getitem__, _members(rows, side))) for side in (1, 0)]
+        for setter, value in zip(self._setters, (ids, rows, *sets, None)):
             setter(self, value)
 
     @property
@@ -183,18 +192,12 @@ def wp_extension(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
     regardless of the guard setting.
     """
     arguments = graph.arguments
-    ids, decode, rows = arguments.ids, arguments._decode, arguments.rows
+    ids, decode, natural = arguments.ids, arguments._decode, arguments.natural
     parents, attackers_of, targets_of = arguments._parents, graph._attackers, graph._targets
-    imaginary = [row[0] is ImaginaryArgument for row in rows]
+    attacks_at = graph._witnesses  # undercut: the natural witnesses each argument attacks at
 
     # support: each argument counts its direct subarguments not yet justified
-    waiting = [len(row[3]) for row in rows]  # a child listed twice is counted and met twice
-    # undercut: the natural witnesses each argument attacks at
-    attacks_at: list[list[int]] = [[] for _ in ids]
-    for witness, attackers in enumerate(graph._at_witness):
-        if attackers and not imaginary[witness]:
-            for attacker in attackers:
-                attacks_at[attacker].append(witness)
+    waiting = [len(row[3]) for row in arguments.rows]  # a child listed twice is met twice
 
     # every set below holds positions
     justified: set[int] = set()
@@ -219,11 +222,11 @@ def wp_extension(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
     for n in [n for n in supported if attacks_at[n]]:  # their undercuts; what they wake
         support(n, set())  # is read anyway, as the first iteration evaluates every argument
     # an imaginary argument with no attackers is justified in the first iteration, with
-    # no witnesses, and never woken again: those after the last natural argument are
-    # settled as one block at the end of that iteration's justified list
-    end = len(ids) - imaginary[::-1].index(False) if False in imaginary else 0
-    settled = [n for n in range(end, len(ids)) if not attackers_of[n]]
-    candidates: Iterable[int] = [*range(end), *(n for n in range(end, len(ids)) if attackers_of[n])]
+    # no witnesses, and never woken again: they are settled as one block at the end of
+    # that iteration's justified list
+    imaginary = range(natural, len(ids))
+    settled = [n for n in imaginary if not attackers_of[n]]
+    candidates: Iterable[int] = [*range(natural), *(n for n in imaginary if attackers_of[n])]
     steps: list[tuple[tuple, tuple]] = []
     for index in range(1, 2 * len(ids) + 2):
         # every predicate reads the previous snapshot: the sets change after both sides
@@ -232,7 +235,7 @@ def wp_extension(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
             if n in rejected or (fixpoint_guards and n in justified):
                 continue
             attackers = attackers_of[n]
-            if imaginary[n]:
+            if n >= natural:  # imaginary
                 if not justified.isdisjoint(attackers):
                     hits = tuple(filter(justified.__contains__, attackers))
                     newly_rejected.append((n, "attacker-justified", hits))
@@ -250,7 +253,7 @@ def wp_extension(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
             if n in justified or (fixpoint_guards and (n in rejected or n in gone)):
                 continue
             attackers = attackers_of[n]
-            if imaginary[n]:
+            if n >= natural:  # imaginary
                 if rejected.issuperset(attackers):
                     newly_justified.append((n, "attackers-all-rejected", attackers))
                     added.append(n)
@@ -290,6 +293,4 @@ def wp_extension(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
         candidates = sorted(woken)
     else:
         raise AssertionError("weak-permission iteration failed to stabilize")
-    named = ids.__getitem__
-    return WpExtension(frozenset(map(named, justified)), frozenset(map(named, rejected)), ids,
-                       tuple(steps))
+    return WpExtension(ids, tuple(steps))

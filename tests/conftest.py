@@ -1,8 +1,9 @@
 """Shared fixtures: golden theories, seeded random corpora, the ladder script and a CLI runner.
 
-Corpus seeds are drawn by deterministic iteration from zero, filtered by
-argument count only (never by outcome), so every run sees the same
-instances.
+The corpora are those of ``scripts/run_property_corpora.py``, which holds
+their one definition: seeds are drawn by deterministic iteration from
+zero, filtered by argument count only (never by outcome), so every run
+sees the same instances.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import pytest
 
 from deonarg import ArgumentSet, AttackGraph, Theory, build_arguments, compute_attacks, parse_theory
 from deonarg.corpus import BUILTIN_THEORIES
-from deonarg.testkit import GeneratorParams, generate_theory
 
 # ---------------------------------------------------------------------------
 # golden theories
@@ -72,90 +72,48 @@ def facultative_priorities(goldens) -> PreparedTheory:
 
 
 # ---------------------------------------------------------------------------
-# seeded random corpora
+# the scripts, and the seeded random corpora of the property script
 # ---------------------------------------------------------------------------
 
 CORPUS_SIZE = 200
-ARGUMENT_CAP = 15
 
 
-@dataclass(frozen=True)
-class CorpusCase:
-    seed: int
-    theory: Theory
-    arguments: ArgumentSet
-    graph: AttackGraph
-
-
-def build_corpus(make_params, *, count: int = CORPUS_SIZE, cap: int | None = ARGUMENT_CAP):
-    cases: list[CorpusCase] = []
-    seed = 0
-    while len(cases) < count:
-        theory = generate_theory(make_params(seed))
-        arguments = build_arguments(theory)
-        if cap is None or len(arguments) <= cap:
-            cases.append(CorpusCase(seed, theory, arguments, compute_attacks(arguments, theory)))
-        seed += 1
-    return tuple(cases)
-
-
-def conflict_params(seed: int) -> GeneratorParams:
-    """Guaranteed-conflictual regime: an injected empty-body obligation pair."""
-    return GeneratorParams(
-        seed=seed,
-        atom_count=3,
-        rule_count=4,
-        empty_obligation_bodies=True,
-        acyclic=True,
-        inject_conflict=True,
-    )
-
-
-def no_superiority_params(seed: int) -> GeneratorParams:
-    """Free-form rule bodies except weak permissions; no superiority pairs."""
-    return GeneratorParams(seed=seed, weak_permission_body_weight=0.0)
-
-
-def oracle_params(seed: int) -> GeneratorParams:
-    """Free-form regime for oracle comparison, superiority included."""
-    return GeneratorParams(
-        seed=seed,
-        atom_count=3,
-        rule_count=4,
-        inject_conflict=True,
-        superiority_count=2,
-        acyclic=(seed % 2 == 0),
-    )
-
-
-@pytest.fixture(scope="session")
-def conflict_corpus() -> tuple[CorpusCase, ...]:
-    return build_corpus(conflict_params)
-
-
-@pytest.fixture(scope="session")
-def no_superiority_corpus() -> tuple[CorpusCase, ...]:
-    return build_corpus(no_superiority_params, cap=None)
-
-
-@pytest.fixture(scope="session")
-def oracle_corpus() -> tuple[CorpusCase, ...]:
-    return build_corpus(oracle_params)
-
-
-# ---------------------------------------------------------------------------
-# the ladder script
-# ---------------------------------------------------------------------------
+def _script(name: str) -> ModuleType:
+    """``scripts/<name>.py``, loaded once as the module ``name``, so that a script
+    importing another by name (``from ladder import RUNGS``) finds it."""
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules[name]
 
 
 @pytest.fixture(scope="session")
 def ladder() -> ModuleType:
     """``scripts/ladder.py``, loaded once: its theory texts and ``retained_mb``."""
-    path = Path(__file__).resolve().parents[1] / "scripts" / "ladder.py"
-    spec = importlib.util.spec_from_file_location("ladder", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _script("ladder")
+
+
+@pytest.fixture(scope="session")
+def corpora(ladder) -> ModuleType:
+    """``scripts/run_property_corpora.py``, which holds the one definition of the corpora."""
+    return _script("run_property_corpora")
+
+
+@pytest.fixture(scope="session")
+def conflict_corpus(corpora) -> tuple:
+    return corpora.build_corpus(corpora.conflict_params, count=CORPUS_SIZE)
+
+
+@pytest.fixture(scope="session")
+def no_superiority_corpus(corpora) -> tuple:
+    return corpora.build_corpus(corpora.no_superiority_params, count=CORPUS_SIZE, cap=None)
+
+
+@pytest.fixture(scope="session")
+def oracle_corpus(corpora) -> tuple:
+    return corpora.build_corpus(corpora.oracle_params, count=CORPUS_SIZE)
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,23 @@ def test_stored_closures_and_ids_match_their_definitions(goldens):
                 arguments.index(unknown)
 
 
+def test_the_constructor_refuses_imaginary_rows_that_are_not_one_trailing_block(goldens):
+    arguments = goldens["chained-obligations"].arguments
+    natural, size = arguments.natural, len(arguments)
+    assert arguments.natural_ids() == tuple(i for i, a in arguments if not a.is_imaginary)
+    assert arguments.imaginary_ids() == tuple(i for i, a in arguments if a.is_imaginary)
+    # the same table with its rows moved, children renumbered: every imaginary row first,
+    # or one of them among the natural rows
+    for order in ([*range(natural, size), *range(natural)],
+                  [*range(natural - 1), size - 1, natural - 1, *range(natural, size - 1)]):
+        where = {n: k for k, n in enumerate(order)}
+        rows = tuple((form, rule, conclusion, tuple(where[child] for child in children))
+                     for form, rule, conclusion, children in map(arguments.rows.__getitem__, order))
+        ids = tuple(map(arguments.ids.__getitem__, order))
+        with pytest.raises(ValueError, match="imaginary rows"):
+            ArgumentSet(arguments.theory, ids, rows)
+
+
 def test_a_built_table_retains_memory_linear_in_the_arguments(ladder):
     # the table stores no closure, so a chain four times as long retains at most five times
     # the memory; a stored closure per argument grows with the square of the chain

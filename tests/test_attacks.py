@@ -27,9 +27,15 @@ def table(graph):
     return {(e.attacker, e.target, e.condition, e.witness) for e in graph.edges}
 
 
-def attackers_at(graph, witness):
-    """The attackers of the records witnessed at an argument, decoded from the index wp reads."""
-    return graph.arguments._decode(graph._at_witness[graph.arguments.index(witness)])
+def witnesses_of(graph, attacker):
+    """The natural witnesses an argument attacks at, decoded from the index wp reads."""
+    return graph.arguments._decode(graph._witnesses[graph.arguments.index(attacker)])
+
+
+def natural_witnesses(arguments, witnesses):
+    """The distinct natural witnesses among those given, in position order."""
+    natural = {w for w in witnesses if arguments.kind(w) != "imaginary"}
+    return tuple(sorted(natural, key=arguments.index))
 
 
 def test_two_obligation_conflict_attack_table(two_obligations):
@@ -167,10 +173,12 @@ def test_indexes_agree_with_the_edge_list(chained, goldens):
         for identifier in prepared.arguments.ids:
             attackers = {e.attacker for e in graph.edges if e.target == identifier}
             targets = {e.target for e in graph.edges if e.attacker == identifier}
-            at_witness = [e.attacker for e in graph.edges if e.witness == identifier]
+            witnesses = [e.witness for e in graph.edges if e.attacker == identifier]
             assert graph.attackers_of(identifier) == tuple(sorted(attackers, key=index))
             assert graph.targets_of(identifier) == tuple(sorted(targets, key=index))
-            assert attackers_at(graph, identifier) == tuple(dict.fromkeys(at_witness))
+            assert witnesses_of(graph, identifier) == natural_witnesses(
+                prepared.arguments, witnesses
+            )
             for other in prepared.arguments.ids:
                 assert graph.records_between(identifier, other) == tuple(
                     e for e in graph.edges if (e.attacker, e.target) == (identifier, other)
@@ -214,10 +222,10 @@ def test_compute_attacks_matches_a_target_first_scan():
             for identifier in arguments.ids:
                 attackers = {a for a, t, _, _ in edges if t == identifier}
                 targets = {t for a, t, _, _ in edges if a == identifier}
-                at_witness = [a for a, _, _, w in edges if w == identifier]
+                witnesses = [w for a, _, _, w in edges if a == identifier]
                 assert graph.attackers_of(identifier) == tuple(sorted(attackers, key=order))
                 assert graph.targets_of(identifier) == tuple(sorted(targets, key=order))
-                assert attackers_at(graph, identifier) == tuple(dict.fromkeys(at_witness))
+                assert witnesses_of(graph, identifier) == natural_witnesses(arguments, witnesses)
             for attacker, target in graph.pairs:
                 assert rows(graph.records_between(attacker, target)) == [
                     r for r in edges if r[:2] == (attacker, target)
@@ -318,19 +326,20 @@ def test_fanout_conflicts_fill_the_rows_and_indexes_of_the_reference(fanouts, ge
     assert list(graph.suppressed_rows) == positions(suppressed)
     assert graph.suppressed_rows
     # every index equals a scan of the surviving rows
-    attackers, targets, at_witness = ([set() for _ in range(size)] for _ in range(3))
+    attackers, targets, witnesses = ([set() for _ in range(size)] for _ in range(3))
     for a, t, _, w in graph.rows:
         attackers[t].add(a)
         targets[a].add(t)
-        at_witness[w].add(a)
+        if arguments.rows[w][0].kind != "imaginary":
+            witnesses[a].add(w)
     indexes = tuple(
-        tuple(tuple(sorted(found)) for found in scan) for scan in (attackers, targets, at_witness)
+        tuple(tuple(sorted(found)) for found in scan) for scan in (attackers, targets, witnesses)
     )
-    assert (graph._attackers, graph._targets, graph._at_witness) == indexes
+    assert (graph._attackers, graph._targets, graph._witnesses) == indexes
     # the public constructor rebuilds the same indexes from the graph's own fields
     twin = AttackGraph(graph.arguments, graph.rows, graph.suppressed_rows, graph.generalized)
     assert twin == graph
-    assert (twin._attackers, twin._targets, twin._at_witness) == indexes
+    assert (twin._attackers, twin._targets, twin._witnesses) == indexes
     # some attacker hits witnesses under two conditions, so its records are merged
     conditions = {}
     for a, _, c, _ in graph.rows:

@@ -70,10 +70,10 @@ from deonarg.testkit import (
 )
 
 _ARGUMENT_SET_INDEXES = (
-    "_ordered", "_positions", "_by_conclusion", "_parents", "_order",
+    "_ordered", "_positions", "_by_conclusion", "_parents", "natural",
 )
 _ATTACK_GRAPH_INDEXES = (
-    "_attackers", "_targets", "_at_witness",
+    "_attackers", "_targets", "_witnesses",
 )
 
 #: class -> (the dataclass's fields, the compared and repr fields)
@@ -101,8 +101,8 @@ RECORDS: dict[type, tuple[tuple[str, ...], tuple[str, ...]]] = {
     StatusChange: (("argument", "clause", "witnesses"),) * 2,
     TraceStep: (("index", "newly_rejected", "newly_justified", "rejected", "justified"),) * 2,
     WpExtension: (
-        ("justified", "rejected", "ids", "rows", "steps", "_steps"),
-        ("justified", "rejected", "ids", "rows"),
+        ("ids", "rows", "justified", "rejected", "steps", "_steps"),
+        ("ids", "rows"),
     ),
     ConflictPair: (("literal", "supporting_rule", "opposing_rule"),) * 2,
     ConflictReport: (("conflicted", "wp_conflicted"),) * 2,

@@ -13,7 +13,7 @@ import pickle
 
 from deonarg import ArgumentSet, build_arguments, compute_attacks, parse_theory
 
-_INDEXES = ("ids", "rows", "_positions", "_by_conclusion", "_parents", "_order")
+_INDEXES = ("ids", "rows", "_positions", "_by_conclusion", "_parents", "natural")
 
 
 def _twins(original):
@@ -32,8 +32,8 @@ def test_a_tall_set_and_its_graph_round_trip_equal(ladder):
         assert twin.argument(top) == arguments.argument(top)
     for twin in _twins(graph):
         assert twin == graph and twin is not graph
-        assert (twin._attackers, twin._targets, twin._at_witness) == (
-            graph._attackers, graph._targets, graph._at_witness
+        assert (twin._attackers, twin._targets, twin._witnesses) == (
+            graph._attackers, graph._targets, graph._witnesses
         )
 
 
@@ -42,12 +42,12 @@ def test_a_set_rebuilt_from_its_rows_round_trips_equal(goldens):
         arguments = prepared.arguments
         rebuilt = ArgumentSet(prepared.theory, arguments.ids, arguments.rows)
         assert rebuilt == arguments and rebuilt.ordered == arguments.ordered
-        assert (rebuilt._parents, rebuilt._order) == (arguments._parents, arguments._order)
+        assert (rebuilt._parents, rebuilt.natural) == (arguments._parents, arguments.natural)
         assert rebuilt._closures() == arguments._closures()
         for twin in _twins(rebuilt):
             assert twin == rebuilt
             assert twin.ordered == rebuilt.ordered
-            assert (twin._parents, twin._order) == (rebuilt._parents, rebuilt._order)
+            assert (twin._parents, twin.natural) == (rebuilt._parents, rebuilt.natural)
             assert twin._closures() == rebuilt._closures()
         # the closures built children first equal the walks
         assert [tuple(closure) for closure in rebuilt._closures()] == [

@@ -95,14 +95,11 @@ def test_the_constructor_keeps_the_trace_section_and_the_steps(graphs, oracle_co
     for label, graph in _extensions(graphs, (oracle_corpus,)):
         extension = wp_extension(graph)
         section = trace_section(extension)
-        rebuilt = WpExtension(extension.justified, extension.rejected, extension.ids, extension.rows)
+        rebuilt = WpExtension(extension.ids, extension.rows)
         assert trace_section(rebuilt) == section, label
         assert rebuilt == extension and hash(rebuilt) == hash(extension), label
         assert rebuilt.steps == extension.steps and rebuilt.iterations == extension.iterations
-        named = WpExtension(
-            justified=extension.justified, rejected=extension.rejected, ids=extension.ids,
-            rows=extension.rows,
-        )
+        named = WpExtension(ids=extension.ids, rows=extension.rows)
         assert named == extension and trace_section(named) == section, label
 
 

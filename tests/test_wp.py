@@ -285,19 +285,35 @@ def test_an_undercut_attacker_stops_blocking_in_the_round_it_is_undercut():
     assert_matches_reference(graph, "undercut")
 
 
+def readings(arguments):
+    """The attack graph under each reading of condition 1, and how many of its records
+    witness an imaginary argument inside a natural target (only the generalized reading's)."""
+    for generalized in (False, True):
+        graph = compute_attacks(arguments, imaginary_subargument_attacks=generalized)
+        lifted = sum(t < arguments.natural <= w for _, t, _, w in graph.rows)
+        yield generalized, graph, lifted
+
+
 def test_engine_trace_matches_the_reference_iteration_on_goldens(goldens):
+    lifted = 0
     for name, prepared in goldens.items():
-        assert_matches_reference(prepared.graph, name)
+        for generalized, graph, found in readings(prepared.arguments):
+            assert_matches_reference(graph, (name, generalized))
+            lifted += found
+    assert lifted > 0  # imaginary witnesses with attackers were read too
 
 
 def test_engine_trace_matches_the_reference_iteration_on_the_corpora(
     conflict_corpus, no_superiority_corpus, oracle_corpus
 ):
-    breaches = 0
+    breaches = lifted = 0
     for corpus in (conflict_corpus, no_superiority_corpus, oracle_corpus):
         for case in corpus:
-            breaches += assert_matches_reference(case.graph, case.seed)
+            for generalized, graph, found in readings(case.arguments):
+                breaches += assert_matches_reference(graph, (case.seed, generalized))
+                lifted += found
     assert breaches > 0  # the unguarded breach payloads were compared too
+    assert lifted > 0
 
 
 def test_engine_trace_matches_the_reference_iteration_on_chains_and_fans():
