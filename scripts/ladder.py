@@ -20,10 +20,12 @@ JSON document), ``verify_theorems`` (the whole check on the theory,
 limit raised) and ``check`` (``verify_theorems`` on the rung's attack
 graph, limit raised: the checks and their engine calls, without the
 build).  Each rung also records and prints the checks' own time,
-``check_own``: per alternated run, ``check`` less ``grounded``, ``core``
-and ``wp``, the engine calls ``verify_theorems`` makes on a theory
-without superiority pairs, as every rung is; the median of these
-differences, and that of the engine calls' sum, ``engine_median_s``.
+``check_own``: in ``REPEAT`` more calls of ``verify_theorems`` on the
+graph, alternated between the columns, the call's time less that of the
+engine calls it makes (``grounded_extension``, ``_stable_core`` and
+``wp_extension``), timed by wrappers installed on ``deonarg.analysis``
+for those calls only; the median of these differences, and that of the
+engine calls, ``engine_median_s``.
 
 The ladder:
 
@@ -41,8 +43,9 @@ The ladder:
   extensions).
 * ``startup``: the CLI's own cost, in fresh interpreters: the CPU of
   ``import deonarg.cli`` (``import_cli``) and of whole ``python -m
-  deonarg eval -s wp -`` processes on the two-obligation demo theory
-  (``eval_wp_process``, user plus system CPU of the child).  Each is the
+  deonarg eval -s wp -`` and ``python -m deonarg trace -f json -``
+  processes on the two-obligation demo theory (``eval_wp_process`` and
+  ``trace_json_process``, user plus system CPU of the child).  Each is the
   median of ``STARTUP_REPEAT`` (21) processes, run with
   ``PYTHONDONTWRITEBYTECODE`` unset after one untimed warm-up run, so they
   read current bytecode caches as an installed package does.
@@ -70,8 +73,9 @@ be compared for identical output; ``--expect FILE`` exits 1 when a rung's
 digests differ from those of any column of FILE that has the rung.  The
 ``sections`` stage adds no digest: its output is the argument and attack
 digests' and the source text's; nor do ``core``, whose core the
-``verify_theorems`` report reads, and ``check``, whose report is
-``verify_theorems``'.  The
+``verify_theorems`` report reads, ``check``, whose report is
+``verify_theorems``', and ``trace_json_process``, whose output the test
+suite's CLI digests pin.  The
 chain and fan rungs also record the MB that one built argument set
 retains (``build_retained_mb``) and that decoding its records adds
 (``decoded_retained_mb``), by ``tracemalloc``, untimed.  At the end, for
@@ -120,8 +124,8 @@ STAGES = (
     "trace", "sections", "verify_theorems", "check",
 )
 
-#: the engine calls ``verify_theorems`` makes on a theory without superiority pairs (every rung)
-ENGINE_CALLS = ("grounded", "core", "wp")
+#: the engine calls ``verify_theorems`` makes, by the names ``deonarg.analysis`` calls them by
+ENGINE_CALLS = ("grounded_extension", "_stable_core", "wp_extension")
 
 #: fresh interpreters per start-up stage; the median is reported
 STARTUP_REPEAT = 21
@@ -137,6 +141,10 @@ STARTUP_STAGES: dict[str, tuple[list[str], str]] = {
     "import_cli": ([sys.executable, "-c", _IMPORT_PROBE], ""),
     "eval_wp_process": (
         [sys.executable, "-m", "deonarg", "eval", "-s", "wp", "-"],
+        TWO_OBLIGATIONS,
+    ),
+    "trace_json_process": (
+        [sys.executable, "-m", "deonarg", "trace", "-f", "json", "-"],
         TWO_OBLIGATIONS,
     ),
 }
@@ -235,7 +243,44 @@ def stage_calls(engine: ModuleType, text: str) -> tuple[dict, dict[str, Callable
         "verify_theorems": lambda: engine.verify_theorems(theory, argument_limit=limit),
         "check": lambda: engine.verify_theorems(graph, argument_limit=limit),
     }
+    calls["check_own"] = check_own_call(engine, graph, limit)
     return rung, calls, arguments.index
+
+
+def check_own_call(engine: ModuleType, graph: object, limit: int) -> Callable[[], tuple]:
+    """One ``verify_theorems(graph)`` call: its CPU seconds less its engine calls', and those.
+
+    The engine calls are timed by wrappers on ``ENGINE_CALLS`` in the
+    engine's ``analysis`` module, installed for this call only.
+    """
+    analysis = importlib.import_module(f"{engine.__name__}.analysis")
+    spent = [0.0]
+
+    def timed(function: Callable) -> Callable:
+        def call(*args, **kwargs):
+            started = time.process_time()
+            try:
+                return function(*args, **kwargs)
+            finally:
+                spent[0] += time.process_time() - started
+
+        return call
+
+    def check_own() -> tuple[float, float]:
+        originals = {name: getattr(analysis, name) for name in ENGINE_CALLS}
+        spent[0] = 0.0
+        try:
+            for name, function in originals.items():
+                setattr(analysis, name, timed(function))
+            started = time.process_time()
+            engine.verify_theorems(graph, argument_limit=limit)
+            total = time.process_time() - started
+        finally:
+            for name, function in originals.items():
+                setattr(analysis, name, function)
+        return total - spent[0], spent[0]
+
+    return check_own
 
 
 def decode_call(arguments: object) -> Callable[[], object]:
@@ -300,10 +345,10 @@ def run_startup(sources: dict[str, Path]) -> dict[str, dict]:
         for repeat in range(STARTUP_REPEAT):
             for column in columns if repeat % 2 == 0 else columns[::-1]:
                 cpu, stdout = child_cpu(command, stdin, envs[column])
-                if stage == "eval_wp_process":
-                    rungs[column]["digests"][stage] = hashlib.sha256(stdout.encode()).hexdigest()
-                else:
+                if stage == "import_cli":
                     cpu = float(stdout)
+                elif stage == "eval_wp_process":
+                    rungs[column]["digests"][stage] = hashlib.sha256(stdout.encode()).hexdigest()
                 runs[column].append(round(cpu, 6))
         for column in columns:
             median = statistics.median(runs[column])
@@ -347,15 +392,18 @@ def run_rung(name: str, engines: dict[str, ModuleType]) -> dict[str, dict]:
             median = statistics.median(runs[column])
             rungs[column]["stages"][stage] = {"median_s": median, "runs_s": runs[column]}
             print(f"  {stage:16} {column:8} {median:9.4f} s", flush=True)
+    own: dict[str, list[float]] = {column: [] for column in columns}
+    engine_runs: dict[str, list[float]] = {column: [] for column in columns}
+    for repeat in range(REPEAT):
+        for column in columns if repeat % 2 == 0 else columns[::-1]:
+            gc.collect()
+            checks, engine = calls[column]["check_own"]()
+            own[column].append(round(checks, 6))
+            engine_runs[column].append(round(engine, 6))
     for column in columns:
-        stages = rungs[column]["stages"]
-        if "check" not in stages or not all(call in stages for call in ENGINE_CALLS):
-            continue
-        engine_runs = [sum(run) for run in zip(*(stages[call]["runs_s"] for call in ENGINE_CALLS))]
-        own = [round(check - calls, 6)
-               for check, calls in zip(stages["check"]["runs_s"], engine_runs)]
-        median, engine = statistics.median(own), statistics.median(engine_runs)
-        rungs[column]["check_own"] = {"median_s": median, "runs_s": own, "engine_median_s": engine}
+        median, engine = statistics.median(own[column]), statistics.median(engine_runs[column])
+        rungs[column]["check_own"] = {"median_s": median, "runs_s": own[column],
+                                      "engine_median_s": engine}
         print(f"  {'check own':16} {column:8} {median:9.4f} s, "
               f"{median / max(engine, 1e-6):.2f} of the engine calls' {engine:.4f} s")
     return rungs

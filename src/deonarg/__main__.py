@@ -1,6 +1,6 @@
 """Module entry point: ``python -m deonarg``."""
 
-from .cli import main
+from .cli import run
 
 if __name__ == "__main__":
-    main()
+    run()

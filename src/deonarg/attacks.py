@@ -165,6 +165,10 @@ _HITS = (
 )
 
 
+#: the columns of a ``(target, condition, witness)`` record
+_TARGET, _CONDITION, _WITNESS = itemgetter(0), itemgetter(1), itemgetter(2)
+
+
 def compute_attacks(
     arguments: ArgumentSet,
     theory: Theory | None = None,
@@ -189,8 +193,8 @@ def compute_attacks(
         """The hits' records as sorted columns: targets, conditions and witnesses."""
         records = [(t, c, w) for c, w in hits for t in reach(c, w)]
         records.sort()  # zip(*records) would make one iterator, a tracked object, per record
-        return (tuple(map(itemgetter(0), records)), tuple(map(itemgetter(1), records)),
-                tuple(map(itemgetter(2), records)))
+        return (tuple(map(_TARGET, records)), tuple(map(_CONDITION, records)),
+                tuple(map(_WITNESS, records)))
 
     # one pass (see the module docstring), on positions, by atom and code
     by_atom: dict[str, dict[int, list[int]]] = {}

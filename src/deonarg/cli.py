@@ -7,25 +7,28 @@ verifiers) and ``gen`` (random theory generator).
 
 Exit codes: 0 success, 1 parse error, 2 theory validation error,
 3 fixed-point invariant breach, 4 argument-limit exceeded, 5 failed
-check.
+check.  ``main`` runs a command and raises ``SystemExit``; ``run``, the
+process entry point, runs ``main`` and ends the process without teardown.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import os
 import sys
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NoReturn
 
 from . import __version__
 from .arguments import ArgumentSet, build_arguments
 from .attacks import AttackGraph, compute_attacks
 from .model import Theory, TheoryValidationError
 from .parser import ParseError, parse_theory, serialize_theory
-from .schema import arguments_section, attacks_section, theory_section, trace_section
+from .schema import (arguments_section, attacks_section, theory_section, trace_section,
+                     write_document)
 from .semantics import (
     DEFAULT_ARGUMENT_LIMIT,
     ArgumentLimitExceeded,
@@ -103,9 +106,8 @@ def _emit_json(
 
 
 def _echo_json(document: dict[str, Any]) -> None:
-    import json  # only the JSON formats need it
-
-    _echo(json.dumps(document, indent=2))
+    write_document(document, sys.stdout.write)
+    _echo("")
 
 
 def _in_order(arguments: ArgumentSet, members) -> list[str]:
@@ -211,9 +213,41 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
     try:
         chosen.pop("run")(**chosen)
     except BrokenPipeError:  # the reader stopped early, as ``| head`` does
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _silence_stdout()
         sys.exit(1)
     sys.exit(0)
+
+
+def _silence_stdout() -> None:
+    """Point stdout at the null device, so that no later flush meets the closed pipe."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def run() -> NoReturn:
+    """Run ``main`` as a whole process: ``python -m deonarg`` and the ``deonarg`` script.
+
+    On ``main``'s ``SystemExit`` the process ends as the interpreter would
+    end it, less the teardown: a code that is neither None nor an integer is
+    printed to stderr and becomes 1, the ``atexit`` callbacks run, and both
+    streams are flushed (stdout into a closed pipe exits 1, as in ``main``).
+    Then ``os._exit`` ends the process at once: modules and objects are not
+    torn down, so no finalizer runs.  Any other exception propagates.
+    """
+    try:
+        main()
+    except SystemExit as exit_:
+        code = exit_.code
+    if code is not None and not isinstance(code, int):
+        print(code, file=sys.stderr)
+        code = 1
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _silence_stdout()
+        code = 1
+    sys.stderr.flush()
+    os._exit(code or 0)
 
 
 # ---------------------------------------------------------------------------

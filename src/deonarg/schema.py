@@ -8,7 +8,7 @@ identical inputs produce byte-identical documents.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from .arguments import ArgumentSet
 from .attacks import AttackGraph
@@ -166,3 +166,77 @@ def trace_section(extension: WpExtension) -> list[dict[str, Any]]:
          "justified": _changes(ids, justified) if justified else []}  # most steps have one side
         for index, (rejected, justified) in enumerate(extension.rows, 1)
     ]
+
+
+# ---------------------------------------------------------------------------
+# writer
+# ---------------------------------------------------------------------------
+
+#: flat records encoded and written at a time
+_BATCH = 2048
+#: the value types of a flat record
+_SCALARS = frozenset({str, int, bool, type(None)})
+#: the JSON of the constants
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def write_document(document: Any, write: Callable[[str], Any]) -> None:
+    """Write ``json.dumps(document, indent=2)``, byte for byte, through ``write`` in pieces.
+
+    ``json`` runs its C encoder only without ``indent``.  Here every string
+    goes through the C string encoder and a list of strings is one join.
+    A list of flat records (their values strings, integers, booleans or
+    None) is written a batch at a time, each batch one call of the C
+    encoder with the newline and the fields' indent in its item separator:
+    an encoded string holds no raw newline, so one replace of that
+    separator between two records gives each record its own lines.
+    A list's kind is read off its first member, as every list of ``SCHEMA``
+    holds one kind: strings, lists of strings, or records of one shape.
+    """
+    from json import JSONEncoder
+    from json.encoder import encode_basestring_ascii as string
+
+    def text(item: Any, pad: str) -> str:
+        """One value, whole."""
+        inner = pad + "  "
+        if isinstance(item, str):
+            return string(item)
+        if isinstance(item, dict):
+            opened, closed = "{", "}"
+            members = [string(key) + ": " + text(member, inner) for key, member in item.items()]
+        elif isinstance(item, (list, tuple)):
+            opened, closed = "[", "]"
+            members = (map(string, item) if item and isinstance(item[0], str)
+                       else [text(member, inner) for member in item])
+        elif item is None or item is True or item is False:
+            return _LITERALS[item]
+        else:
+            return int.__repr__(item)  # as json writes an integer
+        if not item:
+            return opened + closed
+        return opened + "\n" + inner + (",\n" + inner).join(members) + "\n" + pad + closed
+
+    def stream(item: Any, pad: str) -> None:
+        """One value: a record a key at a time, flat records a batch at a time, else whole."""
+        inner, field = pad + "  ", pad + "    "
+        if isinstance(item, dict) and item:
+            opened = "{\n" + inner
+            for key, member in item.items():
+                write(opened + string(key) + ": ")
+                stream(member, inner)
+                opened = ",\n" + inner
+            write("\n" + pad + "}")
+        elif not (isinstance(item, (list, tuple)) and item and isinstance(item[0], dict)
+                  and item[0] and _SCALARS.issuperset(map(type, item[0].values()))):
+            write(text(item, pad))
+        else:  # flat records
+            encode = JSONEncoder(separators=(",\n" + field, ": "), check_circular=False).encode
+            between = "\n" + inner + "},\n" + inner + "{\n" + field
+            opened = "[\n" + inner + "{\n" + field
+            for start in range(0, len(item), _BATCH):
+                batch = encode(item[start : start + _BATCH])  # [{"k": v,\n<field>"k": v},\n<field>{
+                write(opened + batch[2:-2].replace("},\n" + field + "{", between))
+                opened = between
+            write("\n" + inner + "}\n" + pad + "]")
+
+    stream(document, "")

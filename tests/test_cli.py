@@ -393,6 +393,113 @@ def test_main_runs_like_python_m_deonarg_and_always_exits(monkeypatch, capsys, t
     assert capsys.readouterr().out == f"deonarg, version {__version__}\n"
 
 
+#: the two ways a process enters the CLI: ``python -m deonarg``, and ``cli.run`` as the
+#: installed ``deonarg`` script calls it
+_ENTRIES = {"module": ["-m", "deonarg"], "script": ["-c", "from deonarg.cli import run; run()"]}
+
+_FAILING_CHECK = "r1: => obl(~p).\nr2: perm_w(p) => s.\n"
+
+#: one command line per way a process ends: (argv, its stdin, the exit code)
+_ENDINGS = {
+    "success": (["eval", "-", "-s", "wp", "-f", "json"], "two-obligations", 0),
+    "parse-error": (["args", "-"], "r1: => obl(p", 1),
+    "validation-error": (["args", "-"], "r1: => obl(a).\nr1: => obl(b).\n", 2),
+    "usage-error": (["eval", "-", "--no-such-option"], "two-obligations", 2),
+    "invariant-breach": (
+        ["eval", "-", "-s", "wp", "--no-fixpoint-guards"], "chained-obligations", 3
+    ),
+    "size-limit": (
+        ["eval", "-", "-s", "stable", "--argument-limit", "3"], "chained-obligations", 4
+    ),
+    "failed-check": (["check", "-", "-f", "json"], _FAILING_CHECK, 5),
+    "version": (["--version"], "", 0),
+    "help": (["eval", "--help"], "", 0),
+}
+
+
+def _child_env() -> dict[str, str]:
+    """This environment with the package on the path, and stdout buffered as by default."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def _process(entry: str, argv: list[str], stdin: str = "", **streams) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *_ENTRIES[entry], *argv],
+        input=stdin,
+        text=True,
+        env=_child_env(),
+        **{"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **streams},
+    )
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRIES))
+@pytest.mark.parametrize("ending", list(_ENDINGS))
+def test_a_process_ends_with_the_output_and_code_of_main_in_process(
+    runner, monkeypatch, tmp_path, entry, ending
+):
+    monkeypatch.setenv("COLUMNS", "80")  # the help's width, here and in the child
+    argv, theory, code = _ENDINGS[ending]
+    stdin = BUILTIN_THEORIES.get(theory, theory)
+    in_process = runner.invoke(main, argv, input=stdin)
+    assert in_process.exit_code == code
+    piped = _process(entry, argv, stdin)
+    with open(tmp_path / "stdout", "w") as stdout:
+        to_file = _process(entry, argv, stdin, stdout=stdout)
+    for found, stdout in ((piped, piped.stdout), (to_file, (tmp_path / "stdout").read_text())):
+        assert (found.returncode, stdout, found.stderr) == (
+            code, in_process.stdout, in_process.stderr
+        )
+
+
+def test_atexit_callbacks_run_and_what_they_write_is_flushed():
+    code = (
+        "import atexit, sys; atexit.register(print, 'at exit'); "
+        "from deonarg.cli import run; run()"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", code, "check", "-"],
+        input=_FAILING_CHECK,
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert completed.returncode == 5
+    assert "grounded-subset-of-wp-justified: fail" in completed.stdout
+    assert completed.stdout.endswith("\nat exit\n")
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRIES))
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_reader_that_stops_after_one_byte_gives_exit_one_and_no_traceback(ladder, entry, fmt):
+    process = subprocess.Popen(  # the argument listing is far larger than a pipe holds
+        [sys.executable, *_ENTRIES[entry], "args", "-", "-f", fmt],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+    )
+    process.stdin.write(ladder.chain(640).encode())
+    process.stdin.close()
+    assert len(process.stdout.read(1)) == 1
+    process.stdout.close()
+    stderr = process.stderr.read()
+    assert (process.wait(), stderr) == (1, b"")
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRIES))
+def test_help_into_a_pipe_with_no_reader_gives_exit_one_and_no_traceback(entry):
+    read, write = os.pipe()
+    os.close(read)  # argparse writes the help unflushed: the final flush meets the closed pipe
+    try:
+        completed = _process(entry, ["--help"], stdout=write)
+    finally:
+        os.close(write)
+    assert (completed.returncode, completed.stderr) == (1, "")
+
+
 _FORMAT = ("--format", "{text,json}", "text")
 _GENERALIZED = (
     "--imaginary-subargument-attacks",
@@ -491,18 +598,20 @@ def test_importing_the_cli_leaves_testkit_unloaded(tmp_path):
     assert completed.stdout.strip() == "False"
 
 
-#: prints, after the command's own output, the modules a ``python -m
-#: deonarg`` run (arguments from the command line) loads beyond start-up
-_NEW_MODULES_OF_A_RUN = """\
-import runpy, sys
-before = set(sys.modules)
-sys.argv[0] = "deonarg"
-try:
-    runpy.run_module("deonarg", run_name="__main__", alter_sys=True)
-except SystemExit as exit_:
-    assert not exit_.code, exit_.code
-print(sorted(set(sys.modules) - before))
-"""
+def _imported(*argv: str, stdin: str = "") -> tuple[list[str], set[str]]:
+    """The stdout lines of ``python -X importtime <argv>`` and the modules it imported."""
+    completed = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert completed.returncode == 0, completed.stderr
+    lines = completed.stderr.splitlines()
+    return completed.stdout.splitlines(), {
+        line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")
+    }
 
 
 def test_start_up_leaves_dataclasses_analysis_and_json_unloaded(tmp_path):
@@ -529,18 +638,21 @@ def test_start_up_leaves_dataclasses_analysis_and_json_unloaded(tmp_path):
     assert "deonarg.cli" in loaded
     assert unwanted.isdisjoint(loaded)
 
+    # whole ``python -m deonarg`` processes: what each imports beyond a bare start-up
+    _, start_up = _imported("-c", "pass")
     demo = BUILTIN_THEORIES["two-obligations"]
-    output, loaded = run(_NEW_MODULES_OF_A_RUN, "eval", "-s", "wp", "-", stdin=demo)
+    output, loaded = _imported("-m", "deonarg", "eval", "-s", "wp", "-", stdin=demo)
     assert output[0] == "semantics: wp"
-    assert unwanted.isdisjoint(loaded)
+    assert "deonarg.cli" in loaded - start_up
+    assert unwanted.isdisjoint(loaded - start_up)
 
-    output, loaded = run(_NEW_MODULES_OF_A_RUN, "gen", "--seed", "3")
+    output, loaded = _imported("-m", "deonarg", "gen", "--seed", "3")
     assert output and output[0].startswith("fact ")
-    assert unwanted.isdisjoint(loaded)
+    assert unwanted.isdisjoint(loaded - start_up)
 
-    output, loaded = run(_NEW_MODULES_OF_A_RUN, "check", "-", stdin=demo)
+    output, loaded = _imported("-m", "deonarg", "check", "-", stdin=demo)
     assert output and all(": pass (" in line for line in output)
-    assert "deonarg.analysis" in loaded
+    assert "deonarg.analysis" in loaded - start_up
 
     # the package's analysis names resolve on first access, and by star import
     _, resolved = run(
