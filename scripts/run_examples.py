@@ -43,7 +43,7 @@ def run_theory(name: str, text: str, *, generalized: bool) -> None:
 
     print(f"\narguments ({len(arguments)}):")
     for identifier, argument in arguments:
-        tag = "imaginary" if argument.is_imaginary else f"natural, top rule {argument.top_rule}"
+        tag = "imaginary" if argument.kind == "imaginary" else f"natural, top rule {argument.top_rule}"
         print(f"  {identifier}: {argument.conclusion}  [{tag}]")
 
     print(f"\nattacks ({len(graph.edges)} records, {len(graph.suppressed)} suppressed):")
@@ -71,8 +71,8 @@ def run_theory(name: str, text: str, *, generalized: bool) -> None:
     print(f"  rejected:  {render_ids(ext.rejected)}")
 
     report = conflict_report(theory, arguments, ext)
-    conflicted = ", ".join(sorted(str(l) for l in report.conflicted_literals)) or "(none)"
-    wp_conflicted = ", ".join(sorted(str(l) for l in report.wp_conflicted_literals)) or "(none)"
+    conflicted = ", ".join(sorted({str(p.literal) for p in report.conflicted})) or "(none)"
+    wp_conflicted = ", ".join(sorted({str(p.literal) for p in report.wp_conflicted})) or "(none)"
     print(f"\nconflicted literals: {conflicted}")
     print(f"wp-conflicted literals: {wp_conflicted}")
     conclusions = justified_conclusions(arguments, ext.justified)

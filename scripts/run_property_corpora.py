@@ -146,7 +146,7 @@ def imaginary_for(arguments, literal):
     from deonarg import perm_w
 
     (identifier,) = (
-        i for i in arguments.concluders(perm_w(literal)) if arguments.argument(i).is_imaginary
+        i for i in arguments.concluders(perm_w(literal)) if arguments.kind(i) == "imaginary"
     )
     return identifier
 

@@ -53,14 +53,6 @@ class ConflictPair(Record):
 class ConflictReport(Record):
     __slots__ = _fields = ("conflicted", "wp_conflicted")
 
-    @property
-    def conflicted_literals(self) -> frozenset[Literal]:
-        return frozenset(pair.literal for pair in self.conflicted)
-
-    @property
-    def wp_conflicted_literals(self) -> frozenset[Literal]:
-        return frozenset(pair.literal for pair in self.wp_conflicted)
-
 
 def _body_supported(rule, arguments: ArgumentSet, justified: frozenset[str] | None) -> bool:
     """Every body element has a concluding argument (a justified one if given)."""

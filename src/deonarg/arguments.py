@@ -97,10 +97,6 @@ class Argument(Record):
         return ()
 
     @property
-    def is_imaginary(self) -> bool:
-        return isinstance(self, ImaginaryArgument)
-
-    @property
     def height(self) -> int:
         return self._height
 
@@ -399,11 +395,6 @@ class ArgumentSet(Record):
     def sub_ids(self, identifier: ArgumentId) -> tuple[ArgumentId, ...]:
         """Subargument closure as ids (index order), including the argument."""
         return self._decode(sorted(self._walk(self._positions[identifier], False, set())))
-
-    def proper_sub_ids(self, identifier: ArgumentId) -> tuple[ArgumentId, ...]:
-        """Subargument closure without the argument itself (index order)."""
-        walk = self._walk(self._positions[identifier], False, set())
-        return self._decode(sorted(walk[1:]))  # the argument is reached first
 
 
 # ---------------------------------------------------------------------------

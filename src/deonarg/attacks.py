@@ -66,16 +66,16 @@ class AttackGraph(Record):
     """All attack records over an argument set, split by suppression.
 
     The records are kept as position rows, sorted: ``rows`` the surviving
-    ones and ``suppressed_rows`` those removed by superiority.  ``edges``,
-    ``suppressed`` and ``records_between`` turn them into ``Attack``
-    records when called.  The graph's only adjacency index, the distinct
-    attackers and targets of each argument and the natural witnesses each
-    attacker attacks at (which undercut reads), as position tuples in
-    position order, is filled once, by ``_fill``, with no (attacker,
-    target) tuple, from groups of attackers with the same surviving
-    targets and witnesses: ``compute_attacks`` hands over the groups it
-    made, and the constructor (so copying and pickling too) reads them off
-    the rows.  The indexes take no part in equality or ``repr``.
+    ones and ``suppressed_rows`` those removed by superiority.  ``edges``
+    and ``suppressed`` turn them into ``Attack`` records when called.  The
+    graph's only adjacency index, the distinct attackers and targets of
+    each argument and the natural witnesses each attacker attacks at
+    (which undercut reads), as position tuples in position order, is
+    filled once, by ``_fill``, with no (attacker, target) tuple, from
+    groups of attackers with the same surviving targets and witnesses:
+    ``compute_attacks`` hands over the groups it made, and the constructor
+    (so copying and pickling too) reads them off the rows.  The indexes
+    take no part in equality or ``repr``.
     """
 
     _fields = ("arguments", "rows", "suppressed_rows", "generalized")
@@ -127,26 +127,6 @@ class AttackGraph(Record):
     def pairs(self) -> frozenset[tuple[ArgumentId, ArgumentId]]:
         ids = self.arguments.ids
         return frozenset([(ids[a], ids[t]) for a, found in enumerate(self._targets) for t in found])
-
-    def _decoded(self, index: tuple[tuple[int, ...], ...], identifier: ArgumentId) -> tuple:
-        n = self.arguments._positions.get(identifier)
-        return () if n is None else self.arguments._decode(index[n])
-
-    def attackers_of(self, target: ArgumentId) -> tuple[ArgumentId, ...]:
-        """Distinct attackers of the target, in id order (post-suppression)."""
-        return self._decoded(self._attackers, target)
-
-    def targets_of(self, attacker: ArgumentId) -> tuple[ArgumentId, ...]:
-        return self._decoded(self._targets, attacker)
-
-    def records_between(self, attacker: ArgumentId, target: ArgumentId) -> tuple[Attack, ...]:
-        """The surviving records of one pair, found by bisecting the sorted rows."""
-        a = self.arguments._positions.get(attacker)
-        t = self.arguments._positions.get(target)
-        if a is None or t is None:
-            return ()
-        rows = self.rows
-        return self._records(rows[bisect.bisect(rows, (a, t)) : bisect.bisect(rows, (a, t + 1))])
 
 
 # ---------------------------------------------------------------------------

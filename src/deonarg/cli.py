@@ -57,14 +57,11 @@ def _echo(message: str, err: bool = False, nl: bool = True) -> None:
 
 
 def _load_theory(source: str) -> Theory:
-    if source == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            text = Path(source).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as error:
-            _echo(f"error: cannot read {source}: {error}", err=True)
-            sys.exit(EXIT_PARSE)
+    try:  # stdin decodes as it is read, under whatever codec it has
+        text = sys.stdin.read() if source == "-" else Path(source).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as error:
+        _echo(f"error: cannot read {source}: {error}", err=True)
+        sys.exit(EXIT_PARSE)
     try:
         return parse_theory(text)
     except ParseError as error:
@@ -411,10 +408,9 @@ def cmd_attacks(theory_file: str, fmt: str, imaginary_subargument_attacks: bool)
         _echo(_dot_graph(graph.arguments, graph))
         return
     ids = graph.arguments.ids
-    for identifier in ids:
-        targets = graph.targets_of(identifier)
+    for identifier, targets in zip(ids, graph._targets):  # the distinct targets, in id order
         if targets:
-            _echo(f"{identifier} -> {', '.join(targets)}")
+            _echo(f"{identifier} -> {', '.join([ids[t] for t in targets])}")
     for attacker, target, condition, witness in graph.suppressed_rows:
         _echo(
             f"suppressed: {ids[attacker]} -> {ids[target]} "

@@ -24,20 +24,19 @@ class Record:
     A record class names its fields in ``_fields``, in constructor order,
     and keeps them in its first ``__slots__``, in the same order, before
     any value it derives from them (``WpExtension``'s fields are its ids
-    and trace rows; it keeps the sets and the ``steps`` they add up to, the
-    latter in the slot ``_steps``, None until first read).  Each
-    class gets ``_setters`` when it is defined: the ``__set__`` of each of
-    its own slots, in ``__slots__`` order.  Records set their slots only
-    through these descriptors; a slot filled later is set through its
-    descriptor by name (``ArgumentSet.ordered``, ``WpExtension.steps``).  The
-    shared constructor takes the fields by position or by name, fills
-    trailing ones from the class's ``_defaults`` and raises ``TypeError``
-    as a function call would; a record that normalises or derives fields,
-    or is made once per row, writes its ``__init__`` out over the same
-    setters.  After that, assigning or deleting any attribute raises
-    ``AttributeError``.  Two records are equal when they are of the same
-    class and their field tuples are equal, and a record hashes as its
-    field tuple; (deontic) literals and atoms store the hash when built.
+    and trace rows; it keeps the sets they add up to).  Each class gets
+    ``_setters`` when it is defined: the ``__set__`` of each of its own
+    slots, in ``__slots__`` order.  Records set their slots only through
+    these descriptors; a slot filled later is set through its descriptor
+    by name (``ArgumentSet.ordered``).  The shared constructor takes the
+    fields by position or by name, fills trailing ones from the class's
+    ``_defaults`` and raises ``TypeError`` as a function call would; a
+    record that normalises or derives fields, or is made once per row,
+    writes its ``__init__`` out over the same setters.  After that,
+    assigning or deleting any attribute raises ``AttributeError``.  Two
+    records are equal when they are of the same class and their field
+    tuples are equal, and a record hashes as its field tuple; (deontic)
+    literals and atoms store the hash when built.
     ``repr`` reads ``Name(field=value, ...)``.
     """
 

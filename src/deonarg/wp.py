@@ -43,7 +43,7 @@ starts above a natural witness, never reaches an imaginary member of
 change is kept as a row of positions, ``(argument, clause, witnesses)``,
 with no record built.  The rows are the result: ``WpExtension`` derives
 its justified and rejected sets from them, ``schema.trace_section`` reads
-them, and ``WpExtension.steps`` decodes them when first read.  The public
+them, and ``WpExtension.steps`` decodes them when read.  The public
 ``supports``, which ``analysis`` reads, is support's direct definition;
 ``testkit`` states support and undercut over the trees.
 """
@@ -107,23 +107,10 @@ class StatusChange(Record):
     _defaults = {"witnesses": ()}
 
 
-def _held(members: frozenset[str] | tuple[list[str], int]) -> frozenset[str]:
-    """A step's set: held as is, or as an order that only grows and the length of its prefix."""
-    return members if isinstance(members, frozenset) else frozenset(members[0][: members[1]])
-
-
 class TraceStep(Record):
-    """One iteration: its status changes, then the rejected and justified sets.
+    """One iteration: the arguments it rejected, then those it justified."""
 
-    The steps ``WpExtension.steps`` decodes share one order per set, the order
-    in which arguments entered it, and each holds the length of its prefix:
-    ``rejected`` and ``justified`` are built when read.
-    """
-
-    _fields = ("index", "newly_rejected", "newly_justified", "rejected", "justified")
-    __slots__ = ("index", "newly_rejected", "newly_justified", "_rejected", "_justified")
-    rejected = property(lambda self: _held(self._rejected))
-    justified = property(lambda self: _held(self._justified))
+    __slots__ = _fields = ("index", "newly_rejected", "newly_justified")
 
 
 def _members(rows: tuple[tuple, ...], side: int) -> Iterator[int]:
@@ -140,35 +127,28 @@ class WpExtension(Record):
     down, so that ``Record``'s equality, hash and pickling work on them as
     they are.  The constructor derives the ``justified`` and ``rejected``
     id sets from the rows.  ``iterations`` and ``schema.trace_section`` read
-    the rows; ``steps`` decodes them to records when first read and keeps
-    them in the slot ``_steps``, as ``ArgumentSet.ordered`` does.
+    the rows; ``steps`` decodes them to records each time it is read.
     """
 
     _fields = ("ids", "rows")
-    __slots__ = (*_fields, "justified", "rejected", "_steps")
+    __slots__ = (*_fields, "justified", "rejected")
 
     def __init__(self, ids: tuple[str, ...], rows: tuple[tuple, ...]) -> None:
         sets = [frozenset(map(ids.__getitem__, _members(rows, side))) for side in (1, 0)]
-        for setter, value in zip(self._setters, (ids, rows, *sets, None)):
+        for setter, value in zip(self._setters, (ids, rows, *sets)):
             setter(self, value)
 
     @property
     def steps(self) -> tuple[TraceStep, ...]:
-        """One ``TraceStep`` per iteration, decoded from the rows once."""
-        if self._steps is None:
-            ids, made = self.ids, []
-            orders: tuple[list[str], list[str]] = ([], [])  # rejected, justified
-            for index, sides in enumerate(self.rows, 1):
-                changes = [
-                    tuple([StatusChange(ids[n], clause, tuple([ids[w] for w in hits]))
-                           for n, clause, hits in side])
-                    for side in sides
-                ]
-                for order, side in zip(orders, sides):
-                    order += [ids[row[0]] for row in side]
-                made.append(TraceStep(index, *changes, *[(order, len(order)) for order in orders]))
-            WpExtension._steps.__set__(self, tuple(made))
-        return self._steps
+        """One ``TraceStep`` per iteration, decoded from the rows."""
+        ids = self.ids
+
+        def changes(side: tuple) -> tuple[StatusChange, ...]:
+            return tuple([StatusChange(ids[n], clause, tuple([ids[w] for w in hits]))
+                          for n, clause, hits in side])
+
+        return tuple([TraceStep(index, *map(changes, sides))
+                      for index, sides in enumerate(self.rows, 1)])
 
     @property
     def iterations(self) -> int:
@@ -193,7 +173,7 @@ def wp_extension(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
     """
     arguments = graph.arguments
     ids, decode, natural = arguments.ids, arguments._decode, arguments.natural
-    parents, attackers_of, targets_of = arguments._parents, graph._attackers, graph._targets
+    parents, attacked_by, targets = arguments._parents, graph._attackers, graph._targets
     attacks_at = graph._witnesses  # undercut: the natural witnesses each argument attacks at
 
     # support: each argument counts its direct subarguments not yet justified
@@ -210,13 +190,13 @@ def wp_extension(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
     def support(n: int, woken: set[int]) -> None:
         supported.add(n)
         woken.add(n)
-        woken.update(targets_of[n])
+        woken.update(targets[n])
         for witness in attacks_at[n]:
             if witness not in live:
                 live.add(witness)
                 for parent in parents[witness]:  # closed upward: see the module docstring
                     for above in arguments._walk(parent, True, beaten):
-                        woken.update(targets_of[above])
+                        woken.update(targets[above])
 
     supported.update([n for n, count in enumerate(waiting) if not count])
     for n in [n for n in supported if attacks_at[n]]:  # their undercuts; what they wake
@@ -225,8 +205,8 @@ def wp_extension(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
     # no witnesses, and never woken again: they are settled as one block at the end of
     # that iteration's justified list
     imaginary = range(natural, len(ids))
-    settled = [n for n in imaginary if not attackers_of[n]]
-    candidates: Iterable[int] = [*range(natural), *(n for n in imaginary if attackers_of[n])]
+    settled = [n for n in imaginary if not attacked_by[n]]
+    candidates: Iterable[int] = [*range(natural), *(n for n in imaginary if attacked_by[n])]
     steps: list[tuple[tuple, tuple]] = []
     for index in range(1, 2 * len(ids) + 2):
         # every predicate reads the previous snapshot: the sets change after both sides
@@ -234,7 +214,7 @@ def wp_extension(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
         for n in candidates:  # the rejection clauses
             if n in rejected or (fixpoint_guards and n in justified):
                 continue
-            attackers = attackers_of[n]
+            attackers = attacked_by[n]
             if n >= natural:  # imaginary
                 if not justified.isdisjoint(attackers):
                     hits = tuple(filter(justified.__contains__, attackers))
@@ -252,7 +232,7 @@ def wp_extension(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
         for n in candidates:  # the acceptance clauses
             if n in justified or (fixpoint_guards and (n in rejected or n in gone)):
                 continue
-            attackers = attackers_of[n]
+            attackers = attacked_by[n]
             if n >= natural:  # imaginary
                 if rejected.issuperset(attackers):
                     newly_justified.append((n, "attackers-all-rejected", attackers))
@@ -283,9 +263,9 @@ def wp_extension(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
         woken: set[int] = set()
         for n in gone:
             woken.update(arguments._walk(n, True, fallen))  # subargument-rejected
-            woken.update(targets_of[n])  # an attacker rejected
+            woken.update(targets[n])  # an attacker rejected
         for n in added:
-            woken.update(targets_of[n])  # attacker-justified
+            woken.update(targets[n])  # attacker-justified
             for parent in parents[n]:
                 waiting[parent] -= 1
                 if not waiting[parent]:

@@ -78,7 +78,7 @@ def test_conflict_report_pairs_carry_the_rule_labels(facultative_priorities):
     )
     plain = {(str(p.literal), p.supporting_rule, p.opposing_rule) for p in report.conflicted}
     assert plain == {("a", "n1", "n2"), ("c", "n3", "n4")}
-    assert literal_names(report.wp_conflicted_literals) == {"a"}
+    assert literal_names({p.literal for p in report.wp_conflicted}) == {"a"}
 
 
 # ---------------------------------------------------------------------------

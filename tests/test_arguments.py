@@ -146,7 +146,7 @@ def test_sub_ids_are_index_ordered_and_include_self(goldens):
             assert identifier in subs
             positions = [prepared.arguments.index(s) for s in subs]
             assert positions == sorted(positions)
-            assert set(prepared.arguments.proper_sub_ids(identifier)) == set(subs) - {identifier}
+            assert subs.count(identifier) == 1 and len(set(subs)) == len(subs)
 
 
 def test_id_lookup_round_trips(chained):
@@ -232,7 +232,7 @@ def test_stored_closures_and_ids_match_their_definitions(goldens):
         }
         for identifier in arguments.ids:
             proper = closures[identifier] - {identifier}
-            assert arguments.proper_sub_ids(identifier) == tuple(
+            assert tuple(i for i in arguments.sub_ids(identifier) if i != identifier) == tuple(
                 sorted(proper, key=arguments.index)
             )
             assert super_ids(arguments, identifier) == {
@@ -246,8 +246,8 @@ def test_stored_closures_and_ids_match_their_definitions(goldens):
 def test_the_constructor_refuses_imaginary_rows_that_are_not_one_trailing_block(goldens):
     arguments = goldens["chained-obligations"].arguments
     natural, size = arguments.natural, len(arguments)
-    assert arguments.natural_ids() == tuple(i for i, a in arguments if not a.is_imaginary)
-    assert arguments.imaginary_ids() == tuple(i for i, a in arguments if a.is_imaginary)
+    assert arguments.natural_ids() == tuple(i for i, a in arguments if a.kind != "imaginary")
+    assert arguments.imaginary_ids() == tuple(i for i, a in arguments if a.kind == "imaginary")
     # the same table with its rows moved, children renumbered: every imaginary row first,
     # or one of them among the natural rows
     for order in ([*range(natural, size), *range(natural)],
@@ -405,8 +405,7 @@ def test_the_table_matches_the_reference_construction(
         assert dict(zip(arguments.ids, map(tuple, arguments._closures()))) == closures
         for identifier, closure in closures.items():
             assert arguments.sub_ids(identifier) == closure
-            proper = tuple(i for i in closure if i != identifier)
-            assert arguments.proper_sub_ids(identifier) == proper
+            assert arguments.sub_ids(identifier).count(identifier) == 1  # the rest are proper
             assert super_ids(arguments, identifier) == {
                 other for other, found in closures.items() if identifier in found
             }

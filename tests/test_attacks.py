@@ -1,5 +1,8 @@
 """Unit tests for attack computation, condition tagging and suppression."""
 
+from itertools import groupby
+from operator import itemgetter
+
 import pytest
 
 import deonarg.attacks
@@ -27,9 +30,35 @@ def table(graph):
     return {(e.attacker, e.target, e.condition, e.witness) for e in graph.edges}
 
 
+def indexed(graph, index, identifier):
+    """An argument's entry in one of the graph's indexes (those wp reads), decoded."""
+    return graph.arguments._decode(getattr(graph, index)[graph.arguments.index(identifier)])
+
+
+def attackers_of(graph, target):
+    """The distinct attackers of an argument, in id order, off the pairs."""
+    return tuple(sorted({a for a, t in graph.pairs if t == target}, key=graph.arguments.index))
+
+
+def targets_of(graph, attacker):
+    """The distinct targets of an argument, in id order, off the pairs."""
+    return tuple(sorted({t for a, t in graph.pairs if a == attacker}, key=graph.arguments.index))
+
+
 def witnesses_of(graph, attacker):
     """The natural witnesses an argument attacks at, decoded from the index wp reads."""
-    return graph.arguments._decode(graph._witnesses[graph.arguments.index(attacker)])
+    return indexed(graph, "_witnesses", attacker)
+
+
+def runs_by_pair(graph):
+    """Each pair's records as ``(attacker, target, condition, witness)`` ids, read as one run
+    of the sorted rows per pair, as the attacks writers read them."""
+    ids = graph.arguments.ids
+    found = {}
+    for (a, t), run in groupby(graph.rows, itemgetter(0, 1)):
+        assert (ids[a], ids[t]) not in found  # one run per pair
+        found[ids[a], ids[t]] = [(ids[a], ids[t], c, ids[w]) for _, _, c, w in run]
+    return found
 
 
 def natural_witnesses(arguments, witnesses):
@@ -57,16 +86,16 @@ def test_two_obligation_conflict_attack_table(two_obligations):
 
 def test_obligation_attacks_both_polar_obligation_and_its_permission(two_obligations):
     # condition 3: obl(~a) hits obl(a) and, through the subargument, perm(a)
-    assert two_obligations.graph.targets_of("A1") == ("A0", "A2", "I1")
+    assert targets_of(two_obligations.graph, "A1") == ("A0", "A2", "I1")
 
 
 def test_permission_attacks_lift_through_subarguments(chained):
     # perm(~p) rebuts the obl(p) premise inside every taller argument over it
-    assert chained.graph.targets_of("A7") == ("A1", "A4", "A6", "A9", "A10")
+    assert targets_of(chained.graph, "A7") == ("A1", "A4", "A6", "A9", "A10")
     assert all(
-        record.witness == "A1"
+        witness == "A1"
         for target in ("A4", "A6", "A9", "A10")
-        for record in chained.graph.records_between("A7", target)
+        for _, _, _, witness in runs_by_pair(chained.graph)["A7", target]
     )
 
 
@@ -95,7 +124,7 @@ def test_generalized_flag_lifts_imaginary_attacks_to_containing_arguments(suppor
 def test_imaginary_arguments_never_attack(goldens):
     for prepared in goldens.values():
         for edge in prepared.graph.edges:
-            assert not prepared.arguments.argument(edge.attacker).is_imaginary
+            assert prepared.arguments.argument(edge.attacker).kind != "imaginary"
 
 
 def test_every_witness_is_a_subargument_of_its_target(goldens):
@@ -136,7 +165,7 @@ def test_suppression_is_pairwise_not_global():
     arguments = build_arguments(theory)
     graph = compute_attacks(arguments, theory)
     (obl_a,) = arguments.concluders(obl(lit("a")))
-    attackers = set(graph.attackers_of(obl_a))
+    attackers = set(attackers_of(graph, obl_a))
     labels = {arguments.argument(i).top_rule for i in attackers}
     assert labels == {"r3"}
 
@@ -163,26 +192,29 @@ def test_attack_free_theory_has_empty_graph():
 
 def test_indexes_agree_with_the_edge_list(chained, goldens):
     graph = chained.graph
+    runs = runs_by_pair(graph)
     for attacker, target in graph.pairs:
-        assert target in graph.targets_of(attacker)
-        assert attacker in graph.attackers_of(target)
-        assert graph.records_between(attacker, target)
+        assert target in indexed(graph, "_targets", attacker)
+        assert attacker in indexed(graph, "_attackers", target)
+        assert runs[attacker, target]
     # every index equals a scan of the surviving records
     for prepared in goldens.values():
         graph, index = prepared.graph, prepared.arguments.index
+        runs = runs_by_pair(graph)
+        records = [(e.attacker, e.target, e.condition, e.witness) for e in graph.edges]
         for identifier in prepared.arguments.ids:
             attackers = {e.attacker for e in graph.edges if e.target == identifier}
             targets = {e.target for e in graph.edges if e.attacker == identifier}
             witnesses = [e.witness for e in graph.edges if e.attacker == identifier]
-            assert graph.attackers_of(identifier) == tuple(sorted(attackers, key=index))
-            assert graph.targets_of(identifier) == tuple(sorted(targets, key=index))
+            assert indexed(graph, "_attackers", identifier) == tuple(sorted(attackers, key=index))
+            assert indexed(graph, "_targets", identifier) == tuple(sorted(targets, key=index))
             assert witnesses_of(graph, identifier) == natural_witnesses(
                 prepared.arguments, witnesses
             )
             for other in prepared.arguments.ids:
-                assert graph.records_between(identifier, other) == tuple(
-                    e for e in graph.edges if (e.attacker, e.target) == (identifier, other)
-                )
+                assert runs.get((identifier, other), []) == [
+                    record for record in records if record[:2] == (identifier, other)
+                ]
 
 
 def attack_corpus():
@@ -223,13 +255,14 @@ def test_compute_attacks_matches_a_target_first_scan():
                 attackers = {a for a, t, _, _ in edges if t == identifier}
                 targets = {t for a, t, _, _ in edges if a == identifier}
                 witnesses = [w for a, _, _, w in edges if a == identifier]
-                assert graph.attackers_of(identifier) == tuple(sorted(attackers, key=order))
-                assert graph.targets_of(identifier) == tuple(sorted(targets, key=order))
+                assert indexed(graph, "_attackers", identifier) == tuple(
+                    sorted(attackers, key=order)
+                )
+                assert indexed(graph, "_targets", identifier) == tuple(sorted(targets, key=order))
                 assert witnesses_of(graph, identifier) == natural_witnesses(arguments, witnesses)
+            runs = runs_by_pair(graph)
             for attacker, target in graph.pairs:
-                assert rows(graph.records_between(attacker, target)) == [
-                    r for r in edges if r[:2] == (attacker, target)
-                ]
+                assert runs[attacker, target] == [r for r in edges if r[:2] == (attacker, target)]
             checked += 1
             suppressed_seen += bool(suppressed)
     assert checked >= 100 and suppressed_seen >= 20
@@ -282,10 +315,9 @@ def test_the_request_path_builds_no_attack_records(
         assert rows(graph.edges) == edges
         assert rows(graph.suppressed) == suppressed
         assert graph.pairs == {(a, t) for a, t, _, _ in edges}
+        runs = runs_by_pair(graph)
         for attacker, target in graph.pairs:
-            assert rows(graph.records_between(attacker, target)) == [
-                r for r in edges if r[:2] == (attacker, target)
-            ]
+            assert runs[attacker, target] == [r for r in edges if r[:2] == (attacker, target)]
         assert attacks_section(graph) == {
             "edges": [dict(zip(("attacker", "target", "condition", "witness"), r)) for r in edges],
             "suppressed": [

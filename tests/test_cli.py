@@ -313,6 +313,19 @@ def test_undecodable_files_exit_one_as_unreadable(runner, tmp_path):
     assert "codec can't decode" in result.stderr
 
 
+def test_undecodable_stdin_under_a_strict_codec_exits_one_as_unreadable():
+    completed = subprocess.run(
+        [sys.executable, "-m", "deonarg", "args", "-"],
+        input=b"fact a\xff.\n",
+        capture_output=True,
+        env={**_child_env(), "PYTHONIOENCODING": "utf-8:strict"},
+    )
+    assert completed.returncode == 1
+    assert completed.stderr.decode().startswith("error: cannot read -: ")
+    assert "codec can't decode" in completed.stderr.decode()
+    assert b"Traceback" not in completed.stderr
+
+
 def test_fixpoint_invariant_breaches_exit_three(runner, theory_file):
     result = runner.invoke(
         main, ["eval", theory_file("chained-obligations"), "-s", "wp", "--no-fixpoint-guards"]

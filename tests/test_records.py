@@ -99,11 +99,8 @@ RECORDS: dict[type, tuple[tuple[str, ...], tuple[str, ...]]] = {
     ),
     SemanticsResult: (("semantics", "extensions", "justified", "no_extensions"),) * 2,
     StatusChange: (("argument", "clause", "witnesses"),) * 2,
-    TraceStep: (("index", "newly_rejected", "newly_justified", "rejected", "justified"),) * 2,
-    WpExtension: (
-        ("ids", "rows", "justified", "rejected", "steps", "_steps"),
-        ("ids", "rows"),
-    ),
+    TraceStep: (("index", "newly_rejected", "newly_justified"),) * 2,
+    WpExtension: (("ids", "rows", "justified", "rejected", "steps"), ("ids", "rows")),
     ConflictPair: (("literal", "supporting_rule", "opposing_rule"),) * 2,
     ConflictReport: (("conflicted", "wp_conflicted"),) * 2,
     FacultativeStatus: (("literal", "semantics", "status"),) * 2,

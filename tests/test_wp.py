@@ -144,16 +144,22 @@ def test_rejection_propagates_through_subarguments_with_its_own_clause():
 
 
 def test_cumulative_step_sets_grow_monotonically(goldens):
+    # every step adds arguments new to both sets, and the changes add up to the extension
     for prepared in goldens.values():
         ext = wp_extension(prepared.graph)
-        previous_j, previous_r = frozenset(), frozenset()
+        justified, rejected = set(), set()
         for step in ext.steps:
-            assert previous_j <= step.justified
-            assert previous_r <= step.rejected
-            assert step.justified.isdisjoint(step.rejected)
-            previous_j, previous_r = step.justified, step.rejected
-        assert ext.steps[-1].justified == ext.justified
-        assert ext.steps[-1].rejected == ext.rejected
+            newly_j = {change.argument for change in step.newly_justified}
+            newly_r = {change.argument for change in step.newly_rejected}
+            assert len(newly_j) == len(step.newly_justified)
+            assert len(newly_r) == len(step.newly_rejected)
+            assert newly_j.isdisjoint(justified | rejected)
+            assert newly_r.isdisjoint(justified | rejected)
+            assert newly_j.isdisjoint(newly_r)
+            justified |= newly_j
+            rejected |= newly_r
+        assert justified == ext.justified
+        assert rejected == ext.rejected
 
 
 def test_justified_sets_are_conflict_free_on_all_goldens(goldens):
