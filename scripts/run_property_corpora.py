@@ -191,7 +191,7 @@ def attack_tables(case, failures: list[str]) -> None:
         for a, t, _, w in graph.rows:
             scans["_attackers"][t].add(a)
             scans["_targets"][a].add(t)
-            if arguments.rows[w][0].kind != "imaginary":
+            if arguments.rows[w][0] != "imaginary":
                 scans["_witnesses"][a].add(w)
         for name, scan in scans.items():
             if getattr(graph, name) != tuple(tuple(sorted(found)) for found in scan):

@@ -10,10 +10,6 @@ from .arguments import (
     Argument,
     ArgumentId,
     ArgumentSet,
-    DAxiomArgument,
-    FactArgument,
-    ImaginaryArgument,
-    RuleApplication,
     build_arguments,
 )
 from .attacks import Attack, AttackGraph, compute_attacks
@@ -72,18 +68,14 @@ __all__ = [
     "Conclusion",
     "ConflictPair",
     "ConflictReport",
-    "DAxiomArgument",
     "DEFAULT_ARGUMENT_LIMIT",
     "DeonticLiteral",
     "DeonticOperator",
     "FacultativeStatus",
-    "FactArgument",
     "FixpointInvariantError",
-    "ImaginaryArgument",
     "Literal",
     "ParseError",
     "Rule",
-    "RuleApplication",
     "SemanticsResult",
     "SourceSpan",
     "StatusChange",

@@ -1,31 +1,31 @@
 """Argument construction.
 
-Four argument forms exist:
+An argument has one of four kinds:
 
-* imaginary arguments, one per literal of the atom universe, concluding the
-  weak permission of that literal;
-* fact arguments, one per fact;
-* rule applications, one per rule and per tuple of already-built arguments
-  matching the rule body (forward chaining to saturation);
-* permission arguments derived from obligations: every argument concluding
-  ``obl(l)`` spawns one argument concluding ``perm(l)``.
+* ``imaginary``: one per literal of the atom universe, concluding the weak
+  permission of that literal;
+* ``fact``: one per fact;
+* ``rule-application``: one per rule and per tuple of already-built
+  arguments matching the rule body (forward chaining to saturation);
+* ``permission-axiom``: every argument concluding ``obl(l)`` spawns one
+  argument concluding ``perm(l)``.
 
 Construction always terminates: a rule label may not occur twice on any
 root-to-leaf path of an argument tree, which bounds tree depth even for
 cyclic rule sets.
 
 The built ``ArgumentSet`` is a record of its table, the theory, the ids
-and the position rows, filled without building an ``Argument``; the
-``Argument`` records are made from the rows only when asked for
-(hash-consed: one object per argument, children shared; Filliatre &
-Conchon, "Type-safe modular hash-consing", 2006).
+and the position rows, filled without building an ``Argument``; an
+``Argument`` is a row with its children decoded, made from the rows only
+when asked for (hash-consed: one object per argument, children shared;
+Filliatre & Conchon, "Type-safe modular hash-consing", 2006).
 """
 
 from __future__ import annotations
 
 from itertools import chain, product, repeat
 from operator import itemgetter
-from typing import ClassVar, Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .model import (
     Conclusion,
@@ -41,32 +41,42 @@ from .model import (
 ArgumentId = str
 
 # ---------------------------------------------------------------------------
-# argument forms
+# arguments
 # ---------------------------------------------------------------------------
 
 
 class Argument(Record):
-    """Base class; concrete forms are the four records below.
+    """One argument: a table row with its children decoded.
 
-    Arguments are immutable trees.  An argument stores its form's fields and
-    two values derived from its tree, its height and hash, computed once from
-    the children's when it is constructed; nothing it stores grows with the
-    tree below it.  Equality compares a form's own fields (``Record``) down
-    the trees, and ``repr``, pickling and copying walk them, all without
-    recursion; the hash is the stored one.
+    ``kind`` is the argument's form as the JSON output spells it;
+    ``rule`` is the rule whose label is its top rule (for a permission
+    axiom, its base's rule; None for facts and imaginary arguments);
+    ``children`` are its direct subarguments (one per body element, or
+    the obligation base).  These are ASPIC+'s Conc, TopRule and Sub
+    (Modgil & Prakken, AIJ 195, 2013).  Arguments are immutable trees.
+    An argument also stores two values derived from its tree, its height
+    and hash, computed once from the children's when it is constructed;
+    nothing it stores grows with the tree below it.  Equality compares
+    the kind, rule and conclusion down the trees, and ``repr``, pickling
+    and copying walk them, all without recursion; the hash is the stored
+    one.
     """
 
-    __slots__ = ("_height", "_hash")
-    kind: ClassVar[str]  # each form's name, as the JSON output spells it
-    _plain: ClassVar[tuple[str, ...]] = ()  # the fields other than the children
+    _fields = ("kind", "rule", "conclusion", "children")
+    __slots__ = (*_fields, "height", "_hash")
 
-    def _derive(self, children: tuple[Argument, ...]) -> None:
-        height = 1 + max(child._height for child in children) if children else 0
-        head = (height, _KIND_RANKS[self.kind], self.top_rule or "",
-                conclusion_sort_key(self.conclusion))
-        set_height, set_hash = Argument._setters
+    def __init__(self, kind: str, rule: Rule | None, conclusion: Conclusion,
+                 children: tuple[Argument, ...] = ()) -> None:
+        height = 1 + max(child.height for child in children) if children else 0
+        head = (height, _KIND_RANKS[kind], "" if rule is None else rule.label,
+                conclusion_sort_key(conclusion))
+        set_kind, set_rule, set_conclusion, set_children, set_height, set_hash = self._setters
+        set_kind(self, kind)
+        set_rule(self, rule)
+        set_conclusion(self, conclusion)
+        set_children(self, children)
         set_height(self, height)
-        set_hash(self, hash((head, tuple(child._hash for child in children))))
+        set_hash(self, hash((head, tuple([child._hash for child in children]))))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -77,9 +87,9 @@ class Argument(Record):
             if left is right or (id(left), id(right)) in seen:
                 continue
             seen.add((id(left), id(right)))
-            if left.__class__ is not right.__class__ or left._hash != right._hash:
+            if left._hash != right._hash or len(left.children) != len(right.children):
                 return False
-            if any(getattr(left, name) != getattr(right, name) for name in left._plain):
+            if (left.kind, left.rule, left.conclusion) != (right.kind, right.rule, right.conclusion):
                 return False
             pairs.extend(zip(left.children, right.children))
         return True
@@ -88,125 +98,20 @@ class Argument(Record):
         return self._hash
 
     @property
-    def conclusion(self) -> Conclusion:
-        raise NotImplementedError
-
-    @property
-    def children(self) -> tuple[Argument, ...]:
-        """Direct subarguments (one per body element, or the obligation base)."""
-        return ()
-
-    @property
-    def height(self) -> int:
-        return self._height
-
-    @property
     def top_rule(self) -> str | None:
         """Label of the last rule applied; permission arguments inherit it."""
-        return None
-
-    @classmethod
-    def _init_args(cls, plain: list, children: list) -> tuple:
-        """The constructor's arguments, from the plain fields' values and the children."""
-        return (*plain, *children)
+        return None if self.rule is None else self.rule.label
 
     def __repr__(self) -> str:
         return str(_reprs([self])[0])
 
     def __reduce__(self) -> tuple:
         # flat, so that pickle and deepcopy do not recurse down a tall tree
-        flat = _flat([self])[0]
-        return _rebuild, ([(node.__class__, plain, children) for node, plain, children in flat],)
+        return _rebuild, ([row for _, row in _flat([self])[0]],)
 
     def subarguments(self) -> frozenset[Argument]:
         """The subargument closure, including the argument itself."""
-        return frozenset([node for node, _, _ in _flat([self])[0]])
-
-
-class ImaginaryArgument(Argument):
-    """Concludes the weak permission of its literal; has no premises."""
-
-    kind = "imaginary"
-    __slots__ = _fields = _plain = ("literal",)
-
-    def __init__(self, literal: Literal) -> None:
-        (set_literal,) = self._setters
-        set_literal(self, literal)
-        self._derive(())
-
-    @property
-    def conclusion(self) -> Conclusion:
-        return DeonticLiteral(DeonticOperator.WEAK_PERMISSION, self.literal)
-
-
-class FactArgument(Argument):
-    kind = "fact"
-    __slots__ = _fields = _plain = ("literal",)
-
-    def __init__(self, literal: Literal) -> None:
-        (set_literal,) = self._setters
-        set_literal(self, literal)
-        self._derive(())
-
-    @property
-    def conclusion(self) -> Conclusion:
-        return self.literal
-
-
-class RuleApplication(Argument):
-    """A rule applied to one matching argument per body element."""
-
-    kind = "rule-application"
-    __slots__ = _fields = ("rule", "subs")
-    _plain = ("rule",)
-
-    def __init__(self, rule: Rule, subs: tuple[Argument, ...]) -> None:
-        set_rule, set_subs = self._setters
-        set_rule(self, rule)
-        set_subs(self, subs)
-        self._derive(subs)
-
-    @classmethod
-    def _init_args(cls, plain: list, children: list) -> tuple:
-        return (*plain, tuple(children))
-
-    @property
-    def conclusion(self) -> Conclusion:
-        return self.rule.head
-
-    @property
-    def children(self) -> tuple[Argument, ...]:
-        return self.subs
-
-    @property
-    def top_rule(self) -> str | None:
-        return self.rule.label
-
-
-class DAxiomArgument(Argument):
-    """Obligation implies permission: built over an ``obl(l)`` argument."""
-
-    kind = "permission-axiom"
-    __slots__ = _fields = ("base",)
-
-    def __init__(self, base: Argument) -> None:
-        (set_base,) = self._setters
-        set_base(self, base)
-        self._derive((base,))
-
-    @property
-    def conclusion(self) -> Conclusion:
-        base_conclusion = self.base.conclusion
-        assert isinstance(base_conclusion, DeonticLiteral)
-        return DeonticLiteral(DeonticOperator.PERMISSION, base_conclusion.literal)
-
-    @property
-    def children(self) -> tuple[Argument, ...]:
-        return (self.base,)
-
-    @property
-    def top_rule(self) -> str | None:
-        return self.base.top_rule
+        return frozenset([node for node, _ in _flat([self])[0]])
 
 
 class _Shown(str):
@@ -215,12 +120,12 @@ class _Shown(str):
     __repr__ = str.__str__
 
 
-def _flat(roots: list[Argument]) -> tuple[list[tuple[Argument, list, list[int]]], list[int]]:
-    """The distinct nodes (by identity) of the roots' trees, each after its children: the
-    node, its plain fields' values and its children's places in the list; and the roots'
-    places.  A tree's root is its last node."""
+def _flat(roots: list[Argument]) -> tuple[list[tuple[Argument, tuple]], list[int]]:
+    """The distinct nodes (by identity) of the roots' trees, each after its children, with
+    its row: its kind, rule, conclusion and its children's places in the list; and the
+    roots' places.  A tree's root is its last node."""
     place: dict[int, int] = {}
-    flat: list[tuple[Argument, list, list[int]]] = []
+    flat: list[tuple[Argument, tuple]] = []
     stack = roots[::-1]
     while stack:  # no recursion: trees may be thousands of levels tall
         node = stack[-1]
@@ -229,8 +134,8 @@ def _flat(roots: list[Argument]) -> tuple[list[tuple[Argument, list, list[int]]]
             stack += waiting
         elif id(stack.pop()) not in place:
             place[id(node)] = len(flat)
-            children = [place[id(child)] for child in node.children]
-            flat.append((node, [getattr(node, name) for name in node._plain], children))
+            children = tuple([place[id(child)] for child in node.children])
+            flat.append((node, (node.kind, node.rule, node.conclusion, children)))
     return flat, [place[id(root)] for root in roots]
 
 
@@ -238,19 +143,25 @@ def _reprs(roots: list[Argument]) -> list[_Shown]:
     """The roots' reprs: each distinct node's text is made once and shown in its parents'."""
     flat, places = _flat(roots)
     shown: list[_Shown] = []
-    for node, plain, children in flat:
-        values = node._init_args(plain, [shown[child] for child in children])
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(node._fields, values))
-        shown.append(_Shown(f"{node.__class__.__qualname__}({fields})"))
+    for _, (*plain, children) in flat:
+        values = (*plain, tuple([shown[child] for child in children]))
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(Argument._fields, values))
+        shown.append(_Shown(f"Argument({fields})"))
     return [shown[place] for place in places]
 
 
-def _rebuild(flat: list[tuple[type, list, list[int]]]) -> Argument:
+def _decoded(rows: Sequence[tuple], order: Iterable[int]) -> list[Argument]:
+    """One ``Argument`` per row, made in the given order, which has each row's children first."""
+    made: list[Argument] = [None] * len(rows)  # type: ignore[list-item]
+    for n in order:
+        kind, rule, conclusion, children = rows[n]
+        made[n] = Argument(kind, rule, conclusion, tuple([made[child] for child in children]))
+    return made
+
+
+def _rebuild(rows: list[tuple]) -> Argument:
     """The argument ``Argument.__reduce__`` flattened, built children first."""
-    made: list[Argument] = []
-    for form, plain, children in flat:
-        made.append(form(*form._init_args(plain, [made[child] for child in children])))
-    return made[-1]
+    return _decoded(rows, range(len(rows)))[-1]
 
 
 #: each kind's place in the id order and the hash; imaginary arguments are
@@ -266,7 +177,7 @@ class ArgumentSet(Record):
     """All arguments of a theory with stable ids (``A0..`` natural, ``I1..`` imaginary).
 
     The fields are the table: the theory, the ids and the rows by position,
-    ``(form, rule, conclusion, children)``: the argument's class, the rule
+    ``(kind, rule, conclusion, children)``: the argument's kind, the rule
     whose label is its top rule (None for facts and imaginary arguments),
     its conclusion and its children's positions.  Equality, hash, pickling
     and copying are ``Record``'s, on these three fields, so none decodes an
@@ -278,9 +189,10 @@ class ArgumentSet(Record):
     so the imaginary rows, then the natural ones, come children first.  No
     index is larger than the table: closures are walks of the children or
     of the parents index, and the id-keyed views decode or slice the ids.
-    The ``ordered`` pairs hold ``Argument`` objects: they are decoded from
-    the rows the first time they are read and then kept, so an argument is
-    always the same object.  ``repr`` is that of ``(theory, ordered)``.
+    The ``ordered`` pairs hold ``Argument`` objects, the rows with their
+    children decoded: they are made the first time they are read and then
+    kept, so an argument is always the same object.  ``repr`` is that of
+    ``(theory, ordered)``.
     """
 
     _fields = ("theory", "ids", "rows")
@@ -296,9 +208,9 @@ class ArgumentSet(Record):
                 parents.setdefault(child, []).append(n)
         positions = {identifier: n for n, identifier in enumerate(ids)}
         parents = tuple(map(parents.get, range(len(rows)), repeat(())))
-        forms = list(map(itemgetter(0), rows))
-        natural = len(forms) - forms.count(ImaginaryArgument)
-        if forms[natural:].count(ImaginaryArgument) != len(forms) - natural:  # not all trailing
+        kinds = list(map(itemgetter(0), rows))
+        natural = len(kinds) - kinds.count("imaginary")
+        if kinds[natural:].count("imaginary") != len(kinds) - natural:  # not all trailing
             raise ValueError("the imaginary rows are not one block after the natural rows")
         values = (theory, ids, rows, None, positions, by_conclusion, parents, natural)
         for setter, value in zip(self._setters, values):
@@ -311,17 +223,9 @@ class ArgumentSet(Record):
     @property
     def ordered(self) -> tuple[tuple[ArgumentId, Argument], ...]:
         """``(id, Argument)`` pairs in id order, decoded from the rows once."""
-        if self._ordered is None:
-            rows = self.rows
-            made: list[Argument] = [None] * len(rows)  # type: ignore[list-item]
-            for n in chain(range(self.natural, len(rows)), range(self.natural)):  # children first
-                form, rule, conclusion, children = rows[n]
-                if form is RuleApplication:
-                    made[n] = RuleApplication(rule, tuple([made[child] for child in children]))
-                elif form is DAxiomArgument:
-                    made[n] = DAxiomArgument(made[children[0]])
-                else:
-                    made[n] = form(conclusion if form is FactArgument else conclusion.literal)
+        if self._ordered is None:  # children first: the imaginary rows, then the natural ones
+            size, natural = len(self.rows), self.natural
+            made = _decoded(self.rows, chain(range(natural, size), range(natural)))
             ArgumentSet._ordered.__set__(self, tuple(zip(self.ids, made)))
         return self._ordered
 
@@ -369,8 +273,8 @@ class ArgumentSet(Record):
         raise KeyError(argument)
 
     def kind(self, identifier: ArgumentId) -> str:
-        """The argument's form, as the JSON output spells it."""
-        return self.rows[self._positions[identifier]][0].kind
+        """The argument's kind, as the JSON output spells it."""
+        return self.rows[self._positions[identifier]][0]
 
     def conclusion(self, identifier: ArgumentId) -> Conclusion:
         return self.rows[self._positions[identifier]][2]
@@ -420,8 +324,8 @@ def build_arguments(theory: Theory) -> ArgumentSet:
     universe = theory.literal_universe
     imaginary = len(universe)
     # rows in the order found, the imaginary ones first:
-    # (form, rule, conclusion, children, height, label bitset)
-    found: list[tuple] = [(ImaginaryArgument, None, n, (), 0, 0) for n in range(imaginary)]
+    # (kind, rule, conclusion, children, height, label bitset)
+    found: list[tuple] = [("imaginary", None, n, (), 0, 0) for n in range(imaginary)]
     # conclusions as indexes into ``pools``, the rows by conclusion (the candidate pools)
     weak = DeonticOperator.WEAK_PERMISSION
     interned = {DeonticLiteral(weak, literal): n for n, literal in enumerate(universe)}
@@ -436,7 +340,7 @@ def build_arguments(theory: Theory) -> ArgumentSet:
     for literal in sorted(theory.facts, key=Literal.sort_key):
         conclusion = intern(literal)
         pools[conclusion].append(len(found))
-        found.append((FactArgument, None, conclusion, (), 0, 0))
+        found.append(("fact", None, conclusion, (), 0, 0))
 
     # equal rules would build equal arguments, so each is applied once (the
     # rules are sorted by label, so equal ones are neighbours)
@@ -490,10 +394,11 @@ def build_arguments(theory: Theory) -> ArgumentSet:
                     continue  # label already used on a path below: blocks cyclic growth
                 n = len(found)
                 pools[head].append(n)
-                found.append((RuleApplication, rule, head, children, top + 1, below | own))
+                found.append(("rule-application", rule, head, children, top + 1, below | own))
                 if permission is not None:  # a permission argument shares its base's labels
                     pools[permission].append(n + 1)
-                    found.append((DAxiomArgument, rule, permission, (n,), top + 2, below | own))
+                    found.append(("permission-axiom", rule, permission, (n,), top + 2,
+                                  below | own))
                 changed = True
 
     # rank-compressed structural keys, one height at a time; a level of one
@@ -502,10 +407,10 @@ def build_arguments(theory: Theory) -> ArgumentSet:
     keys: dict[int, tuple] = {}
 
     def key(n: int) -> tuple:
-        form, rule, conclusion, children, _, _ = found[n]
+        kind, rule, conclusion, children, _, _ = found[n]
         if conclusion not in keys:
             keys[conclusion] = conclusion_sort_key(conclusions[conclusion])
-        return (_KIND_RANKS[form.kind], rule.label if rule else "", keys[conclusion],
+        return (_KIND_RANKS[kind], rule.label if rule else "", keys[conclusion],
                 tuple([rank[child] for child in children]))
 
     levels: dict[int, list[int]] = {}
@@ -527,8 +432,8 @@ def build_arguments(theory: Theory) -> ArgumentSet:
     for position, n in enumerate(order):
         where[n] = position
     rows = tuple([
-        (form, rule, conclusions[conclusion], tuple(map(where.__getitem__, children)))
-        for form, rule, conclusion, children, _, _ in map(found.__getitem__, order)
-    ] + [(ImaginaryArgument, None, conclusions[n], ()) for n in range(imaginary)])
+        (kind, rule, conclusions[conclusion], tuple(map(where.__getitem__, children)))
+        for kind, rule, conclusion, children, _, _ in map(found.__getitem__, order)
+    ] + [("imaginary", None, conclusions[n], ()) for n in range(imaginary)])
     ids = (*[f"A{n}" for n in range(count)], *[f"I{n}" for n in range(1, imaginary + 1)])
     return ArgumentSet(theory, ids, rows)

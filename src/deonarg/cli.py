@@ -57,7 +57,9 @@ def _echo(message: str, err: bool = False, nl: bool = True) -> None:
 
 
 def _load_theory(source: str) -> Theory:
-    try:  # stdin decodes as it is read, under whatever codec it has
+    try:  # stdin decodes as files do, strict UTF-8, whatever codec the host gave it
+        if source == "-" and hasattr(sys.stdin, "reconfigure"):  # a StringIO has no codec
+            sys.stdin.reconfigure(encoding="utf-8", errors="strict")
         text = sys.stdin.read() if source == "-" else Path(source).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as error:
         _echo(f"error: cannot read {source}: {error}", err=True)

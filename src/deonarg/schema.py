@@ -134,12 +134,12 @@ def arguments_section(arguments: ArgumentSet) -> list[dict[str, Any]]:
     return [
         {
             "id": name,
-            "kind": form.kind,
+            "kind": kind,
             "conclusion": str(conclusion),
             "sub": sub,
             "top_rule": None if rule is None else rule.label,
         }
-        for name, (form, rule, conclusion, _), sub in zip(arguments.ids, arguments.rows, subs)
+        for name, (kind, rule, conclusion, _), sub in zip(arguments.ids, arguments.rows, subs)
     ]
 
 

@@ -31,10 +31,6 @@ from .arguments import (
     Argument,
     ArgumentId,
     ArgumentSet,
-    DAxiomArgument,
-    FactArgument,
-    ImaginaryArgument,
-    RuleApplication,
     build_arguments,
 )
 from .attacks import AttackGraph
@@ -50,6 +46,8 @@ from .model import (
     Theory,
     conclusion_sort_key,
     obl,
+    perm,
+    perm_w,
 )
 
 # ---------------------------------------------------------------------------
@@ -156,9 +154,9 @@ def reference_grounded(graph: AttackGraph) -> frozenset[ArgumentId]:
 # ---------------------------------------------------------------------------
 
 
-#: each form's place in the structural key; imaginary arguments are numbered
+#: each kind's place in the structural key; imaginary arguments are numbered
 #: apart from the natural ones, and their rank orders them as children
-_RANKS = {FactArgument: 0, RuleApplication: 1, DAxiomArgument: 2, ImaginaryArgument: 2}
+_RANKS = {"fact": 0, "rule-application": 1, "permission-axiom": 2, "imaginary": 2}
 
 
 def reference_arguments(
@@ -170,7 +168,7 @@ def reference_arguments(
     arguments so far, except those whose trees already use its label, and
     adds each obligation's permission, until a round finds nothing new.
     Natural arguments are numbered in the order of their structural key,
-    ``(height, form rank, top rule, conclusion key, children's keys)``,
+    ``(height, kind rank, top rule, conclusion key, children's keys)``,
     imaginary ones in literal order; the closures are read off the trees.
     """
     labels: dict[Argument, frozenset[str]] = {}  # every rule label in the tree
@@ -178,20 +176,21 @@ def reference_arguments(
 
     def note(argument: Argument) -> Argument:  # its children are noted already
         children = argument.children
-        own = {argument.rule.label} if isinstance(argument, RuleApplication) else set()
+        own = {argument.rule.label} if argument.kind == "rule-application" else set()
         labels[argument] = frozenset(own.union(*[labels[child] for child in children]))
         height = 1 + max(keys[child][0] for child in children) if children else 0
-        keys[argument] = (height, _RANKS[argument.__class__], argument.top_rule or "",
+        keys[argument] = (height, _RANKS[argument.kind], argument.top_rule or "",
                           conclusion_sort_key(argument.conclusion),
                           tuple([keys[child] for child in children]))
         return argument
 
-    imaginary = [note(ImaginaryArgument(literal)) for literal in theory.literal_universe]
-    naturals: set[Argument] = {note(FactArgument(literal)) for literal in theory.facts}
+    imaginary = [note(Argument("imaginary", None, perm_w(literal)))
+                 for literal in theory.literal_universe]
+    naturals: set[Argument] = {note(Argument("fact", None, literal)) for literal in theory.facts}
     while True:
         built = [*naturals, *imaginary]
         found: set[Argument] = {
-            note(RuleApplication(rule, subs))
+            note(Argument("rule-application", rule, rule.head, subs))
             for rule in theory.rules
             for subs in itertools.product(
                 *([a for a in built if a.conclusion == element] for element in rule.body)
@@ -199,7 +198,8 @@ def reference_arguments(
             if not any(rule.label in labels[sub] for sub in subs)
         }
         found |= {
-            note(DAxiomArgument(a)) for a in found
+            note(Argument("permission-axiom", a.rule, perm(a.conclusion.literal), (a,)))
+            for a in found
             if getattr(a.conclusion, "operator", None) is DeonticOperator.OBLIGATION
         }
         if found <= naturals:
@@ -291,7 +291,7 @@ def reference_graph(graph: AttackGraph) -> ReferenceGraph:
                                  key=order.__getitem__))
         for identifier, argument in arguments
     }
-    imaginary = frozenset(i for i, argument in arguments if isinstance(argument, ImaginaryArgument))
+    imaginary = frozenset(i for i, argument in arguments if argument.kind == "imaginary")
     attacking: dict[ArgumentId, set[ArgumentId]] = {identifier: set() for identifier in ids}
     at_witness: dict[ArgumentId, set[ArgumentId]] = {identifier: set() for identifier in ids}
     for edge in graph.edges:

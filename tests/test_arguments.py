@@ -8,11 +8,8 @@ import tracemalloc
 import pytest
 
 from deonarg import (
+    Argument,
     ArgumentSet,
-    DAxiomArgument,
-    FactArgument,
-    ImaginaryArgument,
-    RuleApplication,
     Rule,
     Theory,
     build_arguments,
@@ -29,15 +26,11 @@ from deonarg import (
     verify_theorems,
     wp_extension,
 )
-from deonarg.arguments import Argument
+from deonarg.arguments import _KIND_RANKS
 from deonarg.cli import main
-from deonarg.schema import arguments_section, attacks_section, trace_section
+from deonarg.schema import SCHEMA, arguments_section, attacks_section, trace_section
 from deonarg.semantics import SEMANTICS_NAMES
 from deonarg.testkit import GeneratorParams, generate_theory, reference_arguments
-
-
-def kinds(prepared):
-    return {i: type(a).__name__ for i, a in prepared.arguments}
 
 
 def super_ids(arguments, identifier):
@@ -78,8 +71,8 @@ def test_every_obligation_argument_spawns_a_permission_argument(goldens):
                 partners = [
                     j
                     for j in prepared.arguments.concluders(derived)
-                    if isinstance(prepared.arguments.argument(j), DAxiomArgument)
-                    and prepared.arguments.argument(j).base == argument
+                    if prepared.arguments.argument(j).kind == "permission-axiom"
+                    and prepared.arguments.argument(j).children == (argument,)
                 ]
                 assert len(partners) == 1
                 partner = prepared.arguments.argument(partners[0])
@@ -88,10 +81,10 @@ def test_every_obligation_argument_spawns_a_permission_argument(goldens):
 
 def test_rule_bodies_may_be_satisfied_by_imaginary_arguments(chained):
     a5 = chained.arguments.argument("A5")
-    assert isinstance(a5, RuleApplication)
+    assert a5.kind == "rule-application"
     assert str(a5.conclusion) == "s"
     assert list(chained.arguments.sub_ids("A5")) == ["A0", "A5", "I3"]
-    assert any(isinstance(c, ImaginaryArgument) for c in a5.children)
+    assert any(c.kind == "imaginary" for c in a5.children)
 
 
 def test_chained_rule_arguments_nest_their_premises(chained):
@@ -105,7 +98,7 @@ def test_rule_labels_never_repeat_on_a_root_to_leaf_path():
     arguments = build_arguments(theory)
 
     def path_labels_unique(argument, seen):
-        if isinstance(argument, RuleApplication):
+        if argument.kind == "rule-application":
             if argument.rule.label in seen:
                 return False
             seen = seen | {argument.rule.label}
@@ -134,7 +127,7 @@ def test_rules_with_underivable_bodies_produce_no_arguments():
 def test_facts_build_leaf_arguments(facultative_priorities):
     for identifier in ("A0", "A1", "A2"):
         argument = facultative_priorities.arguments.argument(identifier)
-        assert isinstance(argument, FactArgument)
+        assert argument.kind == "fact"
         assert argument.height == 0
         assert facultative_priorities.arguments.sub_ids(identifier) == (identifier,)
 
@@ -179,13 +172,8 @@ def _height(argument):
 
 
 def _rebuild(argument):
-    if isinstance(argument, ImaginaryArgument):
-        return ImaginaryArgument(argument.literal)
-    if isinstance(argument, FactArgument):
-        return FactArgument(argument.literal)
-    if isinstance(argument, RuleApplication):
-        return RuleApplication(argument.rule, tuple(_rebuild(c) for c in argument.subs))
-    return DAxiomArgument(_rebuild(argument.base))
+    children = tuple(_rebuild(c) for c in argument.children)
+    return Argument(argument.kind, argument.rule, argument.conclusion, children)
 
 
 def test_stored_argument_values_match_their_definitions():
@@ -243,6 +231,21 @@ def test_stored_closures_and_ids_match_their_definitions(goldens):
                 arguments.index(unknown)
 
 
+def test_the_kinds_are_the_schema_enum_and_every_row_has_one(conflict_corpus):
+    # the kind string is the one encoding of an argument's form: the table's, the
+    # nodes', the id order's and the JSON output's
+    enum = SCHEMA["properties"]["arguments"]["items"]["properties"]["kind"]["enum"]
+    assert sorted(_KIND_RANKS) == sorted(enum)
+    drawn = set()
+    for case in conflict_corpus:
+        arguments = build_arguments(case.theory)
+        kinds = {kind for kind, _, _, _ in arguments.rows}
+        assert kinds <= set(enum), kinds
+        assert kinds == {argument.kind for _, argument in arguments}
+        drawn |= kinds
+    assert drawn == set(enum)  # the corpus draws every kind
+
+
 def test_the_constructor_refuses_imaginary_rows_that_are_not_one_trailing_block(goldens):
     arguments = goldens["chained-obligations"].arguments
     natural, size = arguments.natural, len(arguments)
@@ -289,14 +292,13 @@ def test_tall_argument_sets_compare_without_recursion(ladder):
     assert first != changed
     # the top argument is the permission of the final obligation
     top = first.argument(first.natural_ids()[-1])
-    assert isinstance(top, DAxiomArgument) and str(top.conclusion) == "perm(z)"
+    assert top.kind == "permission-axiom" and str(top.conclusion) == "perm(z)"
     assert len(top.subarguments()) == 1003
 
 
 def test_an_argument_stores_only_its_fields_height_and_hash():
-    for form in (ImaginaryArgument, FactArgument, RuleApplication, DAxiomArgument):
-        slots = {slot for cls in form.__mro__ for slot in cls.__dict__.get("__slots__", ())}
-        assert slots == {*form._fields, "_height", "_hash"}, form
+    slots = {slot for cls in Argument.__mro__ for slot in cls.__dict__.get("__slots__", ())}
+    assert slots == {*Argument._fields, "height", "_hash"}
 
 
 def test_decoding_a_tall_chain_holds_little_memory(ladder):
@@ -364,8 +366,9 @@ def test_tall_arguments_show_copy_and_pickle_without_recursion(ladder):
     assert top.height == 1002
     text = repr(top)
     assert str(top) == text
-    assert text.startswith("DAxiomArgument(base=RuleApplication(rule=Rule(label='z1', ")
-    assert text.count("RuleApplication(") == 1001 and text.count("FactArgument(") == 1
+    assert text.startswith("Argument(kind='permission-axiom', rule=Rule(label='z1', ")
+    assert text.count("Argument(kind='rule-application', ") == 1001
+    assert text.count("Argument(kind='fact', ") == 1
     for twin in (pickle.loads(pickle.dumps(top)), copy.deepcopy(top), copy.copy(top)):
         assert twin == top and hash(twin) == hash(top) and twin is not top
     assert twin.subarguments() == top.subarguments()
@@ -419,8 +422,7 @@ def test_the_request_path_builds_no_argument_objects(
 
     theories = _theories(goldens, (conflict_corpus, no_superiority_corpus, oracle_corpus))
     with monkeypatch.context() as patch:
-        for form in (ImaginaryArgument, FactArgument, RuleApplication, DAxiomArgument):
-            patch.setattr(form, "__init__", refuse)
+        patch.setattr(Argument, "__init__", refuse)
         for source in theories:
             text = serialize_theory(source)
             theory = parse_theory(text)

@@ -362,7 +362,7 @@ def test_fanout_conflicts_fill_the_rows_and_indexes_of_the_reference(fanouts, ge
     for a, t, _, w in graph.rows:
         attackers[t].add(a)
         targets[a].add(t)
-        if arguments.rows[w][0].kind != "imaginary":
+        if arguments.rows[w][0] != "imaginary":
             witnesses[a].add(w)
     indexes = tuple(
         tuple(tuple(sorted(found)) for found in scan) for scan in (attackers, targets, witnesses)

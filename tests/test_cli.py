@@ -326,6 +326,26 @@ def test_undecodable_stdin_under_a_strict_codec_exits_one_as_unreadable():
     assert b"Traceback" not in completed.stderr
 
 
+@pytest.mark.parametrize("codec", [None, "utf-8:surrogateescape", "latin-1"])
+def test_undecodable_stdin_under_any_host_codec_fails_as_the_file_does(codec, tmp_path):
+    # None is the host's default stdin codec, which is surrogateescape under a C locale
+    env = _child_env()
+    env.pop("PYTHONIOENCODING", None)
+    if codec is not None:
+        env["PYTHONIOENCODING"] = codec
+    path = tmp_path / "bad.dl"
+    path.write_bytes(b"fact a\xff.\n")
+    piped, read = (
+        subprocess.run([sys.executable, "-m", "deonarg", "args", source],
+                       input=path.read_bytes(), capture_output=True, env=env)
+        for source in ("-", str(path))
+    )
+    assert piped.returncode == read.returncode == 1
+    assert piped.stderr.decode().startswith("error: cannot read -: ")
+    assert piped.stderr.decode() == read.stderr.decode().replace(str(path), "-")
+    assert piped.stdout == read.stdout == b""
+
+
 def test_fixpoint_invariant_breaches_exit_three(runner, theory_file):
     result = runner.invoke(
         main, ["eval", theory_file("chained-obligations"), "-s", "wp", "--no-fixpoint-guards"]
