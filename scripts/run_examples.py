@@ -17,12 +17,13 @@ import time
 from deonarg import (
     build_arguments,
     compute_attacks,
-    conflict_report,
+    conflicted_literals,
     evaluate,
     facultative_status,
     justified_conclusions,
     parse_theory,
     verify_theorems,
+    wp_conflicted_literals,
     wp_extension,
 )
 from deonarg.corpus import BUILTIN_THEORIES
@@ -70,15 +71,13 @@ def run_theory(name: str, text: str, *, generalized: bool) -> None:
     print(f"  justified: {render_ids(ext.justified)}")
     print(f"  rejected:  {render_ids(ext.rejected)}")
 
-    report = conflict_report(theory, arguments, ext)
-    conflicted = ", ".join(sorted({str(p.literal) for p in report.conflicted})) or "(none)"
-    wp_conflicted = ", ".join(sorted({str(p.literal) for p in report.wp_conflicted})) or "(none)"
-    print(f"\nconflicted literals: {conflicted}")
-    print(f"wp-conflicted literals: {wp_conflicted}")
+    conflicted = conflicted_literals(theory, arguments)
+    wp_conflicted = wp_conflicted_literals(theory, arguments, ext)
+    print(f"\nconflicted literals: {', '.join(sorted(map(str, conflicted))) or '(none)'}")
+    print(f"wp-conflicted literals: {', '.join(sorted(map(str, wp_conflicted))) or '(none)'}")
     conclusions = justified_conclusions(arguments, ext.justified)
-    for literal in sorted({p.literal for p in report.conflicted}, key=lambda l: l.sort_key()):
-        status = facultative_status(literal, conclusions, "wp")
-        print(f"  {literal}: {status.status}")
+    for literal in sorted(conflicted, key=lambda l: l.sort_key()):
+        print(f"  {literal}: {facultative_status(literal, conclusions)}")
 
     checks = verify_theorems(graph)
     print("\nchecks:")

@@ -14,7 +14,6 @@ from .arguments import (
 )
 from .attacks import Attack, AttackGraph, compute_attacks
 from .model import (
-    Atom,
     BodyElement,
     Conclusion,
     DeonticLiteral,
@@ -59,7 +58,6 @@ __all__ = [
     "ArgumentId",
     "ArgumentLimitExceeded",
     "ArgumentSet",
-    "Atom",
     "Attack",
     "AttackGraph",
     "BodyElement",
@@ -67,11 +65,9 @@ __all__ = [
     "CheckResult",
     "Conclusion",
     "ConflictPair",
-    "ConflictReport",
     "DEFAULT_ARGUMENT_LIMIT",
     "DeonticLiteral",
     "DeonticOperator",
-    "FacultativeStatus",
     "FixpointInvariantError",
     "Literal",
     "ParseError",
@@ -88,7 +84,7 @@ __all__ = [
     "complement",
     "complete_extensions",
     "compute_attacks",
-    "conflict_report",
+    "conflict_pairs",
     "conflicted_literals",
     "ensure_valid",
     "evaluate",
@@ -119,9 +115,7 @@ _ANALYSIS_NAMES = frozenset({
     "CheckReport",
     "CheckResult",
     "ConflictPair",
-    "ConflictReport",
-    "FacultativeStatus",
-    "conflict_report",
+    "conflict_pairs",
     "conflicted_literals",
     "facultative_status",
     "verify_theorems",

@@ -50,10 +50,6 @@ class ConflictPair(Record):
     __slots__ = _fields = ("literal", "supporting_rule", "opposing_rule")
 
 
-class ConflictReport(Record):
-    __slots__ = _fields = ("conflicted", "wp_conflicted")
-
-
 def _body_supported(rule, arguments: ArgumentSet, justified: frozenset[str] | None) -> bool:
     """Every body element has a concluding argument (a justified one if given)."""
     for element in rule.body:
@@ -63,8 +59,8 @@ def _body_supported(rule, arguments: ArgumentSet, justified: frozenset[str] | No
     return True
 
 
-def _conflict_pairs(
-    theory: Theory, arguments: ArgumentSet, justified: frozenset[str] | None
+def conflict_pairs(
+    theory: Theory, arguments: ArgumentSet, justified: frozenset[str] | None = None
 ) -> tuple[ConflictPair, ...]:
     """Rule pairs obliging a literal both ways whose bodies have arguments; given a
     justified set, the bodies need justified ones and superiority-adjudicated pairs drop."""
@@ -91,7 +87,7 @@ def _conflict_pairs(
 
 def conflicted_literals(theory: Theory, arguments: ArgumentSet) -> frozenset[Literal]:
     """Literals obliged both ways by rules whose bodies all have arguments."""
-    return frozenset(pair.literal for pair in _conflict_pairs(theory, arguments, None))
+    return frozenset(pair.literal for pair in conflict_pairs(theory, arguments))
 
 
 def wp_conflicted_literals(
@@ -104,16 +100,7 @@ def wp_conflicted_literals(
     obligations never stand unresolved side by side.
     """
     return frozenset(
-        pair.literal for pair in _conflict_pairs(theory, arguments, extension.justified)
-    )
-
-
-def conflict_report(
-    theory: Theory, arguments: ArgumentSet, extension: WpExtension
-) -> ConflictReport:
-    return ConflictReport(
-        _conflict_pairs(theory, arguments, None),
-        _conflict_pairs(theory, arguments, extension.justified),
+        pair.literal for pair in conflict_pairs(theory, arguments, extension.justified)
     )
 
 
@@ -122,29 +109,21 @@ def conflict_report(
 # ---------------------------------------------------------------------------
 
 
-class FacultativeStatus(Record):
-    # status: "facultative" | "weakly-facultative" | "neither"
-    __slots__ = _fields = ("literal", "semantics", "status")
-
-
-def facultative_status(
-    literal: Literal, justified: Iterable[Conclusion], semantics: str
-) -> FacultativeStatus:
+def facultative_status(literal: Literal, justified: Iterable[Conclusion]) -> str:
     """Classify a literal from the justified conclusions of a semantics.
 
     Facultative means both strong permissions (of the literal and its
     complement) are justified; weakly facultative means both weak
-    permissions are.  The strong reading wins when both apply.
+    permissions are.  The strong reading wins when both apply.  The status
+    is ``"facultative"``, ``"weakly-facultative"`` or ``"neither"``.
     """
     conclusions = frozenset(justified)
     other = complement(literal)
     if perm(literal) in conclusions and perm(other) in conclusions:
-        status = "facultative"
-    elif perm_w(literal) in conclusions and perm_w(other) in conclusions:
-        status = "weakly-facultative"
-    else:
-        status = "neither"
-    return FacultativeStatus(literal, semantics, status)
+        return "facultative"
+    if perm_w(literal) in conclusions and perm_w(other) in conclusions:
+        return "weakly-facultative"
+    return "neither"
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +268,7 @@ def verify_theorems(
     heads = {rule.label: rule.head for rule in theory.rules}
     backed = [
         pair
-        for pair in _conflict_pairs(theory, arguments, justified)
+        for pair in conflict_pairs(theory, arguments, justified)
         if all(
             any(arguments.top_rule(i) == label and supports(arguments, justified, i)
                 for i in arguments.concluders(heads[label]))

@@ -182,7 +182,7 @@ def compute_attacks(
         literal, form = conclusion, 0
         if conclusion.__class__ is not Literal:
             literal, form = conclusion.literal, _FORMS[conclusion.operator]
-        by_atom.setdefault(literal.atom.name, {})[2 * form + (not literal.positive)] = concluders
+        by_atom.setdefault(literal.atom, {})[2 * form + (not literal.positive)] = concluders
     superiors: dict[str, set[str]] = {}  # inferior label -> the labels superior to it
     for superior, inferior in arguments.theory.superiority:
         superiors.setdefault(inferior, set()).add(superior)

@@ -1,4 +1,4 @@
-"""Core data model: atoms, literals, deontic literals, rules, theories.
+"""Core data model: literals, deontic literals, rules, theories.
 
 A theory is a set of plain-literal facts, a set of labelled defeasible rules
 whose heads are plain or deontic literals, and an optional superiority
@@ -10,7 +10,6 @@ normalised away at construction time (see :func:`push_negation`).
 from __future__ import annotations
 
 import enum
-import functools
 from typing import Any, Iterable, Union
 
 # ---------------------------------------------------------------------------
@@ -36,7 +35,7 @@ class Record:
     assigning or deleting any attribute raises ``AttributeError``.  Two
     records are equal when they are of the same class and their field
     tuples are equal, and a record hashes as its field tuple; (deontic)
-    literals and atoms store the hash when built.
+    literals store the hash when built.
     ``repr`` reads ``Name(field=value, ...)``.
     """
 
@@ -99,46 +98,17 @@ class Record:
 
 
 # ---------------------------------------------------------------------------
-# atoms and literals
+# literals
 # ---------------------------------------------------------------------------
 
 
-@functools.total_ordering
-class Atom(Record):
-    """A propositional atom, identified by its name; atoms order by name."""
-
-    _fields = ("name",)
-    __slots__ = (*_fields, "_hash")
-
-    def __init__(self, name: str) -> None:
-        set_name, set_hash = self._setters
-        set_name(self, name)
-        set_hash(self, hash((name,)))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.name == other.name
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __lt__(self, other: Atom) -> bool:
-        if other.__class__ is self.__class__:
-            return self.name < other.name
-        return NotImplemented
-
-    def __str__(self) -> str:
-        return self.name
-
-
 class Literal(Record):
-    """An atom or its negation."""
+    """An atom or its negation; an atom is its name."""
 
     _fields = ("atom", "positive")
     __slots__ = (*_fields, "_hash")
 
-    def __init__(self, atom: Atom, positive: bool = True) -> None:
+    def __init__(self, atom: str, positive: bool = True) -> None:
         set_atom, set_positive, set_hash = self._setters
         set_atom(self, atom)
         set_positive(self, positive)
@@ -153,7 +123,7 @@ class Literal(Record):
         return self._hash
 
     def __str__(self) -> str:
-        return self.atom.name if self.positive else f"~{self.atom.name}"
+        return self.atom if self.positive else f"~{self.atom}"
 
     @property
     def negated(self) -> Literal:
@@ -161,14 +131,14 @@ class Literal(Record):
 
     def sort_key(self) -> tuple:
         # positive polarity sorts first
-        return (self.atom.name, 0 if self.positive else 1)
+        return (self.atom, 0 if self.positive else 1)
 
 
 def lit(name: str) -> Literal:
     """Build a literal from compact text such as ``"p"`` or ``"~p"``."""
     if name.startswith("~"):
-        return Literal(Atom(name[1:]), positive=False)
-    return Literal(Atom(name))
+        return Literal(name[1:], positive=False)
+    return Literal(name)
 
 
 #: the complementary literal (involution: flips polarity)
@@ -223,7 +193,7 @@ class DeonticLiteral(Record):
 
     def __str__(self) -> str:
         literal = self.literal
-        return f"{self.operator._value_}({'' if literal.positive else '~'}{literal.atom.name})"
+        return f"{self.operator._value_}({'' if literal.positive else '~'}{literal.atom})"
 
     def sort_key(self) -> tuple:
         return (self.operator.rank, *self.literal.sort_key())
@@ -316,24 +286,23 @@ class Theory(Record):
     # -- derived views ------------------------------------------------------
 
     @property
-    def atoms(self) -> tuple[Atom, ...]:
-        """The atom universe: every atom mentioned anywhere in the theory, by name."""
+    def atoms(self) -> tuple[str, ...]:
+        """The atom universe: the name of every atom mentioned anywhere in the theory, sorted."""
         return tuple([literal.atom for literal in self.literal_universe[::2]])
 
     @property
     def literal_universe(self) -> tuple[Literal, ...]:
         """Both polarities of every atom, by atom name, positive first: the theory's own
         literal objects, and new ones only for the polarities it never mentions."""
-        held: dict[str, list] = {}  # atom name -> its [positive, negative] literal, or None
+        held: dict[str, list] = {}  # atom -> its [positive, negative] literal, or None
         elements = [element for rule in self.rules for element in (*rule.body, rule.head)]
         for literal in (*self.facts, *elements):
             if literal.__class__ is not Literal:
                 literal = literal.literal
-            held.setdefault(literal.atom.name, [None, None])[not literal.positive] = literal
+            held.setdefault(literal.atom, [None, None])[not literal.positive] = literal
         out: list[Literal] = []
-        for name in sorted(held):
-            positive, negative = held[name]
-            atom = (positive or negative).atom
+        for atom in sorted(held):
+            positive, negative = held[atom]
             out += (positive or Literal(atom, True), negative or Literal(atom, False))
         return tuple(out)
 

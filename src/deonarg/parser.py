@@ -15,8 +15,8 @@ theories never contain negated modalities.
 One ``findall`` over a plain pattern scans the text into lexemes, and each
 distinct lexeme's kind is told from its text; an error rescans the text for
 its token's offset, so offsets and spans are found for errors only.  The
-result is hash-consed: each distinct atom, literal and deontic literal in it
-is one object, by a table local to the parse.
+result is hash-consed: each distinct literal and deontic literal in it is one
+object, by a table local to the parse.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import re
 from itertools import islice
 
 from .model import (
-    Atom,
     BodyElement,
     DeonticLiteral,
     DeonticOperator,
@@ -130,9 +129,7 @@ class _Parser:
     def _interned_literal(self, name: str, positive: bool) -> Literal:
         literal = self.interned.get((name, positive))
         if literal is None:
-            other = self.interned.get((name, not positive))  # its atom is shared
-            atom = Atom(name) if other is None else other.atom
-            literal = self.interned[name, positive] = Literal(atom, positive)
+            literal = self.interned[name, positive] = Literal(name, positive)
         return literal
 
     # -- grammar ------------------------------------------------------------
@@ -195,7 +192,7 @@ class _Parser:
         if negated:
             normal = push_negation(DeonticLiteral(operator, inner))
             operator = normal.operator
-            inner = self._interned_literal(inner.atom.name, normal.literal.positive)
+            inner = self._interned_literal(inner.atom, normal.literal.positive)
         deontic = self.interned.get((operator, inner))
         if deontic is None:
             deontic = self.interned[operator, inner] = DeonticLiteral(operator, inner)

@@ -31,12 +31,10 @@ from .arguments import (
     Argument,
     ArgumentId,
     ArgumentSet,
-    build_arguments,
 )
 from .attacks import AttackGraph
 from .wp import FixpointInvariantError, WpExtension
 from .model import (
-    Atom,
     BodyElement,
     DeonticLiteral,
     DeonticOperator,
@@ -448,14 +446,14 @@ class GeneratorParams(Record):
 def generate_theory(params: GeneratorParams) -> Theory:
     """Draw a random well-formed theory from the given parameters."""
     rng = random.Random(params.seed)
-    atoms = [Atom(name) for name in string.ascii_lowercase[: params.atom_count]]
+    atoms = list(string.ascii_lowercase[: params.atom_count])
     order = {atom: n for n, atom in enumerate(atoms)}
 
     facts: set[Literal] = set()
     for _ in range(params.fact_count):
         facts.add(Literal(rng.choice(atoms), positive=rng.random() < 0.7))
 
-    used: list[Atom] = sorted({fact.atom for fact in facts}) or atoms[:1]
+    used: list[str] = sorted({fact.atom for fact in facts}) or atoms[:1]
     rules: list[Rule] = []
     for n in range(params.rule_count):
         label = f"r{n + 1}"
@@ -493,8 +491,8 @@ def generate_theory(params: GeneratorParams) -> Theory:
 def _draw_head(
     rng: random.Random,
     params: GeneratorParams,
-    atoms: list[Atom],
-    used: list[Atom],
+    atoms: list[str],
+    used: list[str],
 ) -> Literal | DeonticLiteral:
     roll = rng.random()
     literal = Literal(rng.choice(atoms), positive=rng.random() < 0.6)
@@ -510,10 +508,10 @@ def _draw_head(
 def _draw_body(
     rng: random.Random,
     params: GeneratorParams,
-    atoms: list[Atom],
-    order: dict[Atom, int],
+    atoms: list[str],
+    order: dict[str, int],
     head: Literal | DeonticLiteral,
-    head_atom: Atom,
+    head_atom: str,
 ) -> tuple[BodyElement, ...]:
     if (
         params.empty_obligation_bodies
@@ -543,8 +541,3 @@ def _draw_body(
         else:
             body.append(literal)
     return tuple(body)
-
-
-def generated_argument_count(theory: Theory) -> int:
-    """Number of arguments the theory induces (used for size-filtered corpora)."""
-    return len(build_arguments(theory))

@@ -3,9 +3,10 @@
 from deonarg import (
     build_arguments,
     compute_attacks,
-    conflict_report,
+    conflict_pairs,
     conflicted_literals,
     facultative_status,
+    grounded_extension,
     justified_conclusions,
     lit,
     parse_theory,
@@ -71,14 +72,12 @@ def test_wp_conflicts_exclude_pairs_adjudicated_by_superiority(facultative_prior
 
 
 def test_conflict_report_pairs_carry_the_rule_labels(facultative_priorities):
-    report = conflict_report(
-        facultative_priorities.theory,
-        facultative_priorities.arguments,
-        wp_extension(facultative_priorities.graph),
-    )
-    plain = {(str(p.literal), p.supporting_rule, p.opposing_rule) for p in report.conflicted}
+    theory, arguments = facultative_priorities.theory, facultative_priorities.arguments
+    justified = wp_extension(facultative_priorities.graph).justified
+    plain = {(str(p.literal), p.supporting_rule, p.opposing_rule)
+             for p in conflict_pairs(theory, arguments)}
     assert plain == {("a", "n1", "n2"), ("c", "n3", "n4")}
-    assert literal_names({p.literal for p in report.wp_conflicted}) == {"a"}
+    assert literal_names({p.literal for p in conflict_pairs(theory, arguments, justified)}) == {"a"}
 
 
 # ---------------------------------------------------------------------------
@@ -88,18 +87,18 @@ def test_conflict_report_pairs_carry_the_rule_labels(facultative_priorities):
 
 def test_adjacent_permissions_make_a_literal_weakly_facultative(facultative_priorities):
     conclusions = wp_conclusions(facultative_priorities)
-    assert facultative_status(lit("a"), conclusions, "wp").status == "weakly-facultative"
+    assert facultative_status(lit("a"), conclusions) == "weakly-facultative"
 
 
 def test_one_sided_permissions_are_not_facultative(facultative_priorities):
     conclusions = wp_conclusions(facultative_priorities)
     # obl(c) won: perm(~c) and perm_w(~c) both fell with the n4 derivation
-    assert facultative_status(lit("c"), conclusions, "wp").status == "neither"
+    assert facultative_status(lit("c"), conclusions) == "neither"
 
 
 def test_unopposed_atoms_keep_both_weak_permissions(facultative_priorities):
     conclusions = wp_conclusions(facultative_priorities)
-    assert facultative_status(lit("f"), conclusions, "wp").status == "weakly-facultative"
+    assert facultative_status(lit("f"), conclusions) == "weakly-facultative"
 
 
 def test_grounded_conclusions_of_a_conflict_support_no_facultative_reading(
@@ -109,7 +108,18 @@ def test_grounded_conclusions_of_a_conflict_support_no_facultative_reading(
 
     grounded = evaluate(facultative_priorities.graph, "grounded")
     conclusions = justified_conclusions(facultative_priorities.arguments, grounded.justified)
-    assert facultative_status(lit("a"), conclusions, "grounded").status == "neither"
+    assert facultative_status(lit("a"), conclusions) == "neither"
+
+
+def test_both_strong_permissions_make_a_literal_facultative_over_the_weak_reading():
+    theory = parse_theory("r1: => perm(a).\nr2: => perm(~a).\n")
+    arguments = build_arguments(theory)
+    graph = compute_attacks(arguments, theory)
+    for justified in (grounded_extension(graph), wp_extension(graph).justified):
+        conclusions = justified_conclusions(arguments, justified)
+        # the weak reading holds as well, and the strong one takes precedence
+        assert {"perm(a)", "perm(~a)", "perm_w(a)", "perm_w(~a)"} <= literal_names(conclusions)
+        assert facultative_status(lit("a"), conclusions) == "facultative"
 
 
 # ---------------------------------------------------------------------------

@@ -171,10 +171,9 @@ def test_any_token_string_parses_or_raises_a_documented_error(text):
 
 
 def _parsed_values(theory: Theory) -> list:
-    """Every literal and deontic literal of a theory, inner literals included, and their atoms."""
+    """Every literal and deontic literal of a theory, inner literals included."""
     found = [*theory.facts, *(e for rule in theory.rules for e in (*rule.body, rule.head))]
-    found += [e.literal for e in found if isinstance(e, DeonticLiteral)]
-    return found + [e.atom for e in found if not isinstance(e, DeonticLiteral)]
+    return found + [e.literal for e in found if isinstance(e, DeonticLiteral)]
 
 
 def _assert_interned(theory: Theory) -> None:

@@ -20,15 +20,12 @@ import pytest
 from deonarg import (
     ArgumentLimitExceeded,
     ArgumentSet,
-    Atom,
     Attack,
     AttackGraph,
     CheckReport,
     CheckResult,
     ConflictPair,
-    ConflictReport,
     DeonticLiteral,
-    FacultativeStatus,
     Literal,
     ParseError,
     Rule,
@@ -41,10 +38,8 @@ from deonarg import (
     WpExtension,
     build_arguments,
     compute_attacks,
-    conflict_report,
+    conflict_pairs,
     evaluate,
-    facultative_status,
-    justified_conclusions,
     lit,
     obl,
     parse_theory,
@@ -74,7 +69,6 @@ _ATTACK_GRAPH_INDEXES = (
 
 #: class -> (the dataclass's fields, the compared and repr fields)
 RECORDS: dict[type, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    Atom: (("name",),) * 2,
     Literal: (("atom", "positive"),) * 2,
     DeonticLiteral: (("operator", "literal"),) * 2,
     Rule: (("label", "body", "head"),) * 2,
@@ -95,8 +89,6 @@ RECORDS: dict[type, tuple[tuple[str, ...], tuple[str, ...]]] = {
     TraceStep: (("index", "newly_rejected", "newly_justified"),) * 2,
     WpExtension: (("ids", "rows", "justified", "rejected", "steps"), ("ids", "rows")),
     ConflictPair: (("literal", "supporting_rule", "opposing_rule"),) * 2,
-    ConflictReport: (("conflicted", "wp_conflicted"),) * 2,
-    FacultativeStatus: (("literal", "semantics", "status"),) * 2,
     CheckResult: (("name", "status", "detail"),) * 2,
     CheckReport: (("results",),) * 2,
     GeneratorParams: ((
@@ -150,7 +142,7 @@ def _collect() -> dict[type, list]:
         arguments = build_arguments(theory)
         graph = compute_attacks(arguments, theory)
         extension = wp_extension(graph)
-        add(theory, *theory.rules, *theory.atoms, *theory.literal_universe, arguments, graph)
+        add(theory, *theory.rules, *theory.literal_universe, arguments, graph)
         add(*(argument for _, argument in arguments), *graph.edges, *graph.suppressed)
         conclusions = {argument.conclusion for _, argument in arguments}
         add(*(c for c in conclusions if isinstance(c, DeonticLiteral)))
@@ -166,10 +158,8 @@ def _collect() -> dict[type, list]:
             add(brute_force_extensions(graph))
         except OracleSizeError:
             pass
-        report = conflict_report(theory, arguments, extension)
-        add(report, *report.conflicted, *report.wp_conflicted)
-        conclusions = justified_conclusions(arguments, extension.justified)
-        add(*(facultative_status(literal, conclusions, "wp") for literal in theory.literal_universe))
+        add(*conflict_pairs(theory, arguments))
+        add(*conflict_pairs(theory, arguments, extension.justified))
         checks = verify_theorems(theory)
         add(checks, *checks.results)
     bad = Theory(
@@ -192,7 +182,7 @@ def _values(record) -> tuple:
 
 
 def test_every_former_dataclass_is_a_slotted_record(records):
-    assert len(RECORDS) == 22
+    assert len(RECORDS) == 19
     for cls, listed in records.items():
         assert not hasattr(cls, "__dataclass_fields__"), cls
         assert not hasattr(listed[0], "__dict__"), cls
@@ -235,7 +225,7 @@ def test_repr_names_the_class_and_the_compared_fields(records):
             names = SHOWN.get(cls, RECORDS[cls][1])
             shown = ", ".join(f"{name}={getattr(record, name)!r}" for name in names)
             assert repr(record) == f"{cls.__qualname__}({shown})"
-    assert repr(lit("~p")) == "Literal(atom=Atom(name='p'), positive=False)"
+    assert repr(lit("~p")) == "Literal(atom='p', positive=False)"
     assert repr(Attack("A0", "I2", 1, "I2")) == (
         "Attack(attacker='A0', target='I2', condition=1, witness='I2')"
     )
@@ -254,23 +244,12 @@ def test_assigning_or_deleting_any_attribute_raises(records):
         assert tuple(getattr(record, name) for name in fields) == before
 
 
-def test_atoms_order_by_name(records):
-    atoms = records[Atom]
-    assert sorted(atoms) == sorted(atoms, key=lambda atom: atom.name)
-    a, b = Atom("a"), Atom("b")
-    assert a < b and a <= b and b > a and b >= a and a <= Atom("a") and a >= Atom("a")
-    assert not (b < a or a > b)
-    with pytest.raises(TypeError):
-        a < "b"  # noqa: B015
-
-
 def test_keyword_construction_and_defaults(records):
     for cls, listed in records.items():
         record = listed[0]
         assert cls(**dict(zip(RECORDS[cls][1], _values(record)))) == record
-    atom = Atom("p")
-    assert Literal(atom, positive=False) == lit("~p")
-    assert Literal(atom).positive is True
+    assert Literal("p", positive=False) == lit("~p")
+    assert Literal("p").positive is True
     rule = Rule("r1", (lit("a"), lit("a")), obl(lit("p")))
     assert rule.body == (lit("a"),)
     theory = Theory(rules=(Rule("r2", (), lit("b")), rule))

@@ -17,7 +17,6 @@ from deonarg.testkit import (
     OracleSizeError,
     brute_force_extensions,
     generate_theory,
-    generated_argument_count,
 )
 
 # ---------------------------------------------------------------------------
@@ -64,11 +63,11 @@ def test_acyclic_theories_have_an_acyclic_atom_dependency_graph():
         edges: dict[str, set[str]] = {}
         for rule in theory.rules:
             head = rule.head
-            head_atom = (head.literal if isinstance(head, DeonticLiteral) else head).atom.name
+            head_atom = (head.literal if isinstance(head, DeonticLiteral) else head).atom
             for element in rule.body:
                 body_atom = (
                     element.literal if isinstance(element, DeonticLiteral) else element
-                ).atom.name
+                ).atom
                 edges.setdefault(head_atom, set()).add(body_atom)
 
         def reaches(start, goal, seen=frozenset()):
@@ -88,12 +87,6 @@ def test_superiority_pairs_reference_generated_rules():
     labels = {rule.label for rule in theory.rules}
     for superior, inferior in theory.superiority:
         assert superior in labels and inferior in labels and superior != inferior
-
-
-def test_argument_count_matches_a_fresh_build():
-    for seed in range(10):
-        theory = generate_theory(GeneratorParams(seed=seed))
-        assert generated_argument_count(theory) == len(build_arguments(theory))
 
 
 # ---------------------------------------------------------------------------
