@@ -27,6 +27,7 @@ from deonarg import (
     wp_extension,
 )
 from deonarg.corpus import BUILTIN_THEORIES
+from deonarg.schema import trace_section
 
 
 def render_ids(members) -> str:
@@ -47,11 +48,12 @@ def run_theory(name: str, text: str, *, generalized: bool) -> None:
         tag = "imaginary" if argument.kind == "imaginary" else f"natural, top rule {argument.top_rule}"
         print(f"  {identifier}: {argument.conclusion}  [{tag}]")
 
-    print(f"\nattacks ({len(graph.edges)} records, {len(graph.suppressed)} suppressed):")
-    for edge in graph.edges:
-        print(f"  {edge.attacker} > {edge.target}  [condition {edge.condition}, witness {edge.witness}]")
-    for record in graph.suppressed:
-        print(f"  suppressed {record.attacker} > {record.target}  [condition {record.condition}]")
+    ids = arguments.ids
+    print(f"\nattacks ({len(graph.rows)} records, {len(graph.suppressed_rows)} suppressed):")
+    for a, t, c, w in graph.rows:
+        print(f"  {ids[a]} > {ids[t]}  [condition {c}, witness {ids[w]}]")
+    for a, t, c, _ in graph.suppressed_rows:
+        print(f"  suppressed {ids[a]} > {ids[t]}  [condition {c}]")
 
     for semantics in ("grounded", "complete", "stable"):
         result = evaluate(graph, semantics)
@@ -62,12 +64,12 @@ def run_theory(name: str, text: str, *, generalized: bool) -> None:
 
     ext = wp_extension(graph)
     print(f"\nweak-permission fixed point ({ext.iterations} iteration(s)):")
-    for step in ext.steps:
-        for change in step.newly_rejected:
-            extra = f": {', '.join(change.witnesses)}" if change.witnesses else ""
-            print(f"  [{step.index}] rejected {change.argument} ({change.clause}{extra})")
-        for change in step.newly_justified:
-            print(f"  [{step.index}] justified {change.argument} ({change.clause})")
+    for step in trace_section(ext):
+        for change in step["rejected"]:
+            extra = f": {', '.join(change['witnesses'])}" if change["witnesses"] else ""
+            print(f"  [{step['step']}] rejected {change['argument']} ({change['clause']}{extra})")
+        for change in step["justified"]:
+            print(f"  [{step['step']}] justified {change['argument']} ({change['clause']})")
     print(f"  justified: {render_ids(ext.justified)}")
     print(f"  rejected:  {render_ids(ext.rejected)}")
 

@@ -151,13 +151,13 @@ def imaginary_for(arguments, literal):
     return identifier
 
 
-def wp_outcome(run, graph, guards: bool, trace=lambda ext: ext.steps):
-    """The trace and sets of a fixed point, or the payload of its breach."""
+def wp_outcome(run, graph, guards: bool):
+    """The ``trace_section`` rows and sets of a fixed point, or the payload of its breach."""
     try:
         ext = run(graph, fixpoint_guards=guards)
     except FixpointInvariantError as error:
         return ("breach", error.step, error.kind, error.members)
-    return ("fixed point", trace(ext), ext.justified, ext.rejected)
+    return ("fixed point", trace_section(ext), ext.justified, ext.rejected)
 
 
 def factorised_cores(case, failures: list[str]) -> None:
@@ -287,8 +287,7 @@ def run_ladder_semantics(name: str) -> list[str]:
         failures.append(f"{name}: grounded differs from reference_grounded")
     print(f"  grounded: {len(grounded)} of {len(graph.arguments)} arguments")
     for guards in (True, False):
-        found, expected = (wp_outcome(run, graph, guards, trace_section)
-                           for run in (wp_extension, reference_wp))
+        found, expected = (wp_outcome(run, graph, guards) for run in (wp_extension, reference_wp))
         if found != expected:
             failures.append(f"{name}: wp differs from reference_wp (guards {guards})")
         print(f"  guards {guards}: {found[0]}" + (f" ({found[2]})" if found[0] == "breach" else ""))

@@ -12,7 +12,7 @@ from .arguments import (
     ArgumentSet,
     build_arguments,
 )
-from .attacks import Attack, AttackGraph, compute_attacks
+from .attacks import AttackGraph, compute_attacks
 from .model import (
     BodyElement,
     Conclusion,
@@ -46,7 +46,6 @@ from .semantics import (
 )
 from .wp import (
     FixpointInvariantError,
-    StatusChange,
     TraceStep,
     WpExtension,
     supports,
@@ -58,7 +57,6 @@ __all__ = [
     "ArgumentId",
     "ArgumentLimitExceeded",
     "ArgumentSet",
-    "Attack",
     "AttackGraph",
     "BodyElement",
     "CheckReport",
@@ -74,7 +72,6 @@ __all__ = [
     "Rule",
     "SemanticsResult",
     "SourceSpan",
-    "StatusChange",
     "Theory",
     "TheoryValidationError",
     "TraceStep",

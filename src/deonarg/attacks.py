@@ -48,16 +48,6 @@ from .model import DeonticOperator, Literal, Record, Theory
 # ---------------------------------------------------------------------------
 
 
-class Attack(Record):
-    """One witnessed attack record; a pair of arguments may carry several.
-
-    ``condition`` is 1..4; ``witness`` is the subargument of the target
-    carrying the conflict.
-    """
-
-    __slots__ = _fields = ("attacker", "target", "condition", "witness")
-
-
 #: one record as argument positions: ``(attacker, target, condition, witness)``
 Row = tuple[int, int, int, int]
 
@@ -67,7 +57,7 @@ class AttackGraph(Record):
 
     The records are kept as position rows, sorted: ``rows`` the surviving
     ones and ``suppressed_rows`` those removed by superiority.  ``edges``
-    and ``suppressed`` turn them into ``Attack`` records when called.  The
+    and ``suppressed`` decode them to id tuples when called.  The
     graph's only adjacency index, the distinct attackers and targets of
     each argument and the natural witnesses each attacker attacks at
     (which undercut reads), as position tuples in position order, is
@@ -109,18 +99,21 @@ class AttackGraph(Record):
         for setter, value in zip(self._setters, values):
             setter(self, value)
 
-    def _records(self, rows: Iterable[Row]) -> tuple[Attack, ...]:
+    def _records(self, rows: Iterable[Row]) -> tuple[tuple, ...]:
         ids = self.arguments.ids
-        return tuple([Attack(ids[a], ids[t], c, ids[w]) for a, t, c, w in rows])
+        return tuple([(ids[a], ids[t], c, ids[w]) for a, t, c, w in rows])
 
     @property
-    def edges(self) -> tuple[Attack, ...]:
-        """Surviving records, in (attacker, target) id order."""
+    def edges(self) -> tuple[tuple, ...]:
+        """The rows as ``(attacker, target, condition, witness)`` ids, in id order.
+
+        Only perfbench's traced counters read it.
+        """
         return self._records(self.rows)
 
     @property
-    def suppressed(self) -> tuple[Attack, ...]:
-        """Records removed by superiority, in (attacker, target) id order."""
+    def suppressed(self) -> tuple[tuple, ...]:
+        """The suppressed rows, decoded as ``edges``; only perfbench's traced counters read it."""
         return self._records(self.suppressed_rows)
 
     @property

@@ -200,15 +200,17 @@ def _component_labellings(
     holds members with an UNDEC attacker upstream, which can never be
     IN.  Every other member's upstream attackers are all OUT.
 
-    The search decides each member in or out of the IN set and
-    propagates three consequences before branching: attacked members
-    are excluded, members whose attackers are all attacked are
-    committed, and a branch dies when an attacker of a committed member
-    can no longer be attacked.  With ``stable`` a branch also dies when
-    an excluded member can no longer be attacked, since no member may
-    be UNDEC.  Leaves are checked against the exact definition inside
-    the component, so the propagation only has to be sound.  An
-    explicit stack keeps the depth flat.
+    The search decides each member in or out of the IN set.  It starts
+    from ``barred``, and a member entering the IN set puts its attackers
+    and targets out, so no open member is attacked or attacks an IN
+    member.  Two consequences propagate before branching: members whose
+    attackers are all attacked are committed, and a branch dies when an
+    attacker of a committed member can no longer be attacked.  With
+    ``stable`` a branch also dies when an excluded member can no longer
+    be attacked, since no member may be UNDEC.  Leaves are checked
+    against the exact definition inside the component, so the
+    propagation only has to be sound.  An explicit stack keeps the depth
+    flat.
     """
     own = (1 << len(attackers)) - 1
     found: list[tuple[int, int]] = []
@@ -227,17 +229,11 @@ def _component_labellings(
                 k = bit.bit_length() - 1
                 if (in_mask | out_mask) & bit:
                     continue
-                if attacked & bit:
-                    out_mask |= bit
-                    changed = True
-                elif attackers[k] & ~attacked == 0:
-                    if targets[k] & in_mask:
-                        alive = False
-                        break
+                if attackers[k] & ~attacked == 0:
                     in_mask |= bit
                     out_mask |= (attackers[k] | targets[k]) & ~bit
                     changed = True
-            if not alive or changed:
+            if changed:
                 continue
             unattacked = _attacked_by(in_mask, attackers) & ~attacked
             if stable:

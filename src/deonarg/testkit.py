@@ -292,11 +292,12 @@ def reference_graph(graph: AttackGraph) -> ReferenceGraph:
     imaginary = frozenset(i for i, argument in arguments if argument.kind == "imaginary")
     attacking: dict[ArgumentId, set[ArgumentId]] = {identifier: set() for identifier in ids}
     at_witness: dict[ArgumentId, set[ArgumentId]] = {identifier: set() for identifier in ids}
-    for edge in graph.edges:
-        attacking[edge.target].add(edge.attacker)
-        at_witness[edge.witness].add(edge.attacker)
+    records = [(ids[a], ids[t], ids[w]) for a, t, _, w in graph.rows]
+    for attacker, target, witness in records:
+        attacking[target].add(attacker)
+        at_witness[witness].add(attacker)
     attackers = {i: tuple(sorted(found, key=order.__getitem__)) for i, found in attacking.items()}
-    pairs = frozenset((edge.attacker, edge.target) for edge in graph.edges)
+    pairs = frozenset((attacker, target) for attacker, target, _ in records)
     return ReferenceGraph(ids, imaginary, proper, attackers, at_witness, pairs)
 
 

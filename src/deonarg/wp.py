@@ -93,22 +93,16 @@ def supports(arguments: ArgumentSet, members: Iterable[str], identifier: str) ->
 # ---------------------------------------------------------------------------
 
 
-class StatusChange(Record):
-    """One argument changing status, with the clause that fired.
+class TraceStep(Record):
+    """One iteration: the arguments it rejected, then those it justified.
 
+    Each change is an ``(argument, clause, witnesses)`` id tuple, where
+    ``witnesses`` lists the arguments the clause quantified over.
     Acceptance clauses: ``attackers-all-rejected`` (imaginary) and
     ``supported-and-defended`` (natural).  Rejection clauses:
     ``attacker-justified`` (imaginary), ``subargument-rejected`` and
-    ``attacker-supported`` (natural).  ``witnesses`` lists the
-    arguments the clause quantified over.
+    ``attacker-supported`` (natural).
     """
-
-    __slots__ = _fields = ("argument", "clause", "witnesses")
-    _defaults = {"witnesses": ()}
-
-
-class TraceStep(Record):
-    """One iteration: the arguments it rejected, then those it justified."""
 
     __slots__ = _fields = ("index", "newly_rejected", "newly_justified")
 
@@ -127,7 +121,7 @@ class WpExtension(Record):
     down, so that ``Record``'s equality, hash and pickling work on them as
     they are.  The constructor derives the ``justified`` and ``rejected``
     id sets from the rows.  ``iterations`` and ``schema.trace_section`` read
-    the rows; ``steps`` decodes them to records each time it is read.
+    the rows; ``steps`` decodes them to ids each time it is read.
     """
 
     _fields = ("ids", "rows")
@@ -140,11 +134,11 @@ class WpExtension(Record):
 
     @property
     def steps(self) -> tuple[TraceStep, ...]:
-        """One ``TraceStep`` per iteration, decoded from the rows."""
+        """The rows decoded to ids, by iteration; only perfbench's traced counters read it."""
         ids = self.ids
 
-        def changes(side: tuple) -> tuple[StatusChange, ...]:
-            return tuple([StatusChange(ids[n], clause, tuple([ids[w] for w in hits]))
+        def changes(side: tuple) -> tuple[tuple, ...]:
+            return tuple([(ids[n], clause, tuple([ids[w] for w in hits]))
                           for n, clause, hits in side])
 
         return tuple([TraceStep(index, *map(changes, sides))

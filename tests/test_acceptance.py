@@ -19,6 +19,7 @@ from deonarg import (
 )
 from deonarg.analysis import conflicted_literals, wp_conflicted_literals
 from deonarg.corpus import BUILTIN_THEORIES
+from deonarg.schema import trace_section
 from deonarg.semantics import grounded_extension, is_conflict_free
 from deonarg.testkit import (
     GeneratorParams,
@@ -109,7 +110,8 @@ def test_chained_theory_builds_the_exact_argument_and_attack_tables():
         "I10": ("perm_w(~t)", ["I10"]),
     }
 
-    table = {(e.attacker, e.target, e.condition, e.witness) for e in graph.edges}
+    ids = graph.arguments.ids
+    table = {(ids[a], ids[t], c, ids[w]) for a, t, c, w in graph.rows}
     assert table == {
         ("A1", "A2", 3, "A2"),
         ("A1", "A7", 3, "A2"),
@@ -145,7 +147,7 @@ def test_chained_theory_builds_the_exact_argument_and_attack_tables():
         ("A9", "A3", 4, "A3"),
         ("A9", "A8", 4, "A3"),
     }
-    assert graph.suppressed == ()
+    assert graph.suppressed_rows == ()
     assert time.perf_counter() - started < 1.0
 
 
@@ -164,9 +166,9 @@ def test_fixed_point_trace_reaches_the_known_sets_iteration_by_iteration(chained
     assert ext.iterations == 3
     # the sets after step k, at k: the union of the changes up to it
     justified, rejected = [set()], [set()]
-    for step in ext.steps:
-        justified.append(justified[-1] | {c.argument for c in step.newly_justified})
-        rejected.append(rejected[-1] | {c.argument for c in step.newly_rejected})
+    for step in trace_section(ext):
+        justified.append(justified[-1] | {c["argument"] for c in step["justified"]})
+        rejected.append(rejected[-1] | {c["argument"] for c in step["rejected"]})
     assert justified[1] - uninvolved == {"A0", "A3"}
     assert uninvolved <= justified[1]
     assert rejected[1] == {"A1", "A2", "A4", "A6", "A7", "A9", "A10"}

@@ -117,6 +117,14 @@ def test_self_referential_rule_applies_once():
     assert conclusions == ["p", "p"]
 
 
+def test_a_repeated_rule_builds_the_arguments_of_the_rule_once():
+    theory = parse_theory("fact a.\nr1: a => obl(b).\nr2: => obl(~b).\n")
+    repeated = Theory(theory.facts, theory.rules + (theory.rules[0],), theory.superiority)
+    assert repeated.rules.count(theory.rules[0]) == 2
+    once, twice = build_arguments(theory), build_arguments(repeated)
+    assert (twice.ids, twice.rows) == (once.ids, once.rows)
+
+
 def test_rules_with_underivable_bodies_produce_no_arguments():
     theory = parse_theory("r1: q => p.\n")
     arguments = build_arguments(theory)
@@ -146,6 +154,10 @@ def test_id_lookup_round_trips(chained):
     for identifier, argument in chained.arguments:
         assert chained.arguments.id_of(argument) == identifier
         assert chained.arguments.argument(identifier) is argument
+    # an argument not in the set: its conclusion is one the set has, or one it lacks
+    for stranger in (Argument("imaginary", None, lit("a")), Argument("fact", None, lit("zz"))):
+        with pytest.raises(KeyError):
+            chained.arguments.id_of(stranger)
 
 
 def test_concluders_group_arguments_by_conclusion(two_obligations):

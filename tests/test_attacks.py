@@ -5,7 +5,6 @@ from operator import itemgetter
 
 import pytest
 
-import deonarg.attacks
 from deonarg import (
     AttackGraph,
     build_arguments,
@@ -26,8 +25,14 @@ from deonarg.semantics import SEMANTICS_NAMES
 from deonarg.testkit import GeneratorParams, generate_theory, reference_attacks
 
 
+def decoded(graph, rows):
+    """The attack rows as ``(attacker, target, condition, witness)`` ids."""
+    ids = graph.arguments.ids
+    return [(ids[a], ids[t], c, ids[w]) for a, t, c, w in rows]
+
+
 def table(graph):
-    return {(e.attacker, e.target, e.condition, e.witness) for e in graph.edges}
+    return set(decoded(graph, graph.rows))
 
 
 def indexed(graph, index, identifier):
@@ -101,10 +106,9 @@ def test_permission_attacks_lift_through_subarguments(chained):
 
 def test_obligations_attack_opposite_imaginary_arguments_only_narrowly(chained):
     # condition 1 puts the imaginary argument itself as target and witness
-    assert [e for e in chained.graph.edges if e.condition == 1] == [
-        e
-        for e in chained.graph.edges
-        if e.target.startswith("I") and e.witness == e.target
+    records = decoded(chained.graph, chained.graph.rows)
+    assert [e for e in records if e[2] == 1] == [
+        e for e in records if e[1].startswith("I") and e[3] == e[1]
     ]
     assert ("A2", "I3") in chained.graph.pairs
     # narrow reading: A5 contains I3 but is not itself a condition-1 target
@@ -123,23 +127,21 @@ def test_generalized_flag_lifts_imaginary_attacks_to_containing_arguments(suppor
 
 def test_imaginary_arguments_never_attack(goldens):
     for prepared in goldens.values():
-        for edge in prepared.graph.edges:
-            assert prepared.arguments.argument(edge.attacker).kind != "imaginary"
+        for attacker, _, _, _ in decoded(prepared.graph, prepared.graph.rows):
+            assert prepared.arguments.argument(attacker).kind != "imaginary"
 
 
 def test_every_witness_is_a_subargument_of_its_target(goldens):
     for prepared in goldens.values():
-        for edge in prepared.graph.edges:
-            assert edge.witness in prepared.arguments.sub_ids(edge.target)
+        for _, target, _, witness in decoded(prepared.graph, prepared.graph.rows):
+            assert witness in prepared.arguments.sub_ids(target)
 
 
 def test_superiority_suppresses_attacks_on_derivations_of_the_superior_rule(
     facultative_priorities,
 ):
-    suppressed = {
-        (s.attacker, s.target, s.condition, s.witness)
-        for s in facultative_priorities.graph.suppressed
-    }
+    graph = facultative_priorities.graph
+    suppressed = set(decoded(graph, graph.suppressed_rows))
     # n3 > n4: the n4-topped attackers lose every attack witnessed at an n3 derivation
     assert suppressed == {
         ("A6", "A5", 3, "A5"),
@@ -185,8 +187,8 @@ def test_a_theory_other_than_the_arguments_own_is_refused():
 def test_attack_free_theory_has_empty_graph():
     theory = parse_theory("fact a.\nr1: a => b.\n")
     graph = compute_attacks(build_arguments(theory), theory)
-    assert graph.edges == ()
-    assert graph.suppressed == ()
+    assert graph.rows == ()
+    assert graph.suppressed_rows == ()
     assert graph.pairs == frozenset()
 
 
@@ -201,11 +203,11 @@ def test_indexes_agree_with_the_edge_list(chained, goldens):
     for prepared in goldens.values():
         graph, index = prepared.graph, prepared.arguments.index
         runs = runs_by_pair(graph)
-        records = [(e.attacker, e.target, e.condition, e.witness) for e in graph.edges]
+        records = decoded(graph, graph.rows)
         for identifier in prepared.arguments.ids:
-            attackers = {e.attacker for e in graph.edges if e.target == identifier}
-            targets = {e.target for e in graph.edges if e.attacker == identifier}
-            witnesses = [e.witness for e in graph.edges if e.attacker == identifier]
+            attackers = {a for a, t, _, _ in records if t == identifier}
+            targets = {t for a, t, _, _ in records if a == identifier}
+            witnesses = [w for a, _, _, w in records if a == identifier]
             assert indexed(graph, "_attackers", identifier) == tuple(sorted(attackers, key=index))
             assert indexed(graph, "_targets", identifier) == tuple(sorted(targets, key=index))
             assert witnesses_of(graph, identifier) == natural_witnesses(
@@ -235,9 +237,6 @@ def attack_corpus():
 
 
 def test_compute_attacks_matches_a_target_first_scan():
-    def rows(found):
-        return [(e.attacker, e.target, e.condition, e.witness) for e in found]
-
     checked = suppressed_seen = 0
     for seed, theory, arguments in attack_corpus():
         for generalized in (False, True):
@@ -247,8 +246,8 @@ def test_compute_attacks_matches_a_target_first_scan():
             edges, suppressed = reference_attacks(
                 arguments, imaginary_subargument_attacks=generalized
             )
-            assert rows(graph.edges) == edges, (seed, generalized)
-            assert rows(graph.suppressed) == suppressed, (seed, generalized)
+            assert decoded(graph, graph.rows) == edges, (seed, generalized)
+            assert decoded(graph, graph.suppressed_rows) == suppressed, (seed, generalized)
             assert graph.pairs == {(a, t) for a, t, _, _ in edges}
             order = arguments.index
             for identifier in arguments.ids:
@@ -272,7 +271,7 @@ def test_the_request_path_builds_no_attack_records(
     goldens, conflict_corpus, no_superiority_corpus, oracle_corpus, monkeypatch, runner
 ):
     def refuse(*args, **kwargs):
-        raise AssertionError("an Attack record was built")
+        raise AssertionError("the attack records were decoded")
 
     theories = [prepared.theory for prepared in goldens.values()] + [
         case.theory for corpus in (conflict_corpus, no_superiority_corpus, oracle_corpus)
@@ -280,7 +279,8 @@ def test_the_request_path_builds_no_attack_records(
     ]
     graphs = []
     with monkeypatch.context() as patch:
-        patch.setattr(deonarg.attacks, "Attack", refuse)
+        patch.setattr(AttackGraph, "edges", property(refuse))
+        patch.setattr(AttackGraph, "suppressed", property(refuse))
         for source in theories:
             text = serialize_theory(source)
             theory = parse_theory(text)
@@ -305,15 +305,12 @@ def test_the_request_path_builds_no_attack_records(
                 graphs.append(graph)
     assert len(graphs) == 2 * len(theories)
 
-    def rows(found):
-        return [(e.attacker, e.target, e.condition, e.witness) for e in found]
-
     for graph in graphs:
         edges, suppressed = reference_attacks(
             graph.arguments, imaginary_subargument_attacks=graph.generalized
         )
-        assert rows(graph.edges) == edges
-        assert rows(graph.suppressed) == suppressed
+        assert decoded(graph, graph.rows) == edges
+        assert decoded(graph, graph.suppressed_rows) == suppressed
         assert graph.pairs == {(a, t) for a, t, _, _ in edges}
         runs = runs_by_pair(graph)
         for attacker, target in graph.pairs:

@@ -20,7 +20,6 @@ import pytest
 from deonarg import (
     ArgumentLimitExceeded,
     ArgumentSet,
-    Attack,
     AttackGraph,
     CheckReport,
     CheckResult,
@@ -31,7 +30,6 @@ from deonarg import (
     Rule,
     SemanticsResult,
     SourceSpan,
-    StatusChange,
     Theory,
     TraceStep,
     Violation,
@@ -79,13 +77,11 @@ RECORDS: dict[type, tuple[tuple[str, ...], tuple[str, ...]]] = {
     ArgumentSet: (
         ("theory", "ids", "rows", "ordered", *_ARGUMENT_SET_INDEXES), ("theory", "ids", "rows")
     ),
-    Attack: (("attacker", "target", "condition", "witness"),) * 2,
     AttackGraph: (
         ("arguments", "rows", "suppressed_rows", "generalized", *_ATTACK_GRAPH_INDEXES),
         ("arguments", "rows", "suppressed_rows", "generalized"),
     ),
     SemanticsResult: (("semantics", "extensions", "justified", "no_extensions"),) * 2,
-    StatusChange: (("argument", "clause", "witnesses"),) * 2,
     TraceStep: (("index", "newly_rejected", "newly_justified"),) * 2,
     WpExtension: (("ids", "rows", "justified", "rejected", "steps"), ("ids", "rows")),
     ConflictPair: (("literal", "supporting_rule", "opposing_rule"),) * 2,
@@ -143,12 +139,11 @@ def _collect() -> dict[type, list]:
         graph = compute_attacks(arguments, theory)
         extension = wp_extension(graph)
         add(theory, *theory.rules, *theory.literal_universe, arguments, graph)
-        add(*(argument for _, argument in arguments), *graph.edges, *graph.suppressed)
+        add(*(argument for _, argument in arguments))
         conclusions = {argument.conclusion for _, argument in arguments}
         add(*(c for c in conclusions if isinstance(c, DeonticLiteral)))
-        add(extension, *extension.steps)
-        add(*(change for step in extension.steps
-              for change in (*step.newly_rejected, *step.newly_justified)))
+        # trace steps over the rows' positions, as ``steps`` builds them over ids
+        add(extension, *(TraceStep(index, *sides) for index, sides in enumerate(extension.rows, 1)))
         for semantics in ("grounded", "stable"):
             try:
                 add(evaluate(graph, semantics))
@@ -182,7 +177,7 @@ def _values(record) -> tuple:
 
 
 def test_every_former_dataclass_is_a_slotted_record(records):
-    assert len(RECORDS) == 19
+    assert len(RECORDS) == 17
     for cls, listed in records.items():
         assert not hasattr(cls, "__dataclass_fields__"), cls
         assert not hasattr(listed[0], "__dict__"), cls
@@ -226,9 +221,6 @@ def test_repr_names_the_class_and_the_compared_fields(records):
             shown = ", ".join(f"{name}={getattr(record, name)!r}" for name in names)
             assert repr(record) == f"{cls.__qualname__}({shown})"
     assert repr(lit("~p")) == "Literal(atom='p', positive=False)"
-    assert repr(Attack("A0", "I2", 1, "I2")) == (
-        "Attack(attacker='A0', target='I2', condition=1, witness='I2')"
-    )
 
 
 def test_assigning_or_deleting_any_attribute_raises(records):
@@ -257,7 +249,6 @@ def test_keyword_construction_and_defaults(records):
     assert theory.facts == frozenset() and theory.superiority == frozenset()
     assert Theory() == Theory(frozenset(), (), frozenset())
     assert Violation("broken").label is None
-    assert StatusChange("A0", "attacker-supported").witnesses == ()
     assert SourceSpan(1, 2).lexeme == ""
     assert SemanticsResult("grounded", (), frozenset()).no_extensions is False
     arguments = build_arguments(theory)
@@ -267,12 +258,12 @@ def test_keyword_construction_and_defaults(records):
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: Attack("A0", "I2", 1), "missing required arguments: witness"),
+        (lambda: CheckResult("disjoint", "pass"), "missing required arguments: detail"),
         (lambda: GeneratorParams(), "missing required arguments: seed"),
-        (lambda: Attack("A0", "I2", 1, "I2", "I3"), "takes 4 arguments but 5 were given"),
+        (lambda: CheckResult("disjoint", "pass", "", "more"), "takes 3 arguments but 4 were given"),
         (lambda: GeneratorParams(1, colour=2), "unexpected keyword argument 'colour'"),
-        (lambda: Attack("A0", "I2", 1, attacker="A1", witness="I2"),
-         "multiple values for argument 'attacker'"),
+        (lambda: CheckResult("disjoint", "pass", name="other", detail=""),
+         "multiple values for argument 'name'"),
     ],
     ids=["missing", "missing-without-default", "extra-positional", "unknown-keyword", "twice"],
 )

@@ -120,13 +120,19 @@ def test_engine_matches_brute_force_oracle_on_small_goldens(
 
 
 def test_theory_without_stable_extensions_is_flagged():
-    arguments, graph = prepared_graph("r1: perm_w(p) => obl(~p).\n")
-    wide = compute_attacks(arguments, imaginary_subargument_attacks=True)
-    result = evaluate(wide, "stable")
-    assert result.no_extensions is True
-    assert result.extensions == ()
-    # sceptical justification over zero extensions is vacuous
-    assert result.justified == frozenset(arguments.ids)
+    arguments, _ = prepared_graph("r1: perm_w(p) => obl(~p).\n")
+    cases = [
+        (arguments, compute_attacks(arguments, imaginary_subargument_attacks=True)),
+        # narrowly, obl(~a) and perm(~a) attack themselves and each other: one component
+        # of several members with no stable labelling
+        prepared_graph("r1: perm(a) => obl(~a).\nr2: => obl(a).\nr1 > r2.\n"),
+    ]
+    for arguments, graph in cases:
+        result = evaluate(graph, "stable")
+        assert result.no_extensions is True
+        assert result.extensions == ()
+        # sceptical justification over zero extensions is vacuous
+        assert result.justified == frozenset(arguments.ids)
 
 
 def test_the_same_theory_has_a_stable_extension_under_narrow_attacks():

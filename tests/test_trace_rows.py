@@ -1,10 +1,11 @@
-"""The weak-permission trace is kept as rows and decoded to records only when read.
+"""The weak-permission trace is kept as rows and decoded to steps only when read.
 
 ``wp_extension`` records every status change as a position row; the
-``TraceStep`` and ``StatusChange`` records are built each time
-``WpExtension.steps`` is read.  ``trace_section`` and ``verify_theorems``
-never read them.  The decoded steps are those of ``testkit.reference_wp``,
-and the public constructor, pickling and copying keep the trace.
+``TraceStep`` records are built each time ``WpExtension.steps`` is read.
+``trace_section`` and ``verify_theorems`` never read them.  The trace is
+that of ``testkit.reference_wp``, and the public constructor, pickling and
+copying keep it.  ``steps``, like the attack graph's ``edges`` and
+``suppressed``, decodes the rows to what the sections write.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import pickle
 import pytest
 
 from deonarg import (
-    StatusChange,
     TraceStep,
     WpExtension,
     build_arguments,
@@ -24,7 +24,7 @@ from deonarg import (
     verify_theorems,
     wp_extension,
 )
-from deonarg.schema import trace_section
+from deonarg.schema import attacks_section, trace_section
 from deonarg.testkit import reference_wp
 
 
@@ -41,35 +41,53 @@ def graphs(goldens, ladder) -> dict[str, object]:
     return found
 
 
-def _count_records(monkeypatch) -> dict[str, int]:
-    """Count every ``StatusChange`` and ``TraceStep`` built from here on."""
-    made = {"StatusChange": 0, "TraceStep": 0}
-    for cls in (StatusChange, TraceStep):
-        build = cls.__init__
+def _count_steps(monkeypatch) -> dict[str, int]:
+    """Count every ``TraceStep`` built from here on."""
+    made = {"TraceStep": 0}
+    build = TraceStep.__init__
 
-        def counted(self, *values, _build=build, _name=cls.__name__, **named):
-            made[_name] += 1
-            _build(self, *values, **named)
+    def counted(self, *values, **named):
+        made["TraceStep"] += 1
+        build(self, *values, **named)
 
-        monkeypatch.setattr(cls, "__init__", counted)
+    monkeypatch.setattr(TraceStep, "__init__", counted)
     return made
 
 
 def test_the_fixed_point_its_trace_section_and_the_check_build_no_trace_record(
     graphs, monkeypatch
 ):
-    made = _count_records(monkeypatch)
+    made = _count_steps(monkeypatch)
     for name, graph in graphs.items():
         extension = wp_extension(graph)
         assert extension.iterations > 0, name
         assert trace_section(extension), name
         verify_theorems(graph)
-    assert made == {"StatusChange": 0, "TraceStep": 0}
-    extension.steps  # noqa: B018  (reading the steps decodes them)
-    assert made["TraceStep"] == extension.iterations and made["StatusChange"] > 0
-    before = dict(made)
-    extension.steps  # noqa: B018  (and each read decodes them again: nothing is kept)
-    assert made == {name: 2 * count for name, count in before.items()}
+    assert made == {"TraceStep": 0}
+
+
+def _changes(section: list[dict]) -> tuple[tuple, ...]:
+    """A side of a ``trace_section`` step as ``(argument, clause, witnesses)`` tuples."""
+    return tuple((c["argument"], c["clause"], tuple(c["witnesses"])) for c in section)
+
+
+def test_the_decoders_are_the_sections_decoded_on_each_read(graphs, monkeypatch):
+    """``edges``, ``suppressed`` and ``steps`` stay public until perfbench reads the rows."""
+    made = _count_steps(monkeypatch)
+    for name, graph in graphs.items():
+        section = attacks_section(graph)
+        for key, records in (("edges", graph.edges), ("suppressed", graph.suppressed)):
+            assert [tuple(record.values()) for record in section[key]] == list(records), name
+        extension = wp_extension(graph)
+        before = made["TraceStep"]
+        steps = extension.steps  # reading the steps decodes them
+        assert made["TraceStep"] == before + extension.iterations, name
+        assert [(step.index, step.newly_rejected, step.newly_justified) for step in steps] == [
+            (step["step"], _changes(step["rejected"]), _changes(step["justified"]))
+            for step in trace_section(extension)
+        ], name
+        assert extension.steps == steps  # and each read decodes them again: nothing is kept
+        assert made["TraceStep"] == before + 2 * extension.iterations, name
 
 
 def _extensions(graphs, corpora):
@@ -86,8 +104,8 @@ def test_decoded_steps_are_the_reference_steps(
     corpora = (conflict_corpus, no_superiority_corpus, oracle_corpus)
     for label, graph in _extensions(graphs, corpora):
         extension, reference = wp_extension(graph), reference_wp(graph)
-        assert extension.steps == reference.steps, label
-        assert extension.iterations == len(reference.steps), label
+        assert extension.rows == reference.rows, label
+        assert extension.iterations == len(trace_section(reference)), label
         assert trace_section(extension) == trace_section(reference), label
 
 
@@ -98,18 +116,18 @@ def test_the_constructor_keeps_the_trace_section_and_the_steps(graphs, oracle_co
         rebuilt = WpExtension(extension.ids, extension.rows)
         assert trace_section(rebuilt) == section, label
         assert rebuilt == extension and hash(rebuilt) == hash(extension), label
-        assert rebuilt.steps == extension.steps and rebuilt.iterations == extension.iterations
+        assert rebuilt.rows == extension.rows and rebuilt.iterations == extension.iterations
         named = WpExtension(ids=extension.ids, rows=extension.rows)
         assert named == extension and trace_section(named) == section, label
 
 
 def test_pickles_and_deep_copies_keep_the_trace(graphs):
     for label, graph in graphs.items():
-        for fresh in (True, False):  # pickled before and after the steps are first read
+        for fresh in (True, False):  # pickled before and after the trace is first read
             extension = wp_extension(graph)
             if not fresh:
-                extension.steps  # noqa: B018
+                trace_section(extension)
             for twin in (pickle.loads(pickle.dumps(extension)), copy.deepcopy(extension)):
                 assert twin == extension, label
-                assert twin.steps == extension.steps, label
+                assert twin.rows == extension.rows, label
                 assert trace_section(twin) == trace_section(extension), label

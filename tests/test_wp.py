@@ -13,6 +13,7 @@ from deonarg import (
     supports,
     wp_extension,
 )
+from deonarg.schema import trace_section
 from deonarg.testkit import (
     reference_graph,
     reference_wp,
@@ -22,8 +23,9 @@ from deonarg.testkit import (
 )
 
 
-def changes(step_changes):
-    return [(c.argument, c.clause, list(c.witnesses)) for c in step_changes]
+def changes(ext, index, side):
+    """One side of a trace step, off ``trace_section``: ``(argument, clause, witnesses)``."""
+    return [(c["argument"], c["clause"], c["witnesses"]) for c in trace_section(ext)[index][side]]
 
 
 # ---------------------------------------------------------------------------
@@ -76,13 +78,13 @@ def test_mutual_conflict_rejects_everything_natural_then_accepts_the_imaginary(
 ):
     ext = wp_extension(two_obligations.graph)
     assert ext.iterations == 2
-    assert changes(ext.steps[0].newly_rejected) == [
+    assert changes(ext, 0, "rejected") == [
         ("A0", "attacker-supported", ["A1"]),
         ("A1", "attacker-supported", ["A0"]),
         ("A2", "attacker-supported", ["A1"]),
         ("A3", "attacker-supported", ["A0"]),
     ]
-    assert changes(ext.steps[1].newly_justified) == [
+    assert changes(ext, 1, "justified") == [
         ("I1", "attackers-all-rejected", ["A1"]),
         ("I2", "attackers-all-rejected", ["A0"]),
     ]
@@ -104,11 +106,11 @@ def test_support_undercut_theory_fixed_point(support_undercut):
     assert ext.iterations == 3
     # the derivation of e falls with its undercut premise; d survives on
     # its imaginary premise
-    assert changes(ext.steps[1].newly_rejected) == [
+    assert changes(ext, 1, "rejected") == [
         ("A1", "attacker-supported", ["A2"]),
         ("A4", "attacker-supported", ["A2"]),
     ]
-    assert changes(ext.steps[2].newly_justified) == [("A3", "supported-and-defended", [])]
+    assert changes(ext, 2, "justified") == [("A3", "supported-and-defended", [])]
     assert ext.justified == {"A0", "A3", "I1", "I2", "I3", "I4", "I5", "I6", "I7", "I8"}
     assert ext.rejected == {"A1", "A2", "A4", "A5"}
 
@@ -118,11 +120,11 @@ def test_superiority_lets_the_protected_obligation_reach_justification(
 ):
     ext = wp_extension(facultative_priorities.graph)
     assert ext.iterations == 5
-    assert changes(ext.steps[3].newly_rejected) == [
+    assert changes(ext, 3, "rejected") == [
         ("A6", "attacker-supported", ["A5"]),
         ("A10", "attacker-supported", ["A5"]),
     ]
-    assert changes(ext.steps[4].newly_rejected) == [("I4", "attacker-justified", ["A5"])]
+    assert changes(ext, 4, "rejected") == [("I4", "attacker-justified", ["A5"])]
     assert ext.justified == {
         "A0", "A1", "A2", "A5", "A9", "I1", "I2", "I3", "I5", "I6", "I7", "I8", "I9", "I10",
     }
@@ -134,9 +136,9 @@ def test_rejection_propagates_through_subarguments_with_its_own_clause():
     arguments = build_arguments(theory)
     ext = wp_extension(compute_attacks(arguments, theory))
     by_clause = {
-        c.argument: (c.clause, list(c.witnesses))
-        for step in ext.steps
-        for c in step.newly_rejected
+        c["argument"]: (c["clause"], c["witnesses"])
+        for step in trace_section(ext)
+        for c in step["rejected"]
     }
     assert by_clause["I1"] == ("attacker-justified", ["A0"])
     # the s derivation falls only because its weak-permission premise fell
@@ -148,11 +150,11 @@ def test_cumulative_step_sets_grow_monotonically(goldens):
     for prepared in goldens.values():
         ext = wp_extension(prepared.graph)
         justified, rejected = set(), set()
-        for step in ext.steps:
-            newly_j = {change.argument for change in step.newly_justified}
-            newly_r = {change.argument for change in step.newly_rejected}
-            assert len(newly_j) == len(step.newly_justified)
-            assert len(newly_r) == len(step.newly_rejected)
+        for step in trace_section(ext):
+            newly_j = {change["argument"] for change in step["justified"]}
+            newly_r = {change["argument"] for change in step["rejected"]}
+            assert len(newly_j) == len(step["justified"])
+            assert len(newly_r) == len(step["rejected"])
             assert newly_j.isdisjoint(justified | rejected)
             assert newly_r.isdisjoint(justified | rejected)
             assert newly_j.isdisjoint(newly_r)
@@ -205,7 +207,7 @@ def outcome(run, graph, guards):
         ext = run(graph, fixpoint_guards=guards)
     except FixpointInvariantError as error:
         return ("breach", error.step, error.kind, error.members, str(error))
-    return ("fixed point", ext.steps, ext.justified, ext.rejected)
+    return ("fixed point", trace_section(ext), ext.justified, ext.rejected)
 
 
 def assert_matches_reference(graph, label):
@@ -216,7 +218,7 @@ def assert_matches_reference(graph, label):
         reference = outcome(reference_wp, graph, guards)
         if engine[0] == reference[0] == "fixed point":
             for ours, theirs in zip(engine[1], reference[1]):  # first differing step
-                assert ours == theirs, (label, guards, ours.index)
+                assert ours == theirs, (label, guards, ours["step"])
         assert engine == reference, (label, guards)
         breaches += engine[0] == "breach"
     return breaches
@@ -281,11 +283,11 @@ def test_an_undercut_attacker_stops_blocking_in_the_round_it_is_undercut():
     arguments = build_arguments(theory)
     graph = compute_attacks(arguments, theory)
     ext = wp_extension(graph)
-    assert changes(ext.steps[3].newly_rejected) == [
+    assert changes(ext, 3, "rejected") == [
         ("A8", "attacker-supported", ["A10"]),
         ("A11", "attacker-supported", ["A10"]),
     ]
-    assert changes(ext.steps[3].newly_justified) == [
+    assert changes(ext, 3, "justified") == [
         ("A2", "supported-and-defended", ["A8", "A11"]),
     ]
     assert_matches_reference(graph, "undercut")
