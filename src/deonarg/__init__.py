@@ -44,13 +44,7 @@ from .semantics import (
     justified_conclusions,
     stable_extensions,
 )
-from .wp import (
-    FixpointInvariantError,
-    TraceStep,
-    WpExtension,
-    supports,
-    wp_extension,
-)
+from .wp import FixpointInvariantError, TraceStep, WpExtension, wp_extension
 
 __all__ = [
     "Argument",
@@ -97,7 +91,6 @@ __all__ = [
     "push_negation",
     "serialize_theory",
     "stable_extensions",
-    "supports",
     "validate_theory",
     "verify_theorems",
     "wp_conflicted_literals",

@@ -32,7 +32,7 @@ from .semantics import (
     _clashing,
     _stable_core,
 )
-from .wp import FixpointInvariantError, WpExtension, _members, supports, wp_extension
+from .wp import FixpointInvariantError, WpExtension, _members, wp_extension
 
 # ---------------------------------------------------------------------------
 # conflict detection
@@ -264,13 +264,14 @@ def verify_theorems(
     ))
 
     # Unresolved conflicts with fully justified premises recover both weak permissions; a rule's
-    # applications suffice, as a permission argument's proper subarguments hold its base's.
+    # applications suffice, as a permission argument's proper subarguments hold its base's.  Its
+    # premises are fully justified when its children are, by the closure the last check tests.
     heads = {rule.label: rule.head for rule in theory.rules}
     backed = [
         pair
         for pair in conflict_pairs(theory, arguments, justified)
         if all(
-            any(arguments.top_rule(i) == label and supports(arguments, justified, i)
+            any(arguments.top_rule(i) == label and held.issuperset(rows[arguments.index(i)][3])
                 for i in arguments.concluders(heads[label]))
             for label in (pair.supporting_rule, pair.opposing_rule)
         )

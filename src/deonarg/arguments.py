@@ -102,16 +102,21 @@ class Argument(Record):
         """Label of the last rule applied; permission arguments inherit it."""
         return None if self.rule is None else self.rule.label
 
-    def __repr__(self) -> str:
-        return str(_reprs([self])[0])
+    def __repr__(self) -> str:  # each distinct node's text is made once, shown in its parents'
+        shown: list[_Shown] = []
+        for _, (*plain, children) in _flat(self):
+            values = (*plain, tuple([shown[child] for child in children]))
+            fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, values))
+            shown.append(_Shown(f"Argument({fields})"))
+        return str(shown[-1])
 
     def __reduce__(self) -> tuple:
         # flat, so that pickle and deepcopy do not recurse down a tall tree
-        return _rebuild, ([row for _, row in _flat([self])[0]],)
+        return _rebuild, ([row for _, row in _flat(self)],)
 
     def subarguments(self) -> frozenset[Argument]:
         """The subargument closure, including the argument itself."""
-        return frozenset([node for node, _ in _flat([self])[0]])
+        return frozenset([node for node, _ in _flat(self)])
 
 
 class _Shown(str):
@@ -120,13 +125,12 @@ class _Shown(str):
     __repr__ = str.__str__
 
 
-def _flat(roots: list[Argument]) -> tuple[list[tuple[Argument, tuple]], list[int]]:
-    """The distinct nodes (by identity) of the roots' trees, each after its children, with
-    its row: its kind, rule, conclusion and its children's places in the list; and the
-    roots' places.  A tree's root is its last node."""
+def _flat(root: Argument) -> list[tuple[Argument, tuple]]:
+    """The distinct nodes (by identity) of the root's tree, each after its children, with its
+    row: its kind, rule, conclusion and its children's places in the list.  The root is last."""
     place: dict[int, int] = {}
     flat: list[tuple[Argument, tuple]] = []
-    stack = roots[::-1]
+    stack = [root]
     while stack:  # no recursion: trees may be thousands of levels tall
         node = stack[-1]
         waiting = [child for child in node.children if id(child) not in place]
@@ -136,18 +140,7 @@ def _flat(roots: list[Argument]) -> tuple[list[tuple[Argument, tuple]], list[int
             place[id(node)] = len(flat)
             children = tuple([place[id(child)] for child in node.children])
             flat.append((node, (node.kind, node.rule, node.conclusion, children)))
-    return flat, [place[id(root)] for root in roots]
-
-
-def _reprs(roots: list[Argument]) -> list[_Shown]:
-    """The roots' reprs: each distinct node's text is made once and shown in its parents'."""
-    flat, places = _flat(roots)
-    shown: list[_Shown] = []
-    for _, (*plain, children) in flat:
-        values = (*plain, tuple([shown[child] for child in children]))
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(Argument._fields, values))
-        shown.append(_Shown(f"Argument({fields})"))
-    return [shown[place] for place in places]
+    return flat
 
 
 def _decoded(rows: Sequence[tuple], order: Iterable[int]) -> list[Argument]:
@@ -179,11 +172,11 @@ class ArgumentSet(Record):
     The fields are the table: the theory, the ids and the rows by position,
     ``(kind, rule, conclusion, children)``: the argument's kind, the rule
     whose label is its top rule (None for facts and imaginary arguments),
-    its conclusion and its children's positions.  Equality, hash, pickling
-    and copying are ``Record``'s, on these three fields, so none decodes an
-    argument or recurses into a tree.  The constructor builds every index
-    once: positions by id, rows by conclusion, the parents of each row and
-    ``natural``, the count of natural rows.  Its precondition is the shape
+    its conclusion and its children's positions.  Equality, hash, ``repr``,
+    pickling and copying are ``Record``'s, on these three fields, so none
+    decodes an argument or recurses into a tree.  The constructor builds
+    every index once: positions by id, rows by conclusion, the parents of
+    each row and ``natural``, the count of natural rows.  Its precondition is the shape
     ``build_arguments`` makes: the natural rows, each after its natural
     children, then the imaginary rows as one block (else ``ValueError``),
     so the imaginary rows, then the natural ones, come children first.  No
@@ -191,8 +184,7 @@ class ArgumentSet(Record):
     of the parents index, and the id-keyed views decode or slice the ids.
     The ``ordered`` pairs hold ``Argument`` objects, the rows with their
     children decoded: they are made the first time they are read and then
-    kept, so an argument is always the same object.  ``repr`` is that of
-    ``(theory, ordered)``.
+    kept, so an argument is always the same object.
     """
 
     _fields = ("theory", "ids", "rows")
@@ -215,10 +207,6 @@ class ArgumentSet(Record):
         values = (theory, ids, rows, None, positions, by_conclusion, parents, natural)
         for setter, value in zip(self._setters, values):
             setter(self, value)
-
-    def __repr__(self) -> str:  # each argument's text made once, not once per superargument
-        shown = _reprs([argument for _, argument in self.ordered])
-        return f"ArgumentSet(theory={self.theory!r}, ordered={tuple(zip(self.ids, shown))!r})"
 
     @property
     def ordered(self) -> tuple[tuple[ArgumentId, Argument], ...]:
@@ -265,12 +253,6 @@ class ArgumentSet(Record):
 
     def argument(self, identifier: ArgumentId) -> Argument:
         return self.ordered[self._positions[identifier]][1]
-
-    def id_of(self, argument: Argument) -> ArgumentId:
-        for n in self._by_conclusion.get(argument.conclusion, ()):
-            if self.ordered[n][1] == argument:
-                return self.ids[n]
-        raise KeyError(argument)
 
     def kind(self, identifier: ArgumentId) -> str:
         """The argument's kind, as the JSON output spells it."""

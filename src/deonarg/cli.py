@@ -31,6 +31,7 @@ from .schema import (arguments_section, attacks_section, theory_section, trace_s
                      write_document)
 from .semantics import (
     DEFAULT_ARGUMENT_LIMIT,
+    SEMANTICS_NAMES,
     ArgumentLimitExceeded,
     evaluate,
     justified_conclusions,
@@ -122,14 +123,20 @@ def _conclusions(arguments: ArgumentSet, members) -> list[str]:
 
 
 def _wp_result(
-    arguments: ArgumentSet, extension: WpExtension, flags: dict[str, Any]
+    arguments: ArgumentSet,
+    extension: WpExtension,
+    imaginary_subargument_attacks: bool,
+    no_fixpoint_guards: bool,
 ) -> dict[str, Any]:
     return {
         "semantics": "wp",
         "justified_arguments": _in_order(arguments, extension.justified),
         "rejected_arguments": _in_order(arguments, extension.rejected),
         "justified_conclusions": _conclusions(arguments, extension.justified),
-        "flags": flags,
+        "flags": {
+            "imaginary_subargument_attacks": imaginary_subargument_attacks,
+            "fixpoint_guards": not no_fixpoint_guards,
+        },
     }
 
 
@@ -276,9 +283,7 @@ def cmd_args(theory_file: str, fmt: str) -> None:
 @_command(
     "eval",
     _THEORY_ARGUMENT,
-    _option(
-        "-s", "--semantics", choices=["grounded", "complete", "stable", "wp"], default="grounded"
-    ),
+    _option("-s", "--semantics", choices=[*SEMANTICS_NAMES, "wp"], default="grounded"),
     _TEXT_OR_JSON,
     _GENERALIZED_FLAG,
     _LIMIT_OPTION,
@@ -295,18 +300,16 @@ def cmd_eval(
     """Compute extensions and sceptically justified conclusions."""
     graph = _load_graph(theory_file, imaginary_subargument_attacks)
     arguments = graph.arguments
-    flags: dict[str, Any] = {
-        "imaginary_subargument_attacks": imaginary_subargument_attacks,
-    }
     if semantics == "wp":
-        flags["fixpoint_guards"] = not no_fixpoint_guards
-        result = _wp_result(arguments, _fixpoint(graph, no_fixpoint_guards), flags)
+        extension = _fixpoint(graph, no_fixpoint_guards)
+        result = _wp_result(arguments, extension, imaginary_subargument_attacks, no_fixpoint_guards)
     else:
         try:
             outcome = evaluate(graph, semantics, argument_limit=argument_limit)
         except ArgumentLimitExceeded as error:
             _echo(f"size limit: {error}", err=True)
             sys.exit(EXIT_SIZE)
+        flags: dict[str, Any] = {"imaginary_subargument_attacks": imaginary_subargument_attacks}
         if outcome.no_extensions:
             flags["no_stable_extensions"] = True
             _echo(
@@ -350,17 +353,9 @@ def cmd_trace(
     graph = _load_graph(theory_file, imaginary_subargument_attacks)
     arguments = graph.arguments
     extension = _fixpoint(graph, no_fixpoint_guards)
+    result = _wp_result(arguments, extension, imaginary_subargument_attacks, no_fixpoint_guards)
     if fmt == "json":
-        flags = {
-            "imaginary_subargument_attacks": imaginary_subargument_attacks,
-            "fixpoint_guards": not no_fixpoint_guards,
-        }
-        _emit_json(
-            arguments,
-            graph,
-            result=_wp_result(arguments, extension, flags),
-            trace=trace_section(extension),
-        )
+        _emit_json(arguments, graph, result=result, trace=trace_section(extension))
         return
     for step in trace_section(extension):
         _echo(f"step {step['step']}:")
@@ -370,8 +365,8 @@ def cmd_trace(
                 suffix = f": {witnesses}" if witnesses else ""
                 _echo(f"  {verb} {change['argument']} [{change['clause']}{suffix}]")
     _echo(f"fixpoint after {extension.iterations} step(s)")
-    _echo(f"justified: {_braced(_in_order(arguments, extension.justified))}")
-    _echo(f"rejected: {_braced(_in_order(arguments, extension.rejected))}")
+    _echo(f"justified: {_braced(result['justified_arguments'])}")
+    _echo(f"rejected: {_braced(result['rejected_arguments'])}")
 
 
 # ---------------------------------------------------------------------------

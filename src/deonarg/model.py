@@ -286,11 +286,6 @@ class Theory(Record):
     # -- derived views ------------------------------------------------------
 
     @property
-    def atoms(self) -> tuple[str, ...]:
-        """The atom universe: the name of every atom mentioned anywhere in the theory, sorted."""
-        return tuple([literal.atom for literal in self.literal_universe[::2]])
-
-    @property
     def literal_universe(self) -> tuple[Literal, ...]:
         """Both polarities of every atom, by atom name, positive first: the theory's own
         literal objects, and new ones only for the polarities it never mentions."""

@@ -89,9 +89,9 @@ def _clashing(graph: AttackGraph, members: Container[int], touching: Iterable[in
 
 
 def is_conflict_free(graph: AttackGraph, members: Iterable[str]) -> bool:
-    """True when no member of the set attacks another member (or itself)."""
-    positions = graph.arguments._positions
-    chosen = {positions[member] for member in members if member in positions}
+    """True when no member of the set attacks another member (or itself); an id the graph's
+    arguments do not hold raises ``KeyError``."""
+    chosen = set(map(graph.arguments.index, members))
     return not _clashing(graph, chosen, chosen)
 
 

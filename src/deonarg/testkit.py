@@ -72,7 +72,7 @@ def brute_force_extensions(graph: AttackGraph, *, max_arguments: int = 15) -> Or
     position = {identifier: n for n, identifier in enumerate(ids)}
     attacker_mask = [0] * count
     target_mask = [0] * count
-    for attacker, target in graph.pairs:
+    for attacker, target in _pairs(graph):
         attacker_mask[position[target]] |= 1 << position[attacker]
         target_mask[position[attacker]] |= 1 << position[target]
 
@@ -127,20 +127,27 @@ def _unmask(mask: int, ids: tuple[ArgumentId, ...]) -> frozenset[ArgumentId]:
     return frozenset(ids[i] for i in _bits(mask))
 
 
+def _pairs(graph: AttackGraph) -> frozenset[tuple[ArgumentId, ArgumentId]]:
+    """The attacking ``(attacker, target)`` id pairs, read off the attack records."""
+    ids = graph.arguments.ids
+    return frozenset([(ids[a], ids[t]) for a, t, _, _ in graph.rows])
+
+
 def reference_grounded(graph: AttackGraph) -> frozenset[ArgumentId]:
     """The least fixed point of Dung's characteristic function, iterated from the empty set.
 
     ``F(S)`` holds the arguments whose every attacker is attacked by ``S``.
-    The attackers are read off ``graph.pairs`` alone, and every iteration
+    The attackers are read off the attack records alone, and every iteration
     rescans the pairs and re-tests every argument, so no labelling or index
     of the engine takes part.  Polynomial: at most one iteration per argument.
     """
+    pairs = _pairs(graph)
     attackers: dict[ArgumentId, set[ArgumentId]] = {i: set() for i in graph.arguments.ids}
-    for attacker, target in graph.pairs:
+    for attacker, target in pairs:
         attackers[target].add(attacker)
     current: frozenset[ArgumentId] = frozenset()
     while True:
-        attacked = {target for attacker, target in graph.pairs if attacker in current}
+        attacked = {target for attacker, target in pairs if attacker in current}
         following = frozenset(i for i, found in attackers.items() if found <= attacked)
         if following == current:
             return current
@@ -234,9 +241,10 @@ def reference_attacks(
     read from ``arguments.theory``, as ``compute_attacks`` reads it.
     """
     records = []
+    named = {argument: identifier for identifier, argument in arguments}
     for target, argument in arguments:
         for sub in argument.subarguments():
-            witness, conclusion = arguments.id_of(sub), sub.conclusion
+            witness, conclusion = named[sub], sub.conclusion
             if isinstance(conclusion, Literal):
                 clashes = [(2, conclusion.negated)]
             elif conclusion.operator is DeonticOperator.OBLIGATION:
@@ -252,7 +260,7 @@ def reference_attacks(
                 for attacker, other in arguments:
                     if other.conclusion == clashing:
                         records.append((attacker, target, condition, witness))
-    index = arguments.index
+    index = {identifier: n for n, identifier in enumerate(arguments.ids)}.__getitem__
     records.sort(key=lambda r: (index(r[0]), index(r[1]), r[2], index(r[3])))
     top = {identifier: argument.top_rule for identifier, argument in arguments}
     surviving: list[AttackRow] = []
@@ -292,13 +300,11 @@ def reference_graph(graph: AttackGraph) -> ReferenceGraph:
     imaginary = frozenset(i for i, argument in arguments if argument.kind == "imaginary")
     attacking: dict[ArgumentId, set[ArgumentId]] = {identifier: set() for identifier in ids}
     at_witness: dict[ArgumentId, set[ArgumentId]] = {identifier: set() for identifier in ids}
-    records = [(ids[a], ids[t], ids[w]) for a, t, _, w in graph.rows]
-    for attacker, target, witness in records:
-        attacking[target].add(attacker)
-        at_witness[witness].add(attacker)
+    for a, t, _, w in graph.rows:
+        attacking[ids[t]].add(ids[a])
+        at_witness[ids[w]].add(ids[a])
     attackers = {i: tuple(sorted(found, key=order.__getitem__)) for i, found in attacking.items()}
-    pairs = frozenset((attacker, target) for attacker, target, _ in records)
-    return ReferenceGraph(ids, imaginary, proper, attackers, at_witness, pairs)
+    return ReferenceGraph(ids, imaginary, proper, attackers, at_witness, _pairs(graph))
 
 
 def supported_by(view: ReferenceGraph, members: Iterable[ArgumentId]) -> frozenset[ArgumentId]:

@@ -43,9 +43,9 @@ starts above a natural witness, never reaches an imaginary member of
 change is kept as a row of positions, ``(argument, clause, witnesses)``,
 with no record built.  The rows are the result: ``WpExtension`` derives
 its justified and rejected sets from them, ``schema.trace_section`` reads
-them, and ``WpExtension.steps`` decodes them when read.  The public
-``supports``, which ``analysis`` reads, is support's direct definition;
-``testkit`` states support and undercut over the trees.
+them, and ``WpExtension.steps`` decodes them when read.  The counters
+are the engine's only test of support; ``testkit`` states support and
+undercut over the trees.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from .arguments import ArgumentSet
 from .attacks import AttackGraph
 from .model import Record
 from .semantics import _clashing
@@ -75,17 +74,6 @@ class FixpointInvariantError(Exception):
         super().__init__(f"fixed-point invariant breached at iteration {step}: "
                          f"{kind} involving {', '.join(members)}")
         self.step, self.kind, self.members = step, kind, members
-
-
-# ---------------------------------------------------------------------------
-# support
-# ---------------------------------------------------------------------------
-
-
-def supports(arguments: ArgumentSet, members: Iterable[str], identifier: str) -> bool:
-    """True when every proper subargument is a member, read off the positions of its walk down."""
-    held, walk = frozenset(members), arguments._walk(arguments.index(identifier), False, set())
-    return all(arguments.ids[k] in held for k in walk[1:])  # the argument is reached first
 
 
 # ---------------------------------------------------------------------------

@@ -151,13 +151,14 @@ def test_sub_ids_are_index_ordered_and_include_self(goldens):
 
 
 def test_id_lookup_round_trips(chained):
+    named = {argument: identifier for identifier, argument in chained.arguments}
     for identifier, argument in chained.arguments:
-        assert chained.arguments.id_of(argument) == identifier
+        assert named[argument] == identifier
         assert chained.arguments.argument(identifier) is argument
     # an argument not in the set: its conclusion is one the set has, or one it lacks
     for stranger in (Argument("imaginary", None, lit("a")), Argument("fact", None, lit("zz"))):
         with pytest.raises(KeyError):
-            chained.arguments.id_of(stranger)
+            named[stranger]
 
 
 def test_concluders_group_arguments_by_conclusion(two_obligations):
@@ -205,15 +206,16 @@ def test_stored_argument_values_match_their_definitions():
             inject_conflict=True,
         )
         arguments = build_arguments(generate_theory(params))
+        named = {argument: identifier for identifier, argument in arguments}
         for position, (identifier, argument) in enumerate(arguments):
             assert argument.height == _height(argument)
-            subs = {arguments.id_of(sub) for sub in argument.subarguments()}
+            subs = {named[sub] for sub in argument.subarguments()}
             assert arguments.sub_ids(identifier) == tuple(sorted(subs, key=arguments.index))
             rebuilt = _rebuild(argument)
             assert rebuilt == argument and hash(rebuilt) == hash(argument)
             assert arguments.index(identifier) == position
             assert arguments.argument(identifier) is argument
-            assert arguments.id_of(rebuilt) == identifier
+            assert named[rebuilt] == identifier
 
 
 def test_stored_closures_and_ids_match_their_definitions(goldens):
@@ -226,8 +228,9 @@ def test_stored_closures_and_ids_match_their_definitions(goldens):
     for arguments in sets:
         assert arguments.ids == tuple(identifier for identifier, _ in arguments)
         assert arguments.ids is arguments.ids  # stored, not rebuilt per call
+        named = {argument: identifier for identifier, argument in arguments}
         closures = {
-            identifier: {arguments.id_of(sub) for sub in argument.subarguments()}
+            identifier: {named[sub] for sub in argument.subarguments()}
             for identifier, argument in arguments
         }
         for identifier in arguments.ids:
@@ -384,9 +387,9 @@ def test_tall_arguments_show_copy_and_pickle_without_recursion(ladder):
     for twin in (pickle.loads(pickle.dumps(top)), copy.deepcopy(top), copy.copy(top)):
         assert twin == top and hash(twin) == hash(top) and twin is not top
     assert twin.subarguments() == top.subarguments()
-    # an argument set shows every argument's tree
+    # an argument set shows its table, whose rows hold their children's positions
     tall = build_arguments(parse_theory(ladder.chain(200)))
-    assert repr(tall) == f"ArgumentSet(theory={tall.theory!r}, ordered={tall.ordered!r})"
+    assert repr(tall) == f"ArgumentSet(theory={tall.theory!r}, ids={tall.ids!r}, rows={tall.rows!r})"
     assert pickle.loads(pickle.dumps(tall)) == tall
 
 

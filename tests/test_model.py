@@ -90,7 +90,7 @@ def test_atom_universe_covers_facts_bodies_and_heads():
         facts=[lit("a")],
         rules=(Rule("r1", (lit("b"),), obl(lit("~c"))),),
     )
-    assert theory.atoms == ("a", "b", "c")
+    assert tuple(literal.atom for literal in theory.literal_universe[::2]) == ("a", "b", "c")
     assert [str(l) for l in theory.literal_universe] == ["a", "~a", "b", "~b", "c", "~c"]
 
 

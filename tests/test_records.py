@@ -5,8 +5,8 @@ list, its compared fields and its repr fields (the same names, except for
 the indexes that ``ArgumentSet`` and ``AttackGraph`` build on
 construction, which took no part in either).  ``ArgumentSet`` and
 ``WpExtension`` are records of their rows: they compare and hash as the
-rows and the ids they index, ``ordered`` and ``steps`` are views decoded
-from the rows, and an ``ArgumentSet`` shows as its theory and ``ordered``.
+rows and the ids they index, and ``ordered`` and ``steps`` are views decoded
+from the rows.
 The records are drawn from the golden theories and from generated ones.
 """
 
@@ -95,9 +95,6 @@ RECORDS: dict[type, tuple[tuple[str, ...], tuple[str, ...]]] = {
     ),) * 2,
     OracleResult: (("grounded", "complete", "stable"),) * 2,
 }
-
-#: the repr fields of a class that shows other fields than it compares
-SHOWN: dict[type, tuple[str, ...]] = {ArgumentSet: ("theory", "ordered")}
 
 #: records of each class compared pairwise, at most this many
 PAIRWISE = 40
@@ -217,8 +214,7 @@ def test_a_record_hashes_as_its_compared_fields(records):
 def test_repr_names_the_class_and_the_compared_fields(records):
     for cls, listed in records.items():
         for record in listed[:PAIRWISE]:
-            names = SHOWN.get(cls, RECORDS[cls][1])
-            shown = ", ".join(f"{name}={getattr(record, name)!r}" for name in names)
+            shown = ", ".join(f"{name}={getattr(record, name)!r}" for name in RECORDS[cls][1])
             assert repr(record) == f"{cls.__qualname__}({shown})"
     assert repr(lit("~p")) == "Literal(atom='p', positive=False)"
 

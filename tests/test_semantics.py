@@ -159,6 +159,10 @@ def test_conflict_freeness_predicate(two_obligations):
     assert is_conflict_free(graph, {"A0", "A2", "I1"})
     assert not is_conflict_free(graph, {"A0", "A1"})
     assert is_conflict_free(graph, set())
+    # an id the set does not hold is an error, not left out of the question
+    for members in ({"A0", "nope"}, {"A0", "A1", "nope"}):
+        with pytest.raises(KeyError):
+            is_conflict_free(graph, members)
 
 
 def test_extensions_are_sorted_by_size_then_membership(two_obligations):

@@ -5,10 +5,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from deonarg import (
+    ArgumentSet,
+    AttackGraph,
     DeonticLiteral,
     DeonticOperator,
     build_arguments,
+    compute_attacks,
     conflicted_literals,
+    parse_theory,
     serialize_theory,
     validate_theory,
 )
@@ -17,6 +21,9 @@ from deonarg.testkit import (
     OracleSizeError,
     brute_force_extensions,
     generate_theory,
+    reference_attacks,
+    reference_grounded,
+    reference_wp,
 )
 
 # ---------------------------------------------------------------------------
@@ -123,3 +130,19 @@ def test_oracle_refuses_graphs_above_its_budget(chained, support_undercut):
     assert sorted(oracle.grounded) == [
         "A0", "A3", "I1", "I2", "I3", "I5", "I6", "I7", "I8",
     ]
+
+
+def test_the_oracles_read_no_index_of_the_engine(goldens):
+    def answers(graph):
+        return (reference_attacks(graph.arguments), reference_grounded(graph),
+                brute_force_extensions(graph), reference_wp(graph))
+
+    for name in ("two-obligations", "support-undercut"):
+        intact = goldens[name].graph
+        # a second build of the same theory, its conclusion, attacker and target indexes emptied
+        hollow = compute_attacks(build_arguments(parse_theory(goldens[name].text)))
+        ArgumentSet._by_conclusion.__set__(hollow.arguments, {})
+        for index in (AttackGraph._attackers, AttackGraph._targets):
+            index.__set__(hollow, ((),) * len(hollow.arguments))
+        assert hollow.rows == intact.rows
+        assert answers(hollow) == answers(intact)

@@ -10,7 +10,6 @@ from deonarg import (
     compute_attacks,
     is_conflict_free,
     parse_theory,
-    supports,
     wp_extension,
 )
 from deonarg.schema import trace_section
@@ -45,8 +44,8 @@ def test_support_grows_with_the_supporting_set(support_undercut):
     base = supported_by(view, frozenset())
     grown = supported_by(view, frozenset({"A0"}))
     assert grown - base == {"A2"}
-    assert supports(support_undercut.arguments, {"A0"}, "A2")
-    assert not supports(support_undercut.arguments, set(), "A2")
+    assert "A2" in supported_by(view, {"A0"})
+    assert "A2" not in supported_by(view, set())
 
 
 def test_undercut_requires_a_supported_attacker_at_a_proper_natural_subargument(
