@@ -266,15 +266,12 @@ def verify_theorems(
     # Unresolved conflicts with fully justified premises recover both weak permissions; a rule's
     # applications suffice, as a permission argument's proper subarguments hold its base's.  Its
     # premises are fully justified when its children are, by the closure the last check tests.
-    heads = {rule.label: rule.head for rule in theory.rules}
+    applied = {rule.label for kind, rule, _, children in rows
+               if kind == "rule-application" and held.issuperset(children)}
     backed = [
         pair
         for pair in conflict_pairs(theory, arguments, justified)
-        if all(
-            any(arguments.top_rule(i) == label and held.issuperset(rows[arguments.index(i)][3])
-                for i in arguments.concluders(heads[label]))
-            for label in (pair.supporting_rule, pair.opposing_rule)
-        )
+        if {pair.supporting_rule, pair.opposing_rule} <= applied
     ]
     offending = {
         f"{literal} ({identifier})"

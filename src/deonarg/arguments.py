@@ -261,10 +261,6 @@ class ArgumentSet(Record):
     def conclusion(self, identifier: ArgumentId) -> Conclusion:
         return self.rows[self._positions[identifier]][2]
 
-    def top_rule(self, identifier: ArgumentId) -> str | None:
-        rule = self.rows[self._positions[identifier]][1]
-        return None if rule is None else rule.label
-
     def concluders(self, conclusion: Conclusion) -> tuple[ArgumentId, ...]:
         """Ids of every argument with the given conclusion."""
         return self._decode(self._by_conclusion.get(conclusion, ()))

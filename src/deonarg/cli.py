@@ -161,13 +161,16 @@ def _command(name: str, *options: tuple) -> Callable:
     return register
 
 
-class _AtLeast(argparse.Action):
-    """Store an integer no lower than ``const``; a lower one is a usage error naming the option."""
+class _InRange(argparse.Action):
+    """Store a number in ``const``, a ``(low, high)`` pair, high None for no upper bound; one
+    outside it (or nan) is a usage error naming the option."""
 
     def __call__(self, parser, namespace, value, option_string=None) -> None:
-        if value < self.const:
+        low, high = self.const
+        if not (low <= value and (high is None or value <= high)):
+            bounds = f"x>={low}" if high is None else f"{low}<=x<={high}"
             parser.error(
-                f"Invalid value for '{option_string}': {value} is not in the range x>={self.const}."
+                f"Invalid value for '{option_string}': {value} is not in the range {bounds}."
             )
         setattr(namespace, self.dest, value)
 
@@ -184,8 +187,8 @@ _GENERALIZED_FLAG = _option(
 _LIMIT_OPTION = _option(
     "--argument-limit",
     type=int,
-    action=_AtLeast,
-    const=0,
+    action=_InRange,
+    const=(0, None),
     default=DEFAULT_ARGUMENT_LIMIT,
     help="Refuse complete/stable enumeration above this many arguments.",
 )
@@ -453,9 +456,12 @@ def cmd_check(
 
 
 def _count(flag: str, dest: str, default: int, minimum: int = 0) -> tuple:
-    return _option(
-        flag, dest=dest, type=int, action=_AtLeast, const=minimum, default=default, metavar="N"
-    )
+    return _option(flag, dest=dest, type=int, action=_InRange, const=(minimum, None),
+                   default=default, metavar="N")
+
+
+def _weight(flag: str, dest: str, default: float) -> tuple:
+    return _option(flag, dest=dest, type=float, action=_InRange, const=(0, 1), default=default)
 
 
 @_command(
@@ -466,12 +472,10 @@ def _count(flag: str, dest: str, default: int, minimum: int = 0) -> tuple:
     _count("--rules", "rule_count", 5),
     _count("--max-body", "max_body_len", 2),
     _count("--superiority", "superiority_count", 0),
-    _option("--obligation-bias", dest="obligation_head_bias", type=float, default=0.3),
-    _option("--permission-weight", dest="permission_head_weight", type=float, default=0.1),
-    _option("--deontic-body-weight", type=float, default=0.2),
-    _option(
-        "--weak-permission-weight", dest="weak_permission_body_weight", type=float, default=0.15
-    ),
+    _weight("--obligation-bias", "obligation_head_bias", 0.3),
+    _weight("--permission-weight", "permission_head_weight", 0.1),
+    _weight("--deontic-body-weight", "deontic_body_weight", 0.2),
+    _weight("--weak-permission-weight", "weak_permission_body_weight", 0.15),
     _option("--acyclic", action="store_true", default=True),
     _option("--no-acyclic", dest="acyclic", action="store_false"),
     _option("--inject-conflict", action="store_true"),

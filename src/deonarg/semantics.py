@@ -16,7 +16,8 @@ in every complete extension, so it goes straight into a constant base
 and is never searched.  The others fall into parts (arguments joined by
 no chain of attacks either way fall in different parts), labelled one
 part at a time.  A part's strongly connected components, found over the
-same tuples, are labelled IN, OUT or UNDEC in topological order, each
+same tuples by Kosaraju's two passes (Sharir, 1981), come out in
+topological order and are labelled IN, OUT or UNDEC in it, each
 conditioned on the labels of its upstream attackers.  The part's partial
 labellings are held transposed, as columns with one bit per labelling,
 so a singleton component costs a few ORs and ANDs of its attackers'
@@ -131,47 +132,43 @@ def grounded_extension(graph: AttackGraph) -> frozenset[str]:
 
 
 def _components(
-    members: Sequence[int], attackers: Sequence[Sequence[int]], index: list[int], low: list[int]
+    members: Sequence[int], attackers: Sequence[Sequence[int]], targets: Sequence[Sequence[int]]
 ) -> list[list[int]]:
     """Strongly connected components of one part, each after every component attacking it.
 
-    Iterative Tarjan along attacker edges, so the list is in topological
-    order.  ``index`` and ``low`` are indexed by graph position, with
-    ``index`` -1 where unvisited; an emitted argument's ``index`` is set
-    past every visit number, so it never lowers a ``low``.
+    Kosaraju's two passes (Sharir, 1981): an iterative depth-first pass
+    along target edges lists the part's arguments by finishing time;
+    then, latest-finished first, each unplaced argument collects its
+    component along attacker edges, so the list is in topological order.
     """
-    emitted = len(index)
-    stack: list[int] = []
-    components: list[list[int]] = []
-    visits = 0
+    seen: set[int] = set()
+    finished: list[int] = []
     for root in members:
-        if index[root] >= 0:
+        if root in seen:
             continue
-        index[root] = low[root] = visits
-        visits += 1
-        stack.append(root)
-        work = [(root, iter(attackers[root]))]  # (argument, attackers not yet visited)
+        seen.add(root)
+        work = [(root, iter(targets[root]))]  # (argument, targets not yet visited)
         while work:
             v, pending = work[-1]
             for w in pending:
-                if index[w] < 0:
-                    index[w] = low[w] = visits
-                    visits += 1
-                    stack.append(w)
-                    work.append((w, iter(attackers[w])))
+                if w not in seen:
+                    seen.add(w)
+                    work.append((w, iter(targets[w])))
                     break
-                if index[w] < low[v]:
-                    low[v] = index[w]
             else:
                 work.pop()
-                if work and low[v] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[v]
-                if low[v] == index[v]:
-                    component: list[int] = []
-                    while not component or component[-1] != v:
-                        component.append(stack.pop())
-                        index[component[-1]] = emitted
-                    components.append(sorted(component))
+                finished.append(v)
+    components: list[list[int]] = []
+    for root in reversed(finished):
+        if root in seen:  # unplaced: ``seen`` now holds the arguments not yet placed
+            seen.remove(root)
+            component = [root]
+            for k in component:  # grows while it is read
+                for a in attackers[k]:
+                    if a in seen:
+                        seen.remove(a)
+                        component.append(a)
+            components.append(sorted(component))
     return components
 
 
@@ -280,8 +277,7 @@ def _label_part(
     component splits the live rows by the labels of its upstream
     attackers, searches once per distinct split, and, when a split has
     several labellings, copies every column once per labelling: block b
-    of the rows takes each split's labelling b.  The rows are compacted
-    first when at most half of them live.
+    of the rows takes each split's labelling b.
     """
     inn: dict[int, int] = {}
     und: dict[int, int] = {}
@@ -306,13 +302,6 @@ def _label_part(
                 if not alive:
                     return []
             continue
-        if alive.bit_count() * 2 <= rows:  # keep the live rows only, renumbered from 0
-            keep = [r for r in range(rows) if alive >> r & 1]
-            for columns in (inn, und):
-                for k, column in columns.items():
-                    bits = format(column, "b").zfill(rows)[::-1]
-                    columns[k] = int("".join([bits[r] for r in keep])[::-1], 2)
-            rows, alive = len(keep), (1 << len(keep)) - 1
         local = {k: c for c, k in enumerate(component)}
         inside_attackers = [0] * len(component)
         inside_targets = [0] * len(component)
@@ -396,7 +385,6 @@ def _factorise(graph: AttackGraph, argument_limit: int, stable: bool) -> _Factor
         raise ArgumentLimitExceeded(count, argument_limit)
     attackers, targets = graph._attackers, graph._targets
     seen = [False] * count
-    index, low = [-1] * count, [0] * count  # Tarjan's, shared by the parts
     base: list[int] = []
     choices: list[tuple[list[int], ...]] = []
     for root in range(count):
@@ -412,7 +400,7 @@ def _factorise(graph: AttackGraph, argument_limit: int, stable: bool) -> _Factor
                 if not seen[j]:
                     seen[j] = True
                     members.append(j)
-        labellings = _label_part(_components(members, attackers, index, low), attackers, stable)
+        labellings = _label_part(_components(members, attackers, targets), attackers, stable)
         if not labellings:
             return None
         if len(labellings) == 1:

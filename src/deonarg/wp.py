@@ -13,9 +13,10 @@ the textbook recursion breaches those invariants on some theories, and
 the breach raises :class:`FixpointInvariantError`.
 
 ``wp_extension`` evaluates the iteration as a worklist on positions.
-Every predicate is monotone in the snapshot, so each iteration re-tests,
-in id order, only the arguments whose inputs the previous one changed
-(semi-naive evaluation), and the trace is the round-by-round one.
+Every predicate is monotone in the snapshot, so the first iteration
+tests every argument and each later one re-tests, in id order, only the
+arguments whose inputs the previous one changed (semi-naive
+evaluation), and the trace is the round-by-round one.
 Support is a counter of direct subarguments not yet justified, as in
 linear-time Horn satisfiability.  An argument becoming supported wakes
 itself and its targets, and marks the superarguments of every natural
@@ -183,12 +184,7 @@ def wp_extension(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
     supported.update([n for n, count in enumerate(waiting) if not count])
     for n in [n for n in supported if attacks_at[n]]:  # their undercuts; what they wake
         support(n, set())  # is read anyway, as the first iteration evaluates every argument
-    # an imaginary argument with no attackers is justified in the first iteration, with
-    # no witnesses, and never woken again: they are settled as one block at the end of
-    # that iteration's justified list
-    imaginary = range(natural, len(ids))
-    settled = [n for n in imaginary if not attacked_by[n]]
-    candidates: Iterable[int] = [*range(natural), *(n for n in imaginary if attacked_by[n])]
+    candidates: Iterable[int] = range(len(ids))
     steps: list[tuple[tuple, tuple]] = []
     for index in range(1, 2 * len(ids) + 2):
         # every predicate reads the previous snapshot: the sets change after both sides
@@ -222,9 +218,6 @@ def wp_extension(graph: AttackGraph, *, fixpoint_guards: bool = True) -> WpExten
             elif n in supported and beaten.issuperset(attackers):
                 newly_justified.append((n, "supported-and-defended", attackers))
                 added.append(n)
-        if index == 1:  # the settled block
-            newly_justified += [(n, "attackers-all-rejected", ()) for n in settled]
-            added += settled
         if gone:
             rejected.update(gone)
             beaten.update(gone)

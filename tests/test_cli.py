@@ -264,6 +264,20 @@ def test_gen_rejects_out_of_range_counts_with_a_usage_error(runner, option, valu
     assert not isinstance(result.exception, (IndexError, ValueError))
 
 
+@pytest.mark.parametrize(
+    "option", ["--obligation-bias", "--permission-weight", "--deontic-body-weight",
+               "--weak-permission-weight"],
+)
+def test_gen_rejects_a_weight_outside_zero_to_one_with_a_usage_error(runner, option):
+    for value, shown in (("2.0", "2.0"), ("-1", "-1.0"), ("nan", "nan")):
+        result = runner.invoke(main, ["gen", option, value])
+        assert result.exit_code == 2
+        assert (f"Invalid value for '{option}': {shown} is not in the range 0<=x<=1."
+                in result.output)
+    for value in ("0", "1"):  # the bounds are in range
+        run_ok(runner, "gen", option, value)
+
+
 @pytest.mark.parametrize("command", ["eval", "check"])
 def test_a_negative_argument_limit_is_a_usage_error(runner, command):
     argv = [command, "-", "-s", "complete"] if command == "eval" else [command, "-"]

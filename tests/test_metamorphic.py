@@ -9,6 +9,10 @@ attack rows as ids, the same wp trace, the same grounded extension and
 complete and stable extension lists (ids, in order), and the renamed
 conclusions and top rules.  The tall and wide ladder rungs reach the construction's rank
 and universe paths at sizes the oracle corpus does not.
+
+A second relation adds a rule over a fresh atom, which no attack joins to the
+rest: every old argument keeps its grounded and wp status under both readings.
+The ids may shift, so arguments are matched as decoded ``Argument`` objects.
 """
 
 from __future__ import annotations
@@ -112,3 +116,30 @@ def test_renaming_and_reversing_generated_theories_changes_nothing():
 def test_renaming_and_reversing_the_tall_and_wide_rungs_changes_nothing(ladder):
     for text in (ladder.chain(160), ladder.fan(6)):
         check(text)
+
+
+FRESH_RULE = "zz: => obl(fresh).\n"
+
+
+def statuses(text: str, generalized: bool) -> dict:
+    """Each argument's grounded membership and wp membership of the justified and rejected sets."""
+    arguments = build_arguments(parse_theory(text))
+    graph = compute_attacks(arguments, imaginary_subargument_attacks=generalized)
+    grounded, extension = grounded_extension(graph), wp_extension(graph)
+    return {
+        argument: (i in grounded, i in extension.justified, i in extension.rejected)
+        for i, argument in arguments
+    }
+
+
+def test_a_rule_over_a_fresh_atom_leaves_every_old_status_unchanged(goldens, conflict_corpus):
+    texts = [prepared.text for prepared in goldens.values()]
+    texts += [serialize_theory(case.theory) for case in conflict_corpus]
+    for text in texts:
+        assert not re.search(r"\b(zz|fresh)\b", text)
+        for generalized in (False, True):
+            before = statuses(text, generalized)
+            after = statuses(text + FRESH_RULE, generalized)
+            # obl(fresh), perm(fresh) and the imaginary perm_w(fresh) and perm_w(~fresh)
+            assert len(after) == len(before) + 4
+            assert {argument: after[argument] for argument in before} == before, text

@@ -1,10 +1,8 @@
 """Unit tests for grounded, complete and stable extension computation."""
 
-import inspect
 import itertools
 import random
 import re
-import sys
 from collections import Counter
 
 import pytest
@@ -19,11 +17,10 @@ from deonarg import (
     is_conflict_free,
     justified_conclusions,
     parse_theory,
-    semantics,
     serialize_theory,
     stable_extensions,
 )
-from deonarg.semantics import _clashing, _stable_core
+from deonarg.semantics import _clashing, _components, _stable_core
 from deonarg.testkit import (
     GeneratorParams,
     brute_force_extensions,
@@ -341,6 +338,56 @@ def test_grounded_is_the_least_fixpoint_of_the_characteristic_function(
         assert grounded_extension(graph) == reference_grounded(graph)
 
 
+def _parts(graph):
+    """The positions of each part: arguments in an attack, joined by chains of attacks."""
+    attackers, targets = graph._attackers, graph._targets
+    seen, parts = set(), []
+    for root in range(len(attackers)):
+        if root in seen or not (attackers[root] or targets[root]):
+            continue
+        seen.add(root)
+        members = [root]
+        for k in members:
+            for j in (*attackers[k], *targets[k]):
+                if j not in seen:
+                    seen.add(j)
+                    members.append(j)
+        parts.append(members)
+    return parts
+
+
+def test_components_are_the_strongly_connected_ones_of_each_part_in_topological_order(
+    conflict_corpus, no_superiority_corpus, oracle_corpus, ladder
+):
+    graphs = [case.graph for corpus in (conflict_corpus, no_superiority_corpus, oracle_corpus)
+              for case in corpus]
+    graphs += [prepared_graph(text)[1] for text in (ladder.conflicts(12), ladder.generated())]
+    crossing = 0  # attacks between two components of a part
+    for graph in graphs:
+        attackers, targets = graph._attackers, graph._targets
+        for members in _parts(graph):
+            components = _components(members, attackers, targets)
+            # a partition of the part
+            place = {k: c for c, component in enumerate(components) for k in component}
+            assert sum(map(len, components)) == len(place) and place.keys() == set(members)
+            for c, component in enumerate(components):
+                # strongly connected: the first member reaches every member, and is reached
+                # from each, along attacks inside the component
+                for edges in (attackers, targets):
+                    reached, stack = {component[0]}, [component[0]]
+                    while stack:
+                        for j in edges[stack.pop()]:
+                            if place[j] == c and j not in reached:
+                                reached.add(j)
+                                stack.append(j)
+                    assert reached == set(component)
+                # every attacker in this component or an earlier one
+                for k in component:
+                    assert all(place[a] <= c for a in attackers[k])
+                    crossing += sum(place[a] < c for a in attackers[k])
+    assert crossing  # the order is tested on attacks between components
+
+
 def _documented_order(graph, extensions):
     """Extensions sorted by size, then by their sorted member positions."""
     position = graph.arguments.index
@@ -434,38 +481,8 @@ def test_attack_free_arguments_of_a_fan_join_every_extension_of_a_conflict(ladde
     assert all(free <= extension for extension in complete + stable)
 
 
-def _row_compactions(run):
-    """``run()``'s result, and every row compaction in ``_label_part`` as ``(rows, live rows)``
-    before it and ``(rows, live mask)`` at the component search that follows it."""
-    lines, start = inspect.getsourcelines(semantics._label_part)
-    keep, search = (start + next(i for i, line in enumerate(lines) if text in line)
-                    for text in ("keep = [r for r in range(rows)", "local = {k: c"))
-    events = []
-
-    def watch(frame, event, arg):  # Python 3.12+ inlines comprehensions: a line repeats
-        line = frame.f_lineno
-        if event == "line" and line in (keep, search) and (not events or events[-1][0] != line):
-            events.append((line, frame.f_locals["rows"], frame.f_locals["alive"]))
-        return watch
-
-    def calls(frame, event, arg):
-        return watch if frame.f_code is semantics._label_part.__code__ else None
-
-    saved = sys.gettrace()
-    sys.settrace(calls)
-    try:
-        result = run()
-    finally:
-        sys.settrace(saved)
-    compactions = [
-        ((rows, alive.bit_count()), events[n + 1][1:])
-        for n, (line, rows, alive) in enumerate(events) if line == keep
-    ]
-    return result, compactions
-
-
-def test_stable_rows_left_dead_are_compacted_without_changing_the_extensions():
-    # the one compaction: 8 rows, 4 of them live, renumbered to rows 0-3 before the next search
+def test_stable_extensions_are_the_complete_ones_that_attack_every_outsider():
+    # 26 arguments, above the brute-force oracle's cap; 90 complete, 16 of them stable
     params = GeneratorParams(
         seed=696, atom_count=5, fact_count=2, rule_count=10, inject_conflict=True, max_body_len=2
     )
@@ -473,12 +490,8 @@ def test_stable_rows_left_dead_are_compacted_without_changing_the_extensions():
     arguments = build_arguments(theory)
     graph = compute_attacks(arguments, theory)
     limit = len(arguments)
-    assert limit == 26  # above the brute-force oracle's cap
-    stable, compactions = _row_compactions(
-        lambda: stable_extensions(graph, argument_limit=limit)
-    )
-    assert compactions == [((8, 4), (4, 0b1111))]
-    # stable: the complete extensions that attack every argument outside them
+    assert limit == 26
+    stable = stable_extensions(graph, argument_limit=limit)
     complete = complete_extensions(graph, argument_limit=limit)
     everything = frozenset(arguments.ids)
     attacking = [
