@@ -53,8 +53,9 @@ class ConflictPair(Record):
 def _body_supported(rule, arguments: ArgumentSet, justified: frozenset[str] | None) -> bool:
     """Every body element has a concluding argument (a justified one if given)."""
     for element in rule.body:
-        concluders = arguments.concluders(element)
-        if not concluders or justified is not None and justified.isdisjoint(concluders):
+        found = arguments._by_conclusion.get(element)  # positions, read as ids only if needed
+        if not found or justified is not None and justified.isdisjoint(
+                map(arguments.ids.__getitem__, found)):
             return False
     return True
 
@@ -145,10 +146,10 @@ class CheckReport(Record):
 
 
 def _imaginary_id(arguments: ArgumentSet, literal: Literal) -> str:
-    for identifier in arguments.concluders(perm_w(literal)):
-        if arguments.kind(identifier) == "imaginary":
-            return identifier
-    raise AssertionError(f"no imaginary argument for {literal}")
+    found = arguments._by_conclusion.get(perm_w(literal), ())  # positions: the imaginary last
+    if not found or found[-1] < arguments.natural:
+        raise AssertionError(f"no imaginary argument for {literal}")
+    return arguments.ids[found[-1]]
 
 
 def _verdict(

@@ -15,10 +15,10 @@ root-to-leaf path of an argument tree, which bounds tree depth even for
 cyclic rule sets.
 
 The built ``ArgumentSet`` is a record of its table, the theory, the ids
-and the position rows, filled without building an ``Argument``; an
-``Argument`` is a row with its children decoded, made from the rows only
-when asked for (hash-consed: one object per argument, children shared;
-Filliatre & Conchon, "Type-safe modular hash-consing", 2006).
+and the position rows, whose indexes construction fills as it writes the
+rows, without building an ``Argument``; an ``Argument`` is a row with its
+children decoded, made from the rows only when asked for (hash-consed:
+one object per argument, children shared; Filliatre & Conchon, 2006).
 """
 
 from __future__ import annotations
@@ -174,17 +174,17 @@ class ArgumentSet(Record):
     whose label is its top rule (None for facts and imaginary arguments),
     its conclusion and its children's positions.  Equality, hash, ``repr``,
     pickling and copying are ``Record``'s, on these three fields, so none
-    decodes an argument or recurses into a tree.  The constructor builds
-    every index once: positions by id, rows by conclusion, the parents of
-    each row and ``natural``, the count of natural rows.  Its precondition is the shape
+    decodes an argument or recurses into a tree.  The indexes, positions by
+    id, rows by conclusion, each row's parents and ``natural`` (the natural
+    count), are built once: ``build_arguments`` fills them as it writes the
+    rows (``_fill``), the constructor derives them.  Its precondition is the shape
     ``build_arguments`` makes: the natural rows, each after its natural
     children, then the imaginary rows as one block (else ``ValueError``),
     so the imaginary rows, then the natural ones, come children first.  No
     index is larger than the table: closures are walks of the children or
     of the parents index, and the id-keyed views decode or slice the ids.
-    The ``ordered`` pairs hold ``Argument`` objects, the rows with their
-    children decoded: they are made the first time they are read and then
-    kept, so an argument is always the same object.
+    The ``ordered`` pairs hold the rows decoded to ``Argument`` objects,
+    made when first read and then kept, so an argument is always one object.
     """
 
     _fields = ("theory", "ids", "rows")
@@ -198,12 +198,17 @@ class ArgumentSet(Record):
             by_conclusion.setdefault(conclusion, []).append(n)
             for child in children:
                 parents.setdefault(child, []).append(n)
-        positions = {identifier: n for n, identifier in enumerate(ids)}
-        parents = tuple(map(parents.get, range(len(rows)), repeat(())))
         kinds = list(map(itemgetter(0), rows))
         natural = len(kinds) - kinds.count("imaginary")
         if kinds[natural:].count("imaginary") != len(kinds) - natural:  # not all trailing
             raise ValueError("the imaginary rows are not one block after the natural rows")
+        self._fill(theory, ids, rows, by_conclusion, parents, natural)
+
+    def _fill(self, theory: Theory, ids: tuple[ArgumentId, ...], rows: tuple[tuple, ...],
+              by_conclusion: dict, parents: dict[int, list[int]], natural: int) -> None:
+        """Set the fields and the indexes from the rows by conclusion and the parents."""
+        positions = {identifier: n for n, identifier in enumerate(ids)}
+        parents = tuple(map(parents.get, range(len(rows)), repeat(())))
         values = (theory, ids, rows, None, positions, by_conclusion, parents, natural)
         for setter, value in zip(self._setters, values):
             setter(self, value)
@@ -407,11 +412,21 @@ def build_arguments(theory: Theory) -> ArgumentSet:
             order.append(n)
     count = len(order)
     where = [*range(count, count + imaginary), *[0] * count]  # the imaginary rows go last
+    # the rows, their parents and each conclusion's positions, a row after its children
+    rows, parents, held = [], {}, [[] for _ in conclusions]
     for position, n in enumerate(order):
         where[n] = position
-    rows = tuple([
-        (kind, rule, conclusions[conclusion], tuple(map(where.__getitem__, children)))
-        for kind, rule, conclusion, children, _, _ in map(found.__getitem__, order)
-    ] + [("imaginary", None, conclusions[n], ()) for n in range(imaginary)])
+        kind, rule, conclusion, children, _, _ = found[n]
+        children = tuple(map(where.__getitem__, children))
+        for child in children:
+            parents.setdefault(child, []).append(position)
+        held[conclusion].append(position)
+        rows.append((kind, rule, conclusions[conclusion], children))
+    for n in range(imaginary):
+        held[n].append(count + n)
+        rows.append(("imaginary", None, conclusions[n], ()))
     ids = (*[f"A{n}" for n in range(count)], *[f"I{n}" for n in range(1, imaginary + 1)])
-    return ArgumentSet(theory, ids, rows)
+    arguments = object.__new__(ArgumentSet)
+    arguments._fill(theory, ids, tuple(rows), {c: p for c, p in zip(conclusions, held) if p},
+                    parents, count)
+    return arguments

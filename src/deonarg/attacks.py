@@ -27,10 +27,11 @@ table, on positions, makes the records.  Clashing conclusions share an
 atom, so they are found by atom and a form-and-polarity code in a fixed
 table.  The concluders of a conclusion share their hits, the
 ``(condition, witness)`` pairs they clash at, save those that an inferior
-top rule loses (by a lookup of its superiors made once).  Each group of
-hits becomes one block of records, in (target, condition, witness)
-order, that every concluder in it takes as its rows: the rows come out
-sorted, attacker by attacker, with no sort over all of them.
+top rule loses (by lookups, made once a call, of the rows with one and of
+its superiors).  Each group of hits becomes one block of records, split
+into target, condition and witness columns in one pass, in that order,
+that every concluder in it takes as its rows: the rows come out sorted,
+attacker by attacker, with no sort over all of them.
 """
 
 from __future__ import annotations
@@ -85,9 +86,10 @@ class AttackGraph(Record):
               groups: Iterable[tuple[tuple[Sequence[int], Sequence[int]], list[int]]]) -> None:
         """Set the fields and fill the indexes from ``((targets, witnesses), attackers)`` groups."""
         targets, attackers, witnessed = ([()] * len(arguments) for _ in range(3))
+        natural = arguments.natural
         for (found, witnesses), members in groups:
             reach, members, hit = tuple(dict.fromkeys(found)), tuple(members), sorted({*witnesses})
-            hit = tuple(hit[: bisect.bisect_left(hit, arguments.natural)])  # the natural ones
+            hit = tuple(hit[: bisect.bisect_left(hit, natural)])  # the natural ones
             for a in members:
                 targets[a], witnessed[a] = reach, hit
             for k in reach:  # merge the sorted run of attackers into the one held
@@ -138,10 +140,6 @@ _HITS = (
 )
 
 
-#: the columns of a ``(target, condition, witness)`` record
-_TARGET, _CONDITION, _WITNESS = itemgetter(0), itemgetter(1), itemgetter(2)
-
-
 def compute_attacks(
     arguments: ArgumentSet,
     theory: Theory | None = None,
@@ -151,23 +149,22 @@ def compute_attacks(
     """Compute every attack record, split by the superiority of ``arguments.theory``."""
     if theory is not None and theory is not arguments.theory and theory != arguments.theory:
         raise ValueError("the theory is not the one the arguments were built from")
-    narrow, table, supers = not imaginary_subargument_attacks, arguments.rows, {}
-    parents = arguments._parents
-
-    def reach(c: int, w: int) -> tuple[int, ...]:
-        """A hit's targets: its witness and, unless narrow, every argument above it."""
-        if c == 1 and narrow or not parents[w]:
-            return (w,)
-        if w not in supers:  # each witness is walked once a call
-            supers[w] = tuple(sorted(arguments._walk(w, True, set())))
-        return supers[w]
+    narrow, parents, supers = not imaginary_subargument_attacks, arguments._parents, {}
 
     def block(hits: list[tuple[int, int]]) -> tuple:
-        """The hits' records as sorted columns: targets, conditions and witnesses."""
-        records = [(t, c, w) for c, w in hits for t in reach(c, w)]
-        records.sort()  # zip(*records) would make one iterator, a tracked object, per record
-        return (tuple(map(_TARGET, records)), tuple(map(_CONDITION, records)),
-                tuple(map(_WITNESS, records)))
+        """The hits' records as sorted columns: targets, conditions and witnesses.  A hit's
+        targets are its witness and, unless narrow, every argument above it, walked once."""
+        records = [(t, c, w) for c, w in hits for t in (
+            (w,) if c == 1 and narrow or not parents[w] else supers.get(w)
+            or supers.setdefault(w, tuple(sorted(arguments._walk(w, True, set())))))]
+        records.sort()
+        columns: tuple[list[int], list[int], list[int]] = ([], [], [])
+        found, conditions, witnesses = columns  # one pass, no object per record
+        for t, c, w in records:
+            found.append(t)
+            conditions.append(c)
+            witnesses.append(w)
+        return columns
 
     # one pass (see the module docstring), on positions, by atom and code
     by_atom: dict[str, dict[int, list[int]]] = {}
@@ -179,6 +176,9 @@ def compute_attacks(
     superiors: dict[str, set[str]] = {}  # inferior label -> the labels superior to it
     for superior, inferior in arguments.theory.superiority:
         superiors.setdefault(inferior, set()).add(superior)
+    # the rows whose top rule is inferior, with its label, and each row's top rule label
+    labels = [getattr(row[1], "label", None) for row in arguments.rows] if superiors else ()
+    inferior = {a: label for a, label in enumerate(labels) if label in superiors}
     rows_of: dict[int, tuple] = {}  # attacker -> the columns of its kept and its lost records
     groups = []  # the kept records' targets and witnesses, with their attackers
     for group in by_atom.values():
@@ -188,18 +188,13 @@ def compute_attacks(
             if not found:  # perm_w builds no list: imaginary arguments attack nothing
                 continue
             by_label = {None: concluders}
-            if superiors:  # an inferior top rule loses the hits at its superiors' derivations
-                by_label = {}
+            if inferior and not inferior.keys().isdisjoint(concluders):
+                by_label = {}  # an inferior top rule loses the hits at its superiors' derivations
                 for a in concluders:
-                    label = getattr(table[a][1], "label", None)
-                    by_label.setdefault(label if label in superiors else None, []).append(a)
+                    by_label.setdefault(inferior.get(a), []).append(a)
             for label, members in by_label.items():
-                lost = []
-                if label is not None:
-                    over = superiors[label]
-                    lost = [(c, w) for c, w in found if getattr(table[w][1], "label", None) in over]
-                kept = sorted(set(found).difference(lost)) if lost else found
-                columns = block(kept)
+                lost = label and [(c, w) for c, w in found if labels[w] in superiors[label]]
+                columns = block([hit for hit in found if hit not in lost] if lost else found)
                 records = columns, block(lost) if lost else None
                 for a in members:
                     rows_of[a] = records

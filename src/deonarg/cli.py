@@ -163,15 +163,22 @@ def _command(name: str, *options: tuple) -> Callable:
 
 class _InRange(argparse.Action):
     """Store a number in ``const``, a ``(low, high)`` pair, high None for no upper bound; one
-    outside it (or nan) is a usage error naming the option."""
+    outside it (or nan) is a usage error naming the option.  A third member names a partner on
+    one cumulative scale with it: the two given may not sum above ``high`` (alone, one leaves
+    the other's default what is left)."""
 
     def __call__(self, parser, namespace, value, option_string=None) -> None:
-        low, high = self.const
+        low, high, *partner = self.const
         if not (low <= value and (high is None or value <= high)):
             bounds = f"x>={low}" if high is None else f"{low}<=x<={high}"
             parser.error(
                 f"Invalid value for '{option_string}': {value} is not in the range {bounds}."
             )
+        given = vars(parser).setdefault("given", {})  # given so far: main builds new parsers
+        given[option_string] = value
+        if partner and partner[0] in given and not value + given[partner[0]] <= high:
+            total, pair = value + given[partner[0]], f"'{partner[0]}' plus '{option_string}'"
+            parser.error(f"Invalid value for {pair}: {total} is not in the range x<={high}.")
         setattr(namespace, self.dest, value)
 
 
@@ -460,8 +467,9 @@ def _count(flag: str, dest: str, default: int, minimum: int = 0) -> tuple:
                    default=default, metavar="N")
 
 
-def _weight(flag: str, dest: str, default: float) -> tuple:
-    return _option(flag, dest=dest, type=float, action=_InRange, const=(0, 1), default=default)
+def _weight(flag: str, dest: str, default: float, partner: str) -> tuple:
+    return _option(flag, dest=dest, type=float, action=_InRange, const=(0, 1, partner),
+                   default=default)
 
 
 @_command(
@@ -472,10 +480,11 @@ def _weight(flag: str, dest: str, default: float) -> tuple:
     _count("--rules", "rule_count", 5),
     _count("--max-body", "max_body_len", 2),
     _count("--superiority", "superiority_count", 0),
-    _weight("--obligation-bias", "obligation_head_bias", 0.3),
-    _weight("--permission-weight", "permission_head_weight", 0.1),
-    _weight("--deontic-body-weight", "deontic_body_weight", 0.2),
-    _weight("--weak-permission-weight", "weak_permission_body_weight", 0.15),
+    _weight("--obligation-bias", "obligation_head_bias", 0.3, "--permission-weight"),
+    _weight("--permission-weight", "permission_head_weight", 0.1, "--obligation-bias"),
+    _weight("--deontic-body-weight", "deontic_body_weight", 0.2, "--weak-permission-weight"),
+    _weight("--weak-permission-weight", "weak_permission_body_weight", 0.15,
+            "--deontic-body-weight"),
     _option("--acyclic", action="store_true", default=True),
     _option("--no-acyclic", dest="acyclic", action="store_false"),
     _option("--inject-conflict", action="store_true"),

@@ -196,7 +196,7 @@ class DeonticLiteral(Record):
         return f"{self.operator._value_}({'' if literal.positive else '~'}{literal.atom})"
 
     def sort_key(self) -> tuple:
-        return (self.operator.rank, *self.literal.sort_key())
+        return (_OPERATOR_RANK[self.operator], *self.literal.sort_key())
 
 
 def obl(literal: Literal) -> DeonticLiteral:
@@ -233,7 +233,9 @@ def push_negation(target: DeonticLiteral) -> DeonticLiteral:
 
 def conclusion_sort_key(conclusion: Conclusion) -> tuple:
     """Total deterministic order: plain literals first, then deontic ones."""
-    return (0 if isinstance(conclusion, Literal) else 1, *conclusion.sort_key())
+    if conclusion.__class__ is Literal:  # the sort keys written out: this runs once a row
+        return (0, conclusion.atom, 0 if conclusion.positive else 1)
+    return (1, *conclusion.sort_key())
 
 
 # ---------------------------------------------------------------------------

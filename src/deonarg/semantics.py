@@ -23,26 +23,26 @@ labellings are held transposed, as columns with one bit per labelling,
 so a singleton component costs a few ORs and ANDs of its attackers'
 columns.  A larger component is searched, with constraint propagation,
 on bitmasks of its own members, once per distinct way its upstream
-attackers constrain it.  Stable extensions are searched directly,
-with UNDEC forbidden in every component, rather than filtered from the
-complete ones.
+attackers constrain it; a member is retested only when one of its
+attackers is newly attacked.  Stable extensions are searched directly,
+with UNDEC forbidden in every component, not filtered from the complete.
 
 Parts with one labelling fold into the base.  The sceptical answers are
 read from this factorised form without building the product: an
 extension exists only if every part has one, the stable core is the
-union of the per-part intersections, and the complete core is the
-grounded extension.  Only the extension lists build the product, sorted
-by size, then by member positions, through one additive integer key per
-labelling of a part.  The enumeration refuses to start when the whole
-graph has more than ``argument_limit`` arguments, because the worst case
-is exponential.
+union of the per-part intersections (the members IN in every live row of
+the columns), and the complete core is the grounded extension.  Only the
+extension lists build the product, sorted by size, then by member
+positions, through one additive integer key per labelling of a part.
+The enumeration refuses to start when the whole graph has more than
+``argument_limit`` arguments, because the worst case is exponential.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from typing import Container, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .arguments import ArgumentSet
 from .attacks import AttackGraph
@@ -74,18 +74,16 @@ class ArgumentLimitExceeded(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _clashing(graph: AttackGraph, members: Container[int], touching: Iterable[int]) -> set[int]:
+def _clashing(graph: AttackGraph, members: set[int], touching: Iterable[int]) -> set[int]:
     """Positions in ``members`` that attack, or are attacked by, a member in ``touching``:
     every conflict of the set when ``touching`` is ``members``, and every new one when it holds
     the members just added, as ``wp_extension`` passes them."""
     clash: set[int] = set()
     for member in touching:
-        for target in graph._targets[member]:
-            if target in members:
-                clash.update((member, target))
-        for attacker in graph._attackers[member]:
-            if attacker in members:
-                clash.update((attacker, member))
+        targets, attackers = graph._targets[member], graph._attackers[member]
+        if not (members.isdisjoint(targets) and members.isdisjoint(attackers)):
+            clash.add(member)
+            clash.update(members.intersection(targets), members.intersection(attackers))
     return clash
 
 
@@ -153,8 +151,10 @@ def _components(
             for w in pending:
                 if w not in seen:
                     seen.add(w)
-                    work.append((w, iter(targets[w])))
-                    break
+                    if not seen.issuperset(targets[w]):
+                        work.append((w, iter(targets[w])))
+                        break
+                    finished.append(w)  # nothing new to visit: it finishes at once
             else:
                 work.pop()
                 finished.append(v)
@@ -168,7 +168,7 @@ def _components(
                     if a in seen:
                         seen.remove(a)
                         component.append(a)
-            components.append(sorted(component))
+            components.append(component)
     return components
 
 
@@ -211,48 +211,44 @@ def _component_labellings(
     """
     own = (1 << len(attackers)) - 1
     found: list[tuple[int, int]] = []
-    stack = [(0, barred)]
+    # per node: the IN and the decided members, those attacked (forced out or by an IN one),
+    # the IN ones' attackers, and those to test for commitment: whose attacker was newly
+    # attacked (each member has an attacker inside, so none is committed before)
+    stack = [(0, barred, forced_out, 0, _attacked_by(forced_out, targets))]
     while stack:
-        in_mask, out_mask = stack.pop()
-        alive = True
-        changed = True
-        while alive and changed:
-            changed = False
-            attacked = forced_out | _attacked_by(in_mask, targets)
-            scan = own & ~(in_mask | out_mask)
-            while scan:
-                bit = scan & -scan
-                scan ^= bit
-                k = bit.bit_length() - 1
-                if (in_mask | out_mask) & bit:
-                    continue
-                if attackers[k] & ~attacked == 0:
-                    in_mask |= bit
-                    out_mask |= (attackers[k] | targets[k]) & ~bit
-                    changed = True
-            if changed:
+        in_mask, out_mask, attacked, threats, scan = stack.pop()
+        while scan:
+            bit = scan & -scan
+            scan ^= bit
+            k = bit.bit_length() - 1
+            if (in_mask | out_mask) & bit or attackers[k] & ~attacked:
                 continue
-            unattacked = _attacked_by(in_mask, attackers) & ~attacked
-            if stable:
-                unattacked |= out_mask & ~attacked
-            while unattacked:
-                bit = unattacked & -unattacked
-                unattacked ^= bit
-                if attackers[bit.bit_length() - 1] & ~out_mask == 0:
-                    alive = False
-                    break
-        if not alive:
+            in_mask |= bit
+            out_mask |= (attackers[k] | targets[k]) & ~bit
+            scan |= _attacked_by(targets[k] & ~attacked, targets)
+            attacked |= targets[k]
+            threats |= attackers[k]
+        unattacked = threats & ~attacked  # members that must end attacked
+        if stable:
+            unattacked |= out_mask & ~attacked
+        while unattacked:  # the branch dies at one that no open member can attack
+            bit = unattacked & -unattacked
+            if attackers[bit.bit_length() - 1] & ~out_mask == 0:
+                break
+            unattacked ^= bit
+        if unattacked:
             continue
         pending = own & ~(in_mask | out_mask)
         if pending:
             bit = pending & -pending
             k = bit.bit_length() - 1
-            stack.append((in_mask, out_mask | bit))
+            stack.append((in_mask, out_mask | bit, attacked, threats, 0))
             conflicts = attackers[k] | targets[k]
             if not conflicts & (in_mask | bit):
-                stack.append((in_mask | bit, out_mask | conflicts))
+                stack.append((in_mask | bit, out_mask | conflicts, attacked | targets[k],
+                              threats | attackers[k],
+                              _attacked_by(targets[k] & ~attacked, targets)))
             continue
-        attacked = forced_out | _attacked_by(in_mask, targets)
         undecided = own & ~(in_mask | attacked)
         defended = own & ~_attacked_by(own & ~attacked, targets)  # inside attackers all OUT
         if (
@@ -266,12 +262,13 @@ def _component_labellings(
 
 def _label_part(
     components: list[list[int]], attackers: Sequence[Sequence[int]], stable: bool
-) -> list[list[int]]:
-    """IN members of every complete (or stable) labelling of one part.
+) -> tuple[dict[int, int], int]:
+    """Every complete (or stable) labelling of one part, as its IN columns and live rows.
 
     The part's partial labellings are held transposed: ``inn[k]`` has
     bit r set when labelling (row) r labels argument k IN, ``und[k]``
-    when it labels it UNDEC; rows outside ``alive`` are dead.  The
+    when it labels it UNDEC; rows outside ``alive`` are dead, and none is
+    live when the part has no labelling.  The
     components are labelled in topological order.  A singleton's columns
     are a few ORs and ANDs over its attackers' columns.  A larger
     component splits the live rows by the labels of its upstream
@@ -281,9 +278,8 @@ def _label_part(
     """
     inn: dict[int, int] = {}
     und: dict[int, int] = {}
-    rows = alive = 1
+    rows = alive = full = 1  # ``full``: every row
     for component in components:
-        full = (1 << rows) - 1
         if len(component) == 1:  # one consistent label, no branching
             k = component[0]
             found = attackers[k]
@@ -300,7 +296,7 @@ def _label_part(
             elif undecided:  # no stable row labels k UNDEC
                 alive &= ~undecided
                 if not alive:
-                    return []
+                    return inn, 0
             continue
         local = {k: c for c, k in enumerate(component)}
         inside_attackers = [0] * len(component)
@@ -330,9 +326,9 @@ def _label_part(
         ]
         copies = max(len(choices) for _, choices in labelled)
         if not copies:
-            return []
+            return inn, 0
         if copies > 1:
-            spread = sum(1 << b * rows for b in range(copies))
+            spread = ((1 << copies * rows) - 1) // ((1 << rows) - 1)  # a bit per block of rows
             for columns in (inn, und):
                 for k in columns:
                     columns[k] *= spread
@@ -349,23 +345,17 @@ def _label_part(
                     elif undecided >> c & 1:
                         und[k] |= block
         rows *= copies
-    chosen_by: list[list[int]] = [[] for _ in range(rows)]
-    for k, column in inn.items():
-        column &= alive
-        while column:
-            low = column & -column
-            chosen_by[low.bit_length() - 1].append(k)
-            column ^= low
-    return [chosen_by[r] for r in range(rows) if alive >> r & 1]
+        full = (1 << rows) - 1
+    return inn, alive
 
 
 class _Factors(Record):
     """Complete (or stable) extensions factorised over the parts of a graph.
 
-    Every extension is ``base`` joined with one position list of each
-    tuple in ``choices``: ``base`` holds the arguments in no attack and
-    the IN members of the parts with one labelling, ``choices`` the IN
-    members of each labelling of every other part.
+    Every extension is ``base`` joined with the IN members of one live
+    row of each part in ``choices``: ``base`` holds the arguments in no
+    attack and the IN members of the parts with one labelling, ``choices``
+    the IN columns and live rows (``_label_part``'s) of every other part.
     """
 
     __slots__ = _fields = ("ids", "base", "choices")
@@ -386,7 +376,7 @@ def _factorise(graph: AttackGraph, argument_limit: int, stable: bool) -> _Factor
     attackers, targets = graph._attackers, graph._targets
     seen = [False] * count
     base: list[int] = []
-    choices: list[tuple[list[int], ...]] = []
+    choices: list[tuple[dict[int, int], int]] = []
     for root in range(count):
         if seen[root]:
             continue
@@ -400,21 +390,22 @@ def _factorise(graph: AttackGraph, argument_limit: int, stable: bool) -> _Factor
                 if not seen[j]:
                     seen[j] = True
                     members.append(j)
-        labellings = _label_part(_components(members, attackers, targets), attackers, stable)
-        if not labellings:
+        inn, alive = _label_part(_components(members, attackers, targets), attackers, stable)
+        if not alive:
             return None
-        if len(labellings) == 1:
-            base += labellings[0]
+        if alive & (alive - 1):  # two live rows or more
+            choices.append((inn, alive))
         else:
-            choices.append(tuple(labellings))
+            base += [k for k, column in inn.items() if column & alive]
     return _Factors(graph.arguments.ids, base, tuple(choices))
 
 
 def _core(factors: _Factors) -> frozenset[str]:
-    """Members of every extension: the union of the per-part intersections."""
+    """Members of every extension: the union of the per-part intersections, the members IN
+    in every live row, read off the columns."""
     core = set(factors.base)
-    for labellings in factors.choices:
-        core.update(set(labellings[0]).intersection(*labellings[1:]))
+    for inn, alive in factors.choices:
+        core.update([k for k, column in inn.items() if column & alive == alive])
     ids = factors.ids
     return frozenset([ids[k] for k in core])
 
@@ -431,15 +422,24 @@ def _product(factors: _Factors) -> tuple[frozenset[str], ...]:
     """
     ids, width = factors.ids, len(factors.ids)
     keys, members = [], []
-    for labellings in factors.choices:
+    for inn, alive in factors.choices:
+        chosen_by: list[list[int]] = [[] for _ in range(alive.bit_length())]  # by row
+        for k, column in inn.items():
+            column &= alive
+            while column:
+                low = column & -column
+                chosen_by[low.bit_length() - 1].append(k)
+                column ^= low
+        labellings = [chosen for r, chosen in enumerate(chosen_by) if alive >> r & 1]
         part_keys = []
         for chosen in labellings:
             reversed_mask = bytearray(b"0" * width)  # position k weighs 2**(width - 1 - k)
             for k in chosen:
                 reversed_mask[k] = 49  # "1"
             part_keys.append((len(chosen) << width) - int(reversed_mask, 2))
-        keys.append(part_keys)
-        members.append([frozenset([ids[k] for k in chosen]) for chosen in labellings])
+        ordered = sorted(zip(part_keys, labellings))  # so the product comes nearly sorted
+        keys.append([key for key, _ in ordered])
+        members.append([frozenset([ids[k] for k in chosen]) for _, chosen in ordered])
     keyed = sorted(
         zip(map(sum, itertools.product(*keys)), itertools.product(*members)),
         key=operator.itemgetter(0),

@@ -278,6 +278,20 @@ def test_gen_rejects_a_weight_outside_zero_to_one_with_a_usage_error(runner, opt
         run_ok(runner, "gen", option, value)
 
 
+@pytest.mark.parametrize("first, second", [("--obligation-bias", "--permission-weight"),
+                                           ("--deontic-body-weight", "--weak-permission-weight")])
+def test_gen_rejects_two_weights_of_one_draw_that_sum_above_one(runner, first, second):
+    # the head (body) draw reads its two weights as one cumulative scale: above 1 in sum,
+    # the rest of the scale (plain heads, plain body elements) could never be drawn
+    for argv in ((first, "0.8", second, "0.5"), (second, "0.5", first, "0.8")):
+        result = runner.invoke(main, ["gen", *argv])
+        assert result.exit_code == 2
+        assert (f"Invalid value for '{argv[0]}' plus '{argv[2]}': 1.3 is not in the range x<=1."
+                in result.output)
+    run_ok(runner, "gen", first, "0.6", second, "0.4")  # a sum of 1 is in range
+    run_ok(runner, "gen", first, "1")  # given alone, the other's default gives way
+
+
 @pytest.mark.parametrize("command", ["eval", "check"])
 def test_a_negative_argument_limit_is_a_usage_error(runner, command):
     argv = [command, "-", "-s", "complete"] if command == "eval" else [command, "-"]

@@ -13,10 +13,15 @@ and universe paths at sizes the oracle corpus does not.
 A second relation adds a rule over a fresh atom, which no attack joins to the
 rest: every old argument keeps its grounded and wp status under both readings.
 The ids may shift, so arguments are matched as decoded ``Argument`` objects.
+A third joins a theory with its renamed copy: no attack crosses the two, so
+the union's complete and stable extensions are the pairs of theirs (the counts
+square), every argument keeps its counterpart's statuses, and without
+superiority pairs the stable core is the two cores together.
 """
 
 from __future__ import annotations
 
+import math
 import re
 
 from deonarg import (
@@ -30,6 +35,7 @@ from deonarg import (
     wp_extension,
 )
 from deonarg.schema import arguments_section, attacks_section, trace_section
+from deonarg.semantics import _factorise, _stable_core
 from deonarg.testkit import GeneratorParams, generate_theory
 
 TOKEN = "Tmq_"
@@ -143,3 +149,45 @@ def test_a_rule_over_a_fresh_atom_leaves_every_old_status_unchanged(goldens, con
             # obl(fresh), perm(fresh) and the imaginary perm_w(fresh) and perm_w(~fresh)
             assert len(after) == len(before) + 4
             assert {argument: after[argument] for argument in before} == before, text
+
+
+def counts(graph) -> tuple[int, int]:
+    """The complete and stable extension counts, the product of the parts' labelling counts."""
+    found = []
+    for stable in (False, True):
+        factors = _factorise(graph, len(graph.arguments), stable)
+        live = [bin(alive).count("1") for _, alive in factors.choices] if factors else [0]
+        found.append(math.prod(live))
+    return found[0], found[1]
+
+
+def joined(text: str, generalized: bool) -> tuple:
+    """The statuses, extension counts and stable core (as ``Argument`` objects) of a theory."""
+    arguments = build_arguments(parse_theory(text))
+    graph = compute_attacks(arguments, imaginary_subargument_attacks=generalized)
+    core = _stable_core(graph, len(arguments))
+    core = None if core is None else {arguments.argument(i) for i in core}
+    return statuses(text, generalized), counts(graph), core
+
+
+def test_a_union_with_a_renamed_copy_squares_the_counts_and_keeps_each_status(
+    goldens, conflict_corpus
+):
+    texts = [prepared.text for prepared in goldens.values()]
+    texts += [serialize_theory(case.theory) for case in conflict_corpus]
+    squared = cored = 0  # cases with more than one complete extension, and with a core
+    for text in texts:
+        assert TOKEN not in text
+        copy = renamed(text)
+        for generalized in (False, True):
+            status, (complete, stable), core = joined(text, generalized)
+            copied, copied_counts, copied_core = joined(copy, generalized)
+            union, union_counts, union_core = joined(text + copy, generalized)
+            assert copied_counts == (complete, stable)
+            assert union_counts == (complete**2, stable**2), text
+            assert union == {**status, **copied}, text
+            if not parse_theory(text).superiority:
+                assert union_core == (None if core is None else core | copied_core), text
+                cored += core is not None
+            squared += complete > 1
+    assert squared and cored
