@@ -73,8 +73,8 @@ def run_theory(name: str, text: str, *, generalized: bool) -> None:
     print(f"  justified: {render_ids(ext.justified)}")
     print(f"  rejected:  {render_ids(ext.rejected)}")
 
-    conflicted = conflicted_literals(theory, arguments)
-    wp_conflicted = wp_conflicted_literals(theory, arguments, ext)
+    conflicted = conflicted_literals(arguments)
+    wp_conflicted = wp_conflicted_literals(arguments, ext)
     print(f"\nconflicted literals: {', '.join(sorted(map(str, conflicted))) or '(none)'}")
     print(f"wp-conflicted literals: {', '.join(sorted(map(str, wp_conflicted))) or '(none)'}")
     conclusions = justified_conclusions(arguments, ext.justified)

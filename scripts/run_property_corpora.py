@@ -222,7 +222,7 @@ def run_conflict_corpus(count: int) -> list[str]:
     corpus = build_corpus(conflict_params, count=count)
     for case in corpus:
         shared_invariants(case, failures)
-        conflicted = conflicted_literals(case.theory, case.arguments)
+        conflicted = conflicted_literals(case.arguments)
         stats["conflicted literals"] += len(conflicted)
         justified_sets = [evaluate(case.graph, "grounded").justified]
         stable = evaluate(case.graph, "stable")
@@ -236,7 +236,7 @@ def run_conflict_corpus(count: int) -> list[str]:
                 if any(weak in justified for justified in justified_sets):
                     failures.append(f"seed {case.seed}: perm_w({polarity}) justified despite conflict")
         ext = wp_extension(case.graph)
-        for literal in wp_conflicted_literals(case.theory, case.arguments, ext):
+        for literal in wp_conflicted_literals(case.arguments, ext):
             stats["wp-conflicted literals"] += 1
             for polarity in (literal, literal.negated):
                 if imaginary_for(case.arguments, polarity) not in ext.justified:

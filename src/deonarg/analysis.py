@@ -2,11 +2,14 @@
 
 Detects conflicting obligation rule pairs, classifies literals as
 facultative or weakly facultative, and re-verifies the engine's
-structural guarantees on a concrete theory.  The verifiers are
-production code surfaced through the ``check`` command: they recompute
-each guarantee from first principles instead of trusting the engine's
-internal invariants, mapping the justified set to positions once and
-scanning no attack-free graph for conflicts.
+structural guarantees on a concrete theory.  A rule applies when the
+argument table holds one of its own ``rule-application`` rows (given a
+justified set, one whose children are all justified); ``conflict_pairs``
+is the one place that asks.  The verifiers are production code surfaced
+through the ``check`` command: they recompute each guarantee from first
+principles instead of trusting the engine's internal invariants, mapping
+the justified set to positions once and scanning no attack-free graph
+for conflicts.
 """
 
 from __future__ import annotations
@@ -50,28 +53,24 @@ class ConflictPair(Record):
     __slots__ = _fields = ("literal", "supporting_rule", "opposing_rule")
 
 
-def _body_supported(rule, arguments: ArgumentSet, justified: frozenset[str] | None) -> bool:
-    """Every body element has a concluding argument (a justified one if given)."""
-    for element in rule.body:
-        found = arguments._by_conclusion.get(element)  # positions, read as ids only if needed
-        if not found or justified is not None and justified.isdisjoint(
-                map(arguments.ids.__getitem__, found)):
-            return False
-    return True
-
-
 def conflict_pairs(
-    theory: Theory, arguments: ArgumentSet, justified: frozenset[str] | None = None
+    arguments: ArgumentSet, justified: frozenset[str] | None = None
 ) -> tuple[ConflictPair, ...]:
-    """Rule pairs obliging a literal both ways whose bodies have arguments; given a
-    justified set, the bodies need justified ones and superiority-adjudicated pairs drop."""
-    # the obligation rules with supported bodies, indexed by the obliged literal
+    """Rule pairs obliging a literal both ways where both rules have an application; given a
+    wp extension's justified set, applications with justified children, and
+    superiority-adjudicated pairs drop."""
+    theory, rows, decode = arguments.theory, arguments.rows, arguments.ids.__getitem__
+    # the obligation rules with an application (a row of theirs concluding the head), by literal
     by_head: dict[Literal, list[str]] = {}
     for rule in theory.rules:
         head = rule.head
         if getattr(head, "operator", None) is DeonticOperator.OBLIGATION:
-            if _body_supported(rule, arguments, justified):
-                by_head.setdefault(head.literal, []).append(rule.label)
+            for n in arguments._by_conclusion.get(head, ()):
+                _, top, _, children = rows[n]
+                if top.label == rule.label and (justified is None
+                                                or justified.issuperset(map(decode, children))):
+                    by_head.setdefault(head.literal, []).append(rule.label)
+                    break
     pairs = [
         ConflictPair(head, supporting, opposing)
         for head, supporting_labels in by_head.items()
@@ -86,23 +85,16 @@ def conflict_pairs(
     return tuple(pairs)
 
 
-def conflicted_literals(theory: Theory, arguments: ArgumentSet) -> frozenset[Literal]:
-    """Literals obliged both ways by rules whose bodies all have arguments."""
-    return frozenset(pair.literal for pair in conflict_pairs(theory, arguments))
+def conflicted_literals(arguments: ArgumentSet) -> frozenset[Literal]:
+    """Literals obliged both ways by rules that both have an application."""
+    return frozenset(pair.literal for pair in conflict_pairs(arguments))
 
 
-def wp_conflicted_literals(
-    theory: Theory, arguments: ArgumentSet, extension: WpExtension
-) -> frozenset[Literal]:
-    """Conflicted literals whose rule bodies are backed by justified arguments.
-
-    A pair where one rule is declared superior to the other does not
-    count: the priority adjudicates the conflict, so the two
-    obligations never stand unresolved side by side.
-    """
-    return frozenset(
-        pair.literal for pair in conflict_pairs(theory, arguments, extension.justified)
-    )
+def wp_conflicted_literals(arguments: ArgumentSet, extension: WpExtension) -> frozenset[Literal]:
+    """Conflicted literals whose rules both have an application with justified children; a
+    pair where one rule is declared superior to the other does not count: the priority
+    adjudicates the conflict, so the two obligations never stand unresolved side by side."""
+    return frozenset(pair.literal for pair in conflict_pairs(arguments, extension.justified))
 
 
 # ---------------------------------------------------------------------------
@@ -192,29 +184,20 @@ def _weak_permission_exclusion(
 def verify_theorems(
     theory: Theory | AttackGraph,
     *,
-    imaginary_subargument_attacks: bool = False,
     argument_limit: int = DEFAULT_ARGUMENT_LIMIT,
     fixpoint_guards: bool = True,
 ) -> CheckReport:
     """Re-verify every structural guarantee on one theory.
 
     Given a ``Theory``, its arguments and attack graph are built first,
-    under the ``imaginary_subargument_attacks`` reading.  Given the
-    ``AttackGraph`` built from a theory, that graph is checked as it was
-    built; asking for the generalized reading of a graph built without it
-    raises ``ValueError``.  Checks that hold only for restricted theory
-    classes (no superiority pairs, or a stable extension that actually
-    exists) are reported as skipped outside their scope rather than
-    counted as failures.
+    under the default attack reading.  Given the ``AttackGraph`` built
+    from a theory, that graph is checked as it was built, under its own
+    reading (``graph.generalized``).  Checks that hold only for
+    restricted theory classes (no superiority pairs, or a stable extension
+    that actually exists) are reported as skipped outside their scope
+    rather than counted as failures.
     """
-    if isinstance(theory, AttackGraph):
-        if imaginary_subargument_attacks and not theory.generalized:
-            raise ValueError("the graph was built without imaginary_subargument_attacks")
-        graph = theory
-    else:
-        graph = compute_attacks(
-            build_arguments(theory), imaginary_subargument_attacks=imaginary_subargument_attacks
-        )
+    graph = theory if isinstance(theory, AttackGraph) else compute_attacks(build_arguments(theory))
     arguments = graph.arguments
     theory = arguments.theory
     superiority_free = not theory.superiority
@@ -230,7 +213,7 @@ def verify_theorems(
         weak = {
             literal: arguments.concluders(perm_w(literal))
             + arguments.concluders(perm_w(complement(literal)))
-            for literal in conflicted_literals(theory, arguments)
+            for literal in conflicted_literals(arguments)
         }
         results = [_weak_permission_exclusion(not_grounded, weak, grounded)]
         try:
@@ -264,16 +247,10 @@ def verify_theorems(
         f"{len(justified)} justified, {len(rejected)} rejected, disjoint and conflict-free",
     ))
 
-    # Unresolved conflicts with fully justified premises recover both weak permissions; a rule's
-    # applications suffice, as a permission argument's proper subarguments hold its base's.  Its
-    # premises are fully justified when its children are, by the closure the last check tests.
-    applied = {rule.label for kind, rule, _, children in rows
-               if kind == "rule-application" and held.issuperset(children)}
-    backed = [
-        pair
-        for pair in conflict_pairs(theory, arguments, justified)
-        if {pair.supporting_rule, pair.opposing_rule} <= applied
-    ]
+    # Unresolved conflicts with fully justified premises recover both weak permissions: a rule's
+    # premises are fully justified when one of its applications has justified children, by the
+    # closure the last check tests.
+    backed = conflict_pairs(arguments, justified)
     offending = {
         f"{literal} ({identifier})"
         for pair in backed

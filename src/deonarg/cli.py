@@ -164,21 +164,18 @@ def _command(name: str, *options: tuple) -> Callable:
 class _InRange(argparse.Action):
     """Store a number in ``const``, a ``(low, high)`` pair, high None for no upper bound; one
     outside it (or nan) is a usage error naming the option.  A third member names a partner on
-    one cumulative scale with it: the two given may not sum above ``high`` (alone, one leaves
-    the other's default what is left)."""
+    one cumulative scale with it, which ``main`` checks once the parse is done."""
 
     def __call__(self, parser, namespace, value, option_string=None) -> None:
-        low, high, *partner = self.const
+        low, high = self.const[:2]
         if not (low <= value and (high is None or value <= high)):
             bounds = f"x>={low}" if high is None else f"{low}<=x<={high}"
             parser.error(
                 f"Invalid value for '{option_string}': {value} is not in the range {bounds}."
             )
-        given = vars(parser).setdefault("given", {})  # given so far: main builds new parsers
-        given[option_string] = value
-        if partner and partner[0] in given and not value + given[partner[0]] <= high:
-            total, pair = value + given[partner[0]], f"'{partner[0]}' plus '{option_string}'"
-            parser.error(f"Invalid value for {pair}: {total} is not in the range x<={high}.")
+        given = vars(namespace).setdefault("given", {})
+        given.pop(option_string, None)  # in the order of each option's last value
+        given[option_string] = (parser, value, self.const)
         setattr(namespace, self.dest, value)
 
 
@@ -224,7 +221,14 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
         for flags, settings in options:
             command.add_argument(*flags, **settings)
         command.set_defaults(run=function)
-    chosen = vars(parser.parse_args(args))
+    chosen, seen = vars(parser.parse_args(args)), {}
+    # the last values of two partners, both given, may not sum above their ``high`` (alone, one
+    # leaves the other's default what is left); the first pair given in full is named
+    for option, (subparser, value, (_, high, *partner)) in chosen.pop("given", {}).items():
+        if partner and partner[0] in seen and not value + seen[partner[0]] <= high:
+            total, pair = value + seen[partner[0]], f"'{partner[0]}' plus '{option}'"
+            subparser.error(f"Invalid value for {pair}: {total} is not in the range x<={high}.")
+        seen[option] = value
     del chosen["command"]
     try:
         chosen.pop("run")(**chosen)

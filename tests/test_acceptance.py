@@ -22,7 +22,6 @@ from deonarg.schema import trace_section
 from deonarg.semantics import grounded_extension, is_conflict_free
 from deonarg.testkit import (
     GeneratorParams,
-    brute_force_extensions,
     generate_theory,
     reference_graph,
     supported_by,
@@ -263,7 +262,7 @@ def test_conflicted_literals_never_justify_weak_permissions_grounded_or_stable(
     started = time.perf_counter()
     checked = 0
     for case in conflict_corpus:
-        conflicted = conflicted_literals(case.theory, case.arguments)
+        conflicted = conflicted_literals(case.arguments)
         assert conflicted, f"seed {case.seed} lost its injected conflict"
         justified_sets = [evaluate(case.graph, "grounded").justified]
         stable = evaluate(case.graph, "stable")
@@ -308,7 +307,7 @@ def test_wp_conflicted_literals_keep_both_weak_permissions(conflict_corpus):
     seen_conflicts = 0
     for case in conflict_corpus:
         ext = wp_extension(case.graph)
-        for literal in wp_conflicted_literals(case.theory, case.arguments, ext):
+        for literal in wp_conflicted_literals(case.arguments, ext):
             seen_conflicts += 1
             for polarity in (literal, literal.negated):
                 weak = imaginary_for(case.arguments, polarity)
@@ -350,25 +349,6 @@ def test_wp_justified_sets_are_closed_under_subarguments(
         ext = wp_extension(graph)
         for identifier in ext.justified:
             assert set(arguments.sub_ids(identifier)) <= ext.justified
-
-
-# ---------------------------------------------------------------------------
-# engine versus brute-force oracle (corpus)
-# ---------------------------------------------------------------------------
-
-
-def test_extension_computation_agrees_with_the_brute_force_oracle(oracle_corpus):
-    started = time.perf_counter()
-    for case in oracle_corpus:
-        oracle = brute_force_extensions(case.graph)
-        assert grounded_extension(case.graph) == oracle.grounded, case.seed
-        # the engine orders extensions canonically, the oracle in
-        # enumeration order; membership must agree exactly
-        for semantics, expected in (("complete", oracle.complete), ("stable", oracle.stable)):
-            found = evaluate(case.graph, semantics).extensions
-            assert len(found) == len(expected), (case.seed, semantics)
-            assert set(found) == set(expected), (case.seed, semantics)
-    assert time.perf_counter() - started < 120.0
 
 
 # ---------------------------------------------------------------------------

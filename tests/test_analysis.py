@@ -1,6 +1,9 @@
 """Unit tests for conflict diagnostics, facultative status and the verifiers."""
 
 from deonarg import (
+    ConflictPair,
+    DeonticOperator,
+    FixpointInvariantError,
     build_arguments,
     compute_attacks,
     conflict_pairs,
@@ -16,6 +19,7 @@ from deonarg import (
     wp_extension,
 )
 from deonarg.corpus import BUILTIN_THEORIES
+from deonarg.testkit import GeneratorParams, generate_theory
 
 
 def literal_names(literals):
@@ -40,44 +44,91 @@ def test_conflicted_literals_on_the_goldens(goldens):
         "facultative": {"a", "c"},
     }
     for name, prepared in goldens.items():
-        found = conflicted_literals(prepared.theory, prepared.arguments)
+        found = conflicted_literals(prepared.arguments)
         assert literal_names(found) == expected[name], name
 
 
 def test_conflicts_need_derivable_rule_bodies():
     # obl(~a)'s body atom has no argument, so the pair never fires
     theory = parse_theory("r1: => obl(a).\nr2: q => obl(~a).\n")
-    assert conflicted_literals(theory, build_arguments(theory)) == frozenset()
+    assert conflicted_literals(build_arguments(theory)) == frozenset()
 
 
 def test_wp_conflicts_require_wp_justified_bodies(chained):
     # obl(q) hangs off the rejected obl(p) derivation, so only p stays
     ext = wp_extension(chained.graph)
-    found = wp_conflicted_literals(chained.theory, chained.arguments, ext)
+    found = wp_conflicted_literals(chained.arguments, ext)
     assert literal_names(found) == {"p"}
 
 
 def test_wp_conflicts_exclude_pairs_adjudicated_by_superiority(facultative_priorities):
     ext = wp_extension(facultative_priorities.graph)
-    found = wp_conflicted_literals(
-        facultative_priorities.theory, facultative_priorities.arguments, ext
-    )
+    found = wp_conflicted_literals(facultative_priorities.arguments, ext)
     assert literal_names(found) == {"a"}
     # without the n3 > n4 pair the c conflict is live again
     text = BUILTIN_THEORIES["facultative"].replace("n3 > n4.\n", "")
     theory = parse_theory(text)
     arguments = build_arguments(theory)
     ext = wp_extension(compute_attacks(arguments, theory))
-    assert literal_names(wp_conflicted_literals(theory, arguments, ext)) == {"a", "c"}
+    assert literal_names(wp_conflicted_literals(arguments, ext)) == {"a", "c"}
 
 
 def test_conflict_report_pairs_carry_the_rule_labels(facultative_priorities):
-    theory, arguments = facultative_priorities.theory, facultative_priorities.arguments
+    arguments = facultative_priorities.arguments
     justified = wp_extension(facultative_priorities.graph).justified
     plain = {(str(p.literal), p.supporting_rule, p.opposing_rule)
-             for p in conflict_pairs(theory, arguments)}
+             for p in conflict_pairs(arguments)}
     assert plain == {("a", "n1", "n2"), ("c", "n3", "n4")}
-    assert literal_names({p.literal for p in conflict_pairs(theory, arguments, justified)}) == {"a"}
+    assert literal_names({p.literal for p in conflict_pairs(arguments, justified)}) == {"a"}
+
+
+def _pairs_from_bodies(arguments, justified=None):
+    """``conflict_pairs`` restated from the rule bodies: an obligation rule counts when each body
+    element has a concluder (a justified one, given a justified set); given one, pairs ordered by
+    a declared superiority drop."""
+    theory, by_head = arguments.theory, {}
+    for rule in theory.rules:
+        if getattr(rule.head, "operator", None) is DeonticOperator.OBLIGATION and all(
+            any(justified is None or found in justified for found in arguments.concluders(element))
+            for element in rule.body
+        ):
+            by_head.setdefault(rule.head.literal, []).append(rule.label)
+    pairs = [
+        ConflictPair(literal, supporting, opposing)
+        for literal, labels in by_head.items() if literal.positive
+        for supporting in labels
+        for opposing in by_head.get(literal.negated, ())
+        if justified is None or not (theory.is_superior(supporting, opposing)
+                                     or theory.is_superior(opposing, supporting))
+    ]
+    pairs.sort(key=lambda pair: (pair.literal.sort_key(), pair.supporting_rule, pair.opposing_rule))
+    return tuple(pairs)
+
+
+def test_a_rule_applies_when_each_body_element_has_a_concluder():
+    # the table's reading (one of the rule's own application rows, with justified children given
+    # a wp extension's justified set) agrees with the bodies' on seeded theories, cyclic and not,
+    # with superiority pairs, under both attack readings and with the guards on and off
+    counts = {"pairs": 0, "dropped by the justified set": 0}
+    for seed in range(300):
+        params = GeneratorParams(seed=seed, atom_count=4, rule_count=7, obligation_head_bias=0.5,
+                                 acyclic=seed % 2 == 0, inject_conflict=seed % 3 == 0,
+                                 superiority_count=seed % 3)
+        arguments = build_arguments(generate_theory(params))
+        plain = _pairs_from_bodies(arguments)
+        assert conflict_pairs(arguments) == plain, seed
+        counts["pairs"] += len(plain)
+        for generalized in (False, True):
+            graph = compute_attacks(arguments, imaginary_subargument_attacks=generalized)
+            for guards in (True, False):
+                try:
+                    justified = wp_extension(graph, fixpoint_guards=guards).justified
+                except FixpointInvariantError:
+                    continue
+                expected = _pairs_from_bodies(arguments, justified)
+                assert conflict_pairs(arguments, justified) == expected, (seed, generalized, guards)
+                counts["dropped by the justified set"] += len(plain) > len(expected)
+    assert counts["pairs"] >= 200 and counts["dropped by the justified set"] >= 50, counts
 
 
 # ---------------------------------------------------------------------------

@@ -456,9 +456,7 @@ def test_the_request_path_builds_no_argument_objects(
                 stable_extensions(graph, argument_limit=limit)
                 trace_section(wp_extension(graph))
                 attacks_section(graph)
-                verify_theorems(
-                    theory, imaginary_subargument_attacks=generalized, argument_limit=limit
-                )
+                verify_theorems(graph, argument_limit=limit)
                 flag = ["--imaginary-subargument-attacks"] if generalized else []
                 result = runner.invoke(main, ["attacks", "-f", "dot", *flag, "-"], input=text)
                 assert result.exit_code == 0, result.output + str(result.exception)

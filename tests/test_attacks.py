@@ -295,9 +295,7 @@ def test_the_request_path_builds_no_attack_records(
                 stable_extensions(graph, argument_limit=limit)
                 trace_section(wp_extension(graph))
                 attacks_section(graph)
-                verify_theorems(
-                    theory, imaginary_subargument_attacks=generalized, argument_limit=limit
-                )
+                verify_theorems(graph, argument_limit=limit)
                 flags = ["--imaginary-subargument-attacks"] if generalized else []
                 for fmt in ("text", "json", "dot"):  # the attacks command's writers
                     result = runner.invoke(main, ["attacks", "-f", fmt, *flags, "-"], input=text)

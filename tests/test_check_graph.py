@@ -1,16 +1,14 @@
 """``verify_theorems`` on the attack graph its caller already built.
 
-The graph form checks the graph as it was built, so on every theory and
-under every option it reports what the theory form reports after building
-the same graph itself.
+The graph form checks the graph as it was built, under its own attack
+reading.  The theory form builds the default-reading graph itself, so on
+every theory and under every option the two report the same for it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-
-import pytest
 
 from deonarg import build_arguments, compute_attacks, parse_theory, verify_theorems
 from deonarg.cli import main
@@ -44,24 +42,14 @@ def test_checking_the_graph_reports_what_checking_the_theory_does(
             for guards in (True, False):
                 for limit in (DEFAULT_ARGUMENT_LIMIT, 3):
                     options = {"argument_limit": limit, "fixpoint_guards": guards}
-                    report = verify_theorems(
-                        theory, imaginary_subargument_attacks=generalized, **options
-                    )
-                    assert verify_theorems(graph, **options) == report
-                    if generalized:
-                        assert verify_theorems(graph, imaginary_subargument_attacks=True,
-                                               **options) == report
+                    report = verify_theorems(graph, **options)
+                    if not generalized:
+                        assert verify_theorems(theory, **options) == report
                     seen.update((result.name, result.status) for result in report.results)
     # every way a check can end is reached
     assert {status for _, status in seen} == {"pass", "fail", "skipped"}
     assert ("wp-sets-disjoint-and-conflict-free", "fail") in seen
     assert ("conflicted-weak-permissions-not-stable", "skipped") in seen
-
-
-def test_the_generalized_reading_of_a_plain_graph_is_refused(chained):
-    assert not chained.graph.generalized
-    with pytest.raises(ValueError, match="imaginary_subargument_attacks"):
-        verify_theorems(chained.graph, imaginary_subargument_attacks=True)
 
 
 def test_the_rung_reports_are_the_pinned_ones(ladder):

@@ -249,7 +249,7 @@ def test_gen_honours_conflict_injection(runner):
 
     result = run_ok(runner, "gen", "--seed", "5", "--inject-conflict")
     theory = parse_theory(result.output)
-    assert conflicted_literals(theory, build_arguments(theory))
+    assert conflicted_literals(build_arguments(theory))
 
 
 @pytest.mark.parametrize(
@@ -290,6 +290,12 @@ def test_gen_rejects_two_weights_of_one_draw_that_sum_above_one(runner, first, s
                 in result.output)
     run_ok(runner, "gen", first, "0.6", second, "0.4")  # a sum of 1 is in range
     run_ok(runner, "gen", first, "1")  # given alone, the other's default gives way
+    # a repeated option's last value is the one used, so it is the one checked
+    repeated = run_ok(runner, "gen", first, "0.9", second, "0.5", first, "0.1")
+    assert repeated.output == run_ok(runner, "gen", first, "0.1", second, "0.5").output
+    result = runner.invoke(main, ["gen", first, "0.1", second, "0.5", first, "0.9"])
+    assert result.exit_code == 2
+    assert f"Invalid value for '{second}' plus '{first}': 1.4 is not" in result.output
 
 
 @pytest.mark.parametrize("command", ["eval", "check"])

@@ -150,8 +150,8 @@ def _collect() -> dict[type, list]:
             add(brute_force_extensions(graph))
         except OracleSizeError:
             pass
-        add(*conflict_pairs(theory, arguments))
-        add(*conflict_pairs(theory, arguments, extension.justified))
+        add(*conflict_pairs(arguments))
+        add(*conflict_pairs(arguments, extension.justified))
         checks = verify_theorems(theory)
         add(checks, *checks.results)
     bad = Theory(

@@ -106,12 +106,13 @@ def test_engine_matches_brute_force_oracle_on_small_goldens(
     for graph in graphs:
         oracle = brute_force_extensions(graph)
         assert grounded_extension(graph) == oracle.grounded
-        for found, expected in (
-            (complete_extensions(graph), oracle.complete),
-            (stable_extensions(graph), oracle.stable),
+        for semantics, found, expected in (
+            ("complete", complete_extensions(graph), oracle.complete),
+            ("stable", stable_extensions(graph), oracle.stable),
         ):
             # the oracle lists extensions in subset-enumeration order
             assert len(found) == len(expected) and set(found) == set(expected)
+            assert evaluate(graph, semantics).extensions == found
             order = graph.arguments.index
             assert list(found) == sorted(found, key=lambda e: size_then_members(e, order))
 

@@ -52,7 +52,7 @@ def test_zero_rules_yields_a_facts_only_theory():
 def test_conflict_injection_guarantees_a_conflicted_literal():
     for seed in range(40):
         theory = generate_theory(GeneratorParams(seed=seed, inject_conflict=True))
-        assert conflicted_literals(theory, build_arguments(theory))
+        assert conflicted_literals(build_arguments(theory))
 
 
 def test_empty_obligation_bodies_strips_every_obligation_rule():
