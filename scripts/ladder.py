@@ -40,7 +40,8 @@ The ladder:
   arguments in all at L = 9, and no attacks.
 * ``gen-3``: ``deonarg gen --seed 3 --atoms 32 --facts 16 --rules 100
   --inject-conflict``, 5,368 arguments; ``complete`` is left out (75,816
-  extensions).
+  extensions).  The generator's atoms are the letters a-z, so ``--atoms
+  32`` gives the 26-atom theory, the one ``--atoms 26`` gives.
 * ``startup``: the CLI's own cost, in fresh interpreters: the CPU of
   ``import deonarg.cli`` (``import_cli``) and of whole ``python -m
   deonarg eval -s wp -`` and ``python -m deonarg trace -f json -``

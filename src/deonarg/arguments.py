@@ -24,7 +24,6 @@ one object per argument, children shared; Filliatre & Conchon, 2006).
 from __future__ import annotations
 
 from itertools import chain, product, repeat
-from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .model import (
@@ -172,17 +171,17 @@ class ArgumentSet(Record):
     The fields are the table: the theory, the ids and the rows by position,
     ``(kind, rule, conclusion, children)``: the argument's kind, the rule
     whose label is its top rule (None for facts and imaginary arguments),
-    its conclusion and its children's positions.  Equality, hash, ``repr``,
-    pickling and copying are ``Record``'s, on these three fields, so none
-    decodes an argument or recurses into a tree.  The indexes, positions by
-    id, rows by conclusion, each row's parents and ``natural`` (the natural
-    count), are built once: ``build_arguments`` fills them as it writes the
-    rows (``_fill``), the constructor derives them.  Its precondition is the shape
-    ``build_arguments`` makes: the natural rows, each after its natural
-    children, then the imaginary rows as one block (else ``ValueError``),
-    so the imaginary rows, then the natural ones, come children first.  No
-    index is larger than the table: closures are walks of the children or
-    of the parents index, and the id-keyed views decode or slice the ids.
+    its conclusion and its children's positions.  Equality, hash and
+    ``repr`` are ``Record``'s, on these three fields, so none decodes an
+    argument or recurses into a tree; a copy or a pickle reruns
+    ``build_arguments`` on the theory.  It is the constructor's one
+    caller and fills the indexes, positions by id, rows by conclusion,
+    each row's parents and ``natural`` (the natural count), once, as it
+    writes the rows: the natural rows, each after its natural children,
+    then the imaginary rows as one block, so the imaginary rows, then the
+    natural ones, come children first.  No index is larger than the table:
+    closures are walks of the children or of the parents index, and the
+    id-keyed views decode or slice the ids.
     The ``ordered`` pairs hold the rows decoded to ``Argument`` objects,
     made when first read and then kept, so an argument is always one object.
     """
@@ -190,28 +189,16 @@ class ArgumentSet(Record):
     _fields = ("theory", "ids", "rows")
     __slots__ = (*_fields, "_ordered", "_positions", "_by_conclusion", "_parents", "natural")
 
-    def __init__(self, theory: Theory, ids: tuple[ArgumentId, ...],
-                 rows: tuple[tuple, ...]) -> None:
-        parents: dict[int, list[int]] = {}  # a list only for the rows that have parents
-        by_conclusion: dict[Conclusion, list[int]] = {}
-        for n, (_, _, conclusion, children) in enumerate(rows):
-            by_conclusion.setdefault(conclusion, []).append(n)
-            for child in children:
-                parents.setdefault(child, []).append(n)
-        kinds = list(map(itemgetter(0), rows))
-        natural = len(kinds) - kinds.count("imaginary")
-        if kinds[natural:].count("imaginary") != len(kinds) - natural:  # not all trailing
-            raise ValueError("the imaginary rows are not one block after the natural rows")
-        self._fill(theory, ids, rows, by_conclusion, parents, natural)
-
-    def _fill(self, theory: Theory, ids: tuple[ArgumentId, ...], rows: tuple[tuple, ...],
-              by_conclusion: dict, parents: dict[int, list[int]], natural: int) -> None:
-        """Set the fields and the indexes from the rows by conclusion and the parents."""
+    def __init__(self, theory: Theory, ids: tuple[ArgumentId, ...], rows: tuple[tuple, ...],
+                 by_conclusion: dict, parents: dict[int, list[int]], natural: int) -> None:
         positions = {identifier: n for n, identifier in enumerate(ids)}
         parents = tuple(map(parents.get, range(len(rows)), repeat(())))
         values = (theory, ids, rows, None, positions, by_conclusion, parents, natural)
         for setter, value in zip(self._setters, values):
             setter(self, value)
+
+    def __reduce__(self) -> tuple:
+        return build_arguments, (self.theory,)
 
     @property
     def ordered(self) -> tuple[tuple[ArgumentId, Argument], ...]:
@@ -426,7 +413,5 @@ def build_arguments(theory: Theory) -> ArgumentSet:
         held[n].append(count + n)
         rows.append(("imaginary", None, conclusions[n], ()))
     ids = (*[f"A{n}" for n in range(count)], *[f"I{n}" for n in range(1, imaginary + 1)])
-    arguments = object.__new__(ArgumentSet)
-    arguments._fill(theory, ids, tuple(rows), {c: p for c, p in zip(conclusions, held) if p},
-                    parents, count)
-    return arguments
+    return ArgumentSet(theory, ids, tuple(rows), {c: p for c, p in zip(conclusions, held) if p},
+                       parents, count)

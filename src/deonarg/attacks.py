@@ -37,8 +37,8 @@ attacker by attacker, with no sort over all of them.
 from __future__ import annotations
 
 import bisect
-from itertools import groupby, repeat
-from operator import itemgetter
+from functools import partial
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from .arguments import ArgumentId, ArgumentSet
@@ -62,29 +62,19 @@ class AttackGraph(Record):
     graph's only adjacency index, the distinct attackers and targets of
     each argument and the natural witnesses each attacker attacks at
     (which undercut reads), as position tuples in position order, is
-    filled once, by ``_fill``, with no (attacker, target) tuple, from
-    groups of attackers with the same surviving targets and witnesses:
-    ``compute_attacks`` hands over the groups it made, and the constructor
-    (so copying and pickling too) reads them off the rows.  The indexes
-    take no part in equality or ``repr``.
+    filled once, with no (attacker, target) tuple, from the groups of
+    attackers with the same surviving targets and witnesses that
+    ``compute_attacks``, the constructor's one caller, made.  The indexes
+    take no part in equality or ``repr``; a copy or a pickle holds the
+    argument set and the reading and reruns ``compute_attacks``.
     """
 
     _fields = ("arguments", "rows", "suppressed_rows", "generalized")
     __slots__ = (*_fields, "_attackers", "_targets", "_witnesses")
 
     def __init__(self, arguments: ArgumentSet, rows: tuple[Row, ...],
-                 suppressed_rows: tuple[Row, ...], generalized: bool = False) -> None:
-        groups: dict[tuple, list[int]] = {}  # an attacker's targets and witnesses -> attackers
-        for a, records in groupby(rows, itemgetter(0)):
-            records = list(records)
-            columns = tuple(map(itemgetter(1), records)), tuple(map(itemgetter(3), records))
-            groups.setdefault(columns, []).append(a)
-        self._fill(arguments, rows, suppressed_rows, generalized, groups.items())
-
-    def _fill(self, arguments: ArgumentSet, rows: tuple[Row, ...],
-              suppressed_rows: tuple[Row, ...], generalized: bool,
-              groups: Iterable[tuple[tuple[Sequence[int], Sequence[int]], list[int]]]) -> None:
-        """Set the fields and fill the indexes from ``((targets, witnesses), attackers)`` groups."""
+                 suppressed_rows: tuple[Row, ...], generalized: bool,
+                 groups: Iterable[tuple[tuple[Sequence[int], Sequence[int]], list[int]]]) -> None:
         targets, attackers, witnessed = ([()] * len(arguments) for _ in range(3))
         natural = arguments.natural
         for (found, witnesses), members in groups:
@@ -100,6 +90,10 @@ class AttackGraph(Record):
                   tuple(attackers), tuple(targets), tuple(witnessed))
         for setter, value in zip(self._setters, values):
             setter(self, value)
+
+    def __reduce__(self) -> tuple:
+        rerun = partial(compute_attacks, imaginary_subargument_attacks=self.generalized)
+        return rerun, (self.arguments,)
 
     def _records(self, rows: Iterable[Row]) -> tuple[tuple, ...]:
         ids = self.arguments.ids
@@ -206,6 +200,4 @@ def compute_attacks(
         surviving += zip(repeat(a), *kept)
         if lost:
             suppressed += zip(repeat(a), *lost)
-    graph = object.__new__(AttackGraph)
-    graph._fill(arguments, tuple(surviving), tuple(suppressed), not narrow, groups)
-    return graph
+    return AttackGraph(arguments, tuple(surviving), tuple(suppressed), not narrow, groups)

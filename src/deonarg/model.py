@@ -32,11 +32,13 @@ class Record:
     ``_defaults`` and raises ``TypeError`` as a function call would; a
     record that normalises or derives fields, or is made once per row,
     writes its ``__init__`` out over the same setters.  After that,
-    assigning or deleting any attribute raises ``AttributeError``.  Two
-    records are equal when they are of the same class and their field
-    tuples are equal, and a record hashes as its field tuple; (deontic)
-    literals store the hash when built.
-    ``repr`` reads ``Name(field=value, ...)``.
+    assigning or deleting any attribute raises ``AttributeError``.  A copy
+    or a pickle calls the constructor on the fields, save for the engine
+    tables, whose constructors take what construction found: theirs rerun
+    ``build_arguments`` or ``compute_attacks``.  Two records are equal
+    when they are of the same class and their field tuples are equal, and
+    a record hashes as its field tuple; (deontic) literals store the hash
+    when built.  ``repr`` reads ``Name(field=value, ...)``.
     """
 
     __slots__ = ()

@@ -9,7 +9,6 @@ import pytest
 
 from deonarg import (
     Argument,
-    ArgumentSet,
     Rule,
     Theory,
     build_arguments,
@@ -261,21 +260,11 @@ def test_the_kinds_are_the_schema_enum_and_every_row_has_one(conflict_corpus):
     assert drawn == set(enum)  # the corpus draws every kind
 
 
-def test_the_constructor_refuses_imaginary_rows_that_are_not_one_trailing_block(goldens):
-    arguments = goldens["chained-obligations"].arguments
-    natural, size = arguments.natural, len(arguments)
-    assert arguments.natural_ids() == tuple(i for i, a in arguments if a.kind != "imaginary")
-    assert arguments.imaginary_ids() == tuple(i for i, a in arguments if a.kind == "imaginary")
-    # the same table with its rows moved, children renumbered: every imaginary row first,
-    # or one of them among the natural rows
-    for order in ([*range(natural, size), *range(natural)],
-                  [*range(natural - 1), size - 1, natural - 1, *range(natural, size - 1)]):
-        where = {n: k for k, n in enumerate(order)}
-        rows = tuple((form, rule, conclusion, tuple(where[child] for child in children))
-                     for form, rule, conclusion, children in map(arguments.rows.__getitem__, order))
-        ids = tuple(map(arguments.ids.__getitem__, order))
-        with pytest.raises(ValueError, match="imaginary rows"):
-            ArgumentSet(arguments.theory, ids, rows)
+def test_the_natural_and_imaginary_ids_are_slices_of_the_ids(goldens):
+    for prepared in goldens.values():
+        arguments = prepared.arguments
+        assert arguments.natural_ids() == tuple(i for i, a in arguments if a.kind != "imaginary")
+        assert arguments.imaginary_ids() == tuple(i for i, a in arguments if a.kind == "imaginary")
 
 
 def test_a_built_table_retains_memory_linear_in_the_arguments(ladder):
@@ -330,9 +319,10 @@ def test_hashing_a_set_or_its_graph_decodes_no_argument(ladder):
     assert hash(first) == hash(second)
     assert hash(compute_attacks(first)) == hash(compute_attacks(second))
     assert first._ordered is None and second._ordered is None
-    # decoding the arguments leaves the hash as it was
+    # decoding the arguments leaves the hash as it was, and a copy hashes the same
     before = hash(first)
-    assert hash(ArgumentSet(theory, first.ids, first.rows)) == hash(first) == before
+    assert len(first.ordered) == len(first)
+    assert hash(copy.copy(first)) == hash(first) == before
 
 
 def test_tall_arguments_compare_without_recursion(ladder):

@@ -1,5 +1,6 @@
 """Unit tests for attack computation, condition tagging and suppression."""
 
+import copy
 from itertools import groupby
 from operator import itemgetter
 
@@ -363,8 +364,8 @@ def test_fanout_conflicts_fill_the_rows_and_indexes_of_the_reference(fanouts, ge
         tuple(tuple(sorted(found)) for found in scan) for scan in (attackers, targets, witnesses)
     )
     assert (graph._attackers, graph._targets, graph._witnesses) == indexes
-    # the public constructor rebuilds the same indexes from the graph's own fields
-    twin = AttackGraph(graph.arguments, graph.rows, graph.suppressed_rows, graph.generalized)
+    # a copy reruns construction on the set, under the same reading, to the same indexes
+    twin = copy.copy(graph)
     assert twin == graph
     assert (twin._attackers, twin._targets, twin._witnesses) == indexes
     # some attacker hits witnesses under two conditions, so its records are merged

@@ -6,7 +6,9 @@ the indexes that ``ArgumentSet`` and ``AttackGraph`` build on
 construction, which took no part in either).  ``ArgumentSet`` and
 ``WpExtension`` are records of their rows: they compare and hash as the
 rows and the ids they index, and ``ordered`` and ``steps`` are views decoded
-from the rows.
+from the rows.  The two engine tables are made only by ``build_arguments``
+and ``compute_attacks``, whose results their constructors take, so a twin
+of one is a copy, which reruns construction.
 The records are drawn from the golden theories and from generated ones.
 """
 
@@ -95,6 +97,9 @@ RECORDS: dict[type, tuple[tuple[str, ...], tuple[str, ...]]] = {
     ),) * 2,
     OracleResult: (("grounded", "complete", "stable"),) * 2,
 }
+
+#: the engine tables, whose constructors take what construction found besides the fields
+_TABLES = (ArgumentSet, AttackGraph)
 
 #: records of each class compared pairwise, at most this many
 PAIRWISE = 40
@@ -190,7 +195,7 @@ def test_equality_holds_exactly_for_the_same_class_with_equal_fields(records):
                 assert (x == y) is expected, (x, y)
                 assert (x != y) is not expected, (x, y)
             assert x != _values(x)
-            twin = cls(*_values(x))
+            twin = copy.copy(x) if cls in _TABLES else cls(*_values(x))
             assert twin == x and hash(twin) == hash(x)
 
 
@@ -235,7 +240,8 @@ def test_assigning_or_deleting_any_attribute_raises(records):
 def test_keyword_construction_and_defaults(records):
     for cls, listed in records.items():
         record = listed[0]
-        assert cls(**dict(zip(RECORDS[cls][1], _values(record)))) == record
+        if cls not in _TABLES:
+            assert cls(**dict(zip(RECORDS[cls][1], _values(record)))) == record
     assert Literal("p", positive=False) == lit("~p")
     assert Literal("p").positive is True
     rule = Rule("r1", (lit("a"), lit("a")), obl(lit("p")))
@@ -248,7 +254,7 @@ def test_keyword_construction_and_defaults(records):
     assert SourceSpan(1, 2).lexeme == ""
     assert SemanticsResult("grounded", (), frozenset()).no_extensions is False
     arguments = build_arguments(theory)
-    assert AttackGraph(arguments, (), ()).generalized is False
+    assert compute_attacks(arguments).generalized is False
 
 
 @pytest.mark.parametrize(
